@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod divergence;
 pub mod harness;
 pub mod tasks;
 

@@ -46,14 +46,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod energy;
 pub mod kernel;
 pub mod latency;
-pub mod simt;
 pub mod spec;
 pub mod timeline;
 
 pub use kernel::KernelDesc;
 pub use latency::{MlpStepSparsity, TokenLatency};
-pub use simt::{SimtMachine, SimtReport};
 pub use spec::GpuSpec;

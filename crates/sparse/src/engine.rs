@@ -3,7 +3,13 @@
 //! One object-safe [`Engine`] trait fronts every way this workspace can run
 //! a model — dense (the llama.cpp baseline) or sparse under any
 //! [`SparsityPredictor`] (sign-bit, DejaVu-style trained, oracle, random) —
-//! and one [`EngineBuilder`] constructs them all:
+//! and one [`EngineBuilder`] constructs them all. Behind the trait there is
+//! **one** execution core: the gated MLP of every layer runs under a skip
+//! mask, dense is the all-active mask of an engine built without a
+//! predictor, and the weight storage (`f32` or int8) only selects which
+//! monomorphized instance of the one generic executor
+//! ([`sparse_mlp_forward_into`]) a layer calls. The only other
+//! `impl Engine` is the [`SpeculativeEngine`] that pairs two such engines.
 //!
 //! ```
 //! use sparseinfer_model::{generator::WeightGenerator, ModelConfig, Sampler};
@@ -80,15 +86,16 @@ use sparseinfer_predictor::{
 use sparseinfer_tensor::{ParallelOptions, ThreadPool, Vector, Workspace};
 
 use crate::error::EngineError;
-use crate::mlp::{sparse_mlp_forward_into, sparse_mlp_q8_forward_into, MlpOptions};
+use crate::mlp::{sparse_mlp_forward_into, MlpOptions};
 use crate::ops::OpCounter;
 use crate::quantized::FusedQuantizedMlp;
 
 /// MLP weight storage format executed by an engine.
 ///
 /// `F32` reads the model's own matrices; `Int8` executes a block-quantized
-/// copy (one scale per 32 columns) through the fused block-dequant kernels,
-/// loading one byte per weight instead of four. Either way, decode is
+/// copy (one scale per 32 columns) through the same generic kernels, whose
+/// int8 instance dequantizes inside the reduction and loads one byte per
+/// weight instead of four. Either way, decode is
 /// bit-identical to its own solo run at every thread count — quantization
 /// perturbs *values* once at weight-prep time, never the reduction order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -554,249 +561,41 @@ pub trait Engine: std::fmt::Debug + Send {
     fn name(&self) -> &str;
 }
 
-/// Dense decoding engine (the llama.cpp baseline) with op accounting.
-#[derive(Debug)]
-pub struct DenseEngine<'m> {
-    model: &'m Model,
-    ops: OpCounter,
-    sampler: Sampler,
-    pool: ThreadPool,
-    ws: Workspace,
-    dense_mask: SkipMask,
-    effective: SkipMask,
-    quantized: Option<Arc<QuantizedWeights>>,
-    label: &'static str,
-}
-
-impl<'m> DenseEngine<'m> {
-    /// Wraps a model.
-    pub fn new(model: &'m Model) -> Self {
-        Self {
-            model,
-            ops: OpCounter::default(),
-            sampler: Sampler::greedy(),
-            pool: ThreadPool::single(),
-            ws: Workspace::new(),
-            dense_mask: SkipMask::all_dense(0),
-            effective: SkipMask::all_dense(0),
-            quantized: None,
-            label: "dense",
-        }
-    }
-
-    /// Greedy generation with dense execution — a thin wrapper over the
-    /// request layer ([`generate`](crate::request::generate)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty.
-    pub fn generate_greedy(&mut self, prompt: &[u32], max_new: usize, eos: u32) -> Vec<u32> {
-        generate_greedy_via_request(self, prompt, max_new, eos)
-    }
-}
-
-impl Engine for DenseEngine<'_> {
-    fn model(&self) -> &Model {
-        self.model
-    }
-
-    fn score_block_into(
-        &mut self,
-        tokens: &[u32],
-        session: &mut DecodeSession,
-        logits: &mut [Vector],
-    ) {
-        assert_eq!(tokens.len(), logits.len(), "one logit vector per token");
-        let model = self.model;
-        for (&token, out) in tokens.iter().zip(logits.iter_mut()) {
-            let mut h = self.ws.take(model.config().hidden_dim);
-            model.embed_into(token, &mut h);
-            for (li, (layer, cache)) in model
-                .layers()
-                .iter()
-                .zip(session.caches.iter_mut())
-                .enumerate()
-            {
-                let mid =
-                    layer.attention_half_ws(&h, session.position, cache, &self.pool, &mut self.ws);
-                account_attention(&mut self.ops, layer.hidden_dim(), cache.len());
-                let mut x = self.ws.take(layer.hidden_dim());
-                layer.mlp_norm().forward_into(&mid, &mut x);
-                if self.dense_mask.len() != layer.mlp().mlp_dim() {
-                    self.dense_mask.reset_dense(layer.mlp().mlp_dim());
-                }
-                // Dense = sparse execution under the all-active mask with the
-                // base options (no fusion, no actual sparsity) — exactly the
-                // seed's `dense_mlp_forward`.
-                let base = MlpOptions {
-                    kernel_fusion: false,
-                    actual_sparsity: false,
-                };
-                let _ = match &self.quantized {
-                    Some(q) => sparse_mlp_q8_forward_into(
-                        &q.layers()[li],
-                        &x,
-                        &self.dense_mask,
-                        base,
-                        &self.pool,
-                        &mut self.ws,
-                        &mut self.effective,
-                        &mut self.ops,
-                        &mut h,
-                    ),
-                    None => sparse_mlp_forward_into(
-                        layer.mlp(),
-                        &x,
-                        &self.dense_mask,
-                        base,
-                        &self.pool,
-                        &mut self.ws,
-                        &mut self.effective,
-                        &mut self.ops,
-                        &mut h,
-                    ),
-                };
-                self.ws.give(x);
-                h.add_assign(&mid);
-                self.ws.give(mid);
-            }
-            session.position += 1;
-            model.logits_into(&h, &self.pool, &mut self.ws, out);
-            self.ws.give(h);
-        }
-    }
-
-    fn ops(&self) -> &OpCounter {
-        &self.ops
-    }
-
-    fn reset_ops(&mut self) {
-        self.ops = OpCounter::default();
-    }
-
-    fn default_sampler(&self) -> Sampler {
-        self.sampler.clone()
-    }
-
-    fn memory_estimate(&self) -> MemoryEstimate {
-        let weight_bytes = self.quantized.as_ref().map_or(0, |q| q.size_bytes());
-        MemoryEstimate {
-            shared_bytes: weight_bytes,
-            weight_bytes,
-            per_session_bytes: self.ws.pooled_bytes()
-                + mask_bytes(&self.dense_mask)
-                + mask_bytes(&self.effective),
-            swapped_bytes: 0,
-        }
-    }
-
-    fn shared_state_id(&self) -> Option<usize> {
-        self.quantized
-            .as_ref()
-            .map(|q| Arc::as_ptr(q) as *const () as usize)
-    }
-
-    fn weight_format(&self) -> WeightFormat {
-        if self.quantized.is_some() {
-            WeightFormat::Int8
-        } else {
-            WeightFormat::F32
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.label
-    }
-}
-
-/// Sparsity-exploiting decoding engine over a shared, dynamically chosen
-/// predictor.
+/// The one non-speculative engine: the gated MLP of every layer runs under
+/// a skip mask, and *dense* is the case with no predictor.
 ///
-/// The predictor sits behind an `Arc` and is **read-only**: any number of
-/// engines (batch slots) share one copy of its packed-sign/DejaVu state,
-/// while each engine owns the mutable per-session pieces — scratch buffers,
+/// With a predictor, each layer's mask is predicted per token and the MLP
+/// runs under the configured [`EngineOptions`]. Without one, the mask is
+/// all-active and the options are the base ones (no fusion, no actual
+/// sparsity) — the llama.cpp baseline, exactly the seed's
+/// `dense_mlp_forward`. Weight storage is orthogonal: either case reads
+/// the model's own `f32` matrices or a shared [`QuantizedWeights`] copy.
+///
+/// The predictor and the quantized weights sit behind `Arc`s and are
+/// **read-only**: any number of engines (batch slots) share one copy, while
+/// each engine owns the mutable per-session pieces — scratch buffers,
 /// masks, workspace, counters, sampler.
 #[derive(Debug)]
-pub struct SparseEngine<'m> {
+struct MaskedEngine<'m> {
     model: &'m Model,
-    predictor: Arc<dyn SparsityPredictor>,
-    options: EngineOptions,
+    predictor: Option<Arc<dyn SparsityPredictor>>,
+    /// Base options when there is no predictor.
+    options: MlpOptions,
     ops: OpCounter,
-    stats: SparsityStats,
+    /// `Some` exactly when there is a predictor.
+    stats: Option<SparsityStats>,
     sampler: Sampler,
     label: String,
     pool: ThreadPool,
     ws: Workspace,
     scratch: PredictorScratch,
+    /// The predicted mask, or the all-active one.
     mask: SkipMask,
     effective: SkipMask,
     quantized: Option<Arc<QuantizedWeights>>,
 }
 
-impl<'m> SparseEngine<'m> {
-    /// Wraps a model and predictor, verifying they cover the same layers.
-    /// Accepts `Box` or `Arc` predictors; `Arc` enables sharing one
-    /// predictor across many engines.
-    pub fn new(
-        model: &'m Model,
-        predictor: impl Into<Arc<dyn SparsityPredictor>>,
-        options: EngineOptions,
-    ) -> Result<Self, EngineError> {
-        let predictor = predictor.into();
-        if predictor.n_layers() != model.layers().len() {
-            return Err(EngineError::LayerCountMismatch {
-                model_layers: model.layers().len(),
-                predictor_layers: predictor.n_layers(),
-            });
-        }
-        let n = model.layers().len();
-        let label = format!("sparse:{}", predictor.name());
-        Ok(Self {
-            model,
-            predictor,
-            options,
-            ops: OpCounter::default(),
-            stats: SparsityStats::new(n),
-            sampler: Sampler::greedy(),
-            label,
-            pool: ThreadPool::single(),
-            ws: Workspace::new(),
-            scratch: PredictorScratch::new(),
-            mask: SkipMask::all_dense(0),
-            effective: SkipMask::all_dense(0),
-            quantized: None,
-        })
-    }
-
-    /// The wrapped predictor.
-    pub fn predictor(&self) -> &dyn SparsityPredictor {
-        self.predictor.as_ref()
-    }
-
-    /// A handle to the shared predictor, cloneable into further engines so
-    /// many sessions reuse one packed-sign/DejaVu state.
-    pub fn predictor_handle(&self) -> Arc<dyn SparsityPredictor> {
-        Arc::clone(&self.predictor)
-    }
-
-    /// The execution options.
-    pub fn options(&self) -> EngineOptions {
-        self.options
-    }
-
-    /// Greedy generation with sparse execution — a thin wrapper over the
-    /// request layer. The prefill phase runs *densely* (the paper exploits
-    /// sparsity only during decode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty.
-    pub fn generate_greedy(&mut self, prompt: &[u32], max_new: usize, eos: u32) -> Vec<u32> {
-        generate_greedy_via_request(self, prompt, max_new, eos)
-    }
-}
-
-impl Engine for SparseEngine<'_> {
+impl Engine for MaskedEngine<'_> {
     fn model(&self) -> &Model {
         self.model
     }
@@ -824,19 +623,29 @@ impl Engine for SparseEngine<'_> {
                 let mut x = self.ws.take(layer.hidden_dim());
                 layer.mlp_norm().forward_into(&mid, &mut x);
 
-                self.predictor
-                    .predict_into(li, &x, &mut self.scratch, &mut self.mask);
-                let cost = self.predictor.prediction_cost(li);
-                self.ops.xor_popc += cost.xor_popc;
-                self.ops.predictor_macs += cost.macs;
-                self.ops.weight_bytes_loaded += cost.bytes_loaded;
+                match &self.predictor {
+                    Some(predictor) => {
+                        predictor.predict_into(li, &x, &mut self.scratch, &mut self.mask);
+                        let cost = predictor.prediction_cost(li);
+                        self.ops.xor_popc += cost.xor_popc;
+                        self.ops.predictor_macs += cost.macs;
+                        self.ops.weight_bytes_loaded += cost.bytes_loaded;
+                    }
+                    None => {
+                        if self.mask.len() != layer.mlp().mlp_dim() {
+                            self.mask.reset_dense(layer.mlp().mlp_dim());
+                        }
+                    }
+                }
 
+                // The storage format picks the monomorphized executor once
+                // per MLP call; nothing below this match dispatches on it.
                 let (predicted, effective) = match &self.quantized {
-                    Some(q) => sparse_mlp_q8_forward_into(
+                    Some(q) => sparse_mlp_forward_into(
                         &q.layers()[li],
                         &x,
                         &self.mask,
-                        self.options.mlp,
+                        self.options,
                         &self.pool,
                         &mut self.ws,
                         &mut self.effective,
@@ -847,7 +656,7 @@ impl Engine for SparseEngine<'_> {
                         layer.mlp(),
                         &x,
                         &self.mask,
-                        self.options.mlp,
+                        self.options,
                         &self.pool,
                         &mut self.ws,
                         &mut self.effective,
@@ -855,14 +664,18 @@ impl Engine for SparseEngine<'_> {
                         &mut h,
                     ),
                 };
-                self.stats.predicted_sum[li] += predicted;
-                self.stats.effective_sum[li] += effective;
+                if let Some(stats) = &mut self.stats {
+                    stats.predicted_sum[li] += predicted;
+                    stats.effective_sum[li] += effective;
+                }
 
                 self.ws.give(x);
                 h.add_assign(&mid);
                 self.ws.give(mid);
             }
-            self.stats.tokens += 1;
+            if let Some(stats) = &mut self.stats {
+                stats.tokens += 1;
+            }
             session.position += 1;
             model.logits_into(&h, &self.pool, &mut self.ws, out);
             self.ws.give(h);
@@ -875,11 +688,13 @@ impl Engine for SparseEngine<'_> {
 
     fn reset_ops(&mut self) {
         self.ops = OpCounter::default();
-        self.stats = SparsityStats::new(self.model.layers().len());
+        if let Some(stats) = &mut self.stats {
+            *stats = SparsityStats::new(self.model.layers().len());
+        }
     }
 
     fn stats(&self) -> Option<&SparsityStats> {
-        Some(&self.stats)
+        self.stats.as_ref()
     }
 
     fn default_sampler(&self) -> Sampler {
@@ -888,14 +703,19 @@ impl Engine for SparseEngine<'_> {
 
     fn memory_estimate(&self) -> MemoryEstimate {
         let weight_bytes = self.quantized.as_ref().map_or(0, |q| q.size_bytes());
+        let predictor_bytes = self.predictor.as_ref().map_or(0, |p| p.memory_bytes());
+        let stats_bytes = self
+            .stats
+            .as_ref()
+            .map_or(0, |s| s.predicted_sum.len() as u64 * 16);
         MemoryEstimate {
-            shared_bytes: self.predictor.memory_bytes() + weight_bytes,
+            shared_bytes: predictor_bytes + weight_bytes,
             weight_bytes,
             per_session_bytes: self.ws.pooled_bytes()
                 + self.scratch.memory_bytes()
                 + mask_bytes(&self.mask)
                 + mask_bytes(&self.effective)
-                + (self.stats.predicted_sum.len() as u64) * 16,
+                + stats_bytes,
             swapped_bytes: 0,
         }
     }
@@ -903,11 +723,12 @@ impl Engine for SparseEngine<'_> {
     fn shared_state_id(&self) -> Option<usize> {
         // Identity covers *all* shared state: engines share bytes only when
         // they share both the predictor and (if any) the quantized weights.
-        let p = Arc::as_ptr(&self.predictor) as *const () as usize;
-        Some(match &self.quantized {
-            Some(q) => p ^ (Arc::as_ptr(q) as *const () as usize),
-            None => p,
-        })
+        let p = self.predictor.as_ref().map(arc_id);
+        let q = self.quantized.as_ref().map(arc_id);
+        match (p, q) {
+            (Some(p), Some(q)) => Some(p ^ q),
+            (p, q) => p.or(q),
+        }
     }
 
     fn weight_format(&self) -> WeightFormat {
@@ -921,6 +742,10 @@ impl Engine for SparseEngine<'_> {
     fn name(&self) -> &str {
         &self.label
     }
+}
+
+fn arc_id<T: ?Sized>(shared: &Arc<T>) -> usize {
+    Arc::as_ptr(shared) as *const () as usize
 }
 
 fn mask_bytes(mask: &SkipMask) -> u64 {
@@ -1152,10 +977,11 @@ impl Engine for SpeculativeEngine<'_> {
 
 /// Builds any engine configuration against one model.
 ///
-/// No predictor ⇒ the dense baseline; otherwise a [`SparseEngine`] over the
-/// shared predictor. Convenience methods cover every predictor family in
-/// the paper. `build` validates the configuration and returns `Err` instead
-/// of panicking. [`parallel`](Self::parallel) sets the kernel thread count;
+/// No predictor ⇒ the dense baseline (all-active mask, base options);
+/// otherwise the same engine over the shared predictor. Convenience methods
+/// cover every predictor family in the paper. `build` validates the
+/// configuration and returns `Err` instead of panicking.
+/// [`parallel`](Self::parallel) sets the kernel thread count;
 /// [`predictor_shared`](Self::predictor_shared) lets many engines share one
 /// predictor's memory and [`pool`](Self::pool) lets them share one set of
 /// parked worker threads.
@@ -1190,7 +1016,7 @@ impl<'m> EngineBuilder<'m> {
     /// Selects the MLP weight storage format. [`WeightFormat::Int8`]
     /// quantizes the model's MLP weights at `build` time (unless a shared
     /// copy arrives via [`quantized_shared`](Self::quantized_shared)) and
-    /// routes every decode GEMV through the fused block-dequant kernels —
+    /// runs every decode GEMV on the int8 instance of the generic kernels —
     /// 4× less weight traffic, bit-identical across thread counts.
     pub fn weight_format(mut self, format: WeightFormat) -> Self {
         self.weight_format = format;
@@ -1311,28 +1137,41 @@ impl<'m> EngineBuilder<'m> {
                 Some(q)
             }
         };
-        match self.predictor {
-            None => {
-                let mut e = DenseEngine::new(self.model);
-                e.sampler = self.sampler;
-                e.pool = pool;
-                if let Some(q) = quantized {
-                    e.quantized = Some(q);
-                    e.label = "dense+int8";
-                }
-                Ok(Box::new(e))
+        let n_layers = self.model.layers().len();
+        // The one place that says what "dense" is: no predictor, no
+        // statistics, base options.
+        let (mut label, options, stats) = match &self.predictor {
+            Some(p) if p.n_layers() != n_layers => {
+                return Err(EngineError::LayerCountMismatch {
+                    model_layers: n_layers,
+                    predictor_layers: p.n_layers(),
+                });
             }
-            Some(p) => {
-                let mut e = SparseEngine::new(self.model, p, self.options)?;
-                e.sampler = self.sampler;
-                e.pool = pool;
-                if let Some(q) = quantized {
-                    e.quantized = Some(q);
-                    e.label.push_str("+int8");
-                }
-                Ok(Box::new(e))
-            }
+            Some(p) => (
+                format!("sparse:{}", p.name()),
+                self.options.mlp,
+                Some(SparsityStats::new(n_layers)),
+            ),
+            None => ("dense".to_string(), EngineOptions::base().mlp, None),
+        };
+        if quantized.is_some() {
+            label.push_str("+int8");
         }
+        Ok(Box::new(MaskedEngine {
+            model: self.model,
+            predictor: self.predictor,
+            options,
+            ops: OpCounter::default(),
+            stats,
+            sampler: self.sampler,
+            label,
+            pool,
+            ws: Workspace::new(),
+            scratch: PredictorScratch::new(),
+            mask: SkipMask::all_dense(0),
+            effective: SkipMask::all_dense(0),
+            quantized,
+        }))
     }
 
     /// Wraps a draft/verify engine pair into a lossless
@@ -1370,23 +1209,6 @@ impl<'m> EngineBuilder<'m> {
     }
 }
 
-/// Legacy greedy entry point, shared by the engines' `generate_greedy`
-/// wrappers: one request through the request layer.
-fn generate_greedy_via_request(
-    engine: &mut dyn Engine,
-    prompt: &[u32],
-    max_new: usize,
-    eos: u32,
-) -> Vec<u32> {
-    let req = crate::request::GenerateRequest::new(prompt)
-        .max_new(max_new)
-        .stop_at(eos)
-        .sampler(Sampler::greedy());
-    crate::request::generate(engine, &req)
-        .expect("prompt must be non-empty")
-        .tokens
-}
-
 /// Counts the dense attention work of one layer at context length `ctx`:
 /// four `d×d` projections plus score/value accumulation over the context.
 fn account_attention(ops: &mut OpCounter, d: usize, ctx: usize) {
@@ -1408,25 +1230,29 @@ mod tests {
         WeightGenerator::new(&ModelConfig::tiny(), 77).build()
     }
 
+    fn greedy(engine: &mut dyn Engine, prompt: &[u32], max_new: usize) -> Vec<u32> {
+        let req = crate::request::GenerateRequest::new(prompt).max_new(max_new);
+        crate::request::generate(engine, &req).unwrap().tokens
+    }
+
     #[test]
     fn dense_engine_matches_model_decode() {
         let m = model();
-        let mut engine = DenseEngine::new(&m);
+        let mut engine = EngineBuilder::new(&m).build().unwrap();
         let expected = m.generate_greedy(&[1, 2, 3], 6, u32::MAX);
-        let actual = engine.generate_greedy(&[1, 2, 3], 6, u32::MAX);
+        let actual = greedy(engine.as_mut(), &[1, 2, 3], 6);
         assert_eq!(actual, expected);
         assert!(engine.ops().macs > 0);
     }
 
     #[test]
-    fn builder_dense_equals_dense_engine() {
+    fn no_predictor_builds_the_dense_engine() {
         let m = model();
         let mut built = EngineBuilder::new(&m).build().unwrap();
         let mut session = m.start_session();
         let logits = built.step(3, &mut session);
-        let mut direct = DenseEngine::new(&m);
         let mut session2 = m.start_session();
-        let expected = direct.step(3, &mut session2);
+        let expected = m.forward_token(3, &mut session2);
         assert_eq!(logits, expected);
         assert_eq!(built.name(), "dense");
         assert!(built.stats().is_none());
@@ -1456,31 +1282,30 @@ mod tests {
     #[test]
     fn signbit_engine_decodes_and_skips_rows() {
         let m = model();
-        let mut engine = SparseEngine::new(
-            &m,
-            Box::new(SignBitPredictor::from_model(
+        let mut engine = EngineBuilder::new(&m)
+            .predictor(Box::new(SignBitPredictor::from_model(
                 &m,
                 AlphaSchedule::uniform(1.0),
-            )) as Box<dyn SparsityPredictor>,
-            EngineOptions::sparseinfer(),
-        )
-        .unwrap();
-        let out = engine.generate_greedy(&[1, 2, 3], 6, u32::MAX);
+            )))
+            .options(EngineOptions::sparseinfer())
+            .build()
+            .unwrap();
+        let out = greedy(engine.as_mut(), &[1, 2, 3], 6);
         assert_eq!(out.len(), 6);
         assert!(
             engine.ops().xor_popc > 0,
             "predictor cost must be accounted"
         );
         assert!(engine.ops().rows_skipped > 0);
-        assert!(Engine::stats(&engine).expect("sparse stats").tokens() > 0);
-        assert_eq!(Engine::name(&engine), "sparse:sparseinfer");
+        assert!(engine.stats().expect("sparse stats").tokens() > 0);
+        assert_eq!(engine.name(), "sparse:sparseinfer");
     }
 
     #[test]
     fn sparse_engine_does_less_mlp_work_than_dense() {
         let m = model();
-        let mut dense = DenseEngine::new(&m);
-        let _ = dense.generate_greedy(&[1, 2, 3], 6, u32::MAX);
+        let mut dense = EngineBuilder::new(&m).build().unwrap();
+        let _ = greedy(dense.as_mut(), &[1, 2, 3], 6);
 
         let mut sparse = EngineBuilder::new(&m)
             .signbit(AlphaSchedule::uniform(1.0))

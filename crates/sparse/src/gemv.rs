@@ -1,18 +1,24 @@
 //! Row-skipping GEMV kernels (the CPU analogues of §IV-B3/4's CUDA kernels).
 //!
+//! One body per algorithm, generic over the weight storage
+//! ([`WeightRows`]): the same sparse GEMV and the same sparse down
+//! projection run on `f32` matrices and on block-quantized int8 matrices,
+//! because a storage format only changes how a weight row is *read* — "as
+//! long as the sign bit can be extracted" (§IV-A). Dispatch is static: each
+//! format gets its own monomorphized instance, and the int8 one performs
+//! exactly the arithmetic the `f32` one would over the dequantized weights.
+//!
 //! The `*_into` forms are the serving hot path: they write into
 //! caller-provided buffers (recycled through a
 //! [`Workspace`](sparseinfer_tensor::Workspace)), reduce through the
-//! fixed-order chunked dot product of
-//! [`tensor::gemv::dot`](sparseinfer_tensor::gemv::dot), and row/column-
-//! partition across a [`ThreadPool`] with one writer per output element —
-//! so dense vs sparse, sequential vs parallel, allocating vs workspace
-//! paths are all bit-identical. The original allocating signatures survive
-//! as thin wrappers.
+//! format's fixed-order dot product ([`WeightRows::dot_row`]), and
+//! row/column-partition across a [`ThreadPool`] with one writer per output
+//! element — so dense vs sparse, sequential vs parallel, allocating vs
+//! workspace paths are all bit-identical. The original allocating
+//! signatures survive as thin wrappers.
 
 use sparseinfer_predictor::SkipMask;
-use sparseinfer_tensor::gemv::{dot, dot_q8, QUANT_BLOCK};
-use sparseinfer_tensor::{BlockQuantizedMatrix, Matrix, ThreadPool, Vector};
+use sparseinfer_tensor::{Matrix, ThreadPool, Vector, WeightRows};
 
 use crate::ops::OpCounter;
 
@@ -39,14 +45,17 @@ pub fn sparse_gemv(w: &Matrix, x: &Vector, mask: &SkipMask, ops: &mut OpCounter)
 
 /// [`sparse_gemv`] into a caller-provided buffer, row-partitioned across
 /// `pool`. Every output slot is written exactly once — the dot product for
-/// active rows, `0.0` for skipped rows — fixing the seed's double write
-/// (zero-fill then overwrite) of active slots.
+/// active rows, `0.0` for skipped rows (whose weights are never loaded) —
+/// fixing the seed's double write (zero-fill then overwrite) of active
+/// slots. Weight traffic is counted at the format's
+/// [`ACCOUNTED_BYTES`](WeightRows::ACCOUNTED_BYTES) per element (int8: one
+/// byte, the 4× shrink is the point).
 ///
 /// # Panics
 ///
 /// Panics if `mask.len() != w.rows()` or `x.len() != w.cols()`.
-pub fn sparse_gemv_into(
-    w: &Matrix,
+pub fn sparse_gemv_into<W: WeightRows>(
+    w: &W,
     x: &Vector,
     mask: &SkipMask,
     pool: &ThreadPool,
@@ -63,53 +72,13 @@ pub fn sparse_gemv_into(
             *slot = if mask.is_skipped(r) {
                 0.0
             } else {
-                dot(w.row(r), xs)
+                w.dot_row(r, xs)
             };
         }
     });
     let active_rows = (w.rows() - mask.skip_count()) as u64;
     ops.macs += active_rows * w.cols() as u64;
-    ops.weight_bytes_loaded += active_rows * w.cols() as u64 * OpCounter::WEIGHT_BYTES;
-    ops.rows_computed += active_rows;
-    ops.rows_skipped += (w.rows() as u64) - active_rows;
-}
-
-/// [`sparse_gemv_into`] over int8 block-quantized weights: active rows
-/// reduce through the fused block-dequant kernel
-/// ([`sparseinfer_tensor::gemv::dot_q8`]), skipped rows write `0.0`
-/// without loading a byte. Same row partitioning, same single-writer
-/// discipline — bit-identical at every thread count. Weight traffic is
-/// counted at one byte per int8 element (the 4× shrink is the point).
-///
-/// # Panics
-///
-/// Panics if `mask.len() != w.rows()` or `x.len() != w.cols()`.
-pub fn sparse_gemv_q8_into(
-    w: &BlockQuantizedMatrix,
-    x: &Vector,
-    mask: &SkipMask,
-    pool: &ThreadPool,
-    ops: &mut OpCounter,
-    out: &mut Vector,
-) {
-    assert_eq!(mask.len(), w.rows(), "mask/rows mismatch");
-    assert_eq!(x.len(), w.cols(), "input length mismatch");
-    let xs = x.as_slice();
-    out.resize(w.rows(), 0.0);
-    pool.run_chunks(out.as_mut_slice(), MIN_ROWS_PER_WORKER, |offset, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            let r = offset + i;
-            *slot = if mask.is_skipped(r) {
-                0.0
-            } else {
-                dot_q8(w.row(r), w.row_scales(r), xs)
-            };
-        }
-    });
-    let active_rows = (w.rows() - mask.skip_count()) as u64;
-    ops.macs += active_rows * w.cols() as u64;
-    // INT8 weights: 1 byte per element.
-    ops.weight_bytes_loaded += active_rows * w.cols() as u64;
+    ops.weight_bytes_loaded += active_rows * w.cols() as u64 * W::ACCOUNTED_BYTES;
     ops.rows_computed += active_rows;
     ops.rows_skipped += (w.rows() as u64) - active_rows;
 }
@@ -139,13 +108,16 @@ pub fn sparse_down_proj(
 /// the active rows in ascending order, so every output element sees the
 /// exact same addition sequence regardless of thread count (single writer,
 /// fixed order — the CPU stand-in for the GPU's deterministic-sum concern
-/// around `atomicAdd`).
+/// around `atomicAdd`). Each worker reads its column range of a row through
+/// [`WeightRows::row_span`]; for int8 that read dequantizes with the scale
+/// of the element's *global* column, so results are independent of how the
+/// output range is chunked.
 ///
 /// # Panics
 ///
 /// Panics if shapes disagree.
-pub fn sparse_down_proj_into(
-    w_down_t: &Matrix,
+pub fn sparse_down_proj_into<W: WeightRows>(
+    w_down_t: &W,
     h3: &Vector,
     mask: &SkipMask,
     pool: &ThreadPool,
@@ -166,104 +138,24 @@ pub fn sparse_down_proj_into(
         let mut n = 0usize;
         let mut apply = |pending: &[(usize, f32)]| match *pending {
             [(r0, s0), (r1, s1), (r2, s2), (r3, s3)] => {
-                let row0 = &w_down_t.row(r0)[offset..offset + chunk.len()];
-                let row1 = &w_down_t.row(r1)[offset..offset + chunk.len()];
-                let row2 = &w_down_t.row(r2)[offset..offset + chunk.len()];
-                let row3 = &w_down_t.row(r3)[offset..offset + chunk.len()];
+                let row0 = w_down_t.row_span(r0, offset, chunk.len());
+                let row1 = w_down_t.row_span(r1, offset, chunk.len());
+                let row2 = w_down_t.row_span(r2, offset, chunk.len());
+                let row3 = w_down_t.row_span(r3, offset, chunk.len());
                 for (i, o) in chunk.iter_mut().enumerate() {
                     let mut acc = *o;
-                    acc += row0[i] * s0;
-                    acc += row1[i] * s1;
-                    acc += row2[i] * s2;
-                    acc += row3[i] * s3;
+                    acc += row0(i) * s0;
+                    acc += row1(i) * s1;
+                    acc += row2(i) * s2;
+                    acc += row3(i) * s3;
                     *o = acc;
                 }
             }
             ref rest => {
                 for &(r, s) in rest {
-                    let row = &w_down_t.row(r)[offset..offset + chunk.len()];
-                    for (o, wi) in chunk.iter_mut().zip(row) {
-                        *o += wi * s;
-                    }
-                }
-            }
-        };
-        for r in 0..w_down_t.rows() {
-            if mask.is_skipped(r) {
-                continue;
-            }
-            pending[n] = (r, h3[r]);
-            n += 1;
-            if n == 4 {
-                apply(&pending);
-                n = 0;
-            }
-        }
-        apply(&pending[..n]);
-    });
-    let active_rows = (w_down_t.rows() - mask.skip_count()) as u64;
-    ops.macs += active_rows * w_down_t.cols() as u64;
-    ops.weight_bytes_loaded += active_rows * w_down_t.cols() as u64 * OpCounter::WEIGHT_BYTES;
-    ops.atomic_adds += active_rows * w_down_t.cols() as u64;
-    ops.rows_computed += active_rows;
-    ops.rows_skipped += (w_down_t.rows() as u64) - active_rows;
-}
-
-/// [`sparse_down_proj_into`] over int8 block-quantized weights. Each active
-/// row's contribution is dequantized element-by-element with the scale
-/// looked up by *global* column index (`col / QUANT_BLOCK`), so results are
-/// independent of how the output range is chunked across workers. The
-/// per-element addition chain is strictly row-ascending, exactly like the
-/// f32 kernel — bit-identical at every thread count.
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-pub fn sparse_down_proj_q8_into(
-    w_down_t: &BlockQuantizedMatrix,
-    h3: &Vector,
-    mask: &SkipMask,
-    pool: &ThreadPool,
-    ops: &mut OpCounter,
-    out: &mut Vector,
-) {
-    assert_eq!(mask.len(), w_down_t.rows(), "mask/rows mismatch");
-    assert_eq!(h3.len(), w_down_t.rows(), "h3 length mismatch");
-    out.resize(w_down_t.cols(), 0.0);
-    pool.run_chunks(out.as_mut_slice(), MIN_COLS_PER_WORKER, |offset, chunk| {
-        chunk.fill(0.0);
-        // Same four-rows-per-pass blocking as the f32 kernel; the only
-        // difference is the in-loop dequant `f32(q) * scale * h3_r`, with
-        // the scale chosen by the element's global column so chunk
-        // boundaries cannot change the arithmetic.
-        let mut pending = [(0usize, 0.0f32); 4];
-        let mut n = 0usize;
-        let mut apply = |pending: &[(usize, f32)]| match *pending {
-            [(r0, s0), (r1, s1), (r2, s2), (r3, s3)] => {
-                let row0 = &w_down_t.row(r0)[offset..offset + chunk.len()];
-                let row1 = &w_down_t.row(r1)[offset..offset + chunk.len()];
-                let row2 = &w_down_t.row(r2)[offset..offset + chunk.len()];
-                let row3 = &w_down_t.row(r3)[offset..offset + chunk.len()];
-                let sc0 = w_down_t.row_scales(r0);
-                let sc1 = w_down_t.row_scales(r1);
-                let sc2 = w_down_t.row_scales(r2);
-                let sc3 = w_down_t.row_scales(r3);
-                for (i, o) in chunk.iter_mut().enumerate() {
-                    let b = (offset + i) / QUANT_BLOCK;
-                    let mut acc = *o;
-                    acc += f32::from(row0[i]) * sc0[b] * s0;
-                    acc += f32::from(row1[i]) * sc1[b] * s1;
-                    acc += f32::from(row2[i]) * sc2[b] * s2;
-                    acc += f32::from(row3[i]) * sc3[b] * s3;
-                    *o = acc;
-                }
-            }
-            ref rest => {
-                for &(r, s) in rest {
-                    let row = &w_down_t.row(r)[offset..offset + chunk.len()];
-                    let scales = w_down_t.row_scales(r);
+                    let row = w_down_t.row_span(r, offset, chunk.len());
                     for (i, o) in chunk.iter_mut().enumerate() {
-                        *o += f32::from(row[i]) * scales[(offset + i) / QUANT_BLOCK] * s;
+                        *o += row(i) * s;
                     }
                 }
             }
@@ -283,8 +175,7 @@ pub fn sparse_down_proj_q8_into(
     });
     let active_rows = (w_down_t.rows() - mask.skip_count()) as u64;
     ops.macs += active_rows * w_down_t.cols() as u64;
-    // INT8 weights: 1 byte per element.
-    ops.weight_bytes_loaded += active_rows * w_down_t.cols() as u64;
+    ops.weight_bytes_loaded += active_rows * w_down_t.cols() as u64 * W::ACCOUNTED_BYTES;
     ops.atomic_adds += active_rows * w_down_t.cols() as u64;
     ops.rows_computed += active_rows;
     ops.rows_skipped += (w_down_t.rows() as u64) - active_rows;
@@ -294,7 +185,7 @@ pub fn sparse_down_proj_q8_into(
 mod tests {
     use super::*;
     use sparseinfer_tensor::gemv::{gemv, gemv_transposed};
-    use sparseinfer_tensor::Prng;
+    use sparseinfer_tensor::{BlockQuantizedMatrix, Prng};
 
     fn random_case(seed: u64, k: usize, d: usize) -> (Matrix, Vector) {
         let mut rng = Prng::seed(seed);
@@ -416,17 +307,17 @@ mod tests {
         let single = ThreadPool::single();
         let mut ops = OpCounter::default();
         let mut gemv_seq = Vector::zeros(0);
-        sparse_gemv_q8_into(&q, &x, &mask, &single, &mut ops, &mut gemv_seq);
+        sparse_gemv_into(&q, &x, &mask, &single, &mut ops, &mut gemv_seq);
         let mut down_seq = Vector::zeros(0);
-        sparse_down_proj_q8_into(&q, &h3, &mask, &single, &mut ops, &mut down_seq);
+        sparse_down_proj_into(&q, &h3, &mask, &single, &mut ops, &mut down_seq);
         for threads in [2, 4] {
             let pool = ThreadPool::new(ParallelOptions::threads(threads));
             let mut ops_p = OpCounter::default();
             let mut a = Vector::zeros(0);
-            sparse_gemv_q8_into(&q, &x, &mask, &pool, &mut ops_p, &mut a);
+            sparse_gemv_into(&q, &x, &mask, &pool, &mut ops_p, &mut a);
             assert_eq!(a, gemv_seq, "sparse_gemv_q8 @ {threads} threads");
             let mut b = Vector::zeros(0);
-            sparse_down_proj_q8_into(&q, &h3, &mask, &pool, &mut ops_p, &mut b);
+            sparse_down_proj_into(&q, &h3, &mask, &pool, &mut ops_p, &mut b);
             assert_eq!(b, down_seq, "sparse_down_proj_q8 @ {threads} threads");
         }
     }
@@ -447,7 +338,7 @@ mod tests {
         let pool = ThreadPool::single();
         let mut ops = OpCounter::default();
         let mut got = Vector::zeros(0);
-        sparse_gemv_q8_into(&q, &x, &mask, &pool, &mut ops, &mut got);
+        sparse_gemv_into(&q, &x, &mask, &pool, &mut ops, &mut got);
         let mut want = Vector::zeros(0);
         sparse_gemv_into(&deq, &x, &mask, &pool, &mut ops, &mut want);
         for r in 0..200 {
@@ -455,7 +346,7 @@ mod tests {
         }
 
         let mut got_d = Vector::zeros(0);
-        sparse_down_proj_q8_into(&q, &h3, &mask, &pool, &mut ops, &mut got_d);
+        sparse_down_proj_into(&q, &h3, &mask, &pool, &mut ops, &mut got_d);
         let mut want_d = Vector::zeros(0);
         sparse_down_proj_into(&deq, &h3, &mask, &pool, &mut ops, &mut want_d);
         for c in 0..96 {
@@ -474,11 +365,11 @@ mod tests {
 
         let mut ops = OpCounter::default();
         let mut out = Vector::zeros(0);
-        sparse_gemv_q8_into(&q, &x, &mask, &pool, &mut ops, &mut out);
+        sparse_gemv_into(&q, &x, &mask, &pool, &mut ops, &mut out);
         assert_eq!(ops.weight_bytes_loaded, ops.macs, "gemv: 1 byte per MAC");
 
         let mut ops_d = OpCounter::default();
-        sparse_down_proj_q8_into(&q, &h3, &mask, &pool, &mut ops_d, &mut out);
+        sparse_down_proj_into(&q, &h3, &mask, &pool, &mut ops_d, &mut out);
         assert_eq!(
             ops_d.weight_bytes_loaded, ops_d.macs,
             "down: 1 byte per MAC"

@@ -8,16 +8,23 @@
 //!
 //! * [`gemv`](mod@crate::gemv) — row-skipping GEMV kernels mirroring the CUDA
 //!   kernels of §IV-B3/4 (skipped row ⇒ the "warp" returns zero / skips its
-//!   `atomicAdd`).
-//! * [`mlp`](mod@crate::mlp) — the sparse gated-MLP executor with the paper's two
-//!   compensation/optimization switches: **actual sparsity** (union exact
-//!   zeros found after step 1 into the mask used by steps 2–4) and **kernel
-//!   fusion** (steps 1–3 in one kernel; affects memory traffic, which the
-//!   [`ops`](mod@crate::ops) accounting and the GPU cost model track).
+//!   `atomicAdd`). One sparse GEMV and one sparse down projection, generic
+//!   over the weight storage ([`WeightRows`](sparseinfer_tensor::WeightRows)):
+//!   `f32` and block-quantized int8 are two instances of the same body.
+//! * [`mlp`](mod@crate::mlp) — the one sparse gated-MLP executor (generic the
+//!   same way) with the paper's two compensation/optimization switches:
+//!   **actual sparsity** (union exact zeros found after step 1 into the mask
+//!   used by steps 2–4) and **kernel fusion** (steps 1–3 in one kernel;
+//!   affects memory traffic, which the [`ops`](mod@crate::ops) accounting and
+//!   the GPU cost model track). Dense execution is this executor under the
+//!   all-active mask.
+//! * [`quantized`](mod@crate::quantized) — the int8 storage of one MLP block;
+//!   no execution code of its own.
 //! * [`engine`](mod@crate::engine) — the [`Engine`] trait (one object-safe
 //!   interface for dense, sign-bit, DejaVu, oracle and random execution)
 //!   and the [`EngineBuilder`] that constructs every configuration,
-//!   returning [`EngineError`] values instead of panicking.
+//!   returning [`EngineError`] values instead of panicking. One engine
+//!   implementation serves them all: dense is the no-predictor case.
 //! * [`request`](mod@crate::request) — [`GenerateRequest`]s, seeded
 //!   [`Sampler`](sparseinfer_model::Sampler) policies, streaming per-token
 //!   callbacks.
@@ -71,13 +78,13 @@ pub mod scheduler;
 
 pub use batch::Batch;
 pub use engine::{
-    DenseEngine, Engine, EngineBuilder, EngineOptions, MemoryEstimate, QuantizedWeights,
-    SparseEngine, SparsityStats, SpeculativeEngine, SpeculativeStats, StepBlock, WeightFormat,
+    Engine, EngineBuilder, EngineOptions, MemoryEstimate, QuantizedWeights, SparsityStats,
+    SpeculativeEngine, SpeculativeStats, StepBlock, WeightFormat,
 };
 pub use error::EngineError;
 pub use mlp::SparseMlpOutput;
 pub use ops::OpCounter;
-pub use quantized::{FusedQuantizedMlp, QuantizedGatedMlp};
+pub use quantized::FusedQuantizedMlp;
 pub use request::{FinishReason, GenerateRequest, Generation, TokenEvent};
 pub use scheduler::{
     BatchEvent, BatchOutput, PrefixCacheStats, RequestHandle, Scheduler, SchedulerConfig,

@@ -5,16 +5,45 @@
 //! exact zeros discovered after the gate GEMV ("actual sparsity") be unioned
 //! into the mask used by the up and down projections, compensating rows the
 //! conservative predictor kept alive unnecessarily.
+//!
+//! There is one executor, [`sparse_mlp_forward_into`], generic over the
+//! block's weight storage ([`MlpWeights`]): the model's own `f32`
+//! [`GatedMlp`] and the int8
+//! [`FusedQuantizedMlp`](crate::quantized::FusedQuantizedMlp) run the same
+//! steps through the same generic kernels. Dense execution is the same call
+//! under the all-active mask ([`dense_mlp_forward`]).
 
-use sparseinfer_model::GatedMlp;
+use sparseinfer_model::{Activation, GatedMlp};
 use sparseinfer_predictor::SkipMask;
-use sparseinfer_tensor::{ThreadPool, Vector, Workspace};
+use sparseinfer_tensor::{Matrix, ThreadPool, Vector, WeightRows, Workspace};
 
-use crate::gemv::{
-    sparse_down_proj_into, sparse_down_proj_q8_into, sparse_gemv_into, sparse_gemv_q8_into,
-};
+use crate::gemv::{sparse_down_proj_into, sparse_gemv_into};
 use crate::ops::OpCounter;
-use crate::quantized::FusedQuantizedMlp;
+
+/// The weights of one gated-MLP block, in whatever storage they are
+/// executed from.
+pub trait MlpWeights {
+    /// The storage of the three matrices.
+    type Rows: WeightRows;
+
+    /// `(W_gate, W_up, W_downᵀ, activation)` — gate and up are `k × d`, the
+    /// transposed down projection is `k × d` too, so sparsity skips whole
+    /// rows of all three.
+    fn parts(&self) -> (&Self::Rows, &Self::Rows, &Self::Rows, Activation);
+}
+
+impl MlpWeights for GatedMlp {
+    type Rows = Matrix;
+
+    fn parts(&self) -> (&Self::Rows, &Self::Rows, &Self::Rows, Activation) {
+        (
+            self.w_gate(),
+            self.w_up(),
+            self.w_down_t(),
+            self.activation(),
+        )
+    }
+}
 
 /// Switches for the sparse MLP execution, matching the four SparseInfer
 /// variants of the paper's Fig. 4 (`base`, `+KF`, `+AS`, `+KF+AS`).
@@ -88,7 +117,8 @@ pub fn sparse_mlp_forward(
     }
 }
 
-/// Workspace variant of [`sparse_mlp_forward`] — the decode hot path.
+/// Workspace variant of [`sparse_mlp_forward`] — the decode hot path, for
+/// any weight storage.
 ///
 /// All intermediates (`h1`, `h2`) come from `ws`, the applied mask is built
 /// in place in `effective` (enter with any contents; leaves holding
@@ -97,14 +127,20 @@ pub fn sparse_mlp_forward(
 /// allocations, and its output is bit-identical to the allocating wrapper
 /// at every thread count (shared kernels, fixed reduction order).
 ///
+/// Over int8 weights the kernels reduce in exactly the order they would
+/// over the dequantized `f32` weights, so the whole forward is bit-identical
+/// to running it on the dequantized matrices: quantization perturbs values
+/// once, at weight-prep time, never the execution. Activation traffic is
+/// format-independent (intermediates stay `f32`).
+///
 /// Returns `(predicted_sparsity, effective_sparsity)`.
 ///
 /// # Panics
 ///
 /// Panics if `x` or `predicted` disagree with the block's dimensions.
 #[allow(clippy::too_many_arguments)] // the hot path threads every resource explicitly
-pub fn sparse_mlp_forward_into(
-    mlp: &GatedMlp,
+pub fn sparse_mlp_forward_into<M: MlpWeights>(
+    mlp: &M,
     x: &Vector,
     predicted: &SkipMask,
     options: MlpOptions,
@@ -114,17 +150,18 @@ pub fn sparse_mlp_forward_into(
     ops: &mut OpCounter,
     out: &mut Vector,
 ) -> (f64, f64) {
-    assert_eq!(x.len(), mlp.hidden_dim(), "input length mismatch");
-    assert_eq!(predicted.len(), mlp.mlp_dim(), "mask length mismatch");
+    let (w_gate, w_up, w_down_t, activation) = mlp.parts();
+    assert_eq!(x.len(), w_gate.cols(), "input length mismatch");
+    assert_eq!(predicted.len(), w_gate.rows(), "mask length mismatch");
 
-    let d = mlp.hidden_dim() as u64;
-    let k = mlp.mlp_dim() as u64;
+    let d = w_gate.cols() as u64;
+    let k = w_gate.rows() as u64;
     let predicted_sparsity = predicted.sparsity();
 
     // Step 1 (gate computation) under the predicted mask.
-    let mut h1 = ws.take(mlp.mlp_dim());
-    sparse_gemv_into(mlp.w_gate(), x, predicted, pool, ops, &mut h1);
-    mlp.activation().apply_slice(h1.as_mut_slice());
+    let mut h1 = ws.take(w_gate.rows());
+    sparse_gemv_into(w_gate, x, predicted, pool, ops, &mut h1);
+    activation.apply_slice(h1.as_mut_slice());
 
     // Actual-sparsity compensation: exact zeros after the activation join
     // the mask for steps 2–4.
@@ -136,14 +173,14 @@ pub fn sparse_mlp_forward_into(
 
     // Step 2 (input processing) and step 3 (gate application, in place:
     // h1 becomes h3 = h1 ⊙ h2).
-    let mut h2 = ws.take(mlp.mlp_dim());
-    sparse_gemv_into(mlp.w_up(), x, effective, pool, ops, &mut h2);
+    let mut h2 = ws.take(w_gate.rows());
+    sparse_gemv_into(w_up, x, effective, pool, ops, &mut h2);
     for (a, b) in h1.as_mut_slice().iter_mut().zip(h2.as_slice()) {
         *a *= b;
     }
 
     // Step 4 (output generation) over the transposed down projection.
-    sparse_down_proj_into(mlp.w_down_t(), &h1, effective, pool, ops, out);
+    sparse_down_proj_into(w_down_t, &h1, effective, pool, ops, out);
     ws.give(h1);
     ws.give(h2);
 
@@ -161,78 +198,13 @@ pub fn sparse_mlp_forward_into(
     (predicted_sparsity, effective_sparsity)
 }
 
-/// [`sparse_mlp_forward_into`] over block-quantized INT8 weights — the
-/// serving hot path when the engine runs with `WeightFormat::Int8`.
-///
-/// Identical step structure (gate → activation → actual-sparsity union →
-/// up → gate application → down projection), with each GEMV routed through
-/// the fused block-dequant kernels. Because those kernels reduce in exactly
-/// the order the f32 kernels would over the dequantized weights, this whole
-/// forward is bit-identical to [`sparse_mlp_forward_into`] on
-/// `mlp.dequantize()`d matrices — at every thread count. Quantization
-/// perturbs values once, at weight-prep time, never the execution.
-///
-/// Returns `(predicted_sparsity, effective_sparsity)`.
-///
-/// # Panics
-///
-/// Panics if `x` or `predicted` disagree with the block's dimensions.
-#[allow(clippy::too_many_arguments)] // the hot path threads every resource explicitly
-pub fn sparse_mlp_q8_forward_into(
-    mlp: &FusedQuantizedMlp,
-    x: &Vector,
-    predicted: &SkipMask,
-    options: MlpOptions,
-    pool: &ThreadPool,
-    ws: &mut Workspace,
-    effective: &mut SkipMask,
-    ops: &mut OpCounter,
-    out: &mut Vector,
-) -> (f64, f64) {
-    assert_eq!(x.len(), mlp.hidden_dim(), "input length mismatch");
-    assert_eq!(predicted.len(), mlp.mlp_dim(), "mask length mismatch");
+/// The name the int8 forward used to have as a second body; kept as an
+/// alias because callers outside the workspace import it.
+pub use self::sparse_mlp_forward_into as sparse_mlp_q8_forward_into;
 
-    let d = mlp.hidden_dim() as u64;
-    let k = mlp.mlp_dim() as u64;
-    let predicted_sparsity = predicted.sparsity();
-
-    // Step 1 (gate computation) under the predicted mask.
-    let mut h1 = ws.take(mlp.mlp_dim());
-    sparse_gemv_q8_into(mlp.w_gate(), x, predicted, pool, ops, &mut h1);
-    mlp.activation().apply_slice(h1.as_mut_slice());
-
-    // Actual-sparsity compensation.
-    effective.copy_from(predicted);
-    if options.actual_sparsity {
-        effective.union_exact_zeros(&h1);
-    }
-    let effective_sparsity = effective.sparsity();
-
-    // Step 2 (input processing) and step 3 (gate application, in place).
-    let mut h2 = ws.take(mlp.mlp_dim());
-    sparse_gemv_q8_into(mlp.w_up(), x, effective, pool, ops, &mut h2);
-    for (a, b) in h1.as_mut_slice().iter_mut().zip(h2.as_slice()) {
-        *a *= b;
-    }
-
-    // Step 4 (output generation) over the transposed down projection.
-    sparse_down_proj_q8_into(mlp.w_down_t(), &h1, effective, pool, ops, out);
-    ws.give(h1);
-    ws.give(h2);
-
-    // Activation traffic is format-independent (intermediates stay f32).
-    let elems = if options.kernel_fusion {
-        2 * d + 2 * k
-    } else {
-        3 * d + 6 * k
-    };
-    ops.activation_bytes += elems * OpCounter::ACTIVATION_BYTES;
-
-    (predicted_sparsity, effective_sparsity)
-}
-
-/// Dense reference execution with identical accounting hooks — the
-/// llama.cpp-equivalent path used by [`DenseEngine`](crate::engine::DenseEngine).
+/// Dense reference execution with identical accounting hooks: the all-active
+/// mask under the base options — the llama.cpp-equivalent path an engine
+/// built without a predictor runs.
 pub fn dense_mlp_forward(mlp: &GatedMlp, x: &Vector, ops: &mut OpCounter) -> Vector {
     let out = sparse_mlp_forward(
         mlp,

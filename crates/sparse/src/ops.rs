@@ -7,6 +7,7 @@
 //! bytes moved and operations executed.
 
 use sparseinfer_model::ModelConfig;
+use sparseinfer_tensor::{Matrix, WeightRows};
 
 /// Accumulated operation and traffic counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,8 +32,9 @@ pub struct OpCounter {
 }
 
 impl OpCounter {
-    /// Bytes per weight element (FP16 storage, as on the paper's GPU).
-    pub const WEIGHT_BYTES: u64 = 2;
+    /// Bytes per full-precision weight element (FP16 storage, as on the
+    /// paper's GPU) — what the kernels count per [`Matrix`] element.
+    pub const WEIGHT_BYTES: u64 = <Matrix as WeightRows>::ACCOUNTED_BYTES;
     /// Bytes per activation element (FP32 intermediate, llama.cpp default).
     pub const ACTIVATION_BYTES: u64 = 4;
 

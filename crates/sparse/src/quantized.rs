@@ -1,31 +1,28 @@
-//! INT8 sparse MLP execution (the quantization-portability story, end to
-//! end).
+//! INT8 gated-MLP weights (the quantization-portability story, end to end).
 //!
 //! §IV-A argues the sign-bit predictor is "robust to various standard
 //! quantization methods ... as long as the sign bit can be extracted". This
-//! module closes the loop: a gated MLP whose three weight matrices are
-//! stored in per-row symmetric INT8, executed sparsely under masks produced
-//! from the *quantized* representation's sign bits. A trained predictor
-//! would have to be retrained for this format (the paper's criticism of
-//! DejaVu); here the packed-sign table is simply re-derived from the INT8
-//! payloads at load time.
+//! module is the storage half of that claim: a gated MLP whose three weight
+//! matrices are block-quantized INT8. It has no execution code of its own —
+//! [`FusedQuantizedMlp`] implements [`MlpWeights`], so the one generic
+//! executor ([`sparse_mlp_forward_into`](crate::mlp::sparse_mlp_forward_into))
+//! and the one generic kernel set ([`gemv`](mod@crate::gemv)) run it. A
+//! trained predictor would have to be retrained for a new format (the
+//! paper's criticism of DejaVu); a sign-bit table is simply re-derived from
+//! the INT8 payloads at load time (checked in this module's tests).
 
 use sparseinfer_model::{Activation, GatedMlp};
-use sparseinfer_predictor::SkipMask;
-use sparseinfer_tensor::{BlockQuantizedMatrix, QuantizedMatrix, Vector, Workspace};
+use sparseinfer_tensor::BlockQuantizedMatrix;
 
-use crate::ops::OpCounter;
+use crate::mlp::MlpWeights;
 
 /// A gated MLP block with *block-quantized* INT8 weights (one scale per
-/// [`QUANT_BLOCK`](sparseinfer_tensor::gemv::QUANT_BLOCK) columns), executed
-/// through the fused block-dequant kernels
-/// ([`sparse_gemv_q8_into`](crate::gemv::sparse_gemv_q8_into) /
-/// [`sparse_down_proj_q8_into`](crate::gemv::sparse_down_proj_q8_into)).
+/// [`QUANT_BLOCK`](sparseinfer_tensor::gemv::QUANT_BLOCK) columns).
 ///
-/// This is the serving hot path's INT8 weight format — finer-grained than
-/// [`QuantizedGatedMlp`]'s per-row scales, and wired into the engine behind
-/// the `WeightFormat::Int8` knob. Rows are dequantized *inside* the
-/// reduction, never materialized as `f32`.
+/// This is the serving hot path's INT8 weight format, wired into the engine
+/// behind the `WeightFormat::Int8` knob. Rows are dequantized *inside* the
+/// reduction ([`dot_q8`](sparseinfer_tensor::gemv::dot_q8)), never
+/// materialized as `f32`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedQuantizedMlp {
     gate: BlockQuantizedMatrix,
@@ -82,168 +79,26 @@ impl FusedQuantizedMlp {
     }
 }
 
-/// A gated MLP block with INT8 weights (per-row scales), skip-capable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedGatedMlp {
-    gate: QuantizedMatrix,
-    up: QuantizedMatrix,
-    down_t: QuantizedMatrix,
-    activation: Activation,
-}
+impl MlpWeights for FusedQuantizedMlp {
+    type Rows = BlockQuantizedMatrix;
 
-impl QuantizedGatedMlp {
-    /// Quantizes an existing full-precision block (one-time, at load).
-    pub fn quantize(mlp: &GatedMlp) -> Self {
-        Self {
-            gate: QuantizedMatrix::quantize(mlp.w_gate()),
-            up: QuantizedMatrix::quantize(mlp.w_up()),
-            down_t: QuantizedMatrix::quantize(mlp.w_down_t()),
-            activation: mlp.activation(),
-        }
+    fn parts(&self) -> (&Self::Rows, &Self::Rows, &Self::Rows, Activation) {
+        (&self.gate, &self.up, &self.down_t, self.activation)
     }
-
-    /// Model dimension `d`.
-    pub fn hidden_dim(&self) -> usize {
-        self.gate.cols()
-    }
-
-    /// Intermediate dimension `k`.
-    pub fn mlp_dim(&self) -> usize {
-        self.gate.rows()
-    }
-
-    /// The quantized gate matrix (source of the predictor's sign bits).
-    pub fn gate(&self) -> &QuantizedMatrix {
-        &self.gate
-    }
-
-    /// Total INT8 weight bytes (with scales) — 4× smaller than FP32.
-    pub fn size_bytes(&self) -> usize {
-        self.gate.size_bytes() + self.up.size_bytes() + self.down_t.size_bytes()
-    }
-
-    /// Sparse forward pass under `predicted`, with the same step structure
-    /// and actual-sparsity compensation as the FP32 path. Thin allocating
-    /// wrapper over [`forward_sparse_into`](Self::forward_sparse_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `predicted` disagree with the block's dimensions.
-    pub fn forward_sparse(
-        &self,
-        x: &Vector,
-        predicted: &SkipMask,
-        actual_sparsity: bool,
-        ops: &mut OpCounter,
-    ) -> Vector {
-        let mut ws = Workspace::new();
-        let mut effective = SkipMask::all_dense(0);
-        let mut out = Vector::zeros(0);
-        self.forward_sparse_into(
-            x,
-            predicted,
-            actual_sparsity,
-            &mut ws,
-            &mut effective,
-            ops,
-            &mut out,
-        );
-        out
-    }
-
-    /// Workspace variant of [`forward_sparse`](Self::forward_sparse): all
-    /// intermediates come from `ws`, the applied mask is built in place in
-    /// `effective` (enter with any contents), and the block output lands in
-    /// `out`. After warm-up the call performs zero heap allocations, and its
-    /// output is bit-identical to the allocating wrapper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `predicted` disagree with the block's dimensions.
-    #[allow(clippy::too_many_arguments)] // the hot path threads every resource explicitly
-    pub fn forward_sparse_into(
-        &self,
-        x: &Vector,
-        predicted: &SkipMask,
-        actual_sparsity: bool,
-        ws: &mut Workspace,
-        effective: &mut SkipMask,
-        ops: &mut OpCounter,
-        out: &mut Vector,
-    ) {
-        assert_eq!(x.len(), self.hidden_dim(), "input length mismatch");
-        assert_eq!(predicted.len(), self.mlp_dim(), "mask length mismatch");
-        let k = self.mlp_dim();
-        let d = self.hidden_dim();
-        let xs = x.as_slice();
-
-        // Step 1: gate under the predicted mask. The recycled buffer arrives
-        // with stale contents, so every slot is written exactly once.
-        let mut h1 = ws.take(k);
-        for (r, slot) in h1.as_mut_slice().iter_mut().enumerate() {
-            *slot = if predicted.is_skipped(r) {
-                0.0
-            } else {
-                self.gate.row_dot(r, xs)
-            };
-        }
-        self.activation.apply_slice(h1.as_mut_slice());
-        track_rows(ops, predicted, d, 1);
-
-        // Actual-sparsity union, built in place.
-        effective.copy_from(predicted);
-        if actual_sparsity {
-            effective.union_exact_zeros(&h1);
-        }
-
-        // Steps 2–3, in place: h1 becomes h3 = h1 ⊙ h2.
-        for (r, slot) in h1.as_mut_slice().iter_mut().enumerate() {
-            *slot = if effective.is_skipped(r) {
-                0.0
-            } else {
-                *slot * self.up.row_dot(r, xs)
-            };
-        }
-        track_rows(ops, effective, d, 1);
-
-        // Step 4 over the transposed down projection.
-        out.resize(d, 0.0);
-        out.as_mut_slice().fill(0.0);
-        for r in effective.active_rows() {
-            let scale = h1[r];
-            if scale == 0.0 {
-                continue;
-            }
-            let srow = self.down_t.scales()[r] * scale;
-            for (o, q) in out.as_mut_slice().iter_mut().zip(self.down_t.row(r)) {
-                *o += f32::from(*q) * srow;
-            }
-        }
-        track_rows(ops, effective, d, 1);
-        ws.give(h1);
-    }
-}
-
-fn track_rows(ops: &mut OpCounter, mask: &SkipMask, cols: usize, passes: u64) {
-    let active = (mask.len() - mask.skip_count()) as u64;
-    ops.macs += passes * active * cols as u64;
-    // INT8 weights: 1 byte per element.
-    ops.weight_bytes_loaded += passes * active * cols as u64;
-    ops.rows_computed += passes * active;
-    ops.rows_skipped += passes * mask.skip_count() as u64;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::{sparse_mlp_forward, MlpOptions};
+    use crate::mlp::{sparse_mlp_forward, sparse_mlp_forward_into, MlpOptions};
+    use crate::ops::OpCounter;
     use sparseinfer_model::generator::WeightGenerator;
     use sparseinfer_model::ModelConfig;
     use sparseinfer_predictor::{
-        AlphaSchedule, OraclePredictor, SignBitPredictor, SparsityPredictor,
+        AlphaSchedule, OraclePredictor, SignBitPredictor, SkipMask, SparsityPredictor,
     };
     use sparseinfer_tensor::sign::PackedSignMatrix;
-    use sparseinfer_tensor::{Matrix, Prng};
+    use sparseinfer_tensor::{Matrix, Prng, QuantizedMatrix, ThreadPool, Vector, Workspace};
 
     fn setup() -> (sparseinfer_model::Model, Vector) {
         let cfg = ModelConfig::tiny();
@@ -253,16 +108,33 @@ mod tests {
         (model, x)
     }
 
+    fn forward(qmlp: &FusedQuantizedMlp, x: &Vector, mask: &SkipMask) -> (Vector, OpCounter) {
+        let mut ops = OpCounter::default();
+        let mut out = Vector::zeros(0);
+        sparse_mlp_forward_into(
+            qmlp,
+            x,
+            mask,
+            MlpOptions::default(),
+            &ThreadPool::single(),
+            &mut Workspace::new(),
+            &mut SkipMask::all_dense(0),
+            &mut ops,
+            &mut out,
+        );
+        (out, ops)
+    }
+
     #[test]
     fn quantized_output_tracks_fp32_output() {
         let (model, x) = setup();
         let mlp = model.layers()[0].mlp();
-        let qmlp = QuantizedGatedMlp::quantize(mlp);
+        let qmlp = FusedQuantizedMlp::quantize(mlp);
         let mut oracle = OraclePredictor::from_model(&model);
         let mask = oracle.predict(0, &x);
 
+        let (q_out, _) = forward(&qmlp, &x, &mask);
         let mut ops = OpCounter::default();
-        let q_out = qmlp.forward_sparse(&x, &mask, true, &mut ops);
         let f_out = sparse_mlp_forward(mlp, &x, &mask, MlpOptions::default(), &mut ops);
 
         let ref_norm = f_out.output.norm().max(1e-6);
@@ -283,7 +155,7 @@ mod tests {
         let packed: Vec<PackedSignMatrix> = model
             .layers()
             .iter()
-            .map(|l| QuantizedGatedMlp::quantize(l.mlp()).gate().packed_signs())
+            .map(|l| QuantizedMatrix::quantize(l.mlp().w_gate()).packed_signs())
             .collect();
         let mut int8 = SignBitPredictor::from_packed(packed, schedule);
 
@@ -306,70 +178,22 @@ mod tests {
     fn int8_weights_are_about_4x_smaller_than_fp32() {
         let (model, _) = setup();
         let mlp = model.layers()[0].mlp();
-        let qmlp = QuantizedGatedMlp::quantize(mlp);
+        let int8_bytes: usize = [mlp.w_gate(), mlp.w_up(), mlp.w_down_t()]
+            .iter()
+            .map(|w| QuantizedMatrix::quantize(w).size_bytes())
+            .sum();
         let fp32_bytes = 3 * mlp.mlp_dim() * mlp.hidden_dim() * std::mem::size_of::<f32>();
-        let ratio = fp32_bytes as f64 / qmlp.size_bytes() as f64;
+        let ratio = fp32_bytes as f64 / int8_bytes as f64;
         assert!((3.5..4.01).contains(&ratio), "compression ratio {ratio}");
-    }
-
-    #[test]
-    fn int8_ops_accounting_counts_one_byte_per_weight() {
-        let (model, x) = setup();
-        let qmlp = QuantizedGatedMlp::quantize(model.layers()[0].mlp());
-        let k = qmlp.mlp_dim();
-        let mut ops = OpCounter::default();
-        let _ = qmlp.forward_sparse(&x, &SkipMask::all_dense(k), false, &mut ops);
-        assert_eq!(ops.weight_bytes_loaded, ops.macs); // 1 byte per MAC
     }
 
     #[test]
     fn all_skipped_is_zero_output_and_free() {
         let (model, x) = setup();
-        let qmlp = QuantizedGatedMlp::quantize(model.layers()[0].mlp());
-        let mut ops = OpCounter::default();
-        let out = qmlp.forward_sparse(&x, &SkipMask::all_skipped(qmlp.mlp_dim()), true, &mut ops);
+        let qmlp = FusedQuantizedMlp::quantize(model.layers()[0].mlp());
+        let (out, ops) = forward(&qmlp, &x, &SkipMask::all_skipped(qmlp.mlp_dim()));
         assert!(out.iter().all(|v| *v == 0.0));
         assert_eq!(ops.macs, 0);
-    }
-
-    #[test]
-    fn into_variant_is_bitwise_equal_to_the_allocating_wrapper() {
-        let (model, x) = setup();
-        let qmlp = QuantizedGatedMlp::quantize(model.layers()[0].mlp());
-        let mask = SkipMask::from_fn(qmlp.mlp_dim(), |r| r % 3 == 0);
-
-        let mut ops = OpCounter::default();
-        let want = qmlp.forward_sparse(&x, &mask, true, &mut ops);
-
-        let mut ws = Workspace::new();
-        let mut effective = SkipMask::all_dense(0);
-        // Stale buffer contents must not leak into the output.
-        let mut out = Vector::from_vec(vec![f32::NAN; qmlp.hidden_dim()]);
-        let mut ops2 = OpCounter::default();
-        qmlp.forward_sparse_into(
-            &x,
-            &mask,
-            true,
-            &mut ws,
-            &mut effective,
-            &mut ops2,
-            &mut out,
-        );
-        assert_eq!(out, want);
-        assert_eq!(ops2.macs, ops.macs);
-
-        // Steady state: a second call reuses the pooled buffer.
-        qmlp.forward_sparse_into(
-            &x,
-            &mask,
-            true,
-            &mut ws,
-            &mut effective,
-            &mut ops2,
-            &mut out,
-        );
-        assert_eq!(out, want);
-        assert_eq!(ws.pooled(), 1, "h1 buffer returns to the workspace");
     }
 
     #[test]
@@ -388,7 +212,7 @@ mod tests {
     fn quantize_preserves_dims() {
         let gate = Matrix::zeros(12, 8);
         let mlp = GatedMlp::new(gate.clone(), gate.clone(), gate, Activation::Relu);
-        let q = QuantizedGatedMlp::quantize(&mlp);
+        let q = FusedQuantizedMlp::quantize(&mlp);
         assert_eq!(q.hidden_dim(), 8);
         assert_eq!(q.mlp_dim(), 12);
     }

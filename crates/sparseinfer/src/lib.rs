@@ -11,7 +11,7 @@
 //! | [`predictor`] | `sparseinfer-predictor` | the **sign-bit predictor**, alpha schedules, DejaVu baseline, oracle/random, metrics |
 //! | [`sparse`] | `sparseinfer-sparse` | sparse GEMVs and MLPs, the unified **`Engine` API**, request layer, the **continuous-batching scheduler**, op accounting |
 //! | [`gpu_sim`] | `sparseinfer-gpu-sim` | Jetson Orin AGX roofline cost model: kernels, CKE, per-token latency |
-//! | [`eval`] | `sparseinfer-eval` | synthetic GSM8K/BBH-analog suites, dense-gold accuracy, logit divergence |
+//! | [`eval`] | `sparseinfer-eval` | synthetic GSM8K/BBH-analog suites, dense-gold accuracy |
 //! | [`json`] | (this crate) | dependency-free JSON value tree, parser and writer, shared by the bench tooling and the HTTP serving frontend |
 //! | [`stats`] | (this crate) | the single JSON encoding of [`SchedulerStats`](sparse::scheduler::SchedulerStats), shared by `/stats` and the trace-replay harness |
 //!

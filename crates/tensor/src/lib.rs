@@ -62,7 +62,7 @@ pub mod vector;
 pub mod workspace;
 
 pub use f16::F16;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, WeightRows};
 pub use pool::{ParallelOptions, ThreadPool};
 pub use quant::{BlockQuantizedMatrix, QuantizedMatrix};
 pub use rng::Prng;

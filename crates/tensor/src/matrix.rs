@@ -1,6 +1,55 @@
 //! Dense row-major `f32` matrix used for model weights.
 
+use crate::gemv::dot;
 use crate::{ShapeError, Vector};
+
+/// Row-addressable weight storage: what a row-skipping kernel needs to know
+/// about a matrix, and nothing about how its elements are encoded. The
+/// sparse kernels are generic over this trait (statically dispatched), so
+/// one kernel body serves [`Matrix`] and
+/// [`BlockQuantizedMatrix`](crate::BlockQuantizedMatrix) — a storage format
+/// only changes how a weight row is *read*, never the reduction order.
+pub trait WeightRows: Sync {
+    /// Bytes one weight counts for in the op accounting (what a skipped row
+    /// saves in "DRAM" traffic).
+    const ACCOUNTED_BYTES: u64;
+
+    /// Number of rows.
+    fn rows(&self) -> usize;
+
+    /// Number of columns.
+    fn cols(&self) -> usize;
+
+    /// `W_r · x` through the format's fixed-order reduction.
+    fn dot_row(&self, r: usize, x: &[f32]) -> f32;
+
+    /// Reader of columns `start..start + len` of row `r`: `read(i)` is the
+    /// `f32` value of column `start + i`.
+    fn row_span(&self, r: usize, start: usize, len: usize) -> impl Fn(usize) -> f32 + Copy + '_;
+}
+
+impl WeightRows for Matrix {
+    /// `f32` in memory, accounted as the FP16 storage of the paper's GPU.
+    const ACCOUNTED_BYTES: u64 = 2;
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
+        dot(self.row(r), x)
+    }
+
+    #[inline] // see the int8 impl
+    fn row_span(&self, r: usize, start: usize, len: usize) -> impl Fn(usize) -> f32 + Copy + '_ {
+        let row = &self.row(r)[start..start + len];
+        move |i| row[i]
+    }
+}
 
 /// A dense, row-major `f32` matrix.
 ///

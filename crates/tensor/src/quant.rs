@@ -8,6 +8,7 @@
 //! product anyway).
 
 use crate::gemv::{dot_q8, DOT_LANES, QUANT_BLOCK};
+use crate::matrix::WeightRows;
 use crate::{sign::PackedSignMatrix, Matrix};
 
 /// A matrix quantized to INT8 with one `f32` scale per row.
@@ -262,6 +263,34 @@ impl BlockQuantizedMatrix {
     pub fn row_dot(&self, r: usize, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.cols, "row_dot length mismatch");
         dot_q8(self.row(r), self.row_scales(r), x)
+    }
+}
+
+impl WeightRows for BlockQuantizedMatrix {
+    const ACCOUNTED_BYTES: u64 = 1;
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
+        dot_q8(self.row(r), self.row_scales(r), x)
+    }
+
+    /// Dequantizes in the read, with the scale chosen by the element's
+    /// *global* column, so where a span starts cannot change the arithmetic.
+    // Measured: without the hint the read is not inlined across the crate
+    // boundary into the 4-row loop and the int8 down projection runs ~40%
+    // slower.
+    #[inline]
+    fn row_span(&self, r: usize, start: usize, len: usize) -> impl Fn(usize) -> f32 + Copy + '_ {
+        let row = &self.row(r)[start..start + len];
+        let scales = self.row_scales(r);
+        move |i| f32::from(row[i]) * scales[(start + i) / QUANT_BLOCK]
     }
 }
 

@@ -13,7 +13,15 @@
 //! stack-allocated chunk descriptors into preallocated mailboxes, so
 //! fanning a decode step across workers allocates exactly as much as
 //! running it inline — nothing. The counting allocator is global, so
-//! worker-thread allocations would be caught just like caller ones.
+//! worker-thread allocations are caught just like caller ones
+//! (`worker_thread_allocations_are_counted` is the negative control).
+//!
+//! Because the counter is process-wide, this binary runs **without
+//! libtest** (`harness = false` in the root manifest): `main` runs the
+//! checks one after another, so the only threads alive during a measured
+//! region are the main thread and the pool workers of the engine under
+//! measurement. Under libtest the sibling test threads billed each other
+//! and the binary was red on every multi-core host.
 //!
 //! (This integration-test binary and the tensor pool internals are the only
 //! places in the workspace that use `unsafe`: implementing `GlobalAlloc`
@@ -26,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig};
 use sparseinfer::predictor::AlphaSchedule;
 use sparseinfer::sparse::engine::{Engine, EngineBuilder, WeightFormat};
-use sparseinfer::tensor::{ParallelOptions, Vector};
+use sparseinfer::tensor::{ParallelOptions, ThreadPool, Vector};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -89,7 +97,6 @@ fn steady_state_allocations(engine: &mut dyn Engine, warmup: usize, steps: usize
     allocations() - before
 }
 
-#[test]
 fn dense_steady_state_decode_is_allocation_free() {
     let model = test_model();
     let mut engine = EngineBuilder::new(&model).build().unwrap();
@@ -97,7 +104,6 @@ fn dense_steady_state_decode_is_allocation_free() {
     assert_eq!(allocs, 0, "dense decode allocated {allocs} times");
 }
 
-#[test]
 fn signbit_steady_state_decode_is_allocation_free() {
     let model = test_model();
     let mut engine = EngineBuilder::new(&model)
@@ -108,7 +114,6 @@ fn signbit_steady_state_decode_is_allocation_free() {
     assert_eq!(allocs, 0, "signbit decode allocated {allocs} times");
 }
 
-#[test]
 fn oracle_and_random_steady_state_decode_are_allocation_free() {
     let model = test_model();
     for (name, mut engine) in [
@@ -126,7 +131,6 @@ fn oracle_and_random_steady_state_decode_are_allocation_free() {
     }
 }
 
-#[test]
 fn int8_steady_state_decode_is_allocation_free() {
     // The quantized hot path must hold the same bar as f32: the fused
     // block-dequant kernel expands each 32-column block into a stack
@@ -155,7 +159,6 @@ fn int8_steady_state_decode_is_allocation_free() {
     }
 }
 
-#[test]
 fn parallel_int8_steady_state_decode_is_allocation_free() {
     let model = test_model();
     for threads in [2usize, 4] {
@@ -173,7 +176,6 @@ fn parallel_int8_steady_state_decode_is_allocation_free() {
     }
 }
 
-#[test]
 fn parallel_steady_state_decode_is_allocation_free() {
     // The parked-worker pool must not charge the hot path for dispatch:
     // chunk descriptors live on the caller's stack and mailboxes are
@@ -206,7 +208,29 @@ fn parallel_steady_state_decode_is_allocation_free() {
     }
 }
 
-#[test]
+fn worker_thread_allocations_are_counted() {
+    // Negative control for the parallel checks: an allocation made inside a
+    // kernel closure on a *pool worker* must tick the counter, otherwise
+    // "zero allocations at N threads" would only be measuring the caller.
+    // The first chunk of a dispatch always goes to a worker (the caller
+    // keeps the last one).
+    let pool = ThreadPool::new(ParallelOptions::threads(2));
+    let main = std::thread::current().id();
+    let mut out = vec![0.0f32; 128];
+    let allocate_on_worker = |offset: usize, _: &mut [f32]| {
+        if offset == 0 {
+            assert_ne!(std::thread::current().id(), main, "chunk 0 is a worker's");
+            drop(std::hint::black_box(Box::new(offset)));
+        }
+    };
+    // Like the engines' warm-up steps: the worker finishes starting up (its
+    // own lazy thread state) before anything is measured.
+    pool.run_chunks(&mut out, 64, allocate_on_worker);
+    let before = allocations();
+    pool.run_chunks(&mut out, 64, allocate_on_worker);
+    assert_eq!(allocations() - before, 1, "the worker's one allocation");
+}
+
 fn warmup_does_allocate_proving_the_counter_works() {
     // Sanity check on the instrument itself: the *first* step must
     // allocate (workspace pool, scratch, masks are built lazily).
@@ -223,4 +247,23 @@ fn warmup_does_allocate_proving_the_counter_works() {
         allocations() > before,
         "cold-start step must populate buffers (counter must tick)"
     );
+}
+
+fn main() {
+    macro_rules! run {
+        ($($check:ident),* $(,)?) => {$(
+            $check();
+            println!("alloc_free::{} ... ok", stringify!($check));
+        )*};
+    }
+    run![
+        dense_steady_state_decode_is_allocation_free,
+        signbit_steady_state_decode_is_allocation_free,
+        oracle_and_random_steady_state_decode_are_allocation_free,
+        int8_steady_state_decode_is_allocation_free,
+        parallel_int8_steady_state_decode_is_allocation_free,
+        parallel_steady_state_decode_is_allocation_free,
+        worker_thread_allocations_are_counted,
+        warmup_does_allocate_proving_the_counter_works,
+    ];
 }

@@ -11,13 +11,14 @@
 //! ```
 
 use sparseinfer::model::generator::WeightGenerator;
-use sparseinfer::model::ModelConfig;
+use sparseinfer::model::PrefillScratch;
+use sparseinfer::model::{Activation, ModelConfig};
 use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SkipMask, SparsityPredictor};
 use sparseinfer::sparse::engine::EngineBuilder;
 use sparseinfer::sparse::gemv::{sparse_gemv, sparse_gemv_into};
 use sparseinfer::sparse::request::{generate, GenerateRequest};
 use sparseinfer::sparse::OpCounter;
-use sparseinfer::tensor::gemv::{gemv, reference};
+use sparseinfer::tensor::gemv::{gemm_rows_into, gemv, reference};
 use sparseinfer::tensor::sign::{PackedSignMatrix, SignPack};
 use sparseinfer::tensor::{
     BlockQuantizedMatrix, Matrix, ParallelOptions, Prng, ThreadPool, Vector,
@@ -303,6 +304,111 @@ fn main() {
                  (expected >= 1.5x): the block-dequant fast path has regressed"
             );
         }
+    }
+
+    println!("\n== one weight pass for B prompt positions (24 x 688x256, > L2) ==");
+    // Prefill's kernel: `gemm_rows_into` loads each weight row once for B
+    // activation columns. 24 gate-sized matrices walked in order are 17 MB,
+    // so every pass streams its weights from beyond L2 as a model's layers
+    // do; the figure is time per matrix *per position*.
+    let mut rng = Prng::seed(3);
+    let stack: Vec<Matrix> = (0..24)
+        .map(|_| Matrix::from_fn(688, 256, |_, _| rng.normal(0.0, 0.1) as f32))
+        .collect();
+    let columns: Vec<f32> = (0..4 * 256).map(|_| rng.normal(0.4, 1.0) as f32).collect();
+    let single = ThreadPool::single();
+    let mut gemm_out = Vector::zeros(0);
+    let mut per_position = [0.0f64; 3];
+    for (bi, batch) in [1usize, 2, 4].into_iter().enumerate() {
+        let name = format!("gemm_rows_688x256_b{batch}_us_per_position");
+        let us = sparseinfer_bench::time_us(&name, bench_iters(40), || {
+            for w in &stack {
+                gemm_rows_into(
+                    w,
+                    &columns[..batch * 256],
+                    batch,
+                    None,
+                    &single,
+                    &mut gemm_out,
+                );
+            }
+        }) / (stack.len() * batch) as f64;
+        per_position[bi] = us;
+        report.record(&name, bench_iters(40), us, Some(per_position[0] / us), 1);
+        println!("  -> {us:.2} us per matrix per position");
+    }
+    if std::env::var_os("SPARSEINFER_BENCH_QUICK").is_none() {
+        let ratio = per_position[2] / per_position[0];
+        assert!(
+            ratio <= 0.6,
+            "a position at batch 4 costs {ratio:.2}x one at batch 1 (expected <= 0.6x): \
+             the weight pass is no longer shared between positions"
+        );
+    }
+
+    println!("\n== two prefilling slots: each alone vs one batched step (8 x 256x688) ==");
+    // What a scheduler tick with two prefilling slots does, per pool size:
+    // before, each slot's position through `forward_token`, the slots side
+    // by side on the slot pool; now, both positions through one
+    // `prefill_step` whose rows are partitioned across the same pool.
+    // Reported, not gated.
+    let serve_model = WeightGenerator::new(
+        &ModelConfig {
+            name: "serve-sim".into(),
+            hidden_dim: 256,
+            mlp_dim: 688,
+            n_layers: 8,
+            n_heads: 8,
+            vocab_size: 512,
+            max_seq_len: 512,
+            activation: Activation::Relu,
+            target_sparsity: 0.92,
+        },
+        20250,
+    )
+    .build();
+    let positions = 16usize;
+    for threads in [1usize, 2] {
+        let pool = ThreadPool::new(ParallelOptions::threads(threads));
+        let iters = bench_iters(10);
+        let alone_name = format!("prefill_2slots_forward_token_{threads}t");
+        let alone = sparseinfer_bench::time_us(&alone_name, iters, || {
+            let mut sessions = [
+                serve_model.start_session_with_capacity(positions),
+                serve_model.start_session_with_capacity(positions),
+            ];
+            for p in 0..positions {
+                pool.run_tasks(&mut sessions, |i, session| {
+                    let _ = serve_model.forward_token((p * 2 + i) as u32 + 1, session);
+                });
+            }
+        }) / positions as f64;
+        report.record(&alone_name, iters, alone, None, threads);
+        let batched_name = format!("prefill_2slots_batched_{threads}t");
+        let mut scratch = PrefillScratch::new();
+        let batched = sparseinfer_bench::time_us(&batched_name, iters, || {
+            let mut a = serve_model.start_session_with_capacity(positions);
+            let mut b = serve_model.start_session_with_capacity(positions);
+            for p in 0..positions {
+                let p = p as u32 * 2;
+                serve_model.prefill_step(
+                    &mut [(p + 1, &mut a), (p + 2, &mut b)],
+                    &pool,
+                    &mut scratch,
+                );
+            }
+        }) / positions as f64;
+        report.record(
+            &batched_name,
+            iters,
+            batched,
+            Some(alone / batched),
+            threads,
+        );
+        println!(
+            "  -> {threads} thread(s): {alone:.0} us per tick alone, {batched:.0} us batched ({:.2}x)",
+            alone / batched
+        );
     }
 
     report.note(&format!(

@@ -6,10 +6,25 @@
 //! still required so the functional model decodes real token sequences and
 //! the accuracy experiments exercise the same residual-stream dynamics as the
 //! paper's models.
+//!
+//! Two entry points share every kernel. [`Attention::forward_ws`] is the
+//! decode path: one token of one session. The batched prefill step
+//! ([`Model::prefill_step`](crate::Model::prefill_step)) projects Q/K/V/O
+//! for a whole batch of sessions in one pass over each weight matrix and
+//! then does, per session, exactly what `forward_ws` does: RoPE, the KV
+//! push, and scores / softmax / value sum over that session's own cache
+//! (`f32` or `f16`, contiguous or paged). The rotary angles are computed
+//! once per position — `head_dim / 2` `(sin, cos)` pairs — and applied to
+//! every head of `q` and `k`, not once per pair per head.
 
-use sparseinfer_tensor::{gemv::gemv_into, Matrix, ThreadPool, Vector, Workspace, F16};
+use std::borrow::BorrowMut;
+
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemv_into, MIN_MACS_PER_WORKER};
+use sparseinfer_tensor::{Matrix, ThreadPool, Vector, Workspace, F16};
 
 use crate::kv::{KvBlockPool, KvDtype, PagedKvCache};
+use crate::model::DecodeSession;
+use crate::prefill::{per_session, PrefillScratch};
 
 /// Contiguous KV storage: keys and values stored *flat* (position-major
 /// `f32` runs). Appending a token is two `extend_from_slice` calls that
@@ -367,16 +382,33 @@ impl Attention {
         self.n_heads
     }
 
-    /// Applies rotary position embedding to a head-sliced vector in place.
-    fn rope(head: &mut [f32], position: usize) {
-        let half = head.len() / 2;
-        for i in 0..half {
-            let theta = (position as f32) * (10000.0f32).powf(-2.0 * i as f32 / head.len() as f32);
-            let (sin, cos) = theta.sin_cos();
-            let a = head[2 * i];
-            let b = head[2 * i + 1];
-            head[2 * i] = a * cos - b * sin;
-            head[2 * i + 1] = a * sin + b * cos;
+    /// Width of one head.
+    pub(crate) fn head_dim(&self) -> usize {
+        self.hidden_dim() / self.n_heads
+    }
+
+    /// Fills `table` (one head wide) with the rotary embedding of
+    /// `position`: `sin` of the `head_dim / 2` rotation angles, then their
+    /// `cos`. The angles depend on the position and the pair index only, so
+    /// one table serves every head of `q` and `k` — and every layer.
+    pub(crate) fn rope_table(position: usize, table: &mut [f32]) {
+        let head_dim = table.len();
+        let (sin, cos) = table.split_at_mut(head_dim / 2);
+        for (i, (s, c)) in sin.iter_mut().zip(cos).enumerate() {
+            let theta = (position as f32) * (10000.0f32).powf(-2.0 * i as f32 / head_dim as f32);
+            (*s, *c) = theta.sin_cos();
+        }
+    }
+
+    /// Rotates every head of `x` in place by a [`rope_table`](Self::rope_table).
+    fn rope(x: &mut [f32], table: &[f32]) {
+        let (sin, cos) = table.split_at(table.len() / 2);
+        for head in x.chunks_exact_mut(table.len()) {
+            for (pair, (sin, cos)) in head.chunks_exact_mut(2).zip(sin.iter().zip(cos)) {
+                let (a, b) = (pair[0], pair[1]);
+                pair[0] = a * cos - b * sin;
+                pair[1] = a * sin + b * cos;
+            }
         }
     }
 
@@ -413,7 +445,6 @@ impl Attention {
     ) -> Vector {
         let d = self.hidden_dim();
         assert_eq!(x.len(), d, "attention input length mismatch");
-        let head_dim = d / self.n_heads;
 
         let mut q = ws.take(d);
         let mut k = ws.take(d);
@@ -422,33 +453,53 @@ impl Attention {
         gemv_into(&self.w_k, x, pool, &mut k);
         gemv_into(&self.w_v, x, pool, &mut v);
 
-        for h in 0..self.n_heads {
-            let span = h * head_dim..(h + 1) * head_dim;
-            Self::rope(&mut q.as_mut_slice()[span.clone()], position);
-            Self::rope(&mut k.as_mut_slice()[span], position);
-        }
+        let mut table = ws.take(self.head_dim());
+        Self::rope_table(position, table.as_mut_slice());
+        Self::rope(q.as_mut_slice(), table.as_slice());
+        Self::rope(k.as_mut_slice(), table.as_slice());
+        ws.give(table);
 
         cache.push(k.as_slice(), v.as_slice());
         ws.give(k);
         ws.give(v);
 
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let seq = cache.len();
-        let half_kv = cache.dtype() == KvDtype::F16;
         // Sized to the cache reservation so the buffer does not regrow (and
         // reallocate) as the context extends token by token.
-        let mut scores_buf = ws.take(seq.max(cache.reserved_tokens()));
+        let mut scores = ws.take(cache.len().max(cache.reserved_tokens()));
         let mut out = ws.take(d);
+        self.attend(
+            q.as_slice(),
+            cache,
+            scores.as_mut_slice(),
+            out.as_mut_slice(),
+        );
+        ws.give(q);
+        ws.give(scores);
+
+        let mut result = ws.take(d);
+        gemv_into(&self.w_o, &out, pool, &mut result);
+        ws.give(out);
+        result
+    }
+
+    /// Causal attention of the (rotated) query `q` over everything in
+    /// `cache`, head by head, into `out`; `scores` is scratch of at least
+    /// `cache.len()` elements. Shared by the decode path and the batched
+    /// prefill step, so both produce the same bits.
+    fn attend(&self, q: &[f32], cache: &KvCache, scores: &mut [f32], out: &mut [f32]) {
+        let head_dim = self.head_dim();
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let half_kv = cache.dtype() == KvDtype::F16;
+        let scores = &mut scores[..cache.len()];
         out.fill(0.0);
 
         for h in 0..self.n_heads {
             let span = h * head_dim..(h + 1) * head_dim;
-            let qh = &q.as_slice()[span.clone()];
+            let qh = &q[span.clone()];
 
             // Scores against every cached position (causal by construction).
             // F16 storage dequantizes in the accumulate — no materialized
             // f32 copy of the cached row.
-            let scores = &mut scores_buf.as_mut_slice()[..seq];
             for (t, slot) in scores.iter_mut().enumerate() {
                 let s: f32 = if half_kv {
                     let kh = &cache.key_h(t)[span.clone()];
@@ -467,7 +518,7 @@ impl Attention {
                 denom += *s;
             }
             // Weighted sum of values.
-            let out_h = &mut out.as_mut_slice()[span.clone()];
+            let out_h = &mut out[span.clone()];
             for (t, w) in scores.iter().enumerate() {
                 let w = w / denom;
                 if half_kv {
@@ -483,13 +534,88 @@ impl Attention {
                 }
             }
         }
-        ws.give(q);
-        ws.give(scores_buf);
+    }
 
-        let mut result = ws.take(d);
-        gemv_into(&self.w_o, &out, pool, &mut result);
-        ws.give(out);
-        result
+    /// The attention block of one batched prefill step (see
+    /// [`Model::prefill_step`](crate::Model::prefill_step)): reads the
+    /// normed inputs from `scratch.x` and leaves the output projection in
+    /// `scratch.proj` (per row). Q/K/V/O are one weight pass each for the
+    /// whole batch; RoPE (from `scratch.rope`), the KV push into each
+    /// session's layer-`li` cache and [`attend`](Self::attend) run per
+    /// session exactly as [`forward_ws`](Self::forward_ws) runs them, the
+    /// attention itself with the sessions spread across `pool`.
+    pub(crate) fn prefill_batch<S>(
+        &self,
+        li: usize,
+        batch: &mut [(u32, S)],
+        pool: &ThreadPool,
+        scratch: &mut PrefillScratch,
+    ) where
+        S: BorrowMut<DecodeSession> + Sync,
+    {
+        let d = self.hidden_dim();
+        let head_dim = self.head_dim();
+        let b = batch.len();
+        assert_eq!(scratch.x.len(), b * d, "attention input shape mismatch");
+        assert_eq!(scratch.rope.len(), b * head_dim, "one rope table each");
+
+        let x = scratch.x.as_slice();
+        gemm_rows_into(&self.w_q, x, b, None, pool, &mut scratch.proj);
+        per_session(scratch.proj.as_slice(), b, &mut scratch.q);
+        gemm_rows_into(&self.w_k, x, b, None, pool, &mut scratch.proj);
+        per_session(scratch.proj.as_slice(), b, &mut scratch.k);
+        gemm_rows_into(&self.w_v, x, b, None, pool, &mut scratch.proj);
+        per_session(scratch.proj.as_slice(), b, &mut scratch.v);
+
+        let (mut score_len, mut context) = (0, 0);
+        for (i, (_, session)) in batch.iter_mut().enumerate() {
+            let table = &scratch.rope.as_slice()[i * head_dim..(i + 1) * head_dim];
+            let span = i * d..(i + 1) * d;
+            Self::rope(&mut scratch.q.as_mut_slice()[span.clone()], table);
+            Self::rope(&mut scratch.k.as_mut_slice()[span.clone()], table);
+            let cache = &mut session.borrow_mut().caches[li];
+            cache.push(
+                &scratch.k.as_slice()[span.clone()],
+                &scratch.v.as_slice()[span],
+            );
+            // As in `forward_ws`: sized to the reservation, so the scratch
+            // regrows only when a cache does.
+            context = context.max(cache.len());
+            score_len = score_len.max(context).max(cache.reserved_tokens());
+        }
+
+        let lane = d + score_len;
+        scratch.lanes.resize(b * lane, 0.0);
+        let q = scratch.q.as_slice();
+        let sessions: &[(u32, S)] = batch;
+        // Scores and value sum: two multiply-accumulates per cached element.
+        let min_sessions = MIN_MACS_PER_WORKER.div_ceil(2 * d * context.max(1));
+        let lanes = scratch.lanes.as_mut_slice();
+        pool.run_rows(lanes, lane, min_sessions, |first, lanes| {
+            for (i, lane) in lanes.chunks_exact_mut(lane).enumerate() {
+                let i = first + i;
+                let (out, scores) = lane.split_at_mut(d);
+                let session: &DecodeSession = sessions[i].1.borrow();
+                self.attend(&q[i * d..(i + 1) * d], &session.caches[li], scores, out);
+            }
+        });
+
+        for (out, lane) in scratch
+            .x
+            .as_mut_slice()
+            .chunks_exact_mut(d)
+            .zip(scratch.lanes.as_slice().chunks_exact(lane))
+        {
+            out.copy_from_slice(&lane[..d]);
+        }
+        gemm_rows_into(
+            &self.w_o,
+            scratch.x.as_slice(),
+            b,
+            None,
+            pool,
+            &mut scratch.proj,
+        );
     }
 }
 
@@ -558,11 +684,48 @@ mod tests {
         assert!(diff > 1e-4, "RoPE had no effect: diff {diff}");
     }
 
+    /// The rotation as it was before the angles were tabulated: `powf` and
+    /// `sin_cos` per pair of every head.
+    fn rope_per_pair(head: &mut [f32], position: usize) {
+        let half = head.len() / 2;
+        for i in 0..half {
+            let theta = (position as f32) * (10000.0f32).powf(-2.0 * i as f32 / head.len() as f32);
+            let (sin, cos) = theta.sin_cos();
+            let a = head[2 * i];
+            let b = head[2 * i + 1];
+            head[2 * i] = a * cos - b * sin;
+            head[2 * i + 1] = a * sin + b * cos;
+        }
+    }
+
+    #[test]
+    fn tabulated_rope_is_bitwise_the_per_pair_rotation() {
+        let (heads, head_dim) = (3, 32);
+        let mut rng = Prng::seed(31);
+        let mut table = vec![0.0f32; head_dim];
+        for position in 0..512 {
+            let x: Vec<f32> = (0..heads * head_dim)
+                .map(|_| rng.normal(0.0, 1.0) as f32)
+                .collect();
+            let mut expected = x.clone();
+            for head in expected.chunks_exact_mut(head_dim) {
+                rope_per_pair(head, position);
+            }
+            let mut got = x;
+            Attention::rope_table(position, &mut table);
+            Attention::rope(&mut got, &table);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&expected), "position {position}");
+        }
+    }
+
     #[test]
     fn rope_preserves_norm() {
         let mut head: Vec<f32> = (0..8).map(|i| (i as f32) - 3.5).collect();
         let before: f32 = head.iter().map(|v| v * v).sum();
-        Attention::rope(&mut head, 7);
+        let mut table = [0.0f32; 8];
+        Attention::rope_table(7, &mut table);
+        Attention::rope(&mut head, &table);
         let after: f32 = head.iter().map(|v| v * v).sum();
         assert!((before - after).abs() < 1e-3);
     }

@@ -1,10 +1,22 @@
 //! One decoder layer: norm → attention → residual, norm → MLP → residual.
+//!
+//! [`DecoderLayer::forward`] is the dense reference for one position of one
+//! session; [`attention_half_ws`](DecoderLayer::attention_half_ws) is the
+//! half engines share before running their own MLP. The layer's share of
+//! the batched prefill step
+//! ([`Model::prefill_step`](crate::Model::prefill_step)) runs the same
+//! sequence for a batch of sessions with one pass over each weight matrix,
+//! each session's residual row bitwise what `forward` makes of it.
+
+use std::borrow::BorrowMut;
 
 use sparseinfer_tensor::{ThreadPool, Vector, Workspace};
 
 use crate::attention::{Attention, KvCache};
 use crate::mlp::GatedMlp;
+use crate::model::DecodeSession;
 use crate::norm::RmsNorm;
+use crate::prefill::PrefillScratch;
 
 /// A pre-norm decoder layer (Llama topology).
 #[derive(Debug, Clone)]
@@ -83,6 +95,53 @@ impl DecoderLayer {
         // residual into the attention output equals the seed's h + attn.
         out.add_assign(h);
         out
+    }
+
+    /// Number of attention heads.
+    pub fn n_heads(&self) -> usize {
+        self.attn.n_heads()
+    }
+
+    /// This layer's share of one batched prefill step (see
+    /// [`Model::prefill_step`](crate::Model::prefill_step)): advances every
+    /// session's residual row in `scratch.h` through norm → attention →
+    /// residual → norm → MLP → residual, each row bitwise what
+    /// [`forward`](Self::forward) makes of it. `li` is this layer's index,
+    /// selecting each session's KV cache.
+    pub(crate) fn prefill_batch<S>(
+        &self,
+        li: usize,
+        batch: &mut [(u32, S)],
+        pool: &ThreadPool,
+        scratch: &mut PrefillScratch,
+    ) where
+        S: BorrowMut<DecodeSession> + Sync,
+    {
+        let d = self.hidden_dim();
+        let b = batch.len();
+        let norm_rows = |norm: &RmsNorm, scratch: &mut PrefillScratch| {
+            let rows = scratch.h.as_slice().chunks_exact(d);
+            for (h, x) in rows.zip(scratch.x.as_mut_slice().chunks_exact_mut(d)) {
+                norm.forward_slice(h, x);
+            }
+        };
+        norm_rows(&self.attn_norm, scratch);
+        self.attn.prefill_batch(li, batch, pool, scratch);
+        for (i, h) in scratch.h.as_mut_slice().chunks_exact_mut(d).enumerate() {
+            for (slot, row) in h.iter_mut().zip(scratch.proj.as_slice().chunks_exact(b)) {
+                *slot += row[i];
+            }
+        }
+        norm_rows(&self.mlp_norm, scratch);
+        self.mlp.prefill_batch(pool, scratch);
+        for (slot, y) in scratch
+            .h
+            .as_mut_slice()
+            .iter_mut()
+            .zip(scratch.mlp_out.iter())
+        {
+            *slot += y;
+        }
     }
 
     /// Dense forward pass through the full layer.

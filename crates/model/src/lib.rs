@@ -46,6 +46,7 @@ pub mod layer;
 pub mod mlp;
 pub mod model;
 pub mod norm;
+pub mod prefill;
 pub mod sampling;
 pub mod tokenizer;
 pub mod trace;
@@ -56,6 +57,7 @@ pub use kv::{KvBlockPool, KvDtype, PagedKvCache, PrefixHit, PrefixIndex, SharedK
 pub use layer::DecoderLayer;
 pub use mlp::GatedMlp;
 pub use model::Model;
+pub use prefill::PrefillScratch;
 pub use sampling::Sampler;
 pub use tokenizer::ByteTokenizer;
 pub use trace::MlpTrace;

@@ -9,9 +9,11 @@
 //! transposed (`k×d` as well) at load time so output sparsity skips rows
 //! (§IV-B4).
 
-use sparseinfer_tensor::{gemv::gemv, gemv::gemv_transposed, Matrix, Vector};
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemv, gemv_transposed, gemv_transposed_batch_into};
+use sparseinfer_tensor::{Matrix, ThreadPool, Vector};
 
 use crate::activation::Activation;
+use crate::prefill::PrefillScratch;
 
 /// One gated MLP block with skip-friendly weight layout.
 ///
@@ -133,6 +135,65 @@ impl GatedMlp {
         let h2 = gemv(&self.w_up, x);
         let h3 = h1.hadamard(&h2).expect("h1/h2 same length");
         (gemv_transposed(&self.w_down_t, &h3), h1)
+    }
+
+    /// The MLP block of one batched prefill step (see
+    /// [`Model::prefill_step`](crate::Model::prefill_step)): reads the
+    /// normed inputs from `scratch.x` and leaves each session's output in
+    /// `scratch.mlp_out` — bitwise [`forward`](Self::forward) of each
+    /// input, from one pass over the weights.
+    ///
+    /// Only the gate projection is dense. The up projection runs for the
+    /// rows where *some* session's post-activation gate is non-zero — the
+    /// paper's *actual sparsity*, and exact: a zero `h1` makes `h3 = h1·h2`
+    /// a zero of either sign whatever the (finite) `h2`, and the
+    /// row-ascending down accumulation skips a zero `h3` just as
+    /// [`gemv_transposed`] does. The one assumption — a skipped `h2` would
+    /// have been finite — holds for finite inputs and is asserted on them
+    /// in debug builds.
+    pub(crate) fn prefill_batch(&self, pool: &ThreadPool, scratch: &mut PrefillScratch) {
+        let k = self.mlp_dim();
+        let b = scratch.x.len() / self.hidden_dim();
+        debug_assert!(
+            scratch.x.iter().all(|v| v.is_finite()),
+            "mlp input must be finite for the zero-gate row skip to be exact"
+        );
+        let x = scratch.x.as_slice();
+        gemm_rows_into(&self.w_gate, x, b, None, pool, &mut scratch.gate);
+        self.activation.apply_slice(scratch.gate.as_mut_slice());
+        scratch.keep.clear();
+        scratch.keep.extend(
+            scratch
+                .gate
+                .as_slice()
+                .chunks_exact(b)
+                .map(|row| row.iter().any(|h1| *h1 != 0.0)),
+        );
+        debug_assert_eq!(scratch.keep.len(), k);
+        gemm_rows_into(
+            &self.w_up,
+            x,
+            b,
+            Some(&scratch.keep),
+            pool,
+            &mut scratch.proj,
+        );
+        for (h2, h1) in scratch
+            .proj
+            .as_mut_slice()
+            .iter_mut()
+            .zip(scratch.gate.iter())
+        {
+            *h2 *= h1;
+        }
+        gemv_transposed_batch_into(
+            &self.w_down_t,
+            scratch.proj.as_slice(),
+            b,
+            pool,
+            &mut scratch.down_tmp,
+            &mut scratch.mlp_out,
+        );
     }
 
     /// Measured activation sparsity of the block for input `x` (fraction of

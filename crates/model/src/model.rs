@@ -1,11 +1,22 @@
 //! The full decoder-only model: embedding → layers → final norm → LM head.
+//!
+//! Two dense forward passes live here. [`Model::forward_token`] is the
+//! allocating reference: one position of one session, logits out.
+//! [`Model::prefill_step`] is what prefill runs on: one position of each of
+//! `B` sessions in **one pass over the weights**, no final norm and no LM
+//! head (prefill logits are never read), everything out of a recycled
+//! [`PrefillScratch`] — and each session's KV and residual stream bitwise
+//! what `forward_token` would have left. A batch of one is the same code.
+
+use std::borrow::BorrowMut;
 
 use sparseinfer_tensor::{gemv::gemv_into, Matrix, ThreadPool, Vector, Workspace};
 
-use crate::attention::KvCache;
+use crate::attention::{Attention, KvCache};
 use crate::config::ModelConfig;
 use crate::layer::DecoderLayer;
 use crate::norm::RmsNorm;
+use crate::prefill::PrefillScratch;
 
 /// A decoder-only transformer with tied decode state.
 ///
@@ -43,6 +54,7 @@ impl Model {
         assert_eq!(lm_head.cols(), config.hidden_dim, "lm head cols");
         for (i, l) in layers.iter().enumerate() {
             assert_eq!(l.hidden_dim(), config.hidden_dim, "layer {i} dim");
+            assert_eq!(l.n_heads(), config.n_heads, "layer {i} heads");
         }
         Self {
             config,
@@ -204,6 +216,62 @@ impl Model {
         self.logits(&h)
     }
 
+    /// One dense prefill step for a batch of sessions of this model: feeds
+    /// `token` at `session.position` for every `(token, session)` of
+    /// `batch`, extending each session's KV caches and advancing its
+    /// position by one — with **one pass over the weights** for the whole
+    /// batch. Sessions may sit at different positions and use different KV
+    /// layouts (contiguous, paged, `f32` or `f16`); each one's KV contents,
+    /// and so every later logit, are bitwise what
+    /// [`forward_token`](Self::forward_token) would have produced. No
+    /// logits are computed: prefill never reads them, and the position
+    /// whose logits *are* sampled goes through an engine instead.
+    ///
+    /// Projections partition their weight rows across `pool`, attention its
+    /// sessions; results do not depend on the thread count. Everything
+    /// comes out of `scratch`, so a step at a batch size and context the
+    /// scratch has seen allocates nothing (KV growth aside).
+    ///
+    /// `S` is `&mut DecodeSession` or an owned `DecodeSession` — the latter
+    /// lets a caller gather sessions into a recycled `Vec` and hand them
+    /// back afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a session's cache count does not match this model.
+    pub fn prefill_step<S>(
+        &self,
+        batch: &mut [(u32, S)],
+        pool: &ThreadPool,
+        scratch: &mut PrefillScratch,
+    ) where
+        S: BorrowMut<DecodeSession> + Sync,
+    {
+        let d = self.config.hidden_dim;
+        let head_dim = d / self.config.n_heads;
+        scratch.h.resize(batch.len() * d, 0.0);
+        scratch.x.resize(batch.len() * d, 0.0);
+        scratch.rope.resize(batch.len() * head_dim, 0.0);
+        let rows = scratch.h.as_mut_slice().chunks_exact_mut(d);
+        let tables = scratch.rope.as_mut_slice().chunks_exact_mut(head_dim);
+        for (((token, session), h), table) in batch.iter().zip(rows).zip(tables) {
+            let session: &DecodeSession = session.borrow();
+            assert_eq!(
+                session.caches.len(),
+                self.layers.len(),
+                "session/model mismatch"
+            );
+            h.copy_from_slice(self.embedding.row(*token as usize));
+            Attention::rope_table(session.position, table);
+        }
+        for (li, layer) in self.layers.iter().enumerate() {
+            layer.prefill_batch(li, batch, pool, scratch);
+        }
+        for (_, session) in batch.iter_mut() {
+            session.borrow_mut().position += 1;
+        }
+    }
+
     /// Runs a whole prompt densely, returning the logits after the last
     /// prompt token (the paper exploits sparsity only in decode, not
     /// prefill, so prefill is always dense).
@@ -212,18 +280,26 @@ impl Model {
         self.prefill_session(prompt, &mut session)
     }
 
-    /// Prefill into an existing session.
+    /// Prefill into an existing session: every prompt token but the last
+    /// through [`prefill_step`](Self::prefill_step) (a batch of one), the
+    /// last through [`forward_token`](Self::forward_token) for its logits.
     ///
     /// # Panics
     ///
     /// Panics if `prompt` is empty.
     pub fn prefill_session(&self, prompt: &[u32], session: &mut DecodeSession) -> Vector {
-        assert!(!prompt.is_empty(), "prefill requires at least one token");
-        let mut logits = Vector::zeros(self.config.vocab_size);
-        for t in prompt {
-            logits = self.forward_token(*t, session);
+        let (last, head) = prompt
+            .split_last()
+            .expect("prefill requires at least one token");
+        let mut scratch = PrefillScratch::new();
+        for token in head {
+            self.prefill_step(
+                &mut [(*token, &mut *session)],
+                &ThreadPool::single(),
+                &mut scratch,
+            );
         }
-        logits
+        self.forward_token(*last, session)
     }
 
     /// Greedy decode: prefill `prompt`, then generate until EOS/`max_new`.
@@ -359,6 +435,114 @@ mod tests {
         let first = m.generate_greedy(&[1], 1, u32::MAX)[0];
         let out = m.generate_greedy(&[1], 8, first);
         assert!(out.is_empty());
+    }
+
+    /// Asserts every layer's KV of `got` equals `want` bit for bit.
+    fn assert_same_kv(got: &DecodeSession, want: &DecodeSession, what: &str) {
+        assert_eq!(got.position, want.position, "{what}: position");
+        for (li, (g, w)) in got.caches.iter().zip(&want.caches).enumerate() {
+            assert_eq!(g.len(), w.len(), "{what}: layer {li} length");
+            for t in 0..g.len() {
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(g.key(t)), bits(w.key(t)), "{what}: layer {li} key {t}");
+                assert_eq!(
+                    bits(g.value(t)),
+                    bits(w.value(t)),
+                    "{what}: layer {li} value {t}"
+                );
+            }
+        }
+    }
+
+    /// Steps `sessions` through `tokens` (one row per step, one token per
+    /// session) with `prefill_step` at each thread count and with
+    /// `forward_token`, and compares the KV.
+    fn assert_step_matches_forward_token(m: &Model, sessions: &[DecodeSession], tokens: &[&[u32]]) {
+        let mut want = sessions.to_vec();
+        for row in tokens {
+            for (session, token) in want.iter_mut().zip(*row) {
+                let _ = m.forward_token(*token, session);
+            }
+        }
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(sparseinfer_tensor::ParallelOptions::threads(threads));
+            let mut scratch = PrefillScratch::new();
+            let mut got = sessions.to_vec();
+            for row in tokens {
+                let mut batch: Vec<(u32, &mut DecodeSession)> =
+                    row.iter().copied().zip(got.iter_mut()).collect();
+                m.prefill_step(&mut batch, &pool, &mut scratch);
+            }
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_same_kv(g, w, &format!("{threads} threads, session {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn prefill_step_matches_forward_token_when_projections_split_across_workers() {
+        // Wide enough that four sessions' projections exceed the per-worker
+        // minimum several times over (see `gemv::MIN_MACS_PER_WORKER`).
+        let mut cfg = ModelConfig::tiny();
+        cfg.hidden_dim = 512;
+        cfg.mlp_dim = 1024;
+        cfg.n_heads = 8;
+        cfg.n_layers = 1;
+        cfg.vocab_size = 32;
+        let m = WeightGenerator::new(&cfg, 11).build();
+        let sessions = vec![m.start_session(); 4];
+        assert_step_matches_forward_token(&m, &sessions, &[&[1, 2, 3, 4], &[5, 6, 7, 8]]);
+    }
+
+    #[test]
+    fn prefill_step_matches_forward_token_when_attention_splits_across_workers() {
+        // Contexts long enough that two sessions' attention is a worker's
+        // minimum; their KV is synthetic, which attention cannot tell.
+        let m = tiny_model(12);
+        let d = m.config().hidden_dim;
+        let context = sparseinfer_tensor::gemv::MIN_MACS_PER_WORKER / (4 * d) + 40;
+        let mut rng = sparseinfer_tensor::Prng::seed(13);
+        let sessions: Vec<DecodeSession> = (0..4)
+            .map(|i| {
+                let mut session = m.start_session();
+                for cache in &mut session.caches {
+                    for _ in 0..context + i {
+                        let k: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+                        let v: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+                        cache.push(&k, &v);
+                    }
+                }
+                session.position = context + i;
+                session
+            })
+            .collect();
+        assert_step_matches_forward_token(&m, &sessions, &[&[1, 2, 3, 4]]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "mlp input must be finite")]
+    fn prefill_step_asserts_the_finiteness_its_row_skip_relies_on() {
+        // A NaN in the embedding reaches the MLP input; the zero-gate row
+        // skip is exact only for finite inputs, so debug builds refuse it.
+        let good = tiny_model(14);
+        let cfg = good.config().clone();
+        let mut embedding = Matrix::zeros(cfg.vocab_size, cfg.hidden_dim);
+        embedding.row_mut(0).fill(0.5);
+        embedding.row_mut(0)[3] = f32::NAN;
+        let m = Model::new(
+            cfg.clone(),
+            embedding,
+            good.layers().to_vec(),
+            RmsNorm::unit(cfg.hidden_dim),
+            Matrix::zeros(cfg.vocab_size, cfg.hidden_dim),
+        );
+        let mut session = m.start_session();
+        m.prefill_step(
+            &mut [(0, &mut session)],
+            &ThreadPool::single(),
+            &mut PrefillScratch::new(),
+        );
     }
 
     #[test]

@@ -87,15 +87,28 @@ impl RmsNorm {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn forward_into(&self, x: &Vector, out: &mut Vector) {
-        assert_eq!(x.len(), self.dim(), "rmsnorm input length mismatch");
-        let ms: f32 = x.as_slice().iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
-        let inv_rms = 1.0 / (ms + self.eps).sqrt();
         out.resize(x.len(), 0.0);
-        for (i, slot) in out.as_mut_slice().iter_mut().enumerate() {
-            *slot = x[i] * inv_rms * self.gain[i];
+        self.forward_slice(x.as_slice(), out.as_mut_slice());
+    }
+
+    /// Applies the normalization from one slice into another — the one
+    /// implementation; every other entry point wraps it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` is not `self.dim()` long.
+    pub fn forward_slice(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.dim(), "rmsnorm input length mismatch");
+        assert_eq!(out.len(), self.dim(), "rmsnorm output length mismatch");
+        let ms: f32 = x.iter().map(|v| v * v).sum::<f32>() / x.len() as f32;
+        let inv_rms = 1.0 / (ms + self.eps).sqrt();
+        for ((slot, xi), gain) in out.iter_mut().zip(x).zip(self.gain.iter()) {
+            *slot = xi * inv_rms * gain;
         }
         if let Some(bias) = &self.bias {
-            out.add_assign(bias);
+            for (slot, b) in out.iter_mut().zip(bias.iter()) {
+                *slot += b;
+            }
         }
     }
 }

@@ -485,6 +485,8 @@ mod tests {
                     drafted: 10,
                     accepted: 4,
                 },
+                prefill_batches: 21,
+                prefill_positions: 40,
             },
             kv_peak_in_use_bytes: 9216,
             weight_format: "int8",

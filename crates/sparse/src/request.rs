@@ -8,14 +8,21 @@
 //! decodes bit-identically alone or interleaved with others.
 //!
 //! Prefill is always dense (the paper exploits sparsity only during
-//! decode): all but the last prompt token go through the bare model, the
+//! decode): all but the last prompt token go through the bare model's
+//! batched prefill step
+//! ([`Model::prefill_step`](sparseinfer_model::Model::prefill_step)), the
 //! last token goes through the engine so decode statistics start with the
-//! first generated token.
+//! first generated token. There is one prefill implementation: a run
+//! advancing alone calls the step with a batch of one
+//! ([`RequestRun::advance`]); the scheduler borrows the sessions of all its
+//! prefilling slots for one call per tick. Either way a run absorbs exactly
+//! one prompt position per step, and its KV is bitwise the same.
 
 use sparseinfer_model::kv::{KvBlockPool, PrefixHit, SwappedKvCache, DEFAULT_BLOCK_TOKENS};
 use sparseinfer_model::model::DecodeSession;
 use sparseinfer_model::sampling::Sampler;
-use sparseinfer_tensor::Vector;
+use sparseinfer_model::PrefillScratch;
+use sparseinfer_tensor::{ThreadPool, Vector};
 
 use crate::engine::{Engine, StepBlock};
 use crate::error::EngineError;
@@ -187,6 +194,10 @@ pub struct RequestRun {
     stop: Vec<u32>,
     sampler: Sampler,
     session: DecodeSession,
+    /// Scratch of the dense prefill steps this run takes on its own
+    /// ([`advance`](Self::advance)); stays empty for a run whose prefill the
+    /// scheduler batches with its other slots'.
+    prefill: PrefillScratch,
     /// Recycled logits buffer for the prefill→decode handoff: the last
     /// prompt token's engine step writes here, and the first decode tick
     /// samples from it.
@@ -336,6 +347,7 @@ impl RequestRun {
                 Some(hit) => engine.model().start_paged_session_with_prefix(pool, hit),
                 None => engine.model().start_paged_session(pool),
             },
+            prefill: PrefillScratch::new(),
             logits: Vector::zeros(0),
             has_logits: false,
             pending: None,
@@ -418,6 +430,37 @@ impl RequestRun {
         &self.session.caches
     }
 
+    /// Whether the run's next step feeds a prompt token through dense
+    /// prefill: a live run past its cached prefix and before its last
+    /// prompt token.
+    pub(crate) fn next_is_dense_prefill(&self) -> bool {
+        let dense = self.prefill_cached..self.prompt.len() - 1;
+        self.finish.is_none() && dense.contains(&self.fed)
+    }
+
+    /// Lends out the run's session for a batched dense-prefill step, with
+    /// the token that step must feed it — `None` (and nothing lent) unless
+    /// the run's [next step is one](Self::next_is_dense_prefill). The
+    /// caller feeds the token through
+    /// [`Model::prefill_step`](sparseinfer_model::Model::prefill_step)
+    /// together with other runs' and hands the session back through
+    /// [`finish_prefill`](Self::finish_prefill), which completes the step;
+    /// the pair replaces one [`advance`](Self::advance) call. Until then
+    /// the run has no session and must not be advanced.
+    pub(crate) fn take_prefill(&mut self) -> Option<(u32, DecodeSession)> {
+        self.next_is_dense_prefill()
+            .then(|| (self.prompt[self.fed], std::mem::take(&mut self.session)))
+    }
+
+    /// Takes back the session lent by [`take_prefill`](Self::take_prefill),
+    /// now one position longer, and counts the step.
+    pub(crate) fn finish_prefill(&mut self, session: DecodeSession) {
+        debug_assert!(self.session.caches.is_empty(), "no session was lent");
+        self.session = session;
+        self.events.clear();
+        self.fed += 1;
+    }
+
     /// Performs one step: feeds the next prefill token, or decodes the
     /// next token block. Tokens emitted by this step (none during prefill,
     /// one to `k + 1` during decode) are collected via
@@ -445,10 +488,13 @@ impl RequestRun {
             self.fed += 1;
             Ok(())
         } else if self.fed < last {
-            // Dense prefill through the bare model.
-            let _ = engine
-                .model()
-                .forward_token(self.prompt[self.fed], &mut self.session);
+            // Dense prefill through the bare model: the batched step, with
+            // this run as the whole batch.
+            engine.model().prefill_step(
+                &mut [(self.prompt[self.fed], &mut self.session)],
+                &ThreadPool::single(),
+                &mut self.prefill,
+            );
             self.fed += 1;
             Ok(())
         } else if self.fed == last {

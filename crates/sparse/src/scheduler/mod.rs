@@ -28,6 +28,16 @@
 //!   dropped and deterministically recomputed. Preempted requests resume
 //!   ahead of equal-priority fresh admissions and finish with exactly
 //!   the tokens of an uninterrupted run.
+//! * Slots whose step this tick is a **dense prefill position** take it
+//!   together: they are gathered per model and fed through one
+//!   [`Model::prefill_step`] — one pass over the weights for all of them,
+//!   out of one scratch the scheduler owns — before the remaining slots
+//!   advance on their own. The cadence is unchanged: a slot absorbs exactly
+//!   one prompt position per tick, bitwise the position it would have
+//!   computed alone, so admission order, event order and every tick stamp
+//!   are what they are without batching.
+//!   [`SchedulerStats::prefill_positions`] over
+//!   [`prefill_batches`](SchedulerStats::prefill_batches) is the mean batch.
 //! * The moment a request finishes (budget, stop token, cancellation or
 //!   failure) its slot **retires**: engine scratch, workspace and the
 //!   session's KV blocks are released and the freed capacity admits the
@@ -89,7 +99,8 @@ use std::sync::Arc;
 use sparseinfer_model::kv::{
     KvBlockPool, KvDtype, PrefixHit, PrefixIndex, SwappedKvCache, DEFAULT_BLOCK_TOKENS,
 };
-use sparseinfer_model::Model;
+use sparseinfer_model::model::DecodeSession;
+use sparseinfer_model::{Model, PrefillScratch};
 use sparseinfer_tensor::{ParallelOptions, ThreadPool};
 
 use crate::engine::{Engine, MemoryEstimate, SparsityStats, SpeculativeStats};
@@ -582,6 +593,24 @@ fn unstarted_output(q: QueuedRequest<'_>, finish: FinishReason, finished_tick: u
     }
 }
 
+/// Recycled state of the per-tick batched prefill step — one for the whole
+/// scheduler, so prefill scratch memory does not grow with slots or
+/// requests.
+#[derive(Debug, Default)]
+struct PrefillBatcher {
+    scratch: PrefillScratch,
+    /// Per slot: already advanced this tick by the batched step.
+    stepped: Vec<bool>,
+    /// Slots whose step this tick is a dense prefill position and that no
+    /// group has taken yet.
+    pending: Vec<usize>,
+    /// The group being stepped: each run's next prompt token with its
+    /// session, borrowed from the run for the duration of the step.
+    batch: Vec<(u32, DecodeSession)>,
+    /// Slot index of each `batch` entry.
+    owners: Vec<usize>,
+}
+
 /// A continuous-batching scheduler over a paged KV cache.
 ///
 /// See the [module docs](self) for the serving model and the determinism
@@ -642,6 +671,11 @@ pub struct Scheduler<'m> {
     /// [`speculative_stats`](Self::speculative_stats) (live slots are
     /// added at query time).
     spec_retired: SpeculativeStats,
+    prefill: PrefillBatcher,
+    /// Lifetime counters of the batched prefill step (see
+    /// [`SchedulerStats::prefill_batches`]).
+    prefill_batches: u64,
+    prefill_positions: u64,
 }
 
 impl std::fmt::Debug for Scheduler<'_> {
@@ -693,12 +727,16 @@ impl<'m> Scheduler<'m> {
             resumed: 0,
             cold_bytes: 0,
             spec_retired: SpeculativeStats::default(),
+            prefill: PrefillBatcher::default(),
+            prefill_batches: 0,
+            prefill_positions: 0,
         }
     }
 
     /// Sets slot-level parallelism: each tick advances up to
-    /// `parallel.threads` live slots concurrently. Token streams and event
-    /// order are bit-identical to the sequential schedule.
+    /// `parallel.threads` live slots concurrently, and the batched prefill
+    /// step partitions its weight rows across the same threads. Token
+    /// streams and event order are bit-identical to the sequential schedule.
     pub fn parallel(mut self, parallel: ParallelOptions) -> Self {
         self.pool = ThreadPool::new(parallel);
         self
@@ -787,7 +825,8 @@ impl<'m> Scheduler<'m> {
     }
 
     /// One scheduling round: admit what fits, apply pending cancellations,
-    /// advance every live slot by one model step — concurrently when built
+    /// advance every live slot by one model step — the prefilling slots
+    /// together through one batched step, the others concurrently when built
     /// with [`parallel`](Self::parallel) — deliver this round's tokens to
     /// `on_token` in slot order, and retire finished slots (releasing
     /// their KV blocks and engine scratch immediately). Returns the number
@@ -805,7 +844,12 @@ impl<'m> Scheduler<'m> {
                 _ => {}
             }
         }
-        self.pool.run_tasks(&mut self.slots, |_, slot| {
+        self.prefill_slots();
+        let stepped = &self.prefill.stepped;
+        self.pool.run_tasks(&mut self.slots, |i, slot| {
+            if stepped[i] {
+                return;
+            }
             // A finished run's advance is a no-op that clears its event
             // buffer (so a cancellation arriving after a token tick never
             // re-delivers stale events); an Err has already marked the run
@@ -845,6 +889,50 @@ impl<'m> Scheduler<'m> {
         self.enforce_prefix_cap();
         self.ticks += 1;
         self.unfinished_requests()
+    }
+
+    /// Takes this tick's step for every live slot whose next step is a
+    /// dense prefill position (recompute replays included): the slots are
+    /// grouped by model, and each group's positions go through **one**
+    /// [`Model::prefill_step`] — one pass over that model's weights however
+    /// many slots are prefilling, rows partitioned across the slot pool.
+    /// Marks the slots in `prefill.stepped`; the caller advances the rest.
+    /// A slot still absorbs exactly one position per tick, bitwise the
+    /// position it would have computed alone, so cadence, tick stamps and
+    /// tokens do not depend on how many slots share a step.
+    fn prefill_slots(&mut self) {
+        let PrefillBatcher {
+            scratch,
+            stepped,
+            pending,
+            batch,
+            owners,
+        } = &mut self.prefill;
+        let slots = &mut self.slots;
+        stepped.clear();
+        stepped.resize(slots.len(), false);
+        pending.clear();
+        pending.extend((0..slots.len()).filter(|&i| slots[i].run.next_is_dense_prefill()));
+        while let Some(&first) = pending.first() {
+            let key = slots[first].model_key;
+            pending.retain(|&i| {
+                if slots[i].model_key != key {
+                    return true;
+                }
+                let lent = slots[i].run.take_prefill();
+                batch.push(lent.expect("the slot was listed as prefilling"));
+                owners.push(i);
+                stepped[i] = true;
+                false
+            });
+            let model = slots[first].engine.model();
+            model.prefill_step(batch, &self.pool, scratch);
+            self.prefill_batches += 1;
+            self.prefill_positions += batch.len() as u64;
+            for ((_, session), i) in batch.drain(..).zip(owners.drain(..)) {
+                slots[i].run.finish_prefill(session);
+            }
+        }
     }
 
     /// Drains the outputs of every request finished so far, in finish

@@ -96,6 +96,14 @@ pub struct SchedulerStats {
     /// Speculative-decoding accounting (see
     /// [`Scheduler::speculative_stats`]).
     pub speculative: SpeculativeStats,
+    /// Batched dense-prefill steps taken over the scheduler's lifetime:
+    /// one per tick and model with at least one prefilling slot, each one
+    /// pass over that model's weights.
+    pub prefill_batches: u64,
+    /// Prompt positions those steps fed. `prefill_positions /
+    /// prefill_batches` is the mean batch: the factor by which weight bytes
+    /// per prefilled token fall below one full pass.
+    pub prefill_positions: u64,
 }
 
 impl Scheduler<'_> {
@@ -135,6 +143,8 @@ impl Scheduler<'_> {
             prefix: self.prefix_stats(),
             preemption: self.preemption_stats(),
             speculative: self.speculative_stats(),
+            prefill_batches: self.prefill_batches,
+            prefill_positions: self.prefill_positions,
         }
     }
 

@@ -1221,3 +1221,139 @@ fn speculative_warm_prefix_resubmission_stays_bit_identical() {
         "drafting resumes over the attached prefix"
     );
 }
+
+/// Four requests admitted on different ticks — one preempted and
+/// recomputed, one attaching a warm prefix — as one line per delivered
+/// token (`tick:request:index:token`) followed by one line per output.
+fn staggered_scenario(threads: usize) -> String {
+    use std::fmt::Write;
+    let m = model();
+    let mut s = Scheduler::new(SchedulerConfig {
+        max_slots: 2,
+        block_tokens: 4,
+        swap_budget_bytes: 0,
+        ..SchedulerConfig::default()
+    })
+    .parallel(ParallelOptions::threads(threads));
+    let long = [1, 2, 3, 4, 5, 6, 7, 8, 9];
+    let mut warm = long;
+    warm[8] = 11;
+    let arrivals = [
+        (0, GenerateRequest::new(&long).max_new(5)),
+        (
+            2,
+            GenerateRequest::new(&[7, 8, 9, 10, 11, 12])
+                .max_new(6)
+                .priority(Priority::Batch),
+        ),
+        (
+            10,
+            GenerateRequest::new(&[3, 1, 4, 1, 5])
+                .max_new(4)
+                .priority(Priority::High),
+        ),
+        (11, GenerateRequest::new(&warm).max_new(3)),
+    ];
+    let mut trace = String::new();
+    let mut next = 0;
+    loop {
+        while next < arrivals.len() && arrivals[next].0 == s.ticks() {
+            s.submit(dense(&m), &arrivals[next].1).unwrap();
+            next += 1;
+        }
+        let tick = s.ticks();
+        let left = s.tick(|e| {
+            writeln!(trace, "{tick}:{}:{}:{}", e.request, e.index, e.token).unwrap();
+        });
+        if left == 0 && next == arrivals.len() {
+            break;
+        }
+    }
+    let stats = s.stats();
+    assert_eq!(stats.preemption.recomputed, 1, "one drop-and-recompute");
+    assert_eq!(stats.prefix.attached_requests, 2, "warm request + replay");
+    let mut outputs = s.take_finished();
+    outputs.sort_by_key(|o| o.id);
+    for (o, (_, req)) in outputs.iter().zip(&arrivals) {
+        assert_eq!(o.tokens, solo_tokens(&m, req), "request {}", o.id);
+        writeln!(
+            trace,
+            "out {} {:?} sub {} adm {:?} fin {} pre {} skip {}",
+            o.id,
+            o.tokens,
+            o.submitted_tick,
+            o.admitted_tick,
+            o.finished_tick,
+            o.preemptions,
+            o.prefill_skipped_tokens
+        )
+        .unwrap();
+    }
+    trace
+}
+
+#[test]
+fn staggered_admissions_keep_the_recorded_tokens_events_and_tick_stamps() {
+    for threads in [1, 2, 4] {
+        assert_eq!(
+            staggered_scenario(threads),
+            STAGGERED_TRACE,
+            "{threads} slot threads"
+        );
+    }
+}
+
+/// Recorded at the commit before prefill was batched across slots.
+const STAGGERED_TRACE: &str = "\
+8:1:0:16\n\
+9:0:0:46\n\
+9:1:1:21\n\
+10:0:1:16\n\
+11:0:2:21\n\
+12:0:3:16\n\
+13:0:4:21\n\
+15:2:0:46\n\
+16:2:1:16\n\
+17:2:2:21\n\
+18:2:3:16\n\
+23:3:0:17\n\
+24:3:1:16\n\
+25:3:2:21\n\
+27:1:2:16\n\
+28:1:3:21\n\
+29:1:4:16\n\
+30:1:5:21\n\
+out 0 [46, 16, 21, 16, 21] sub 0 adm Some(0) fin 13 pre 0 skip 0\n\
+out 1 [16, 21, 16, 21, 16, 21] sub 2 adm Some(2) fin 30 pre 1 skip 4\n\
+out 2 [46, 16, 21, 16] sub 10 adm Some(10) fin 18 pre 0 skip 0\n\
+out 3 [17, 16, 21] sub 11 adm Some(14) fin 25 pre 0 skip 8\n\
+";
+
+#[test]
+fn prefill_counters_report_the_mean_batch() {
+    // Two equal-length prompts prefill side by side in two slots: every
+    // batched step carries both. With one slot the same work is batches of
+    // one.
+    let m = model();
+    let prompts = [[1u32, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11, 12, 13, 14]];
+    for (max_slots, mean_batch) in [(2, 2.0), (1, 1.0)] {
+        let mut s = Scheduler::new(SchedulerConfig {
+            max_slots,
+            prefix_cache: false,
+            ..SchedulerConfig::default()
+        });
+        for prompt in &prompts {
+            s.submit(dense(&m), &GenerateRequest::new(prompt).max_new(2))
+                .unwrap();
+        }
+        while s.tick(|_| {}) > 0 {}
+        let stats = s.stats();
+        // The last prompt token goes through the engine, not prefill.
+        assert_eq!(stats.prefill_positions, 2 * 6, "{max_slots} slots");
+        assert_eq!(
+            stats.prefill_positions as f64 / stats.prefill_batches as f64,
+            mean_batch,
+            "{max_slots} slots"
+        );
+    }
+}

@@ -34,7 +34,7 @@ pub fn speculative_json(spec: &SpeculativeStats) -> Json {
 
 /// Encodes one [`SchedulerStats`] snapshot as a JSON object with the
 /// sections `scheduler`, `dtype`, `kv`, `memory`, `prefix_cache`,
-/// `speculative` and `preemption`.
+/// `speculative`, `preemption` and `prefill`.
 ///
 /// `kv.block_budget` is omitted when the memory gate is disabled
 /// (`usize::MAX` is not representable as an exact JSON number).
@@ -164,6 +164,13 @@ pub fn scheduler_stats_json(stats: &SchedulerStats) -> Json {
                 ),
             ]),
         ),
+        (
+            "prefill".to_string(),
+            Json::Object(vec![
+                ("batches".to_string(), num(stats.prefill_batches)),
+                ("positions".to_string(), num(stats.prefill_positions)),
+            ]),
+        ),
     ])
 }
 
@@ -215,6 +222,8 @@ mod tests {
                 drafted: 10,
                 accepted: 4,
             },
+            prefill_batches: 21,
+            prefill_positions: 40,
         };
         let doc = Json::parse(&scheduler_stats_json(&stats).to_json()).unwrap();
         let sched = doc.get("scheduler").unwrap();
@@ -272,6 +281,9 @@ mod tests {
             preemption.get("swapped_bytes").and_then(Json::as_u64),
             Some(256)
         );
+        let prefill = doc.get("prefill").unwrap();
+        assert_eq!(prefill.get("batches").and_then(Json::as_u64), Some(21));
+        assert_eq!(prefill.get("positions").and_then(Json::as_u64), Some(40));
     }
 
     /// An unbounded budget is omitted rather than rounded through f64.

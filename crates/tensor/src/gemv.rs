@@ -19,13 +19,19 @@
 //! the test suite proves exact equivalence of the lane-ordered scalar form
 //! and close agreement of the single-accumulator form.
 //!
+//! Prefill feeds many positions at once, so its kernels are *batched*:
+//! [`gemm_rows_into`] reads each weight row once for B activation columns
+//! ([`dot_batch`]: one accumulator set per column, each column's result
+//! bitwise [`dot`]'s), and [`gemv_transposed_batch_into`] does the same for
+//! the transposed accumulation of the down projection.
+//!
 //! Output-buffer (`*_into`) variants write into caller-provided storage so
 //! the decode hot path can recycle buffers through a
 //! [`Workspace`](crate::Workspace) instead of allocating per call; the
 //! original allocating entry points survive as thin wrappers.
 
 use crate::pool::ThreadPool;
-use crate::{Matrix, ShapeError, Vector};
+use crate::{Matrix, ShapeError, Vector, WeightRows};
 
 /// Number of independent accumulators in the unrolled dot product. Eight
 /// `f32` lanes fill one AVX2 register; on narrower ISAs the compiler splits
@@ -42,6 +48,25 @@ pub const QUANT_BLOCK: usize = 32;
 /// Minimum rows per worker before a GEMV fans out to threads; below this
 /// the spawn cost of a scoped thread exceeds the row work.
 const MIN_ROWS_PER_WORKER: usize = 64;
+
+/// Minimum output columns per worker before the batched transposed
+/// accumulation fans out.
+const MIN_COLS_PER_WORKER: usize = 64;
+
+/// Minimum multiply-accumulates per worker before a *batched* kernel fans
+/// out. One batched prefill step makes some ten dispatches per layer, each
+/// over a matrix far smaller than a decode GEMV's working set; a parked
+/// dispatch costs 16-60 us on the hosts measured, which is 100-500 thousand
+/// of these kernels' MACs — below that, splitting a matrix loses (a 2-slot
+/// step on 8 layers of 256x688 took 3.3 ms split across two threads, 1.2 ms
+/// on one).
+pub const MIN_MACS_PER_WORKER: usize = 1 << 19;
+
+/// Activation columns the batched dot products reduce per pass over a
+/// weight row: four 8-lane accumulator sets plus the row chunk fit the 16
+/// vector registers of AVX2; a larger batch takes further passes over the
+/// row while it is still in L1.
+const COLUMN_GROUP: usize = 4;
 
 /// Chunked multi-accumulator dot product with a fixed reduction order:
 /// element `i` accumulates into lane `i % 8`, and the eight lanes combine
@@ -72,6 +97,84 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     for (l, (x, y)) in a_tail.iter().zip(b_tail).enumerate() {
         acc[l] += x * y;
     }
+    reduce_lanes(acc)
+}
+
+/// [`dot`] of one weight row against a batch of activation columns in one
+/// read of the row: `xs` holds `out.len()` columns of `a.len()` elements
+/// back to back, and `out[n]` is **bitwise** `dot(a, column n)` — the same
+/// lane assignment (`i % 8`), the same tail handling and the same reduction
+/// tree, just an independent accumulator set per column (which also
+/// overlaps the add latencies a single set serializes). Columns are reduced
+/// four at a time.
+///
+/// # Panics
+///
+/// Panics if `xs.len() != out.len() * a.len()`.
+pub fn dot_batch(a: &[f32], xs: &[f32], out: &mut [f32]) {
+    let cols = a.len();
+    assert_eq!(xs.len(), out.len() * cols, "dot_batch shape mismatch");
+    let main = cols - cols % DOT_LANES;
+    let am = &a[..main];
+    for (g, group) in out.chunks_mut(COLUMN_GROUP).enumerate() {
+        let x = |j: usize| {
+            let start = (g * COLUMN_GROUP + j) * cols;
+            &xs[start..start + cols]
+        };
+        let mut acc = [[0.0f32; DOT_LANES]; COLUMN_GROUP];
+        match group.len() {
+            4 => acc = lanes_4(am, x(0), x(1), x(2), x(3)),
+            3 => acc[..3].copy_from_slice(&lanes_3(am, x(0), x(1), x(2))),
+            2 => acc[..2].copy_from_slice(&lanes_2(am, x(0), x(1))),
+            _ => acc[..1].copy_from_slice(&lanes_1(am, x(0))),
+        }
+        for (j, (slot, mut lanes)) in group.iter_mut().zip(acc).enumerate() {
+            for (l, (ai, xi)) in a[main..].iter().zip(&x(j)[main..]).enumerate() {
+                lanes[l] += ai * xi;
+            }
+            *slot = reduce_lanes(lanes);
+        }
+    }
+}
+
+/// Defines the accumulation loop of [`dot_batch`] for a fixed number of
+/// columns: one named 8-lane accumulator set per column over the whole
+/// 8-element chunks of `a`, returned unreduced.
+// The shape is measured, not incidental (688x256 weights beyond L2, time
+// per position): with one named array per column, out of line, and neither
+// tail nor reduction tree in sight, every set stays one vector register —
+// 35 / 22 / 17 / 15 us at 1 / 2 / 3 / 4 columns (`dot` itself: 50).
+// Generic over the column count (an array of accumulators indexed in a loop
+// LLVM may not unroll), or inlined next to the tail and the tree (LLVM
+// regroups lanes by what happens to them later), the same arithmetic ran
+// scalar for some counts, 40-140 us — which counts changed with the
+// calling context.
+macro_rules! lanes_fn {
+    ($name:ident, $n:literal: $($acc:ident $x:ident),+) => {
+        #[inline(never)]
+        fn $name(a: &[f32], $($x: &[f32]),+) -> [[f32; DOT_LANES]; $n] {
+            $(let mut $acc = [0.0f32; DOT_LANES];)+
+            for (c, ca) in a.chunks_exact(DOT_LANES).enumerate() {
+                let at = c * DOT_LANES;
+                $(
+                    let cb = &$x[at..at + DOT_LANES];
+                    for l in 0..DOT_LANES {
+                        $acc[l] += ca[l] * cb[l];
+                    }
+                )+
+            }
+            [$($acc),+]
+        }
+    };
+}
+lanes_fn!(lanes_1, 1: acc0 x0);
+lanes_fn!(lanes_2, 2: acc0 x0, acc1 x1);
+lanes_fn!(lanes_3, 3: acc0 x0, acc1 x1, acc2 x2);
+lanes_fn!(lanes_4, 4: acc0 x0, acc1 x1, acc2 x2, acc3 x3);
+
+/// The fixed reduction tree every dot product in this module ends in.
+#[inline]
+fn reduce_lanes(acc: [f32; DOT_LANES]) -> f32 {
     ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
 }
 
@@ -141,8 +244,84 @@ pub fn dot_q8(q: &[i8], scales: &[f32], x: &[f32]) -> f32 {
             acc[i % DOT_LANES] += f32::from(*qv) * scale * xv;
         }
     }
-    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
+    reduce_lanes(acc)
 }
+
+/// [`dot_q8`] of one int8 weight row against a batch of activation columns
+/// (laid out as for [`dot_batch`]) in one read of the row: every scale block
+/// is dequantized once per group of four columns, and `out[n]` is
+/// **bitwise** the [`dot_q8`] result for column `n`.
+///
+/// # Panics
+///
+/// Panics if `xs.len() != out.len() * q.len()` or `scales` does not hold
+/// one entry per started block.
+pub fn dot_q8_batch(q: &[i8], scales: &[f32], xs: &[f32], out: &mut [f32]) {
+    let cols = q.len();
+    assert_eq!(xs.len(), out.len() * cols, "dot_q8_batch shape mismatch");
+    assert_eq!(
+        scales.len(),
+        cols.div_ceil(QUANT_BLOCK),
+        "dot_q8_batch scale count mismatch"
+    );
+    let main = cols - cols % QUANT_BLOCK;
+    let (qm, sm) = (&q[..main], &scales[..main / QUANT_BLOCK]);
+    for (g, group) in out.chunks_mut(COLUMN_GROUP).enumerate() {
+        let x = |j: usize| {
+            let start = (g * COLUMN_GROUP + j) * cols;
+            &xs[start..start + cols]
+        };
+        let mut acc = [[0.0f32; DOT_LANES]; COLUMN_GROUP];
+        match group.len() {
+            4 => acc = lanes_q8_4(qm, sm, x(0), x(1), x(2), x(3)),
+            3 => acc[..3].copy_from_slice(&lanes_q8_3(qm, sm, x(0), x(1), x(2))),
+            2 => acc[..2].copy_from_slice(&lanes_q8_2(qm, sm, x(0), x(1))),
+            _ => acc[..1].copy_from_slice(&lanes_q8_1(qm, sm, x(0))),
+        }
+        for (j, (slot, mut lanes)) in group.iter_mut().zip(acc).enumerate() {
+            for (i, (qv, xi)) in q[main..].iter().zip(&x(j)[main..]).enumerate() {
+                lanes[i % DOT_LANES] += f32::from(*qv) * scales[main / QUANT_BLOCK] * xi;
+            }
+            *slot = reduce_lanes(lanes);
+        }
+    }
+}
+
+/// Defines the accumulation loop of [`dot_q8_batch`] over whole scale
+/// blocks for a fixed number of columns — one named accumulator set per
+/// column, unreduced, for the reasons given on `lanes_fn` (26 / 18 / 15 /
+/// 14 us per position at 1 / 2 / 3 / 4 columns on the same shape).
+macro_rules! lanes_q8_fn {
+    ($name:ident, $n:literal: $($acc:ident $x:ident),+) => {
+        #[inline(never)]
+        fn $name(q: &[i8], scales: &[f32], $($x: &[f32]),+) -> [[f32; DOT_LANES]; $n] {
+            $(let mut $acc = [0.0f32; DOT_LANES];)+
+            for (b, scale) in scales.iter().enumerate() {
+                // Fixed-size views, as in `dot_q8`.
+                let span = b * QUANT_BLOCK..(b + 1) * QUANT_BLOCK;
+                let qb: &[i8; QUANT_BLOCK] = q[span.clone()].try_into().expect("full block");
+                let mut deq = [0.0f32; QUANT_BLOCK];
+                for (d, qv) in deq.iter_mut().zip(qb) {
+                    *d = f32::from(*qv) * scale;
+                }
+                $(
+                    let xb: &[f32; QUANT_BLOCK] =
+                        $x[span.clone()].try_into().expect("full block");
+                    for c in 0..QUANT_BLOCK / DOT_LANES {
+                        for l in 0..DOT_LANES {
+                            $acc[l] += deq[c * DOT_LANES + l] * xb[c * DOT_LANES + l];
+                        }
+                    }
+                )+
+            }
+            [$($acc),+]
+        }
+    };
+}
+lanes_q8_fn!(lanes_q8_1, 1: acc0 x0);
+lanes_q8_fn!(lanes_q8_2, 2: acc0 x0, acc1 x1);
+lanes_q8_fn!(lanes_q8_3, 3: acc0 x0, acc1 x1, acc2 x2);
+lanes_q8_fn!(lanes_q8_4, 4: acc0 x0, acc1 x1, acc2 x2, acc3 x3);
 
 /// Computes `y = W · x` where `W` is `rows × cols` and `x` has `cols`
 /// elements.
@@ -228,6 +407,127 @@ pub fn gemv_transposed(w: &Matrix, x: &Vector) -> Vector {
         }
     }
     Vector::from_vec(out)
+}
+
+/// `Y = W · X` for `batch` activation columns in **one pass over the
+/// weights** — the prefill kernel. `xs` holds the columns back to back
+/// (column `b` at `xs[b * w.cols()..]`); `out` is resized to `w.rows() *
+/// batch` and row `r`'s results land together at `out[r * batch..]`, so
+/// rows partition across `pool` with one writer per element. Each weight
+/// row is loaded once and reduced against every column through
+/// [`WeightRows::dot_row_batch`], whose every result is bitwise the
+/// single-column [`WeightRows::dot_row`] — so `out[r * batch + b]` equals
+/// [`gemv_into`] of column `b`, bit for bit, at any batch size and thread
+/// count.
+///
+/// With `keep`, rows whose entry is `false` are never loaded and their
+/// outputs are `0.0` (the row skip of the sparse kernels, decided once for
+/// all columns).
+///
+/// # Panics
+///
+/// Panics if `xs.len() != batch * w.cols()` or `keep` does not hold one
+/// entry per row.
+pub fn gemm_rows_into<W: WeightRows>(
+    w: &W,
+    xs: &[f32],
+    batch: usize,
+    keep: Option<&[bool]>,
+    pool: &ThreadPool,
+    out: &mut Vector,
+) {
+    assert_eq!(xs.len(), batch * w.cols(), "gemm activation shape mismatch");
+    if let Some(keep) = keep {
+        assert_eq!(keep.len(), w.rows(), "one keep flag per weight row");
+    }
+    out.resize(w.rows() * batch, 0.0);
+    if batch == 0 {
+        return;
+    }
+    let min_rows = MIN_ROWS_PER_WORKER.max(MIN_MACS_PER_WORKER.div_ceil(xs.len().max(1)));
+    pool.run_rows(out.as_mut_slice(), batch, min_rows, |first_row, chunk| {
+        for (i, out_row) in chunk.chunks_exact_mut(batch).enumerate() {
+            let r = first_row + i;
+            if keep.is_some_and(|keep| !keep[r]) {
+                out_row.fill(0.0);
+            } else {
+                w.dot_row_batch(r, xs, out_row);
+            }
+        }
+    });
+}
+
+/// [`gemv_transposed`] for `batch` inputs in one pass over the weights:
+/// `out[b * w.cols() + c] = Σ_r W[r][c] · xs[r * batch + b]`. `xs` is laid
+/// out as [`gemm_rows_into`] leaves its output (row `r`'s `batch` values
+/// together). Each weight row that any input needs is read once; for every
+/// input the per-element addition chain is [`gemv_transposed`]'s — rows in
+/// ascending order, a row whose `xs` entry `== 0.0` skipped — so each
+/// input's result is bitwise its own [`gemv_transposed`], at any batch size
+/// and thread count. Output columns partition across `pool` (one writer
+/// per element); `tmp` holds the per-worker accumulators.
+///
+/// # Panics
+///
+/// Panics if `xs.len() != batch * w.rows()`.
+pub fn gemv_transposed_batch_into(
+    w: &Matrix,
+    xs: &[f32],
+    batch: usize,
+    pool: &ThreadPool,
+    tmp: &mut Vector,
+    out: &mut Vector,
+) {
+    let cols = w.cols();
+    assert_eq!(
+        xs.len(),
+        batch * w.rows(),
+        "transposed batch shape mismatch"
+    );
+    out.resize(batch * cols, 0.0);
+    if batch == 0 || cols == 0 {
+        return;
+    }
+    // Output columns are cut into ranges of `width`; each range accumulates
+    // into its own region of `tmp`, laid out `[input][column]` so the inner
+    // loop runs along a weight row.
+    let parts = pool
+        .threads()
+        .min(cols / MIN_COLS_PER_WORKER)
+        .min(xs.len() * cols / MIN_MACS_PER_WORKER)
+        .max(1);
+    let width = cols.div_ceil(parts);
+    let parts = cols.div_ceil(width);
+    tmp.resize(parts * batch * width, 0.0);
+    pool.run_rows(tmp.as_mut_slice(), batch * width, 1, |first, regions| {
+        for (i, region) in regions.chunks_exact_mut(batch * width).enumerate() {
+            let start = (first + i) * width;
+            let len = width.min(cols - start);
+            region.fill(0.0);
+            for (r, scales) in xs.chunks_exact(batch).enumerate() {
+                if scales.iter().all(|s| *s == 0.0) {
+                    continue;
+                }
+                let row = &w.row(r)[start..start + len];
+                for (acc, &s) in region.chunks_exact_mut(width).zip(scales) {
+                    if s == 0.0 {
+                        continue;
+                    }
+                    for (o, wi) in acc.iter_mut().zip(row) {
+                        *o += wi * s;
+                    }
+                }
+            }
+        }
+    });
+    for (p, region) in tmp.as_slice().chunks_exact(batch * width).enumerate() {
+        let start = p * width;
+        let len = width.min(cols - start);
+        for (b, acc) in region.chunks_exact(width).enumerate() {
+            out.as_mut_slice()[b * cols + start..b * cols + start + len]
+                .copy_from_slice(&acc[..len]);
+        }
+    }
 }
 
 /// Computes the dense matrix–matrix product `A · B` (`m×k` times `k×n`).

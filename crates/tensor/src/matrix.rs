@@ -1,6 +1,6 @@
 //! Dense row-major `f32` matrix used for model weights.
 
-use crate::gemv::dot;
+use crate::gemv::{dot, dot_batch};
 use crate::{ShapeError, Vector};
 
 /// Row-addressable weight storage: what a row-skipping kernel needs to know
@@ -23,6 +23,11 @@ pub trait WeightRows: Sync {
     /// `W_r · x` through the format's fixed-order reduction.
     fn dot_row(&self, r: usize, x: &[f32]) -> f32;
 
+    /// `W_r · x` for `out.len()` inputs — stored back to back in `xs` — in
+    /// one read of the row; `out[n]` is bitwise [`dot_row`](Self::dot_row)
+    /// of input `n`.
+    fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]);
+
     /// Reader of columns `start..start + len` of row `r`: `read(i)` is the
     /// `f32` value of column `start + i`.
     fn row_span(&self, r: usize, start: usize, len: usize) -> impl Fn(usize) -> f32 + Copy + '_;
@@ -42,6 +47,10 @@ impl WeightRows for Matrix {
 
     fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
         dot(self.row(r), x)
+    }
+
+    fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]) {
+        dot_batch(self.row(r), xs, out);
     }
 
     #[inline] // see the int8 impl

@@ -138,6 +138,15 @@ where
     f(offset, chunk);
 }
 
+/// [`chunk_trampoline`] instantiated for the type of `f` (which, for a
+/// closure defined inside a generic function, cannot be named).
+fn chunk_trampoline_of<F>(_f: &F) -> RawKernel
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    chunk_trampoline::<F>
+}
+
 /// Rebuilds `(start index, &mut [T])` from an erased task and runs `f` over
 /// every item — the worker-side half of [`ThreadPool::run_tasks`].
 unsafe fn tasks_trampoline<T, F>(ctx: *const (), base: *mut u8, offset: usize, len: usize)
@@ -371,23 +380,48 @@ impl ThreadPool {
     /// bit-identical to the single-threaded call as long as `f`'s work per
     /// element does not depend on the chunking (true for every kernel in
     /// this workspace: chunk boundaries select *which rows/columns* a
-    /// worker computes, never *how*).
+    /// worker computes, never *how*). The `row_len == 1` case of
+    /// [`run_rows`](Self::run_rows).
     pub fn run_chunks<F>(&self, out: &mut [f32], min_chunk: usize, f: F)
     where
         F: Fn(usize, &mut [f32]) + Sync,
     {
-        let workers = self.effective_workers(out.len(), min_chunk);
+        self.run_rows(out, 1, min_chunk, f);
+    }
+
+    /// [`run_chunks`](Self::run_chunks) over an `out` made of rows of
+    /// `row_len` elements: chunk boundaries fall only between rows, at
+    /// least `min_rows` rows go to a worker, and `f(first_row, chunk)`
+    /// receives the index of the chunk's first row. What the multi-column
+    /// kernels partition with — one weight row's results for every
+    /// activation column sit in one `out` row, so a weight row is never
+    /// split between workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_len == 0` or `out.len()` is not a multiple of it.
+    pub fn run_rows<F>(&self, out: &mut [f32], row_len: usize, min_rows: usize, f: F)
+    where
+        F: Fn(usize, &mut [f32]) + Sync,
+    {
+        assert!(
+            row_len > 0 && out.len().is_multiple_of(row_len),
+            "output of {} elements is not made of {row_len}-element rows",
+            out.len()
+        );
+        let rows = out.len() / row_len;
+        let workers = self.effective_workers(rows, min_rows);
         let Some(inner) = self.inner.as_ref().filter(|_| workers > 1) else {
             f(0, out);
             return;
         };
-        let chunk = out.len().div_ceil(workers);
+        let by_row = |offset: usize, chunk: &mut [f32]| f(offset / row_len, chunk);
         dispatch(
             inner,
             out,
-            chunk,
-            chunk_trampoline::<F>,
-            &raw const f as *const (),
+            rows.div_ceil(workers) * row_len,
+            chunk_trampoline_of(&by_row),
+            &raw const by_row as *const (),
         );
     }
 
@@ -564,6 +598,25 @@ mod tests {
         let mut out = vec![0.0f32; 10];
         pool.run_chunks(&mut out, 64, |_, chunk| chunk.fill(1.0));
         assert!(out.iter().all(|v| *v == 1.0));
+    }
+
+    #[test]
+    fn run_rows_never_splits_a_row() {
+        for threads in [1, 2, 3, 4] {
+            let pool = ThreadPool::new(ParallelOptions::threads(threads));
+            for (rows, row_len) in [(7usize, 3usize), (64, 5), (1, 9), (0, 4)] {
+                let mut out = vec![-1.0f32; rows * row_len];
+                pool.run_rows(&mut out, row_len, 1, |first_row, chunk| {
+                    assert_eq!(chunk.len() % row_len, 0, "whole rows only");
+                    for (i, row) in chunk.chunks_exact_mut(row_len).enumerate() {
+                        row.fill((first_row + i) as f32);
+                    }
+                });
+                for (r, row) in out.chunks_exact(row_len).enumerate() {
+                    assert!(row.iter().all(|v| *v == r as f32), "{threads}t row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! values that quantize to zero, which contribute nothing to the inner
 //! product anyway).
 
-use crate::gemv::{dot_q8, DOT_LANES, QUANT_BLOCK};
+use crate::gemv::{dot_q8, dot_q8_batch, DOT_LANES, QUANT_BLOCK};
 use crate::matrix::WeightRows;
 use crate::{sign::PackedSignMatrix, Matrix};
 
@@ -279,6 +279,10 @@ impl WeightRows for BlockQuantizedMatrix {
 
     fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
         dot_q8(self.row(r), self.row_scales(r), x)
+    }
+
+    fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]) {
+        dot_q8_batch(self.row(r), self.row_scales(r), xs, out);
     }
 
     /// Dequantizes in the read, with the scale chosen by the element's

@@ -2,9 +2,14 @@
 //! pseudo-random sweeps (the workspace builds offline, so the `proptest`
 //! crate is replaced by explicit [`Prng`] loops over the same properties).
 
-use sparseinfer_tensor::gemv::{gemv, gemv_transposed};
+use sparseinfer_tensor::gemv::{
+    gemm_rows_into, gemv, gemv_into, gemv_transposed, gemv_transposed_batch_into,
+};
 use sparseinfer_tensor::sign::{count_negative_products, PackedSignMatrix, SignPack};
-use sparseinfer_tensor::{Matrix, Prng, QuantizedMatrix, Vector, F16};
+use sparseinfer_tensor::{
+    BlockQuantizedMatrix, Matrix, ParallelOptions, Prng, QuantizedMatrix, ThreadPool, Vector,
+    WeightRows, F16,
+};
 
 /// A value in a range representable in f16 without overflow, excluding a
 /// band around 0 so sign comparisons are unambiguous.
@@ -130,6 +135,117 @@ fn packed_matrix_equals_per_row_packs() {
         for r in 0..rows {
             let expected = SignPack::pack(m.row(r));
             assert_eq!(pm.row(r), expected.words(), "seed {seed} row {r}");
+        }
+    }
+}
+
+/// `gemm_rows_into` over `w` against per-column `gemv`s computed by
+/// `column_gemv`, bit for bit: every batch size 1..=9, with and without a
+/// row filter, at 1, 2 and 4 threads.
+fn gemm_equals_per_column_gemv<W: WeightRows>(
+    w: &W,
+    rng: &mut Prng,
+    label: &str,
+    column_gemv: impl Fn(&[f32]) -> Vec<f32>,
+) {
+    let (rows, cols) = (w.rows(), w.cols());
+    let keep: Vec<bool> = (0..rows).map(|_| rng.flip(0.6)).collect();
+    for batch in 1..=9usize {
+        let xs: Vec<f32> = (0..batch * cols)
+            .map(|_| rng.normal(0.1, 1.0) as f32)
+            .collect();
+        let expected: Vec<Vec<f32>> = xs.chunks_exact(cols).map(&column_gemv).collect();
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(ParallelOptions::threads(threads));
+            for filter in [None, Some(keep.as_slice())] {
+                let mut out = Vector::from_vec(vec![f32::NAN; 3]);
+                gemm_rows_into(w, &xs, batch, filter, &pool, &mut out);
+                assert_eq!(out.len(), rows * batch);
+                for r in 0..rows {
+                    for (b, column) in expected.iter().enumerate() {
+                        let want = if filter.is_some_and(|keep| !keep[r]) {
+                            0.0
+                        } else {
+                            column[r]
+                        };
+                        assert_eq!(
+                            out[r * batch + b].to_bits(),
+                            want.to_bits(),
+                            "{label} {rows}x{cols} batch {batch} threads {threads} \
+                             filter {} row {r} column {b}",
+                            filter.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_rows_equals_gemv_bit_for_bit() {
+    // Column counts off the 8-lane and the 32-column scale-block grids; the
+    // last shape is large enough that the bigger batches really are split
+    // across workers (a worker takes at least 2^19 multiply-accumulates).
+    for (seed, (rows, cols)) in [(5, 37), (130, 100), (257, 43), (64, 8), (3, 1), (1200, 100)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = Prng::seed(900 + seed as u64);
+        let w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 0.7) as f32);
+        gemm_equals_per_column_gemv(&w, &mut rng, "f32", |x| {
+            let mut y = Vector::zeros(0);
+            gemv_into(
+                &w,
+                &Vector::from_vec(x.to_vec()),
+                &ThreadPool::single(),
+                &mut y,
+            );
+            y.into_vec()
+        });
+        let q = BlockQuantizedMatrix::quantize(&w);
+        gemm_equals_per_column_gemv(&q, &mut rng, "int8", |x| {
+            (0..rows).map(|r| q.dot_row(r, x)).collect()
+        });
+    }
+}
+
+#[test]
+fn transposed_batch_equals_per_input_transposed_gemv_bit_for_bit() {
+    // The last shape is large enough to be split across workers.
+    for (seed, (rows, cols)) in [(9, 5), (70, 130), (33, 288), (12, 64), (900, 288)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = Prng::seed(950 + seed as u64);
+        let w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 0.7) as f32);
+        for batch in 1..=5usize {
+            // Exact zeros (both signs) in a good share of the entries: the
+            // skip is part of the reference's arithmetic.
+            let xs: Vec<f32> = (0..rows * batch)
+                .map(|_| match rng.below(4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.normal(0.0, 1.0) as f32,
+                })
+                .collect();
+            for threads in [1, 2, 4] {
+                let pool = ThreadPool::new(ParallelOptions::threads(threads));
+                let mut tmp = Vector::zeros(0);
+                let mut out = Vector::zeros(0);
+                gemv_transposed_batch_into(&w, &xs, batch, &pool, &mut tmp, &mut out);
+                for b in 0..batch {
+                    let x = Vector::from_fn(rows, |r| xs[r * batch + b]);
+                    let want = gemv_transposed(&w, &x);
+                    for c in 0..cols {
+                        assert_eq!(
+                            out[b * cols + c].to_bits(),
+                            want[c].to_bits(),
+                            "{rows}x{cols} batch {batch} threads {threads} input {b} col {c}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

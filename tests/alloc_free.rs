@@ -31,9 +31,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig};
+use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig, PrefillScratch};
 use sparseinfer::predictor::AlphaSchedule;
 use sparseinfer::sparse::engine::{Engine, EngineBuilder, WeightFormat};
+use sparseinfer::sparse::request::GenerateRequest;
+use sparseinfer::sparse::scheduler::{Scheduler, SchedulerConfig};
 use sparseinfer::tensor::{ParallelOptions, ThreadPool, Vector};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -208,6 +210,78 @@ fn parallel_steady_state_decode_is_allocation_free() {
     }
 }
 
+fn batched_prefill_step_is_allocation_free() {
+    // The batched step takes everything from its scratch: after one
+    // warm-up step at this batch size it allocates nothing (the reference
+    // `forward_token` allocates ~100 vectors per position).
+    let model = test_model();
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(ParallelOptions::threads(threads));
+        let mut scratch = PrefillScratch::new();
+        let mut a = model.start_session_with_capacity(32);
+        let mut b = model.start_session_with_capacity(32);
+        // Different positions: `a` is three tokens ahead of `b`.
+        for token in [5, 6, 7] {
+            model.prefill_step(&mut [(token, &mut a)], &pool, &mut scratch);
+        }
+        model.prefill_step(&mut [(1, &mut a), (2, &mut b)], &pool, &mut scratch);
+        let before = allocations();
+        for i in 0..16u32 {
+            model.prefill_step(
+                &mut [(i % 7 + 1, &mut a), (i % 5 + 1, &mut b)],
+                &pool,
+                &mut scratch,
+            );
+        }
+        let allocs = allocations() - before;
+        assert_eq!(
+            allocs, 0,
+            "batched prefill at {threads} threads allocated {allocs} times"
+        );
+    }
+}
+
+fn scheduler_prefill_ticks_are_allocation_free() {
+    // Two slots prefilling side by side: the tick gathers them into the
+    // scheduler's one recycled batch and scratch. Paged KV allocates when a
+    // session starts a new block — the documented exception — so the
+    // measured ticks stay inside the first block of a 64-token page.
+    let model = test_model();
+    for threads in [1usize, 2] {
+        let mut scheduler = Scheduler::new(SchedulerConfig {
+            max_slots: 2,
+            block_tokens: 64,
+            ..SchedulerConfig::default()
+        })
+        .parallel(ParallelOptions::threads(threads));
+        for start in [1u32, 9] {
+            let prompt: Vec<u32> = (start..start + 40).collect();
+            let engine = EngineBuilder::new(&model).build().unwrap();
+            scheduler
+                .submit(engine, &GenerateRequest::new(&prompt).max_new(2))
+                .unwrap();
+        }
+        for _ in 0..3 {
+            scheduler.tick(|_| {});
+        }
+        let before = allocations();
+        for _ in 0..30 {
+            scheduler.tick(|_| {});
+        }
+        let allocs = allocations() - before;
+        let stats = scheduler.stats();
+        assert_eq!(
+            (stats.prefill_batches, stats.prefill_positions),
+            (33, 66),
+            "every measured tick was a two-slot prefill step"
+        );
+        assert_eq!(
+            allocs, 0,
+            "prefill ticks at {threads} slot threads allocated {allocs} times"
+        );
+    }
+}
+
 fn worker_thread_allocations_are_counted() {
     // Negative control for the parallel checks: an allocation made inside a
     // kernel closure on a *pool worker* must tick the counter, otherwise
@@ -263,6 +337,8 @@ fn main() {
         int8_steady_state_decode_is_allocation_free,
         parallel_int8_steady_state_decode_is_allocation_free,
         parallel_steady_state_decode_is_allocation_free,
+        batched_prefill_step_is_allocation_free,
+        scheduler_prefill_ticks_are_allocation_free,
         worker_thread_allocations_are_counted,
         warmup_does_allocate_proving_the_counter_works,
     ];

@@ -187,3 +187,224 @@ fn logit_bits_and_op_counts_match_the_committed_constants() {
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
+
+// ---------------------------------------------------------------------
+// Prefill goldens: KV contents after a dense prefill, and the logits of
+// the engine steps that follow, produced at the commit before prefill was
+// batched across sessions (one `Model::forward_token` per position).
+// ---------------------------------------------------------------------
+
+use sparseinfer::model::kv::KvBlockPool;
+use sparseinfer::model::model::DecodeSession;
+use sparseinfer::model::KvDtype;
+
+/// Three prompts of different lengths over the golden model's vocabulary.
+const PREFILL_PROMPT_LENS: [usize; 3] = [5, 9, 14];
+/// Engine steps hashed after each prefill.
+const FOLLOW_STEPS: usize = 4;
+
+fn prefill_prompt(p: usize) -> Vec<u32> {
+    (0..PREFILL_PROMPT_LENS[p])
+        .map(|i| ((i * 11 + p * 17 + 5) % 300) as u32)
+        .collect()
+}
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for byte in bytes {
+        *hash = (*hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// What one prefilled prompt must reproduce under one KV element type.
+#[derive(Debug, PartialEq, Eq)]
+struct PrefillGolden {
+    /// FNV-1a over every layer's cached keys then values, position by
+    /// position (`f32` bit patterns; `F16` words widened losslessly).
+    kv_hash: u64,
+    /// FNV-1a over the logits of the [`FOLLOW_STEPS`] dense engine steps
+    /// that follow the prefill.
+    logits_hash: u64,
+}
+
+const PREFILL_GOLDEN_F32: [PrefillGolden; 3] = [
+    PrefillGolden {
+        kv_hash: 6_405_544_614_192_110_387,
+        logits_hash: 4_778_492_370_212_650_904,
+    },
+    PrefillGolden {
+        kv_hash: 8_042_913_340_919_043_036,
+        logits_hash: 8_613_259_132_470_125_835,
+    },
+    PrefillGolden {
+        kv_hash: 12_697_270_258_689_902_249,
+        logits_hash: 13_038_583_803_588_059_039,
+    },
+];
+
+const PREFILL_GOLDEN_F16: [PrefillGolden; 3] = [
+    PrefillGolden {
+        kv_hash: 16_224_581_253_523_786_459,
+        logits_hash: 193_536_269_199_298_583,
+    },
+    PrefillGolden {
+        kv_hash: 10_165_987_432_858_863_662,
+        logits_hash: 1_690_194_637_379_539_461,
+    },
+    PrefillGolden {
+        kv_hash: 3_282_064_678_304_131_000,
+        logits_hash: 17_767_882_215_380_086_541,
+    },
+];
+
+/// The three session layouts prefill must be identical over.
+#[derive(Debug, Clone, Copy)]
+enum KvLayout {
+    Contiguous,
+    PagedF32,
+    PagedF16,
+}
+
+impl KvLayout {
+    const ALL: [KvLayout; 3] = [KvLayout::Contiguous, KvLayout::PagedF32, KvLayout::PagedF16];
+
+    /// A block size that is not a divisor of any prompt length.
+    fn pool(self) -> Option<KvBlockPool> {
+        match self {
+            KvLayout::Contiguous => None,
+            KvLayout::PagedF32 => Some(KvBlockPool::new(4)),
+            KvLayout::PagedF16 => Some(KvBlockPool::with_budget_dtype(4, usize::MAX, KvDtype::F16)),
+        }
+    }
+
+    fn golden(self) -> &'static [PrefillGolden; 3] {
+        match self {
+            KvLayout::PagedF16 => &PREFILL_GOLDEN_F16,
+            _ => &PREFILL_GOLDEN_F32,
+        }
+    }
+}
+
+fn start_session(model: &Model, pool: Option<&KvBlockPool>) -> DecodeSession {
+    match pool {
+        Some(pool) => model.start_paged_session(pool),
+        None => model.start_session_with_capacity(32),
+    }
+}
+
+fn kv_hash(session: &DecodeSession) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for cache in &session.caches {
+        for t in 0..cache.len() {
+            if cache.dtype() == KvDtype::F16 {
+                for side in [cache.key_h(t), cache.value_h(t)] {
+                    for v in side {
+                        fnv1a(&mut hash, &v.to_f32().to_bits().to_le_bytes());
+                    }
+                }
+            } else {
+                for side in [cache.key(t), cache.value(t)] {
+                    for v in side {
+                        fnv1a(&mut hash, &v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    hash
+}
+
+/// Hashes the session's KV, then the logits of [`FOLLOW_STEPS`] dense
+/// engine steps fed on top of it.
+fn prefill_golden_of(model: &Model, session: &mut DecodeSession) -> PrefillGolden {
+    let kv_hash = kv_hash(session);
+    let mut engine = build(model, "dense", WeightFormat::F32, 1);
+    let mut logits = Vector::zeros(0);
+    let mut logits_hash = 0xcbf2_9ce4_8422_2325u64;
+    for i in 0..FOLLOW_STEPS {
+        engine.step_into((i * 13 + 2) as u32 % 300, session, &mut logits);
+        for v in logits.iter() {
+            fnv1a(&mut logits_hash, &v.to_bits().to_le_bytes());
+        }
+    }
+    PrefillGolden {
+        kv_hash,
+        logits_hash,
+    }
+}
+
+#[test]
+fn forward_token_prefill_matches_the_committed_constants() {
+    // The allocating reference the benchmark pins: one position at a time.
+    let model = golden_model();
+    let mut mismatches = Vec::new();
+    for layout in KvLayout::ALL {
+        let pool = layout.pool();
+        for (p, want) in layout.golden().iter().enumerate() {
+            let mut session = start_session(&model, pool.as_ref());
+            for token in prefill_prompt(p) {
+                let _ = model.forward_token(token, &mut session);
+            }
+            let got = prefill_golden_of(&model, &mut session);
+            if &got != want {
+                mismatches.push(format!("{layout:?} prompt {p}: got {got:?}"));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Prefills `lanes` sessions (prompts assigned round-robin, so some repeat)
+/// through [`Model::prefill_step`], lane `i` joining on step `i`: batches
+/// grow, then shrink as the short prompts finish, and no two lanes sit at
+/// the same position. Returns each lane's session.
+fn batched_prefill(
+    model: &Model,
+    kv_pool: Option<&KvBlockPool>,
+    lanes: usize,
+    threads: usize,
+) -> Vec<DecodeSession> {
+    use sparseinfer::model::PrefillScratch;
+    use sparseinfer::tensor::ThreadPool;
+
+    let pool = ThreadPool::new(ParallelOptions::threads(threads));
+    let mut scratch = PrefillScratch::new();
+    let prompts: Vec<Vec<u32>> = (0..lanes).map(|lane| prefill_prompt(lane % 3)).collect();
+    let mut sessions: Vec<DecodeSession> =
+        (0..lanes).map(|_| start_session(model, kv_pool)).collect();
+    for step in 0.. {
+        let mut batch: Vec<(u32, &mut DecodeSession)> = sessions
+            .iter_mut()
+            .enumerate()
+            .filter(|(lane, session)| *lane <= step && session.position < prompts[*lane].len())
+            .map(|(lane, session)| (prompts[lane][session.position], session))
+            .collect();
+        if batch.is_empty() {
+            break;
+        }
+        model.prefill_step(&mut batch, &pool, &mut scratch);
+    }
+    sessions
+}
+
+#[test]
+fn batched_prefill_matches_the_committed_constants() {
+    let model = golden_model();
+    let mut mismatches = Vec::new();
+    for layout in KvLayout::ALL {
+        for lanes in [1, 2, 3, 5] {
+            for threads in [1, 2, 4] {
+                let kv_pool = layout.pool();
+                let sessions = batched_prefill(&model, kv_pool.as_ref(), lanes, threads);
+                for (lane, mut session) in sessions.into_iter().enumerate() {
+                    let got = prefill_golden_of(&model, &mut session);
+                    if got != layout.golden()[lane % 3] {
+                        mismatches.push(format!(
+                            "{layout:?} batch {lanes} lane {lane} @ {threads} threads: got {got:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

@@ -327,7 +327,7 @@ fn main() {
                     w,
                     &columns[..batch * 256],
                     batch,
-                    None,
+                    |_| true,
                     &single,
                     &mut gemm_out,
                 );

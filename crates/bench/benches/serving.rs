@@ -1,5 +1,5 @@
-//! Serving throughput under churn: the closed `Batch` baseline vs the
-//! continuous-batching `Scheduler`.
+//! Serving throughput under churn: a closed, pre-loaded batch (the
+//! unbounded `Scheduler`) vs the continuous-batching `Scheduler`.
 //!
 //! The workload models real serving traffic: requests arrive over time
 //! (staggered submission), mix dense and sparse engines over one shared
@@ -24,7 +24,6 @@ use sparseinfer::eval::TaskSuite;
 use sparseinfer::model::kv::KvDtype;
 use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig};
 use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SparsityPredictor};
-use sparseinfer::sparse::batch::Batch;
 use sparseinfer::sparse::engine::{
     Engine, EngineBuilder, QuantizedWeights, SpeculativeStats, WeightFormat,
 };
@@ -141,16 +140,16 @@ impl GapClock {
     }
 }
 
-/// Closed baseline: every request pre-loaded into one `Batch`.
+/// Closed baseline: every request pre-loaded into one unbounded scheduler.
 fn run_closed(
     model: &Model,
     shared: &Arc<dyn SparsityPredictor>,
     work: &[ChurnRequest],
 ) -> RunTiming {
-    let mut batch = Batch::new();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
     for (i, r) in work.iter().enumerate() {
         batch
-            .push(
+            .submit(
                 engine_for(model, shared, i),
                 &GenerateRequest::new(&r.prompt).max_new(r.max_new),
             )

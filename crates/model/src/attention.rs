@@ -560,11 +560,11 @@ impl Attention {
         assert_eq!(scratch.rope.len(), b * head_dim, "one rope table each");
 
         let x = scratch.x.as_slice();
-        gemm_rows_into(&self.w_q, x, b, None, pool, &mut scratch.proj);
+        gemm_rows_into(&self.w_q, x, b, |_| true, pool, &mut scratch.proj);
         per_session(scratch.proj.as_slice(), b, &mut scratch.q);
-        gemm_rows_into(&self.w_k, x, b, None, pool, &mut scratch.proj);
+        gemm_rows_into(&self.w_k, x, b, |_| true, pool, &mut scratch.proj);
         per_session(scratch.proj.as_slice(), b, &mut scratch.k);
-        gemm_rows_into(&self.w_v, x, b, None, pool, &mut scratch.proj);
+        gemm_rows_into(&self.w_v, x, b, |_| true, pool, &mut scratch.proj);
         per_session(scratch.proj.as_slice(), b, &mut scratch.v);
 
         let (mut score_len, mut context) = (0, 0);
@@ -612,7 +612,7 @@ impl Attention {
             &self.w_o,
             scratch.x.as_slice(),
             b,
-            None,
+            |_| true,
             pool,
             &mut scratch.proj,
         );

@@ -159,7 +159,7 @@ impl GatedMlp {
             "mlp input must be finite for the zero-gate row skip to be exact"
         );
         let x = scratch.x.as_slice();
-        gemm_rows_into(&self.w_gate, x, b, None, pool, &mut scratch.gate);
+        gemm_rows_into(&self.w_gate, x, b, |_| true, pool, &mut scratch.gate);
         self.activation.apply_slice(scratch.gate.as_mut_slice());
         scratch.keep.clear();
         scratch.keep.extend(
@@ -174,7 +174,7 @@ impl GatedMlp {
             &self.w_up,
             x,
             b,
-            Some(&scratch.keep),
+            |r| scratch.keep[r],
             pool,
             &mut scratch.proj,
         );

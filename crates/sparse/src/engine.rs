@@ -63,7 +63,7 @@
 //!   outputs are bit-identical at any thread count because each output
 //!   element has a single writer and a fixed reduction order.
 //! * **Shared predictors** — predictors sit behind `Arc`, so a
-//!   [`Batch`](crate::batch::Batch) of N sessions loads one copy of the
+//!   [`Scheduler`](crate::scheduler::Scheduler) of N sessions loads one copy of the
 //!   packed sign tables (or DejaVu weights): batch memory is O(1) in
 //!   in-flight requests (see [`MemoryEstimate`]), while per-slot
 //!   [`OpCounter`]/[`SparsityStats`]/sampler state stays isolated.
@@ -285,7 +285,7 @@ impl SparsityStats {
 /// concurrent sessions versus state every session must own.
 ///
 /// The split is what makes the ROADMAP's batch-memory story measurable:
-/// `Batch::memory_estimate` counts `shared_bytes` once per *distinct*
+/// `Scheduler::memory_estimate` counts `shared_bytes` once per *distinct*
 /// predictor (deduplicated by `Arc` identity) and `per_session_bytes` once
 /// per slot, so a 32-slot batch over one shared predictor costs
 /// `shared + 32·per_session` instead of `32·(shared + per_session)`.
@@ -433,9 +433,9 @@ impl StepBlock {
 /// One decode-capable execution configuration of a model.
 ///
 /// Object-safe on purpose: the request layer, the eval harness and the
-/// [`Batch`](crate::batch::Batch) scheduler all drive `&mut dyn Engine` /
+/// [`Scheduler`](crate::scheduler::Scheduler) all drive `&mut dyn Engine` /
 /// `Box<dyn Engine>`, so dense and sparse configurations mix freely in one
-/// scheduler. `Send` is a supertrait so the batch scheduler can advance
+/// scheduler. `Send` is a supertrait so the scheduler can advance
 /// independent sessions on worker threads.
 pub trait Engine: std::fmt::Debug + Send {
     /// The model this engine executes.
@@ -544,8 +544,8 @@ pub trait Engine: std::fmt::Debug + Send {
 
     /// Identity of the shared predictor state, if any — the same value for
     /// engines sharing one `Arc`ed predictor, used by
-    /// [`Batch::memory_estimate`](crate::batch::Batch::memory_estimate) to
-    /// count shared bytes once.
+    /// [`Scheduler::memory_estimate`](crate::scheduler::Scheduler::memory_estimate)
+    /// to count shared bytes once.
     fn shared_state_id(&self) -> Option<usize> {
         None
     }
@@ -1444,14 +1444,16 @@ mod tests {
             &m,
             AlphaSchedule::uniform(1.0),
         ));
-        let mut batch = crate::batch::Batch::new().parallel(ParallelOptions::threads(2));
+        use crate::scheduler::{Scheduler, SchedulerConfig};
+        let mut batch =
+            Scheduler::new(SchedulerConfig::unbounded()).parallel(ParallelOptions::threads(2));
         for _ in 0..4 {
             let engine = EngineBuilder::new(&m)
                 .predictor_shared(Arc::clone(&shared))
                 .pool(kernel_pool.clone())
                 .build()
                 .unwrap();
-            batch.push(engine, &req).unwrap();
+            batch.submit(engine, &req).unwrap();
         }
         for output in batch.run() {
             assert_eq!(output.tokens, solo, "request {}", output.id);

@@ -11,19 +11,18 @@
 //! The `*_into` forms are the serving hot path: they write into
 //! caller-provided buffers (recycled through a
 //! [`Workspace`](sparseinfer_tensor::Workspace)), reduce through the
-//! format's fixed-order dot product ([`WeightRows::dot_row`]), and
+//! format's fixed-order dot product ([`WeightRows::dot_row_batch`]), and
 //! row/column-partition across a [`ThreadPool`] with one writer per output
 //! element — so dense vs sparse, sequential vs parallel, allocating vs
 //! workspace paths are all bit-identical. The original allocating
 //! signatures survive as thin wrappers.
 
 use sparseinfer_predictor::SkipMask;
+use sparseinfer_tensor::gemv::gemm_rows_into;
 use sparseinfer_tensor::{Matrix, ThreadPool, Vector, WeightRows};
 
 use crate::ops::OpCounter;
 
-/// Minimum rows per worker before the sparse GEMV fans out.
-const MIN_ROWS_PER_WORKER: usize = 64;
 /// Minimum output columns per worker before the down projection fans out.
 const MIN_COLS_PER_WORKER: usize = 64;
 
@@ -43,11 +42,12 @@ pub fn sparse_gemv(w: &Matrix, x: &Vector, mask: &SkipMask, ops: &mut OpCounter)
     out
 }
 
-/// [`sparse_gemv`] into a caller-provided buffer, row-partitioned across
-/// `pool`. Every output slot is written exactly once — the dot product for
-/// active rows, `0.0` for skipped rows (whose weights are never loaded) —
-/// fixing the seed's double write (zero-fill then overwrite) of active
-/// slots. Weight traffic is counted at the format's
+/// [`sparse_gemv`] into a caller-provided buffer: [`gemm_rows_into`] with
+/// one activation column and the mask as its row filter, so rows partition
+/// across `pool` under that kernel's one fan-out rule. Every output slot is
+/// written exactly once — the dot product for active rows, `0.0` for
+/// skipped rows (whose weights are never loaded). Weight traffic is counted
+/// at the format's
 /// [`ACCOUNTED_BYTES`](WeightRows::ACCOUNTED_BYTES) per element (int8: one
 /// byte, the 4× shrink is the point).
 ///
@@ -64,18 +64,7 @@ pub fn sparse_gemv_into<W: WeightRows>(
 ) {
     assert_eq!(mask.len(), w.rows(), "mask/rows mismatch");
     assert_eq!(x.len(), w.cols(), "input length mismatch");
-    let xs = x.as_slice();
-    out.resize(w.rows(), 0.0);
-    pool.run_chunks(out.as_mut_slice(), MIN_ROWS_PER_WORKER, |offset, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            let r = offset + i;
-            *slot = if mask.is_skipped(r) {
-                0.0
-            } else {
-                w.dot_row(r, xs)
-            };
-        }
-    });
+    gemm_rows_into(w, x.as_slice(), 1, |r| !mask.is_skipped(r), pool, out);
     let active_rows = (w.rows() - mask.skip_count()) as u64;
     ops.macs += active_rows * w.cols() as u64;
     ops.weight_bytes_loaded += active_rows * w.cols() as u64 * W::ACCOUNTED_BYTES;

@@ -38,9 +38,8 @@
 //!   KV blocks (copy-on-write, refcounted) through a
 //!   [`PrefixIndex`](sparseinfer_model::kv::PrefixIndex), skipping the
 //!   shared prefill work — bit-identically to cold decode.
-//! * [`batch`](mod@crate::batch) — the closed round-robin [`Batch`]
-//!   wrapper over a pre-loaded, unbounded scheduler, for offline
-//!   evaluation workloads.
+//!   Offline evaluation pre-loads one built on
+//!   [`SchedulerConfig::unbounded`] and calls [`run`](Scheduler::run).
 //! * [`ops`](mod@crate::ops) — operation and byte accounting that regenerates
 //!   Table I.
 //!
@@ -65,7 +64,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod cats;
 pub mod engine;
 pub mod error;
@@ -76,7 +74,6 @@ pub mod quantized;
 pub mod request;
 pub mod scheduler;
 
-pub use batch::Batch;
 pub use engine::{
     Engine, EngineBuilder, EngineOptions, MemoryEstimate, QuantizedWeights, SparsityStats,
     SpeculativeEngine, SpeculativeStats, StepBlock, WeightFormat,

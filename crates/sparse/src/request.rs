@@ -4,7 +4,7 @@
 //! budget, stop tokens and an optional [`Sampler`] — and [`generate`] /
 //! [`generate_streaming`] run it against any [`Engine`]. The same
 //! [`RequestRun`] state machine drives the single-request path here and the
-//! multi-session [`Batch`](crate::batch::Batch) scheduler, so a request
+//! multi-session [`Scheduler`](crate::scheduler::Scheduler), so a request
 //! decodes bit-identically alone or interleaved with others.
 //!
 //! Prefill is always dense (the paper exploits sparsity only during

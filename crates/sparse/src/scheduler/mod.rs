@@ -1,9 +1,10 @@
 //! Continuous-batching scheduler: requests join, decode, cancel and retire
 //! **while the engine is running**.
 //!
-//! The closed [`Batch`](crate::batch::Batch) model — push everything, then
-//! run — is fine for offline evaluation but is the wrong shape for serving:
-//! real traffic churns. This module is the serving loop proper:
+//! The closed model — push everything, then run — is fine for offline
+//! evaluation ([`SchedulerConfig::unbounded`] is that configuration) but
+//! is the wrong shape for serving: real traffic churns. This module is the
+//! serving loop proper:
 //!
 //! * [`Scheduler::submit`] accepts a request **at any time**, including
 //!   mid-run, and returns a [`RequestHandle`] that can cancel it (queued or
@@ -118,11 +119,10 @@ pub use stats::{PreemptionStats, PrefixCacheStats, SchedulerStats};
 
 use preemption::PreemptedRequest;
 
-/// A token emitted by one request inside a scheduler or batch.
+/// A token emitted by one request inside a scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchEvent {
-    /// The request id returned by [`Scheduler::submit`] /
-    /// [`Batch::push`](crate::batch::Batch::push).
+    /// The request id ([`RequestHandle::id`]) of [`Scheduler::submit`].
     pub request: usize,
     /// Zero-based position in that request's continuation.
     pub index: usize,
@@ -134,8 +134,7 @@ pub struct BatchEvent {
 /// accounting.
 #[derive(Debug, Clone)]
 pub struct BatchOutput {
-    /// The request id returned by [`Scheduler::submit`] /
-    /// [`Batch::push`](crate::batch::Batch::push).
+    /// The request id ([`RequestHandle::id`]) of [`Scheduler::submit`].
     pub id: usize,
     /// The generated tokens.
     pub tokens: Vec<u32>,
@@ -261,10 +260,35 @@ impl Default for SchedulerConfig {
 
 impl SchedulerConfig {
     /// No admission limits at all: every submitted request is admitted on
-    /// the next tick — the configuration the closed
-    /// [`Batch`](crate::batch::Batch) wrapper runs on. The prefix cache
-    /// is off, preserving the closed batch's exact memory profile (a
-    /// fully finished batch holds zero decode memory).
+    /// the next tick and advances round-robin, one model step per tick —
+    /// the closed, push-everything-then-[`run`](Scheduler::run)
+    /// configuration of offline evaluation and the paper experiments. The
+    /// prefix cache is off, so a fully finished batch holds zero decode
+    /// memory.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sparseinfer_model::{generator::WeightGenerator, ModelConfig};
+    /// use sparseinfer_predictor::AlphaSchedule;
+    /// use sparseinfer_sparse::engine::EngineBuilder;
+    /// use sparseinfer_sparse::request::GenerateRequest;
+    /// use sparseinfer_sparse::scheduler::{Scheduler, SchedulerConfig};
+    ///
+    /// let model = WeightGenerator::new(&ModelConfig::tiny(), 3).build();
+    /// let mut batch = Scheduler::new(SchedulerConfig::unbounded());
+    /// for (i, prompt) in [[1u32, 2], [3, 4], [5, 6]].iter().enumerate() {
+    ///     let engine = if i % 2 == 0 {
+    ///         EngineBuilder::new(&model).build().unwrap()
+    ///     } else {
+    ///         EngineBuilder::new(&model).signbit(AlphaSchedule::uniform(1.0)).build().unwrap()
+    ///     };
+    ///     batch.submit(engine, &GenerateRequest::new(prompt).max_new(4)).unwrap();
+    /// }
+    /// let outputs = batch.run(); // in submission order
+    /// assert_eq!(outputs.len(), 3);
+    /// assert!(outputs.iter().all(|o| o.tokens.len() == 4));
+    /// ```
     pub fn unbounded() -> Self {
         Self {
             max_slots: usize::MAX,

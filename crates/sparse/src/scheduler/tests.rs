@@ -235,6 +235,172 @@ fn mixed_engine_kinds_share_one_scheduler() {
 }
 
 #[test]
+fn outputs_keep_push_order_and_ids() {
+    let m = model();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
+    for p in [[1u32, 2], [9, 8], [4, 4]] {
+        let e = EngineBuilder::new(&m).build().unwrap();
+        batch
+            .submit(e, &GenerateRequest::new(&p).max_new(3))
+            .unwrap();
+    }
+    let out = batch.run();
+    assert_eq!(out.iter().map(|o| o.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+}
+
+#[test]
+fn per_request_ops_are_isolated() {
+    let m = model();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
+    for max_new in [2usize, 8] {
+        let e = EngineBuilder::new(&m)
+            .signbit(AlphaSchedule::uniform(1.0))
+            .build()
+            .unwrap();
+        batch
+            .submit(e, &GenerateRequest::new(&[1, 2]).max_new(max_new))
+            .unwrap();
+    }
+    let out = batch.run();
+    assert!(
+        out[1].ops.macs > out[0].ops.macs,
+        "8-token request must cost more than the 2-token one"
+    );
+    assert_eq!(out[0].stats.as_ref().unwrap().tokens(), 2);
+    assert_eq!(out[1].stats.as_ref().unwrap().tokens(), 8);
+}
+
+#[test]
+fn streaming_interleaves_requests() {
+    let m = model();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
+    for p in [[1u32, 2], [3, 4]] {
+        let e = EngineBuilder::new(&m).build().unwrap();
+        batch
+            .submit(e, &GenerateRequest::new(&p).max_new(3))
+            .unwrap();
+    }
+    let mut order = Vec::new();
+    let _ = batch.run_streaming(|ev| order.push(ev.request));
+    // Equal-length prompts: tokens alternate 0,1,0,1,0,1.
+    assert_eq!(order, vec![0, 1, 0, 1, 0, 1]);
+}
+
+#[test]
+fn finished_slots_release_their_decode_memory() {
+    fn build<'m>(m: &'m Model, max_new: usize, batch: &mut Scheduler<'m>) {
+        let e = EngineBuilder::new(m)
+            .signbit(AlphaSchedule::uniform(1.0))
+            .build()
+            .unwrap();
+        batch
+            .submit(e, &GenerateRequest::new(&[1, 2]).max_new(max_new))
+            .unwrap();
+    }
+    let m = model();
+    // Seven requests that finish quickly + one that keeps decoding.
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
+    for _ in 0..7 {
+        build(&m, 2, &mut batch);
+    }
+    build(&m, 24, &mut batch);
+    let full = {
+        // Warm every slot first so the estimate sees live buffers.
+        batch.tick(|_| {});
+        batch.memory_estimate().total()
+    };
+    while batch.unfinished_requests() > 1 {
+        batch.tick(|_| {});
+    }
+    let drained = batch.memory_estimate().total();
+
+    // A fresh 1-slot batch over the same engine kind, advanced the same
+    // number of steps, is the floor the drained batch must be near.
+    let mut solo = Scheduler::new(SchedulerConfig::unbounded());
+    build(&m, 24, &mut solo);
+    for _ in 0..(2 + 2 + 2) {
+        solo.tick(|_| {});
+    }
+    let solo_total = solo.memory_estimate().total();
+    assert!(
+        drained <= solo_total + solo_total / 4 + 1024,
+        "7 finished + 1 live ({drained} B) must be within a small \
+         constant of a 1-slot batch ({solo_total} B)"
+    );
+    assert!(
+        full > drained,
+        "retiring slots must shrink the estimate ({full} -> {drained})"
+    );
+    // The retired outputs are still delivered.
+    let out = batch.run();
+    assert_eq!(out.len(), 8);
+    assert!(out.iter().take(7).all(|o| o.tokens.len() == 2));
+}
+
+/// An engine that never produces logits: the first decode step fails.
+#[derive(Debug)]
+struct BrokenEngine<'m> {
+    model: &'m sparseinfer_model::Model,
+    ops: OpCounter,
+}
+
+impl Engine for BrokenEngine<'_> {
+    fn model(&self) -> &sparseinfer_model::Model {
+        self.model
+    }
+
+    fn score_block_into(
+        &mut self,
+        tokens: &[u32],
+        session: &mut sparseinfer_model::model::DecodeSession,
+        logits: &mut [sparseinfer_tensor::Vector],
+    ) {
+        assert_eq!(tokens.len(), logits.len(), "one logit vector per token");
+        session.position += tokens.len();
+        for out in logits {
+            *out = sparseinfer_tensor::Vector::zeros(0);
+        }
+    }
+
+    fn ops(&self) -> &OpCounter {
+        &self.ops
+    }
+
+    fn reset_ops(&mut self) {}
+
+    fn name(&self) -> &str {
+        "broken"
+    }
+}
+
+#[test]
+fn failed_slot_retires_without_poisoning_the_batch() {
+    let m = model();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
+    let healthy = EngineBuilder::new(&m).build().unwrap();
+    batch
+        .submit(healthy, &GenerateRequest::new(&[1, 2]).max_new(3))
+        .unwrap();
+    let broken = Box::new(BrokenEngine {
+        model: &m,
+        ops: OpCounter::default(),
+    });
+    batch
+        .submit(broken, &GenerateRequest::new(&[5]).max_new(3))
+        .unwrap();
+    let out = batch.run();
+    assert_eq!(out.len(), 2);
+    assert_eq!(out[0].tokens.len(), 3, "healthy request completes");
+    assert_eq!(out[0].finish, FinishReason::MaxTokens);
+    assert_eq!(
+        out[1].finish,
+        FinishReason::Failed(EngineError::EmptyVocab),
+        "broken request fails as data, not a panic"
+    );
+    assert!(out[1].tokens.is_empty());
+}
+
+#[test]
 fn mixed_kv_dimensions_are_rejected_at_submit_not_mid_decode() {
     let m_small = model(); // tiny(): one hidden_dim…
     let mut cfg = ModelConfig::tiny();

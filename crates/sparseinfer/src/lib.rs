@@ -83,8 +83,8 @@
 //! }
 //! ```
 //!
-//! The closed [`Batch`](sparse::batch::Batch) wrapper (push everything,
-//! then `run()`) remains for offline evaluation workloads.
+//! Offline evaluation workloads (push everything, then `run()`) build the
+//! scheduler on [`SchedulerConfig::unbounded`](sparse::scheduler::SchedulerConfig::unbounded).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,22 +8,28 @@
 //!
 //! # Kernel shape
 //!
-//! The inner dot product is a *chunked multi-accumulator* loop
-//! ([`dot`]): eight independent partial sums, combined in a fixed tree at
-//! the end. A single-accumulator loop chains every FMA through one register
-//! and caps throughput at one add per FP-add latency; eight independent
-//! chains break the dependency and let rustc autovectorize. The reduction
-//! order is **fixed and shared by every path** — sequential, row-partitioned
-//! parallel, dense and sparse — so all of them produce bit-identical
-//! outputs. The pre-optimization scalar forms survive in [`mod@reference`] and
-//! the test suite proves exact equivalence of the lane-ordered scalar form
-//! and close agreement of the single-accumulator form.
+//! The inner dot product is a *chunked multi-accumulator* loop: eight
+//! independent partial sums, combined in a fixed tree at the end. A
+//! single-accumulator loop chains every FMA through one register and caps
+//! throughput at one add per FP-add latency; eight independent chains break
+//! the dependency and let rustc autovectorize. There is **one such loop per
+//! storage format** — the `lanes_*` kernels for `f32` rows, the `lanes_q8_*`
+//! kernels for block-quantized int8 rows — and every dot product in the
+//! workspace, one column ([`dot`], [`dot_q8`]) or many ([`dot_batch`],
+//! [`dot_q8_batch`]), is those kernels plus a shared tail and reduction
+//! tree. The reduction order is therefore **fixed and shared by every
+//! path** — sequential, row-partitioned parallel, dense and sparse, decode
+//! and prefill — so all of them produce bit-identical outputs. The
+//! pre-optimization scalar forms survive in [`mod@reference`] and the test
+//! suite proves exact equivalence of the lane-ordered scalar forms and
+//! close agreement of the single-accumulator form.
 //!
-//! Prefill feeds many positions at once, so its kernels are *batched*:
-//! [`gemm_rows_into`] reads each weight row once for B activation columns
-//! ([`dot_batch`]: one accumulator set per column, each column's result
-//! bitwise [`dot`]'s), and [`gemv_transposed_batch_into`] does the same for
-//! the transposed accumulation of the down projection.
+//! One function partitions the rows of a weight matrix across a pool:
+//! [`gemm_rows_into`] reads each (unfiltered) weight row once for B
+//! activation columns. Prefill calls it with B positions, decode with one
+//! ([`gemv_into`], the sparse GEMV), and
+//! [`gemv_transposed_batch_into`] does the same for the transposed
+//! accumulation of the down projection.
 //!
 //! Output-buffer (`*_into`) variants write into caller-provided storage so
 //! the decode hot path can recycle buffers through a
@@ -45,17 +51,16 @@ pub const DOT_LANES: usize = 8;
 /// lane assignment inside every block matches the f32 kernel's.
 pub const QUANT_BLOCK: usize = 32;
 
-/// Minimum rows per worker before a GEMV fans out to threads; below this
-/// the spawn cost of a scoped thread exceeds the row work.
+/// Minimum weight rows per worker before [`gemm_rows_into`] fans out.
 const MIN_ROWS_PER_WORKER: usize = 64;
 
 /// Minimum output columns per worker before the batched transposed
 /// accumulation fans out.
 const MIN_COLS_PER_WORKER: usize = 64;
 
-/// Minimum multiply-accumulates per worker before a *batched* kernel fans
-/// out. One batched prefill step makes some ten dispatches per layer, each
-/// over a matrix far smaller than a decode GEMV's working set; a parked
+/// Minimum multiply-accumulates per worker before a kernel fans out. One
+/// batched prefill step makes some ten dispatches per layer, each over a
+/// matrix far smaller than a decode GEMV's working set; a parked
 /// dispatch costs 16-60 us on the hosts measured, which is 100-500 thousand
 /// of these kernels' MACs — below that, splitting a matrix loses (a 2-slot
 /// step on 8 layers of 256x688 took 3.3 ms split across two threads, 1.2 ms
@@ -72,32 +77,19 @@ const COLUMN_GROUP: usize = 4;
 /// element `i` accumulates into lane `i % 8`, and the eight lanes combine
 /// as `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`.
 ///
-/// Every kernel in the workspace reduces through this function, which is
-/// what makes dense/sparse and sequential/parallel paths bit-identical.
+/// The one-column case of the `lanes_*` kernels every `f32` dot product in
+/// the workspace reduces through, which is what makes dense/sparse,
+/// sequential/parallel and decode/prefill paths bit-identical.
 ///
 /// # Panics
 ///
-/// Panics (debug) if the slices differ in length; release builds truncate
-/// to the shorter operand, which shape-checked callers never hit.
+/// Panics if the slices differ in length.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot operand length mismatch");
+    assert_eq!(a.len(), b.len(), "dot operand length mismatch");
     let main = a.len() - a.len() % DOT_LANES;
-    let mut acc = [0.0f32; DOT_LANES];
-    let (a_main, a_tail) = a.split_at(main);
-    let (b_main, b_tail) = b.split_at(main.min(b.len()));
-    for (ca, cb) in a_main
-        .chunks_exact(DOT_LANES)
-        .zip(b_main.chunks_exact(DOT_LANES))
-    {
-        for l in 0..DOT_LANES {
-            acc[l] += ca[l] * cb[l];
-        }
-    }
-    for (l, (x, y)) in a_tail.iter().zip(b_tail).enumerate() {
-        acc[l] += x * y;
-    }
-    reduce_lanes(acc)
+    let [lanes] = lanes_1(&a[..main], b);
+    finish(lanes, &a[main..], &b[main..])
 }
 
 /// [`dot`] of one weight row against a batch of activation columns in one
@@ -111,7 +103,19 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if `xs.len() != out.len() * a.len()`.
+// Inlined so that a decode GEMV's row loop reaches the one-column kernel
+// without setting up the group loop's frame: that set-up is a fifth of an
+// int8 row's time at 256 columns (688x256 GEMV: 25 us through the group
+// loop, 21 us past it, 20 us for the single-column loop this replaced).
+#[inline]
 pub fn dot_batch(a: &[f32], xs: &[f32], out: &mut [f32]) {
+    match out {
+        [one] => *one = dot(a, xs),
+        _ => dot_groups(a, xs, out),
+    }
+}
+
+fn dot_groups(a: &[f32], xs: &[f32], out: &mut [f32]) {
     let cols = a.len();
     assert_eq!(xs.len(), out.len() * cols, "dot_batch shape mismatch");
     let main = cols - cols % DOT_LANES;
@@ -128,27 +132,35 @@ pub fn dot_batch(a: &[f32], xs: &[f32], out: &mut [f32]) {
             2 => acc[..2].copy_from_slice(&lanes_2(am, x(0), x(1))),
             _ => acc[..1].copy_from_slice(&lanes_1(am, x(0))),
         }
-        for (j, (slot, mut lanes)) in group.iter_mut().zip(acc).enumerate() {
-            for (l, (ai, xi)) in a[main..].iter().zip(&x(j)[main..]).enumerate() {
-                lanes[l] += ai * xi;
-            }
-            *slot = reduce_lanes(lanes);
+        for (j, (slot, lanes)) in group.iter_mut().zip(acc).enumerate() {
+            *slot = finish(lanes, &a[main..], &x(j)[main..]);
         }
     }
 }
 
-/// Defines the accumulation loop of [`dot_batch`] for a fixed number of
-/// columns: one named 8-lane accumulator set per column over the whole
+/// What every `f32` dot product does after its `lanes_*` kernel: the
+/// `len % 8` tail elements accumulate into lanes `0..`, then the fixed
+/// reduction tree.
+#[inline]
+fn finish(mut lanes: [f32; DOT_LANES], a_tail: &[f32], x_tail: &[f32]) -> f32 {
+    for (l, (ai, xi)) in a_tail.iter().zip(x_tail).enumerate() {
+        lanes[l] += ai * xi;
+    }
+    reduce_lanes(lanes)
+}
+
+/// Defines the `f32` accumulation loop — the only one — for a fixed number
+/// of columns: one named 8-lane accumulator set per column over the whole
 /// 8-element chunks of `a`, returned unreduced.
 // The shape is measured, not incidental (688x256 weights beyond L2, time
 // per position): with one named array per column, out of line, and neither
 // tail nor reduction tree in sight, every set stays one vector register —
-// 35 / 22 / 17 / 15 us at 1 / 2 / 3 / 4 columns (`dot` itself: 50).
-// Generic over the column count (an array of accumulators indexed in a loop
-// LLVM may not unroll), or inlined next to the tail and the tree (LLVM
-// regroups lanes by what happens to them later), the same arithmetic ran
-// scalar for some counts, 40-140 us — which counts changed with the
-// calling context.
+// 35 / 22 / 17 / 15 us at 1 / 2 / 3 / 4 columns. Generic over the column
+// count (an array of accumulators indexed in a loop LLVM may not unroll),
+// or inlined next to the tail and the tree (LLVM regroups lanes by what
+// happens to them later — the single-column loop `dot` once had took 50),
+// the same arithmetic ran scalar for some counts, 40-140 us — which counts
+// changed with the calling context.
 macro_rules! lanes_fn {
     ($name:ident, $n:literal: $($acc:ident $x:ident),+) => {
         #[inline(never)]
@@ -193,58 +205,24 @@ fn reduce_lanes(acc: [f32; DOT_LANES]) -> f32 {
 /// row-partitioned across a [`crate::ThreadPool`] — produces
 /// bit-identical results ([`reference::dot_q8_blocks`] is the scalar
 /// restatement, asserted bitwise-equal, as is [`dot`] on the pre-dequantized
-/// row).
+/// row). The one-column case of the `lanes_q8_*` kernels, as [`dot`] is of
+/// the `f32` ones.
 ///
 /// # Panics
 ///
-/// Panics (debug) if `q` and `x` differ in length or `scales` does not hold
-/// one entry per started block; release builds truncate to the shorter
-/// operand, which shape-checked callers never hit.
-///
-/// `inline(never)`: when this body is inlined into a caller that also
-/// writes through a `&mut [f32]` (the row-partitioned GEMV closures), LLVM
-/// stops vectorizing the i8→f32 convert loop and the kernel runs ~3×
-/// slower than the standalone instantiation. Forcing the call keeps the
-/// vectorized codegen at every call site; the per-call overhead is noise
-/// against a whole row's work.
-#[inline(never)]
+/// Panics if `q` and `x` differ in length or `scales` does not hold one
+/// entry per started block.
+#[inline]
 pub fn dot_q8(q: &[i8], scales: &[f32], x: &[f32]) -> f32 {
-    debug_assert_eq!(q.len(), x.len(), "dot_q8 operand length mismatch");
-    debug_assert_eq!(
+    assert_eq!(q.len(), x.len(), "dot_q8 operand length mismatch");
+    assert_eq!(
         scales.len(),
         q.len().div_ceil(QUANT_BLOCK),
         "dot_q8 scale count mismatch"
     );
-    let mut acc = [0.0f32; DOT_LANES];
-    let full_blocks = q.len() / QUANT_BLOCK;
-    let main = full_blocks * QUANT_BLOCK;
-    for b in 0..full_blocks {
-        let scale = scales[b];
-        // Fixed-size array views elide the bounds checks that would
-        // otherwise defeat autovectorization of the convert loop.
-        let qb: &[i8; QUANT_BLOCK] = q[b * QUANT_BLOCK..(b + 1) * QUANT_BLOCK]
-            .try_into()
-            .expect("full block");
-        let xb: &[f32; QUANT_BLOCK] = x[b * QUANT_BLOCK..(b + 1) * QUANT_BLOCK]
-            .try_into()
-            .expect("full block");
-        let mut deq = [0.0f32; QUANT_BLOCK];
-        for (d, qv) in deq.iter_mut().zip(qb) {
-            *d = f32::from(*qv) * scale;
-        }
-        for c in 0..QUANT_BLOCK / DOT_LANES {
-            for l in 0..DOT_LANES {
-                acc[l] += deq[c * DOT_LANES + l] * xb[c * DOT_LANES + l];
-            }
-        }
-    }
-    if main < q.len() {
-        let scale = scales[full_blocks];
-        for (i, (qv, xv)) in q[main..].iter().zip(&x[main..]).enumerate() {
-            acc[i % DOT_LANES] += f32::from(*qv) * scale * xv;
-        }
-    }
-    reduce_lanes(acc)
+    let main = q.len() - q.len() % QUANT_BLOCK;
+    let [lanes] = lanes_q8_1(&q[..main], &scales[..main / QUANT_BLOCK], x);
+    finish_q8(lanes, &q[main..], scales.last(), &x[main..])
 }
 
 /// [`dot_q8`] of one int8 weight row against a batch of activation columns
@@ -256,7 +234,15 @@ pub fn dot_q8(q: &[i8], scales: &[f32], x: &[f32]) -> f32 {
 ///
 /// Panics if `xs.len() != out.len() * q.len()` or `scales` does not hold
 /// one entry per started block.
+#[inline] // see `dot_batch`
 pub fn dot_q8_batch(q: &[i8], scales: &[f32], xs: &[f32], out: &mut [f32]) {
+    match out {
+        [one] => *one = dot_q8(q, scales, xs),
+        _ => dot_q8_groups(q, scales, xs, out),
+    }
+}
+
+fn dot_q8_groups(q: &[i8], scales: &[f32], xs: &[f32], out: &mut [f32]) {
     let cols = q.len();
     assert_eq!(xs.len(), out.len() * cols, "dot_q8_batch shape mismatch");
     assert_eq!(
@@ -278,17 +264,32 @@ pub fn dot_q8_batch(q: &[i8], scales: &[f32], xs: &[f32], out: &mut [f32]) {
             2 => acc[..2].copy_from_slice(&lanes_q8_2(qm, sm, x(0), x(1))),
             _ => acc[..1].copy_from_slice(&lanes_q8_1(qm, sm, x(0))),
         }
-        for (j, (slot, mut lanes)) in group.iter_mut().zip(acc).enumerate() {
-            for (i, (qv, xi)) in q[main..].iter().zip(&x(j)[main..]).enumerate() {
-                lanes[i % DOT_LANES] += f32::from(*qv) * scales[main / QUANT_BLOCK] * xi;
-            }
-            *slot = reduce_lanes(lanes);
+        for (j, (slot, lanes)) in group.iter_mut().zip(acc).enumerate() {
+            *slot = finish_q8(lanes, &q[main..], scales.last(), &x(j)[main..]);
         }
     }
 }
 
-/// Defines the accumulation loop of [`dot_q8_batch`] over whole scale
-/// blocks for a fixed number of columns — one named accumulator set per
+/// [`finish`] for an int8 row: the elements of the last, partial scale
+/// block (none when the row is whole blocks; `scale` is that block's)
+/// dequantize and accumulate into lane `i % 8`, then the fixed tree.
+#[inline]
+fn finish_q8(
+    mut lanes: [f32; DOT_LANES],
+    q_tail: &[i8],
+    scale: Option<&f32>,
+    x_tail: &[f32],
+) -> f32 {
+    if let Some(scale) = scale {
+        for (i, (qv, xi)) in q_tail.iter().zip(x_tail).enumerate() {
+            lanes[i % DOT_LANES] += f32::from(*qv) * scale * xi;
+        }
+    }
+    reduce_lanes(lanes)
+}
+
+/// Defines the int8 accumulation loop — the only one — over whole scale
+/// blocks for a fixed number of columns: one named accumulator set per
 /// column, unreduced, for the reasons given on `lanes_fn` (26 / 18 / 15 /
 /// 14 us per position at 1 / 2 / 3 / 4 columns on the same shape).
 macro_rules! lanes_q8_fn {
@@ -297,7 +298,8 @@ macro_rules! lanes_q8_fn {
         fn $name(q: &[i8], scales: &[f32], $($x: &[f32]),+) -> [[f32; DOT_LANES]; $n] {
             $(let mut $acc = [0.0f32; DOT_LANES];)+
             for (b, scale) in scales.iter().enumerate() {
-                // Fixed-size views, as in `dot_q8`.
+                // Fixed-size array views elide the bounds checks that would
+                // otherwise defeat autovectorization of the convert loop.
                 let span = b * QUANT_BLOCK..(b + 1) * QUANT_BLOCK;
                 let qb: &[i8; QUANT_BLOCK] = q[span.clone()].try_into().expect("full block");
                 let mut deq = [0.0f32; QUANT_BLOCK];
@@ -362,24 +364,16 @@ pub fn try_gemv(w: &Matrix, x: &Vector) -> Result<Vector, ShapeError> {
     Ok(out)
 }
 
-/// `y = W · x` into a caller-provided buffer, row-partitioned across
-/// `pool`'s workers. `out` is resized to `w.rows()` (no allocation when its
-/// capacity suffices) and every element is overwritten. Bit-identical for
-/// every thread count: each output row is one [`dot`] with a fixed
-/// reduction order, and chunking only selects which rows a worker computes.
+/// `y = W · x` into a caller-provided buffer: [`gemm_rows_into`] with one
+/// activation column and no row filter. `out` is resized to `w.rows()` (no
+/// allocation when its capacity suffices) and every element is
+/// overwritten. Bit-identical for every thread count.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != w.cols()`.
 pub fn gemv_into(w: &Matrix, x: &Vector, pool: &ThreadPool, out: &mut Vector) {
-    assert_eq!(x.len(), w.cols(), "gemv shape mismatch");
-    let xs = x.as_slice();
-    out.resize(w.rows(), 0.0);
-    pool.run_chunks(out.as_mut_slice(), MIN_ROWS_PER_WORKER, |offset, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            *slot = dot(w.row(offset + i), xs);
-        }
-    });
+    gemm_rows_into(w, x.as_slice(), 1, |_| true, pool, out);
 }
 
 /// Computes `y = Wᵀ · x` without materializing the transpose, i.e.
@@ -410,36 +404,37 @@ pub fn gemv_transposed(w: &Matrix, x: &Vector) -> Vector {
 }
 
 /// `Y = W · X` for `batch` activation columns in **one pass over the
-/// weights** — the prefill kernel. `xs` holds the columns back to back
-/// (column `b` at `xs[b * w.cols()..]`); `out` is resized to `w.rows() *
-/// batch` and row `r`'s results land together at `out[r * batch..]`, so
-/// rows partition across `pool` with one writer per element. Each weight
-/// row is loaded once and reduced against every column through
-/// [`WeightRows::dot_row_batch`], whose every result is bitwise the
-/// single-column [`WeightRows::dot_row`] — so `out[r * batch + b]` equals
-/// [`gemv_into`] of column `b`, bit for bit, at any batch size and thread
+/// weights** — the one row-partitioned kernel: prefill calls it with a
+/// column per position, decode with a single column. `xs` holds the columns
+/// back to back (column `b` at `xs[b * w.cols()..]`); `out` is resized to
+/// `w.rows() * batch` and row `r`'s results land together at
+/// `out[r * batch..]`, so rows partition across `pool` with one writer per
+/// element. Each weight row is loaded once and reduced against every column
+/// through [`WeightRows::dot_row_batch`], whose every result is the
+/// format's fixed-order dot product of that row and column — so
+/// `out[r * batch + b]` has the same bits at any batch size and thread
 /// count.
 ///
-/// With `keep`, rows whose entry is `false` are never loaded and their
-/// outputs are `0.0` (the row skip of the sparse kernels, decided once for
-/// all columns).
+/// Rows for which `keep(r)` is `false` are never loaded and their outputs
+/// are `0.0` (the row skip of the sparse kernels, decided once for all
+/// columns); `|_| true` keeps every row.
+///
+/// A worker gets at least `MIN_ROWS_PER_WORKER` rows and
+/// [`MIN_MACS_PER_WORKER`] multiply-accumulates, counted as if no row were
+/// filtered out.
 ///
 /// # Panics
 ///
-/// Panics if `xs.len() != batch * w.cols()` or `keep` does not hold one
-/// entry per row.
+/// Panics if `xs.len() != batch * w.cols()`.
 pub fn gemm_rows_into<W: WeightRows>(
     w: &W,
     xs: &[f32],
     batch: usize,
-    keep: Option<&[bool]>,
+    keep: impl Fn(usize) -> bool + Sync,
     pool: &ThreadPool,
     out: &mut Vector,
 ) {
     assert_eq!(xs.len(), batch * w.cols(), "gemm activation shape mismatch");
-    if let Some(keep) = keep {
-        assert_eq!(keep.len(), w.rows(), "one keep flag per weight row");
-    }
     out.resize(w.rows() * batch, 0.0);
     if batch == 0 {
         return;
@@ -448,10 +443,10 @@ pub fn gemm_rows_into<W: WeightRows>(
     pool.run_rows(out.as_mut_slice(), batch, min_rows, |first_row, chunk| {
         for (i, out_row) in chunk.chunks_exact_mut(batch).enumerate() {
             let r = first_row + i;
-            if keep.is_some_and(|keep| !keep[r]) {
-                out_row.fill(0.0);
-            } else {
+            if keep(r) {
                 w.dot_row_batch(r, xs, out_row);
+            } else {
+                out_row.fill(0.0);
             }
         }
     });
@@ -528,33 +523,6 @@ pub fn gemv_transposed_batch_into(
                 .copy_from_slice(&acc[..len]);
         }
     }
-}
-
-/// Computes the dense matrix–matrix product `A · B` (`m×k` times `k×n`).
-///
-/// Only used by the DejaVu-style predictor baseline (low-rank projections)
-/// and by tests; decode-path math is all GEMV.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`.
-pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "gemm inner dimension mismatch");
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        let arow = a.row(i);
-        for (l, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = b.row(l);
-            let orow = out.row_mut(i);
-            for (j, &bv) in brow.iter().enumerate() {
-                orow[j] += av * bv;
-            }
-        }
-    }
-    out
 }
 
 /// Pre-optimization scalar kernels, kept as verification references and as
@@ -713,14 +681,6 @@ mod tests {
         for (a, b) in via_kernel.iter().zip(via_transpose.iter()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn gemm_matches_manual_2x2() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]).unwrap();
-        let c = gemm(&a, &b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Dense row-major `f32` matrix used for model weights.
 
-use crate::gemv::{dot, dot_batch};
+use crate::gemv::dot_batch;
 use crate::{ShapeError, Vector};
 
 /// Row-addressable weight storage: what a row-skipping kernel needs to know
@@ -20,12 +20,9 @@ pub trait WeightRows: Sync {
     /// Number of columns.
     fn cols(&self) -> usize;
 
-    /// `W_r · x` through the format's fixed-order reduction.
-    fn dot_row(&self, r: usize, x: &[f32]) -> f32;
-
     /// `W_r · x` for `out.len()` inputs — stored back to back in `xs` — in
-    /// one read of the row; `out[n]` is bitwise [`dot_row`](Self::dot_row)
-    /// of input `n`.
+    /// one read of the row; `out[n]` is input `n`'s product through the
+    /// format's fixed-order reduction, whatever the number of inputs.
     fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]);
 
     /// Reader of columns `start..start + len` of row `r`: `read(i)` is the
@@ -45,10 +42,7 @@ impl WeightRows for Matrix {
         self.cols
     }
 
-    fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
-        dot(self.row(r), x)
-    }
-
+    #[inline] // see the int8 impl
     fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]) {
         dot_batch(self.row(r), xs, out);
     }

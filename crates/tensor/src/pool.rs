@@ -59,11 +59,11 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// User-facing parallelism knob, plumbed through `EngineBuilder` and
-/// `Batch`.
+/// `Scheduler`.
 ///
 /// # Example
 ///
@@ -334,15 +334,25 @@ impl ThreadPool {
             all_done: Condvar::new(),
             dispatching: AtomicBool::new(false),
         });
+        // A thread allocates as it starts (its thread-local bookkeeping).
+        // Waiting here until every worker runs keeps that inside
+        // construction; otherwise it lands in whatever the caller does
+        // next — an allocation-free decode step, when the first kernels
+        // stay below the fan-out thresholds and never wait on a worker.
+        let started = Arc::new(Barrier::new(threads));
         let workers = (0..threads - 1)
             .map(|i| {
-                let shared = Arc::clone(&shared);
+                let (shared, started) = (Arc::clone(&shared), Arc::clone(&started));
                 std::thread::Builder::new()
                     .name(format!("sparseinfer-pool-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(shared, i)
+                    })
                     .expect("failed to spawn pool worker thread")
             })
             .collect();
+        started.wait();
         Self {
             threads,
             inner: Some(Arc::new(PoolHandle { shared, workers })),

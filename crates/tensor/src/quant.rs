@@ -277,10 +277,9 @@ impl WeightRows for BlockQuantizedMatrix {
         self.cols
     }
 
-    fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
-        dot_q8(self.row(r), self.row_scales(r), x)
-    }
-
+    // Measured, like `row_span` below: the one-column dispatch of
+    // `dot_q8_batch` has to reach the row loop it is called from.
+    #[inline]
     fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]) {
         dot_q8_batch(self.row(r), self.row_scales(r), xs, out);
     }

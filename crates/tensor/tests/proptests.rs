@@ -3,7 +3,7 @@
 //! crate is replaced by explicit [`Prng`] loops over the same properties).
 
 use sparseinfer_tensor::gemv::{
-    gemm_rows_into, gemv, gemv_into, gemv_transposed, gemv_transposed_batch_into,
+    gemm_rows_into, gemv, gemv_transposed, gemv_transposed_batch_into, reference,
 };
 use sparseinfer_tensor::sign::{count_negative_products, PackedSignMatrix, SignPack};
 use sparseinfer_tensor::{
@@ -139,43 +139,47 @@ fn packed_matrix_equals_per_row_packs() {
     }
 }
 
-/// `gemm_rows_into` over `w` against per-column `gemv`s computed by
-/// `column_gemv`, bit for bit: every batch size 1..=9, with and without a
-/// row filter, at 1, 2 and 4 threads.
-fn gemm_equals_per_column_gemv<W: WeightRows>(
+/// `gemm_rows_into` over `w`, bit for bit against `scalar(r, x)` — the
+/// scalar restatement of row `r`'s dot product with column `x` — for every
+/// `(row, column)`: each batch size in `batches`, with and without a row
+/// filter, at 1, 2 and 4 threads.
+fn gemm_equals_scalar_reference<W: WeightRows>(
     w: &W,
     rng: &mut Prng,
     label: &str,
-    column_gemv: impl Fn(&[f32]) -> Vec<f32>,
+    batches: std::ops::RangeInclusive<usize>,
+    scalar: impl Fn(usize, &[f32]) -> f32,
 ) {
     let (rows, cols) = (w.rows(), w.cols());
     let keep: Vec<bool> = (0..rows).map(|_| rng.flip(0.6)).collect();
-    for batch in 1..=9usize {
+    for batch in batches {
         let xs: Vec<f32> = (0..batch * cols)
             .map(|_| rng.normal(0.1, 1.0) as f32)
             .collect();
-        let expected: Vec<Vec<f32>> = xs.chunks_exact(cols).map(&column_gemv).collect();
+        let expected: Vec<f32> = (0..rows)
+            .flat_map(|r| xs.chunks_exact(cols).map(move |x| (r, x)))
+            .map(|(r, x)| scalar(r, x))
+            .collect();
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(ParallelOptions::threads(threads));
-            for filter in [None, Some(keep.as_slice())] {
+            for filtered in [false, true] {
                 let mut out = Vector::from_vec(vec![f32::NAN; 3]);
-                gemm_rows_into(w, &xs, batch, filter, &pool, &mut out);
+                gemm_rows_into(w, &xs, batch, |r| !filtered || keep[r], &pool, &mut out);
                 assert_eq!(out.len(), rows * batch);
-                for r in 0..rows {
-                    for (b, column) in expected.iter().enumerate() {
-                        let want = if filter.is_some_and(|keep| !keep[r]) {
-                            0.0
-                        } else {
-                            column[r]
-                        };
-                        assert_eq!(
-                            out[r * batch + b].to_bits(),
-                            want.to_bits(),
-                            "{label} {rows}x{cols} batch {batch} threads {threads} \
-                             filter {} row {r} column {b}",
-                            filter.is_some()
-                        );
-                    }
+                for (i, (got, want)) in out.iter().zip(&expected).enumerate() {
+                    let want = if filtered && !keep[i / batch] {
+                        0.0
+                    } else {
+                        *want
+                    };
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{label} {rows}x{cols} batch {batch} threads {threads} \
+                         filtered {filtered} row {} column {}",
+                        i / batch,
+                        i % batch
+                    );
                 }
             }
         }
@@ -184,28 +188,30 @@ fn gemm_equals_per_column_gemv<W: WeightRows>(
 
 #[test]
 fn gemm_rows_equals_gemv_bit_for_bit() {
-    // Column counts off the 8-lane and the 32-column scale-block grids; the
-    // last shape is large enough that the bigger batches really are split
-    // across workers (a worker takes at least 2^19 multiply-accumulates).
-    for (seed, (rows, cols)) in [(5, 37), (130, 100), (257, 43), (64, 8), (3, 1), (1200, 100)]
-        .into_iter()
-        .enumerate()
-    {
+    // The references are the scalar restatements, not `gemv_into` or
+    // `dot_q8`: those are this kernel at one column. Column counts off the
+    // 8-lane and the 32-column scale-block grids; the last two shapes are
+    // large enough to really be split across workers (a worker takes at
+    // least 64 rows and 2^19 multiply-accumulates) — 1200x100 from batch 5,
+    // 4096x512 at the single column of a decode GEMV.
+    let shapes = [
+        ((5, 37), 1..=9),
+        ((130, 100), 1..=9),
+        ((257, 43), 1..=9),
+        ((64, 8), 1..=9),
+        ((3, 1), 1..=9),
+        ((1200, 100), 1..=9),
+        ((4096, 512), 1..=2),
+    ];
+    for (seed, ((rows, cols), batches)) in shapes.into_iter().enumerate() {
         let mut rng = Prng::seed(900 + seed as u64);
         let w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 0.7) as f32);
-        gemm_equals_per_column_gemv(&w, &mut rng, "f32", |x| {
-            let mut y = Vector::zeros(0);
-            gemv_into(
-                &w,
-                &Vector::from_vec(x.to_vec()),
-                &ThreadPool::single(),
-                &mut y,
-            );
-            y.into_vec()
+        gemm_equals_scalar_reference(&w, &mut rng, "f32", batches.clone(), |r, x| {
+            reference::dot_lanes(w.row(r), x)
         });
         let q = BlockQuantizedMatrix::quantize(&w);
-        gemm_equals_per_column_gemv(&q, &mut rng, "int8", |x| {
-            (0..rows).map(|r| q.dot_row(r, x)).collect()
+        gemm_equals_scalar_reference(&q, &mut rng, "int8", batches, |r, x| {
+            reference::dot_q8_blocks(q.row(r), q.row_scales(r), x)
         });
     }
 }

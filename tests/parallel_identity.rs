@@ -13,9 +13,9 @@ use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig};
 use sparseinfer::predictor::{
     AlphaSchedule, DejaVuPredictor, SparsityPredictor, TrainConfig, Trainer,
 };
-use sparseinfer::sparse::batch::Batch;
 use sparseinfer::sparse::engine::{Engine, EngineBuilder};
 use sparseinfer::sparse::request::{generate, GenerateRequest};
+use sparseinfer::sparse::scheduler::{Scheduler, SchedulerConfig};
 use sparseinfer::tensor::ParallelOptions;
 
 const EOS: u32 = sparseinfer::model::tokenizer::EOS;
@@ -130,10 +130,11 @@ fn parallel_batch_is_token_identical_to_sequential_batch() {
     ];
 
     let run_batch = |slot_threads: usize| {
-        let mut batch = Batch::new().parallel(ParallelOptions::threads(slot_threads));
+        let mut batch = Scheduler::new(SchedulerConfig::unbounded())
+            .parallel(ParallelOptions::threads(slot_threads));
         for (i, (_, engine)) in engine_kinds(&model, &dejavu, 1).into_iter().enumerate() {
             batch
-                .push(
+                .submit(
                     engine,
                     &GenerateRequest::new(&prompts[i]).max_new(6).stop_at(EOS),
                 )
@@ -177,14 +178,15 @@ fn kernel_and_slot_parallelism_compose() {
     let shared: Arc<dyn SparsityPredictor> = Arc::new(
         sparseinfer::predictor::SignBitPredictor::from_model(&model, AlphaSchedule::uniform(1.0)),
     );
-    let mut batch = Batch::new().parallel(ParallelOptions::threads(2));
+    let mut batch =
+        Scheduler::new(SchedulerConfig::unbounded()).parallel(ParallelOptions::threads(2));
     for _ in 0..3 {
         let engine = EngineBuilder::new(&model)
             .predictor_shared(Arc::clone(&shared))
             .parallel(ParallelOptions::threads(2))
             .build()
             .unwrap();
-        batch.push(engine, &req).unwrap();
+        batch.submit(engine, &req).unwrap();
     }
     for output in batch.run() {
         assert_eq!(output.tokens, solo, "request {}", output.id);

@@ -1,7 +1,7 @@
 //! Serving-layer integration tests: the unified `Engine` API, the request
 //! layer and the batch scheduler, exercised across predictor kinds.
 //!
-//! The load-bearing property: a `Batch` of concurrent sessions (mixed dense
+//! The load-bearing property: a `Scheduler` of concurrent sessions (mixed dense
 //! and sparse engines) decodes each request **bit-identically** to running
 //! that request alone — interleaving is pure scheduling.
 
@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig, Sampler};
 use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SparsityPredictor};
-use sparseinfer::sparse::batch::Batch;
 use sparseinfer::sparse::engine::{EngineBuilder, EngineOptions};
 use sparseinfer::sparse::error::EngineError;
 use sparseinfer::sparse::request::{generate, FinishReason, GenerateRequest, Priority};
@@ -75,17 +74,17 @@ fn batched_decode_is_token_identical_to_sequential_for_every_engine_kind() {
         .collect();
 
     // The same requests through one round-robin scheduler.
-    let mut batch = Batch::new();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
     for (i, (p, max_new)) in prompts.iter().zip(budgets).enumerate() {
         batch
-            .push(
+            .submit(
                 engine_for(&model, i),
                 &GenerateRequest::new(p).max_new(max_new).stop_at(EOS),
             )
             .expect("non-empty prompt");
     }
     assert!(
-        batch.len() >= 4,
+        batch.submitted() >= 4,
         "acceptance floor: at least 4 concurrent sessions"
     );
     let outputs = batch.run();
@@ -111,10 +110,10 @@ fn batched_stochastic_requests_replay_their_seeds() {
         generate(e.as_mut(), &req).unwrap().tokens
     };
 
-    let mut batch = Batch::new();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
     // Surround the seeded request with unrelated traffic.
     batch
-        .push(
+        .submit(
             EngineBuilder::new(&model)
                 .signbit(AlphaSchedule::uniform(1.0))
                 .build()
@@ -123,10 +122,11 @@ fn batched_stochastic_requests_replay_their_seeds() {
         )
         .unwrap();
     let id = batch
-        .push(EngineBuilder::new(&model).build().unwrap(), &req)
+        .submit(EngineBuilder::new(&model).build().unwrap(), &req)
+        .map(|handle| handle.id())
         .unwrap();
     batch
-        .push(
+        .submit(
             EngineBuilder::new(&model).oracle().build().unwrap(),
             &GenerateRequest::new(&[1]).max_new(3),
         )
@@ -151,14 +151,14 @@ fn batch_memory_is_o1_in_slots_with_a_shared_predictor() {
     ));
 
     let build_batch = |slots: usize| {
-        let mut batch = Batch::new();
+        let mut batch = Scheduler::new(SchedulerConfig::unbounded());
         for i in 0..slots {
             let engine = EngineBuilder::new(&model)
                 .predictor_shared(Arc::clone(&shared))
                 .build()
                 .unwrap();
             batch
-                .push(
+                .submit(
                     engine,
                     &GenerateRequest::new(&[1, 2 + i as u32 % 7]).max_new(3),
                 )
@@ -176,14 +176,18 @@ fn batch_memory_is_o1_in_slots_with_a_shared_predictor() {
     for _ in 0..warm_ticks {
         one.tick(|_| {});
     }
-    assert_eq!(one.active_requests(), 1, "warm-up must keep the slot live");
+    assert_eq!(
+        one.unfinished_requests(),
+        1,
+        "warm-up must keep the slot live"
+    );
     let est1 = one.memory_estimate();
 
     let mut thirty_two = build_batch(32);
     for _ in 0..warm_ticks {
         thirty_two.tick(|_| {});
     }
-    assert_eq!(thirty_two.active_requests(), 32);
+    assert_eq!(thirty_two.unfinished_requests(), 32);
     let est32 = thirty_two.memory_estimate();
 
     // Shared predictor bytes are counted once, regardless of slot count —
@@ -212,8 +216,8 @@ fn batch_memory_is_o1_in_slots_with_a_shared_predictor() {
     // Run both batches to completion: every slot retires, releasing its
     // per-session scratch and KV cache — the estimate drops to zero.
     while thirty_two.tick(|_| {}) > 0 {}
-    assert_eq!(thirty_two.active_requests(), 0);
-    assert_eq!(thirty_two.len(), 32);
+    assert_eq!(thirty_two.unfinished_requests(), 0);
+    assert_eq!(thirty_two.submitted(), 32);
     assert_eq!(
         thirty_two.memory_estimate().total(),
         0,
@@ -234,7 +238,7 @@ fn finished_slots_release_memory_while_the_batch_keeps_serving() {
     fn push<'m>(
         model: &'m Model,
         shared: &Arc<dyn SparsityPredictor>,
-        batch: &mut Batch<'m>,
+        batch: &mut Scheduler<'m>,
         max_new: usize,
     ) {
         let engine = EngineBuilder::new(model)
@@ -242,23 +246,23 @@ fn finished_slots_release_memory_while_the_batch_keeps_serving() {
             .build()
             .unwrap();
         batch
-            .push(engine, &GenerateRequest::new(&[1, 2]).max_new(max_new))
+            .submit(engine, &GenerateRequest::new(&[1, 2]).max_new(max_new))
             .unwrap();
     }
 
     // Fifteen short requests + one long one.
-    let mut batch = Batch::new();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
     for _ in 0..15 {
         push(&model, &shared, &mut batch, 2);
     }
     push(&model, &shared, &mut batch, 32);
-    while batch.active_requests() > 1 {
+    while batch.unfinished_requests() > 1 {
         batch.tick(|_| {});
     }
     let drained = batch.memory_estimate();
 
     // Reference: a 1-slot batch with the same long request, equally warm.
-    let mut solo = Batch::new();
+    let mut solo = Scheduler::new(SchedulerConfig::unbounded());
     push(&model, &shared, &mut solo, 32);
     for _ in 0..8 {
         solo.tick(|_| {});
@@ -294,14 +298,14 @@ fn shared_predictor_slots_keep_isolated_counters() {
         &model,
         AlphaSchedule::uniform(1.0),
     ));
-    let mut batch = Batch::new();
+    let mut batch = Scheduler::new(SchedulerConfig::unbounded());
     for max_new in [2usize, 8] {
         let engine = EngineBuilder::new(&model)
             .predictor_shared(Arc::clone(&shared))
             .build()
             .unwrap();
         batch
-            .push(engine, &GenerateRequest::new(&[1, 2]).max_new(max_new))
+            .submit(engine, &GenerateRequest::new(&[1, 2]).max_new(max_new))
             .unwrap();
     }
     let out = batch.run();

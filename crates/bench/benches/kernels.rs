@@ -18,6 +18,7 @@ use sparseinfer::sparse::engine::EngineBuilder;
 use sparseinfer::sparse::gemv::{sparse_gemv, sparse_gemv_into};
 use sparseinfer::sparse::request::{generate, GenerateRequest};
 use sparseinfer::sparse::OpCounter;
+use sparseinfer::tensor::attn;
 use sparseinfer::tensor::gemv::{gemm_rows_into, gemv, reference};
 use sparseinfer::tensor::sign::{PackedSignMatrix, SignPack};
 use sparseinfer::tensor::{
@@ -409,6 +410,108 @@ fn main() {
             "  -> {threads} thread(s): {alone:.0} us per tick alone, {batched:.0} us batched ({:.2}x)",
             alone / batched
         );
+    }
+
+    println!("\n== prefill columns per weight pass (8 x 256x688, one thread) ==");
+    // What the scheduler's cadence rule buys: the same 32 prompt positions
+    // per session as one column per step (a slot beside a decoder), two, or
+    // eight (two slots, a chunk of four each, in a decoder-free tick).
+    let mut scratch = PrefillScratch::new();
+    let prompt: Vec<u32> = (1..=32).collect();
+    let mut one_column = 0.0;
+    for (sessions, chunk) in [(1usize, 1usize), (1, 2), (2, 4)] {
+        let columns = sessions * chunk;
+        let name = format!("prefill_step_688x256_cols{columns}_us_per_position");
+        let iters = bench_iters(10);
+        let us = sparseinfer_bench::time_us(&name, iters, || {
+            let mut lanes: Vec<_> = (0..sessions)
+                .map(|_| serve_model.start_session_with_capacity(prompt.len()))
+                .collect();
+            for tokens in prompt.chunks(chunk) {
+                let mut batch: Vec<_> = lanes.iter_mut().map(|lane| (tokens, lane)).collect();
+                serve_model.prefill_step(&mut batch, &single, &mut scratch);
+            }
+        }) / (sessions * prompt.len()) as f64;
+        if columns == 1 {
+            one_column = us;
+        }
+        report.record(&name, iters, us, Some(one_column / us), 1);
+        println!("  -> {columns} column(s): {us:.0} us per position");
+    }
+
+    println!(
+        "\n== one query over a cached context: scalar loops vs head kernels (d 256, 8 heads) =="
+    );
+    // `Attention::attend` over a contiguous f32 cache, without the model
+    // around it: per head the scores, the scalar softmax and the value sum,
+    // once through `attn::reference` (the loops as they were, and the
+    // portable path) and once through the dispatching entry points.
+    let (d, heads) = (256usize, 8usize);
+    let mut rng = Prng::seed(5);
+    let q: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+    for ctx in [16usize, 128, 256] {
+        let keys: Vec<f32> = (0..ctx * d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+        let values: Vec<f32> = (0..ctx * d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+        let mut scores = vec![0.0f32; ctx];
+        let mut outs = [vec![0.0f32; d], vec![0.0f32; d]];
+        let mut us = [0.0f64; 2];
+        type ScoresFn = fn(&[f32], &[f32], usize, f32, &mut [f32]);
+        type ValuesFn = fn(&[f32], &[f32], usize, &mut [f32]);
+        let paths: [(&str, ScoresFn, ValuesFn); 2] = [
+            (
+                "reference",
+                attn::reference::head_scores_into,
+                attn::reference::add_weighted_values,
+            ),
+            (
+                "vectorised",
+                attn::head_scores_into,
+                attn::add_weighted_values,
+            ),
+        ];
+        for (p, (path, scores_into, add_values)) in paths.into_iter().enumerate() {
+            let name = format!("attend_f32_ctx{ctx}_{path}_us");
+            let out = &mut outs[p];
+            us[p] = sparseinfer_bench::time_us(&name, bench_iters(2000), || {
+                out.fill(0.0);
+                let head_dim = d / heads;
+                let scale = 1.0 / (head_dim as f32).sqrt();
+                for h in 0..heads {
+                    let span = h * head_dim..(h + 1) * head_dim;
+                    scores_into(&q[span.clone()], &keys[span.start..], d, scale, &mut scores);
+                    let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let mut denom = 0.0f32;
+                    for s in scores.iter_mut() {
+                        *s = (*s - max).exp();
+                        denom += *s;
+                    }
+                    for s in scores.iter_mut() {
+                        *s /= denom;
+                    }
+                    add_values(&scores, &values[span.start..], d, &mut out[span]);
+                }
+            });
+            let speedup = (p == 1).then(|| us[0] / us[1]);
+            report.record(&name, bench_iters(2000), us[p], speedup, 1);
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&outs[0]),
+            bits(&outs[1]),
+            "ctx {ctx}: the kernels moved a bit"
+        );
+        println!("  -> ctx {ctx}: {:.2}x", us[0] / us[1]);
+        let gated = cfg!(target_feature = "avx2")
+            && ctx == 128
+            && std::env::var_os("SPARSEINFER_BENCH_QUICK").is_none();
+        if gated {
+            assert!(
+                us[1] <= 0.7 * us[0],
+                "vectorised attention is {:.2}x the scalar loops' time at ctx 128 \
+                 (expected <= 0.7x): the head kernels have lost their vector path",
+                us[1] / us[0]
+            );
+        }
     }
 
     report.note(&format!(

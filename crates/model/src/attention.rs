@@ -10,21 +10,29 @@
 //! Two entry points share every kernel. [`Attention::forward_ws`] is the
 //! decode path: one token of one session. The batched prefill step
 //! ([`Model::prefill_step`](crate::Model::prefill_step)) projects Q/K/V/O
-//! for a whole batch of sessions in one pass over each weight matrix and
-//! then does, per session, exactly what `forward_ws` does: RoPE, the KV
-//! push, and scores / softmax / value sum over that session's own cache
-//! (`f32` or `f16`, contiguous or paged). The rotary angles are computed
-//! once per position — `head_dim / 2` `(sin, cos)` pairs — and applied to
-//! every head of `q` and `k`, not once per pair per head.
+//! for every column of the step — a column is one prompt position of one
+//! session, and a session may bring several consecutive ones — in one pass
+//! over each weight matrix, and then does per column exactly what
+//! `forward_ws` does: RoPE, the KV push, and scores / softmax / value sum
+//! over that session's own cache up to and including the column's own
+//! position. The rotary angles are computed once per position —
+//! `head_dim / 2` `(sin, cos)` pairs — and applied to every head of `q`
+//! and `k`, not once per pair per head.
+//!
+//! `f32` caches are read in *runs* ([`KvCache::run`]: the whole contiguous
+//! cache, or one block of a paged one) through the head kernels of
+//! [`sparseinfer_tensor::attn`] — vectorised where the build has AVX2, and
+//! bitwise the scalar loop either way. `f16` caches keep the scalar loop
+//! that converts each stored word as it is accumulated.
 
 use std::borrow::BorrowMut;
 
 use sparseinfer_tensor::gemv::{gemm_rows_into, gemv_into, MIN_MACS_PER_WORKER};
-use sparseinfer_tensor::{Matrix, ThreadPool, Vector, Workspace, F16};
+use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector, Workspace, F16};
 
 use crate::kv::{KvBlockPool, KvDtype, PagedKvCache};
 use crate::model::DecodeSession;
-use crate::prefill::{per_session, PrefillScratch};
+use crate::prefill::{per_column, PrefillScratch, PromptTokens};
 
 /// Contiguous KV storage: keys and values stored *flat* (position-major
 /// `f32` runs). Appending a token is two `extend_from_slice` calls that
@@ -256,6 +264,25 @@ impl KvCache {
         }
     }
 
+    /// The keys and values of the *run* of positions starting at `t` that
+    /// lie back to back in memory, as two position-major slabs: everything
+    /// from `t` on in a contiguous cache, the rest of `t`'s block in a
+    /// paged one. Attention walks the cache run by run — one lookup per
+    /// run, not per position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.len()`, or if the storage holds `F16` words.
+    pub fn run(&self, t: usize) -> (&[f32], &[f32]) {
+        match &self.storage {
+            KvStorage::Contiguous(c) => {
+                assert!(t < self.len(), "position {t} out of bounds");
+                (&c.keys[t * c.dim..], &c.values[t * c.dim..])
+            }
+            KvStorage::Paged(p) => p.run(t),
+        }
+    }
+
     /// The key vector cached at position `t` as stored `F16` words.
     ///
     /// # Panics
@@ -470,6 +497,7 @@ impl Attention {
         self.attend(
             q.as_slice(),
             cache,
+            cache.len(),
             scores.as_mut_slice(),
             out.as_mut_slice(),
         );
@@ -482,55 +510,64 @@ impl Attention {
         result
     }
 
-    /// Causal attention of the (rotated) query `q` over everything in
-    /// `cache`, head by head, into `out`; `scores` is scratch of at least
-    /// `cache.len()` elements. Shared by the decode path and the batched
-    /// prefill step, so both produce the same bits.
-    fn attend(&self, q: &[f32], cache: &KvCache, scores: &mut [f32], out: &mut [f32]) {
+    /// Causal attention of the (rotated) query `q` over the first `context`
+    /// positions of `cache`, head by head, into `out`; `scores` is scratch
+    /// of at least `context` elements. Shared by the decode path and the
+    /// batched prefill step, so both produce the same bits.
+    fn attend(
+        &self,
+        q: &[f32],
+        cache: &KvCache,
+        context: usize,
+        scores: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let scores = &mut scores[..context];
+        out.fill(0.0);
+        if cache.dtype() == KvDtype::F16 {
+            return self.attend_f16(q, cache, scores, out);
+        }
+        let d = self.hidden_dim();
         let head_dim = self.head_dim();
         let scale = 1.0 / (head_dim as f32).sqrt();
-        let half_kv = cache.dtype() == KvDtype::F16;
-        let scores = &mut scores[..cache.len()];
-        out.fill(0.0);
+        for h in 0..self.n_heads {
+            let span = h * head_dim..(h + 1) * head_dim;
+            for_each_run(cache, d, context, |run, keys, _| {
+                let keys = &keys[span.start..];
+                attn::head_scores_into(&q[span.clone()], keys, d, scale, &mut scores[run]);
+            });
+            let denom = exp_scores(scores);
+            for w in scores.iter_mut() {
+                *w /= denom;
+            }
+            for_each_run(cache, d, context, |run, _, values| {
+                let values = &values[span.start..];
+                attn::add_weighted_values(&scores[run], values, d, &mut out[span.clone()]);
+            });
+        }
+    }
 
+    /// [`attend`](Self::attend) over stored `F16` words, one position at a
+    /// time: dequantizes in the accumulate — no materialized f32 copy of
+    /// the cached row.
+    fn attend_f16(&self, q: &[f32], cache: &KvCache, scores: &mut [f32], out: &mut [f32]) {
+        let head_dim = self.head_dim();
+        let scale = 1.0 / (head_dim as f32).sqrt();
         for h in 0..self.n_heads {
             let span = h * head_dim..(h + 1) * head_dim;
             let qh = &q[span.clone()];
-
-            // Scores against every cached position (causal by construction).
-            // F16 storage dequantizes in the accumulate — no materialized
-            // f32 copy of the cached row.
             for (t, slot) in scores.iter_mut().enumerate() {
-                let s: f32 = if half_kv {
-                    let kh = &cache.key_h(t)[span.clone()];
-                    qh.iter().zip(kh).map(|(a, b)| a * b.to_f32()).sum()
-                } else {
-                    let kh = &cache.key(t)[span.clone()];
-                    qh.iter().zip(kh).map(|(a, b)| a * b).sum()
-                };
+                let kh = &cache.key_h(t)[span.clone()];
+                let s: f32 = qh.iter().zip(kh).map(|(a, b)| a * b.to_f32()).sum();
                 *slot = s * scale;
             }
-            // Softmax (max-subtracted for stability).
-            let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0f32;
-            for s in scores.iter_mut() {
-                *s = (*s - max).exp();
-                denom += *s;
-            }
-            // Weighted sum of values.
+            let denom = exp_scores(scores);
             let out_h = &mut out[span.clone()];
             for (t, w) in scores.iter().enumerate() {
                 let w = w / denom;
-                if half_kv {
-                    let vh = &cache.value_h(t)[span.clone()];
-                    for (o, vv) in out_h.iter_mut().zip(vh) {
-                        *o += w * vv.to_f32();
-                    }
-                } else {
-                    let vh = &cache.value(t)[span.clone()];
-                    for (o, vv) in out_h.iter_mut().zip(vh) {
-                        *o += w * vv;
-                    }
+                let vh = &cache.value_h(t)[span.clone()];
+                for (o, vv) in out_h.iter_mut().zip(vh) {
+                    *o += w * vv.to_f32();
                 }
             }
         }
@@ -538,65 +575,76 @@ impl Attention {
 
     /// The attention block of one batched prefill step (see
     /// [`Model::prefill_step`](crate::Model::prefill_step)): reads the
-    /// normed inputs from `scratch.x` and leaves the output projection in
-    /// `scratch.proj` (per row). Q/K/V/O are one weight pass each for the
-    /// whole batch; RoPE (from `scratch.rope`), the KV push into each
-    /// session's layer-`li` cache and [`attend`](Self::attend) run per
-    /// session exactly as [`forward_ws`](Self::forward_ws) runs them, the
-    /// attention itself with the sessions spread across `pool`.
-    pub(crate) fn prefill_batch<S>(
+    /// normed inputs from `scratch.x` (one per column, session-major) and
+    /// leaves the output projection in `scratch.proj` (per row). Q/K/V/O
+    /// are one weight pass each for all columns. RoPE (from `scratch.rope`)
+    /// and the KV push into the session's layer-`li` cache run column by
+    /// column in position order; [`attend`](Self::attend) then runs per
+    /// column over the cache *up to that column's own position* — what
+    /// [`forward_ws`](Self::forward_ws) sees when the positions arrive one
+    /// call at a time — with the columns spread across `pool`.
+    pub(crate) fn prefill_batch<T, S>(
         &self,
         li: usize,
-        batch: &mut [(u32, S)],
+        batch: &mut [(T, S)],
         pool: &ThreadPool,
         scratch: &mut PrefillScratch,
     ) where
+        T: PromptTokens,
         S: BorrowMut<DecodeSession> + Sync,
     {
         let d = self.hidden_dim();
         let head_dim = self.head_dim();
-        let b = batch.len();
-        assert_eq!(scratch.x.len(), b * d, "attention input shape mismatch");
+        let b = scratch.x.len() / d;
         assert_eq!(scratch.rope.len(), b * head_dim, "one rope table each");
 
         let x = scratch.x.as_slice();
         gemm_rows_into(&self.w_q, x, b, |_| true, pool, &mut scratch.proj);
-        per_session(scratch.proj.as_slice(), b, &mut scratch.q);
+        per_column(scratch.proj.as_slice(), b, &mut scratch.q);
         gemm_rows_into(&self.w_k, x, b, |_| true, pool, &mut scratch.proj);
-        per_session(scratch.proj.as_slice(), b, &mut scratch.k);
+        per_column(scratch.proj.as_slice(), b, &mut scratch.k);
         gemm_rows_into(&self.w_v, x, b, |_| true, pool, &mut scratch.proj);
-        per_session(scratch.proj.as_slice(), b, &mut scratch.v);
+        per_column(scratch.proj.as_slice(), b, &mut scratch.v);
 
         let (mut score_len, mut context) = (0, 0);
-        for (i, (_, session)) in batch.iter_mut().enumerate() {
-            let table = &scratch.rope.as_slice()[i * head_dim..(i + 1) * head_dim];
-            let span = i * d..(i + 1) * d;
-            Self::rope(&mut scratch.q.as_mut_slice()[span.clone()], table);
-            Self::rope(&mut scratch.k.as_mut_slice()[span.clone()], table);
+        scratch.columns.clear();
+        for (i, (tokens, session)) in batch.iter_mut().enumerate() {
             let cache = &mut session.borrow_mut().caches[li];
-            cache.push(
-                &scratch.k.as_slice()[span.clone()],
-                &scratch.v.as_slice()[span],
-            );
+            for _ in tokens.tokens() {
+                let c = scratch.columns.len();
+                let table = &scratch.rope.as_slice()[c * head_dim..(c + 1) * head_dim];
+                let span = c * d..(c + 1) * d;
+                Self::rope(&mut scratch.q.as_mut_slice()[span.clone()], table);
+                Self::rope(&mut scratch.k.as_mut_slice()[span.clone()], table);
+                cache.push(
+                    &scratch.k.as_slice()[span.clone()],
+                    &scratch.v.as_slice()[span],
+                );
+                scratch.columns.push((i, cache.len()));
+            }
             // As in `forward_ws`: sized to the reservation, so the scratch
             // regrows only when a cache does.
             context = context.max(cache.len());
             score_len = score_len.max(context).max(cache.reserved_tokens());
         }
+        assert_eq!(scratch.columns.len(), b, "attention input shape mismatch");
 
         let lane = d + score_len;
         scratch.lanes.resize(b * lane, 0.0);
         let q = scratch.q.as_slice();
-        let sessions: &[(u32, S)] = batch;
+        let sessions: &[(T, S)] = batch;
+        let columns = scratch.columns.as_slice();
         // Scores and value sum: two multiply-accumulates per cached element.
-        let min_sessions = MIN_MACS_PER_WORKER.div_ceil(2 * d * context.max(1));
+        let min_columns = MIN_MACS_PER_WORKER.div_ceil(2 * d * context.max(1));
         let lanes = scratch.lanes.as_mut_slice();
-        pool.run_rows(lanes, lane, min_sessions, |first, lanes| {
-            for (i, lane) in lanes.chunks_exact_mut(lane).enumerate() {
-                let i = first + i;
+        pool.run_rows(lanes, lane, min_columns, |first, lanes| {
+            for (c, lane) in lanes.chunks_exact_mut(lane).enumerate() {
+                let c = first + c;
                 let (out, scores) = lane.split_at_mut(d);
+                let (i, context) = columns[c];
                 let session: &DecodeSession = sessions[i].1.borrow();
-                self.attend(&q[i * d..(i + 1) * d], &session.caches[li], scores, out);
+                let q = &q[c * d..(c + 1) * d];
+                self.attend(q, &session.caches[li], context, scores, out);
             }
         });
 
@@ -619,8 +667,38 @@ impl Attention {
     }
 }
 
+/// Walks the first `context` positions of an `f32` cache of width `d` run
+/// by run: `f` gets each run's positions and the key and value slabs that
+/// start at its first one.
+fn for_each_run(
+    cache: &KvCache,
+    d: usize,
+    context: usize,
+    mut f: impl FnMut(std::ops::Range<usize>, &[f32], &[f32]),
+) {
+    let mut t = 0;
+    while t < context {
+        let (keys, values) = cache.run(t);
+        let end = context.min(t + keys.len() / d);
+        f(t..end, keys, values);
+        t = end;
+    }
+}
+
+/// Softmax numerators in place (max-subtracted for stability); returns
+/// their sum, accumulated in position order.
+fn exp_scores(scores: &mut [f32]) -> f32 {
+    let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut denom = 0.0f32;
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+        denom += *s;
+    }
+    denom
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sparseinfer_tensor::{gemv::gemv, Prng};
 
@@ -628,6 +706,110 @@ mod tests {
         let mut rng = Prng::seed(seed);
         let mut m = || Matrix::from_fn(d, d, |_, _| rng.normal(0.0, 0.15) as f32);
         Attention::new(m(), m(), m(), m(), heads)
+    }
+
+    /// [`Attention::forward`] as it was before the head kernels: the same
+    /// projections, RoPE and push, then the scalar loop that looked every
+    /// position of every head up through the cache — what the run-walking,
+    /// vectorised path must reproduce bit for bit.
+    pub(crate) fn forward_scalar(
+        attn: &Attention,
+        x: &Vector,
+        position: usize,
+        cache: &mut KvCache,
+    ) -> Vector {
+        let (mut q, mut k, v) = (gemv(&attn.w_q, x), gemv(&attn.w_k, x), gemv(&attn.w_v, x));
+        let mut table = vec![0.0; attn.head_dim()];
+        Attention::rope_table(position, &mut table);
+        Attention::rope(q.as_mut_slice(), &table);
+        Attention::rope(k.as_mut_slice(), &table);
+        cache.push(k.as_slice(), v.as_slice());
+
+        let head_dim = attn.head_dim();
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let half_kv = cache.dtype() == KvDtype::F16;
+        let mut scores = vec![0.0f32; cache.len()];
+        let mut out = Vector::zeros(attn.hidden_dim());
+        for h in 0..attn.n_heads {
+            let span = h * head_dim..(h + 1) * head_dim;
+            let qh = &q.as_slice()[span.clone()];
+            for (t, slot) in scores.iter_mut().enumerate() {
+                let s: f32 = if half_kv {
+                    let kh = &cache.key_h(t)[span.clone()];
+                    qh.iter().zip(kh).map(|(a, b)| a * b.to_f32()).sum()
+                } else {
+                    let kh = &cache.key(t)[span.clone()];
+                    qh.iter().zip(kh).map(|(a, b)| a * b).sum()
+                };
+                *slot = s * scale;
+            }
+            let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut denom = 0.0f32;
+            for s in scores.iter_mut() {
+                *s = (*s - max).exp();
+                denom += *s;
+            }
+            let out_h = &mut out.as_mut_slice()[span.clone()];
+            for (t, w) in scores.iter().enumerate() {
+                let w = w / denom;
+                if half_kv {
+                    let vh = &cache.value_h(t)[span.clone()];
+                    for (o, vv) in out_h.iter_mut().zip(vh) {
+                        *o += w * vv.to_f32();
+                    }
+                } else {
+                    let vh = &cache.value(t)[span.clone()];
+                    for (o, vv) in out_h.iter_mut().zip(vh) {
+                        *o += w * vv;
+                    }
+                }
+            }
+        }
+        gemv(&attn.w_o, &out)
+    }
+
+    /// A cache of the given layout holding `context` synthetic positions.
+    pub(crate) fn filled_cache(pool: Option<&KvBlockPool>, d: usize, context: usize) -> KvCache {
+        let mut rng = Prng::seed(context as u64 + 77);
+        let mut cache = pool.map_or_else(|| KvCache::with_capacity(d, context + 1), KvCache::paged);
+        for _ in 0..context {
+            let k: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+            let v: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+            cache.push(&k, &v);
+        }
+        cache
+    }
+
+    #[test]
+    fn forward_is_bitwise_the_scalar_loop_over_every_layout() {
+        // Contexts around the kernel's group of eight and the paged block
+        // of 16 (one run, a run ending mid-group, many runs), head widths
+        // the vector path takes (32) and leaves to the fallback (12).
+        let bits = |v: &Vector| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (d, heads) in [(64, 2), (24, 2)] {
+            let attn = random_attention(21, d, heads);
+            let x = Vector::from_fn(d, |i| ((i * 3) as f32 * 0.19).sin());
+            for context in [1usize, 8, 9, 64, 65, 200] {
+                let layouts = [
+                    None,
+                    Some(KvBlockPool::new(16)),
+                    Some(KvBlockPool::with_budget_dtype(16, usize::MAX, KvDtype::F16)),
+                ];
+                for pool in &layouts {
+                    let mut cache = filled_cache(pool.as_ref(), d, context - 1);
+                    let mut scalar_cache = cache.clone();
+                    let got = attn.forward(&x, context - 1, &mut cache);
+                    let want = forward_scalar(&attn, &x, context - 1, &mut scalar_cache);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "d {d} context {context} {:?} paged {}",
+                        cache.dtype(),
+                        cache.is_paged()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -723,6 +723,22 @@ impl PagedKvCache {
         }
     }
 
+    /// The keys and values from position `t` to the end of its block, as
+    /// two position-major slabs (pools storing `f32`) — the *run* of
+    /// positions starting at `t` that lie back to back in memory, so a
+    /// kernel walks a block with one lookup instead of one per position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.len()`, or if the pool stores `F16`.
+    pub fn run(&self, t: usize) -> (&[f32], &[f32]) {
+        let (block, offset) = self.slot(t);
+        match &self.blocks[block].inner.data {
+            KvBlockData::F32 { keys, values } => (&keys[offset..], &values[offset..]),
+            KvBlockData::F16 { .. } => panic!("f16 KV cache: read positions via key_h/value_h"),
+        }
+    }
+
     /// The key vector cached at position `t` as stored `F16` words (pools
     /// storing `F16`).
     ///

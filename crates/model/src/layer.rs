@@ -5,8 +5,9 @@
 //! half engines share before running their own MLP. The layer's share of
 //! the batched prefill step
 //! ([`Model::prefill_step`](crate::Model::prefill_step)) runs the same
-//! sequence for a batch of sessions with one pass over each weight matrix,
-//! each session's residual row bitwise what `forward` makes of it.
+//! sequence for every column of the step — one prompt position of one
+//! session — with one pass over each weight matrix, each column's residual
+//! row bitwise what `forward` makes of it.
 
 use std::borrow::BorrowMut;
 
@@ -16,7 +17,7 @@ use crate::attention::{Attention, KvCache};
 use crate::mlp::GatedMlp;
 use crate::model::DecodeSession;
 use crate::norm::RmsNorm;
-use crate::prefill::PrefillScratch;
+use crate::prefill::{PrefillScratch, PromptTokens};
 
 /// A pre-norm decoder layer (Llama topology).
 #[derive(Debug, Clone)]
@@ -104,21 +105,22 @@ impl DecoderLayer {
 
     /// This layer's share of one batched prefill step (see
     /// [`Model::prefill_step`](crate::Model::prefill_step)): advances every
-    /// session's residual row in `scratch.h` through norm → attention →
+    /// column's residual row in `scratch.h` through norm → attention →
     /// residual → norm → MLP → residual, each row bitwise what
     /// [`forward`](Self::forward) makes of it. `li` is this layer's index,
     /// selecting each session's KV cache.
-    pub(crate) fn prefill_batch<S>(
+    pub(crate) fn prefill_batch<T, S>(
         &self,
         li: usize,
-        batch: &mut [(u32, S)],
+        batch: &mut [(T, S)],
         pool: &ThreadPool,
         scratch: &mut PrefillScratch,
     ) where
+        T: PromptTokens,
         S: BorrowMut<DecodeSession> + Sync,
     {
         let d = self.hidden_dim();
-        let b = batch.len();
+        let b = scratch.h.len() / d;
         let norm_rows = |norm: &RmsNorm, scratch: &mut PrefillScratch| {
             let rows = scratch.h.as_slice().chunks_exact(d);
             for (h, x) in rows.zip(scratch.x.as_mut_slice().chunks_exact_mut(d)) {
@@ -186,6 +188,32 @@ mod tests {
 
         for (a, b) in full.iter().zip(manual.iter()) {
             assert!((a - b).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn attention_half_ws_is_bitwise_the_scalar_attention_plus_residual() {
+        // The half every engine step runs, over both f32 layouts, against
+        // the scalar reference — at contexts of one run, a run ending
+        // mid-group, and many paged runs.
+        use crate::attention::tests::{filled_cache, forward_scalar};
+        let l = layer(4, 64, 96);
+        let h = Vector::from_fn(64, |i| (i as f32 * 0.23).cos());
+        let pool = ThreadPool::single();
+        let mut ws = Workspace::new();
+        for context in [1usize, 8, 9, 64, 65, 200] {
+            let kv_pool = crate::kv::KvBlockPool::new(16);
+            for kv_pool in [None, Some(&kv_pool)] {
+                let mut cache = filled_cache(kv_pool, 64, context - 1);
+                let mut scalar_cache = cache.clone();
+                let got = l.attention_half_ws(&h, context - 1, &mut cache, &pool, &mut ws);
+                let normed = l.attn_norm.forward(&h);
+                let mut want = forward_scalar(&l.attn, &normed, context - 1, &mut scalar_cache);
+                want.add_assign(&h);
+                let bits = |v: &Vector| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "context {context}");
+                ws.give(got);
+            }
         }
     }
 

@@ -57,7 +57,7 @@ pub use kv::{KvBlockPool, KvDtype, PagedKvCache, PrefixHit, PrefixIndex, SharedK
 pub use layer::DecoderLayer;
 pub use mlp::GatedMlp;
 pub use model::Model;
-pub use prefill::PrefillScratch;
+pub use prefill::{PrefillScratch, PromptChunk, PromptTokens, PREFILL_CHUNK};
 pub use sampling::Sampler;
 pub use tokenizer::ByteTokenizer;
 pub use trace::MlpTrace;

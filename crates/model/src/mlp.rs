@@ -139,12 +139,13 @@ impl GatedMlp {
 
     /// The MLP block of one batched prefill step (see
     /// [`Model::prefill_step`](crate::Model::prefill_step)): reads the
-    /// normed inputs from `scratch.x` and leaves each session's output in
-    /// `scratch.mlp_out` — bitwise [`forward`](Self::forward) of each
-    /// input, from one pass over the weights.
+    /// normed inputs from `scratch.x` (one per column) and leaves each
+    /// column's output in `scratch.mlp_out` — bitwise
+    /// [`forward`](Self::forward) of each input, from one pass over the
+    /// weights.
     ///
     /// Only the gate projection is dense. The up projection runs for the
-    /// rows where *some* session's post-activation gate is non-zero — the
+    /// rows where *some* column's post-activation gate is non-zero — the
     /// paper's *actual sparsity*, and exact: a zero `h1` makes `h3 = h1·h2`
     /// a zero of either sign whatever the (finite) `h2`, and the
     /// row-ascending down accumulation skips a zero `h3` just as

@@ -2,11 +2,12 @@
 //!
 //! Two dense forward passes live here. [`Model::forward_token`] is the
 //! allocating reference: one position of one session, logits out.
-//! [`Model::prefill_step`] is what prefill runs on: one position of each of
-//! `B` sessions in **one pass over the weights**, no final norm and no LM
-//! head (prefill logits are never read), everything out of a recycled
-//! [`PrefillScratch`] — and each session's KV and residual stream bitwise
-//! what `forward_token` would have left. A batch of one is the same code.
+//! [`Model::prefill_step`] is what prefill runs on: some consecutive prompt
+//! positions of each of `B` sessions in **one pass over the weights**, no
+//! final norm and no LM head (prefill logits are never read), everything
+//! out of a recycled [`PrefillScratch`] — and each session's KV and residual
+//! stream bitwise what `forward_token`, position by position, would have
+//! left. A batch of one session with one position is the same code.
 
 use std::borrow::BorrowMut;
 
@@ -16,7 +17,7 @@ use crate::attention::{Attention, KvCache};
 use crate::config::ModelConfig;
 use crate::layer::DecoderLayer;
 use crate::norm::RmsNorm;
-use crate::prefill::PrefillScratch;
+use crate::prefill::{PrefillScratch, PromptTokens, PREFILL_CHUNK};
 
 /// A decoder-only transformer with tied decode state.
 ///
@@ -217,20 +218,23 @@ impl Model {
     }
 
     /// One dense prefill step for a batch of sessions of this model: feeds
-    /// `token` at `session.position` for every `(token, session)` of
-    /// `batch`, extending each session's KV caches and advancing its
-    /// position by one — with **one pass over the weights** for the whole
-    /// batch. Sessions may sit at different positions and use different KV
-    /// layouts (contiguous, paged, `f32` or `f16`); each one's KV contents,
-    /// and so every later logit, are bitwise what
-    /// [`forward_token`](Self::forward_token) would have produced. No
-    /// logits are computed: prefill never reads them, and the position
-    /// whose logits *are* sampled goes through an engine instead.
+    /// each session its `tokens` — one or several consecutive prompt tokens
+    /// (see [`PromptTokens`]) — starting at `session.position`, extending its
+    /// KV caches and advancing its position by their number, with **one
+    /// pass over the weights** for every position of every session.
+    /// Sessions may sit at different positions, bring different numbers of
+    /// tokens and use different KV layouts (contiguous, paged, `f32` or
+    /// `f16`); a position attends over its session's cache up to and
+    /// including itself, so each session's KV contents, and so every later
+    /// logit, are bitwise what [`forward_token`](Self::forward_token) would
+    /// have produced one position at a time. No logits are computed:
+    /// prefill never reads them, and the position whose logits *are*
+    /// sampled goes through an engine instead.
     ///
     /// Projections partition their weight rows across `pool`, attention its
-    /// sessions; results do not depend on the thread count. Everything
-    /// comes out of `scratch`, so a step at a batch size and context the
-    /// scratch has seen allocates nothing (KV growth aside).
+    /// positions; results do not depend on the thread count. Everything
+    /// comes out of `scratch`, so a step at a position count and context
+    /// the scratch has seen allocates nothing (KV growth aside).
     ///
     /// `S` is `&mut DecodeSession` or an owned `DecodeSession` — the latter
     /// lets a caller gather sessions into a recycled `Vec` and hand them
@@ -239,36 +243,43 @@ impl Model {
     /// # Panics
     ///
     /// Panics if a session's cache count does not match this model.
-    pub fn prefill_step<S>(
+    pub fn prefill_step<T, S>(
         &self,
-        batch: &mut [(u32, S)],
+        batch: &mut [(T, S)],
         pool: &ThreadPool,
         scratch: &mut PrefillScratch,
     ) where
+        T: PromptTokens,
         S: BorrowMut<DecodeSession> + Sync,
     {
         let d = self.config.hidden_dim;
         let head_dim = d / self.config.n_heads;
-        scratch.h.resize(batch.len() * d, 0.0);
-        scratch.x.resize(batch.len() * d, 0.0);
-        scratch.rope.resize(batch.len() * head_dim, 0.0);
+        let columns: usize = batch.iter().map(|(t, _)| t.tokens().len()).sum();
+        scratch.h.resize(columns * d, 0.0);
+        scratch.x.resize(columns * d, 0.0);
+        scratch.rope.resize(columns * head_dim, 0.0);
         let rows = scratch.h.as_mut_slice().chunks_exact_mut(d);
         let tables = scratch.rope.as_mut_slice().chunks_exact_mut(head_dim);
-        for (((token, session), h), table) in batch.iter().zip(rows).zip(tables) {
+        // Session-major: a session's tokens side by side, each at the next
+        // position.
+        let columns = batch.iter().flat_map(|(tokens, session)| {
             let session: &DecodeSession = session.borrow();
             assert_eq!(
                 session.caches.len(),
                 self.layers.len(),
                 "session/model mismatch"
             );
+            tokens.tokens().iter().zip(session.position..)
+        });
+        for (((token, position), h), table) in columns.zip(rows).zip(tables) {
             h.copy_from_slice(self.embedding.row(*token as usize));
-            Attention::rope_table(session.position, table);
+            Attention::rope_table(position, table);
         }
         for (li, layer) in self.layers.iter().enumerate() {
             layer.prefill_batch(li, batch, pool, scratch);
         }
-        for (_, session) in batch.iter_mut() {
-            session.borrow_mut().position += 1;
+        for (tokens, session) in batch.iter_mut() {
+            session.borrow_mut().position += tokens.tokens().len();
         }
     }
 
@@ -281,8 +292,9 @@ impl Model {
     }
 
     /// Prefill into an existing session: every prompt token but the last
-    /// through [`prefill_step`](Self::prefill_step) (a batch of one), the
-    /// last through [`forward_token`](Self::forward_token) for its logits.
+    /// through [`prefill_step`](Self::prefill_step), [`PREFILL_CHUNK`]
+    /// positions per step, the last through
+    /// [`forward_token`](Self::forward_token) for its logits.
     ///
     /// # Panics
     ///
@@ -292,9 +304,9 @@ impl Model {
             .split_last()
             .expect("prefill requires at least one token");
         let mut scratch = PrefillScratch::new();
-        for token in head {
+        for chunk in head.chunks(PREFILL_CHUNK) {
             self.prefill_step(
-                &mut [(*token, &mut *session)],
+                &mut [(chunk, &mut *session)],
                 &ThreadPool::single(),
                 &mut scratch,
             );
@@ -454,10 +466,15 @@ mod tests {
         }
     }
 
-    /// Steps `sessions` through `tokens` (one row per step, one token per
-    /// session) with `prefill_step` at each thread count and with
-    /// `forward_token`, and compares the KV.
-    fn assert_step_matches_forward_token(m: &Model, sessions: &[DecodeSession], tokens: &[&[u32]]) {
+    /// Feeds `sessions` the `tokens` (one row per position, one token per
+    /// session) with `prefill_step` — `chunk` rows per step — at each
+    /// thread count and with `forward_token`, and compares the KV.
+    fn assert_step_matches_forward_token(
+        m: &Model,
+        sessions: &[DecodeSession],
+        tokens: &[&[u32]],
+        chunk: usize,
+    ) {
         let mut want = sessions.to_vec();
         for row in tokens {
             for (session, token) in want.iter_mut().zip(*row) {
@@ -468,9 +485,15 @@ mod tests {
             let pool = ThreadPool::new(sparseinfer_tensor::ParallelOptions::threads(threads));
             let mut scratch = PrefillScratch::new();
             let mut got = sessions.to_vec();
-            for row in tokens {
-                let mut batch: Vec<(u32, &mut DecodeSession)> =
-                    row.iter().copied().zip(got.iter_mut()).collect();
+            for rows in tokens.chunks(chunk) {
+                let chunks: Vec<Vec<u32>> = (0..got.len())
+                    .map(|i| rows.iter().map(|row| row[i]).collect())
+                    .collect();
+                let mut batch: Vec<(&[u32], &mut DecodeSession)> = chunks
+                    .iter()
+                    .map(Vec::as_slice)
+                    .zip(got.iter_mut())
+                    .collect();
                 m.prefill_step(&mut batch, &pool, &mut scratch);
             }
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -491,7 +514,11 @@ mod tests {
         cfg.vocab_size = 32;
         let m = WeightGenerator::new(&cfg, 11).build();
         let sessions = vec![m.start_session(); 4];
-        assert_step_matches_forward_token(&m, &sessions, &[&[1, 2, 3, 4], &[5, 6, 7, 8]]);
+        let tokens: [&[u32]; 4] = [&[1, 2, 3, 4], &[5, 6, 7, 8], &[9, 8, 7, 6], &[5, 4, 3, 2]];
+        assert_step_matches_forward_token(&m, &sessions, &tokens[..2], 1);
+        // The same sessions with all four positions of each in one step:
+        // sixteen columns through every projection.
+        assert_step_matches_forward_token(&m, &sessions, &tokens, 4);
     }
 
     #[test]
@@ -516,7 +543,11 @@ mod tests {
                 session
             })
             .collect();
-        assert_step_matches_forward_token(&m, &sessions, &[&[1, 2, 3, 4]]);
+        assert_step_matches_forward_token(&m, &sessions, &[&[1, 2, 3, 4]], 1);
+        // Three positions per session in one step: a worker's columns then
+        // end inside a session, and each column stops at its own position.
+        let tokens: [&[u32]; 3] = [&[1, 2, 3, 4], &[5, 6, 7, 8], &[9, 8, 7, 6]];
+        assert_step_matches_forward_token(&m, &sessions, &tokens, 3);
     }
 
     #[test]

@@ -13,15 +13,18 @@
 //! ([`Model::prefill_step`](sparseinfer_model::Model::prefill_step)), the
 //! last token goes through the engine so decode statistics start with the
 //! first generated token. There is one prefill implementation: a run
-//! advancing alone calls the step with a batch of one
-//! ([`RequestRun::advance`]); the scheduler borrows the sessions of all its
-//! prefilling slots for one call per tick. Either way a run absorbs exactly
-//! one prompt position per step, and its KV is bitwise the same.
+//! advancing alone calls the step with itself as the whole batch
+//! ([`RequestRun::advance`]), [`PREFILL_CHUNK`] prompt positions per step —
+//! nothing waits on a lone run's step; the scheduler borrows the sessions
+//! of all its prefilling slots for one call per tick, and lets each bring a
+//! chunk only in ticks where no slot is decoding. How many positions share
+//! a step never shows in the KV: it is bitwise what one position at a time
+//! leaves.
 
 use sparseinfer_model::kv::{KvBlockPool, PrefixHit, SwappedKvCache, DEFAULT_BLOCK_TOKENS};
 use sparseinfer_model::model::DecodeSession;
 use sparseinfer_model::sampling::Sampler;
-use sparseinfer_model::PrefillScratch;
+use sparseinfer_model::{PrefillScratch, PromptChunk, PREFILL_CHUNK};
 use sparseinfer_tensor::{ThreadPool, Vector};
 
 use crate::engine::{Engine, StepBlock};
@@ -173,8 +176,9 @@ pub struct TokenEvent {
 /// The per-request decode state machine.
 ///
 /// Each [`advance`](RequestRun::advance) call performs exactly one model
-/// step (a prefill token or a decode *block*), which is the granularity the
-/// batch scheduler interleaves at. A prefill step emits no tokens; a decode
+/// step (a chunk of prefill tokens or a decode *block*), which is the
+/// granularity the batch scheduler interleaves at. A prefill step emits no
+/// tokens; a decode
 /// step emits between one and `k + 1` [`TokenEvent`]s (plain engines emit
 /// exactly one, speculative engines emit one per accepted draft plus the
 /// correction/bonus token), collected via [`events`](Self::events). Used
@@ -186,9 +190,11 @@ pub struct RequestRun {
     fed: usize,
     /// Leading prompt positions whose KV arrived pre-computed from a
     /// prefix-cache hit. [`advance`](Self::advance) still *consumes* one
-    /// call per cached position — the scheduling cadence is identical to
-    /// an uncached run, which is what keeps warm and cold event streams
-    /// bit-identical — but performs no model work for them.
+    /// call per cached position but performs no model work for them — so
+    /// a scheduler tick spent on one costs the slots decoding beside it
+    /// nothing. (A cold run's dense prefill may take several positions per
+    /// step, so a warm run can need *more* steps than a cold one; its
+    /// tokens are the same.)
     prefill_cached: usize,
     max_new: usize,
     stop: Vec<u32>,
@@ -259,11 +265,11 @@ impl RequestRun {
     /// blocks of a prefix-cache hit, when one is given: the hit's
     /// positions are attached (aliased, not recomputed), and
     /// [`advance`](Self::advance) walks through them as **no-op prefill
-    /// steps** — one call per position, zero model work. Preserving the
-    /// one-position-per-step cadence is what makes a warm run's scheduler
-    /// event stream bit-identical to the cold run's; the saved prefill
-    /// *compute* is the win, reported via
-    /// [`prefill_skipped_tokens`](Self::prefill_skipped_tokens).
+    /// steps** — one call per position, zero model work. The run's tokens
+    /// are bit-identical to the cold run's; the steps they arrive on are
+    /// not (a cold run's dense prefill takes up to [`PREFILL_CHUNK`]
+    /// positions per step). The saved prefill *compute* is the win,
+    /// reported via [`prefill_skipped_tokens`](Self::prefill_skipped_tokens).
     ///
     /// The hit must come from an index keyed by this engine's model and
     /// this run's prompt tokens (the scheduler guarantees both), and must
@@ -430,42 +436,58 @@ impl RequestRun {
         &self.session.caches
     }
 
-    /// Whether the run's next step feeds a prompt token through dense
-    /// prefill: a live run past its cached prefix and before its last
-    /// prompt token.
+    /// The prompt positions the run's next dense-prefill step absorbs when
+    /// allowed up to `limit`: empty unless the run is live, past its cached
+    /// prefix and before its last prompt token (which is the engine's).
+    fn dense_chunk(&self, limit: usize) -> std::ops::Range<usize> {
+        let last = self.prompt.len() - 1;
+        if self.finish.is_some() || self.fed < self.prefill_cached {
+            return self.fed..self.fed;
+        }
+        self.fed..last.min(self.fed + limit)
+    }
+
+    /// Whether the run's next step feeds prompt tokens through dense
+    /// prefill.
     pub(crate) fn next_is_dense_prefill(&self) -> bool {
-        let dense = self.prefill_cached..self.prompt.len() - 1;
-        self.finish.is_none() && dense.contains(&self.fed)
+        !self.dense_chunk(1).is_empty()
     }
 
     /// Lends out the run's session for a batched dense-prefill step, with
-    /// the token that step must feed it — `None` (and nothing lent) unless
-    /// the run's [next step is one](Self::next_is_dense_prefill). The
-    /// caller feeds the token through
+    /// the up to `limit` (at most [`PREFILL_CHUNK`]) consecutive prompt
+    /// tokens that step must feed it — `None` (and nothing lent) unless the
+    /// run's [next step is one](Self::next_is_dense_prefill). The caller
+    /// feeds the tokens through
     /// [`Model::prefill_step`](sparseinfer_model::Model::prefill_step)
     /// together with other runs' and hands the session back through
     /// [`finish_prefill`](Self::finish_prefill), which completes the step;
     /// the pair replaces one [`advance`](Self::advance) call. Until then
     /// the run has no session and must not be advanced.
-    pub(crate) fn take_prefill(&mut self) -> Option<(u32, DecodeSession)> {
-        self.next_is_dense_prefill()
-            .then(|| (self.prompt[self.fed], std::mem::take(&mut self.session)))
+    pub(crate) fn take_prefill(&mut self, limit: usize) -> Option<(PromptChunk, DecodeSession)> {
+        let chunk = self.dense_chunk(limit);
+        (!chunk.is_empty()).then(|| {
+            (
+                PromptChunk::new(&self.prompt[chunk]),
+                std::mem::take(&mut self.session),
+            )
+        })
     }
 
     /// Takes back the session lent by [`take_prefill`](Self::take_prefill),
-    /// now one position longer, and counts the step.
+    /// now the lent tokens longer, and counts the step.
     pub(crate) fn finish_prefill(&mut self, session: DecodeSession) {
         debug_assert!(self.session.caches.is_empty(), "no session was lent");
+        self.fed = session.context_len();
         self.session = session;
         self.events.clear();
-        self.fed += 1;
     }
 
-    /// Performs one step: feeds the next prefill token, or decodes the
-    /// next token block. Tokens emitted by this step (none during prefill,
-    /// one to `k + 1` during decode) are collected via
-    /// [`events`](Self::events), which is cleared and refilled by every
-    /// call.
+    /// Performs one step: feeds the next prefill tokens (up to
+    /// [`PREFILL_CHUNK`] — a run advanced on its own has nothing waiting on
+    /// its step), or decodes the next token block. Tokens emitted by this
+    /// step (none during prefill, one to `k + 1` during decode) are
+    /// collected via [`events`](Self::events), which is cleared and refilled
+    /// by every call.
     ///
     /// # Errors
     ///
@@ -481,21 +503,22 @@ impl RequestRun {
             return Ok(());
         }
         let last = self.prompt.len() - 1;
+        let chunk = self.dense_chunk(PREFILL_CHUNK);
         if self.fed < self.prefill_cached {
             // This position's KV was attached from a prefix-cache hit:
-            // consume the step (identical scheduling cadence to a cold
-            // run) without touching the model — the skipped prefill work.
+            // consume the step without touching the model — the skipped
+            // prefill work.
             self.fed += 1;
             Ok(())
-        } else if self.fed < last {
+        } else if !chunk.is_empty() {
             // Dense prefill through the bare model: the batched step, with
             // this run as the whole batch.
+            self.fed = chunk.end;
             engine.model().prefill_step(
-                &mut [(self.prompt[self.fed], &mut self.session)],
+                &mut [(&self.prompt[chunk], &mut self.session)],
                 &ThreadPool::single(),
                 &mut self.prefill,
             );
-            self.fed += 1;
             Ok(())
         } else if self.fed == last {
             // The last prompt token goes through the engine: decode

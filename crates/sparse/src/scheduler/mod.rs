@@ -29,16 +29,22 @@
 //!   dropped and deterministically recomputed. Preempted requests resume
 //!   ahead of equal-priority fresh admissions and finish with exactly
 //!   the tokens of an uninterrupted run.
-//! * Slots whose step this tick is a **dense prefill position** take it
-//!   together: they are gathered per model and fed through one
+//! * Slots whose step this tick is **dense prefill** take it together:
+//!   they are gathered per model and fed through one
 //!   [`Model::prefill_step`] — one pass over the weights for all of them,
 //!   out of one scratch the scheduler owns — before the remaining slots
-//!   advance on their own. The cadence is unchanged: a slot absorbs exactly
-//!   one prompt position per tick, bitwise the position it would have
-//!   computed alone, so admission order, event order and every tick stamp
-//!   are what they are without batching.
+//!   advance on their own. One rule sets how much prompt a slot absorbs:
+//!   in a tick where **no live slot's next step is an engine step or a
+//!   sample** (every one is in dense prefill or walking its cached
+//!   prefix), up to [`PREFILL_CHUNK`] consecutive positions — nothing
+//!   waits on that tick, so its weight pass may as well be full; in every
+//!   other tick, one — so what a decoding slot waits on per tick is
+//!   bounded exactly as if prefill were never chunked. Either way the KV
+//!   is bitwise what one position at a time leaves, so the rule moves
+//!   tick stamps and cross-request interleaving, never a token.
 //!   [`SchedulerStats::prefill_positions`] over
-//!   [`prefill_batches`](SchedulerStats::prefill_batches) is the mean batch.
+//!   [`prefill_batches`](SchedulerStats::prefill_batches) is the mean
+//!   number of columns per weight pass.
 //! * The moment a request finishes (budget, stop token, cancellation or
 //!   failure) its slot **retires**: engine scratch, workspace and the
 //!   session's KV blocks are released and the freed capacity admits the
@@ -101,7 +107,7 @@ use sparseinfer_model::kv::{
     KvBlockPool, KvDtype, PrefixHit, PrefixIndex, SwappedKvCache, DEFAULT_BLOCK_TOKENS,
 };
 use sparseinfer_model::model::DecodeSession;
-use sparseinfer_model::{Model, PrefillScratch};
+use sparseinfer_model::{Model, PrefillScratch, PromptChunk, PromptTokens, PREFILL_CHUNK};
 use sparseinfer_tensor::{ParallelOptions, ThreadPool};
 
 use crate::engine::{Engine, MemoryEstimate, SparsityStats, SpeculativeStats};
@@ -628,9 +634,9 @@ struct PrefillBatcher {
     /// Slots whose step this tick is a dense prefill position and that no
     /// group has taken yet.
     pending: Vec<usize>,
-    /// The group being stepped: each run's next prompt token with its
+    /// The group being stepped: each run's next prompt tokens with its
     /// session, borrowed from the run for the duration of the step.
-    batch: Vec<(u32, DecodeSession)>,
+    batch: Vec<(PromptChunk, DecodeSession)>,
     /// Slot index of each `batch` entry.
     owners: Vec<usize>,
 }
@@ -915,15 +921,17 @@ impl<'m> Scheduler<'m> {
         self.unfinished_requests()
     }
 
-    /// Takes this tick's step for every live slot whose next step is a
-    /// dense prefill position (recompute replays included): the slots are
-    /// grouped by model, and each group's positions go through **one**
+    /// Takes this tick's step for every live slot whose next step is dense
+    /// prefill (recompute replays included): the slots are grouped by
+    /// model, and each group's positions go through **one**
     /// [`Model::prefill_step`] — one pass over that model's weights however
     /// many slots are prefilling, rows partitioned across the slot pool.
     /// Marks the slots in `prefill.stepped`; the caller advances the rest.
-    /// A slot still absorbs exactly one position per tick, bitwise the
-    /// position it would have computed alone, so cadence, tick stamps and
-    /// tokens do not depend on how many slots share a step.
+    ///
+    /// A slot absorbs up to [`PREFILL_CHUNK`] positions when no live slot
+    /// decodes this tick and one when any does (the module docs' cadence
+    /// rule) — bitwise the positions it would have computed alone, one at a
+    /// time, so tokens do not depend on how many columns share a step.
     fn prefill_slots(&mut self) {
         let PrefillBatcher {
             scratch,
@@ -937,13 +945,19 @@ impl<'m> Scheduler<'m> {
         stepped.resize(slots.len(), false);
         pending.clear();
         pending.extend((0..slots.len()).filter(|&i| slots[i].run.next_is_dense_prefill()));
+        // A slot past its dense prefill takes an engine step or a sample
+        // next: the tick is then one a token waits on.
+        let decoder_free = slots
+            .iter()
+            .all(|slot| slot.run.finished() || !slot.run.dense_prefill_complete());
+        let chunk = if decoder_free { PREFILL_CHUNK } else { 1 };
         while let Some(&first) = pending.first() {
             let key = slots[first].model_key;
             pending.retain(|&i| {
                 if slots[i].model_key != key {
                     return true;
                 }
-                let lent = slots[i].run.take_prefill();
+                let lent = slots[i].run.take_prefill(chunk);
                 batch.push(lent.expect("the slot was listed as prefilling"));
                 owners.push(i);
                 stepped[i] = true;
@@ -952,8 +966,8 @@ impl<'m> Scheduler<'m> {
             let model = slots[first].engine.model();
             model.prefill_step(batch, &self.pool, scratch);
             self.prefill_batches += 1;
-            self.prefill_positions += batch.len() as u64;
-            for ((_, session), i) in batch.drain(..).zip(owners.drain(..)) {
+            for ((tokens, session), i) in batch.drain(..).zip(owners.drain(..)) {
+                self.prefill_positions += tokens.tokens().len() as u64;
                 slots[i].run.finish_prefill(session);
             }
         }

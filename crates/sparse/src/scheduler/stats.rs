@@ -100,9 +100,11 @@ pub struct SchedulerStats {
     /// one per tick and model with at least one prefilling slot, each one
     /// pass over that model's weights.
     pub prefill_batches: u64,
-    /// Prompt positions those steps fed. `prefill_positions /
-    /// prefill_batches` is the mean batch: the factor by which weight bytes
-    /// per prefilled token fall below one full pass.
+    /// Prompt positions those steps fed — their columns, a slot bringing up
+    /// to `PREFILL_CHUNK` of them in a tick no slot decodes in and one
+    /// otherwise. `prefill_positions / prefill_batches` is the mean number
+    /// of columns per weight pass: the factor by which weight bytes per
+    /// prefilled token fall below one full pass.
     pub prefill_positions: u64,
 }
 

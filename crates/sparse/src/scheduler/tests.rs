@@ -1469,40 +1469,120 @@ fn staggered_admissions_keep_the_recorded_tokens_events_and_tick_stamps() {
     }
 }
 
-/// Recorded at the commit before prefill was batched across slots.
+/// Re-recorded when prefill began taking `PREFILL_CHUNK` positions in
+/// decoder-free ticks: every request's tokens and the order of its own
+/// events are those of the trace recorded before prefill was batched across
+/// slots; tick stamps, and so the interleaving between requests, moved.
 const STAGGERED_TRACE: &str = "\
+3:0:0:46\n\
+4:0:1:16\n\
+5:0:2:21\n\
+6:0:3:16\n\
+7:0:4:21\n\
 8:1:0:16\n\
-9:0:0:46\n\
 9:1:1:21\n\
-10:0:1:16\n\
-11:0:2:21\n\
-12:0:3:16\n\
-13:0:4:21\n\
-15:2:0:46\n\
-16:2:1:16\n\
-17:2:2:21\n\
-18:2:3:16\n\
-23:3:0:17\n\
-24:3:1:16\n\
-25:3:2:21\n\
-27:1:2:16\n\
-28:1:3:21\n\
-29:1:4:16\n\
-30:1:5:21\n\
-out 0 [46, 16, 21, 16, 21] sub 0 adm Some(0) fin 13 pre 0 skip 0\n\
-out 1 [16, 21, 16, 21, 16, 21] sub 2 adm Some(2) fin 30 pre 1 skip 4\n\
-out 2 [46, 16, 21, 16] sub 10 adm Some(10) fin 18 pre 0 skip 0\n\
-out 3 [17, 16, 21] sub 11 adm Some(14) fin 25 pre 0 skip 8\n\
+10:1:2:16\n\
+13:2:0:46\n\
+14:2:1:16\n\
+15:2:2:21\n\
+16:2:3:16\n\
+20:3:0:17\n\
+21:3:1:16\n\
+22:3:2:21\n\
+26:1:3:21\n\
+27:1:4:16\n\
+28:1:5:21\n\
+out 0 [46, 16, 21, 16, 21] sub 0 adm Some(0) fin 7 pre 0 skip 0\n\
+out 1 [16, 21, 16, 21, 16, 21] sub 2 adm Some(2) fin 28 pre 1 skip 4\n\
+out 2 [46, 16, 21, 16] sub 10 adm Some(10) fin 16 pre 0 skip 0\n\
+out 3 [17, 16, 21] sub 11 adm Some(11) fin 22 pre 0 skip 8\n\
 ";
+
+#[test]
+fn decoder_free_ticks_take_a_chunk_and_decoder_ticks_take_one() {
+    // Two 22-token prompts beside a request that is decoding from tick 1
+    // to tick 7. The prefill positions each tick took, from the counters:
+    let m = model();
+    let long_a: Vec<u32> = (1..=22).collect();
+    let long_b: Vec<u32> = (30..52).collect();
+    let requests = [
+        GenerateRequest::new(&[1, 2]).max_new(6),
+        GenerateRequest::new(&long_a).max_new(2),
+        GenerateRequest::new(&long_b).max_new(2),
+    ];
+    for threads in [1, 2, 4] {
+        let mut s = Scheduler::new(SchedulerConfig {
+            max_slots: 3,
+            prefix_cache: false,
+            ..SchedulerConfig::default()
+        })
+        .parallel(ParallelOptions::threads(threads));
+        for req in &requests {
+            s.submit(dense(&m), req).unwrap();
+        }
+        let mut per_tick = Vec::new();
+        let mut last_short_token = 0;
+        loop {
+            let before = s.stats().prefill_positions;
+            let tick = s.ticks();
+            let left = s.tick(|e| {
+                if e.request == 0 {
+                    last_short_token = tick;
+                }
+            });
+            per_tick.push(s.stats().prefill_positions - before);
+            if left == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            last_short_token, 7,
+            "the short request decodes through tick 7"
+        );
+        assert_eq!(
+            per_tick,
+            [
+                // Nobody decodes yet: a chunk of each long prompt, and the
+                // short prompt's one dense position.
+                4 + 4 + 1,
+                // The short request takes its engine step, then samples and
+                // decodes: one position per long prompt per tick.
+                2,
+                2,
+                2,
+                2,
+                2,
+                2,
+                2,
+                // It has retired: chunks again, down to the 21st position
+                // (the 22nd token is the engine's).
+                8,
+                8,
+                4,
+                // Engine steps and samples of the long requests.
+                0,
+                0,
+                0
+            ],
+            "{threads} slot threads"
+        );
+        let mut outputs = s.take_finished();
+        outputs.sort_by_key(|o| o.id);
+        for (o, req) in outputs.iter().zip(&requests) {
+            assert_eq!(o.tokens, solo_tokens(&m, req), "request {}", o.id);
+        }
+    }
+}
 
 #[test]
 fn prefill_counters_report_the_mean_batch() {
     // Two equal-length prompts prefill side by side in two slots: every
-    // batched step carries both. With one slot the same work is batches of
-    // one.
+    // batched step carries both, four positions then two of each (no slot
+    // decodes yet). With one slot the same work is steps of one slot's
+    // columns.
     let m = model();
     let prompts = [[1u32, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11, 12, 13, 14]];
-    for (max_slots, mean_batch) in [(2, 2.0), (1, 1.0)] {
+    for (max_slots, mean_batch) in [(2, 6.0), (1, 3.0)] {
         let mut s = Scheduler::new(SchedulerConfig {
             max_slots,
             prefix_cache: false,

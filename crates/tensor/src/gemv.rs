@@ -71,7 +71,7 @@ pub const MIN_MACS_PER_WORKER: usize = 1 << 19;
 /// weight row: four 8-lane accumulator sets plus the row chunk fit the 16
 /// vector registers of AVX2; a larger batch takes further passes over the
 /// row while it is still in L1.
-const COLUMN_GROUP: usize = 4;
+pub const COLUMN_GROUP: usize = 4;
 
 /// Chunked multi-accumulator dot product with a fixed reduction order:
 /// element `i` accumulates into lane `i % 8`, and the eight lanes combine

@@ -9,6 +9,9 @@
 //!   transposed), the operation that dominates LLM decoding. Inner loops are
 //!   chunked multi-accumulator form with a fixed reduction order shared by
 //!   every execution path.
+//! * [`attn`](mod@crate::attn) — the score and value-sum loops of one
+//!   attention head over a run of cached positions: explicit AVX2 behind a
+//!   bitwise scalar reference.
 //! * [`workspace`](mod@crate::workspace) — recycled scratch buffers making
 //!   steady-state decode allocation-free.
 //! * [`pool`](mod@crate::pool) — a dependency-free persistent parked-worker
@@ -42,14 +45,16 @@
 //! assert!(negatives <= 64);
 //! ```
 
-// `deny`, not `forbid`: the parked-worker pool needs one locally-allowed,
-// heavily documented pocket of `unsafe` (feeding borrowed chunks to
-// persistent threads — the same thing `std::thread::scope` does inside).
-// Every other module rejects `unsafe` outright.
+// `deny`, not `forbid`: two modules carry a locally-allowed, documented
+// pocket of `unsafe` — the parked-worker pool (feeding borrowed chunks to
+// persistent threads, the same thing `std::thread::scope` does inside) and
+// the attention kernel (unaligned vector loads and stores from checked
+// slices). Every other module rejects `unsafe` outright.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod attn;
 pub mod f16;
 pub mod gemv;
 pub mod matrix;

@@ -2,6 +2,7 @@
 //! pseudo-random sweeps (the workspace builds offline, so the `proptest`
 //! crate is replaced by explicit [`Prng`] loops over the same properties).
 
+use sparseinfer_tensor::attn;
 use sparseinfer_tensor::gemv::{
     gemm_rows_into, gemv, gemv_transposed, gemv_transposed_batch_into, reference,
 };
@@ -250,6 +251,104 @@ fn transposed_batch_equals_per_input_transposed_gemv_bit_for_bit() {
                             "{rows}x{cols} batch {batch} threads {threads} input {b} col {c}"
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// One attention head over `ctx` cached positions, the way the model walks
+/// them — scores run by run, scalar softmax, value sum run by run — with
+/// the two loops supplied by the caller. Returns the raw scores, the
+/// normalised weights and the head's output, back to back.
+fn attend_head(
+    (q, keys, values): (&[f32], &[f32], &[f32]),
+    (stride, ctx, run): (usize, usize, usize),
+    scores_into: impl Fn(&[f32], &[f32], usize, f32, &mut [f32]),
+    add_values: impl Fn(&[f32], &[f32], usize, &mut [f32]),
+) -> Vec<f32> {
+    let scale = 1.0 / (q.len() as f32).sqrt();
+    let mut scores = vec![0.0f32; ctx];
+    for (r, chunk) in scores.chunks_mut(run).enumerate() {
+        scores_into(q, &keys[r * run * stride..], stride, scale, chunk);
+    }
+    let mut all = scores.clone();
+    let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut denom = 0.0f32;
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+        denom += *s;
+    }
+    for s in scores.iter_mut() {
+        *s /= denom;
+    }
+    let mut out = vec![0.0f32; q.len()];
+    for (r, chunk) in scores.chunks(run).enumerate() {
+        add_values(chunk, &values[r * run * stride..], stride, &mut out);
+    }
+    all.extend(scores);
+    all.extend(out);
+    all
+}
+
+#[test]
+fn attention_kernel_equals_the_scalar_loops_bit_for_bit() {
+    // Head widths with one, two, four, nine and sixteen vectors (so value
+    // blocks of every size and a second block), and one the vector path
+    // does not take at all.
+    let head_dims = [8usize, 16, 32, 72, 128, 20];
+    let contexts = (0..=70).chain([129]);
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let mut rng = Prng::seed(970);
+    for ctx in contexts {
+        for head_dim in head_dims {
+            let heads = 1 + rng.below(13);
+            let d = heads * head_dim;
+            // Signed zeros and subnormals among ordinary values.
+            let draw = |rng: &mut Prng| match rng.below(12) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(1 + rng.below(1 << 22) as u32),
+                3 => -f32::from_bits(1 + rng.below(1 << 22) as u32),
+                _ => rng.normal(0.0, 1.0) as f32,
+            };
+            let mut q: Vec<f32> = (0..d).map(|_| draw(&mut rng)).collect();
+            // A head whose every product is a zero: the sum's `-0.0` start
+            // shows in the sign of the score.
+            q[d - head_dim..].fill(if ctx % 2 == 0 { 0.0 } else { -0.0 });
+            let mut keys: Vec<f32> = (0..ctx * d).map(|_| draw(&mut rng)).collect();
+            let values: Vec<f32> = (0..ctx * d).map(|_| draw(&mut rng)).collect();
+            // One position whose score dwarfs the rest in every head: the
+            // softmax max path, and weights that underflow to zero.
+            if ctx > 0 {
+                let hot = rng.below(ctx);
+                for (k, q) in keys[hot * d..(hot + 1) * d].iter_mut().zip(&q) {
+                    *k = q * 1e4;
+                }
+            }
+            // The paged block sizes, and the whole cache as one run.
+            for run in [4, 64, ctx.max(1)] {
+                for h in 0..heads {
+                    let first = h * head_dim;
+                    let head = (
+                        &q[first..first + head_dim],
+                        &keys[first.min(keys.len())..],
+                        &values[first.min(values.len())..],
+                    );
+                    let want = attend_head(
+                        head,
+                        (d, ctx, ctx.max(1)),
+                        attn::reference::head_scores_into,
+                        attn::reference::add_weighted_values,
+                    );
+                    let got = attend_head(
+                        head,
+                        (d, ctx, run),
+                        attn::head_scores_into,
+                        attn::add_weighted_values,
+                    );
+                    let what = format!("ctx {ctx} head_dim {head_dim} head {h}/{heads} run {run}");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
                 }
             }
         }

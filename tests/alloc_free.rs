@@ -241,10 +241,45 @@ fn batched_prefill_step_is_allocation_free() {
     }
 }
 
+fn chunked_prefill_step_is_allocation_free() {
+    // Several positions per session in one step: two sessions, four
+    // columns each. The tokens are borrowed slices, the column bookkeeping
+    // lives in the scratch, so nothing is allocated here either.
+    let model = test_model();
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(ParallelOptions::threads(threads));
+        let mut scratch = PrefillScratch::new();
+        let mut a = model.start_session_with_capacity(48);
+        let mut b = model.start_session_with_capacity(48);
+        // Different positions, and a warm-up at this column count.
+        model.prefill_step(&mut [(&[5u32, 6, 7][..], &mut a)], &pool, &mut scratch);
+        let chunks: [&[u32]; 2] = [&[1, 2, 3, 4], &[9, 8, 7, 6]];
+        model.prefill_step(
+            &mut [(chunks[0], &mut a), (chunks[1], &mut b)],
+            &pool,
+            &mut scratch,
+        );
+        let before = allocations();
+        for i in 0..8 {
+            model.prefill_step(
+                &mut [(chunks[i % 2], &mut a), (chunks[1 - i % 2], &mut b)],
+                &pool,
+                &mut scratch,
+            );
+        }
+        let allocs = allocations() - before;
+        assert_eq!(
+            allocs, 0,
+            "chunked prefill at {threads} threads allocated {allocs} times"
+        );
+    }
+}
+
 fn scheduler_prefill_ticks_are_allocation_free() {
     // Two slots prefilling side by side: the tick gathers them into the
-    // scheduler's one recycled batch and scratch. Paged KV allocates when a
-    // session starts a new block — the documented exception — so the
+    // scheduler's one recycled batch and scratch — four positions of each
+    // per tick, since neither slot is decoding yet. Paged KV allocates when
+    // a session starts a new block — the documented exception — so the
     // measured ticks stay inside the first block of a 64-token page.
     let model = test_model();
     for threads in [1usize, 2] {
@@ -255,7 +290,7 @@ fn scheduler_prefill_ticks_are_allocation_free() {
         })
         .parallel(ParallelOptions::threads(threads));
         for start in [1u32, 9] {
-            let prompt: Vec<u32> = (start..start + 40).collect();
+            let prompt: Vec<u32> = (start..start + 62).collect();
             let engine = EngineBuilder::new(&model).build().unwrap();
             scheduler
                 .submit(engine, &GenerateRequest::new(&prompt).max_new(2))
@@ -265,15 +300,15 @@ fn scheduler_prefill_ticks_are_allocation_free() {
             scheduler.tick(|_| {});
         }
         let before = allocations();
-        for _ in 0..30 {
+        for _ in 0..12 {
             scheduler.tick(|_| {});
         }
         let allocs = allocations() - before;
         let stats = scheduler.stats();
         assert_eq!(
             (stats.prefill_batches, stats.prefill_positions),
-            (33, 66),
-            "every measured tick was a two-slot prefill step"
+            (15, 15 * 8),
+            "every measured tick was a two-slot, four-position prefill step"
         );
         assert_eq!(
             allocs, 0,
@@ -338,6 +373,7 @@ fn main() {
         parallel_int8_steady_state_decode_is_allocation_free,
         parallel_steady_state_decode_is_allocation_free,
         batched_prefill_step_is_allocation_free,
+        chunked_prefill_step_is_allocation_free,
         scheduler_prefill_ticks_are_allocation_free,
         worker_thread_allocations_are_counted,
         warmup_does_allocate_proving_the_counter_works,

@@ -408,3 +408,66 @@ fn batched_prefill_matches_the_committed_constants() {
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
+
+/// [`batched_prefill`] with several positions per lane and step: lane `i`
+/// joins on step `i`, and on each step takes the next `1 + (lane + step) % 5`
+/// tokens of its prompt — chunks of one to five positions side by side in
+/// one [`Model::prefill_step`], most of them crossing a boundary of the
+/// 4-token KV blocks, all of them ending somewhere else than their
+/// neighbours'.
+fn chunked_prefill(
+    model: &Model,
+    kv_pool: Option<&KvBlockPool>,
+    lanes: usize,
+    threads: usize,
+) -> Vec<DecodeSession> {
+    use sparseinfer::model::PrefillScratch;
+    use sparseinfer::tensor::ThreadPool;
+
+    let pool = ThreadPool::new(ParallelOptions::threads(threads));
+    let mut scratch = PrefillScratch::new();
+    let prompts: Vec<Vec<u32>> = (0..lanes).map(|lane| prefill_prompt(lane % 3)).collect();
+    let mut sessions: Vec<DecodeSession> =
+        (0..lanes).map(|_| start_session(model, kv_pool)).collect();
+    for step in 0.. {
+        let mut batch: Vec<(&[u32], &mut DecodeSession)> = sessions
+            .iter_mut()
+            .enumerate()
+            .filter(|(lane, session)| *lane <= step && session.position < prompts[*lane].len())
+            .map(|(lane, session)| {
+                let rest = &prompts[lane][session.position..];
+                (&rest[..rest.len().min(1 + (lane + step) % 5)], session)
+            })
+            .collect();
+        if batch.is_empty() {
+            break;
+        }
+        model.prefill_step(&mut batch, &pool, &mut scratch);
+    }
+    sessions
+}
+
+#[test]
+fn chunked_prefill_matches_the_committed_constants() {
+    // The same constants as one position at a time: how many positions of
+    // a session share a step must not show in a single KV word.
+    let model = golden_model();
+    let mut mismatches = Vec::new();
+    for layout in KvLayout::ALL {
+        for lanes in [1, 2, 5] {
+            for threads in [1, 2, 4] {
+                let kv_pool = layout.pool();
+                let sessions = chunked_prefill(&model, kv_pool.as_ref(), lanes, threads);
+                for (lane, mut session) in sessions.into_iter().enumerate() {
+                    let got = prefill_golden_of(&model, &mut session);
+                    if got != layout.golden()[lane % 3] {
+                        mismatches.push(format!(
+                            "{layout:?} chunked {lanes} lane {lane} @ {threads} threads: got {got:?}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

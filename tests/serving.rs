@@ -876,8 +876,11 @@ fn shared_prefix_blocks_are_counted_once_not_per_session() {
     let prefix: Vec<u32> = (0..13).map(|i| i * 2 + 5).collect(); // 3 full blocks
     let sharers = 3usize;
 
-    // Drive both variants to the same mid-decode tick; the only difference
-    // is the prefix cache, so the estimate gap is exactly the deduped KV.
+    // Drive both variants to the same point mid-decode (a cold run's
+    // chunked prefill takes fewer ticks than a warm run's walk through its
+    // cached prefix, so the point is a token count, not a tick); the only
+    // difference is the prefix cache, so the estimate gap is exactly the
+    // deduped KV.
     let run_to_mid_decode = |prefix_cache: bool| {
         let mut scheduler = Scheduler::new(SchedulerConfig {
             max_slots: sharers + 1,
@@ -907,9 +910,11 @@ fn shared_prefix_blocks_are_counted_once_not_per_session() {
                 )
                 .unwrap();
         }
-        // Past prefill, a few decode tokens in, nobody finished.
-        for _ in 0..prefix.len() + 4 {
-            scheduler.tick(|_| {});
+        // Past prefill, three decode tokens in, nobody finished. (The
+        // warm-up request took id 0.)
+        let mut emitted = vec![0usize; sharers];
+        while emitted.iter().any(|tokens| *tokens < 3) {
+            scheduler.tick(|event| emitted[event.request - 1] += 1);
         }
         assert_eq!(scheduler.active_slots(), sharers);
         (

@@ -1,13 +1,14 @@
 //! Microbenchmarks of the Rust kernels: sign packing, the XOR/popcount
-//! predictor, dense vs sparse GEMV, scalar vs unrolled inner loops, and
-//! thread scaling. Self-timed with `std::time` (criterion is unavailable
-//! offline); the *ratios* mirror Table I's operation-count story, and every
-//! measurement also lands in `BENCH_kernels.json` so the perf trajectory is
-//! tracked across PRs.
+//! predictor, dense vs sparse GEMV, scalar vs unrolled inner loops, the
+//! int8 GEMV, the shared weight pass of prefill, and the attention head
+//! kernels. Self-timed with `std::time` (criterion is unavailable offline)
+//! and printed, nothing is written: the *ratios* mirror Table I's
+//! operation-count story, and a full run asserts the three of them that a
+//! kernel regression would break. Serving latency is `benchmark/`'s job.
 //!
 //! ```text
-//! cargo bench --bench kernels                  # full run
-//! SPARSEINFER_BENCH_QUICK=1 cargo bench ...    # 1-iter CI smoke
+//! cargo bench --bench kernels                  # full run, ratio floors asserted
+//! SPARSEINFER_BENCH_QUICK=1 cargo bench ...    # 1-iter CI smoke, no floors
 //! ```
 
 use sparseinfer::model::generator::WeightGenerator;
@@ -21,31 +22,8 @@ use sparseinfer::sparse::OpCounter;
 use sparseinfer::tensor::attn;
 use sparseinfer::tensor::gemv::{gemm_rows_into, gemv, reference};
 use sparseinfer::tensor::sign::{PackedSignMatrix, SignPack};
-use sparseinfer::tensor::{
-    BlockQuantizedMatrix, Matrix, ParallelOptions, Prng, ThreadPool, Vector,
-};
-use sparseinfer_bench::{bench_iters, BenchReport};
-
-/// The pre-rework dispatch strategy, preserved here as the baseline: split
-/// into per-worker chunks and spawn one scoped `std::thread` per chunk,
-/// every call. This is what `ThreadPool::run_chunks` did before workers
-/// became persistent and parked.
-fn scoped_spawn_chunks(out: &mut [f32], workers: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
-    let chunk = out.len().div_ceil(workers.max(1));
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = out;
-        let mut offset = 0usize;
-        while rest.len() > chunk {
-            let (head, tail) = rest.split_at_mut(chunk);
-            let off = offset;
-            scope.spawn(move || f(off, head));
-            offset += chunk;
-            rest = tail;
-        }
-        f(offset, rest);
-    });
-}
+use sparseinfer::tensor::{BlockQuantizedMatrix, Matrix, Prng, ThreadPool, Vector};
+use sparseinfer_bench::{bench_iters, quick, time_us};
 
 fn layer_shapes() -> (Matrix, Vector) {
     // One sim-13B-sized gate layer.
@@ -58,9 +36,9 @@ fn layer_shapes() -> (Matrix, Vector) {
     (w, x)
 }
 
-/// A larger matrix for the thread-scaling section: per-call work must
-/// dominate the scoped-thread spawn cost for scaling to be visible.
-fn scaling_shapes() -> (Matrix, Vector) {
+/// A larger matrix for the f32-vs-int8 section: 16 MB of f32 weights, so
+/// both kernels stream from beyond the caches.
+fn streaming_shapes() -> (Matrix, Vector) {
     let mut rng = Prng::seed(2);
     let w = Matrix::from_fn(4096, 1024, |_, _| rng.normal(0.0, 0.1) as f32);
     let x = Vector::from_fn(1024, |_| rng.normal(0.4, 1.0) as f32);
@@ -68,37 +46,23 @@ fn scaling_shapes() -> (Matrix, Vector) {
 }
 
 fn main() {
-    let mut report = BenchReport::new("kernels");
     let (w, x) = layer_shapes();
 
     println!("== sign packing ==");
-    report.time(
+    time_us(
         "pack_gate_signs_once_per_model_load",
         bench_iters(50),
-        1,
-        None,
         || PackedSignMatrix::pack(&w),
     );
-    report.time("pack_x_signs_per_token", bench_iters(2000), 1, None, || {
+    time_us("pack_x_signs_per_token", bench_iters(2000), || {
         SignPack::pack(x.as_slice())
     });
 
     println!("\n== scalar (pre-PR) vs unrolled dense gemv ==");
-    let t_scalar = report.time("dense_gemv_scalar_ref", bench_iters(100), 1, None, || {
+    let t_scalar = time_us("dense_gemv_scalar_ref", bench_iters(100), || {
         reference::gemv(&w, &x)
     });
-    let t_gemv = {
-        let us =
-            sparseinfer_bench::time_us("dense_gemv_unrolled", bench_iters(200), || gemv(&w, &x));
-        report.record(
-            "dense_gemv_unrolled",
-            bench_iters(200),
-            us,
-            Some(t_scalar / us),
-            1,
-        );
-        us
-    };
+    let t_gemv = time_us("dense_gemv_unrolled", bench_iters(200), || gemv(&w, &x));
     println!(
         "unrolled gemv is {:.1}x the scalar baseline",
         t_scalar / t_gemv
@@ -107,16 +71,9 @@ fn main() {
     println!("\n== prediction vs dense gate ==");
     let mut predictor =
         SignBitPredictor::from_gate_matrices(std::slice::from_ref(&w), AlphaSchedule::uniform(1.0));
-    let t_pred = sparseinfer_bench::time_us("signbit_predictor", bench_iters(500), || {
+    let t_pred = time_us("signbit_predictor", bench_iters(500), || {
         predictor.predict(0, &x)
     });
-    report.record(
-        "signbit_predictor",
-        bench_iters(500),
-        t_pred,
-        Some(t_gemv / t_pred),
-        1,
-    );
     println!(
         "predictor is {:.1}x cheaper than the dense gate",
         t_gemv / t_pred
@@ -128,60 +85,19 @@ fn main() {
             (r as u32 * 100 / w.rows() as u32) < sparsity_pct
         });
         let name = format!("sparse_gemv_{sparsity_pct}pct");
-        let us = sparseinfer_bench::time_us(&name, bench_iters(200), || {
+        let us = time_us(&name, bench_iters(200), || {
             let mut ops = OpCounter::default();
             sparse_gemv(&w, &x, &mask, &mut ops)
         });
-        report.record(&name, bench_iters(200), us, Some(t_gemv / us), 1);
+        println!("  -> {:.2}x over the dense gemv", t_gemv / us);
     }
-
-    println!("\n== dispatch overhead: per-call spawn vs parked workers ==");
-    // The cost being amortized: waking parked workers (the pool since the
-    // parked rework) vs spawning scoped threads per call (the pool before
-    // it). A near-trivial kernel isolates dispatch latency; the thread
-    // count can be pinned from CI via SPARSEINFER_BENCH_THREADS.
-    let dispatch_threads: usize = std::env::var("SPARSEINFER_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|t| *t >= 2)
-        .unwrap_or(4);
-    let mut dispatch_buf = vec![0.0f32; 8192];
-    let touch = |offset: usize, chunk: &mut [f32]| {
-        for (i, v) in chunk.iter_mut().enumerate() {
-            *v = (offset + i) as f32;
-        }
-    };
-    let spawn_name = format!("spawn_dispatch_{dispatch_threads}t");
-    let t_spawn = report.time(
-        &spawn_name,
-        bench_iters(2000),
-        dispatch_threads,
-        None,
-        || scoped_spawn_chunks(&mut dispatch_buf, dispatch_threads, touch),
-    );
-    let parked_pool = ThreadPool::new(ParallelOptions::threads(dispatch_threads));
-    let parked_name = format!("parked_dispatch_{dispatch_threads}t");
-    // Recorded with speedup None: the JSON field means "over the dense
-    // baseline", and this measurement's baseline is `spawn_dispatch` (the
-    // ratio is recomputable from the two us_per_iter entries).
-    let t_parked = report.time(
-        &parked_name,
-        bench_iters(2000),
-        dispatch_threads,
-        None,
-        || parked_pool.run_chunks(&mut dispatch_buf, 1, touch),
-    );
-    println!(
-        "parked-worker dispatch is {:.1}x cheaper than per-call spawn",
-        t_spawn / t_parked
-    );
 
     println!("\n== speculative vs dense-only decode (single engine, greedy) ==");
     // One engine decoding end to end: dense-only stepping vs sparse drafts
     // verified densely in blocks. Tokens are bit-identical (asserted), so
     // the per-token gap is the lossless block-decode speedup at engine
-    // level; the acceptance rate is recorded and asserted nonzero so the
-    // JSON gate cannot pass on a silently-disabled speculative path.
+    // level; the acceptance rate is printed and asserted nonzero, so the
+    // second row cannot be a silently-disabled speculative path.
     let decode_model = {
         let mut cfg = ModelConfig::tiny();
         cfg.hidden_dim = 64;
@@ -208,29 +124,12 @@ fn main() {
         "speculation must be lossless"
     );
     let decode_iters = bench_iters(20);
-    let t_dense_run = sparseinfer_bench::time_us("dense_decode_24_tokens", decode_iters, || {
+    let t_dense_run = time_us("dense_decode_24_tokens", decode_iters, || {
         generate(dense_engine.as_mut(), &decode_req).unwrap()
     });
-    let dense_us_tok = t_dense_run / decode_tokens as f64;
-    report.record(
-        "dense_decode_us_per_token",
-        decode_iters,
-        dense_us_tok,
-        None,
-        1,
-    );
-    let t_spec_run =
-        sparseinfer_bench::time_us("speculative_decode_24_tokens", decode_iters, || {
-            generate(spec_engine.as_mut(), &decode_req).unwrap()
-        });
-    let spec_us_tok = t_spec_run / decode_tokens as f64;
-    report.record(
-        "speculative_decode_us_per_token",
-        decode_iters,
-        spec_us_tok,
-        Some(dense_us_tok / spec_us_tok),
-        1,
-    );
+    let t_spec_run = time_us("speculative_decode_24_tokens", decode_iters, || {
+        generate(spec_engine.as_mut(), &decode_req).unwrap()
+    });
     let spec_stats = spec_engine
         .speculative_stats()
         .expect("speculative engine reports draft counters");
@@ -240,71 +139,41 @@ fn main() {
     );
     println!(
         "speculative decode is {:.2}x dense-only; acceptance {}/{} ({:.1}%)",
-        dense_us_tok / spec_us_tok,
+        t_dense_run / t_spec_run,
         spec_stats.accepted,
         spec_stats.drafted,
         spec_stats.acceptance_rate() * 100.0,
     );
-    report.record_value(
-        "speculative_acceptance_rate_pct",
-        decode_iters,
-        spec_stats.acceptance_rate() * 100.0,
-    );
 
-    println!("\n== sparse GEMV thread scaling (workspace path, 4096x1024) ==");
-    let (sw, sx) = scaling_shapes();
-    let smask = SkipMask::from_fn(sw.rows(), |r| r % 10 == 0); // 10% sparse
-    let mut f32_us_at = [0.0f64; 3];
-    let mut t1 = 0.0f64;
-    for (ti, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let pool = ThreadPool::new(ParallelOptions::threads(threads));
-        let mut out = Vector::zeros(0);
-        let name = format!("sparse_gemv_into_{threads}t");
-        let us = sparseinfer_bench::time_us(&name, bench_iters(100), || {
-            let mut ops = OpCounter::default();
-            sparse_gemv_into(&sw, &sx, &smask, &pool, &mut ops, &mut out);
-        });
-        if threads == 1 {
-            t1 = us;
-        }
-        f32_us_at[ti] = us;
-        report.record(&name, bench_iters(100), us, Some(t1 / us), threads);
-        if threads > 1 {
-            println!("  -> {:.2}x over 1 thread", t1 / us);
-        }
-    }
-
-    println!("\n== fused int8 block-dequant sparse GEMV (same shape/mask) ==");
-    // The quantized serving hot path: the same 4096x1024 workload through
-    // the same generic `sparse_gemv_into`, instantiated for the int8 matrix,
-    // which reads 1 byte/weight instead of 4 and dequantizes per 32-column
-    // block inside the chunked dot loop. The speedup column is against the
-    // f32 instance at the *same* thread count — that pair is the
-    // memory-bandwidth win of the int8 weight format, thread-for-thread.
-    // The record names predate the generic kernel and stay, so the gate
-    // keeps matching the committed baseline.
+    println!("\n== sparse GEMV, f32 vs fused int8 block-dequant (4096x1024, one thread) ==");
+    // The quantized serving hot path: one workload, 10% sparse, through the
+    // one generic `sparse_gemv_into`, instantiated for the f32 matrix and for
+    // the int8 one, which reads 1 byte/weight instead of 4 and dequantizes
+    // per 32-column block inside the chunked dot loop. The pair is the
+    // memory-bandwidth win of the int8 weight format.
+    let (sw, sx) = streaming_shapes();
+    let smask = SkipMask::from_fn(sw.rows(), |r| r % 10 == 0);
     let qw = BlockQuantizedMatrix::quantize(&sw);
-    for (ti, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let pool = ThreadPool::new(ParallelOptions::threads(threads));
-        let mut out = Vector::zeros(0);
-        let name = format!("sparse_gemv_q8_into_{threads}t");
-        let us = sparseinfer_bench::time_us(&name, bench_iters(100), || {
-            let mut ops = OpCounter::default();
-            sparse_gemv_into(&qw, &sx, &smask, &pool, &mut ops, &mut out);
-        });
-        let over_f32 = f32_us_at[ti] / us;
-        report.record(&name, bench_iters(100), us, Some(over_f32), threads);
-        println!("  -> {over_f32:.2}x over f32 at {threads} thread(s)");
-        // Directional guard for the committed baseline: the fused kernel
-        // must beat the f32 path it replaces. Skipped in the quick smoke,
-        // whose single-iteration timings are noise.
-        if threads == 1 && std::env::var_os("SPARSEINFER_BENCH_QUICK").is_none() {
-            assert!(
-                over_f32 >= 1.5,
-                "fused int8 GEMV is only {over_f32:.2}x the f32 kernel at 1 thread \
-                 (expected >= 1.5x): the block-dequant fast path has regressed"
-            );
-        }
+    let single = ThreadPool::single();
+    let mut out = Vector::zeros(0);
+    let t_f32 = time_us("sparse_gemv_into_1t", bench_iters(100), || {
+        let mut ops = OpCounter::default();
+        sparse_gemv_into(&sw, &sx, &smask, &single, &mut ops, &mut out);
+    });
+    let t_q8 = time_us("sparse_gemv_q8_into_1t", bench_iters(100), || {
+        let mut ops = OpCounter::default();
+        sparse_gemv_into(&qw, &sx, &smask, &single, &mut ops, &mut out);
+    });
+    let over_f32 = t_f32 / t_q8;
+    println!("  -> {over_f32:.2}x over f32");
+    // The fused kernel must beat the f32 path it replaces. Skipped in the
+    // quick smoke, whose single-iteration timings are noise.
+    if !quick() {
+        assert!(
+            over_f32 >= 1.5,
+            "fused int8 GEMV is only {over_f32:.2}x the f32 kernel at 1 thread \
+             (expected >= 1.5x): the block-dequant fast path has regressed"
+        );
     }
 
     println!("\n== one weight pass for B prompt positions (24 x 688x256, > L2) ==");
@@ -317,12 +186,11 @@ fn main() {
         .map(|_| Matrix::from_fn(688, 256, |_, _| rng.normal(0.0, 0.1) as f32))
         .collect();
     let columns: Vec<f32> = (0..4 * 256).map(|_| rng.normal(0.4, 1.0) as f32).collect();
-    let single = ThreadPool::single();
     let mut gemm_out = Vector::zeros(0);
     let mut per_position = [0.0f64; 3];
     for (bi, batch) in [1usize, 2, 4].into_iter().enumerate() {
         let name = format!("gemm_rows_688x256_b{batch}_us_per_position");
-        let us = sparseinfer_bench::time_us(&name, bench_iters(40), || {
+        let us = time_us(&name, bench_iters(40), || {
             for w in &stack {
                 gemm_rows_into(
                     w,
@@ -335,10 +203,9 @@ fn main() {
             }
         }) / (stack.len() * batch) as f64;
         per_position[bi] = us;
-        report.record(&name, bench_iters(40), us, Some(per_position[0] / us), 1);
         println!("  -> {us:.2} us per matrix per position");
     }
-    if std::env::var_os("SPARSEINFER_BENCH_QUICK").is_none() {
+    if !quick() {
         let ratio = per_position[2] / per_position[0];
         assert!(
             ratio <= 0.6,
@@ -347,12 +214,12 @@ fn main() {
         );
     }
 
-    println!("\n== two prefilling slots: each alone vs one batched step (8 x 256x688) ==");
-    // What a scheduler tick with two prefilling slots does, per pool size:
-    // before, each slot's position through `forward_token`, the slots side
-    // by side on the slot pool; now, both positions through one
-    // `prefill_step` whose rows are partitioned across the same pool.
-    // Reported, not gated.
+    println!(
+        "\n== two prefilling slots: each alone vs one batched step (8 x 256x688, one thread) =="
+    );
+    // What a scheduler tick with two prefilling slots does: before, each
+    // slot's position through `forward_token`; now, both positions through
+    // one `prefill_step`. Reported, not asserted.
     let serve_model = WeightGenerator::new(
         &ModelConfig {
             name: "serve-sim".into(),
@@ -369,61 +236,44 @@ fn main() {
     )
     .build();
     let positions = 16usize;
-    for threads in [1usize, 2] {
-        let pool = ThreadPool::new(ParallelOptions::threads(threads));
-        let iters = bench_iters(10);
-        let alone_name = format!("prefill_2slots_forward_token_{threads}t");
-        let alone = sparseinfer_bench::time_us(&alone_name, iters, || {
-            let mut sessions = [
-                serve_model.start_session_with_capacity(positions),
-                serve_model.start_session_with_capacity(positions),
-            ];
-            for p in 0..positions {
-                pool.run_tasks(&mut sessions, |i, session| {
-                    let _ = serve_model.forward_token((p * 2 + i) as u32 + 1, session);
-                });
+    let mut scratch = PrefillScratch::new();
+    let alone = time_us("prefill_2slots_forward_token", bench_iters(10), || {
+        let mut sessions = [
+            serve_model.start_session_with_capacity(positions),
+            serve_model.start_session_with_capacity(positions),
+        ];
+        for p in 0..positions {
+            for (i, session) in sessions.iter_mut().enumerate() {
+                let _ = serve_model.forward_token((p * 2 + i) as u32 + 1, session);
             }
-        }) / positions as f64;
-        report.record(&alone_name, iters, alone, None, threads);
-        let batched_name = format!("prefill_2slots_batched_{threads}t");
-        let mut scratch = PrefillScratch::new();
-        let batched = sparseinfer_bench::time_us(&batched_name, iters, || {
-            let mut a = serve_model.start_session_with_capacity(positions);
-            let mut b = serve_model.start_session_with_capacity(positions);
-            for p in 0..positions {
-                let p = p as u32 * 2;
-                serve_model.prefill_step(
-                    &mut [(p + 1, &mut a), (p + 2, &mut b)],
-                    &pool,
-                    &mut scratch,
-                );
-            }
-        }) / positions as f64;
-        report.record(
-            &batched_name,
-            iters,
-            batched,
-            Some(alone / batched),
-            threads,
-        );
-        println!(
-            "  -> {threads} thread(s): {alone:.0} us per tick alone, {batched:.0} us batched ({:.2}x)",
-            alone / batched
-        );
-    }
+        }
+    }) / positions as f64;
+    let batched = time_us("prefill_2slots_batched", bench_iters(10), || {
+        let mut a = serve_model.start_session_with_capacity(positions);
+        let mut b = serve_model.start_session_with_capacity(positions);
+        for p in 0..positions {
+            let p = p as u32 * 2;
+            serve_model.prefill_step(
+                &mut [(p + 1, &mut a), (p + 2, &mut b)],
+                &single,
+                &mut scratch,
+            );
+        }
+    }) / positions as f64;
+    println!(
+        "  -> {alone:.0} us per tick alone, {batched:.0} us batched ({:.2}x)",
+        alone / batched
+    );
 
     println!("\n== prefill columns per weight pass (8 x 256x688, one thread) ==");
     // What the scheduler's cadence rule buys: the same 32 prompt positions
     // per session as one column per step (a slot beside a decoder), two, or
     // eight (two slots, a chunk of four each, in a decoder-free tick).
-    let mut scratch = PrefillScratch::new();
     let prompt: Vec<u32> = (1..=32).collect();
-    let mut one_column = 0.0;
     for (sessions, chunk) in [(1usize, 1usize), (1, 2), (2, 4)] {
         let columns = sessions * chunk;
         let name = format!("prefill_step_688x256_cols{columns}_us_per_position");
-        let iters = bench_iters(10);
-        let us = sparseinfer_bench::time_us(&name, iters, || {
+        let us = time_us(&name, bench_iters(10), || {
             let mut lanes: Vec<_> = (0..sessions)
                 .map(|_| serve_model.start_session_with_capacity(prompt.len()))
                 .collect();
@@ -432,10 +282,6 @@ fn main() {
                 serve_model.prefill_step(&mut batch, &single, &mut scratch);
             }
         }) / (sessions * prompt.len()) as f64;
-        if columns == 1 {
-            one_column = us;
-        }
-        report.record(&name, iters, us, Some(one_column / us), 1);
         println!("  -> {columns} column(s): {us:.0} us per position");
     }
 
@@ -472,7 +318,7 @@ fn main() {
         for (p, (path, scores_into, add_values)) in paths.into_iter().enumerate() {
             let name = format!("attend_f32_ctx{ctx}_{path}_us");
             let out = &mut outs[p];
-            us[p] = sparseinfer_bench::time_us(&name, bench_iters(2000), || {
+            us[p] = time_us(&name, bench_iters(2000), || {
                 out.fill(0.0);
                 let head_dim = d / heads;
                 let scale = 1.0 / (head_dim as f32).sqrt();
@@ -491,8 +337,6 @@ fn main() {
                     add_values(&scores, &values[span.start..], d, &mut out[span]);
                 }
             });
-            let speedup = (p == 1).then(|| us[0] / us[1]);
-            report.record(&name, bench_iters(2000), us[p], speedup, 1);
         }
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(
@@ -501,10 +345,7 @@ fn main() {
             "ctx {ctx}: the kernels moved a bit"
         );
         println!("  -> ctx {ctx}: {:.2}x", us[0] / us[1]);
-        let gated = cfg!(target_feature = "avx2")
-            && ctx == 128
-            && std::env::var_os("SPARSEINFER_BENCH_QUICK").is_none();
-        if gated {
+        if cfg!(target_feature = "avx2") && ctx == 128 && !quick() {
             assert!(
                 us[1] <= 0.7 * us[0],
                 "vectorised attention is {:.2}x the scalar loops' time at ctx 128 \
@@ -513,11 +354,4 @@ fn main() {
             );
         }
     }
-
-    report.note(&format!(
-        "host {}: thread counts above the container's core count time \
-         oversubscribed workers, not parallel speedup",
-        sparseinfer_bench::host_fingerprint()
-    ));
-    report.write();
 }

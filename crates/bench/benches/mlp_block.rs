@@ -1,9 +1,9 @@
 //! Benchmarks of whole MLP-block execution: the pre-PR scalar dense
 //! baseline, the unrolled dense path, SparseInfer's predicted-sparsity path
-//! at several alphas, the allocation-free workspace hot path, and thread
-//! scaling — the CPU-level analogue of the per-layer latency story in
-//! Fig. 4. Self-timed with `std::time` (criterion is unavailable offline);
-//! every measurement also lands in `BENCH_mlp_block.json`.
+//! at several alphas, and the allocation-free workspace hot path — the
+//! CPU-level analogue of the per-layer latency story in Fig. 4. Self-timed
+//! with `std::time` (criterion is unavailable offline) and printed; nothing
+//! is written.
 //!
 //! ```text
 //! cargo bench --bench mlp_block                # full run
@@ -19,11 +19,10 @@ use sparseinfer::sparse::mlp::{
 };
 use sparseinfer::sparse::OpCounter;
 use sparseinfer::tensor::gemv::{gemv_transposed, reference};
-use sparseinfer::tensor::{ParallelOptions, Prng, ThreadPool, Vector, Workspace};
-use sparseinfer_bench::{bench_iters, BenchReport};
+use sparseinfer::tensor::{Prng, ThreadPool, Vector, Workspace};
+use sparseinfer_bench::{bench_iters, time_us};
 
 fn main() {
-    let mut report = BenchReport::new("mlp_block");
     let cfg = ModelConfig::sim_13b();
     let model = WeightGenerator::new(&cfg, 3).build();
     let mlp = model.layers()[cfg.n_layers / 2].mlp();
@@ -34,35 +33,18 @@ fn main() {
     // The pre-PR dense path: single-accumulator scalar GEMVs, allocating —
     // exactly the seed's `GatedMlp::forward` composition, measured on this
     // machine so the "2x over pre-PR dense" criterion is self-contained.
-    let t_scalar = report.time(
-        "dense_scalar_pre_pr_baseline",
-        bench_iters(100),
-        1,
-        None,
-        || {
-            let mut h1 = reference::gemv(mlp.w_gate(), &x);
-            mlp.activation().apply_slice(h1.as_mut_slice());
-            let h2 = reference::gemv(mlp.w_up(), &x);
-            let h3 = h1.hadamard(&h2).expect("same length");
-            gemv_transposed(mlp.w_down_t(), &h3)
-        },
-    );
+    let t_scalar = time_us("dense_scalar_pre_pr_baseline", bench_iters(100), || {
+        let mut h1 = reference::gemv(mlp.w_gate(), &x);
+        mlp.activation().apply_slice(h1.as_mut_slice());
+        let h2 = reference::gemv(mlp.w_up(), &x);
+        let h3 = h1.hadamard(&h2).expect("same length");
+        gemv_transposed(mlp.w_down_t(), &h3)
+    });
 
-    let t_dense = {
-        let us =
-            sparseinfer_bench::time_us("dense_unrolled (llama.cpp path)", bench_iters(100), || {
-                let mut ops = OpCounter::default();
-                dense_mlp_forward(mlp, &x, &mut ops)
-            });
-        report.record(
-            "dense_unrolled",
-            bench_iters(100),
-            us,
-            Some(t_scalar / us),
-            1,
-        );
-        us
-    };
+    let t_dense = time_us("dense_unrolled (llama.cpp path)", bench_iters(100), || {
+        let mut ops = OpCounter::default();
+        dense_mlp_forward(mlp, &x, &mut ops)
+    });
     println!(
         "  -> {:.1}x over the pre-PR scalar dense baseline",
         t_scalar / t_dense
@@ -72,11 +54,10 @@ fn main() {
         let mut predictor = SignBitPredictor::from_model(&model, AlphaSchedule::uniform(alpha));
         let mask = predictor.predict(cfg.n_layers / 2, &x);
         let name = format!("sparseinfer_alpha_{alpha:.2}");
-        let t = sparseinfer_bench::time_us(&name, bench_iters(200), || {
+        let t = time_us(&name, bench_iters(200), || {
             let mut ops = OpCounter::default();
             sparse_mlp_forward(mlp, &x, &mask, MlpOptions::default(), &mut ops)
         });
-        report.record(&name, bench_iters(200), t, Some(t_dense / t), 1);
         println!("  -> {:.1}x over dense", t_dense / t);
     }
 
@@ -90,7 +71,7 @@ fn main() {
     let mut ws = Workspace::new();
     let mut out = Vector::zeros(0);
     let pool1 = ThreadPool::single();
-    let t_ws = sparseinfer_bench::time_us(
+    let t_ws = time_us(
         "predict_then_sparse_mlp_workspace",
         bench_iters(200),
         || {
@@ -109,49 +90,32 @@ fn main() {
             );
         },
     );
-    report.record(
-        "predict_then_sparse_mlp_workspace",
-        bench_iters(200),
-        t_ws,
-        Some(t_dense / t_ws),
-        1,
-    );
     println!(
         "  -> {:.1}x over dense including prediction (allocation-free)",
         t_dense / t_ws
     );
 
-    println!("\n== full-block thread scaling (dense mask, unrolled kernels) ==");
+    println!("\n== the same executor under an all-dense mask (no fusion, no compensation) ==");
     let dense_mask = SkipMask::all_dense(cfg.mlp_dim);
-    let mut t1 = 0.0f64;
-    for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(ParallelOptions::threads(threads));
-        let name = format!("dense_mlp_block_{threads}t");
-        let us = sparseinfer_bench::time_us(&name, bench_iters(100), || {
-            let mut ops = OpCounter::default();
-            sparse_mlp_forward_into(
-                mlp,
-                &x,
-                &dense_mask,
-                MlpOptions {
-                    kernel_fusion: false,
-                    actual_sparsity: false,
-                },
-                &pool,
-                &mut ws,
-                &mut effective,
-                &mut ops,
-                &mut out,
-            );
-        });
-        if threads == 1 {
-            t1 = us;
-        }
-        report.record(&name, bench_iters(100), us, Some(t1 / us), threads);
-        if threads > 1 {
-            println!("  -> {:.2}x over 1 thread", t1 / us);
-        }
-    }
-
-    report.write();
+    let t_ws_dense = time_us("dense_mlp_block_1t", bench_iters(100), || {
+        let mut ops = OpCounter::default();
+        sparse_mlp_forward_into(
+            mlp,
+            &x,
+            &dense_mask,
+            MlpOptions {
+                kernel_fusion: false,
+                actual_sparsity: false,
+            },
+            &pool1,
+            &mut ws,
+            &mut effective,
+            &mut ops,
+            &mut out,
+        );
+    });
+    println!(
+        "  -> {:.2}x the allocating dense path's time",
+        t_ws_dense / t_dense
+    );
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p sparseinfer-bench --bin table2_accuracy_13b
-//! # quick mode: SPARSEINFER_QUICK=1 cargo run --release -p sparseinfer-bench --bin table2_accuracy_13b
+//! # quick mode: SPARSEINFER_BENCH_QUICK=1 cargo run --release -p sparseinfer-bench --bin table2_accuracy_13b
 //! ```
 //!
 //! Paper shape to reproduce (Table II): degradation is largest at

@@ -134,226 +134,21 @@ pub fn time_us<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> f64 {
     us
 }
 
-/// Scales an iteration count down to 1 when `SPARSEINFER_BENCH_QUICK` is
-/// set — the CI smoke mode that keeps the bench binaries compiling *and
-/// running* without paying for stable timings.
+/// Whether `SPARSEINFER_BENCH_QUICK` is set — the smoke mode of the benches
+/// (one iteration, no ratio floors) and of the accuracy tables (fewer tasks,
+/// shorter continuations): everything keeps compiling *and running* without
+/// paying for stable numbers.
+pub fn quick() -> bool {
+    std::env::var_os("SPARSEINFER_BENCH_QUICK").is_some()
+}
+
+/// Scales an iteration count down to 1 in [`quick`] mode.
 pub fn bench_iters(iters: usize) -> usize {
-    if std::env::var_os("SPARSEINFER_BENCH_QUICK").is_some() {
+    if quick() {
         1
     } else {
         iters
     }
-}
-
-/// The host fingerprint stamped into every `BENCH_*.json` report.
-///
-/// Timings are only comparable between runs on the same class of machine,
-/// so the regression gate keys its enforcement on this string: core count
-/// by default (`"4c"`), overridable with `SPARSEINFER_BENCH_HOST` when two
-/// hosts with equal core counts should still be told apart (or when CI
-/// wants a stable label across runner generations).
-pub fn host_fingerprint() -> String {
-    if let Ok(host) = std::env::var("SPARSEINFER_BENCH_HOST") {
-        if !host.is_empty() {
-            return host;
-        }
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    format!("{cores}c")
-}
-
-/// One machine-readable benchmark measurement.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Stable measurement name (snake_case).
-    pub name: String,
-    /// Iterations timed.
-    pub iters: usize,
-    /// Mean microseconds per iteration.
-    pub us_per_iter: f64,
-    /// Speedup relative to the run's dense/scalar baseline, when the
-    /// measurement has one.
-    pub speedup_over_dense: Option<f64>,
-    /// Kernel thread count the measurement ran with.
-    pub threads: usize,
-}
-
-/// Collects [`BenchRecord`]s and writes them as a `BENCH_<name>.json` file
-/// at the workspace root, so the perf trajectory is tracked across PRs in
-/// version control alongside the human-readable output.
-#[derive(Debug)]
-pub struct BenchReport {
-    bench: String,
-    host: String,
-    notes: Vec<String>,
-    records: Vec<BenchRecord>,
-}
-
-impl BenchReport {
-    /// Starts a report for the bench binary `bench` (e.g. `"kernels"`),
-    /// stamped with this host's fingerprint (see [`host_fingerprint`]).
-    pub fn new(bench: &str) -> Self {
-        Self {
-            bench: bench.to_string(),
-            host: host_fingerprint(),
-            notes: Vec::new(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Attaches a free-text caveat to the report (measurement conditions a
-    /// reader of the committed JSON needs — e.g. that multi-thread rows on
-    /// a 1-core container time oversubscription, not parallel speedup).
-    pub fn note(&mut self, note: &str) {
-        self.notes.push(note.to_string());
-    }
-
-    /// Records one measurement.
-    pub fn record(
-        &mut self,
-        name: &str,
-        iters: usize,
-        us_per_iter: f64,
-        speedup_over_dense: Option<f64>,
-        threads: usize,
-    ) {
-        self.records.push(BenchRecord {
-            name: name.to_string(),
-            iters,
-            us_per_iter,
-            speedup_over_dense,
-            threads,
-        });
-    }
-
-    /// Records one measurement whose value is not a timing — byte counts,
-    /// token counts, ratios. The value still lands in the `us_per_iter`
-    /// JSON column (the report's single generic value field; such records
-    /// name their unit, e.g. `*_bytes`), so the bench-regression gate
-    /// bounds it with the same ratio check as the timings.
-    pub fn record_value(&mut self, name: &str, iters: usize, value: f64) {
-        self.record(name, iters, value, None, 1);
-    }
-
-    /// Times `f`, prints the human line, and records it in one move.
-    pub fn time<T>(
-        &mut self,
-        name: &str,
-        iters: usize,
-        threads: usize,
-        speedup_over_dense: Option<f64>,
-        f: impl FnMut() -> T,
-    ) -> f64 {
-        let us = time_us(name, iters, f);
-        self.record(name, iters, us, speedup_over_dense, threads);
-        us
-    }
-
-    /// Serializes the report as JSON (dependency-free; names are plain
-    /// snake_case ASCII).
-    pub fn to_json(&self) -> String {
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", self.bench));
-        out.push_str(&format!("  \"host\": \"{}\",\n", escape(&self.host)));
-        out.push_str("  \"notes\": [");
-        for (i, note) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", escape(note)));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"records\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            let speedup = match r.speedup_over_dense {
-                Some(s) => format!("{s:.4}"),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters\": {}, \"us_per_iter\": {:.4}, \"speedup_over_dense\": {}, \"threads\": {}}}{}\n",
-                r.name,
-                r.iters,
-                r.us_per_iter,
-                speedup,
-                r.threads,
-                if i + 1 < self.records.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes `BENCH_<bench>.json` at the workspace root and reports the
-    /// path on stdout. Failures are printed, not fatal — a read-only
-    /// checkout still gets the human output. Skipped under
-    /// `SPARSEINFER_BENCH_QUICK` so the 1-iteration CI smoke run cannot
-    /// clobber the version-controlled perf trajectory with timing noise.
-    ///
-    /// When `SPARSEINFER_BENCH_OUT` names a directory, the report is
-    /// *additionally* written there — in quick mode too. That is the CI
-    /// hand-off: the smoke run drops fresh JSON into the out dir, and the
-    /// `bench_gate` binary compares it against the committed baselines.
-    pub fn write(&self) {
-        if let Some(dir) = std::env::var_os("SPARSEINFER_BENCH_OUT") {
-            let dir = std::path::PathBuf::from(dir);
-            let _ = std::fs::create_dir_all(&dir);
-            let path = dir.join(format!("BENCH_{}.json", self.bench));
-            match std::fs::write(&path, self.to_json()) {
-                Ok(()) => println!("\nwrote fresh copy {}", path.display()),
-                Err(e) => println!("\ncould not write {}: {e}", path.display()),
-            }
-        }
-        if std::env::var_os("SPARSEINFER_BENCH_QUICK").is_some() {
-            println!("\nquick mode: not overwriting BENCH_{}.json", self.bench);
-            return;
-        }
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(format!("BENCH_{}.json", self.bench));
-        match std::fs::write(&path, self.to_json()) {
-            Ok(()) => println!("\nwrote {}", path.display()),
-            Err(e) => println!("\ncould not write {}: {e}", path.display()),
-        }
-    }
-}
-
-/// Extracts `(name, us_per_iter)` pairs from a `BENCH_*.json` report — the
-/// inverse of [`BenchReport::to_json`], used by the `bench_gate`
-/// regression gate. Built on the workspace's shared dependency-free
-/// [`sparseinfer::json`] parser; tolerant of unknown fields, records
-/// missing either key are skipped, and unparseable input yields no
-/// records rather than an error (the gate then reports the empty
-/// baseline/fresh set itself).
-pub fn parse_bench_json(json: &str) -> Vec<(String, f64)> {
-    use sparseinfer::json::Json;
-    let Ok(doc) = Json::parse(json) else {
-        return Vec::new();
-    };
-    let records = doc
-        .get("records")
-        .and_then(Json::as_array)
-        .unwrap_or_default();
-    records
-        .iter()
-        .filter_map(|r| {
-            let name = r.get("name")?.as_str()?;
-            let value = r.get("us_per_iter")?.as_f64()?;
-            Some((name.to_string(), value))
-        })
-        .collect()
-}
-
-/// Extracts the `host` fingerprint from a `BENCH_*.json` report, or `None`
-/// for reports written before the field existed (or unparseable input).
-/// The `bench_gate` binary uses this to decide whether a committed
-/// baseline was measured on the same class of machine as the fresh run.
-pub fn parse_bench_host(json: &str) -> Option<String> {
-    use sparseinfer::json::Json;
-    let doc = Json::parse(json).ok()?;
-    doc.get("host")?.as_str().map(str::to_string)
 }
 
 /// Baseline benchmark scores from the paper's accuracy tables.
@@ -423,9 +218,8 @@ pub fn run_accuracy_table(model: &Model, paper_dim: usize, baselines: PaperBasel
     use sparseinfer::eval::harness::gold_continuations;
     use sparseinfer::eval::TaskSuite;
 
-    let quick = std::env::var("SPARSEINFER_QUICK").is_ok();
-    let n_tasks = if quick { 2 } else { 6 };
-    let max_new = if quick { 8 } else { 12 };
+    let n_tasks = if quick() { 2 } else { 6 };
+    let max_new = if quick() { 8 } else { 12 };
 
     let suites = [
         ("GSM8K", baselines.gsm8k, TaskSuite::gsm8k_syn(n_tasks, 101)),
@@ -550,52 +344,5 @@ mod tests {
     #[test]
     fn cell_formats_fixed_width() {
         assert_eq!(cell(1.2345, 8, 2), "    1.23");
-    }
-
-    #[test]
-    fn parse_bench_json_roundtrips_the_report_writer() {
-        let mut report = BenchReport::new("serving");
-        report.record("continuous_itl_p50", 1185, 155.202, None, 1);
-        report.record("dense_gemv", 100, 12.5, Some(3.5), 4);
-        report.record_value("prefix_warm_kv_peak_bytes", 8, 73728.0);
-        report.note("quick \"smoke\" pass");
-        let parsed = parse_bench_json(&report.to_json());
-        assert_eq!(
-            parsed,
-            vec![
-                ("continuous_itl_p50".to_string(), 155.202),
-                ("dense_gemv".to_string(), 12.5),
-                ("prefix_warm_kv_peak_bytes".to_string(), 73728.0),
-            ]
-        );
-        assert!(parse_bench_json("{}").is_empty());
-        assert!(parse_bench_json("not json at all").is_empty());
-    }
-
-    #[test]
-    fn bench_host_roundtrips_and_tolerates_old_reports() {
-        let report = BenchReport::new("kernels");
-        assert_eq!(
-            parse_bench_host(&report.to_json()).as_deref(),
-            Some(host_fingerprint().as_str())
-        );
-        // Reports from before the field existed parse as host-less.
-        assert_eq!(parse_bench_host(r#"{"bench": "x", "records": []}"#), None);
-        assert_eq!(parse_bench_host("not json"), None);
-    }
-
-    #[test]
-    fn bench_report_serializes_records() {
-        let mut report = BenchReport::new("kernels");
-        report.record("dense_gemv", 100, 12.5, None, 1);
-        report.record("sparse_gemv", 100, 3.125, Some(4.0), 2);
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"kernels\""));
-        assert!(json.contains("\"host\": \""));
-        assert!(json.contains("\"notes\": []"));
-        assert!(json.contains("\"name\": \"dense_gemv\""));
-        assert!(json.contains("\"speedup_over_dense\": null"));
-        assert!(json.contains("\"speedup_over_dense\": 4.0000"));
-        assert!(json.contains("\"threads\": 2"));
     }
 }

@@ -604,8 +604,13 @@ fn speculative_server_is_bit_identical_to_dense_and_reports_counters() {
             .get("speculative")
             .expect("/stats carries a speculative section");
         let drafted = spec.get("drafted").and_then(Json::as_u64).unwrap();
+        let accepted = spec.get("accepted").and_then(Json::as_u64).unwrap();
         assert!(drafted > 0);
-        assert!(spec.get("accepted").and_then(Json::as_u64).unwrap() <= drafted);
+        assert!(
+            accepted > 0,
+            "sign-bit drafts that never land are no drafts"
+        );
+        assert!(accepted <= drafted);
         assert!(spec.get("acceptance_rate").and_then(Json::as_f64).is_some());
         assert_eq!(final_stats.scheduler.kv_blocks_in_use, 0);
         assert_eq!(final_stats.completed, bodies.len());

@@ -1,11 +1,11 @@
 //! Dependency-free JSON: a minimal value tree with a strict parser and a
 //! canonical writer.
 //!
-//! Shared by the bench tooling (parsing committed `BENCH_*.json` baselines
-//! in the `bench_gate` regression gate) and the HTTP serving frontend
-//! (`/v1/generate` request bodies, `/stats` serialization) — both need
-//! exactly this much JSON and neither may pull in a dependency, so the
-//! implementation lives once, here, with round-trip tests.
+//! Shared by the HTTP serving frontend (`/v1/generate` request bodies,
+//! `/stats` serialization), its loopback client, and the `benchmark/`
+//! package (results and traces) — all need exactly this much JSON and none
+//! may pull in a dependency, so the implementation lives once, here, with
+//! round-trip tests.
 //!
 //! The parser is written for untrusted network input: it enforces a
 //! nesting-depth cap (no stack overflow on `[[[[…`), rejects trailing

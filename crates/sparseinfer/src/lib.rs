@@ -12,8 +12,8 @@
 //! | [`sparse`] | `sparseinfer-sparse` | sparse GEMVs and MLPs, the unified **`Engine` API**, request layer, the **continuous-batching scheduler**, op accounting |
 //! | [`gpu_sim`] | `sparseinfer-gpu-sim` | Jetson Orin AGX roofline cost model: kernels, CKE, per-token latency |
 //! | [`eval`] | `sparseinfer-eval` | synthetic GSM8K/BBH-analog suites, dense-gold accuracy |
-//! | [`json`] | (this crate) | dependency-free JSON value tree, parser and writer, shared by the bench tooling and the HTTP serving frontend |
-//! | [`stats`] | (this crate) | the single JSON encoding of [`SchedulerStats`](sparse::scheduler::SchedulerStats), shared by `/stats` and the trace-replay harness |
+//! | [`json`] | (this crate) | dependency-free JSON value tree, parser and writer, shared by the HTTP serving frontend and the `benchmark/` package |
+//! | [`stats`] | (this crate) | the single JSON encoding of [`SchedulerStats`](sparse::scheduler::SchedulerStats), served by `/stats` |
 //!
 //! # Quickstart
 //!

@@ -1,6 +1,5 @@
-//! The one JSON encoding of [`SchedulerStats`] — shared by the HTTP
-//! `/stats` endpoint (`sparseinfer-serve`) and the trace-replay harness's
-//! `SloReport` (`sparseinfer-trace`).
+//! The one JSON encoding of [`SchedulerStats`] — what the HTTP `/stats`
+//! endpoint (`sparseinfer-serve`) serves.
 //!
 //! [`Scheduler::stats`](sparseinfer_sparse::scheduler::Scheduler::stats)
 //! is the single stats *surface*; this module is the single stats

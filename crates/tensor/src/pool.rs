@@ -12,8 +12,7 @@
 //! design of this pool used `std::thread::scope` per kernel call, which is
 //! beautifully safe but pays the ~tens-of-µs thread spawn cost on every
 //! sub-millisecond GEMV — exactly the overhead that capped multi-core
-//! scaling (see the `spawn_dispatch` vs `parked_dispatch` entries in
-//! `BENCH_kernels.json`). Now each [`ThreadPool`] owns `threads - 1` worker
+//! scaling. Now each [`ThreadPool`] owns `threads - 1` worker
 //! threads parked on per-worker condvars; a dispatch deposits one chunk
 //! descriptor per worker, runs the final chunk on the calling thread, and
 //! blocks until every worker has signalled completion. Steady-state

@@ -1,5 +1,6 @@
-//! Trace-driven load harness and capacity planning for the SparseInfer
-//! serving stack.
+//! Seeded traces, their deterministic replay through the scheduler, and
+//! capacity planning for the SparseInfer serving stack. Nothing in this
+//! crate reads a clock: wall-clock serving latency is `benchmark/`'s.
 //!
 //! Three pieces, composing front to back:
 //!
@@ -11,17 +12,16 @@
 //! 2. [`replay`](mod@replay) — a driver that feeds a workload through
 //!    the library's continuous-batching
 //!    [`Scheduler`](sparseinfer::sparse::scheduler::Scheduler) and
-//!    reports an [`SloReport`]: TTFT / inter-token latency percentiles
-//!    and goodput (wall clock, host-dependent) next to queue-wait,
-//!    preemption and KV-headroom numbers derived from the scheduler's
-//!    deterministic tick stamps (identical on every host and at every
-//!    slot-thread count).
+//!    yields one [`RequestRecord`] per request plus an [`SloReport`]:
+//!    queue-wait, preemption and KV-headroom numbers derived from the
+//!    scheduler's deterministic tick stamps (identical on every host and
+//!    at every slot-thread count).
 //! 3. [`project`](mod@project) — replays the *measured* per-request
 //!    residencies through the [`gpu_sim`](sparseinfer::gpu_sim)
 //!    roofline model to project what the same trace would cost on a
 //!    real device ([`GpuSpec`](sparseinfer::gpu_sim::GpuSpec)) — the
-//!    capacity-planning half: would this offered load meet its SLO on
-//!    a Jetson Orin?
+//!    capacity-planning half: what would this offered load cost on a
+//!    Jetson Orin?
 //!
 //! ```
 //! use sparseinfer::model::{generator::WeightGenerator, ModelConfig};

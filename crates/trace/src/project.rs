@@ -22,10 +22,9 @@ use sparseinfer::gpu_sim::latency::{
     dense_token_latency_at, sparseinfer_token_latency, MlpStepSparsity, SparseVariant,
 };
 use sparseinfer::gpu_sim::GpuSpec;
-use sparseinfer::json::Json;
 use sparseinfer::model::ModelConfig;
 
-use crate::replay::{percentile_f, RequestRecord};
+use crate::replay::RequestRecord;
 
 /// Per-token prices on a device, in µs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,26 +73,6 @@ pub struct Projection {
     pub tokens: usize,
     /// Projected mean decode cost, µs per emitted token.
     pub us_per_token: f64,
-}
-
-impl Projection {
-    /// Encodes the projection as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("gpu".to_string(), Json::String(self.gpu.clone())),
-            ("total_us".to_string(), Json::Number(self.total_us)),
-            (
-                "ttft_us".to_string(),
-                Json::Object(vec![
-                    ("p50".to_string(), Json::Number(self.ttft_us[0])),
-                    ("p95".to_string(), Json::Number(self.ttft_us[1])),
-                    ("p99".to_string(), Json::Number(self.ttft_us[2])),
-                ]),
-            ),
-            ("tokens".to_string(), Json::Number(self.tokens as f64)),
-            ("us_per_token".to_string(), Json::Number(self.us_per_token)),
-        ])
-    }
 }
 
 /// Projects a measured replay onto a device.
@@ -170,6 +149,14 @@ pub fn project(records: &[RequestRecord], cost: &CostModel, spec: &GpuSpec) -> P
     }
 }
 
+/// Nearest-rank percentile of an ascending slice (0 on empty input).
+fn percentile_f(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +186,6 @@ mod tests {
             prefill_skipped_tokens: skipped,
             preemptions: 0,
             macs: 0,
-            ttft_us: Some(1.0),
         }
     }
 

@@ -1,23 +1,14 @@
 //! The replay driver: feeds a generated [`Workload`] through the
-//! library's continuous-batching [`Scheduler`] and reports SLO metrics.
+//! library's continuous-batching [`Scheduler`] and reports what the
+//! schedule did.
 //!
-//! The report deliberately mixes two kinds of number and labels which is
-//! which:
-//!
-//! - **Deterministic** quantities derived from the scheduler's tick
-//!   stamps — queue waits, preemption/eviction counts, emitted token
-//!   counts, peak KV blocks. These are a pure function of the trace and
-//!   the scheduler configuration: identical on every host and at every
-//!   slot-thread count, so a regression gate can compare them across
-//!   machines.
-//! - **Wall-clock** quantities — TTFT and inter-token-latency
-//!   percentiles, throughput, goodput. These depend on the host (a
-//!   1-core container time-slices concurrent slots rather than
-//!   overlapping them) and are gated per-host only.
+//! Everything reported is derived from the scheduler's tick stamps and
+//! counters — queue waits, preemption/eviction counts, emitted token
+//! counts, peak KV blocks. These are a pure function of the trace and the
+//! scheduler configuration: identical on every host and at every
+//! slot-thread count. Nothing here reads a clock; wall-clock TTFT,
+//! inter-token latency and throughput are measured by `benchmark/`.
 
-use std::time::Instant;
-
-use sparseinfer::json::Json;
 use sparseinfer::sparse::engine::Engine;
 use sparseinfer::sparse::request::{FinishReason, GenerateRequest};
 use sparseinfer::sparse::scheduler::{RequestHandle, Scheduler, SchedulerConfig, SchedulerStats};
@@ -31,11 +22,8 @@ pub struct ReplayConfig {
     /// The scheduler under load.
     pub scheduler: SchedulerConfig,
     /// Slot threads ticking concurrently (1 = single-threaded). Token
-    /// streams and every deterministic report field are identical at any
-    /// value; only the wall-clock percentiles move.
+    /// streams and every report field are identical at any value.
     pub slot_threads: usize,
-    /// The TTFT target the goodput figure counts against, in µs.
-    pub ttft_slo_us: f64,
 }
 
 impl Default for ReplayConfig {
@@ -43,7 +31,6 @@ impl Default for ReplayConfig {
         Self {
             scheduler: SchedulerConfig::default(),
             slot_threads: 1,
-            ttft_slo_us: 50_000.0,
         }
     }
 }
@@ -69,19 +56,17 @@ pub struct RequestRecord {
     /// Tick it retired on.
     pub finished_tick: u64,
     /// Queue wait in ticks (`admitted - submitted`); `None` if never
-    /// admitted. Deterministic.
+    /// admitted.
     pub queue_wait_ticks: Option<u64>,
     /// Prompt positions served from the prefix cache instead of prefill.
     pub prefill_skipped_tokens: usize,
     /// Times the request was preempted.
     pub preemptions: usize,
-    /// MACs the request executed (decode path; deterministic).
+    /// MACs the request executed (decode path).
     pub macs: u64,
-    /// Wall-clock time from submission to first token, µs.
-    pub ttft_us: Option<f64>,
 }
 
-/// The SLO report of one replay.
+/// The aggregate report of one replay.
 #[derive(Debug, Clone)]
 pub struct SloReport {
     /// Requests in the trace.
@@ -90,31 +75,18 @@ pub struct SloReport {
     pub completed: usize,
     /// Requests cancelled mid-stream (the trace's cancellation knob).
     pub cancelled: usize,
-    /// Tokens emitted across the replay. Deterministic.
+    /// Tokens emitted across the replay.
     pub tokens: usize,
-    /// Wall-clock duration of the replay, µs.
-    pub total_us: f64,
-    /// Emitted tokens per second of wall clock.
-    pub tokens_per_s: f64,
-    /// TTFT percentiles `[p50, p95, p99]`, µs (wall clock).
-    pub ttft_us: [f64; 3],
-    /// Inter-token-latency percentiles `[p50, p95, p99]`, µs (wall clock).
-    pub itl_us: [f64; 3],
-    /// Queue-wait percentiles `[p50, p95, p99]` in ticks. Deterministic.
+    /// Queue-wait percentiles `[p50, p95, p99]` in ticks.
     pub queue_wait_ticks: [u64; 3],
-    /// Worst queue wait in ticks. Deterministic.
+    /// Worst queue wait in ticks.
     pub queue_wait_max_ticks: u64,
-    /// Fraction of admitted requests whose TTFT met
-    /// [`ttft_slo_us`](ReplayConfig::ttft_slo_us).
-    pub slo_attainment: f64,
-    /// Requests per second that met the TTFT SLO — the goodput figure.
-    pub goodput_rps: f64,
-    /// Peak KV blocks allocated at any tick boundary. Deterministic.
+    /// Peak KV blocks allocated at any tick boundary.
     pub peak_kv_blocks: usize,
     /// Peak KV bytes allocated at any tick boundary.
     pub peak_kv_bytes: u64,
     /// `kv_block_budget - peak_kv_blocks`; `None` when the budget is
-    /// unbounded. Deterministic — the capacity-planning headroom.
+    /// unbounded — the capacity-planning headroom.
     pub kv_headroom_blocks: Option<usize>,
     /// The headroom in bytes; `None` when unbounded.
     pub kv_headroom_bytes: Option<u64>,
@@ -123,79 +95,13 @@ pub struct SloReport {
     pub scheduler: SchedulerStats,
 }
 
-impl SloReport {
-    /// Encodes the report, with the scheduler section going through the
-    /// workspace's single stats serializer
-    /// ([`sparseinfer::stats::scheduler_stats_json`]) — the same schema
-    /// the HTTP `/stats` endpoint serves.
-    pub fn to_json(&self) -> Json {
-        fn num_u(n: u64) -> Json {
-            Json::Number(n as f64)
-        }
-        fn num_f(n: f64) -> Json {
-            Json::Number(n)
-        }
-        fn percentiles_f(v: &[f64; 3]) -> Json {
-            Json::Object(vec![
-                ("p50".to_string(), num_f(v[0])),
-                ("p95".to_string(), num_f(v[1])),
-                ("p99".to_string(), num_f(v[2])),
-            ])
-        }
-        let queue = vec![
-            ("p50".to_string(), num_u(self.queue_wait_ticks[0])),
-            ("p95".to_string(), num_u(self.queue_wait_ticks[1])),
-            ("p99".to_string(), num_u(self.queue_wait_ticks[2])),
-            ("max".to_string(), num_u(self.queue_wait_max_ticks)),
-        ];
-        let mut kv = vec![
-            ("peak_blocks".to_string(), num_u(self.peak_kv_blocks as u64)),
-            ("peak_bytes".to_string(), num_u(self.peak_kv_bytes)),
-        ];
-        if let Some(blocks) = self.kv_headroom_blocks {
-            kv.push(("headroom_blocks".to_string(), num_u(blocks as u64)));
-        }
-        if let Some(bytes) = self.kv_headroom_bytes {
-            kv.push(("headroom_bytes".to_string(), num_u(bytes)));
-        }
-        Json::Object(vec![
-            (
-                "harness".to_string(),
-                Json::Object(vec![
-                    ("requests".to_string(), num_u(self.requests as u64)),
-                    ("completed".to_string(), num_u(self.completed as u64)),
-                    ("cancelled".to_string(), num_u(self.cancelled as u64)),
-                    ("tokens".to_string(), num_u(self.tokens as u64)),
-                    ("total_us".to_string(), num_f(self.total_us)),
-                    ("tokens_per_s".to_string(), num_f(self.tokens_per_s)),
-                ]),
-            ),
-            ("ttft_us".to_string(), percentiles_f(&self.ttft_us)),
-            ("itl_us".to_string(), percentiles_f(&self.itl_us)),
-            ("queue_wait_ticks".to_string(), Json::Object(queue)),
-            (
-                "slo".to_string(),
-                Json::Object(vec![
-                    ("attainment".to_string(), num_f(self.slo_attainment)),
-                    ("goodput_rps".to_string(), num_f(self.goodput_rps)),
-                ]),
-            ),
-            ("kv".to_string(), Json::Object(kv)),
-            (
-                "scheduler_stats".to_string(),
-                sparseinfer::stats::scheduler_stats_json(&self.scheduler),
-            ),
-        ])
-    }
-}
-
 /// A replay's full result: the per-request records (for projection and
 /// determinism checks) plus the aggregated report.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
     /// Per-request measurements, ordered by request id.
     pub records: Vec<RequestRecord>,
-    /// The aggregated SLO report.
+    /// The aggregated report.
     pub report: SloReport,
 }
 
@@ -215,19 +121,13 @@ where
         scheduler = scheduler.parallel(ParallelOptions::threads(config.slot_threads));
     }
     let n = workload.requests.len();
-    let start = Instant::now();
-    let now_us = |start: &Instant| start.elapsed().as_secs_f64() * 1e6;
 
     let mut handles: Vec<Option<RequestHandle>> = (0..n).map(|_| None).collect();
     // Scheduler ids are assigned per *accepted* submission; a rejected
     // submit allocates no id, so the id → trace-index mapping is explicit.
     let mut trace_index_of_id: Vec<usize> = Vec::with_capacity(n);
-    let mut submitted_at_us = vec![0.0f64; n];
     let mut emitted = vec![0usize; n];
     let mut first_token_tick: Vec<Option<u64>> = vec![None; n];
-    let mut ttft_us: Vec<Option<f64>> = vec![None; n];
-    let mut last_us: Vec<Option<f64>> = vec![None; n];
-    let mut gaps: Vec<f64> = Vec::new();
 
     let mut peak_kv_blocks = 0usize;
     let mut peak_kv_bytes = 0u64;
@@ -241,7 +141,6 @@ where
             let request = GenerateRequest::new(&r.prompt)
                 .max_new(r.max_new)
                 .priority(r.priority);
-            submitted_at_us[next] = now_us(&start);
             // A rejected submit (e.g. a prompt that could never fit the
             // whole KV budget) produces no record; everything accepted
             // does, whatever its finish reason.
@@ -252,16 +151,8 @@ where
             next += 1;
         }
         let unfinished = scheduler.tick(|ev| {
-            let now = now_us(&start);
             let i = trace_index_of_id[ev.request];
-            match last_us[i] {
-                None => {
-                    ttft_us[i] = Some(now - submitted_at_us[i]);
-                    first_token_tick[i] = Some(tick);
-                }
-                Some(prev) => gaps.push(now - prev),
-            }
-            last_us[i] = Some(now);
+            first_token_tick[i].get_or_insert(tick);
             emitted[i] += 1;
         });
         for (i, r) in workload.requests.iter().enumerate() {
@@ -284,7 +175,6 @@ where
             break;
         }
     }
-    let total_us = now_us(&start);
     let stats = scheduler.stats();
     let mut outputs = scheduler.take_finished();
     outputs.sort_by_key(|o| o.id);
@@ -306,7 +196,6 @@ where
             prefill_skipped_tokens: o.prefill_skipped_tokens,
             preemptions: o.preemptions,
             macs: o.ops.macs,
-            ttft_us: ttft_us[i],
         });
     }
 
@@ -314,8 +203,6 @@ where
         config,
         &records,
         &stats,
-        total_us,
-        gaps,
         peak_kv_blocks,
         peak_kv_bytes,
         block_bytes,
@@ -324,13 +211,10 @@ where
 }
 
 /// Folds the per-request records into the [`SloReport`].
-#[allow(clippy::too_many_arguments)]
 fn aggregate(
     config: &ReplayConfig,
     records: &[RequestRecord],
     stats: &SchedulerStats,
-    total_us: f64,
-    mut gaps: Vec<f64>,
     peak_kv_blocks: usize,
     peak_kv_bytes: u64,
     block_bytes: u64,
@@ -345,18 +229,8 @@ fn aggregate(
         .count();
     let tokens: usize = records.iter().map(|r| r.tokens.len()).sum();
 
-    let mut ttfts: Vec<f64> = records.iter().filter_map(|r| r.ttft_us).collect();
-    ttfts.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    gaps.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let mut waits: Vec<u64> = records.iter().filter_map(|r| r.queue_wait_ticks).collect();
     waits.sort_unstable();
-
-    let met_slo = records
-        .iter()
-        .filter_map(|r| r.ttft_us)
-        .filter(|&t| t <= config.ttft_slo_us)
-        .count();
-    let total_s = (total_us / 1e6).max(f64::MIN_POSITIVE);
 
     let budget = config.scheduler.kv_block_budget;
     let kv_headroom_blocks = (budget != usize::MAX).then(|| budget.saturating_sub(peak_kv_blocks));
@@ -367,30 +241,12 @@ fn aggregate(
         completed,
         cancelled,
         tokens,
-        total_us,
-        tokens_per_s: tokens as f64 / total_s,
-        ttft_us: [
-            percentile_f(&ttfts, 0.50),
-            percentile_f(&ttfts, 0.95),
-            percentile_f(&ttfts, 0.99),
-        ],
-        itl_us: [
-            percentile_f(&gaps, 0.50),
-            percentile_f(&gaps, 0.95),
-            percentile_f(&gaps, 0.99),
-        ],
         queue_wait_ticks: [
             percentile_u(&waits, 0.50),
             percentile_u(&waits, 0.95),
             percentile_u(&waits, 0.99),
         ],
         queue_wait_max_ticks: waits.last().copied().unwrap_or(0),
-        slo_attainment: if ttfts.is_empty() {
-            0.0
-        } else {
-            met_slo as f64 / ttfts.len() as f64
-        },
-        goodput_rps: met_slo as f64 / total_s,
         peak_kv_blocks,
         peak_kv_bytes,
         kv_headroom_blocks,
@@ -399,16 +255,9 @@ fn aggregate(
     }
 }
 
-/// Nearest-rank percentile of an ascending slice (0 on empty input).
-pub fn percentile_f(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-}
-
-/// [`percentile_f`] over integer tick counts.
-pub fn percentile_u(sorted: &[u64], p: f64) -> u64 {
+/// Nearest-rank percentile of an ascending slice of tick counts (0 on
+/// empty input).
+fn percentile_u(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -465,31 +314,5 @@ mod tests {
                 assert!(first >= admitted);
             }
         }
-    }
-
-    #[test]
-    fn report_serializes_through_the_shared_stats_schema() {
-        let model = tiny_model();
-        let workload = TraceSpec::bursty(4).requests(6).generate();
-        let outcome = replay(&workload, &tight_config(), |_| {
-            EngineBuilder::new(&model).build().unwrap()
-        });
-        let doc = Json::parse(&outcome.report.to_json().to_json()).unwrap();
-        let harness = doc.get("harness").unwrap();
-        assert_eq!(harness.get("requests").and_then(Json::as_u64), Some(6));
-        assert!(doc.get("ttft_us").unwrap().get("p95").is_some());
-        assert!(doc.get("queue_wait_ticks").unwrap().get("max").is_some());
-        assert!(doc.get("kv").unwrap().get("headroom_blocks").is_some());
-        // The scheduler section is the workspace-wide schema — the same
-        // one the HTTP /stats endpoint serves.
-        let sched = doc.get("scheduler_stats").unwrap();
-        assert_eq!(
-            sched
-                .get("scheduler")
-                .and_then(|s| s.get("retired"))
-                .and_then(Json::as_u64),
-            Some(6)
-        );
-        assert!(sched.get("preemption").is_some());
     }
 }

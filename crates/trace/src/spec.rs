@@ -6,9 +6,8 @@
 //! prefix assignment, priorities, cancellation) on its own
 //! [`fork`](Prng::fork)ed stream, so changing one knob never shifts the
 //! draws of another. The same `(spec, seed)` therefore always produces
-//! the same request sequence — on any host, forever — which is what lets
-//! the replay driver publish tick-level numbers a regression gate can
-//! compare across machines.
+//! the same request sequence — on any host, forever — which is what makes
+//! the replay driver's tick-level numbers comparable across machines.
 
 use sparseinfer::sparse::request::Priority;
 use sparseinfer::tensor::Prng;
@@ -262,9 +261,13 @@ impl TraceSpec {
                 (0..body_len).map(|_| 1 + body_rng.below(self.vocab.max(2) as usize - 1) as u32),
             );
 
-            let priority = if priority_rng.flip(self.priorities.high) {
+            // Both flips are drawn whatever the first says, so the stream
+            // stays aligned, as with prefixes above.
+            let high = priority_rng.flip(self.priorities.high);
+            let batch = priority_rng.flip(self.priorities.batch);
+            let priority = if high {
                 Priority::High
-            } else if priority_rng.flip(self.priorities.batch) {
+            } else if batch {
                 Priority::Batch
             } else {
                 Priority::Normal

@@ -6,8 +6,9 @@ use sparseinfer::gpu_sim::GpuSpec;
 use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig};
 use sparseinfer::predictor::AlphaSchedule;
 use sparseinfer::sparse::engine::{Engine, EngineBuilder};
+use sparseinfer::sparse::request::Priority;
 use sparseinfer::sparse::scheduler::SchedulerConfig;
-use sparseinfer_trace::{replay, CostModel, ReplayConfig, ReplayOutcome, TraceSpec};
+use sparseinfer_trace::{replay, CostModel, ReplayConfig, ReplayOutcome, TraceSpec, Workload};
 
 fn harness_model() -> Model {
     let mut cfg = ModelConfig::tiny();
@@ -38,11 +39,10 @@ fn contended_config(slot_threads: usize) -> ReplayConfig {
             .build()
             .unwrap(),
         slot_threads,
-        ..ReplayConfig::default()
     }
 }
 
-/// The deterministic half of a replay, extracted for equality assertions.
+/// A replay's records and report, extracted for equality assertions.
 #[derive(Debug, PartialEq)]
 struct DeterministicView {
     tokens: Vec<Vec<u32>>,
@@ -79,8 +79,7 @@ impl DeterministicView {
 }
 
 /// Satellite contract: the same trace replayed at 1, 2 and 4 slot threads
-/// is token-identical and identical in every deterministic SLO count —
-/// only the wall-clock percentiles may move.
+/// is token-identical and identical in every report field.
 #[test]
 fn replay_is_deterministic_across_slot_thread_counts() {
     let model = harness_model();
@@ -93,6 +92,11 @@ fn replay_is_deterministic_across_slot_thread_counts() {
             mixed_engine(&model, i)
         }));
         assert!(reference.total_tokens > 0);
+        assert_eq!(
+            reference.completed + reference.cancelled,
+            12,
+            "the whole trace is replayed and retired under the bounded budget"
+        );
         for threads in [2usize, 4] {
             let outcome = replay(&workload, &contended_config(threads), |i| {
                 mixed_engine(&model, i)
@@ -116,11 +120,37 @@ fn trace_spec_expansion_is_seed_deterministic() {
         spec.generate(),
         TraceSpec::flash_crowd(6).requests(20).generate()
     );
+
+    // Each concern draws from its own stream and every stream stays
+    // aligned: making half the requests High reshuffles nothing else, not
+    // even the Batch/Normal class of the requests that did not turn High.
+    let with_high = |high: f64| {
+        let mut spec = spec.clone();
+        spec.priorities.high = high;
+        spec.generate()
+    };
+    let (none_high, half_high) = (with_high(0.0), with_high(0.5));
+    let turned_high = |w: &Workload| {
+        w.requests
+            .iter()
+            .filter(|r| r.priority == Priority::High)
+            .count()
+    };
+    assert_eq!(turned_high(&none_high), 0);
+    assert!(turned_high(&half_high) > 0);
+    for (a, b) in none_high.requests.iter().zip(&half_high.requests) {
+        assert_eq!(a.prompt, b.prompt);
+        assert_eq!(a.max_new, b.max_new);
+        assert_eq!(a.cancel_after_tokens, b.cancel_after_tokens);
+        if b.priority != Priority::High {
+            assert_eq!(a.priority, b.priority);
+        }
+    }
 }
 
 /// Tentpole validation: the gpu-sim projection must order dense vs sparse
 /// the same way the measured CPU run does (measured via deterministic MAC
-/// counts — the CPU-side wall clock is too host-dependent to gate on).
+/// counts — the replay reads no clock).
 #[test]
 fn projection_orders_dense_vs_sparse_like_the_measured_run() {
     let model = harness_model();

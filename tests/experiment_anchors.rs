@@ -1,14 +1,18 @@
 //! Smoke tests pinning every paper anchor the analytic machinery must hit.
 //! These are the "does the reproduction still reproduce?" tests.
 
+use sparseinfer::eval::harness::{gold_continuations, teacher_forced_engine_matches};
+use sparseinfer::eval::TaskSuite;
 use sparseinfer::gpu_sim::kernel::kernels;
 use sparseinfer::gpu_sim::latency::{
     dense_token_latency, powerinfer_token_latency, sparseinfer_token_latency, MlpStepSparsity,
     SparseVariant, DEFAULT_CTX,
 };
 use sparseinfer::gpu_sim::GpuSpec;
+use sparseinfer::model::generator::WeightGenerator;
 use sparseinfer::model::ModelConfig;
 use sparseinfer::predictor::memory::{dejavu_bytes, signbit_bytes, to_mib};
+use sparseinfer::sparse::engine::{EngineBuilder, WeightFormat};
 use sparseinfer::sparse::ops::table1;
 
 #[test]
@@ -116,4 +120,34 @@ fn speedup_decreases_with_alpha_conservativeness() {
         );
         last = t;
     }
+}
+
+#[test]
+fn int8_weights_agree_with_f32_on_teacher_forced_tokens() {
+    // The accuracy half of the int8 claim: the f32 dense engine's greedy
+    // continuations are the gold, and each position scores whether the int8
+    // engine's teacher-forced argmax reproduces it. Quantization and both
+    // decodes are deterministic, so the count is exact; the band beside it
+    // is the contract a re-pinned count must still meet.
+    let mut cfg = ModelConfig::tiny();
+    cfg.hidden_dim = 64;
+    cfg.mlp_dim = 160;
+    cfg.n_heads = 2;
+    cfg.n_layers = 3;
+    cfg.vocab_size = 300;
+    let model = WeightGenerator::new(&cfg, 99).build();
+    let suite = TaskSuite::gsm8k_syn(6, 101);
+    let gold = gold_continuations(&model, &suite, 12);
+    let mut int8 = EngineBuilder::new(&model)
+        .weight_format(WeightFormat::Int8)
+        .build()
+        .unwrap();
+    let (mut matches, mut positions) = (0usize, 0usize);
+    for (task, gold_tokens) in suite.tasks.iter().zip(&gold) {
+        let m = teacher_forced_engine_matches(int8.as_mut(), &task.tokens, gold_tokens);
+        matches += m.iter().filter(|hit| **hit).count();
+        positions += m.len();
+    }
+    assert_eq!((matches, positions), (65, 72));
+    assert!(matches as f64 / positions as f64 >= 0.85);
 }

@@ -780,6 +780,42 @@ fn shared_prefix_decode_is_bit_identical_to_unshared_at_1_2_4_threads() {
         assert_eq!(skipped[4], 0, "unrelated prompts never hit");
         assert_eq!(skipped[5], 0);
     }
+
+    // A publisher that retired before the sharers arrive leaves the whole
+    // prefix in the index: the four sharers, submitted together and all in
+    // flight at once, each attach every sharable block — n × prefix skipped,
+    // nothing prefilled twice.
+    let mut scheduler = Scheduler::new(SchedulerConfig {
+        max_slots: 4,
+        block_tokens,
+        kv_block_budget: usize::MAX,
+        prefix_retain_blocks: 64,
+        ..SchedulerConfig::default()
+    });
+    let mut publisher = prefix.clone();
+    publisher.push(99);
+    scheduler
+        .submit(
+            engine_for(&model, 0),
+            &GenerateRequest::new(&publisher).max_new(1),
+        )
+        .expect("non-empty prompt");
+    while scheduler.tick(|_| {}) > 0 {}
+    let _ = scheduler.take_finished();
+    for (i, p) in prompts[..4].iter().enumerate() {
+        scheduler
+            .submit(
+                engine_for(&model, i),
+                &GenerateRequest::new(p).max_new(budgets[i]),
+            )
+            .expect("non-empty prompt");
+    }
+    let outputs = scheduler.run();
+    assert_eq!(outputs.len(), 4);
+    for (out, expected) in outputs.iter().zip(&solo) {
+        assert_eq!(out.prefill_skipped_tokens, 3 * block_tokens);
+        assert_eq!(&out.tokens, expected, "pre-warmed tokens == solo");
+    }
 }
 
 /// Refcount torture (acceptance satellite): many requests attach the same

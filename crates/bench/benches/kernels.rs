@@ -288,7 +288,7 @@ fn main() {
     println!(
         "\n== one query over a cached context: scalar loops vs head kernels (d 256, 8 heads) =="
     );
-    // `Attention::attend` over a contiguous f32 cache, without the model
+    // `Attention::attend` over one f32 KV block (a single run), without the model
     // around it: per head the scores, the scalar softmax and the value sum,
     // once through `attn::reference` (the loops as they were, and the
     // portable path) and once through the dispatching entry points.

@@ -19,8 +19,8 @@
 //! `head_dim / 2` `(sin, cos)` pairs — and applied to every head of `q`
 //! and `k`, not once per pair per head.
 //!
-//! `f32` caches are read in *runs* ([`KvCache::run`]: the whole contiguous
-//! cache, or one block of a paged one) through the head kernels of
+//! `f32` caches are read in *runs* ([`PagedKvCache::run`]: one block — the
+//! whole context of a capacity-reserved cache) through the head kernels of
 //! [`sparseinfer_tensor::attn`] — vectorised where the build has AVX2, and
 //! bitwise the scalar loop either way. `f16` caches keep the scalar loop
 //! that converts each stored word as it is accumulated.
@@ -28,342 +28,15 @@
 use std::borrow::BorrowMut;
 
 use sparseinfer_tensor::gemv::{gemm_rows_into, gemv_into, MIN_MACS_PER_WORKER};
-use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector, Workspace, F16};
+use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector, Workspace};
 
-use crate::kv::{KvBlockPool, KvDtype, PagedKvCache};
+use crate::kv::{KvDtype, PagedKvCache};
 use crate::model::DecodeSession;
 use crate::prefill::{per_column, PrefillScratch, PromptTokens};
 
-/// Contiguous KV storage: keys and values stored *flat* (position-major
-/// `f32` runs). Appending a token is two `extend_from_slice` calls that
-/// never allocate while the reserved capacity lasts — the strict
-/// allocation-free decode layout.
-#[derive(Debug, Clone, Default)]
-struct ContiguousKv {
-    keys: Vec<f32>,
-    values: Vec<f32>,
-    dim: usize,
-}
-
-/// The two KV layouts behind [`KvCache`].
-#[derive(Debug, Clone)]
-enum KvStorage {
-    Contiguous(ContiguousKv),
-    Paged(PagedKvCache),
-}
-
-impl Default for KvStorage {
-    fn default() -> Self {
-        KvStorage::Contiguous(ContiguousKv::default())
-    }
-}
-
-/// Grows-per-token key/value cache for one attention block, over either of
-/// two storage layouts:
-///
-/// * **Contiguous** (the default): one flat buffer per side. Reserve up
-///   front with [`with_capacity`](KvCache::with_capacity) (or
-///   [`Model::start_session_with_capacity`](crate::Model::start_session_with_capacity))
-///   and pushes within the budget perform no allocation — the layout the
-///   strict allocation-free decode tests pin down. An unreserved cache
-///   still works, growing amortized like a `Vec`.
-/// * **Paged** ([`paged`](KvCache::paged), or
-///   [`Model::start_paged_session`](crate::Model::start_paged_session)):
-///   fixed-size token blocks allocated **lazily** from a shared
-///   [`KvBlockPool`] as tokens are produced, and returned to the pool the
-///   moment the cache drops — the serving layout, where memory tracks
-///   tokens *actually generated* instead of the `prompt + max_new` worst
-///   case.
-///
-/// Both layouts hand out identical `&[f32]` position slices in identical
-/// order, so every kernel reading through [`key`](KvCache::key) /
-/// [`value`](KvCache::value) is bit-identical over either.
-#[derive(Debug, Clone, Default)]
-pub struct KvCache {
-    storage: KvStorage,
-}
-
-impl KvCache {
-    /// Creates an empty contiguous cache (dimension fixed by the first
-    /// push).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty contiguous cache with room for `tokens` positions
-    /// of dimension `dim` — pushes within that budget perform no
-    /// allocation.
-    pub fn with_capacity(dim: usize, tokens: usize) -> Self {
-        Self {
-            storage: KvStorage::Contiguous(ContiguousKv {
-                keys: Vec::with_capacity(dim * tokens),
-                values: Vec::with_capacity(dim * tokens),
-                dim,
-            }),
-        }
-    }
-
-    /// Creates an empty paged cache allocating fixed-size blocks from
-    /// `pool` as tokens arrive, and returning them on drop.
-    pub fn paged(pool: &KvBlockPool) -> Self {
-        Self {
-            storage: KvStorage::Paged(PagedKvCache::new(pool)),
-        }
-    }
-
-    /// Creates a paged cache whose context starts as `blocks` — full,
-    /// shared blocks from a prefix-cache hit (see
-    /// [`PagedKvCache::with_prefix`]). The blocks are aliased, not copied;
-    /// pushes continue past them into fresh private blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block is partial, from another pool, or dimension-
-    /// mismatched.
-    pub fn paged_with_prefix(pool: &KvBlockPool, blocks: Vec<crate::kv::SharedKvBlock>) -> Self {
-        Self {
-            storage: KvStorage::Paged(PagedKvCache::with_prefix(pool, blocks)),
-        }
-    }
-
-    /// Whether this cache uses paged (pool-backed) storage.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.storage, KvStorage::Paged(_))
-    }
-
-    /// The paged storage behind this cache, if it is paged — the access
-    /// point for block-table sharing (prefix publication) and diagnostics.
-    pub fn as_paged(&self) -> Option<&PagedKvCache> {
-        match &self.storage {
-            KvStorage::Contiguous(_) => None,
-            KvStorage::Paged(p) => Some(p),
-        }
-    }
-
-    /// Mutable access to the paged storage, if it is paged — the access
-    /// point for swap-out/restore under scheduler preemption.
-    pub fn as_paged_mut(&mut self) -> Option<&mut PagedKvCache> {
-        match &mut self.storage {
-            KvStorage::Contiguous(_) => None,
-            KvStorage::Paged(p) => Some(p),
-        }
-    }
-
-    /// Number of cached positions.
-    pub fn len(&self) -> usize {
-        match &self.storage {
-            KvStorage::Contiguous(c) => c.keys.len().checked_div(c.dim).unwrap_or(0),
-            KvStorage::Paged(p) => p.len(),
-        }
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of positions the cache can hold before its next allocation.
-    pub fn reserved_tokens(&self) -> usize {
-        match &self.storage {
-            KvStorage::Contiguous(c) => c.keys.capacity().checked_div(c.dim).unwrap_or(0),
-            KvStorage::Paged(p) => p.capacity_tokens(),
-        }
-    }
-
-    /// Element type of the cached words: the pool's [`KvDtype`] for paged
-    /// storage, always `F32` for contiguous.
-    pub fn dtype(&self) -> KvDtype {
-        match &self.storage {
-            KvStorage::Contiguous(_) => KvDtype::F32,
-            KvStorage::Paged(p) => p.dtype(),
-        }
-    }
-
-    /// Appends position `t` of `src` into this cache. Paged-to-paged
-    /// transfers copy the stored words raw (dtype-preserving — no f32
-    /// round trip for `F16` pools); a paged `F16` source widens losslessly
-    /// into a contiguous `f32` cache (every `f16` value is exactly
-    /// representable in `f32`); every other combination goes through the
-    /// `f32` read path. This is the cross-cache transfer primitive of
-    /// speculative draft resync.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= src.len()` or on dimension mismatch.
-    pub fn push_from(&mut self, src: &KvCache, t: usize) {
-        if let KvStorage::Paged(s) = &src.storage {
-            if let KvStorage::Paged(d) = &mut self.storage {
-                d.push_from(s, t);
-                return;
-            }
-            if s.dtype() == KvDtype::F16 {
-                let KvStorage::Contiguous(c) = &mut self.storage else {
-                    unreachable!("storage is contiguous or paged")
-                };
-                let key = s.key_h(t);
-                let value = s.value_h(t);
-                if c.dim == 0 {
-                    c.dim = key.len();
-                } else {
-                    assert_eq!(key.len(), c.dim, "kv dimension mismatch");
-                }
-                c.keys.extend(key.iter().map(|v| v.to_f32()));
-                c.values.extend(value.iter().map(|v| v.to_f32()));
-                return;
-            }
-        }
-        self.push(src.key(t), src.value(t));
-    }
-
-    /// Appends one position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` and `value` differ in length, or disagree with the
-    /// dimension established by earlier pushes; a paged cache additionally
-    /// panics if its pool's block budget is exhausted.
-    pub fn push(&mut self, key: &[f32], value: &[f32]) {
-        match &mut self.storage {
-            KvStorage::Contiguous(c) => {
-                assert_eq!(key.len(), value.len(), "key/value length mismatch");
-                if c.dim == 0 {
-                    c.dim = key.len();
-                } else {
-                    assert_eq!(key.len(), c.dim, "kv dimension mismatch");
-                }
-                c.keys.extend_from_slice(key);
-                c.values.extend_from_slice(value);
-            }
-            KvStorage::Paged(p) => p.push(key, value),
-        }
-    }
-
-    /// The key vector cached at position `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= self.len()`, or if the storage holds `F16` words
-    /// (read those via [`key_h`](Self::key_h)).
-    pub fn key(&self, t: usize) -> &[f32] {
-        match &self.storage {
-            KvStorage::Contiguous(c) => &c.keys[t * c.dim..(t + 1) * c.dim],
-            KvStorage::Paged(p) => p.key(t),
-        }
-    }
-
-    /// The value vector cached at position `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= self.len()`, or if the storage holds `F16` words
-    /// (read those via [`value_h`](Self::value_h)).
-    pub fn value(&self, t: usize) -> &[f32] {
-        match &self.storage {
-            KvStorage::Contiguous(c) => &c.values[t * c.dim..(t + 1) * c.dim],
-            KvStorage::Paged(p) => p.value(t),
-        }
-    }
-
-    /// The keys and values of the *run* of positions starting at `t` that
-    /// lie back to back in memory, as two position-major slabs: everything
-    /// from `t` on in a contiguous cache, the rest of `t`'s block in a
-    /// paged one. Attention walks the cache run by run — one lookup per
-    /// run, not per position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= self.len()`, or if the storage holds `F16` words.
-    pub fn run(&self, t: usize) -> (&[f32], &[f32]) {
-        match &self.storage {
-            KvStorage::Contiguous(c) => {
-                assert!(t < self.len(), "position {t} out of bounds");
-                (&c.keys[t * c.dim..], &c.values[t * c.dim..])
-            }
-            KvStorage::Paged(p) => p.run(t),
-        }
-    }
-
-    /// The key vector cached at position `t` as stored `F16` words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= self.len()` or if the storage holds `f32`.
-    pub fn key_h(&self, t: usize) -> &[F16] {
-        match &self.storage {
-            KvStorage::Contiguous(_) => panic!("contiguous KV is f32: read keys via key"),
-            KvStorage::Paged(p) => p.key_h(t),
-        }
-    }
-
-    /// The value vector cached at position `t` as stored `F16` words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= self.len()` or if the storage holds `f32`.
-    pub fn value_h(&self, t: usize) -> &[F16] {
-        match &self.storage {
-            KvStorage::Contiguous(_) => panic!("contiguous KV is f32: read values via value"),
-            KvStorage::Paged(p) => p.value_h(t),
-        }
-    }
-
-    /// Rolls the cache back to `len` positions (a no-op when `len` is not
-    /// smaller than the current length) — the rollback primitive of
-    /// speculative decoding. A contiguous cache keeps its reserved
-    /// capacity; a paged cache releases whole blocks past the boundary and
-    /// copy-on-write-forks a shared partial tail (see
-    /// [`PagedKvCache::truncate`]).
-    pub fn truncate(&mut self, len: usize) {
-        match &mut self.storage {
-            KvStorage::Contiguous(c) => {
-                if len * c.dim < c.keys.len() {
-                    c.keys.truncate(len * c.dim);
-                    c.values.truncate(len * c.dim);
-                }
-            }
-            KvStorage::Paged(p) => p.truncate(len),
-        }
-    }
-
-    /// Ensures a contiguous cache can hold `tokens` positions without
-    /// reallocating (no-op before the first push fixes the dimension, and
-    /// for paged caches, which grow block-wise from their pool).
-    pub fn reserve_tokens(&mut self, tokens: usize) {
-        if let KvStorage::Contiguous(c) = &mut self.storage {
-            if c.dim > 0 {
-                let need = tokens * c.dim;
-                if c.keys.len() < need {
-                    c.keys.reserve(need - c.keys.len());
-                    c.values.reserve(need - c.values.len());
-                }
-            }
-        }
-    }
-
-    /// Bytes of KV content currently cached (`len` positions of keys plus
-    /// values), for memory accounting.
-    pub fn content_bytes(&self) -> u64 {
-        match &self.storage {
-            KvStorage::Contiguous(c) => {
-                ((c.keys.len() + c.values.len()) * std::mem::size_of::<f32>()) as u64
-            }
-            KvStorage::Paged(p) => p.content_bytes(),
-        }
-    }
-
-    /// Clears all cached positions (start of a new sequence). A contiguous
-    /// cache retains its reserved capacity; a paged cache returns every
-    /// block to its pool.
-    pub fn clear(&mut self) {
-        match &mut self.storage {
-            KvStorage::Contiguous(c) => {
-                c.keys.clear();
-                c.values.clear();
-            }
-            KvStorage::Paged(p) => p.clear(),
-        }
-    }
-}
+/// [`PagedKvCache`] under the name the benchmark's pinned public API
+/// (`benchmark/README.md`) imports from this module.
+pub use crate::kv::PagedKvCache as KvCache;
 
 /// Multi-head self-attention with RoPE.
 #[derive(Debug, Clone, PartialEq)]
@@ -449,7 +122,7 @@ impl Attention {
     /// # Panics
     ///
     /// Panics if `x.len() != self.hidden_dim()`.
-    pub fn forward(&self, x: &Vector, position: usize, cache: &mut KvCache) -> Vector {
+    pub fn forward(&self, x: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
         let mut ws = Workspace::new();
         self.forward_ws(x, position, cache, &ThreadPool::single(), &mut ws)
     }
@@ -466,7 +139,7 @@ impl Attention {
         &self,
         x: &Vector,
         position: usize,
-        cache: &mut KvCache,
+        cache: &mut PagedKvCache,
         pool: &ThreadPool,
         ws: &mut Workspace,
     ) -> Vector {
@@ -490,9 +163,9 @@ impl Attention {
         ws.give(k);
         ws.give(v);
 
-        // Sized to the cache reservation so the buffer does not regrow (and
-        // reallocate) as the context extends token by token.
-        let mut scores = ws.take(cache.len().max(cache.reserved_tokens()));
+        // Sized to the held blocks (never short of the context) so the
+        // buffer does not regrow, and reallocate, token by token.
+        let mut scores = ws.take(cache.capacity_tokens());
         let mut out = ws.take(d);
         self.attend(
             q.as_slice(),
@@ -517,7 +190,7 @@ impl Attention {
     fn attend(
         &self,
         q: &[f32],
-        cache: &KvCache,
+        cache: &PagedKvCache,
         context: usize,
         scores: &mut [f32],
         out: &mut [f32],
@@ -550,7 +223,7 @@ impl Attention {
     /// [`attend`](Self::attend) over stored `F16` words, one position at a
     /// time: dequantizes in the accumulate — no materialized f32 copy of
     /// the cached row.
-    fn attend_f16(&self, q: &[f32], cache: &KvCache, scores: &mut [f32], out: &mut [f32]) {
+    fn attend_f16(&self, q: &[f32], cache: &PagedKvCache, scores: &mut [f32], out: &mut [f32]) {
         let head_dim = self.head_dim();
         let scale = 1.0 / (head_dim as f32).sqrt();
         for h in 0..self.n_heads {
@@ -622,10 +295,10 @@ impl Attention {
                 );
                 scratch.columns.push((i, cache.len()));
             }
-            // As in `forward_ws`: sized to the reservation, so the scratch
-            // regrows only when a cache does.
+            // As in `forward_ws`: sized to the held blocks, so the scratch
+            // regrows only when a cache takes a block.
             context = context.max(cache.len());
-            score_len = score_len.max(context).max(cache.reserved_tokens());
+            score_len = score_len.max(cache.capacity_tokens());
         }
         assert_eq!(scratch.columns.len(), b, "attention input shape mismatch");
 
@@ -671,7 +344,7 @@ impl Attention {
 /// by run: `f` gets each run's positions and the key and value slabs that
 /// start at its first one.
 fn for_each_run(
-    cache: &KvCache,
+    cache: &PagedKvCache,
     d: usize,
     context: usize,
     mut f: impl FnMut(std::ops::Range<usize>, &[f32], &[f32]),
@@ -700,6 +373,7 @@ fn exp_scores(scores: &mut [f32]) -> f32 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::kv::KvBlockPool;
     use sparseinfer_tensor::{gemv::gemv, Prng};
 
     fn random_attention(seed: u64, d: usize, heads: usize) -> Attention {
@@ -716,7 +390,7 @@ pub(crate) mod tests {
         attn: &Attention,
         x: &Vector,
         position: usize,
-        cache: &mut KvCache,
+        cache: &mut PagedKvCache,
     ) -> Vector {
         let (mut q, mut k, v) = (gemv(&attn.w_q, x), gemv(&attn.w_k, x), gemv(&attn.w_v, x));
         let mut table = vec![0.0; attn.head_dim()];
@@ -768,10 +442,18 @@ pub(crate) mod tests {
         gemv(&attn.w_o, &out)
     }
 
-    /// A cache of the given layout holding `context` synthetic positions.
-    pub(crate) fn filled_cache(pool: Option<&KvBlockPool>, d: usize, context: usize) -> KvCache {
+    /// A cache over `pool` — or, without one, a single block with room for
+    /// one more position — holding `context` synthetic positions.
+    pub(crate) fn filled_cache(
+        pool: Option<&KvBlockPool>,
+        d: usize,
+        context: usize,
+    ) -> PagedKvCache {
         let mut rng = Prng::seed(context as u64 + 77);
-        let mut cache = pool.map_or_else(|| KvCache::with_capacity(d, context + 1), KvCache::paged);
+        let mut cache = pool.map_or_else(
+            || PagedKvCache::with_capacity(d, context + 1),
+            PagedKvCache::new,
+        );
         for _ in 0..context {
             let k: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
             let v: Vec<f32> = (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
@@ -782,30 +464,38 @@ pub(crate) mod tests {
 
     #[test]
     fn forward_is_bitwise_the_scalar_loop_over_every_layout() {
-        // Contexts around the kernel's group of eight and the paged block
-        // of 16 (one run, a run ending mid-group, many runs), head widths
-        // the vector path takes (32) and leaves to the fallback (12).
+        // Contexts around the kernel's group of eight and the block of 16
+        // (one run, a run ending mid-group, many runs), head widths the
+        // vector path takes (32) and leaves to the fallback (12). Each
+        // context is read as one block — `with_capacity`, or a pool sized
+        // to it for f16 — and from pools of 16- and 3-token blocks, which
+        // split it into runs, some unaligned to the kernel's groups.
         let bits = |v: &Vector| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for (d, heads) in [(64, 2), (24, 2)] {
             let attn = random_attention(21, d, heads);
             let x = Vector::from_fn(d, |i| ((i * 3) as f32 * 0.19).sin());
             for context in [1usize, 8, 9, 64, 65, 200] {
+                let f16 = |block| KvBlockPool::with_budget_dtype(block, usize::MAX, KvDtype::F16);
                 let layouts = [
                     None,
+                    Some(f16(context)),
                     Some(KvBlockPool::new(16)),
-                    Some(KvBlockPool::with_budget_dtype(16, usize::MAX, KvDtype::F16)),
+                    Some(f16(16)),
+                    Some(KvBlockPool::new(3)),
+                    Some(f16(3)),
                 ];
                 for pool in &layouts {
                     let mut cache = filled_cache(pool.as_ref(), d, context - 1);
                     let mut scalar_cache = cache.clone();
                     let got = attn.forward(&x, context - 1, &mut cache);
                     let want = forward_scalar(&attn, &x, context - 1, &mut scalar_cache);
+                    let block = pool.as_ref().map_or(context, KvBlockPool::block_tokens);
+                    assert_eq!(cache.blocks_held(), context.div_ceil(block));
                     assert_eq!(
                         bits(&got),
                         bits(&want),
-                        "d {d} context {context} {:?} paged {}",
+                        "d {d} context {context} {:?} block {block}",
                         cache.dtype(),
-                        cache.is_paged()
                     );
                 }
             }
@@ -813,9 +503,52 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn flat_cache_stores_and_returns_positions() {
+        let mut cache = PagedKvCache::with_capacity(4, 8);
+        cache.push(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]);
+        cache.push(&[9.0; 4], &[10.0; 4]);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.blocks_held(), 1, "one block holds the whole budget");
+        assert_eq!(cache.capacity_tokens(), 8);
+        assert_eq!(cache.key(0), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(cache.value(1), &[10.0; 4]);
+        cache.clear();
+        assert!(cache.is_empty());
+        assert_eq!(cache.pool().blocks_free(), 1, "block retained for reuse");
+        cache.push(&[0.5; 4], &[0.25; 4]);
+        assert_eq!(cache.pool().blocks_created(), 1, "reuse allocates nothing");
+    }
+
+    #[test]
+    fn paged_cache_attention_is_bitwise_identical_to_contiguous() {
+        // Reading KV through the block table returns the same floats in the
+        // same order, so attention outputs are bit-identical between one
+        // block and many — including at block boundaries.
+        let attn = random_attention(11, 16, 2);
+        let pool = KvBlockPool::new(3); // deliberately unaligned
+        let mut contiguous = PagedKvCache::with_capacity(16, 16);
+        let mut paged = PagedKvCache::new(&pool);
+        let mut ws = Workspace::new();
+        let tp = ThreadPool::single();
+        for pos in 0..10 {
+            let x = Vector::from_fn(16, |i| ((i * 5 + pos * 2) as f32 * 0.17).sin());
+            let a = attn.forward_ws(&x, pos, &mut contiguous, &tp, &mut ws);
+            let b = attn.forward_ws(&x, pos, &mut paged, &tp, &mut ws);
+            assert_eq!(a, b, "position {pos}");
+            ws.give(a);
+            ws.give(b);
+        }
+        assert_eq!(contiguous.blocks_held(), 1);
+        assert_eq!(paged.len(), 10);
+        assert_eq!(paged.capacity_tokens(), 12, "4 blocks of 3 tokens");
+        paged.clear();
+        assert_eq!(pool.blocks_in_use(), 0, "clear returns blocks");
+    }
+
+    #[test]
     fn single_token_attends_to_itself() {
         let attn = random_attention(1, 16, 2);
-        let mut cache = KvCache::new();
+        let mut cache = PagedKvCache::with_capacity(16, 1);
         let x = Vector::from_fn(16, |i| (i as f32 * 0.7).sin());
         let out = attn.forward(&x, 0, &mut cache);
         assert_eq!(out.len(), 16);
@@ -831,12 +564,14 @@ pub(crate) mod tests {
     #[test]
     fn cache_grows_per_token() {
         let attn = random_attention(2, 16, 2);
-        let mut cache = KvCache::new();
+        let pool = KvBlockPool::new(2);
+        let mut cache = PagedKvCache::new(&pool);
         for pos in 0..5 {
             let x = Vector::from_fn(16, |i| ((i + pos) as f32).cos());
             let _ = attn.forward(&x, pos, &mut cache);
         }
         assert_eq!(cache.len(), 5);
+        assert_eq!(pool.blocks_in_use(), 3, "blocks taken as the context grew");
         cache.clear();
         assert!(cache.is_empty());
     }
@@ -850,11 +585,11 @@ pub(crate) mod tests {
         let x0 = Vector::from_fn(16, |i| (i as f32 * 0.3).sin());
         let x1 = Vector::from_fn(16, |i| (i as f32 * 0.9).cos());
 
-        let mut c1 = KvCache::new();
+        let mut c1 = PagedKvCache::with_capacity(16, 2);
         let _ = attn.forward(&x0, 0, &mut c1);
         let near = attn.forward(&x1, 1, &mut c1);
 
-        let mut c2 = KvCache::new();
+        let mut c2 = PagedKvCache::with_capacity(16, 2);
         let _ = attn.forward(&x0, 0, &mut c2);
         let far = attn.forward(&x1, 9, &mut c2);
 
@@ -913,26 +648,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn flat_cache_stores_and_returns_positions() {
-        let mut cache = KvCache::with_capacity(4, 8);
-        assert_eq!(cache.reserved_tokens(), 8);
-        cache.push(&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]);
-        cache.push(&[9.0; 4], &[10.0; 4]);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.key(0), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cache.value(1), &[10.0; 4]);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.reserved_tokens() >= 8, "capacity retained");
-    }
-
-    #[test]
     fn workspace_forward_is_bitwise_identical_to_plain_forward() {
         let attn = random_attention(9, 16, 2);
-        let mut c1 = KvCache::new();
-        let mut c2 = KvCache::with_capacity(16, 16);
-        let mut ws = sparseinfer_tensor::Workspace::new();
-        let pool = sparseinfer_tensor::ThreadPool::single();
+        let mut c1 = PagedKvCache::with_capacity(16, 16);
+        let mut c2 = PagedKvCache::with_capacity(16, 16);
+        let mut ws = Workspace::new();
+        let pool = ThreadPool::single();
         for pos in 0..6 {
             let x = Vector::from_fn(16, |i| ((i + pos * 3) as f32 * 0.21).sin());
             let plain = attn.forward(&x, pos, &mut c1);
@@ -942,49 +663,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn paged_cache_attention_is_bitwise_identical_to_contiguous() {
-        // The load-bearing property of the paged refactor: reading KV
-        // through the block table returns the same floats in the same
-        // order, so attention outputs are bit-identical across layouts —
-        // including at block boundaries.
-        let attn = random_attention(11, 16, 2);
-        let pool = crate::kv::KvBlockPool::new(3); // deliberately unaligned
-        let mut contiguous = KvCache::with_capacity(16, 16);
-        let mut paged = KvCache::paged(&pool);
-        assert!(paged.is_paged() && !contiguous.is_paged());
-        let mut ws = sparseinfer_tensor::Workspace::new();
-        let tp = sparseinfer_tensor::ThreadPool::single();
-        for pos in 0..10 {
-            let x = Vector::from_fn(16, |i| ((i * 5 + pos * 2) as f32 * 0.17).sin());
-            let a = attn.forward_ws(&x, pos, &mut contiguous, &tp, &mut ws);
-            let b = attn.forward_ws(&x, pos, &mut paged, &tp, &mut ws);
-            assert_eq!(a, b, "position {pos}");
-            ws.give(a);
-            ws.give(b);
-        }
-        assert_eq!(paged.len(), 10);
-        assert_eq!(paged.reserved_tokens(), 12, "4 blocks of 3 tokens");
-        paged.clear();
-        assert_eq!(pool.blocks_in_use(), 0, "clear returns blocks");
-    }
-
-    #[test]
     fn f16_paged_attention_is_layout_invariant_and_tracks_f32() {
-        // Mirror of the f32 layout test at KvDtype::F16: the *rounding* is
-        // fixed by the pushed values, so two f16 pools with different (and
-        // deliberately unaligned) block sizes must produce bit-identical
-        // outputs — the block table never changes what is read, only where
-        // it lives. Against f32 storage the outputs agree to f16 precision.
+        // The *rounding* is fixed by the pushed values, so two f16 pools
+        // with different (and deliberately unaligned) block sizes must
+        // produce bit-identical outputs — the block table never changes
+        // what is read, only where it lives. Against f32 storage the
+        // outputs agree to f16 precision.
         let attn = random_attention(17, 16, 2);
-        let pool_a = crate::kv::KvBlockPool::with_budget_dtype(3, usize::MAX, KvDtype::F16);
-        let pool_b = crate::kv::KvBlockPool::with_budget_dtype(64, usize::MAX, KvDtype::F16);
-        let mut half_a = KvCache::paged(&pool_a);
-        let mut half_b = KvCache::paged(&pool_b);
-        let mut full = KvCache::with_capacity(16, 16);
+        let pool_a = KvBlockPool::with_budget_dtype(3, usize::MAX, KvDtype::F16);
+        let pool_b = KvBlockPool::with_budget_dtype(64, usize::MAX, KvDtype::F16);
+        let mut half_a = PagedKvCache::new(&pool_a);
+        let mut half_b = PagedKvCache::new(&pool_b);
+        let mut full = PagedKvCache::with_capacity(16, 16);
         assert_eq!(half_a.dtype(), KvDtype::F16);
         assert_eq!(full.dtype(), KvDtype::F32);
-        let mut ws = sparseinfer_tensor::Workspace::new();
-        let tp = sparseinfer_tensor::ThreadPool::single();
+        let mut ws = Workspace::new();
+        let tp = ThreadPool::single();
         let mut max_rel = 0.0f32;
         for pos in 0..10 {
             let x = Vector::from_fn(16, |i| ((i * 5 + pos * 2) as f32 * 0.17).sin());
@@ -1008,41 +702,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn push_from_bridges_cache_kinds() {
-        let pool = crate::kv::KvBlockPool::with_budget_dtype(2, usize::MAX, KvDtype::F16);
-        let mut src = KvCache::paged(&pool);
-        src.push(&[0.1, 0.2], &[0.3, 0.4]);
-        src.push(&[1.1, 1.2], &[1.3, 1.4]);
-        let mut dst = KvCache::paged(&pool);
-        dst.push_from(&src, 0);
-        dst.push_from(&src, 1);
-        assert_eq!(dst.key_h(1), src.key_h(1));
-        assert_eq!(dst.value_h(0), src.value_h(0));
-
-        let mut flat_src = KvCache::new();
-        flat_src.push(&[9.0], &[8.0]);
-        let mut flat_dst = KvCache::with_capacity(1, 4);
-        flat_dst.push_from(&flat_src, 0);
-        assert_eq!(flat_dst.key(0), &[9.0]);
-
-        // Paged f16 → contiguous f32 widens to exactly the stored words
-        // (the speculative draft-resync path under an f16 serving pool).
-        let mut flat = KvCache::with_capacity(2, 4);
-        flat.push_from(&src, 1);
-        assert_eq!(
-            flat.key(0),
-            &[src.key_h(1)[0].to_f32(), src.key_h(1)[1].to_f32()]
-        );
-        assert_eq!(
-            flat.value(0),
-            &[src.value_h(1)[0].to_f32(), src.value_h(1)[1].to_f32()]
-        );
-    }
-
-    #[test]
     fn attention_output_is_finite_over_long_contexts() {
         let attn = random_attention(4, 32, 4);
-        let mut cache = KvCache::new();
+        let pool = KvBlockPool::new(16);
+        let mut cache = PagedKvCache::new(&pool);
         for pos in 0..64 {
             let x = Vector::from_fn(32, |i| ((i * 7 + pos * 3) as f32 * 0.13).sin());
             let out = attn.forward(&x, pos, &mut cache);

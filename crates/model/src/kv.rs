@@ -1,13 +1,15 @@
-//! Paged KV-cache storage: reference-counted, fixed-size token blocks from
-//! a shared pool, with copy-on-write block tables and a prefix index.
+//! The KV cache: reference-counted, fixed-size token blocks from a shared
+//! pool, with copy-on-write block tables and a prefix index.
 //!
-//! The serving-scale problem with a contiguous
-//! [`KvCache`](crate::attention::KvCache): a request that *might* generate
-//! `max_new` tokens reserves `prompt + max_new` positions of cache up
-//! front, per layer — memory proportional to the *worst case*, even when
-//! generation stops after three tokens. Under churning traffic that
-//! over-reservation, multiplied by concurrent requests, is the capacity
-//! wall (the same one vLLM's PagedAttention removes for GPU serving).
+//! A cache that reserved `prompt + max_new` positions up front would hold
+//! memory proportional to the *worst case*, per layer, even when generation
+//! stops after three tokens. Under churning traffic that over-reservation,
+//! multiplied by concurrent requests, is the capacity wall (the same one
+//! vLLM's PagedAttention removes for GPU serving). So every cache pages:
+//! a serving session over the scheduler's budgeted pool, a solo session
+//! over a private one, and a capacity-reserved cache
+//! ([`PagedKvCache::with_capacity`]) over a private pool whose one block
+//! holds the whole budget.
 //!
 //! This module splits KV storage into:
 //!
@@ -35,11 +37,10 @@
 //!   entries whose blocks nobody else references are evicted LRU-first
 //!   under a configurable cap.
 //!
-//! Reads go through the block table (`t → block[t / block_tokens]`), but
-//! deliver exactly the same `&[f32]` slices in exactly the same order as
-//! the contiguous layout, so every attention kernel is bit-identical over
-//! either storage — the compatibility wrapper in
-//! [`attention`](crate::attention) dispatches between them.
+//! Reads go through the block table (`t → block[t / block_tokens]`) and
+//! deliver the same `&[f32]` slices in the same order whatever the block
+//! size, so every attention kernel is bit-identical over any pool — a block
+//! only decides where a [`run`](PagedKvCache::run) of positions ends.
 //!
 //! A pool stores its elements in one [`KvDtype`] — full-precision `f32`
 //! (the default) or half-precision [`F16`] words
@@ -175,8 +176,11 @@ impl KvBlockData {
         }
     }
 
-    /// Appends `elems` scalars starting at `start` from `src`, as a raw
-    /// dtype-preserving copy (COW forks, swap-out, draft resync).
+    /// Appends `elems` scalars starting at `start` from `src`: a raw copy
+    /// between blocks of one dtype (COW forks, swap-out, draft resync), or
+    /// a lossless widening of `F16` words into an `f32` block (the draft
+    /// resync from an `F16` serving pool — every `f16` value is exactly
+    /// representable in `f32`).
     fn extend_range_from(&mut self, src: &KvBlockData, start: usize, elems: usize) {
         match (self, src) {
             (
@@ -199,7 +203,19 @@ impl KvBlockData {
                 keys.extend_from_slice(&sk[start..start + elems]);
                 values.extend_from_slice(&sv[start..start + elems]);
             }
-            _ => unreachable!("one pool holds one dtype"),
+            (
+                KvBlockData::F32 { keys, values },
+                KvBlockData::F16 {
+                    keys: sk,
+                    values: sv,
+                },
+            ) => {
+                keys.extend(sk[start..start + elems].iter().map(|v| v.to_f32()));
+                values.extend(sv[start..start + elems].iter().map(|v| v.to_f32()));
+            }
+            (KvBlockData::F16 { .. }, KvBlockData::F32 { .. }) => {
+                unreachable!("f32 words never narrow into an f16 block")
+            }
         }
     }
 }
@@ -547,6 +563,18 @@ impl PagedKvCache {
         }
     }
 
+    /// An empty cache of dimension-`dim` positions over a private pool
+    /// whose one block holds `tokens` of them: attention reads the whole
+    /// context as a single run, and pushes within the budget allocate
+    /// nothing after the first (which takes the block). Pushes past it
+    /// continue into further blocks of the same size.
+    pub fn with_capacity(dim: usize, tokens: usize) -> Self {
+        Self {
+            dim,
+            ..Self::new(&KvBlockPool::new(tokens.max(1)))
+        }
+    }
+
     /// A cache whose context starts as `blocks` — **full**, shared blocks
     /// (typically a [`PrefixIndex`] hit) covering
     /// `blocks.len() × block_tokens` positions. The attached blocks are
@@ -640,18 +668,18 @@ impl PagedKvCache {
     }
 
     /// Appends position `t` of `src` as a **raw, dtype-preserving copy** —
-    /// no f32 round trip, so an `F16` position lands bit-identical. This is
+    /// no f32 round trip, so an `F16` position lands bit-identical — or,
+    /// from an `F16` source into an `f32` cache, widened losslessly. This is
     /// the cross-cache transfer primitive (speculative draft resync).
     ///
     /// # Panics
     ///
-    /// Panics if the two caches' pools disagree on dtype, if the dimensions
-    /// disagree, or if `t >= src.len()`.
+    /// Panics if an `f32` source would have to narrow into an `F16` cache,
+    /// if the dimensions disagree, or if `t >= src.len()`.
     pub fn push_from(&mut self, src: &PagedKvCache, t: usize) {
-        assert_eq!(
-            self.pool.dtype(),
-            src.pool.dtype(),
-            "push_from requires matching KV dtypes"
+        assert!(
+            self.dtype() == src.dtype() || self.dtype() == KvDtype::F32,
+            "push_from requires matching KV dtypes (or f16 widening into f32)"
         );
         let (block, offset) = src.slot(t);
         let src_data = &src.blocks[block].inner.data;
@@ -1905,6 +1933,24 @@ mod tests {
         let mut b = PagedKvCache::new(&pool32);
         b.push_from(&a, 0);
         assert_eq!(b.key(0), a.key(0));
+    }
+
+    #[test]
+    fn push_from_widens_f16_into_f32_exactly() {
+        // The speculative draft resync under an f16 serving pool: the f32
+        // draft cache receives exactly the stored words, widened.
+        let pool = KvBlockPool::with_budget_dtype(2, usize::MAX, KvDtype::F16);
+        let mut src = PagedKvCache::new(&pool);
+        src.push(&[0.1, 0.2], &[0.3, 0.4]);
+        src.push(&[1.1, 1.2], &[1.3, 1.4]);
+        let mut dst = PagedKvCache::with_capacity(2, 4);
+        dst.push_from(&src, 1);
+        dst.push_from(&src, 0);
+        let widened = |words: &[F16]| words.iter().map(|v| v.to_f32()).collect::<Vec<_>>();
+        assert_eq!(dst.key(0), &widened(src.key_h(1))[..]);
+        assert_eq!(dst.value(0), &widened(src.value_h(1))[..]);
+        assert_eq!(dst.key(1), &widened(src.key_h(0))[..]);
+        assert_eq!(dst.value(1), &widened(src.value_h(0))[..]);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::borrow::BorrowMut;
 
 use sparseinfer_tensor::{ThreadPool, Vector, Workspace};
 
-use crate::attention::{Attention, KvCache};
+use crate::attention::Attention;
+use crate::kv::PagedKvCache;
 use crate::mlp::GatedMlp;
 use crate::model::DecodeSession;
 use crate::norm::RmsNorm;
@@ -72,7 +73,7 @@ impl DecoderLayer {
     /// the MLP sub-block. Split out so sparse engines can substitute their
     /// own MLP execution while sharing the attention path. Thin wrapper
     /// over [`attention_half_ws`](Self::attention_half_ws).
-    pub fn attention_half(&self, h: &Vector, position: usize, cache: &mut KvCache) -> Vector {
+    pub fn attention_half(&self, h: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
         let mut ws = Workspace::new();
         self.attention_half_ws(h, position, cache, &ThreadPool::single(), &mut ws)
     }
@@ -84,7 +85,7 @@ impl DecoderLayer {
         &self,
         h: &Vector,
         position: usize,
-        cache: &mut KvCache,
+        cache: &mut PagedKvCache,
         pool: &ThreadPool,
         ws: &mut Workspace,
     ) -> Vector {
@@ -147,7 +148,7 @@ impl DecoderLayer {
     }
 
     /// Dense forward pass through the full layer.
-    pub fn forward(&self, h: &Vector, position: usize, cache: &mut KvCache) -> Vector {
+    pub fn forward(&self, h: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
         let mid = self.attention_half(h, position, cache);
         let x = self.mlp_norm.forward(&mid);
         let mlp_out = self.mlp.forward(&x);
@@ -177,10 +178,10 @@ mod tests {
         let l = layer(1, 16, 48);
         let h = Vector::from_fn(16, |i| (i as f32 * 0.31).sin());
 
-        let mut c1 = KvCache::new();
+        let mut c1 = PagedKvCache::with_capacity(16, 1);
         let full = l.forward(&h, 0, &mut c1);
 
-        let mut c2 = KvCache::new();
+        let mut c2 = PagedKvCache::with_capacity(16, 1);
         let mid = l.attention_half(&h, 0, &mut c2);
         let x = l.mlp_norm().forward(&mid);
         let mut manual = mid.clone();
@@ -193,9 +194,9 @@ mod tests {
 
     #[test]
     fn attention_half_ws_is_bitwise_the_scalar_attention_plus_residual() {
-        // The half every engine step runs, over both f32 layouts, against
-        // the scalar reference — at contexts of one run, a run ending
-        // mid-group, and many paged runs.
+        // The half every engine step runs, over one block and over 16-token
+        // blocks, against the scalar reference — at contexts of one run, a
+        // run ending mid-group, and many runs.
         use crate::attention::tests::{filled_cache, forward_scalar};
         let l = layer(4, 64, 96);
         let h = Vector::from_fn(64, |i| (i as f32 * 0.23).cos());
@@ -221,7 +222,7 @@ mod tests {
     fn residual_keeps_input_information() {
         let l = layer(2, 16, 48);
         let h = Vector::from_fn(16, |i| i as f32);
-        let mut cache = KvCache::new();
+        let mut cache = PagedKvCache::with_capacity(16, 1);
         let out = l.forward(&h, 0, &mut cache);
         // Residual stream must correlate with the input, not replace it.
         let dot = out.dot(&h).unwrap();

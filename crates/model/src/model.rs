@@ -13,8 +13,9 @@ use std::borrow::BorrowMut;
 
 use sparseinfer_tensor::{gemv::gemv_into, Matrix, ThreadPool, Vector, Workspace};
 
-use crate::attention::{Attention, KvCache};
+use crate::attention::Attention;
 use crate::config::ModelConfig;
+use crate::kv::{KvBlockPool, PagedKvCache, PrefixHit, DEFAULT_BLOCK_TOKENS};
 use crate::layer::DecoderLayer;
 use crate::norm::RmsNorm;
 use crate::prefill::{PrefillScratch, PromptTokens, PREFILL_CHUNK};
@@ -118,24 +119,23 @@ impl Model {
         ws.give(normed);
     }
 
-    /// Starts a decode session (fresh KV caches at position 0). Caches are
-    /// unreserved — they grow amortized; serving paths that want strict
-    /// allocation-free decode use
+    /// Starts a decode session (fresh KV caches at position 0) over a
+    /// private pool of [`DEFAULT_BLOCK_TOKENS`]-position blocks, taken as
+    /// the context grows — what a solo request runs on. A caller that knows
+    /// its budget uses
     /// [`start_session_with_capacity`](Self::start_session_with_capacity).
     pub fn start_session(&self) -> DecodeSession {
-        DecodeSession {
-            caches: (0..self.layers.len()).map(|_| KvCache::new()).collect(),
-            position: 0,
-        }
+        self.start_paged_session(&KvBlockPool::new(DEFAULT_BLOCK_TOKENS))
     }
 
-    /// Starts a decode session whose KV caches are pre-reserved for
-    /// `tokens` positions: decoding within that budget never reallocates
-    /// cache storage.
+    /// Starts a decode session whose per-layer caches are each one private
+    /// block of `tokens` positions ([`PagedKvCache::with_capacity`]):
+    /// attention reads the context as a single run, and decoding within
+    /// that budget allocates no cache storage after the first position.
     pub fn start_session_with_capacity(&self, tokens: usize) -> DecodeSession {
         DecodeSession {
             caches: (0..self.layers.len())
-                .map(|_| KvCache::with_capacity(self.config.hidden_dim, tokens))
+                .map(|_| PagedKvCache::with_capacity(self.config.hidden_dim, tokens))
                 .collect(),
             position: 0,
         }
@@ -145,11 +145,11 @@ impl Model {
     /// storage out of `pool`: blocks are allocated lazily as tokens are
     /// produced and returned the moment the session drops — memory tracks
     /// tokens actually generated, never a `prompt + max_new` reservation.
-    /// Decoded tokens are bit-identical to any other session layout.
-    pub fn start_paged_session(&self, pool: &crate::kv::KvBlockPool) -> DecodeSession {
+    /// Decoded tokens are bit-identical over any block size.
+    pub fn start_paged_session(&self, pool: &KvBlockPool) -> DecodeSession {
         DecodeSession {
             caches: (0..self.layers.len())
-                .map(|_| KvCache::paged(pool))
+                .map(|_| PagedKvCache::new(pool))
                 .collect(),
             position: 0,
         }
@@ -171,18 +171,18 @@ impl Model {
     /// layer, or if its blocks are partial/foreign to `pool`.
     pub fn start_paged_session_with_prefix(
         &self,
-        pool: &crate::kv::KvBlockPool,
-        hit: &crate::kv::PrefixHit,
+        pool: &KvBlockPool,
+        hit: &PrefixHit,
     ) -> DecodeSession {
         assert_eq!(
             hit.layer_blocks.len(),
             self.layers.len(),
             "prefix hit layer count must match the model"
         );
-        let caches: Vec<KvCache> = hit
+        let caches: Vec<PagedKvCache> = hit
             .layer_blocks
             .iter()
-            .map(|blocks| KvCache::paged_with_prefix(pool, blocks.clone()))
+            .map(|blocks| PagedKvCache::with_prefix(pool, blocks.clone()))
             .collect();
         for cache in &caches {
             assert_eq!(
@@ -223,8 +223,8 @@ impl Model {
     /// KV caches and advancing its position by their number, with **one
     /// pass over the weights** for every position of every session.
     /// Sessions may sit at different positions, bring different numbers of
-    /// tokens and use different KV layouts (contiguous, paged, `f32` or
-    /// `f16`); a position attends over its session's cache up to and
+    /// tokens and page their KV from different pools (any block size, `f32`
+    /// or `f16`); a position attends over its session's cache up to and
     /// including itself, so each session's KV contents, and so every later
     /// logit, are bitwise what [`forward_token`](Self::forward_token) would
     /// have produced one position at a time. No logits are computed:
@@ -358,7 +358,7 @@ impl Model {
 #[derive(Debug, Clone, Default)]
 pub struct DecodeSession {
     /// One KV cache per layer.
-    pub caches: Vec<KvCache>,
+    pub caches: Vec<PagedKvCache>,
     /// Position index of the next token.
     pub position: usize,
 }
@@ -378,9 +378,8 @@ impl DecodeSession {
     }
 
     /// Rolls the whole session back to `len` context positions — every
-    /// layer's KV cache is truncated (see
-    /// [`KvCache::truncate`](crate::attention::KvCache::truncate)) and the
-    /// next write position rewound. The rollback step of speculative
+    /// layer's KV cache is truncated (see [`PagedKvCache::truncate`]) and
+    /// the next write position rewound. The rollback step of speculative
     /// decoding: rejected draft positions vanish from every layer at once,
     /// leaving the accepted context bit-identical.
     pub fn truncate(&mut self, len: usize) {

@@ -761,16 +761,16 @@ fn mask_bytes(mask: &SkipMask) -> u64 {
 /// amortizes the dense work over `1 + accepted` tokens.
 ///
 /// Both engines execute the *same* model (enforced at construction); the
-/// draft keeps its own private, contiguous KV session, resynced to the
+/// draft keeps its own `f32` KV session over a private pool, resynced to the
 /// request's context by truncation (plus a one-position dense copy after a
-/// fully accepted block) — draft KV never enters the request's paged
-/// session, the scheduler's block budget, or the prefix index.
+/// fully accepted block) — draft KV never enters the request's session, the
+/// scheduler's block budget, or the prefix index.
 #[derive(Debug)]
 pub struct SpeculativeEngine<'m> {
     draft: Box<dyn Engine + 'm>,
     verify: Box<dyn Engine + 'm>,
     k: usize,
-    /// The draft's private KV context (contiguous, reserved once).
+    /// The draft's private KV context (`f32`, over its own pool).
     draft_session: DecodeSession,
     draft_logits: Vector,
     tokens_buf: Vec<u32>,
@@ -825,10 +825,8 @@ impl<'m> SpeculativeEngine<'m> {
     /// back past-the-context draft positions (rejected proposals) and
     /// copies any missing positions' KV from the request session (the
     /// initial prompt sync, and the one position a fully accepted block
-    /// leaves behind). Also reserves the run's worst-case draft capacity
-    /// once — `position + limit` never grows over a request's lifetime, so
-    /// steady-state drafting performs no allocation.
-    fn resync_draft(&mut self, session: &DecodeSession, limit: usize) {
+    /// leaves behind).
+    fn resync_draft(&mut self, session: &DecodeSession) {
         let pos = session.position;
         let ds = &mut self.draft_session;
         if ds.position > pos {
@@ -837,15 +835,12 @@ impl<'m> SpeculativeEngine<'m> {
         if ds.position < pos {
             for (dst, src) in ds.caches.iter_mut().zip(&session.caches) {
                 for t in dst.len()..pos {
-                    // Dtype-aware: raw words paged-to-paged, lossless f16→f32
-                    // widening into the contiguous draft cache.
+                    // Raw words from an f32 session, lossless f16→f32
+                    // widening from an f16 one.
                     dst.push_from(src, t);
                 }
             }
             ds.position = pos;
-        }
-        for cache in &mut ds.caches {
-            cache.reserve_tokens(pos + limit + 1);
         }
     }
 
@@ -890,7 +885,7 @@ impl Engine for SpeculativeEngine<'_> {
             self.refresh_ops();
             return;
         }
-        self.resync_draft(session, limit);
+        self.resync_draft(session);
         out.reset(budget + 1);
         // Draft: greedy argmax chain through the cheap engine.
         let mut t = token;

@@ -21,7 +21,9 @@
 //! a step never shows in the KV: it is bitwise what one position at a time
 //! leaves.
 
-use sparseinfer_model::kv::{KvBlockPool, PrefixHit, SwappedKvCache, DEFAULT_BLOCK_TOKENS};
+use sparseinfer_model::kv::{
+    KvBlockPool, PagedKvCache, PrefixHit, SwappedKvCache, DEFAULT_BLOCK_TOKENS,
+};
 use sparseinfer_model::model::DecodeSession;
 use sparseinfer_model::sampling::Sampler;
 use sparseinfer_model::{PrefillScratch, PromptChunk, PREFILL_CHUNK};
@@ -432,7 +434,7 @@ impl RequestRun {
 
     /// The session's per-layer KV caches — read access for prefix
     /// publication.
-    pub fn kv_caches(&self) -> &[sparseinfer_model::attention::KvCache] {
+    pub fn kv_caches(&self) -> &[PagedKvCache] {
         &self.session.caches
     }
 
@@ -639,27 +641,17 @@ impl RequestRun {
         &self.events
     }
 
-    /// Swaps the session's paged KV caches out to cold buffers, one per
-    /// layer: block contents are copied, every block handle is released
-    /// (private storage returns to the pool immediately), and the run is
-    /// frozen until [`restore_kv`](Self::restore_kv) — sampler state,
-    /// pending logits and produced tokens all stay in place, so a restored
-    /// run continues exactly where it stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session's caches are not paged (scheduler sessions
-    /// always are).
+    /// Swaps the session's KV caches out to cold buffers, one per layer:
+    /// block contents are copied, every block handle is released (private
+    /// storage returns to the pool immediately), and the run is frozen
+    /// until [`restore_kv`](Self::restore_kv) — sampler state, pending
+    /// logits and produced tokens all stay in place, so a restored run
+    /// continues exactly where it stopped.
     pub fn swap_out_kv(&mut self) -> Vec<SwappedKvCache> {
         self.session
             .caches
             .iter_mut()
-            .map(|cache| {
-                cache
-                    .as_paged_mut()
-                    .expect("scheduler sessions are paged")
-                    .swap_out()
-            })
+            .map(PagedKvCache::swap_out)
             .collect()
     }
 
@@ -678,10 +670,7 @@ impl RequestRun {
             "one cold buffer per layer"
         );
         for (cache, cold) in self.session.caches.iter_mut().zip(swapped) {
-            cache
-                .as_paged_mut()
-                .expect("scheduler sessions are paged")
-                .restore(cold);
+            cache.restore(cold);
         }
     }
 
@@ -691,8 +680,7 @@ impl RequestRun {
         self.session
             .caches
             .iter()
-            .filter_map(|c| c.as_paged())
-            .map(|p| p.content_bytes())
+            .map(PagedKvCache::content_bytes)
             .sum()
     }
 
@@ -702,8 +690,7 @@ impl RequestRun {
         self.session
             .caches
             .iter()
-            .filter_map(|c| c.as_paged())
-            .map(|p| p.blocks_held())
+            .map(PagedKvCache::blocks_held)
             .sum()
     }
 

@@ -233,13 +233,7 @@ impl<'m> Scheduler<'m> {
                 .run
                 .kv_caches()
                 .iter()
-                .map(|cache| {
-                    cache
-                        .as_paged()
-                        .expect("scheduler sessions are paged")
-                        .block_refs()[..runs]
-                        .to_vec()
-                })
+                .map(|cache| cache.block_refs()[..runs].to_vec())
                 .collect();
             let newly = self
                 .index

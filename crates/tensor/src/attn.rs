@@ -4,9 +4,9 @@
 //!
 //! A run is a slab of consecutive cached positions, `stride` floats apart
 //! (the model dimension), of which one head reads `head_dim` floats each —
-//! a whole contiguous KV cache, or one block of a paged one. The caller
-//! walks the runs and keeps the softmax between the two loops scalar (a
-//! vector `exp` would move bits).
+//! one block of a KV cache, which for a capacity-reserved cache is its
+//! whole context. The caller walks the runs and keeps the softmax between
+//! the two loops scalar (a vector `exp` would move bits).
 //!
 //! Both loops exist twice. [`reference`](mod@reference) is the scalar code attention ran
 //! before this module existed: one sequential add chain per score, one

@@ -36,6 +36,7 @@ use sparseinfer::predictor::AlphaSchedule;
 use sparseinfer::sparse::engine::{Engine, EngineBuilder, WeightFormat};
 use sparseinfer::sparse::request::GenerateRequest;
 use sparseinfer::sparse::scheduler::{Scheduler, SchedulerConfig};
+use sparseinfer::tensor::gemv::MIN_MACS_PER_WORKER;
 use sparseinfer::tensor::{ParallelOptions, ThreadPool, Vector};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -210,6 +211,51 @@ fn parallel_steady_state_decode_is_allocation_free() {
     }
 }
 
+fn fanned_out_decode_is_allocation_free() {
+    // On `test_model` no GEMV reaches the fan-out rule (the largest, the LM
+    // head, is 300 × 64 MACs), so the `threads > 1` checks above run
+    // inline. Here the gate and up GEMVs are two workers' worth each.
+    let mut cfg = ModelConfig::tiny();
+    cfg.hidden_dim = 512;
+    cfg.mlp_dim = 2048;
+    cfg.n_heads = 4;
+    cfg.n_layers = 2;
+    cfg.vocab_size = 300;
+    assert!(
+        cfg.mlp_dim * cfg.hidden_dim >= 2 * MIN_MACS_PER_WORKER,
+        "the gate and up GEMVs must split across two workers"
+    );
+    let model = WeightGenerator::new(&cfg, 7).build();
+    for threads in [2usize, 4] {
+        let parallel = ParallelOptions::threads(threads);
+        let signbit = || {
+            EngineBuilder::new(&model)
+                .signbit(AlphaSchedule::uniform(1.0))
+                .parallel(parallel)
+        };
+        for (name, mut engine) in [
+            (
+                "dense",
+                EngineBuilder::new(&model)
+                    .parallel(parallel)
+                    .build()
+                    .unwrap(),
+            ),
+            ("signbit", signbit().build().unwrap()),
+            (
+                "signbit+int8",
+                signbit().weight_format(WeightFormat::Int8).build().unwrap(),
+            ),
+        ] {
+            let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+            assert_eq!(
+                allocs, 0,
+                "{name} decode at {threads} threads allocated {allocs} times"
+            );
+        }
+    }
+}
+
 fn batched_prefill_step_is_allocation_free() {
     // The batched step takes everything from its scratch: after one
     // warm-up step at this batch size it allocates nothing (the reference
@@ -372,6 +418,7 @@ fn main() {
         int8_steady_state_decode_is_allocation_free,
         parallel_int8_steady_state_decode_is_allocation_free,
         parallel_steady_state_decode_is_allocation_free,
+        fanned_out_decode_is_allocation_free,
         batched_prefill_step_is_allocation_free,
         chunked_prefill_step_is_allocation_free,
         scheduler_prefill_ticks_are_allocation_free,

@@ -180,15 +180,17 @@ fn main() {
     // Prefill's kernel: `gemm_rows_into` loads each weight row once for B
     // activation columns. 24 gate-sized matrices walked in order are 17 MB,
     // so every pass streams its weights from beyond L2 as a model's layers
-    // do; the figure is time per matrix *per position*.
+    // do; the figure is time per matrix *per position*. From two columns on
+    // the rows go through the two-row tile; batch 8 is the 2 slots x 4
+    // positions of a decoder-free scheduler tick.
     let mut rng = Prng::seed(3);
     let stack: Vec<Matrix> = (0..24)
         .map(|_| Matrix::from_fn(688, 256, |_, _| rng.normal(0.0, 0.1) as f32))
         .collect();
-    let columns: Vec<f32> = (0..4 * 256).map(|_| rng.normal(0.4, 1.0) as f32).collect();
+    let columns: Vec<f32> = (0..8 * 256).map(|_| rng.normal(0.4, 1.0) as f32).collect();
     let mut gemm_out = Vector::zeros(0);
-    let mut per_position = [0.0f64; 3];
-    for (bi, batch) in [1usize, 2, 4].into_iter().enumerate() {
+    let mut per_position = [0.0f64; 4];
+    for (bi, batch) in [1usize, 2, 4, 8].into_iter().enumerate() {
         let name = format!("gemm_rows_688x256_b{batch}_us_per_position");
         let us = time_us(&name, bench_iters(40), || {
             for w in &stack {
@@ -311,8 +313,12 @@ fn main() {
             ),
             (
                 "vectorised",
-                attn::head_scores_into,
-                attn::add_weighted_values,
+                |q, keys, stride, scale, scores| {
+                    attn::head_scores_into(&[q], keys, stride, scale, &mut [scores])
+                },
+                |weights, values, stride, out| {
+                    attn::add_weighted_values(&[weights], values, stride, &mut [out])
+                },
             ),
         ];
         for (p, (path, scores_into, add_values)) in paths.into_iter().enumerate() {
@@ -353,5 +359,91 @@ fn main() {
                 us[1] / us[0]
             );
         }
+    }
+
+    println!(
+        "\n== four queries of one session: four one-query calls vs one multi-query pass \
+         (ctx 125-128, d 256, 8 heads, scores + value sum) =="
+    );
+    // A decoder-free tick feeds a prefilling session four consecutive
+    // positions, which attend over 125..=128 cached positions. Per head the
+    // two kernels of all four queries, once as four one-query calls of each
+    // entry point (what each column did alone) and once as one call each
+    // with all four, which transposes each key block and loads each value
+    // row once for the four. The scalar softmax between them is the same
+    // loop either way and is left out.
+    let ctx = 128usize;
+    let contexts: [usize; 4] = std::array::from_fn(|i| ctx - 3 + i);
+    let queries: Vec<Vec<f32>> = (0..4)
+        .map(|_| (0..d).map(|_| rng.normal(0.0, 1.0) as f32).collect())
+        .collect();
+    let weights: Vec<Vec<f32>> = contexts
+        .iter()
+        .map(|&c| (0..c).map(|_| rng.uniform() as f32 / c as f32).collect())
+        .collect();
+    let keys: Vec<f32> = (0..ctx * d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+    let values: Vec<f32> = (0..ctx * d).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+    let head_dim = d / heads;
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    // Per path: every query's scores, then every query's output.
+    let fresh = || {
+        (
+            [(); 4].map(|_| vec![0.0f32; ctx]),
+            [(); 4].map(|_| vec![0.0f32; d]),
+        )
+    };
+    let mut results = [fresh(), fresh()];
+    let mut us = [0.0f64; 2];
+    for (p, together) in [1usize, 4].into_iter().enumerate() {
+        let name = match together {
+            1 => format!("attend_f32_ctx{ctx}_4x1q_us"),
+            _ => format!("attend_f32_ctx{ctx}_4q_us"),
+        };
+        let (scores, outs) = &mut results[p];
+        us[p] = time_us(&name, bench_iters(2000), || {
+            for h in 0..heads {
+                let span = h * head_dim..(h + 1) * head_dim;
+                for first in (0..4).step_by(together) {
+                    let group = first..first + together;
+                    let mut qs = [&[][..]; 4];
+                    let mut ws = [&[][..]; 4];
+                    let mut ss: [&mut [f32]; 4] = Default::default();
+                    let mut os: [&mut [f32]; 4] = Default::default();
+                    let members = (scores[group.clone()].iter_mut())
+                        .zip(outs[group.clone()].iter_mut())
+                        .zip(queries[group.clone()].iter().zip(&weights[group.clone()]))
+                        .zip(&contexts[group]);
+                    for (i, (((s, o), (q, w)), &c)) in members.enumerate() {
+                        qs[i] = &q[span.clone()];
+                        ws[i] = w;
+                        ss[i] = &mut s[..c];
+                        os[i] = &mut o[span.clone()];
+                        os[i].fill(0.0);
+                    }
+                    let n = together;
+                    attn::head_scores_into(&qs[..n], &keys[span.start..], d, scale, &mut ss[..n]);
+                    attn::add_weighted_values(&ws[..n], &values[span.start..], d, &mut os[..n]);
+                }
+            }
+        });
+    }
+    let bits = |(scores, outs): &([Vec<f32>; 4], [Vec<f32>; 4])| {
+        (scores.iter().chain(outs))
+            .flat_map(|v| v.iter().map(|f| f.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(&results[0]),
+        bits(&results[1]),
+        "the multi-query pass moved a bit"
+    );
+    let ratio = us[1] / us[0];
+    println!("  -> one pass for four queries takes {ratio:.2}x the four calls' time");
+    if cfg!(target_feature = "avx2") && !quick() {
+        assert!(
+            ratio <= 0.6,
+            "four queries in one pass take {ratio:.2}x the time of four one-query calls \
+             (expected <= 0.6x): the key blocks are no longer shared between queries"
+        );
     }
 }

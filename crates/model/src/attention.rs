@@ -12,20 +12,26 @@
 //! ([`Model::prefill_step`](crate::Model::prefill_step)) projects Q/K/V/O
 //! for every column of the step — a column is one prompt position of one
 //! session, and a session may bring several consecutive ones — in one pass
-//! over each weight matrix, and then does per column exactly what
-//! `forward_ws` does: RoPE, the KV push, and scores / softmax / value sum
+//! over each weight matrix, and then gives every column what `forward_ws`
+//! gives its one token: RoPE, the KV push, and scores / softmax / value sum
 //! over that session's own cache up to and including the column's own
-//! position. The rotary angles are computed once per position —
-//! `head_dim / 2` `(sin, cos)` pairs — and applied to every head of `q`
-//! and `k`, not once per pair per head.
+//! position. The columns of one session attend together, up to
+//! [`attn::QUERY_GROUP`] per pass, so a key block is read once for all of them
+//! and a value row once for every two; every column still gets the bits it
+//! would get alone.
+//! The rotary angles are computed once per position — `head_dim / 2`
+//! `(sin, cos)` pairs — and applied to every head of `q` and `k`, not once
+//! per pair per head.
 //!
 //! `f32` caches are read in *runs* ([`PagedKvCache::run`]: one block — the
 //! whole context of a capacity-reserved cache) through the head kernels of
 //! [`sparseinfer_tensor::attn`] — vectorised where the build has AVX2, and
 //! bitwise the scalar loop either way. `f16` caches keep the scalar loop
-//! that converts each stored word as it is accumulated.
+//! that converts each stored word as it is accumulated, one query at a
+//! time.
 
 use std::borrow::BorrowMut;
+use std::ops::Range;
 
 use sparseinfer_tensor::gemv::{gemm_rows_into, gemv_into, MIN_MACS_PER_WORKER};
 use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector, Workspace};
@@ -163,16 +169,19 @@ impl Attention {
         ws.give(k);
         ws.give(v);
 
-        // Sized to the held blocks (never short of the context) so the
-        // buffer does not regrow, and reallocate, token by token.
-        let mut scores = ws.take(cache.capacity_tokens());
+        // One stretch per head, each sized to the held blocks (never short
+        // of the context) so the buffer does not regrow, and reallocate,
+        // token by token.
+        let mut scores = ws.take(self.n_heads * cache.capacity_tokens());
         let mut out = ws.take(d);
         self.attend(
-            q.as_slice(),
             cache,
-            cache.len(),
-            scores.as_mut_slice(),
-            out.as_mut_slice(),
+            &mut [Query {
+                q: q.as_slice(),
+                context: cache.len(),
+                scores: scores.as_mut_slice(),
+                out: out.as_mut_slice(),
+            }],
         );
         ws.give(q);
         ws.give(scores);
@@ -183,41 +192,70 @@ impl Attention {
         result
     }
 
-    /// Causal attention of the (rotated) query `q` over the first `context`
-    /// positions of `cache`, head by head, into `out`; `scores` is scratch
-    /// of at least `context` elements. Shared by the decode path and the
-    /// batched prefill step, so both produce the same bits.
-    fn attend(
-        &self,
-        q: &[f32],
-        cache: &PagedKvCache,
-        context: usize,
-        scores: &mut [f32],
-        out: &mut [f32],
-    ) {
-        let scores = &mut scores[..context];
-        out.fill(0.0);
-        if cache.dtype() == KvDtype::F16 {
-            return self.attend_f16(q, cache, scores, out);
+    /// Causal attention of up to [`attn::QUERY_GROUP`] queries over one cache —
+    /// each query over the first `context` positions, into its `out` — run
+    /// by run, every head of a run while its keys (then its values) are
+    /// close at hand, and each head's key and value reads shared by the
+    /// queries ([`attn`]'s multi-query pass). Contexts may differ, as those
+    /// of consecutive prompt positions do; every query's bits are those of
+    /// attending alone: a head's scores, softmax and value chains do not
+    /// depend on the order heads and runs are visited in, as long as each
+    /// head takes its runs in ascending order. Shared by the decode path
+    /// (one query) and the batched prefill step (a session's columns), so
+    /// both produce the same bits.
+    fn attend(&self, cache: &PagedKvCache, queries: &mut [Query<'_>]) {
+        for query in queries.iter_mut() {
+            query.out.fill(0.0);
         }
+        if cache.dtype() == KvDtype::F16 {
+            for query in queries {
+                let scores = &mut query.scores[..query.context];
+                self.attend_f16(query.q, cache, scores, query.out);
+            }
+            return;
+        }
+        let (n, heads) = (queries.len(), self.n_heads);
         let d = self.hidden_dim();
         let head_dim = self.head_dim();
         let scale = 1.0 / (head_dim as f32).sqrt();
-        for h in 0..self.n_heads {
-            let span = h * head_dim..(h + 1) * head_dim;
-            for_each_run(cache, d, context, |run, keys, _| {
+        let context = queries.iter().map(|query| query.context).max().unwrap_or(0);
+        for_each_run(cache, d, context, |run, keys, _| {
+            for h in 0..heads {
+                let span = h * head_dim..(h + 1) * head_dim;
+                let mut qs = [&[][..]; attn::QUERY_GROUP];
+                let mut scores: [&mut [f32]; attn::QUERY_GROUP] = Default::default();
+                for ((q, slot), query) in qs.iter_mut().zip(&mut scores).zip(queries.iter_mut()) {
+                    let part = query.head_part(h, heads, &run);
+                    *q = &query.q[span.clone()];
+                    *slot = &mut query.scores[part];
+                }
                 let keys = &keys[span.start..];
-                attn::head_scores_into(&q[span.clone()], keys, d, scale, &mut scores[run]);
-            });
-            let denom = exp_scores(scores);
-            for w in scores.iter_mut() {
-                *w /= denom;
+                attn::head_scores_into(&qs[..n], keys, d, scale, &mut scores[..n]);
             }
-            for_each_run(cache, d, context, |run, _, values| {
-                let values = &values[span.start..];
-                attn::add_weighted_values(&scores[run], values, d, &mut out[span.clone()]);
-            });
+        });
+        for query in queries.iter_mut() {
+            let stretch = query.scores.len() / heads;
+            for scores in query.scores.chunks_exact_mut(stretch).take(heads) {
+                let scores = &mut scores[..query.context];
+                let denom = exp_scores(scores);
+                for w in scores.iter_mut() {
+                    *w /= denom;
+                }
+            }
         }
+        for_each_run(cache, d, context, |run, _, values| {
+            for h in 0..heads {
+                let span = h * head_dim..(h + 1) * head_dim;
+                let mut weights = [&[][..]; attn::QUERY_GROUP];
+                let mut outs: [&mut [f32]; attn::QUERY_GROUP] = Default::default();
+                for ((w, out), query) in weights.iter_mut().zip(&mut outs).zip(queries.iter_mut()) {
+                    *w = &query.scores[query.head_part(h, heads, &run)];
+                    *out = &mut query.out[span.clone()];
+                }
+                let values = &values[span.start..];
+                attn::add_weighted_values(&weights[..n], values, d, &mut outs[..n]);
+            }
+        });
     }
 
     /// [`attend`](Self::attend) over stored `F16` words, one position at a
@@ -252,10 +290,12 @@ impl Attention {
     /// leaves the output projection in `scratch.proj` (per row). Q/K/V/O
     /// are one weight pass each for all columns. RoPE (from `scratch.rope`)
     /// and the KV push into the session's layer-`li` cache run column by
-    /// column in position order; [`attend`](Self::attend) then runs per
+    /// column in position order; [`attend`](Self::attend) then takes each
     /// column over the cache *up to that column's own position* — what
     /// [`forward_ws`](Self::forward_ws) sees when the positions arrive one
-    /// call at a time — with the columns spread across `pool`.
+    /// call at a time — with the columns spread across `pool` and the
+    /// columns of one session on one worker attending together, up to
+    /// [`attn::QUERY_GROUP`] per call.
     pub(crate) fn prefill_batch<T, S>(
         &self,
         li: usize,
@@ -302,7 +342,7 @@ impl Attention {
         }
         assert_eq!(scratch.columns.len(), b, "attention input shape mismatch");
 
-        let lane = d + score_len;
+        let lane = d + self.n_heads * score_len;
         scratch.lanes.resize(b * lane, 0.0);
         let q = scratch.q.as_slice();
         let sessions: &[(T, S)] = batch;
@@ -310,14 +350,31 @@ impl Attention {
         // Scores and value sum: two multiply-accumulates per cached element.
         let min_columns = MIN_MACS_PER_WORKER.div_ceil(2 * d * context.max(1));
         let lanes = scratch.lanes.as_mut_slice();
-        pool.run_rows(lanes, lane, min_columns, |first, lanes| {
-            for (c, lane) in lanes.chunks_exact_mut(lane).enumerate() {
-                let c = first + c;
-                let (out, scores) = lane.split_at_mut(d);
-                let (i, context) = columns[c];
-                let session: &DecodeSession = sessions[i].1.borrow();
-                let q = &q[c * d..(c + 1) * d];
-                self.attend(q, &session.caches[li], context, scores, out);
+        pool.run_rows(lanes, lane, min_columns, |first, mut lanes| {
+            // A worker's columns, cut into runs of one session's columns of
+            // at most `attn::QUERY_GROUP` each: one `attend` per run.
+            let mine = &columns[first..first + lanes.len() / lane];
+            let mut c = first;
+            for session in mine.chunk_by(|a, b| a.0 == b.0) {
+                let cache = &sessions[session[0].0].1.borrow().caches[li];
+                for group in session.chunks(attn::QUERY_GROUP) {
+                    let (group_lanes, rest) = lanes.split_at_mut(group.len() * lane);
+                    lanes = rest;
+                    let mut queries: [Query; attn::QUERY_GROUP] = Default::default();
+                    let members = group_lanes.chunks_exact_mut(lane).zip(group);
+                    for (query, (lane, &(_, context))) in queries.iter_mut().zip(members) {
+                        let (out, scores) = lane.split_at_mut(d);
+                        let q = &q[c * d..(c + 1) * d];
+                        *query = Query {
+                            q,
+                            context,
+                            scores,
+                            out,
+                        };
+                        c += 1;
+                    }
+                    self.attend(cache, &mut queries[..group.len()]);
+                }
             }
         });
 
@@ -340,6 +397,26 @@ impl Attention {
     }
 }
 
+/// One query of [`Attention::attend`]: a rotated query (every head), the
+/// number of cached positions it attends over, its score scratch (one equal
+/// stretch per head, each at least that long) and its output (every head).
+#[derive(Default)]
+struct Query<'a> {
+    q: &'a [f32],
+    context: usize,
+    scores: &'a mut [f32],
+    out: &'a mut [f32],
+}
+
+impl Query<'_> {
+    /// Where head `h` of `heads` keeps the scores of the positions of `run`
+    /// below this query's context.
+    fn head_part(&self, h: usize, heads: usize, run: &Range<usize>) -> Range<usize> {
+        let first = h * (self.scores.len() / heads);
+        first + run.start.min(self.context)..first + run.end.min(self.context)
+    }
+}
+
 /// Walks the first `context` positions of an `f32` cache of width `d` run
 /// by run: `f` gets each run's positions and the key and value slabs that
 /// start at its first one.
@@ -347,7 +424,7 @@ fn for_each_run(
     cache: &PagedKvCache,
     d: usize,
     context: usize,
-    mut f: impl FnMut(std::ops::Range<usize>, &[f32], &[f32]),
+    mut f: impl FnMut(Range<usize>, &[f32], &[f32]),
 ) {
     let mut t = 0;
     while t < context {

@@ -95,7 +95,7 @@ pub struct PrefillScratch {
     pub(crate) k: Vector,
     pub(crate) v: Vector,
     /// Per column: the attention output (`d`) followed by that column's
-    /// score scratch — one row of a pool dispatch.
+    /// score scratch, one stretch per head — one row of a pool dispatch.
     pub(crate) lanes: Vector,
     /// Per column: `sin` then `cos` of its position's `head_dim / 2`
     /// rotation angles.

@@ -24,6 +24,23 @@
 //! suite proves exact equivalence of the lane-ordered scalar forms and
 //! close agreement of the single-accumulator form.
 //!
+//! From two columns on, an `f32` build with AVX2 computes those same
+//! chains in a **register tile** instead: two weight rows × up to four
+//! columns, each (row, column) pair one 8-lane chain `acc = acc + w * x` —
+//! separate multiply and add, **no FMA** — and each chain's tree
+//! `((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7))` reduced in registers
+//! (`extractf128`, `movehl`, `add_ss`: the same IEEE adds of the same
+//! operands). Eight independent chains hide the add latency, each loaded
+//! column serves both rows and each loaded row chunk every column, so a
+//! prompt chunk costs what its arithmetic costs: 24 688×256 matrices at
+//! 2 / 4 / 8 columns ran in 223 / 315 / 570 µs against the `lanes_*`
+//! kernels' 320 / 525 / 1003 µs (one core of a 2-core AMD EPYC VM). The
+//! `lanes_*` kernels stay the portable path — no AVX2, or a row that is
+//! not whole 8-lane chunks — and the tests hold both to the scalar
+//! reference bit for bit. One column keeps the one-column kernel: a GEMV
+//! does one multiply-add per weight it loads, so it waits on the weights,
+//! not on the adds a tile overlaps, and its loop is left as it was.
+//!
 //! One function partitions the rows of a weight matrix across a pool:
 //! [`gemm_rows_into`] reads each (unfiltered) weight row once for B
 //! activation columns. Prefill calls it with B positions, decode with one
@@ -38,6 +55,9 @@
 
 use crate::pool::ThreadPool;
 use crate::{Matrix, ShapeError, Vector, WeightRows};
+
+#[cfg(target_feature = "avx2")]
+mod avx2;
 
 /// Number of independent accumulators in the unrolled dot product. Eight
 /// `f32` lanes fill one AVX2 register; on narrower ISAs the compiler splits
@@ -68,9 +88,10 @@ const MIN_COLS_PER_WORKER: usize = 64;
 pub const MIN_MACS_PER_WORKER: usize = 1 << 19;
 
 /// Activation columns the batched dot products reduce per pass over a
-/// weight row: four 8-lane accumulator sets plus the row chunk fit the 16
-/// vector registers of AVX2; a larger batch takes further passes over the
-/// row while it is still in L1.
+/// weight row: the tile's two rows × four columns of 8-lane accumulators
+/// plus the four loaded columns and a row chunk fit the 16 vector registers
+/// of AVX2; a larger batch takes further passes over the rows while they
+/// are still in L1.
 pub const COLUMN_GROUP: usize = 4;
 
 /// Chunked multi-accumulator dot product with a fixed reduction order:
@@ -111,13 +132,52 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 pub fn dot_batch(a: &[f32], xs: &[f32], out: &mut [f32]) {
     match out {
         [one] => *one = dot(a, xs),
-        _ => dot_groups(a, xs, out),
+        _ => dot_row_groups(a, xs, out),
     }
 }
 
-fn dot_groups(a: &[f32], xs: &[f32], out: &mut [f32]) {
+/// [`dot_batch`] of several columns: one row through `dot_rows_batch`.
+// Out of line, so that the one-column row loop `dot_batch` is inlined into
+// stays the loop it was: with the tile inlined next to it, a 688x256 GEMV
+// took 4 % longer.
+#[inline(never)]
+fn dot_row_groups(a: &[f32], xs: &[f32], out: &mut [f32]) {
+    dot_rows_batch([a], xs, [out]);
+}
+
+/// [`dot_batch`] of one or two weight rows against the same columns in one
+/// pass: `out[i]` gets bitwise what `dot_batch(rows[i], xs, out[i])` writes,
+/// from the AVX2 tile where the build has AVX2 and the rows are whole
+/// 8-lane chunks, from the `lanes_*` kernels otherwise. The rows need not
+/// be adjacent in their matrix.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length or `xs` does not hold `out[i].len()`
+/// columns of that length.
+// Inlined down to the tile, into `rows_in_pairs`: passed through calls, the
+// arrays of slices go through the stack, and 24 688x256 passes at 4 columns
+// took 480 us instead of 365.
+#[inline]
+fn dot_rows_batch<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut [f32]; R]) {
+    let cols = rows[0].len();
+    for (a, out) in rows.iter().zip(&out) {
+        assert_eq!(a.len(), cols, "dot_batch row length mismatch");
+        assert_eq!(xs.len(), out.len() * cols, "dot_batch shape mismatch");
+    }
+    #[cfg(target_feature = "avx2")]
+    if cols.is_multiple_of(DOT_LANES) {
+        return avx2::dot_tile(rows, xs, out);
+    }
+    for (a, out) in rows.into_iter().zip(out) {
+        dot_groups_lanes(a, xs, out);
+    }
+}
+
+/// The portable multi-column path: the `lanes_*` kernels, four columns per
+/// pass, each result finished by [`finish`].
+fn dot_groups_lanes(a: &[f32], xs: &[f32], out: &mut [f32]) {
     let cols = a.len();
-    assert_eq!(xs.len(), out.len() * cols, "dot_batch shape mismatch");
     let main = cols - cols % DOT_LANES;
     let am = &a[..main];
     for (g, group) in out.chunks_mut(COLUMN_GROUP).enumerate() {
@@ -419,6 +479,19 @@ pub fn gemv_transposed(w: &Matrix, x: &Vector) -> Vector {
 /// are `0.0` (the row skip of the sparse kernels, decided once for all
 /// columns); `|_| true` keeps every row.
 ///
+/// From two columns on, a worker hands its rows to
+/// [`WeightRows::dot_kept_rows`]. An `f32` [`Matrix`] takes its kept rows
+/// two at a time through the tile: the `i`-th kept row of the lower half of
+/// its rows beside the `i`-th kept row of the upper half, then the rest of
+/// the longer half two by two, and a last unpaired row alone. Two
+/// ascending walks through two halves of the matrix are what the hardware
+/// prefetchers follow: the same pairs taken from adjacent rows — two reads
+/// 1 KB apart, in lockstep, through one page — streamed 688x256 weights
+/// from DRAM at a third of the speed. Other formats (the int8
+/// [`BlockQuantizedMatrix`](crate::BlockQuantizedMatrix)) have no tile and
+/// keep the row-by-row walk, as does a single column through the
+/// one-column kernel.
+///
 /// A worker gets at least `MIN_ROWS_PER_WORKER` rows and
 /// [`MIN_MACS_PER_WORKER`] multiply-accumulates, counted as if no row were
 /// filtered out.
@@ -440,6 +513,11 @@ pub fn gemm_rows_into<W: WeightRows>(
         return;
     }
     let min_rows = MIN_ROWS_PER_WORKER.max(MIN_MACS_PER_WORKER.div_ceil(xs.len().max(1)));
+    if batch > 1 {
+        return pool.run_rows(out.as_mut_slice(), batch, min_rows, |first_row, chunk| {
+            w.dot_kept_rows(first_row, &keep, xs, batch, chunk)
+        });
+    }
     pool.run_rows(out.as_mut_slice(), batch, min_rows, |first_row, chunk| {
         for (i, out_row) in chunk.chunks_exact_mut(batch).enumerate() {
             let r = first_row + i;
@@ -450,6 +528,56 @@ pub fn gemm_rows_into<W: WeightRows>(
             }
         }
     });
+}
+
+/// [`WeightRows::dot_kept_rows`] of a [`Matrix`]: a worker's kept rows in
+/// pairs through [`dot_rows_batch`], one row from each half of its rows.
+// Out of line and behind a closure of its own, so that the one-column loop
+// of a decode GEMV compiles as it did before the tile existed: inlined into
+// one closure with it, this loop cost the sparse MLP blocks built on that
+// GEMV up to 35 %.
+#[inline(never)]
+pub(crate) fn rows_in_pairs(
+    w: &Matrix,
+    first_row: usize,
+    keep: &impl Fn(usize) -> bool,
+    xs: &[f32],
+    batch: usize,
+    out: &mut [f32],
+) {
+    let half = (out.len() / batch).div_ceil(2);
+    let (lower, upper) = out.split_at_mut(half * batch);
+    let mut lower = kept_rows(first_row, lower, batch, keep);
+    let mut upper = kept_rows(first_row + half, upper, batch, keep);
+    loop {
+        let first = lower.next().or_else(|| upper.next());
+        let second = upper.next().or_else(|| lower.next());
+        match (first, second) {
+            (Some((r0, out0)), Some((r1, out1))) => {
+                dot_rows_batch([w.row(r0), w.row(r1)], xs, [out0, out1]);
+            }
+            (Some((r, out_row)), None) => dot_batch(w.row(r), xs, out_row),
+            (None, _) => break,
+        }
+    }
+}
+
+/// The rows of `out` (`batch` results each, the first one row `first`)
+/// that `keep` keeps, ascending; the others are zeroed as the walk passes.
+fn kept_rows<'a>(
+    first: usize,
+    out: &'a mut [f32],
+    batch: usize,
+    keep: &'a impl Fn(usize) -> bool,
+) -> impl Iterator<Item = (usize, &'a mut [f32])> {
+    let rows = (first..).zip(out.chunks_exact_mut(batch));
+    rows.filter_map(|(r, out_row)| {
+        if keep(r) {
+            return Some((r, out_row));
+        }
+        out_row.fill(0.0);
+        None
+    })
 }
 
 /// [`gemv_transposed`] for `batch` inputs in one pass over the weights:

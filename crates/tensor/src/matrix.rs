@@ -1,6 +1,6 @@
 //! Dense row-major `f32` matrix used for model weights.
 
-use crate::gemv::dot_batch;
+use crate::gemv::{dot_batch, rows_in_pairs};
 use crate::{ShapeError, Vector};
 
 /// Row-addressable weight storage: what a row-skipping kernel needs to know
@@ -25,6 +25,29 @@ pub trait WeightRows: Sync {
     /// format's fixed-order reduction, whatever the number of inputs.
     fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]);
 
+    /// One worker's share of [`gemm_rows_into`](crate::gemv::gemm_rows_into)
+    /// at two or more inputs: the rows of `out` (`batch` results each, the
+    /// first one row `first`) through [`dot_row_batch`](Self::dot_row_batch)
+    /// where `keep` keeps the row, zeros where it does not. The row order
+    /// does not change a bit of the results; the default walks the rows in
+    /// order, [`Matrix`] takes them in pairs for its AVX2 tile.
+    fn dot_kept_rows(
+        &self,
+        first: usize,
+        keep: &impl Fn(usize) -> bool,
+        xs: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
+        for (r, out_row) in (first..).zip(out.chunks_exact_mut(batch)) {
+            if keep(r) {
+                self.dot_row_batch(r, xs, out_row);
+            } else {
+                out_row.fill(0.0);
+            }
+        }
+    }
+
     /// Reader of columns `start..start + len` of row `r`: `read(i)` is the
     /// `f32` value of column `start + i`.
     fn row_span(&self, r: usize, start: usize, len: usize) -> impl Fn(usize) -> f32 + Copy + '_;
@@ -45,6 +68,17 @@ impl WeightRows for Matrix {
     #[inline] // see the int8 impl
     fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]) {
         dot_batch(self.row(r), xs, out);
+    }
+
+    fn dot_kept_rows(
+        &self,
+        first: usize,
+        keep: &impl Fn(usize) -> bool,
+        xs: &[f32],
+        batch: usize,
+        out: &mut [f32],
+    ) {
+        rows_in_pairs(self, first, keep, xs, batch, out);
     }
 
     #[inline] // see the int8 impl

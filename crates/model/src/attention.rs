@@ -23,12 +23,13 @@
 //! `(sin, cos)` pairs — and applied to every head of `q` and `k`, not once
 //! per pair per head.
 //!
-//! `f32` caches are read in *runs* ([`PagedKvCache::run`]: one block — the
-//! whole context of a capacity-reserved cache) through the head kernels of
-//! [`sparseinfer_tensor::attn`] — vectorised where the build has AVX2, and
-//! bitwise the scalar loop either way. `f16` caches keep the scalar loop
-//! that converts each stored word as it is accumulated, one query at a
-//! time.
+//! Caches of either dtype are read in *runs* ([`PagedKvCache::run`] /
+//! [`run_h`](PagedKvCache::run_h): one block — the whole context of a
+//! capacity-reserved cache) through the head kernels of
+//! [`sparseinfer_tensor::attn`], one body for both: an `f16` run's words
+//! are widened in-register as they are loaded (exactly, so the bits are
+//! those of attending over the widened `f32` values). Vectorised where the
+//! build has AVX2 and F16C, and bitwise the scalar loop either way.
 
 use std::borrow::BorrowMut;
 use std::ops::Range;
@@ -202,24 +203,30 @@ impl Attention {
     /// depend on the order heads and runs are visited in, as long as each
     /// head takes its runs in ascending order. Shared by the decode path
     /// (one query) and the batched prefill step (a session's columns), so
-    /// both produce the same bits.
+    /// both produce the same bits; and by both KV dtypes.
     fn attend(&self, cache: &PagedKvCache, queries: &mut [Query<'_>]) {
+        match cache.dtype() {
+            KvDtype::F32 => self.attend_runs(|t| cache.run(t), queries),
+            KvDtype::F16 => self.attend_runs(|t| cache.run_h(t), queries),
+        }
+    }
+
+    /// [`attend`](Self::attend) over the runs `run(t)` returns: the key and
+    /// value slabs from position `t` to the end of its block.
+    fn attend_runs<'c, E: attn::KvWord>(
+        &self,
+        run: impl Fn(usize) -> (&'c [E], &'c [E]),
+        queries: &mut [Query<'_>],
+    ) {
         for query in queries.iter_mut() {
             query.out.fill(0.0);
-        }
-        if cache.dtype() == KvDtype::F16 {
-            for query in queries {
-                let scores = &mut query.scores[..query.context];
-                self.attend_f16(query.q, cache, scores, query.out);
-            }
-            return;
         }
         let (n, heads) = (queries.len(), self.n_heads);
         let d = self.hidden_dim();
         let head_dim = self.head_dim();
         let scale = 1.0 / (head_dim as f32).sqrt();
         let context = queries.iter().map(|query| query.context).max().unwrap_or(0);
-        for_each_run(cache, d, context, |run, keys, _| {
+        for_each_run(&run, d, context, |run, keys, _| {
             for h in 0..heads {
                 let span = h * head_dim..(h + 1) * head_dim;
                 let mut qs = [&[][..]; attn::QUERY_GROUP];
@@ -243,7 +250,7 @@ impl Attention {
                 }
             }
         }
-        for_each_run(cache, d, context, |run, _, values| {
+        for_each_run(&run, d, context, |run, _, values| {
             for h in 0..heads {
                 let span = h * head_dim..(h + 1) * head_dim;
                 let mut weights = [&[][..]; attn::QUERY_GROUP];
@@ -256,32 +263,6 @@ impl Attention {
                 attn::add_weighted_values(&weights[..n], values, d, &mut outs[..n]);
             }
         });
-    }
-
-    /// [`attend`](Self::attend) over stored `F16` words, one position at a
-    /// time: dequantizes in the accumulate — no materialized f32 copy of
-    /// the cached row.
-    fn attend_f16(&self, q: &[f32], cache: &PagedKvCache, scores: &mut [f32], out: &mut [f32]) {
-        let head_dim = self.head_dim();
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        for h in 0..self.n_heads {
-            let span = h * head_dim..(h + 1) * head_dim;
-            let qh = &q[span.clone()];
-            for (t, slot) in scores.iter_mut().enumerate() {
-                let kh = &cache.key_h(t)[span.clone()];
-                let s: f32 = qh.iter().zip(kh).map(|(a, b)| a * b.to_f32()).sum();
-                *slot = s * scale;
-            }
-            let denom = exp_scores(scores);
-            let out_h = &mut out[span.clone()];
-            for (t, w) in scores.iter().enumerate() {
-                let w = w / denom;
-                let vh = &cache.value_h(t)[span.clone()];
-                for (o, vv) in out_h.iter_mut().zip(vh) {
-                    *o += w * vv.to_f32();
-                }
-            }
-        }
     }
 
     /// The attention block of one batched prefill step (see
@@ -417,18 +398,18 @@ impl Query<'_> {
     }
 }
 
-/// Walks the first `context` positions of an `f32` cache of width `d` run
-/// by run: `f` gets each run's positions and the key and value slabs that
-/// start at its first one.
-fn for_each_run(
-    cache: &PagedKvCache,
+/// Walks the first `context` positions of a cache of width `d` run by run,
+/// through its run accessor: `f` gets each run's positions and the key and
+/// value slabs that start at its first one.
+fn for_each_run<'c, E: attn::KvWord>(
+    run: &impl Fn(usize) -> (&'c [E], &'c [E]),
     d: usize,
     context: usize,
-    mut f: impl FnMut(Range<usize>, &[f32], &[f32]),
+    mut f: impl FnMut(Range<usize>, &'c [E], &'c [E]),
 ) {
     let mut t = 0;
     while t < context {
-        let (keys, values) = cache.run(t);
+        let (keys, values) = run(t);
         let end = context.min(t + keys.len() / d);
         f(t..end, keys, values);
         t = end;

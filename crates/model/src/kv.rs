@@ -38,7 +38,7 @@
 //!   under a configurable cap.
 //!
 //! Reads go through the block table (`t → block[t / block_tokens]`) and
-//! deliver the same `&[f32]` slices in the same order whatever the block
+//! deliver the same stored words in the same order whatever the block
 //! size, so every attention kernel is bit-identical over any pool — a block
 //! only decides where a [`run`](PagedKvCache::run) of positions ends.
 //!
@@ -48,7 +48,8 @@
 //! (`memory_bytes`, `in_use_bytes`, swap sizes) and so doubles how many
 //! tokens a given byte budget holds. Callers always *push* `f32` vectors;
 //! conversion happens at the block boundary, and an `F16` pool's contents
-//! are read back through [`PagedKvCache::key_h`]/[`value_h`](PagedKvCache::value_h).
+//! are read back as stored words through [`PagedKvCache::run_h`] (and
+//! [`key_h`](PagedKvCache::key_h)/[`value_h`](PagedKvCache::value_h)).
 //! All sharing semantics — COW, prefix attach, swap/restore, truncate —
 //! are dtype-independent, and because `f16 → f32 → f16` round-trips
 //! losslessly, a swap/restore cycle is bit-identical in either dtype.
@@ -763,7 +764,20 @@ impl PagedKvCache {
         let (block, offset) = self.slot(t);
         match &self.blocks[block].inner.data {
             KvBlockData::F32 { keys, values } => (&keys[offset..], &values[offset..]),
-            KvBlockData::F16 { .. } => panic!("f16 KV cache: read positions via key_h/value_h"),
+            KvBlockData::F16 { .. } => panic!("f16 KV cache: read runs via run_h"),
+        }
+    }
+
+    /// [`run`](Self::run) as stored `F16` words (pools storing `F16`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.len()` or if the pool stores `f32`.
+    pub fn run_h(&self, t: usize) -> (&[F16], &[F16]) {
+        let (block, offset) = self.slot(t);
+        match &self.blocks[block].inner.data {
+            KvBlockData::F16 { keys, values } => (&keys[offset..], &values[offset..]),
+            KvBlockData::F32 { .. } => panic!("f32 KV cache: read runs via run"),
         }
     }
 

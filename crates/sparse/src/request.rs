@@ -361,7 +361,11 @@ impl RequestRun {
             pending: None,
             block: StepBlock::new(),
             events: Vec::new(),
-            tokens: Vec::new(),
+            // The whole budget at once (capped at the model's sequence
+            // length, so a client-chosen budget cannot size it): one
+            // allocation instead of a doubling series, and a run that spends
+            // its budget hands back a list holding no spare capacity.
+            tokens: Vec::with_capacity(req.max_new.min(engine.model().config().max_seq_len)),
             replay,
             // A zero budget can produce nothing: finish immediately rather
             // than paying a full engine step whose logits are never

@@ -2,11 +2,15 @@
 //! positions, for one query or several: the scores `q · k[t]` and the
 //! weighted value sum `out += w[t] · v[t]`.
 //!
-//! A run is a slab of consecutive cached positions, `stride` floats apart
-//! (the model dimension), of which one head reads `head_dim` floats each —
+//! A run is a slab of consecutive cached positions, `stride` words apart
+//! (the model dimension), of which one head reads `head_dim` words each —
 //! one block of a KV cache, which for a capacity-reserved cache is its
-//! whole context. The caller walks the runs and keeps the softmax between
-//! the two loops scalar (a vector `exp` would move bits).
+//! whole context. The words are a [`KvWord`]: `f32`, or the [`F16`] of a
+//! half-precision cache, widened to `f32` in-register as they are read.
+//! Widening is exact (every binary16 value is an `f32` value), so an `F16`
+//! run gives the bits of its widened `f32` copy, and both dtypes share one
+//! body. The caller walks the runs and keeps the softmax between the two
+//! loops scalar (a vector `exp` would move bits).
 //!
 //! Several queries over one cache are the prompt positions one session
 //! brings to a prefill step: consecutive positions, so their contexts
@@ -18,12 +22,17 @@
 //! Both loops exist twice. [`reference`](mod@reference) is the scalar code
 //! attention ran before this module existed, one query at a time: one
 //! sequential add chain per score, one position-ascending chain per output
-//! element. It is what the tests compare against, and it is the portable
-//! path — a build without AVX2 (`RUSTFLAGS=""`), or a head width that is
-//! not a multiple of eight, runs it query by query. On AVX2 the same
-//! chains are kept **bit for bit** and computed eight at a time, for up to
-//! [`QUERY_GROUP`] queries per pass:
+//! element, each word widened by [`KvWord::widen`]. It is what the tests
+//! compare against, and it is the portable path — a build without AVX2
+//! and F16C (`RUSTFLAGS=""`), or a head width that is not a multiple of
+//! eight, runs it query by query. On AVX2 the same chains are kept **bit
+//! for bit** and computed eight at a time, for up to [`QUERY_GROUP`]
+//! queries per pass:
 //!
+//! * **loads** — eight words per register: `f32` as stored, `F16` through
+//!   F16C's `vcvtph2ps`, which widens exactly as [`F16::to_f32`] does on
+//!   every word but the signalling NaNs (it quiets them) — and
+//!   [`F16::from_f32`] never produces one, so no cache holds one.
 //! * **scores** — eight positions per pass: 8 × 8 blocks of the key slab
 //!   are transposed in registers so that lane `i` of column `j` holds
 //!   `k[t + i][j]`, and `acc = acc + q[j] * column_j` (separate multiply
@@ -47,7 +56,10 @@
 //! session over 125–128 cached positions (d 256, 8 heads) take both
 //! kernels in 6.9 µs against 14.0 µs for four one-query calls
 //! (`crates/bench`'s `attend_f32_ctx128_{4x1q,4q}_us`, one core of a 2-core
-//! AMD EPYC VM).
+//! AMD EPYC VM). Over `F16` runs the kernels cost what they cost over
+//! `f32`: one query over 128 positions takes 13.4 µs against 12.5 µs, where
+//! the scalar loops, widening each word in software, take 94 µs
+//! (`attend_{f16,f32}_ctx128_*`, one core of a 2-core Xeon VM).
 //!
 //! # Safety
 //!
@@ -55,13 +67,20 @@
 //! of `unsafe` block, both with local proofs. The vector functions are
 //! `#[target_feature(enable = "avx2")]`, which makes calling them from
 //! ordinary code unsafe — the two entry points do so under
-//! `cfg(target_feature = "avx2")`, i.e. only in a build that already
-//! requires the feature of every CPU it runs on. And the unaligned vector
-//! load and store need eight readable (writable) floats behind their
-//! pointer, which a slice of checked length establishes right there. The
-//! arithmetic and shuffle intrinsics are safe inside those functions.
+//! `cfg(all(target_feature = "avx2", target_feature = "f16c"))`, i.e. only
+//! in a build that already requires both features of every CPU it runs
+//! on. And the unaligned vector loads and store need eight readable
+//! (writable) words behind their pointer — 32 bytes of `f32`, 16 of `F16`
+//! — which a slice of checked length establishes right there. The
+//! arithmetic, shuffle and conversion intrinsics are safe inside those
+//! functions.
 
 #![allow(unsafe_code)]
+
+#[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
+use core::arch::x86_64::{__m256, _mm256_cvtph_ps, _mm256_loadu_ps, _mm_loadu_si128};
+
+use crate::F16;
 
 /// Queries a score pass takes over a run: one accumulator each, beside the
 /// eight transposed key columns and a broadcast query element, fit the 16
@@ -69,16 +88,69 @@
 /// passes them in groups of this size, each group reading the keys once.
 pub const QUERY_GROUP: usize = 4;
 
-/// Floats per vector register, and positions per score pass.
-#[cfg(target_feature = "avx2")]
+/// Words per vector register, and positions per score pass.
+#[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
 const LANES: usize = 8;
+
+/// A word a KV run stores: `f32`, or the [`F16`] of a half-precision
+/// cache.
+pub trait KvWord: Copy + 'static {
+    /// The word as `f32` — exact for both types: what
+    /// [`reference`](mod@reference) reads.
+    fn widen(self) -> f32;
+
+    /// The first eight words of `src`, widened, as one register: what the
+    /// vector kernels read. Bitwise [`widen`](Self::widen) of each word,
+    /// except that F16C quiets an `F16` signalling NaN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` holds fewer than eight words.
+    #[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
+    fn load8(src: &[Self]) -> __m256;
+}
+
+impl KvWord for f32 {
+    #[inline]
+    fn widen(self) -> f32 {
+        self
+    }
+
+    #[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
+    #[inline]
+    fn load8(src: &[f32]) -> __m256 {
+        let src = &src[..LANES];
+        // SAFETY: `src` is a live slice of exactly `LANES` floats, so the
+        // 32 bytes behind its pointer are readable; `loadu` has no
+        // alignment requirement, and the build requires AVX.
+        unsafe { _mm256_loadu_ps(src.as_ptr()) }
+    }
+}
+
+impl KvWord for F16 {
+    #[inline]
+    fn widen(self) -> f32 {
+        self.to_f32()
+    }
+
+    #[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
+    #[inline]
+    fn load8(src: &[F16]) -> __m256 {
+        let src = &src[..LANES];
+        // SAFETY: `src` is a live slice of exactly `LANES` words, and `F16`
+        // is `repr(transparent)` over `u16`, so the 16 bytes behind its
+        // pointer are readable; `loadu` has no alignment requirement, and
+        // the build requires F16C for the conversion.
+        unsafe { _mm256_cvtph_ps(_mm_loadu_si128(src.as_ptr().cast())) }
+    }
+}
 
 /// Writes `scores[i][t] = (Σ_j queries[i][j] · keys[t · stride + j]) ·
 /// scale` for every query `i` and every `t < scores[i].len()` — each sum
 /// taken in ascending `j` through one chain, bitwise
 /// [`reference::head_scores_into`] of each query on its own.
 ///
-/// `keys` starts at the head's first float of the run's first position.
+/// `keys` starts at the head's first word of the run's first position.
 ///
 /// # Panics
 ///
@@ -87,9 +159,9 @@ const LANES: usize = 8;
 // Inlined (like `add_weighted_values`): out of line, the dispatch on the
 // query count cost a one-query call of 16 positions a tenth of its time.
 #[inline]
-pub fn head_scores_into(
+pub fn head_scores_into<E: KvWord>(
     queries: &[&[f32]],
-    keys: &[f32],
+    keys: &[E],
     stride: usize,
     scale: f32,
     scores: &mut [&mut [f32]],
@@ -100,15 +172,15 @@ pub fn head_scores_into(
         queries.iter().all(|q| q.len() == width),
         "query widths differ"
     );
-    #[cfg(target_feature = "avx2")]
+    #[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
     if width.is_multiple_of(LANES) {
         for (qs, ss) in queries
             .chunks(QUERY_GROUP)
             .zip(scores.chunks_mut(QUERY_GROUP))
         {
-            // SAFETY: compiled only where AVX2 is statically enabled, so
-            // every CPU this build may run on has the feature the callee
-            // requires.
+            // SAFETY: compiled only where AVX2 and F16C are statically
+            // enabled, so every CPU this build may run on has the feature
+            // the callee requires.
             unsafe { avx2::head_scores_into(qs, keys, stride, scale, ss) };
         }
         return;
@@ -124,16 +196,16 @@ pub fn head_scores_into(
 /// after run, each `outs[i]` carries one chain per element across the
 /// whole context.
 ///
-/// `values` starts at the head's first float of the run's first position.
+/// `values` starts at the head's first word of the run's first position.
 ///
 /// # Panics
 ///
 /// Panics if the outputs differ in width, if there is not one output per
 /// weight slice, or if `values` is too short for the longest one.
 #[inline] // see `head_scores_into`
-pub fn add_weighted_values(
+pub fn add_weighted_values<E: KvWord>(
     weights: &[&[f32]],
-    values: &[f32],
+    values: &[E],
     stride: usize,
     outs: &mut [&mut [f32]],
 ) {
@@ -143,7 +215,7 @@ pub fn add_weighted_values(
         outs.iter().all(|o| o.len() == width),
         "output widths differ"
     );
-    #[cfg(target_feature = "avx2")]
+    #[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
     if width.is_multiple_of(LANES) {
         let group = avx2::VALUE_QUERIES;
         for (ws, os) in weights.chunks(group).zip(outs.chunks_mut(group)) {
@@ -157,53 +229,57 @@ pub fn add_weighted_values(
     }
 }
 
-/// Position `t`'s `width` floats of a run.
+/// Position `t`'s `width` words of a run.
 #[inline]
-fn row(slab: &[f32], stride: usize, t: usize, width: usize) -> &[f32] {
+fn row<E>(slab: &[E], stride: usize, t: usize, width: usize) -> &[E] {
     &slab[t * stride..t * stride + width]
 }
 
 /// The scalar loops, one query each: what defines the bits, and the
 /// portable path.
 pub mod reference {
-    use super::row;
+    use super::{row, KvWord};
 
     /// Scalar [`head_scores_into`](super::head_scores_into) of one query.
-    pub fn head_scores_into(
+    pub fn head_scores_into<E: KvWord>(
         q: &[f32],
-        keys: &[f32],
+        keys: &[E],
         stride: usize,
         scale: f32,
         scores: &mut [f32],
     ) {
         for (t, slot) in scores.iter_mut().enumerate() {
             let kh = row(keys, stride, t, q.len());
-            let s: f32 = q.iter().zip(kh).map(|(a, b)| a * b).sum();
+            let s: f32 = q.iter().zip(kh).map(|(a, b)| a * b.widen()).sum();
             *slot = s * scale;
         }
     }
 
     /// Scalar [`add_weighted_values`](super::add_weighted_values) of one
     /// query.
-    pub fn add_weighted_values(weights: &[f32], values: &[f32], stride: usize, out: &mut [f32]) {
+    pub fn add_weighted_values<E: KvWord>(
+        weights: &[f32],
+        values: &[E],
+        stride: usize,
+        out: &mut [f32],
+    ) {
         for (t, w) in weights.iter().enumerate() {
             let vh = row(values, stride, t, out.len());
             for (o, vv) in out.iter_mut().zip(vh) {
-                *o += w * vv;
+                *o += w * vv.widen();
             }
         }
     }
 }
 
-#[cfg(target_feature = "avx2")]
+#[cfg(all(target_feature = "avx2", target_feature = "f16c"))]
 mod avx2 {
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_permute2f128_ps,
-        _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
-        _mm256_unpacklo_ps,
+        __m256, _mm256_add_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
     };
 
-    use super::{row, LANES, QUERY_GROUP};
+    use super::{row, KvWord, LANES, QUERY_GROUP};
 
     const _: () = assert!(QUERY_GROUP == 4, "`head_scores_into` matches one to four");
 
@@ -219,16 +295,6 @@ mod avx2 {
     /// 12.4 ms as one pass of four full blocks (spilling), 9.9 ms as four
     /// one-query passes.
     pub(super) const VALUE_QUERIES: usize = 2;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn load(src: &[f32]) -> __m256 {
-        let src = &src[..LANES];
-        // SAFETY: `src` is a live slice of exactly `LANES` floats, so the
-        // eight floats behind its pointer are readable; `loadu` has no
-        // alignment requirement.
-        unsafe { _mm256_loadu_ps(src.as_ptr()) }
-    }
 
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -281,26 +347,26 @@ mod avx2 {
 
     /// One to [`QUERY_GROUP`] (four) queries; the caller cuts longer lists.
     #[target_feature(enable = "avx2")]
-    pub(super) fn head_scores_into(
+    pub(super) fn head_scores_into<E: KvWord>(
         queries: &[&[f32]],
-        keys: &[f32],
+        keys: &[E],
         stride: usize,
         scale: f32,
         scores: &mut [&mut [f32]],
     ) {
         match queries.len() {
-            4 => scores_pass::<4>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
-            3 => scores_pass::<3>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
-            2 => scores_pass::<2>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
-            _ => scores_pass::<1>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
+            4 => scores_pass::<E, 4>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
+            3 => scores_pass::<E, 3>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
+            2 => scores_pass::<E, 2>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
+            _ => scores_pass::<E, 1>(fixed(queries), keys, stride, scale, fixed_mut(scores)),
         }
     }
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn scores_pass<const Q: usize>(
+    fn scores_pass<E: KvWord, const Q: usize>(
         queries: &[&[f32]; Q],
-        keys: &[f32],
+        keys: &[E],
         stride: usize,
         scale: f32,
         scores: &mut [&mut [f32]; Q],
@@ -315,7 +381,7 @@ mod avx2 {
             let mut acc = [_mm256_set1_ps(-0.0); Q];
             for j in (0..width).step_by(LANES) {
                 let rows =
-                    std::array::from_fn(|i| load(&row(keys, stride, position(i), width)[j..]));
+                    std::array::from_fn(|i| E::load8(&row(keys, stride, position(i), width)[j..]));
                 let qs: [&[f32; LANES]; Q] = std::array::from_fn(|i| {
                     let chunk = &queries[i][j..j + LANES];
                     chunk.try_into().expect("a chunk of LANES floats")
@@ -346,15 +412,15 @@ mod avx2 {
 
     /// One or two queries; the caller cuts longer lists.
     #[target_feature(enable = "avx2")]
-    pub(super) fn add_weighted_values(
+    pub(super) fn add_weighted_values<E: KvWord>(
         weights: &[&[f32]],
-        values: &[f32],
+        values: &[E],
         stride: usize,
         outs: &mut [&mut [f32]],
     ) {
         match weights.len() {
-            2 => values_pass::<2>(fixed(weights), values, stride, fixed_mut(outs)),
-            _ => values_pass::<1>(fixed(weights), values, stride, fixed_mut(outs)),
+            2 => values_pass::<E, 2>(fixed(weights), values, stride, fixed_mut(outs)),
+            _ => values_pass::<E, 1>(fixed(weights), values, stride, fixed_mut(outs)),
         }
     }
 
@@ -370,9 +436,9 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn values_pass<const Q: usize>(
+    fn values_pass<E: KvWord, const Q: usize>(
         weights: &[&[f32]; Q],
-        values: &[f32],
+        values: &[E],
         stride: usize,
         outs: &mut [&mut [f32]; Q],
     ) {
@@ -382,10 +448,10 @@ mod avx2 {
             let block = ((width - first) / LANES).min(VALUE_BLOCK);
             let at = (first, width);
             match block {
-                4 => value_block::<Q, 4>(weights, values, stride, at, outs),
-                3 => value_block::<Q, 3>(weights, values, stride, at, outs),
-                2 => value_block::<Q, 2>(weights, values, stride, at, outs),
-                _ => value_block::<Q, 1>(weights, values, stride, at, outs),
+                4 => value_block::<E, Q, 4>(weights, values, stride, at, outs),
+                3 => value_block::<E, Q, 3>(weights, values, stride, at, outs),
+                2 => value_block::<E, Q, 2>(weights, values, stride, at, outs),
+                _ => value_block::<E, Q, 1>(weights, values, stride, at, outs),
             }
             first += block * LANES;
         }
@@ -397,20 +463,21 @@ mod avx2 {
     /// each query alone over the positions only it reads.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn value_block<const Q: usize, const N: usize>(
+    fn value_block<E: KvWord, const Q: usize, const N: usize>(
         weights: &[&[f32]; Q],
-        values: &[f32],
+        values: &[E],
         stride: usize,
         (first, width): (usize, usize),
         outs: &mut [&mut [f32]; Q],
     ) {
-        let mut acc: [[__m256; N]; Q] =
-            std::array::from_fn(|i| std::array::from_fn(|v| load(&outs[i][first + v * LANES..])));
+        let mut acc: [[__m256; N]; Q] = std::array::from_fn(|i| {
+            std::array::from_fn(|v| f32::load8(&outs[i][first + v * LANES..]))
+        });
         let shared = weights.iter().map(|w| w.len()).min().unwrap_or(0);
         let common = weights.map(|w| &w[..shared]);
         for t in 0..shared {
             let vh = &row(values, stride, t, width)[first..];
-            let v: [__m256; N] = std::array::from_fn(|v| load(&vh[v * LANES..]));
+            let v: [__m256; N] = std::array::from_fn(|v| E::load8(&vh[v * LANES..]));
             for (acc, w) in acc.iter_mut().zip(common) {
                 let w = _mm256_set1_ps(w[t]);
                 for (acc, v) in acc.iter_mut().zip(v) {
@@ -423,7 +490,7 @@ mod avx2 {
                 let w = _mm256_set1_ps(*w);
                 let vh = &row(values, stride, t, width)[first..];
                 for (v, acc) in acc.iter_mut().enumerate() {
-                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(w, load(&vh[v * LANES..])));
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(w, E::load8(&vh[v * LANES..])));
                 }
             }
         }
@@ -431,6 +498,42 @@ mod avx2 {
             for (v, acc) in acc.into_iter().enumerate() {
                 store(acc, &mut out[first + v * LANES..]);
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::F16;
+
+        /// `load8` widened through the one vector store the kernels use.
+        fn widened(words: &[F16]) -> [f32; LANES] {
+            let mut lanes = [0.0; LANES];
+            // SAFETY: the test binary is built with the features of the
+            // module it tests, so the CPU it runs on has AVX2.
+            unsafe { store(F16::load8(words), &mut lanes) };
+            lanes
+        }
+
+        #[test]
+        fn f16c_load_widens_every_word_as_to_f32_does() {
+            // All 65,536 patterns, eight per load; the only ones allowed to
+            // differ are the 1,022 signalling NaNs (exponent all ones,
+            // quiet bit clear, mantissa non-zero), which F16C quiets and
+            // `F16::from_f32` never returns.
+            let words: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+            let mut signalling = 0;
+            for chunk in words.chunks_exact(LANES) {
+                for (word, got) in chunk.iter().zip(widened(chunk)) {
+                    if word.is_nan() && word.to_bits() & 0x0200 == 0 {
+                        signalling += 1;
+                        assert!(got.is_nan(), "{word:?} stays a NaN");
+                        continue;
+                    }
+                    assert_eq!(got.to_bits(), word.to_f32().to_bits(), "{word:?}");
+                }
+            }
+            assert_eq!(signalling, 1022);
         }
     }
 }

@@ -22,7 +22,10 @@
 /// assert!(!h.is_sign_negative());
 /// assert!(F16::from_f32(-0.0).is_sign_negative());
 /// ```
+// `repr(transparent)`: a slice of `F16` is a slice of `u16` in memory,
+// which the F16C load in `attn` (eight words as one 128-bit read) relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(transparent)]
 pub struct F16(u16);
 
 impl F16 {
@@ -217,6 +220,20 @@ mod tests {
             let h = F16::from_f32(v);
             assert_eq!(h.is_sign_negative(), v.is_sign_negative());
             v *= 10.0;
+        }
+    }
+
+    #[test]
+    fn from_f32_never_returns_a_signalling_nan() {
+        // Every f32 NaN, both signs: the one f16 pattern family `to_f32`
+        // and the F16C conversion disagree on (a signalling NaN, which the
+        // hardware quiets) cannot be produced, so no stored KV word has it.
+        let signalling = |h: F16| h.is_nan() && h.to_bits() & 0x0200 == 0;
+        for sign in [0u32, 0x8000_0000] {
+            for payload in 1..=0x007F_FFFFu32 {
+                let h = F16::from_f32(f32::from_bits(sign | 0x7F80_0000 | payload));
+                assert!(h.is_nan() && !signalling(h), "{payload:#x} -> {h:?}");
+            }
         }
     }
 

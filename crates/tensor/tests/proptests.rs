@@ -2,7 +2,7 @@
 //! pseudo-random sweeps (the workspace builds offline, so the `proptest`
 //! crate is replaced by explicit [`Prng`] loops over the same properties).
 
-use sparseinfer_tensor::attn;
+use sparseinfer_tensor::attn::{self, KvWord};
 use sparseinfer_tensor::gemv::{
     gemm_rows_into, gemv, gemv_transposed, gemv_transposed_batch_into, reference,
 };
@@ -285,12 +285,12 @@ fn transposed_batch_equals_per_input_transposed_gemv_bit_for_bit() {
 }
 
 /// The scores of one run: every query's part of it, through a kernel.
-type ScoresFn<'f> = &'f dyn Fn(&[&[f32]], &[f32], usize, f32, &mut [&mut [f32]]);
+type ScoresFn<'f, E> = &'f dyn Fn(&[&[f32]], &[E], usize, f32, &mut [&mut [f32]]);
 /// The value sum of one run: every query's part of it, through a kernel.
-type ValuesFn<'f> = &'f dyn Fn(&[&[f32]], &[f32], usize, &mut [&mut [f32]]);
+type ValuesFn<'f, E> = &'f dyn Fn(&[&[f32]], &[E], usize, &mut [&mut [f32]]);
 
 /// [`attn::reference`] one query after another, as the kernels' signature.
-fn reference_kernels() -> (ScoresFn<'static>, ValuesFn<'static>) {
+fn reference_kernels<E: KvWord>() -> (ScoresFn<'static, E>, ValuesFn<'static, E>) {
     (
         &|queries, keys, stride, scale, scores| {
             for (q, s) in queries.iter().zip(scores) {
@@ -312,10 +312,10 @@ fn reference_kernels() -> (ScoresFn<'static>, ValuesFn<'static>) {
 /// then per run the value sum of every query's part — the two loops
 /// supplied by the caller. Returns per query its raw scores, normalised
 /// weights and output, back to back.
-fn attend_head(
-    (queries, keys, values): (&[&[f32]], &[f32], &[f32]),
+fn attend_head<E: KvWord>(
+    (queries, keys, values): (&[&[f32]], &[E], &[E]),
     (stride, contexts, run): (usize, &[usize], usize),
-    (scores_into, add_values): (ScoresFn<'_>, ValuesFn<'_>),
+    (scores_into, add_values): (ScoresFn<'_, E>, ValuesFn<'_, E>),
 ) -> Vec<Vec<f32>> {
     let scale = 1.0 / (queries[0].len() as f32).sqrt();
     let longest = contexts.iter().copied().max().unwrap_or(0);
@@ -366,11 +366,13 @@ fn attention_kernel_equals_the_scalar_loops_bit_for_bit() {
     // does not take at all. One to four queries of one session: the first
     // over `ctx` positions, each next one over one more, as consecutive
     // prompt positions attend — against each query alone through the
-    // scalar loops, over its own context as one run.
+    // scalar loops, over its own context as one run. Every case runs twice:
+    // over `f32` slabs, and over `F16` slabs, which the kernels widen as
+    // they load them.
     let head_dims = [8usize, 16, 32, 72, 128, 20];
     let contexts = (0..=70).chain([129]);
-    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     let mut rng = Prng::seed(970);
+    let mut rng16 = Prng::seed(971);
     for ctx in contexts {
         for head_dim in head_dims {
             let heads = 1 + rng.below(13);
@@ -403,35 +405,96 @@ fn attention_kernel_equals_the_scalar_loops_bit_for_bit() {
                     *k = q * 1e4;
                 }
             }
-            for h in 0..heads {
-                let span = h * head_dim..(h + 1) * head_dim;
-                let kv = (&keys[span.start..], &values[span.start..]);
-                let queries: Vec<&[f32]> = q.iter().map(|q| &q[span.clone()]).collect();
-                let want: Vec<Vec<f32>> = (0..4)
-                    .map(|i| {
-                        let head = (&queries[i..=i], kv.0, kv.1);
-                        let ctx = [ctx + i];
-                        attend_head(head, (d, &ctx, ctx[0].max(1)), reference_kernels()).remove(0)
-                    })
-                    .collect();
-                for n in 1..=4 {
-                    let staggered: Vec<usize> = (ctx..ctx + n).collect();
-                    // The paged block sizes, and the whole cache as one run.
-                    for run in [4, 16, 64, ctx + n] {
-                        let head = (&queries[..n], kv.0, kv.1);
-                        let kernels: (ScoresFn, ValuesFn) =
-                            (&attn::head_scores_into, &attn::add_weighted_values);
-                        let got = attend_head(head, (d, &staggered, run), kernels);
-                        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
-                            let what = format!(
-                                "ctx {ctx} head_dim {head_dim} head {h}/{heads} \
-                                 query {i}/{n} run {run}"
-                            );
-                            assert_eq!(bits(got), bits(want), "{what}");
-                        }
-                    }
+            let case = (ctx, head_dim);
+            kernels_equal_the_scalar_loops("f32", &q, (&keys, &values), case);
+            let [keys, values] = f16_slabs(&mut rng16, &q[0], positions, ctx);
+            kernels_equal_the_scalar_loops("f16", &q, (&keys, &values), case);
+        }
+    }
+}
+
+/// Every head of `keys` / `values` (`ctx + 3` positions as wide as the
+/// queries, heads `head_dim` wide) for one to four of the queries
+/// `q`, staggered from `ctx` positions on, in runs of 4, 16 and 64
+/// positions and as one run: the kernels against each query alone through
+/// the scalar loops, bit for bit.
+fn kernels_equal_the_scalar_loops<E: KvWord>(
+    label: &str,
+    q: &[Vec<f32>],
+    (keys, values): (&[E], &[E]),
+    (ctx, head_dim): (usize, usize),
+) {
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let d = q[0].len();
+    let heads = d / head_dim;
+    for h in 0..heads {
+        let span = h * head_dim..(h + 1) * head_dim;
+        let kv = (&keys[span.start..], &values[span.start..]);
+        let queries: Vec<&[f32]> = q.iter().map(|q| &q[span.clone()]).collect();
+        let want: Vec<Vec<f32>> = (0..4)
+            .map(|i| {
+                let head = (&queries[i..=i], kv.0, kv.1);
+                let ctx = [ctx + i];
+                attend_head(head, (d, &ctx, ctx[0].max(1)), reference_kernels()).remove(0)
+            })
+            .collect();
+        for n in 1..=4 {
+            let staggered: Vec<usize> = (ctx..ctx + n).collect();
+            // The paged block sizes, and the whole cache as one run.
+            for run in [4, 16, 64, ctx + n] {
+                let head = (&queries[..n], kv.0, kv.1);
+                let kernels: (ScoresFn<E>, ValuesFn<E>) =
+                    (&attn::head_scores_into, &attn::add_weighted_values);
+                let got = attend_head(head, (d, &staggered, run), kernels);
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    let what = format!(
+                        "{label} ctx {ctx} head_dim {head_dim} head {h}/{heads} \
+                         query {i}/{n} run {run}"
+                    );
+                    assert_eq!(bits(got), bits(want), "{what}");
                 }
             }
         }
     }
+}
+
+/// `F16` key and value slabs of `positions` positions as wide as `hot_q`:
+/// ordinary values among signed zeros and subnormals, a hot key position
+/// below `ctx` as in the `f32` case, and in each slab ±0, a subnormal of
+/// each sign, 65504 and ±inf, one in each seventh of it.
+fn f16_slabs(rng: &mut Prng, hot_q: &[f32], positions: usize, ctx: usize) -> [Vec<F16>; 2] {
+    let d = hot_q.len();
+    let negative = |h: F16| F16::from_bits(h.to_bits() | 0x8000);
+    let subnormal = |rng: &mut Prng| F16::from_bits(1 + rng.below(0x3FF) as u16);
+    let draw = |rng: &mut Prng| match rng.below(12) {
+        0 => F16::ZERO,
+        1 => negative(F16::ZERO),
+        2 => subnormal(rng),
+        3 => negative(subnormal(rng)),
+        _ => F16::from_f32(rng.normal(0.0, 1.0) as f32),
+    };
+    let mut slabs = [(); 2].map(|_| (0..positions * d).map(|_| draw(rng)).collect::<Vec<_>>());
+    if ctx > 0 {
+        let hot = rng.below(ctx);
+        for (k, q) in slabs[0][hot * d..(hot + 1) * d].iter_mut().zip(hot_q) {
+            *k = F16::from_f32(q * 1e4);
+        }
+    }
+    let inf = F16::from_bits(0x7C00);
+    for words in &mut slabs {
+        let specials = [
+            F16::ZERO,
+            negative(F16::ZERO),
+            subnormal(rng),
+            negative(subnormal(rng)),
+            F16::MAX,
+            inf,
+            negative(inf),
+        ];
+        let stratum = words.len() / specials.len();
+        for (k, special) in specials.into_iter().enumerate() {
+            words[k * stratum + rng.below(stratum)] = special;
+        }
+    }
+    slabs
 }

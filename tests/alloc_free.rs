@@ -31,7 +31,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig, PrefillScratch};
+use sparseinfer::model::{
+    generator::WeightGenerator, KvBlockPool, KvDtype, Model, ModelConfig, PrefillScratch,
+};
 use sparseinfer::predictor::AlphaSchedule;
 use sparseinfer::sparse::engine::{Engine, EngineBuilder, WeightFormat};
 use sparseinfer::sparse::request::GenerateRequest;
@@ -363,6 +365,64 @@ fn scheduler_prefill_ticks_are_allocation_free() {
     }
 }
 
+fn f16_kv_decode_and_chunked_prefill_are_allocation_free() {
+    // An f16 KV cache is read by the same run-walking attention as an f32
+    // one: score scratch from the workspace, stored words widened as they
+    // are loaded. Paged sessions take (allocate) a block as they start it,
+    // so every measured step stays inside the first block of a 64-token
+    // page.
+    let model = test_model();
+    let pool = KvBlockPool::with_budget_dtype(64, usize::MAX, KvDtype::F16);
+    let mut engine = EngineBuilder::new(&model)
+        .signbit(AlphaSchedule::uniform(1.0))
+        .weight_format(WeightFormat::Int8)
+        .build()
+        .unwrap();
+    let mut session = model.start_paged_session(&pool);
+    let mut logits = Vector::zeros(0);
+    for i in 0..4 {
+        engine.step_into(i as u32 + 1, &mut session, &mut logits);
+    }
+    let before = allocations();
+    for i in 0..16 {
+        engine.step_into((i % 5) as u32 + 1, &mut session, &mut logits);
+    }
+    let allocs = allocations() - before;
+    assert_eq!(
+        allocs, 0,
+        "signbit+int8 decode over f16 KV allocated {allocs} times"
+    );
+    assert_eq!(session.caches[0].dtype(), KvDtype::F16);
+
+    // As `chunked_prefill_step_is_allocation_free`, into f16 pools.
+    for threads in [1usize, 2, 4] {
+        let tp = ThreadPool::new(ParallelOptions::threads(threads));
+        let mut scratch = PrefillScratch::new();
+        let mut a = model.start_paged_session(&pool);
+        let mut b = model.start_paged_session(&pool);
+        model.prefill_step(&mut [(&[5u32, 6, 7][..], &mut a)], &tp, &mut scratch);
+        let chunks: [&[u32]; 2] = [&[1, 2, 3, 4], &[9, 8, 7, 6]];
+        model.prefill_step(
+            &mut [(chunks[0], &mut a), (chunks[1], &mut b)],
+            &tp,
+            &mut scratch,
+        );
+        let before = allocations();
+        for i in 0..8 {
+            model.prefill_step(
+                &mut [(chunks[i % 2], &mut a), (chunks[1 - i % 2], &mut b)],
+                &tp,
+                &mut scratch,
+            );
+        }
+        let allocs = allocations() - before;
+        assert_eq!(
+            allocs, 0,
+            "chunked prefill into f16 KV at {threads} threads allocated {allocs} times"
+        );
+    }
+}
+
 fn worker_thread_allocations_are_counted() {
     // Negative control for the parallel checks: an allocation made inside a
     // kernel closure on a *pool worker* must tick the counter, otherwise
@@ -422,6 +482,7 @@ fn main() {
         batched_prefill_step_is_allocation_free,
         chunked_prefill_step_is_allocation_free,
         scheduler_prefill_ticks_are_allocation_free,
+        f16_kv_decode_and_chunked_prefill_are_allocation_free,
         worker_thread_allocations_are_counted,
         warmup_does_allocate_proving_the_counter_works,
     ];

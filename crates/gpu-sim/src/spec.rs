@@ -42,24 +42,6 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA Jetson Orin Nano 8GB (the smaller edge target a capacity
-    /// plan usually asks about next): 68 GB/s LPDDR5 shared between CPU
-    /// and GPU, Ampere GPU with 1024 CUDA cores and 32 tensor cores at
-    /// ~0.625 GHz. Same architecture and efficiency profile as the AGX,
-    /// one third of the bandwidth and roughly a quarter of the compute.
-    pub fn jetson_orin_nano_8gb() -> Self {
-        Self {
-            name: "Jetson Orin Nano 8GB".into(),
-            dram_bytes_per_s: 68.0e9,
-            stream_efficiency: 0.75,
-            gather_efficiency: 0.35,
-            int_ops_per_s: 0.5e12,
-            fp32_macs_per_s: 0.64e12,
-            tensor_macs_per_s: 10.0e12,
-            kernel_launch_s: 5.0e-6,
-        }
-    }
-
     /// Effective streamed bandwidth (bytes/s).
     pub fn stream_bandwidth(&self) -> f64 {
         self.dram_bytes_per_s * self.stream_efficiency
@@ -113,16 +95,6 @@ mod tests {
         spec.validate().unwrap();
         assert!(spec.stream_bandwidth() < spec.dram_bytes_per_s);
         assert!(spec.gather_bandwidth() < spec.stream_bandwidth());
-    }
-
-    #[test]
-    fn nano_preset_is_valid_and_strictly_slower_than_agx() {
-        let nano = GpuSpec::jetson_orin_nano_8gb();
-        nano.validate().unwrap();
-        let agx = GpuSpec::jetson_orin_agx_64gb();
-        assert!(nano.dram_bytes_per_s < agx.dram_bytes_per_s);
-        assert!(nano.fp32_macs_per_s < agx.fp32_macs_per_s);
-        assert!(nano.tensor_macs_per_s < agx.tensor_macs_per_s);
     }
 
     #[test]

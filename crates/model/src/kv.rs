@@ -1212,6 +1212,11 @@ impl PrefixIndex {
     /// unreachable; untouched, their stamps age and they are evicted on
     /// later passes. (Entry counts are small — bounded by the cap — so
     /// the linear scans here are noise next to a single prefill.)
+    ///
+    /// Every boundary one lookup or publication touched shares its stamp;
+    /// among those the newest id — the deepest boundary, since a child is
+    /// inserted after its parent — goes first. The victim is thus a pure
+    /// function of the call sequence, never of the map's iteration order.
     pub fn evict_unreferenced_to(&mut self, cap: usize) -> usize {
         let mut evicted = 0usize;
         while self.unreferenced_blocks() > cap {
@@ -1219,7 +1224,7 @@ impl PrefixIndex {
                 .entries
                 .iter()
                 .filter(|(_, e)| e.is_unreferenced())
-                .min_by_key(|(_, e)| e.stamp)
+                .min_by_key(|(_, e)| (e.stamp, std::cmp::Reverse(e.id)))
                 .map(|(k, _)| k.clone());
             let Some(key) = victim else { break };
             let entry = self.entries.remove(&key).expect("victim probed above");
@@ -1569,6 +1574,24 @@ mod tests {
         assert_eq!(pool.blocks_in_use(), 1, "evicted storage returned");
         assert_eq!(index.clear(), 1);
         assert_eq!(pool.blocks_in_use(), 0);
+    }
+
+    #[test]
+    fn eviction_among_equal_stamps_takes_the_deepest_boundary_first() {
+        // One publication stamps its four boundaries alike, and every
+        // index iterates its map in an order of its own: the root must
+        // survive in each of them.
+        let pool = KvBlockPool::new(2);
+        let tokens = [1, 2, 3, 4, 5, 6, 7, 8];
+        for _ in 0..8 {
+            let mut index = PrefixIndex::new();
+            let layer = filled_cache(&pool, 8);
+            index.publish(7, &tokens, 2, &[layer.block_refs().to_vec()]);
+            drop(layer);
+            assert_eq!(index.evict_unreferenced_to(1), 3);
+            let hit = index.lookup(7, &tokens, 2, 8).expect("the root survives");
+            assert_eq!(hit.tokens, 2);
+        }
     }
 
     #[test]

@@ -57,9 +57,9 @@ pub struct PreemptionStats {
 /// [`speculative_stats`](Scheduler::speculative_stats),
 /// [`memory_estimate`](Scheduler::memory_estimate)) remain available, but
 /// consumers that report state — the HTTP `/stats` endpoint, the
-/// trace-replay harness's `SloReport` — take this one struct and encode
-/// it through one serializer (`sparseinfer::stats`), so the two surfaces
-/// can never drift apart field by field.
+/// benchmark's per-run report — take this one struct, and `/stats`
+/// encodes it through one serializer (`sparseinfer::stats`), so the
+/// surfaces can never drift apart field by field.
 #[derive(Debug, Clone, Default)]
 pub struct SchedulerStats {
     /// Completed [`tick`](Scheduler::tick) calls — the deterministic

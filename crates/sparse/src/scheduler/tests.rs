@@ -9,6 +9,8 @@ use sparseinfer_model::{Model, ModelConfig};
 use sparseinfer_predictor::AlphaSchedule;
 use sparseinfer_tensor::ParallelOptions;
 
+mod interleavings;
+
 fn model() -> Model {
     WeightGenerator::new(&ModelConfig::tiny(), 23).build()
 }

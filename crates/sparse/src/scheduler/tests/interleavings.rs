@@ -1,0 +1,318 @@
+//! Seeded interleavings of the scheduler state machine.
+//!
+//! A seed expands into a per-tick script — submissions across priorities,
+//! engine kinds, samplers and two shared prompt prefixes, plus cancels and
+//! expiries of live requests — and per-seed config axes (KV dtype, swap or
+//! recompute) over a tight KV budget with preemption and the prefix cache
+//! on. `drive` checks the scheduler's own accounting after every tick, and
+//! `run_seed` every request's tokens against its solo run and the whole
+//! run against itself at 1, 2 and 4 slot threads. A failing seed is named
+//! in the panic; `run_seed(S)` replays it.
+
+use super::*;
+use crate::scheduler::preemption::PreemptedState;
+use sparseinfer_model::sampling::Sampler;
+use sparseinfer_tensor::Prng;
+
+/// Seed 1 has a test of its own.
+const SEEDS: u64 = 10;
+const SCRIPT_TICKS: usize = 10;
+const MAX_SUBMITS_PER_TICK: usize = 3;
+const BODY_TOKENS: usize = 12;
+const PREFIX_TOKENS: usize = 16;
+const MAX_NEW: usize = 16;
+const SIGNAL_SHARE: f64 = 0.3;
+const MAX_SLOTS: usize = 2;
+const BLOCK_TOKENS: usize = 4;
+/// Fits the largest request (28 + 16 tokens × 2 layers = 22 blocks) once.
+const KV_BLOCK_BUDGET: usize = 24;
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Dense,
+    SignBit(WeightFormat),
+    Speculative(usize),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Action {
+    Submit {
+        kind: Kind,
+        prompt: Vec<u32>,
+        max_new: usize,
+        priority: Priority,
+        /// Seed of a top-k sampler; `None` decodes greedily.
+        top_k_seed: Option<u64>,
+    },
+    /// Signals the live request at `pick % live` (in submission order).
+    Signal { pick: usize, expire: bool },
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Script {
+    kv_dtype: KvDtype,
+    swap: bool,
+    ticks: Vec<Vec<Action>>,
+}
+
+fn script(seed: u64) -> Script {
+    let mut rng = Prng::seed(seed);
+    let kv_dtype = *rng.choose(&[KvDtype::F32, KvDtype::F16]);
+    let swap = rng.flip(0.5);
+    let kinds = [
+        Kind::Dense,
+        Kind::SignBit(WeightFormat::F32),
+        Kind::SignBit(WeightFormat::Int8),
+        Kind::Speculative(1),
+        Kind::Speculative(4),
+    ];
+    let priorities = [Priority::High, Priority::Normal, Priority::Batch];
+    let ticks = (0..SCRIPT_TICKS)
+        .map(|_| {
+            let mut actions = Vec::new();
+            for _ in 0..rng.below(MAX_SUBMITS_PER_TICK + 1) {
+                let mut prompt = Vec::new();
+                if rng.flip(0.5) {
+                    let p = rng.below(2);
+                    prompt.extend((0..PREFIX_TOKENS).map(|i| 1 + ((p * 37 + i * 5) % 63) as u32));
+                }
+                let body = 1 + rng.below(BODY_TOKENS);
+                prompt.extend((0..body).map(|_| 1 + rng.below(63) as u32));
+                actions.push(Action::Submit {
+                    kind: *rng.choose(&kinds),
+                    prompt,
+                    max_new: 1 + rng.below(MAX_NEW),
+                    priority: *rng.choose(&priorities),
+                    top_k_seed: rng.flip(0.5).then(|| rng.below(1 << 16) as u64),
+                });
+            }
+            if rng.flip(SIGNAL_SHARE) {
+                actions.push(Action::Signal {
+                    pick: rng.below(64),
+                    expire: rng.flip(0.5),
+                });
+            }
+            actions
+        })
+        .collect();
+    Script {
+        kv_dtype,
+        swap,
+        ticks,
+    }
+}
+
+impl Script {
+    fn config(&self) -> SchedulerConfig {
+        SchedulerConfig {
+            max_slots: MAX_SLOTS,
+            block_tokens: BLOCK_TOKENS,
+            kv_block_budget: KV_BLOCK_BUDGET,
+            swap_budget_bytes: if self.swap { u64::MAX } else { 0 },
+            kv_dtype: self.kv_dtype,
+            ..SchedulerConfig::default()
+        }
+    }
+
+    /// The submitted requests in submission order — request id order,
+    /// since every one fits the budget.
+    fn requests(&self) -> Vec<(Kind, GenerateRequest)> {
+        let submissions = self.ticks.iter().flatten().filter_map(|a| match a {
+            Action::Submit {
+                kind,
+                prompt,
+                max_new,
+                priority,
+                top_k_seed,
+            } => {
+                let mut req = GenerateRequest::new(prompt)
+                    .max_new(*max_new)
+                    .priority(*priority);
+                if let Some(seed) = top_k_seed {
+                    req = req.sampler(Sampler::top_k(4, 0.8, *seed));
+                }
+                Some((*kind, req))
+            }
+            Action::Signal { .. } => None,
+        });
+        submissions.collect()
+    }
+}
+
+fn engine<'m>(m: &'m Model, kind: Kind) -> Box<dyn Engine + 'm> {
+    match kind {
+        Kind::Dense => dense(m),
+        Kind::SignBit(wf) => engine_for(m, wf),
+        Kind::Speculative(k) => speculative(m, k),
+    }
+}
+
+/// What must not depend on the slot-thread count.
+#[derive(Debug, PartialEq)]
+struct Record {
+    tokens: Vec<u32>,
+    finish: FinishReason,
+    ticks: (u64, Option<u64>, u64),
+    macs: u64,
+    preemptions: usize,
+    prefill_skipped_tokens: usize,
+}
+
+#[derive(Debug, PartialEq)]
+struct Run {
+    events: Vec<BatchEvent>,
+    records: Vec<Record>,
+    preemption: PreemptionStats,
+}
+
+/// The accounting the scheduler's budget and swap math rest on, read
+/// from its fields after a tick that delivered `events`.
+fn check_invariants(s: &Scheduler<'_>, events: &[BatchEvent]) {
+    let reserved: usize = s.slots.iter().map(|slot| slot.worst_blocks).sum();
+    assert_eq!(s.reserved_blocks, reserved, "reservations drifted");
+    assert!(s.kv.blocks_in_use() <= s.config.kv_block_budget);
+    let mut cold = 0;
+    for p in &s.preempted {
+        if let PreemptedState::Swapped {
+            run, cold: bufs, ..
+        } = &p.state
+        {
+            assert_eq!(run.kv_blocks_held(), 0, "request {} is preempted", p.id);
+            cold += bufs.iter().map(SwappedKvCache::bytes).sum::<u64>();
+        }
+    }
+    assert_eq!(s.cold_bytes, cold, "cold bytes are the swapped buffers");
+    assert!(s.cold_bytes <= s.config.swap_budget_bytes);
+    let PrefillBatcher { batch, owners, .. } = &s.prefill;
+    assert!(batch.is_empty() && owners.is_empty(), "a session was kept");
+    let slot_of = |e: &BatchEvent| s.slots.iter().position(|slot| slot.id == e.request);
+    let order: Vec<usize> = events.iter().filter_map(slot_of).collect();
+    assert!(order.is_sorted(), "events out of slot order: {events:?}");
+}
+
+fn drive(m: &Model, script: &Script, threads: usize) -> Run {
+    let requests = script.requests();
+    let mut s = Scheduler::new(script.config()).parallel(ParallelOptions::threads(threads));
+    let (mut handles, mut live, mut events, mut outputs) = (vec![], vec![], vec![], vec![]);
+    let mut tick = 0;
+    loop {
+        for action in script.ticks.get(tick).into_iter().flatten() {
+            match *action {
+                Action::Submit { .. } => {
+                    let (kind, req) = &requests[handles.len()];
+                    live.push(handles.len());
+                    handles.push(s.submit(engine(m, *kind), req).expect("fits the budget"));
+                }
+                Action::Signal { .. } if live.is_empty() => {}
+                Action::Signal { pick, expire } => {
+                    let handle = &handles[live[pick % live.len()]];
+                    if expire {
+                        handle.expire();
+                    } else {
+                        handle.cancel();
+                    }
+                }
+            }
+        }
+        let at = events.len();
+        let unfinished = s.tick(|e| events.push(e));
+        check_invariants(&s, &events[at..]);
+        for out in s.take_finished() {
+            live.retain(|&id| id != out.id);
+            outputs.push(out);
+        }
+        tick += 1;
+        if unfinished == 0 && tick >= script.ticks.len() {
+            break;
+        }
+    }
+    let preemption = s.preemption_stats();
+    let kv = s.kv_pool().clone();
+    drop(s);
+    assert_eq!(kv.blocks_in_use(), 0, "the pool drains");
+    outputs.sort_by_key(|o| o.id);
+    let records = outputs.into_iter().map(|o| Record {
+        tokens: o.tokens,
+        finish: o.finish,
+        ticks: (o.submitted_tick, o.admitted_tick, o.finished_tick),
+        macs: o.ops.macs,
+        preemptions: o.preemptions,
+        prefill_skipped_tokens: o.prefill_skipped_tokens,
+    });
+    Run {
+        events,
+        records: records.collect(),
+        preemption,
+    }
+}
+
+/// Runs one seed's script at 1, 2 and 4 slot threads and checks it.
+fn run_seed(seed: u64) -> Run {
+    let m = model();
+    let script = script(seed);
+    let run = drive(&m, &script, 1);
+    for threads in [2, 4] {
+        assert!(drive(&m, &script, threads) == run, "{threads} slot threads");
+    }
+    let requests = script.requests();
+    assert_eq!(run.records.len(), requests.len());
+    for (id, (record, (kind, req))) in run.records.iter().zip(&requests).enumerate() {
+        // Gapless from index 0, and the stream is the output.
+        let streamed = run.events.iter().filter(|e| e.request == id);
+        let streamed: Vec<(usize, u32)> = streamed.map(|e| (e.index, e.token)).collect();
+        let output: Vec<(usize, u32)> = record.tokens.iter().copied().enumerate().collect();
+        assert_eq!(streamed, output, "request {id}'s events");
+        let mut solo = Scheduler::new(script.config());
+        solo.submit(engine(&m, *kind), req).unwrap();
+        let solo = solo.run().remove(0).tokens;
+        match record.finish {
+            FinishReason::Cancelled | FinishReason::DeadlineExceeded => {
+                assert!(solo.starts_with(&record.tokens), "request {id}")
+            }
+            finish => {
+                assert_eq!(finish, FinishReason::MaxTokens, "request {id}");
+                assert_eq!(record.tokens, solo, "request {id} diverged from solo");
+            }
+        }
+    }
+    run
+}
+
+#[test]
+fn a_seed_always_expands_to_the_same_script() {
+    assert_eq!(script(7), script(7));
+}
+
+#[test]
+fn two_seeds_expand_to_different_scripts() {
+    assert_ne!(script(7), script(8));
+}
+
+/// Seed 1 caught prefix eviction choosing among equally old entries in
+/// hash-map order: one run kept a prefix block another evicted, so its
+/// prefix hits and every later tick stamp changed from run to run.
+#[test]
+fn seed_1_evicts_the_same_prefix_blocks_in_every_run() {
+    run_seed(1);
+}
+
+#[test]
+fn seeded_interleavings_keep_the_accounting_and_match_solo_runs() {
+    let (mut swapped, mut recomputed, mut skipped) = (0, 0, 0);
+    let (mut cancelled, mut expired) = (0, 0);
+    for seed in (0..SEEDS).filter(|&seed| seed != 1) {
+        let Ok(run) = std::panic::catch_unwind(|| run_seed(seed)) else {
+            panic!("interleaving seed {seed} failed; replay it with `run_seed({seed})`");
+        };
+        swapped += run.preemption.swapped_out;
+        recomputed += run.preemption.recomputed;
+        for r in &run.records {
+            skipped += r.prefill_skipped_tokens;
+            cancelled += usize::from(r.finish == FinishReason::Cancelled);
+            expired += usize::from(r.finish == FinishReason::DeadlineExceeded);
+        }
+    }
+    // The seeds reach every path the invariants guard.
+    let reached = [swapped, recomputed, skipped, cancelled, expired];
+    assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
+}

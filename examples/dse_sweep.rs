@@ -6,15 +6,11 @@
 //! against the dense gold, and projected Jetson Orin AGX per-token latency.
 //! Prints the Pareto frontier.
 //!
-//! The evaluation prompts come from the same seeded [`TraceSpec`] the load
-//! harness replays, so the DSE scores the predictor on the workload
-//! population a deployment would actually serve (mixed short/long prompts
-//! with shared prefixes) rather than a hand-picked task list.
-//!
 //! ```text
 //! cargo run --release --example dse_sweep
 //! ```
 
+use sparseinfer::eval::tasks::TaskSuite;
 use sparseinfer::eval::teacher_forced_engine_matches;
 use sparseinfer::gpu_sim::latency::{
     dense_token_latency, sparseinfer_token_latency, MlpStepSparsity, SparseVariant, DEFAULT_CTX,
@@ -23,7 +19,6 @@ use sparseinfer::gpu_sim::GpuSpec;
 use sparseinfer::model::{generator::WeightGenerator, ModelConfig};
 use sparseinfer::predictor::AlphaSchedule;
 use sparseinfer::sparse::engine::EngineBuilder;
-use sparseinfer_trace::TraceSpec;
 
 fn main() {
     let mut config = ModelConfig::sim_7b();
@@ -32,18 +27,18 @@ fn main() {
     let paper_cfg = ModelConfig::prosparse_7b_paper();
     let spec = GpuSpec::jetson_orin_agx_64gb();
 
-    // The prompt population: a seeded trace with the serving mix, capped
-    // to a handful of requests so the sweep stays quick at sim_7b dims.
-    let workload = TraceSpec::steady(33).requests(3).vocab(512).generate();
+    // Three seeded prompts, as the accuracy tables draw theirs, so the
+    // sweep stays quick at sim_7b dims.
+    let suite = TaskSuite::gsm8k_syn(3, 33);
     println!(
-        "evaluating over a seeded trace: {} prompts, {} prompt tokens\n",
-        workload.requests.len(),
-        workload.prompt_tokens()
+        "evaluating over {} prompts, {} prompt tokens\n",
+        suite.len(),
+        suite.tasks.iter().map(|t| t.tokens.len()).sum::<usize>()
     );
-    let gold: Vec<Vec<u32>> = workload
-        .requests
+    let gold: Vec<Vec<u32>> = suite
+        .tasks
         .iter()
-        .map(|r| model.generate_greedy(&r.prompt, 10, sparseinfer::model::tokenizer::EOS))
+        .map(|t| model.generate_greedy(&t.tokens, 10, sparseinfer::model::tokenizer::EOS))
         .collect();
 
     let dense_ms = dense_token_latency(&spec, &paper_cfg).total_ms();
@@ -65,9 +60,8 @@ fn main() {
             // Teacher-forced accuracy over the suite.
             let mut matches = 0usize;
             let mut total = 0usize;
-            for (request, gold_tokens) in workload.requests.iter().zip(&gold) {
-                let m =
-                    teacher_forced_engine_matches(engine.as_mut(), &request.prompt, gold_tokens);
+            for (task, gold_tokens) in suite.tasks.iter().zip(&gold) {
+                let m = teacher_forced_engine_matches(engine.as_mut(), &task.tokens, gold_tokens);
                 matches += m.iter().filter(|x| **x).count();
                 total += m.len();
             }

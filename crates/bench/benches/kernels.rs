@@ -16,9 +16,7 @@ use sparseinfer::model::PrefillScratch;
 use sparseinfer::model::{Activation, ModelConfig};
 use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SkipMask, SparsityPredictor};
 use sparseinfer::sparse::engine::EngineBuilder;
-use sparseinfer::sparse::gemv::{sparse_gemv, sparse_gemv_into};
 use sparseinfer::sparse::request::{generate, GenerateRequest};
-use sparseinfer::sparse::OpCounter;
 use sparseinfer::tensor::attn;
 use sparseinfer::tensor::gemv::{gemm_rows_into, gemv, reference};
 use sparseinfer::tensor::sign::{PackedSignMatrix, SignPack};
@@ -80,14 +78,18 @@ fn main() {
     );
 
     println!("\n== sparse GEMV by sparsity ==");
+    // A sparse GEMV is the GEMM kernel at one column with the mask as its
+    // row filter: a skipped row is never loaded.
+    let single = ThreadPool::single();
+    let mut out = Vector::zeros(0);
     for sparsity_pct in [0u32, 50, 90, 92, 95] {
         let mask = SkipMask::from_fn(w.rows(), |r| {
             (r as u32 * 100 / w.rows() as u32) < sparsity_pct
         });
         let name = format!("sparse_gemv_{sparsity_pct}pct");
         let us = time_us(&name, bench_iters(200), || {
-            let mut ops = OpCounter::default();
-            sparse_gemv(&w, &x, &mask, &mut ops)
+            let keep = |r| !mask.is_skipped(r);
+            gemm_rows_into(&w, x.as_slice(), 1, keep, &single, &mut out);
         });
         println!("  -> {:.2}x over the dense gemv", t_gemv / us);
     }
@@ -147,22 +149,19 @@ fn main() {
 
     println!("\n== sparse GEMV, f32 vs fused int8 block-dequant (4096x1024, one thread) ==");
     // The quantized serving hot path: one workload, 10% sparse, through the
-    // one generic `sparse_gemv_into`, instantiated for the f32 matrix and for
+    // one generic `gemm_rows_into`, instantiated for the f32 matrix and for
     // the int8 one, which reads 1 byte/weight instead of 4 and dequantizes
     // per 32-column block inside the chunked dot loop. The pair is the
     // memory-bandwidth win of the int8 weight format.
     let (sw, sx) = streaming_shapes();
     let smask = SkipMask::from_fn(sw.rows(), |r| r % 10 == 0);
+    let skeep = |r| !smask.is_skipped(r);
     let qw = BlockQuantizedMatrix::quantize(&sw);
-    let single = ThreadPool::single();
-    let mut out = Vector::zeros(0);
     let t_f32 = time_us("sparse_gemv_into_1t", bench_iters(100), || {
-        let mut ops = OpCounter::default();
-        sparse_gemv_into(&sw, &sx, &smask, &single, &mut ops, &mut out);
+        gemm_rows_into(&sw, sx.as_slice(), 1, skeep, &single, &mut out);
     });
     let t_q8 = time_us("sparse_gemv_q8_into_1t", bench_iters(100), || {
-        let mut ops = OpCounter::default();
-        sparse_gemv_into(&qw, &sx, &smask, &single, &mut ops, &mut out);
+        gemm_rows_into(&qw, sx.as_slice(), 1, skeep, &single, &mut out);
     });
     let over_f32 = t_f32 / t_q8;
     println!("  -> {over_f32:.2}x over f32");

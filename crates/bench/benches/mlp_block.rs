@@ -10,17 +10,39 @@
 //! SPARSEINFER_BENCH_QUICK=1 cargo bench ...    # 1-iter CI smoke
 //! ```
 
+use sparseinfer::model::GatedMlp;
 use sparseinfer::model::{generator::WeightGenerator, ModelConfig};
 use sparseinfer::predictor::{
     AlphaSchedule, PredictorScratch, SignBitPredictor, SkipMask, SparsityPredictor,
 };
-use sparseinfer::sparse::mlp::{
-    dense_mlp_forward, sparse_mlp_forward, sparse_mlp_forward_into, MlpOptions,
-};
+use sparseinfer::sparse::mlp::{sparse_mlp_forward_into, MlpOptions};
 use sparseinfer::sparse::OpCounter;
 use sparseinfer::tensor::gemv::{gemv_transposed, reference};
 use sparseinfer::tensor::{Prng, ThreadPool, Vector, Workspace};
 use sparseinfer_bench::{bench_iters, time_us};
+
+/// The base options: no fusion, no actual sparsity — dense execution.
+const BASE: MlpOptions = MlpOptions {
+    kernel_fusion: false,
+    actual_sparsity: false,
+};
+
+/// The decode executor on buffers of its own, allocated per call.
+fn forward(mlp: &GatedMlp, x: &Vector, mask: &SkipMask, options: MlpOptions) -> Vector {
+    let mut out = Vector::zeros(0);
+    sparse_mlp_forward_into(
+        mlp,
+        x,
+        mask,
+        options,
+        &ThreadPool::single(),
+        &mut Workspace::new(),
+        &mut SkipMask::all_dense(0),
+        &mut OpCounter::default(),
+        &mut out,
+    );
+    out
+}
 
 fn main() {
     let cfg = ModelConfig::sim_13b();
@@ -41,9 +63,9 @@ fn main() {
         gemv_transposed(mlp.w_down_t(), &h3)
     });
 
+    let dense_mask = SkipMask::all_dense(cfg.mlp_dim);
     let t_dense = time_us("dense_unrolled (llama.cpp path)", bench_iters(100), || {
-        let mut ops = OpCounter::default();
-        dense_mlp_forward(mlp, &x, &mut ops)
+        forward(mlp, &x, &dense_mask, BASE)
     });
     println!(
         "  -> {:.1}x over the pre-PR scalar dense baseline",
@@ -55,8 +77,7 @@ fn main() {
         let mask = predictor.predict(cfg.n_layers / 2, &x);
         let name = format!("sparseinfer_alpha_{alpha:.2}");
         let t = time_us(&name, bench_iters(200), || {
-            let mut ops = OpCounter::default();
-            sparse_mlp_forward(mlp, &x, &mask, MlpOptions::default(), &mut ops)
+            forward(mlp, &x, &mask, MlpOptions::default())
         });
         println!("  -> {:.1}x over dense", t_dense / t);
     }
@@ -96,17 +117,13 @@ fn main() {
     );
 
     println!("\n== the same executor under an all-dense mask (no fusion, no compensation) ==");
-    let dense_mask = SkipMask::all_dense(cfg.mlp_dim);
     let t_ws_dense = time_us("dense_mlp_block_1t", bench_iters(100), || {
         let mut ops = OpCounter::default();
         sparse_mlp_forward_into(
             mlp,
             &x,
             &dense_mask,
-            MlpOptions {
-                kernel_fusion: false,
-                actual_sparsity: false,
-            },
+            BASE,
             &pool1,
             &mut ws,
             &mut effective,

@@ -15,12 +15,37 @@
 //!   reaches higher total savings (the paper: CATS ~15% end-to-end speedup
 //!   vs SparseInfer ~21% over the state of the art).
 
+use sparseinfer::model::GatedMlp;
 use sparseinfer::model::{generator::WeightGenerator, Activation, MlpTrace, ModelConfig};
+use sparseinfer::predictor::SkipMask;
 use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SparsityPredictor};
 use sparseinfer::sparse::cats::{cats_mlp_forward, CatsThresholds};
-use sparseinfer::sparse::mlp::{sparse_mlp_forward, MlpOptions};
+use sparseinfer::sparse::mlp::{sparse_mlp_forward_into, MlpOptions};
 use sparseinfer::sparse::OpCounter;
-use sparseinfer::tensor::Prng;
+use sparseinfer::tensor::{Prng, ThreadPool, Vector, Workspace};
+
+/// One decode MLP call, billed into `ops`; returns the effective sparsity.
+fn run_mlp(
+    mlp: &GatedMlp,
+    x: &Vector,
+    mask: &SkipMask,
+    options: MlpOptions,
+    ops: &mut OpCounter,
+) -> f64 {
+    let mut out = Vector::zeros(0);
+    let (_, effective) = sparse_mlp_forward_into(
+        mlp,
+        x,
+        mask,
+        options,
+        &ThreadPool::single(),
+        &mut Workspace::new(),
+        &mut SkipMask::all_dense(0),
+        ops,
+        &mut out,
+    );
+    effective
+}
 
 fn main() {
     // One SiLU model and one ReLU-fied twin with identical dimensions.
@@ -51,7 +76,7 @@ fn main() {
 
     // CATS at several calibrated sparsity targets vs SparseInfer.
     let mut rng = Prng::seed(72);
-    let x = sparseinfer::tensor::Vector::from_fn(cfg.hidden_dim, |_| rng.normal(0.6, 1.0) as f32);
+    let x = Vector::from_fn(cfg.hidden_dim, |_| rng.normal(0.6, 1.0) as f32);
     let layer = cfg.n_layers - 1;
 
     println!(
@@ -59,10 +84,10 @@ fn main() {
         "method", "sparsity", "weight bytes", "vs dense"
     );
     let mut dense_ops = OpCounter::default();
-    let _ = sparse_mlp_forward(
+    let _ = run_mlp(
         relu_model.layers()[layer].mlp(),
         &x,
-        &sparseinfer::predictor::SkipMask::all_dense(cfg.mlp_dim),
+        &SkipMask::all_dense(cfg.mlp_dim),
         MlpOptions {
             kernel_fusion: false,
             actual_sparsity: false,
@@ -95,7 +120,7 @@ fn main() {
     let mut predictor = SignBitPredictor::from_model(&relu_model, AlphaSchedule::uniform(1.0));
     let mask = predictor.predict(layer, &x);
     let mut ops = OpCounter::default();
-    let out = sparse_mlp_forward(
+    let effective = run_mlp(
         relu_model.layers()[layer].mlp(),
         &x,
         &mask,
@@ -105,7 +130,7 @@ fn main() {
     println!(
         "{:<28} {:>10.3} {:>16} {:>14.3}",
         "SparseInfer (ReLU-fied)",
-        out.effective_sparsity,
+        effective,
         ops.weight_bytes_loaded,
         ops.weight_bytes_loaded as f64 / dense_ops.weight_bytes_loaded as f64
     );

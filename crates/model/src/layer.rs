@@ -15,7 +15,7 @@ use sparseinfer_tensor::{ThreadPool, Vector, Workspace};
 
 use crate::attention::Attention;
 use crate::kv::PagedKvCache;
-use crate::mlp::GatedMlp;
+use crate::mlp::{gated_mlp_into, GatedMlp};
 use crate::model::DecodeSession;
 use crate::norm::RmsNorm;
 use crate::prefill::{PrefillScratch, PromptTokens};
@@ -136,7 +136,19 @@ impl DecoderLayer {
             }
         }
         norm_rows(&self.mlp_norm, scratch);
-        self.mlp.prefill_batch(pool, scratch);
+        // Every row predicted active, and the exact zeros after the gate
+        // skipped: the dense block, bitwise, at a fraction of its work.
+        gated_mlp_into(
+            &self.mlp,
+            scratch.x.as_slice(),
+            b,
+            |_| true,
+            true,
+            pool,
+            &mut scratch.gate,
+            &mut scratch.proj,
+            &mut scratch.mlp_out,
+        );
         for (slot, y) in scratch
             .h
             .as_mut_slice()

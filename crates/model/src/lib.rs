@@ -55,7 +55,7 @@ pub use activation::Activation;
 pub use config::ModelConfig;
 pub use kv::{KvBlockPool, KvDtype, PagedKvCache, PrefixHit, PrefixIndex, SharedKvBlock};
 pub use layer::DecoderLayer;
-pub use mlp::GatedMlp;
+pub use mlp::{gated_mlp_into, GatedMlp, MlpWeights};
 pub use model::Model;
 pub use prefill::{PrefillScratch, PromptChunk, PromptTokens, PREFILL_CHUNK};
 pub use sampling::Sampler;

@@ -2,18 +2,93 @@
 //!
 //! `MLP(X) = (σ(X·W_gate) ⊙ (X·W_up)) · W_downᵀ` with the four steps the
 //! paper enumerates: gate computation, input processing, gate application and
-//! output generation. This module holds the *dense* reference implementation
-//! plus accessors the predictor and sparse engine build on. Weight layout
-//! follows the paper's skip-friendly convention: `W_gate` and `W_up` are
-//! stored `k×d` (one output element per row), and `W_down` is stored
-//! transposed (`k×d` as well) at load time so output sparsity skips rows
-//! (§IV-B4).
+//! output generation. Weight layout follows the paper's skip-friendly
+//! convention: `W_gate` and `W_up` are stored `k×d` (one output element per
+//! row), and `W_down` is stored transposed (`k×d` as well) at load time so
+//! output sparsity skips rows (§IV-B4).
+//!
+//! [`GatedMlp::forward`] is the dense reference. [`gated_mlp_into`] is the
+//! one executor every engine runs, over any weight storage
+//! ([`MlpWeights`]): prefill at B inputs with every row predicted active,
+//! the sparse crate's decode at one input under a predictor's mask.
 
-use sparseinfer_tensor::gemv::{gemm_rows_into, gemv, gemv_transposed, gemv_transposed_batch_into};
-use sparseinfer_tensor::{Matrix, ThreadPool, Vector};
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed};
+use sparseinfer_tensor::{Matrix, ThreadPool, Vector, WeightRows};
 
 use crate::activation::Activation;
-use crate::prefill::PrefillScratch;
+
+/// The weights of one gated-MLP block, in whatever storage they are
+/// executed from.
+pub trait MlpWeights {
+    /// The storage of the three matrices.
+    type Rows: WeightRows;
+
+    /// `(W_gate, W_up, W_downᵀ, activation)` — gate and up are `k × d`, the
+    /// transposed down projection is `k × d` too, so sparsity skips whole
+    /// rows of all three.
+    fn parts(&self) -> (&Self::Rows, &Self::Rows, &Self::Rows, Activation);
+}
+
+impl MlpWeights for GatedMlp {
+    type Rows = Matrix;
+
+    fn parts(&self) -> (&Self::Rows, &Self::Rows, &Self::Rows, Activation) {
+        (&self.w_gate, &self.w_up, &self.w_down_t, self.activation)
+    }
+}
+
+/// Steps 1–4 of §III for `batch` inputs (back to back in `xs`), gate
+/// before up as §IV argues, one pass over each weight matrix. The buffers
+/// are resized in place and leave, per row (`[k][b]`; `out` per input,
+/// `[b][d]`):
+///
+/// 1. `gate` — `h1`: [`gemm_rows_into`] under `predicted`, then the
+///    activation. A dropped row is never loaded; its `h1` is
+///    `activation(0)`, zero for the ReLU family (the paper's approximation).
+/// 2. The filter of steps 2–4: a row `predicted` keeps and, with
+///    `actual_sparsity`, whose `h1` is non-zero for some input (§IV).
+/// 3. `h3` — the up projection under that filter, times `h1`.
+/// 4. `out` — [`gemm_transposed_rows_into`] under the filter, which with
+///    `actual_sparsity` also skips an input's zero `h3` entries.
+///
+/// Each input's output is bitwise its own `batch = 1` call, and
+/// `actual_sparsity` moves no bit of it (a zero `h1` makes `h3` a zero
+/// whatever the finite `h2`, and skipping a zero is exact in the down
+/// projection). With every row kept it is bitwise [`GatedMlp::forward`].
+///
+/// # Panics
+///
+/// Panics if `xs.len() != batch * d`.
+#[allow(clippy::too_many_arguments)] // the hot path threads every resource explicitly
+pub fn gated_mlp_into<M: MlpWeights>(
+    mlp: &M,
+    xs: &[f32],
+    batch: usize,
+    predicted: impl Fn(usize) -> bool + Sync,
+    actual_sparsity: bool,
+    pool: &ThreadPool,
+    gate: &mut Vector,
+    h3: &mut Vector,
+    out: &mut Vector,
+) {
+    let (w_gate, w_up, w_down_t, activation) = mlp.parts();
+    debug_assert!(
+        !actual_sparsity || xs.iter().all(|v| v.is_finite()),
+        "mlp input must be finite for the zero-gate row skip to be exact"
+    );
+    gemm_rows_into(w_gate, xs, batch, &predicted, pool, gate);
+    activation.apply_slice(gate.as_mut_slice());
+    let h1 = gate.as_slice();
+    let keep = |r: usize| {
+        predicted(r) && (!actual_sparsity || h1[r * batch..][..batch].iter().any(|v| *v != 0.0))
+    };
+    gemm_rows_into(w_up, xs, batch, keep, pool, h3);
+    for (h, g) in h3.as_mut_slice().iter_mut().zip(h1) {
+        *h *= g;
+    }
+    let skip_zeros = actual_sparsity;
+    gemm_transposed_rows_into(w_down_t, h3.as_slice(), batch, keep, skip_zeros, pool, out);
+}
 
 /// One gated MLP block with skip-friendly weight layout.
 ///
@@ -120,81 +195,17 @@ impl GatedMlp {
     ///
     /// Panics if `x.len() != self.hidden_dim()`.
     pub fn forward(&self, x: &Vector) -> Vector {
-        let mut h1 = gemv(&self.w_gate, x); // step 1: gate computation
-        self.activation.apply_slice(h1.as_mut_slice());
-        let h2 = gemv(&self.w_up, x); // step 2: input processing
-        let h3 = h1.hadamard(&h2).expect("h1/h2 same length"); // step 3
-        gemv_transposed(&self.w_down_t, &h3) // step 4: output generation
+        self.forward_with_gate(x).0
     }
 
     /// Forward pass that also returns the intermediate `h1` (post-activation
     /// gate values), used by trace capture and the oracle predictor.
     pub fn forward_with_gate(&self, x: &Vector) -> (Vector, Vector) {
-        let mut h1 = gemv(&self.w_gate, x);
+        let mut h1 = gemv(&self.w_gate, x); // step 1: gate computation
         self.activation.apply_slice(h1.as_mut_slice());
-        let h2 = gemv(&self.w_up, x);
-        let h3 = h1.hadamard(&h2).expect("h1/h2 same length");
-        (gemv_transposed(&self.w_down_t, &h3), h1)
-    }
-
-    /// The MLP block of one batched prefill step (see
-    /// [`Model::prefill_step`](crate::Model::prefill_step)): reads the
-    /// normed inputs from `scratch.x` (one per column) and leaves each
-    /// column's output in `scratch.mlp_out` — bitwise
-    /// [`forward`](Self::forward) of each input, from one pass over the
-    /// weights.
-    ///
-    /// Only the gate projection is dense. The up projection runs for the
-    /// rows where *some* column's post-activation gate is non-zero — the
-    /// paper's *actual sparsity*, and exact: a zero `h1` makes `h3 = h1·h2`
-    /// a zero of either sign whatever the (finite) `h2`, and the
-    /// row-ascending down accumulation skips a zero `h3` just as
-    /// [`gemv_transposed`] does. The one assumption — a skipped `h2` would
-    /// have been finite — holds for finite inputs and is asserted on them
-    /// in debug builds.
-    pub(crate) fn prefill_batch(&self, pool: &ThreadPool, scratch: &mut PrefillScratch) {
-        let k = self.mlp_dim();
-        let b = scratch.x.len() / self.hidden_dim();
-        debug_assert!(
-            scratch.x.iter().all(|v| v.is_finite()),
-            "mlp input must be finite for the zero-gate row skip to be exact"
-        );
-        let x = scratch.x.as_slice();
-        gemm_rows_into(&self.w_gate, x, b, |_| true, pool, &mut scratch.gate);
-        self.activation.apply_slice(scratch.gate.as_mut_slice());
-        scratch.keep.clear();
-        scratch.keep.extend(
-            scratch
-                .gate
-                .as_slice()
-                .chunks_exact(b)
-                .map(|row| row.iter().any(|h1| *h1 != 0.0)),
-        );
-        debug_assert_eq!(scratch.keep.len(), k);
-        gemm_rows_into(
-            &self.w_up,
-            x,
-            b,
-            |r| scratch.keep[r],
-            pool,
-            &mut scratch.proj,
-        );
-        for (h2, h1) in scratch
-            .proj
-            .as_mut_slice()
-            .iter_mut()
-            .zip(scratch.gate.iter())
-        {
-            *h2 *= h1;
-        }
-        gemv_transposed_batch_into(
-            &self.w_down_t,
-            scratch.proj.as_slice(),
-            b,
-            pool,
-            &mut scratch.down_tmp,
-            &mut scratch.mlp_out,
-        );
+        let h2 = gemv(&self.w_up, x); // step 2: input processing
+        let h3 = h1.hadamard(&h2).expect("h1/h2 same length"); // step 3
+        (gemv_transposed(&self.w_down_t, &h3), h1) // step 4: output generation
     }
 
     /// Measured activation sparsity of the block for input `x` (fraction of

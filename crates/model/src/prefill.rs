@@ -12,9 +12,10 @@
 //!
 //! * **per column** — `[c][n]`, column `c`'s vector contiguous: what the
 //!   norms, RoPE, attention and the kernels' *inputs* want;
-//! * **per row** — `[row][c]`, as the kernels leave their *output* (a
-//!   weight row's results for every column together, so rows partition
-//!   across a pool with one writer per element).
+//! * **per row** — `[row][c]`, as the GEMM leaves its *output* (a weight
+//!   row's results for every column together, so rows partition across a
+//!   pool with one writer per element); the MLP's down projection leaves
+//!   its output per column.
 //!
 //! Every buffer is resized in place each step, so after the first step at
 //! a given column count and context the step allocates nothing.
@@ -105,10 +106,6 @@ pub struct PrefillScratch {
     pub(crate) columns: Vec<(usize, usize)>,
     /// Post-activation gate values, per row (`[k][c]`).
     pub(crate) gate: Vector,
-    /// Per MLP row: whether any column's gate value is non-zero.
-    pub(crate) keep: Vec<bool>,
-    /// Column-range accumulators of the down projection.
-    pub(crate) down_tmp: Vector,
     /// The MLP output, per column (`[c][d]`).
     pub(crate) mlp_out: Vector,
 }

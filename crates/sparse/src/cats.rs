@@ -15,9 +15,10 @@
 
 use sparseinfer_model::{GatedMlp, MlpTrace};
 use sparseinfer_predictor::SkipMask;
-use sparseinfer_tensor::{gemv::gemv, Vector};
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv};
+use sparseinfer_tensor::{ThreadPool, Vector};
 
-use crate::gemv::{sparse_down_proj, sparse_gemv};
+use crate::mlp::bill;
 use crate::ops::OpCounter;
 
 /// Per-layer magnitude thresholds calibrated from an activation trace.
@@ -122,9 +123,14 @@ pub fn cats_mlp_forward(
     let mask = SkipMask::from_exact_zeros(&h1);
 
     // Up and down projections skip the zeroed rows.
-    let h2 = sparse_gemv(mlp.w_up(), x, &mask, ops);
+    let (w_up, w_down_t) = (mlp.w_up(), mlp.w_down_t());
+    let (keep, pool) = (|r| !mask.is_skipped(r), ThreadPool::single());
+    let (mut h2, mut output) = (Vector::zeros(0), Vector::zeros(0));
+    gemm_rows_into(w_up, x.as_slice(), 1, keep, &pool, &mut h2);
     let h3 = h1.hadamard(&h2).expect("same length");
-    let output = sparse_down_proj(mlp.w_down_t(), &h3, &mask, ops);
+    gemm_transposed_rows_into(w_down_t, h3.as_slice(), 1, keep, false, &pool, &mut output);
+    bill(ops, w_up, &mask);
+    ops.atomic_adds += bill(ops, w_down_t, &mask);
 
     CatsOutput {
         output,

@@ -567,9 +567,9 @@ pub trait Engine: std::fmt::Debug + Send {
 /// With a predictor, each layer's mask is predicted per token and the MLP
 /// runs under the configured [`EngineOptions`]. Without one, the mask is
 /// all-active and the options are the base ones (no fusion, no actual
-/// sparsity) — the llama.cpp baseline, exactly the seed's
-/// `dense_mlp_forward`. Weight storage is orthogonal: either case reads
-/// the model's own `f32` matrices or a shared [`QuantizedWeights`] copy.
+/// sparsity) — the llama.cpp baseline. Weight storage is orthogonal: either
+/// case reads the model's own `f32` matrices or a shared
+/// [`QuantizedWeights`] copy.
 ///
 /// The predictor and the quantized weights sit behind `Arc`s and are
 /// **read-only**: any number of engines (batch slots) share one copy, while

@@ -6,18 +6,15 @@
 //! predictor, this crate executes the four MLP steps while skipping masked
 //! rows of `W_gate`, `W_up` and (transposed) `W_down`:
 //!
-//! * [`gemv`](mod@crate::gemv) — row-skipping GEMV kernels mirroring the CUDA
-//!   kernels of §IV-B3/4 (skipped row ⇒ the "warp" returns zero / skips its
-//!   `atomicAdd`). One sparse GEMV and one sparse down projection, generic
-//!   over the weight storage ([`WeightRows`](sparseinfer_tensor::WeightRows)):
-//!   `f32` and block-quantized int8 are two instances of the same body.
-//! * [`mlp`](mod@crate::mlp) — the one sparse gated-MLP executor (generic the
-//!   same way) with the paper's two compensation/optimization switches:
-//!   **actual sparsity** (union exact zeros found after step 1 into the mask
-//!   used by steps 2–4) and **kernel fusion** (steps 1–3 in one kernel;
-//!   affects memory traffic, which the [`ops`](mod@crate::ops) accounting and
-//!   the GPU cost model track). Dense execution is this executor under the
-//!   all-active mask.
+//! * [`mlp`](mod@crate::mlp) — decode's gated MLP: the model crate's one
+//!   executor ([`gated_mlp_into`](sparseinfer_model::gated_mlp_into), whose
+//!   row-skipping kernels mirror §IV-B3/4's CUDA kernels) at one input
+//!   under a predicted mask, for `f32` or int8 weights. This module builds
+//!   the applied mask and bills the work. Its switches are the paper's
+//!   **actual sparsity** (exact zeros found after step 1 join the mask of
+//!   steps 2–4) and **kernel fusion** (steps 1–3 in one kernel; affects
+//!   only the [`ops`](mod@crate::ops) traffic accounting). Dense execution
+//!   is the all-active mask.
 //! * [`quantized`](mod@crate::quantized) — the int8 storage of one MLP block;
 //!   no execution code of its own.
 //! * [`engine`](mod@crate::engine) — the [`Engine`] trait (one object-safe
@@ -67,7 +64,6 @@
 pub mod cats;
 pub mod engine;
 pub mod error;
-pub mod gemv;
 pub mod mlp;
 pub mod ops;
 pub mod quantized;
@@ -79,7 +75,6 @@ pub use engine::{
     SpeculativeEngine, SpeculativeStats, StepBlock, WeightFormat,
 };
 pub use error::EngineError;
-pub use mlp::SparseMlpOutput;
 pub use ops::OpCounter;
 pub use quantized::FusedQuantizedMlp;
 pub use request::{FinishReason, GenerateRequest, Generation, TokenEvent};

@@ -1,49 +1,23 @@
-//! The sparse gated-MLP executor (steps 1–4 of §III under a skip mask).
+//! The gated MLP at decode (steps 1–4 of §III under a predicted skip
+//! mask), and its accounting.
 //!
-//! Execution is *sequential* (gate before up), the variant the paper argues
-//! for in §IV: it enables kernel fusion and — more importantly — lets the
-//! exact zeros discovered after the gate GEMV ("actual sparsity") be unioned
-//! into the mask used by the up and down projections, compensating rows the
-//! conservative predictor kept alive unnecessarily.
-//!
-//! There is one executor, [`sparse_mlp_forward_into`], generic over the
-//! block's weight storage ([`MlpWeights`]): the model's own `f32`
-//! [`GatedMlp`] and the int8
-//! [`FusedQuantizedMlp`](crate::quantized::FusedQuantizedMlp) run the same
-//! steps through the same generic kernels. Dense execution is the same call
-//! under the all-active mask ([`dense_mlp_forward`]).
+//! The steps run in the model crate's one executor, [`gated_mlp_into`],
+//! sequentially (gate before up) as §IV argues: the exact zeros found
+//! after the gate ("actual sparsity") join the mask of the up and down
+//! projections, compensating rows the conservative predictor kept.
+//! [`sparse_mlp_forward_into`] adds what only this crate does: the applied
+//! mask for the sparsity statistics and the [`OpCounter`] bill of Table I.
+//! The model's `f32` [`GatedMlp`](sparseinfer_model::GatedMlp) and the int8
+//! [`FusedQuantizedMlp`](crate::quantized::FusedQuantizedMlp) are two
+//! [`MlpWeights`] instances of one body; dense execution is the all-active
+//! mask under the base options.
 
-use sparseinfer_model::{Activation, GatedMlp};
+use sparseinfer_model::gated_mlp_into;
+pub use sparseinfer_model::MlpWeights;
 use sparseinfer_predictor::SkipMask;
-use sparseinfer_tensor::{Matrix, ThreadPool, Vector, WeightRows, Workspace};
+use sparseinfer_tensor::{ThreadPool, Vector, WeightRows, Workspace};
 
-use crate::gemv::{sparse_down_proj_into, sparse_gemv_into};
 use crate::ops::OpCounter;
-
-/// The weights of one gated-MLP block, in whatever storage they are
-/// executed from.
-pub trait MlpWeights {
-    /// The storage of the three matrices.
-    type Rows: WeightRows;
-
-    /// `(W_gate, W_up, W_downᵀ, activation)` — gate and up are `k × d`, the
-    /// transposed down projection is `k × d` too, so sparsity skips whole
-    /// rows of all three.
-    fn parts(&self) -> (&Self::Rows, &Self::Rows, &Self::Rows, Activation);
-}
-
-impl MlpWeights for GatedMlp {
-    type Rows = Matrix;
-
-    fn parts(&self) -> (&Self::Rows, &Self::Rows, &Self::Rows, Activation) {
-        (
-            self.w_gate(),
-            self.w_up(),
-            self.w_down_t(),
-            self.activation(),
-        )
-    }
-}
 
 /// Switches for the sparse MLP execution, matching the four SparseInfer
 /// variants of the paper's Fig. 4 (`base`, `+KF`, `+AS`, `+KF+AS`).
@@ -67,71 +41,25 @@ impl Default for MlpOptions {
     }
 }
 
-/// Result of one sparse MLP execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseMlpOutput {
-    /// The block output (length `d`).
-    pub output: Vector,
-    /// Sparsity of the predicted mask that entered the block.
-    pub predicted_sparsity: f64,
-    /// Sparsity of the mask actually applied to steps 2–4 (≥ predicted when
-    /// actual-sparsity compensation is on).
-    pub effective_sparsity: f64,
-}
-
-/// Executes the gated MLP under `predicted`, reporting into `ops`.
+/// Executes the gated MLP for one input under `predicted` — the decode hot
+/// path, for any weight storage — reporting into `ops`.
 ///
 /// Skipped gate rows produce `h1[r] = activation(0)`, which is zero for the
 /// ReLU family — exactly the approximation the paper makes. (For SiLU/GELU
 /// the function still zeroes the skipped rows; that *would* perturb the
 /// result, which is why SparseInfer targets ReLU-fied models.)
 ///
-/// # Panics
+/// `h1` and `h3` come from `ws`, the applied mask is built in place in
+/// `effective` (any contents on entry; leaves `predicted ∪ actual`), the
+/// output lands in `out`, and the projections fan out across `pool`: no
+/// allocation after warm-up, the same bits at every thread count. Over
+/// int8 weights the forward is bitwise the one over the dequantized `f32`
+/// weights — quantization perturbs values once, at weight-prep time.
 ///
-/// Panics if `x` or `predicted` disagree with the block's dimensions.
-pub fn sparse_mlp_forward(
-    mlp: &GatedMlp,
-    x: &Vector,
-    predicted: &SkipMask,
-    options: MlpOptions,
-    ops: &mut OpCounter,
-) -> SparseMlpOutput {
-    let mut ws = Workspace::new();
-    let mut effective = SkipMask::all_dense(0);
-    let mut output = Vector::zeros(0);
-    let (predicted_sparsity, effective_sparsity) = sparse_mlp_forward_into(
-        mlp,
-        x,
-        predicted,
-        options,
-        &ThreadPool::single(),
-        &mut ws,
-        &mut effective,
-        ops,
-        &mut output,
-    );
-    SparseMlpOutput {
-        output,
-        predicted_sparsity,
-        effective_sparsity,
-    }
-}
-
-/// Workspace variant of [`sparse_mlp_forward`] — the decode hot path, for
-/// any weight storage.
-///
-/// All intermediates (`h1`, `h2`) come from `ws`, the applied mask is built
-/// in place in `effective` (enter with any contents; leaves holding
-/// `predicted ∪ actual`), the block output lands in `out`, and the three
-/// GEMVs fan out across `pool`. After warm-up the call performs zero heap
-/// allocations, and its output is bit-identical to the allocating wrapper
-/// at every thread count (shared kernels, fixed reduction order).
-///
-/// Over int8 weights the kernels reduce in exactly the order they would
-/// over the dequantized `f32` weights, so the whole forward is bit-identical
-/// to running it on the dequantized matrices: quantization perturbs values
-/// once, at weight-prep time, never the execution. Activation traffic is
-/// format-independent (intermediates stay `f32`).
+/// Work is billed from the masks — the gate under `predicted`, up and down
+/// under `effective` — at the format's
+/// [`ACCOUNTED_BYTES`](WeightRows::ACCOUNTED_BYTES) per weight (int8: one
+/// byte, the 4× shrink is the point).
 ///
 /// Returns `(predicted_sparsity, effective_sparsity)`.
 ///
@@ -150,44 +78,39 @@ pub fn sparse_mlp_forward_into<M: MlpWeights>(
     ops: &mut OpCounter,
     out: &mut Vector,
 ) -> (f64, f64) {
-    let (w_gate, w_up, w_down_t, activation) = mlp.parts();
+    let (w_gate, w_up, w_down_t, _) = mlp.parts();
     assert_eq!(x.len(), w_gate.cols(), "input length mismatch");
     assert_eq!(predicted.len(), w_gate.rows(), "mask length mismatch");
 
-    let d = w_gate.cols() as u64;
-    let k = w_gate.rows() as u64;
-    let predicted_sparsity = predicted.sparsity();
-
-    // Step 1 (gate computation) under the predicted mask.
     let mut h1 = ws.take(w_gate.rows());
-    sparse_gemv_into(w_gate, x, predicted, pool, ops, &mut h1);
-    activation.apply_slice(h1.as_mut_slice());
-
-    // Actual-sparsity compensation: exact zeros after the activation join
-    // the mask for steps 2–4.
+    let mut h3 = ws.take(w_gate.rows());
+    gated_mlp_into(
+        mlp,
+        x.as_slice(),
+        1,
+        |r| !predicted.is_skipped(r),
+        options.actual_sparsity,
+        pool,
+        &mut h1,
+        &mut h3,
+        out,
+    );
+    // The mask steps 2–4 ran under, for the statistics.
     effective.copy_from(predicted);
     if options.actual_sparsity {
         effective.union_exact_zeros(&h1);
     }
-    let effective_sparsity = effective.sparsity();
-
-    // Step 2 (input processing) and step 3 (gate application, in place:
-    // h1 becomes h3 = h1 ⊙ h2).
-    let mut h2 = ws.take(w_gate.rows());
-    sparse_gemv_into(w_up, x, effective, pool, ops, &mut h2);
-    for (a, b) in h1.as_mut_slice().iter_mut().zip(h2.as_slice()) {
-        *a *= b;
-    }
-
-    // Step 4 (output generation) over the transposed down projection.
-    sparse_down_proj_into(w_down_t, &h1, effective, pool, ops, out);
     ws.give(h1);
-    ws.give(h2);
+    ws.give(h3);
 
+    bill(ops, w_gate, predicted);
+    bill(ops, w_up, effective);
+    ops.atomic_adds += bill(ops, w_down_t, effective);
     // Inter-kernel activation traffic (§IV-B4):
     //   fused:   load X once + write h3;      then step 4: read h3, write out.
     //   unfused: load X twice, h1 and h2 each store+load, h3 store;
     //            then step 4: read h3, write out.
+    let (d, k) = (w_gate.cols() as u64, w_gate.rows() as u64);
     let elems = if options.kernel_fusion {
         2 * d + 2 * k
     } else {
@@ -195,37 +118,33 @@ pub fn sparse_mlp_forward_into<M: MlpWeights>(
     };
     ops.activation_bytes += elems * OpCounter::ACTIVATION_BYTES;
 
-    (predicted_sparsity, effective_sparsity)
+    (predicted.sparsity(), effective.sparsity())
+}
+
+/// Bills one projection of `w` that loaded the rows `mask` keeps (a skipped
+/// row's weights are never loaded); returns its multiply-accumulates.
+pub(crate) fn bill<W: WeightRows>(ops: &mut OpCounter, w: &W, mask: &SkipMask) -> u64 {
+    let active = (w.rows() - mask.skip_count()) as u64;
+    let macs = active * w.cols() as u64;
+    ops.macs += macs;
+    ops.weight_bytes_loaded += macs * W::ACCOUNTED_BYTES;
+    ops.rows_computed += active;
+    ops.rows_skipped += w.rows() as u64 - active;
+    macs
 }
 
 /// The name the int8 forward used to have as a second body; kept as an
 /// alias because callers outside the workspace import it.
 pub use self::sparse_mlp_forward_into as sparse_mlp_q8_forward_into;
 
-/// Dense reference execution with identical accounting hooks: the all-active
-/// mask under the base options — the llama.cpp-equivalent path an engine
-/// built without a predictor runs.
-pub fn dense_mlp_forward(mlp: &GatedMlp, x: &Vector, ops: &mut OpCounter) -> Vector {
-    let out = sparse_mlp_forward(
-        mlp,
-        x,
-        &SkipMask::all_dense(mlp.mlp_dim()),
-        MlpOptions {
-            kernel_fusion: false,
-            actual_sparsity: false,
-        },
-        ops,
-    );
-    out.output
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::quantized::FusedQuantizedMlp;
     use sparseinfer_model::generator::WeightGenerator;
-    use sparseinfer_model::ModelConfig;
+    use sparseinfer_model::{Activation, GatedMlp, ModelConfig};
     use sparseinfer_predictor::{OraclePredictor, SparsityPredictor};
-    use sparseinfer_tensor::Prng;
+    use sparseinfer_tensor::{Matrix, ParallelOptions, Prng};
 
     fn setup() -> (sparseinfer_model::Model, Vector) {
         let cfg = ModelConfig::tiny();
@@ -235,6 +154,36 @@ mod tests {
         (model, x)
     }
 
+    /// One [`sparse_mlp_forward_into`] on fresh buffers and one thread: the
+    /// output, the `(predicted, effective)` sparsities and the bill.
+    pub(crate) fn forward<M: MlpWeights>(
+        mlp: &M,
+        x: &Vector,
+        mask: &SkipMask,
+        options: MlpOptions,
+    ) -> (Vector, (f64, f64), OpCounter) {
+        let mut ops = OpCounter::default();
+        let mut out = Vector::zeros(0);
+        let sparsity = sparse_mlp_forward_into(
+            mlp,
+            x,
+            mask,
+            options,
+            &ThreadPool::single(),
+            &mut Workspace::new(),
+            &mut SkipMask::all_dense(0),
+            &mut ops,
+            &mut out,
+        );
+        (out, sparsity, ops)
+    }
+
+    /// The base options: no fusion, no actual sparsity.
+    const BASE: MlpOptions = MlpOptions {
+        kernel_fusion: false,
+        actual_sparsity: false,
+    };
+
     #[test]
     fn oracle_mask_reproduces_dense_output_exactly() {
         let (model, x) = setup();
@@ -242,10 +191,9 @@ mod tests {
         let mut oracle = OraclePredictor::from_model(&model);
         let mask = oracle.predict(0, &x);
 
-        let mut ops = OpCounter::default();
-        let sparse = sparse_mlp_forward(mlp, &x, &mask, MlpOptions::default(), &mut ops);
+        let (sparse, _, _) = forward(mlp, &x, &mask, MlpOptions::default());
         let dense = mlp.forward(&x);
-        for (a, b) in sparse.output.iter().zip(dense.iter()) {
+        for (a, b) in sparse.iter().zip(dense.iter()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
     }
@@ -254,8 +202,7 @@ mod tests {
     fn dense_mask_reproduces_dense_output() {
         let (model, x) = setup();
         let mlp = model.layers()[0].mlp();
-        let mut ops = OpCounter::default();
-        let out = dense_mlp_forward(mlp, &x, &mut ops);
+        let (out, _, ops) = forward(mlp, &x, &SkipMask::all_dense(mlp.mlp_dim()), BASE);
         let dense = mlp.forward(&x);
         for (a, b) in out.iter().zip(dense.iter()) {
             assert!((a - b).abs() < 1e-5);
@@ -269,28 +216,18 @@ mod tests {
         let (model, x) = setup();
         let mlp = model.layers()[0].mlp();
         let predicted = SkipMask::all_dense(mlp.mlp_dim()); // predict nothing
-        let mut ops = OpCounter::default();
-        let out = sparse_mlp_forward(
-            mlp,
-            &x,
-            &predicted,
-            MlpOptions {
-                kernel_fusion: false,
-                actual_sparsity: true,
-            },
-            &mut ops,
-        );
-        assert_eq!(out.predicted_sparsity, 0.0);
+        let options = MlpOptions {
+            kernel_fusion: false,
+            actual_sparsity: true,
+        };
+        let (out, (predicted_sparsity, effective), _) = forward(mlp, &x, &predicted, options);
+        assert_eq!(predicted_sparsity, 0.0);
         // The calibrated model is ~90% sparse, so actual sparsity must fire.
-        assert!(
-            out.effective_sparsity > 0.5,
-            "effective {}",
-            out.effective_sparsity
-        );
+        assert!(effective > 0.5, "effective {effective}");
         // And the result still matches dense exactly (zeros contribute
         // nothing to steps 2–4).
         let dense = mlp.forward(&x);
-        for (a, b) in out.output.iter().zip(dense.iter()) {
+        for (a, b) in out.iter().zip(dense.iter()) {
             assert!((a - b).abs() < 1e-5);
         }
     }
@@ -300,29 +237,12 @@ mod tests {
         let (model, x) = setup();
         let mlp = model.layers()[0].mlp();
         let predicted = SkipMask::all_dense(mlp.mlp_dim());
-
-        let mut with = OpCounter::default();
-        let _ = sparse_mlp_forward(
-            mlp,
-            &x,
-            &predicted,
-            MlpOptions {
-                kernel_fusion: false,
-                actual_sparsity: true,
-            },
-            &mut with,
-        );
-        let mut without = OpCounter::default();
-        let _ = sparse_mlp_forward(
-            mlp,
-            &x,
-            &predicted,
-            MlpOptions {
-                kernel_fusion: false,
-                actual_sparsity: false,
-            },
-            &mut without,
-        );
+        let options = MlpOptions {
+            kernel_fusion: false,
+            actual_sparsity: true,
+        };
+        let (_, _, with) = forward(mlp, &x, &predicted, options);
+        let (_, _, without) = forward(mlp, &x, &predicted, BASE);
         assert!(
             with.macs < without.macs,
             "{} vs {}",
@@ -337,33 +257,13 @@ mod tests {
         let (model, x) = setup();
         let mlp = model.layers()[0].mlp();
         let mask = SkipMask::from_fn(mlp.mlp_dim(), |r| r % 3 == 0);
-
-        let mut fused = OpCounter::default();
-        let out_f = sparse_mlp_forward(
-            mlp,
-            &x,
-            &mask,
-            MlpOptions {
-                kernel_fusion: true,
-                actual_sparsity: false,
-            },
-            &mut fused,
-        );
-        let mut unfused = OpCounter::default();
-        let out_u = sparse_mlp_forward(
-            mlp,
-            &x,
-            &mask,
-            MlpOptions {
-                kernel_fusion: false,
-                actual_sparsity: false,
-            },
-            &mut unfused,
-        );
-        assert_eq!(
-            out_f.output, out_u.output,
-            "fusion must be numerically neutral"
-        );
+        let fused_options = MlpOptions {
+            kernel_fusion: true,
+            actual_sparsity: false,
+        };
+        let (out_f, _, fused) = forward(mlp, &x, &mask, fused_options);
+        let (out_u, _, unfused) = forward(mlp, &x, &mask, BASE);
+        assert_eq!(out_f, out_u, "fusion must be numerically neutral");
         assert!(fused.activation_bytes < unfused.activation_bytes);
         assert_eq!(fused.macs, unfused.macs);
         assert_eq!(fused.weight_bytes_loaded, unfused.weight_bytes_loaded);
@@ -374,9 +274,6 @@ mod tests {
         // The quantized route's determinism contract, end to end: running
         // the fused INT8 forward is *exactly* running the f32 forward on the
         // dequantized weights — at every thread count.
-        use crate::quantized::FusedQuantizedMlp;
-        use sparseinfer_tensor::ParallelOptions;
-
         let (model, x) = setup();
         let mlp = model.layers()[0].mlp();
         let qmlp = FusedQuantizedMlp::quantize(mlp);
@@ -432,27 +329,20 @@ mod tests {
 
     #[test]
     fn q8_forward_counts_one_byte_per_weight() {
-        use crate::quantized::FusedQuantizedMlp;
         let (model, x) = setup();
         let mlp = model.layers()[0].mlp();
         let qmlp = FusedQuantizedMlp::quantize(mlp);
         let mask = SkipMask::from_fn(mlp.mlp_dim(), |r| r % 2 == 0);
-        let mut ws = Workspace::new();
-        let mut eff = SkipMask::all_dense(0);
-        let mut out = Vector::zeros(0);
-        let mut ops = OpCounter::default();
-        sparse_mlp_q8_forward_into(
-            &qmlp,
-            &x,
-            &mask,
-            MlpOptions::default(),
-            &ThreadPool::single(),
-            &mut ws,
-            &mut eff,
-            &mut ops,
-            &mut out,
-        );
+        let (_, _, ops) = forward(&qmlp, &x, &mask, MlpOptions::default());
         assert_eq!(ops.weight_bytes_loaded, ops.macs, "1 byte per MAC");
+    }
+
+    #[test]
+    #[should_panic(expected = "mask length mismatch")]
+    fn wrong_mask_length_panics() {
+        let (model, x) = setup();
+        let mlp = model.layers()[0].mlp();
+        let _ = forward(mlp, &x, &SkipMask::all_dense(mlp.mlp_dim() + 1), BASE);
     }
 
     #[test]
@@ -469,15 +359,84 @@ mod tests {
             .find(|r| z[*r] > 0.0)
             .expect("some active row");
         let mask = SkipMask::from_fn(mlp.mlp_dim(), |r| r == active_row);
-        let mut ops = OpCounter::default();
-        let sparse = sparse_mlp_forward(mlp, &x, &mask, MlpOptions::default(), &mut ops);
+        let (sparse, _, _) = forward(mlp, &x, &mask, MlpOptions::default());
         let dense = mlp.forward(&x);
         let diff: f32 = sparse
-            .output
             .iter()
             .zip(dense.iter())
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 0.0, "skipping an active row must change the output");
+    }
+
+    /// [`gated_mlp_into`] of `mlp` on `batch` inputs `xs` at one thread:
+    /// the output's bits, per input (`[b][d]`).
+    fn executor<M: MlpWeights>(
+        mlp: &M,
+        xs: &[f32],
+        batch: usize,
+        predicted: &[bool],
+        actual_sparsity: bool,
+    ) -> Vec<u32> {
+        let (mut gate, mut h3, mut out) = (Vector::zeros(0), Vector::zeros(0), Vector::zeros(0));
+        let pool = ThreadPool::single();
+        let keep = |r: usize| predicted[r];
+        gated_mlp_into(
+            mlp,
+            xs,
+            batch,
+            keep,
+            actual_sparsity,
+            &pool,
+            &mut gate,
+            &mut h3,
+            &mut out,
+        );
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn the_executor_is_bitwise_per_input_and_neutral_to_actual_sparsity() {
+        // Odd shapes (a last 4-row block of three rows, a hidden width off
+        // the 8-lane and 32-column grids), gate rows biased negative so a
+        // good share of `h1` is zero, and inputs with exact zeros.
+        let (k, d) = (71, 45);
+        let mut rng = Prng::seed(33);
+        let mut m = |mean: f64| Matrix::from_fn(k, d, |_, _| rng.normal(mean, 0.5) as f32);
+        let mlp = GatedMlp::new(m(-0.1), m(0.0), m(0.0), Activation::Relu);
+        let qmlp = FusedQuantizedMlp::quantize(&mlp);
+        let mut rng = Prng::seed(34);
+        for batch in [1usize, 2, 3, 5] {
+            let xs: Vec<f32> = (0..batch * d)
+                .map(|_| match rng.below(8) {
+                    0 => 0.0,
+                    _ => rng.normal(0.2, 1.0) as f32,
+                })
+                .collect();
+            let random: Vec<bool> = (0..k).map(|_| rng.flip(0.6)).collect();
+            for (label, predicted) in [("all kept", vec![true; k]), ("random", random)] {
+                for actual in [false, true] {
+                    let what = format!("batch {batch} {label} actual sparsity {actual}");
+                    let f32_out = executor(&mlp, &xs, batch, &predicted, actual);
+                    let q8_out = executor(&qmlp, &xs, batch, &predicted, actual);
+                    for (b, x) in xs.chunks_exact(d).enumerate() {
+                        let column = |out: &[u32]| out[b * d..][..d].to_vec();
+                        let f32_alone = executor(&mlp, x, 1, &predicted, actual);
+                        let q8_alone = executor(&qmlp, x, 1, &predicted, actual);
+                        assert_eq!(column(&f32_out), f32_alone, "f32 {what} input {b}");
+                        assert_eq!(column(&q8_out), q8_alone, "int8 {what} input {b}");
+                        if label == "all kept" {
+                            let forward = mlp.forward(&Vector::from_vec(x.to_vec()));
+                            let forward: Vec<u32> = forward.iter().map(|v| v.to_bits()).collect();
+                            assert_eq!(f32_alone, forward, "f32 {what} input {b} vs forward");
+                        }
+                    }
+                    let other = executor(&mlp, &xs, batch, &predicted, !actual);
+                    assert_eq!(f32_out, other, "f32 {what} vs its opposite");
+                    let other = executor(&qmlp, &xs, batch, &predicted, !actual);
+                    assert_eq!(q8_out, other, "int8 {what} vs its opposite");
+                }
+            }
+        }
     }
 }

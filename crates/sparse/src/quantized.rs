@@ -5,9 +5,10 @@
 //! module is the storage half of that claim: a gated MLP whose three weight
 //! matrices are block-quantized INT8. It has no execution code of its own —
 //! [`FusedQuantizedMlp`] implements [`MlpWeights`], so the one generic
-//! executor ([`sparse_mlp_forward_into`](crate::mlp::sparse_mlp_forward_into))
-//! and the one generic kernel set ([`gemv`](mod@crate::gemv)) run it. A
-//! trained predictor would have to be retrained for a new format (the
+//! executor ([`gated_mlp_into`](sparseinfer_model::gated_mlp_into), at
+//! decode through [`sparse_mlp_forward_into`](crate::mlp::sparse_mlp_forward_into))
+//! and its two generic kernels run it. A trained predictor would have to
+//! be retrained for a new format (the
 //! paper's criticism of DejaVu); a sign-bit table is simply re-derived from
 //! the INT8 payloads at load time (checked in this module's tests).
 
@@ -90,15 +91,15 @@ impl MlpWeights for FusedQuantizedMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::{sparse_mlp_forward, sparse_mlp_forward_into, MlpOptions};
-    use crate::ops::OpCounter;
+    use crate::mlp::tests::forward;
+    use crate::mlp::MlpOptions;
     use sparseinfer_model::generator::WeightGenerator;
     use sparseinfer_model::ModelConfig;
     use sparseinfer_predictor::{
         AlphaSchedule, OraclePredictor, SignBitPredictor, SkipMask, SparsityPredictor,
     };
     use sparseinfer_tensor::sign::PackedSignMatrix;
-    use sparseinfer_tensor::{Matrix, Prng, QuantizedMatrix, ThreadPool, Vector, Workspace};
+    use sparseinfer_tensor::{Matrix, Prng, QuantizedMatrix, Vector};
 
     fn setup() -> (sparseinfer_model::Model, Vector) {
         let cfg = ModelConfig::tiny();
@@ -106,23 +107,6 @@ mod tests {
         let mut rng = Prng::seed(42);
         let x = Vector::from_fn(cfg.hidden_dim, |_| rng.normal(0.5, 0.9) as f32);
         (model, x)
-    }
-
-    fn forward(qmlp: &FusedQuantizedMlp, x: &Vector, mask: &SkipMask) -> (Vector, OpCounter) {
-        let mut ops = OpCounter::default();
-        let mut out = Vector::zeros(0);
-        sparse_mlp_forward_into(
-            qmlp,
-            x,
-            mask,
-            MlpOptions::default(),
-            &ThreadPool::single(),
-            &mut Workspace::new(),
-            &mut SkipMask::all_dense(0),
-            &mut ops,
-            &mut out,
-        );
-        (out, ops)
     }
 
     #[test]
@@ -133,13 +117,12 @@ mod tests {
         let mut oracle = OraclePredictor::from_model(&model);
         let mask = oracle.predict(0, &x);
 
-        let (q_out, _) = forward(&qmlp, &x, &mask);
-        let mut ops = OpCounter::default();
-        let f_out = sparse_mlp_forward(mlp, &x, &mask, MlpOptions::default(), &mut ops);
+        let (q_out, _, _) = forward(&qmlp, &x, &mask, MlpOptions::default());
+        let (f_out, _, _) = forward(mlp, &x, &mask, MlpOptions::default());
 
-        let ref_norm = f_out.output.norm().max(1e-6);
+        let ref_norm = f_out.norm().max(1e-6);
         let mut err = 0.0f32;
-        for (a, b) in q_out.iter().zip(f_out.output.iter()) {
+        for (a, b) in q_out.iter().zip(f_out.iter()) {
             err += (a - b) * (a - b);
         }
         let rel = err.sqrt() / ref_norm;
@@ -191,7 +174,8 @@ mod tests {
     fn all_skipped_is_zero_output_and_free() {
         let (model, x) = setup();
         let qmlp = FusedQuantizedMlp::quantize(model.layers()[0].mlp());
-        let (out, ops) = forward(&qmlp, &x, &SkipMask::all_skipped(qmlp.mlp_dim()));
+        let all_skipped = SkipMask::all_skipped(qmlp.mlp_dim());
+        let (out, _, ops) = forward(&qmlp, &x, &all_skipped, MlpOptions::default());
         assert!(out.iter().all(|v| *v == 0.0));
         assert_eq!(ops.macs, 0);
     }

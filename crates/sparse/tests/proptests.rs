@@ -3,11 +3,10 @@
 
 use sparseinfer_model::{Activation, GatedMlp};
 use sparseinfer_predictor::SkipMask;
-use sparseinfer_sparse::gemv::{sparse_down_proj, sparse_gemv};
-use sparseinfer_sparse::mlp::{sparse_mlp_forward, MlpOptions};
+use sparseinfer_sparse::mlp::{sparse_mlp_forward_into, MlpOptions};
 use sparseinfer_sparse::OpCounter;
-use sparseinfer_tensor::gemv::{gemv, gemv_transposed};
-use sparseinfer_tensor::{Matrix, Prng, Vector};
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed};
+use sparseinfer_tensor::{Matrix, Prng, ThreadPool, Vector, Workspace};
 
 fn random_mlp(seed: u64, k: usize, d: usize) -> GatedMlp {
     let mut rng = Prng::seed(seed);
@@ -15,7 +14,26 @@ fn random_mlp(seed: u64, k: usize, d: usize) -> GatedMlp {
     GatedMlp::new(m(-0.05), m(0.0), m(0.0), Activation::Relu)
 }
 
-/// Sparse GEMV equals dense GEMV with skipped outputs forced to zero.
+/// The decode MLP on fresh buffers and one thread: the output and the
+/// `(predicted, effective)` sparsities.
+fn forward(mlp: &GatedMlp, x: &Vector, mask: &SkipMask, options: MlpOptions) -> (Vector, f64, f64) {
+    let mut out = Vector::zeros(0);
+    let (predicted, effective) = sparse_mlp_forward_into(
+        mlp,
+        x,
+        mask,
+        options,
+        &ThreadPool::single(),
+        &mut Workspace::new(),
+        &mut SkipMask::all_dense(0),
+        &mut OpCounter::default(),
+        &mut out,
+    );
+    (out, predicted, effective)
+}
+
+/// Sparse GEMV — the GEMM at one column under the mask — equals dense GEMV
+/// with skipped outputs forced to zero.
 #[test]
 fn sparse_gemv_equals_masked_dense() {
     for seed in 0..48u64 {
@@ -27,19 +45,28 @@ fn sparse_gemv_equals_masked_dense() {
         let mut mrng = Prng::seed(seed ^ 0x1111);
         let mask = SkipMask::from_fn(k, |_| mrng.flip(0.5));
 
-        let mut ops = OpCounter::default();
-        let sparse = sparse_gemv(&w, &x, &mask, &mut ops);
+        let mut sparse = Vector::zeros(0);
+        let keep = |r| !mask.is_skipped(r);
+        gemm_rows_into(
+            &w,
+            x.as_slice(),
+            1,
+            keep,
+            &ThreadPool::single(),
+            &mut sparse,
+        );
         let dense = gemv(&w, &x);
         for r in 0..k {
             if mask.is_skipped(r) {
                 assert_eq!(sparse[r], 0.0, "seed {seed} row {r}");
             } else {
-                assert!((sparse[r] - dense[r]).abs() < 1e-4, "seed {seed} row {r}");
+                assert_eq!(
+                    sparse[r].to_bits(),
+                    dense[r].to_bits(),
+                    "seed {seed} row {r}"
+                );
             }
         }
-        // Work accounting matches the mask exactly.
-        assert_eq!(ops.rows_skipped as usize, mask.skip_count());
-        assert_eq!(ops.macs, ((k - mask.skip_count()) * d) as u64);
     }
 }
 
@@ -56,8 +83,10 @@ fn down_proj_equals_zeroed_transposed_gemv() {
         let mut mrng = Prng::seed(seed ^ 0x3333);
         let mask = SkipMask::from_fn(k, |_| mrng.flip(0.4));
 
-        let mut ops = OpCounter::default();
-        let masked = sparse_down_proj(&w, &h3, &mask, &mut ops);
+        let mut masked = Vector::zeros(0);
+        let keep = |r| !mask.is_skipped(r);
+        let pool = ThreadPool::single();
+        gemm_transposed_rows_into(&w, h3.as_slice(), 1, keep, false, &pool, &mut masked);
 
         let mut zeroed = h3.clone();
         for r in mask.skipped_rows() {
@@ -65,7 +94,7 @@ fn down_proj_equals_zeroed_transposed_gemv() {
         }
         let reference = gemv_transposed(&w, &zeroed);
         for (a, b) in masked.iter().zip(reference.iter()) {
-            assert!((a - b).abs() < 1e-3, "seed {seed}: {a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: {a} vs {b}");
         }
     }
 }
@@ -84,10 +113,9 @@ fn true_zero_masks_are_lossless() {
 
         let z = mlp.gate_preactivations(&x);
         let mask = SkipMask::from_fn(k, |r| z[r] <= 0.0);
-        let mut ops = OpCounter::default();
-        let sparse = sparse_mlp_forward(&mlp, &x, &mask, MlpOptions::default(), &mut ops);
+        let (sparse, _, _) = forward(&mlp, &x, &mask, MlpOptions::default());
         let dense = mlp.forward(&x);
-        for (a, b) in sparse.output.iter().zip(dense.iter()) {
+        for (a, b) in sparse.iter().zip(dense.iter()) {
             assert!((a - b).abs() < 1e-4, "seed {seed}: {a} vs {b}");
         }
     }
@@ -108,18 +136,11 @@ fn execution_options_are_numerically_neutral() {
 
         let mut outputs = Vec::new();
         for (kf, asp) in [(false, false), (true, false), (false, true), (true, true)] {
-            let mut ops = OpCounter::default();
-            let out = sparse_mlp_forward(
-                &mlp,
-                &x,
-                &mask,
-                MlpOptions {
-                    kernel_fusion: kf,
-                    actual_sparsity: asp,
-                },
-                &mut ops,
-            );
-            outputs.push(out.output);
+            let options = MlpOptions {
+                kernel_fusion: kf,
+                actual_sparsity: asp,
+            };
+            outputs.push(forward(&mlp, &x, &mask, options).0);
         }
         for w in outputs.windows(2) {
             assert_eq!(&w[0], &w[1], "seed {seed}");
@@ -141,14 +162,10 @@ fn sparsity_bounds_hold() {
         let p = mrng.uniform();
         let mask = SkipMask::from_fn(k, |_| mrng.flip(p));
 
-        let mut ops = OpCounter::default();
-        let out = sparse_mlp_forward(&mlp, &x, &mask, MlpOptions::default(), &mut ops);
-        assert!(
-            out.effective_sparsity >= out.predicted_sparsity - 1e-12,
-            "seed {seed}"
-        );
-        assert!((0.0..=1.0).contains(&out.predicted_sparsity));
-        assert!((0.0..=1.0).contains(&out.effective_sparsity));
+        let (_, predicted, effective) = forward(&mlp, &x, &mask, MlpOptions::default());
+        assert!(effective >= predicted - 1e-12, "seed {seed}");
+        assert!((0.0..=1.0).contains(&predicted));
+        assert!((0.0..=1.0).contains(&effective));
     }
 }
 

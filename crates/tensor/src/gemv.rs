@@ -1,10 +1,8 @@
-//! Dense matrix–vector kernels.
+//! Matrix–vector and matrix–matrix kernels, dense or row-skipping.
 //!
 //! During LLM decoding every linear layer degenerates to a GEMV (`y = W·x`
 //! with a single-token `x`), which is memory-bandwidth bound: each weight is
-//! loaded exactly once per token. These reference kernels are the dense
-//! baseline that the `sparse` crate's row-skipping kernels are verified
-//! against, and that plays the role of llama.cpp in the benchmarks.
+//! loaded exactly once per token, and a row the skip mask rejects not at all.
 //!
 //! # Kernel shape
 //!
@@ -41,12 +39,12 @@
 //! does one multiply-add per weight it loads, so it waits on the weights,
 //! not on the adds a tile overlaps, and its loop is left as it was.
 //!
-//! One function partitions the rows of a weight matrix across a pool:
-//! [`gemm_rows_into`] reads each (unfiltered) weight row once for B
-//! activation columns. Prefill calls it with B positions, decode with one
-//! ([`gemv_into`], the sparse GEMV), and
-//! [`gemv_transposed_batch_into`] does the same for the transposed
-//! accumulation of the down projection.
+//! Two functions partition a weight matrix across a pool, for B activation
+//! columns under a row filter: [`gemm_rows_into`] (`W · X`, rows split
+//! between workers; [`gemv_into`] is its unfiltered GEMV) and
+//! [`gemm_transposed_rows_into`] (`Wᵀ · H`, the MLP's down projection,
+//! output columns or whole inputs split). Prefill calls them with B
+//! positions, decode with one.
 //!
 //! Output-buffer (`*_into`) variants write into caller-provided storage so
 //! the decode hot path can recycle buffers through a
@@ -74,9 +72,14 @@ pub const QUANT_BLOCK: usize = 32;
 /// Minimum weight rows per worker before [`gemm_rows_into`] fans out.
 const MIN_ROWS_PER_WORKER: usize = 64;
 
-/// Minimum output columns per worker before the batched transposed
-/// accumulation fans out.
+/// Minimum output columns per worker before [`gemm_transposed_rows_into`]
+/// fans out one input.
 const MIN_COLS_PER_WORKER: usize = 64;
+
+/// Inputs a [`gemm_transposed_rows_into`] worker accumulates per walk over
+/// the kept rows: a prefill step's eight columns (two slots' chunks) in
+/// one walk, which streams the weights once.
+const TRANSPOSED_GROUP: usize = 8;
 
 /// Minimum multiply-accumulates per worker before a kernel fans out. One
 /// batched prefill step makes some ten dispatches per layer, each over a
@@ -441,9 +444,8 @@ pub fn gemv_into(w: &Matrix, x: &Vector, pool: &ThreadPool, out: &mut Vector) {
 ///
 /// This is the access pattern of the down projection *before* the paper's
 /// load-time transposition: output elements accumulate across rows, which on
-/// a GPU forces `atomicAdd` across warps (§IV-B4). The `sparse` crate prefers
-/// [`gemv`] on a pre-transposed matrix; this kernel exists as the baseline
-/// and for verification.
+/// a GPU forces `atomicAdd` across warps (§IV-B4). It is the reference
+/// of [`gemm_transposed_rows_into`], the down projection the MLP runs.
 ///
 /// # Panics
 ///
@@ -580,75 +582,143 @@ fn kept_rows<'a>(
     })
 }
 
-/// [`gemv_transposed`] for `batch` inputs in one pass over the weights:
-/// `out[b * w.cols() + c] = Σ_r W[r][c] · xs[r * batch + b]`. `xs` is laid
-/// out as [`gemm_rows_into`] leaves its output (row `r`'s `batch` values
-/// together). Each weight row that any input needs is read once; for every
-/// input the per-element addition chain is [`gemv_transposed`]'s — rows in
-/// ascending order, a row whose `xs` entry `== 0.0` skipped — so each
-/// input's result is bitwise its own [`gemv_transposed`], at any batch size
-/// and thread count. Output columns partition across `pool` (one writer
-/// per element); `tmp` holds the per-worker accumulators.
+/// `Y = Wᵀ · H` for `batch` columns of `H` under a row filter: the gated
+/// MLP's down projection over its transposed weights (`k × d`, so sparsity
+/// skips whole rows; §IV-B4), for a decode token or a prefill step.
+///
+/// `hs` is laid out as [`gemm_rows_into`] leaves its output (row `r`'s
+/// `batch` entries at `hs[r * batch..]`); `out` is resized to
+/// `batch * w.cols()` and holds input `b`'s outputs at
+/// `out[b * w.cols()..]`. A row `keep` rejects is never loaded. Each result
+/// is one chain of additions onto an accumulator starting at `+0.0`,
+/// `acc += W[r][c] · hs[r * batch + b]`, over the kept rows in ascending
+/// order, applied four rows per pass over the accumulators; `skip_zeros`
+/// leaves a `±0.0` entry out of its input's chain. So every result has the
+/// bits of [`gemv_transposed`] of its input with the filtered entries
+/// zeroed, at any batch and thread count, with or without `skip_zeros`:
+///
+/// * no chain depends on the batch or on which worker owns its output;
+/// * adding `w · (±0)` (a `±0` for finite `w`) never changes such an
+///   accumulator: a nonzero value plus a zero is that value, and
+///   `+0 + (±0)` is `+0` — the only zero it can hold, since a sum rounds
+///   to `−0` only when both addends are `−0`. Skipping a zero entry and
+///   adding it agree, which is all [`gemv_transposed`]'s zero skip and
+///   `skip_zeros` change.
+///
+/// Weights are read through [`WeightRows::row_span`], which dequantizes an
+/// int8 element with the scale of its *global* column: int8 gives bitwise
+/// the result of its dequantized `f32` matrix, however columns are split.
+///
+/// Work partitions across `pool` with at least [`MIN_MACS_PER_WORKER`]
+/// multiply-accumulates per worker, counted as if no row were filtered
+/// out: one input's output columns (at least `MIN_COLS_PER_WORKER` per
+/// worker), or several inputs whole. Every output accumulates in place,
+/// a worker walking the kept rows once per `TRANSPOSED_GROUP` of its
+/// inputs.
 ///
 /// # Panics
 ///
-/// Panics if `xs.len() != batch * w.rows()`.
-pub fn gemv_transposed_batch_into(
-    w: &Matrix,
-    xs: &[f32],
+/// Panics if `hs.len() != batch * w.rows()`.
+pub fn gemm_transposed_rows_into<W: WeightRows>(
+    w: &W,
+    hs: &[f32],
     batch: usize,
+    keep: impl Fn(usize) -> bool + Sync,
+    skip_zeros: bool,
     pool: &ThreadPool,
-    tmp: &mut Vector,
     out: &mut Vector,
 ) {
+    assert_eq!(hs.len(), batch * w.rows(), "transposed gemm shape mismatch");
     let cols = w.cols();
-    assert_eq!(
-        xs.len(),
-        batch * w.rows(),
-        "transposed batch shape mismatch"
-    );
     out.resize(batch * cols, 0.0);
     if batch == 0 || cols == 0 {
         return;
     }
-    // Output columns are cut into ranges of `width`; each range accumulates
-    // into its own region of `tmp`, laid out `[input][column]` so the inner
-    // loop runs along a weight row.
-    let parts = pool
-        .threads()
-        .min(cols / MIN_COLS_PER_WORKER)
-        .min(xs.len() * cols / MIN_MACS_PER_WORKER)
-        .max(1);
-    let width = cols.div_ceil(parts);
-    let parts = cols.div_ceil(width);
-    tmp.resize(parts * batch * width, 0.0);
-    pool.run_rows(tmp.as_mut_slice(), batch * width, 1, |first, regions| {
-        for (i, region) in regions.chunks_exact_mut(batch * width).enumerate() {
-            let start = (first + i) * width;
-            let len = width.min(cols - start);
-            region.fill(0.0);
-            for (r, scales) in xs.chunks_exact(batch).enumerate() {
-                if scales.iter().all(|s| *s == 0.0) {
-                    continue;
-                }
-                let row = &w.row(r)[start..start + len];
-                for (acc, &s) in region.chunks_exact_mut(width).zip(scales) {
-                    if s == 0.0 {
-                        continue;
-                    }
-                    for (o, wi) in acc.iter_mut().zip(row) {
-                        *o += wi * s;
-                    }
-                }
+    if batch == 1 {
+        let min_cols = MIN_COLS_PER_WORKER.max(MIN_MACS_PER_WORKER.div_ceil(hs.len().max(1)));
+        return pool.run_rows(out.as_mut_slice(), 1, min_cols, |first, chunk| {
+            accumulate_kept_rows(w, first, (hs, 1, 0), &keep, skip_zeros, &mut [chunk]);
+        });
+    }
+    let min_inputs = MIN_MACS_PER_WORKER.div_ceil((w.rows() * cols).max(1));
+    pool.run_rows(out.as_mut_slice(), cols, min_inputs, |first, chunk| {
+        for (g, outs) in chunk.chunks_mut(TRANSPOSED_GROUP * cols).enumerate() {
+            let mut acc: [&mut [f32]; TRANSPOSED_GROUP] = Default::default();
+            let n = outs.len() / cols;
+            for (a, o) in acc.iter_mut().zip(outs.chunks_exact_mut(cols)) {
+                *a = o;
             }
+            let group = first + g * TRANSPOSED_GROUP;
+            accumulate_kept_rows(w, 0, (hs, batch, group), &keep, skip_zeros, &mut acc[..n]);
         }
     });
-    for (p, region) in tmp.as_slice().chunks_exact(batch * width).enumerate() {
-        let start = p * width;
-        let len = width.min(cols - start);
-        for (b, acc) in region.chunks_exact(width).enumerate() {
-            out.as_mut_slice()[b * cols + start..b * cols + start + len]
-                .copy_from_slice(&acc[..len]);
+}
+
+/// One walk of a [`gemm_transposed_rows_into`] worker: for the inputs
+/// `group..group + acc.len()` of `hs`, the chains of the output columns
+/// from `start`, into one accumulator slice per input.
+#[inline]
+fn accumulate_kept_rows<W: WeightRows>(
+    w: &W,
+    start: usize,
+    (hs, batch, group): (&[f32], usize, usize),
+    keep: &impl Fn(usize) -> bool,
+    skip_zeros: bool,
+    acc: &mut [&mut [f32]],
+) {
+    // Per activation column, the kept rows not yet applied.
+    let mut pending = [[(0usize, 0.0f32); 4]; TRANSPOSED_GROUP];
+    let mut waiting = [0usize; TRANSPOSED_GROUP];
+    for a in acc.iter_mut() {
+        a.fill(0.0);
+    }
+    for r in (0..w.rows()).filter(|&r| keep(r)) {
+        let entries = &hs[r * batch + group..][..acc.len()];
+        for (j, &s) in entries.iter().enumerate() {
+            if skip_zeros && s == 0.0 {
+                continue;
+            }
+            pending[j][waiting[j]] = (r, s);
+            waiting[j] += 1;
+            if waiting[j] == 4 {
+                add_rows(w, start, acc[j], &pending[j]);
+                waiting[j] = 0;
+            }
+        }
+    }
+    for (j, a) in acc.iter_mut().enumerate() {
+        add_rows(w, start, a, &pending[j][..waiting[j]]);
+    }
+}
+
+/// `acc[i] += W[r][start + i] · s` for each `(r, s)` of `rows`, in order:
+/// four rows in one pass over `acc` (each element's additions still one row
+/// at a time, so the chain is the row-at-a-time one), fewer one by one.
+#[inline]
+fn add_rows<W: WeightRows>(w: &W, start: usize, acc: &mut [f32], rows: &[(usize, f32)]) {
+    let len = acc.len();
+    match *rows {
+        [(r0, s0), (r1, s1), (r2, s2), (r3, s3)] => {
+            let row0 = w.row_span(r0, start, len);
+            let row1 = w.row_span(r1, start, len);
+            let row2 = w.row_span(r2, start, len);
+            let row3 = w.row_span(r3, start, len);
+            for (i, o) in acc.iter_mut().enumerate() {
+                let mut a = *o;
+                a += row0(i) * s0;
+                a += row1(i) * s1;
+                a += row2(i) * s2;
+                a += row3(i) * s3;
+                *o = a;
+            }
+        }
+        _ => {
+            for &(r, s) in rows {
+                let row = w.row_span(r, start, len);
+                for (i, o) in acc.iter_mut().enumerate() {
+                    *o += row(i) * s;
+                }
+            }
         }
     }
 }
@@ -864,6 +934,162 @@ mod tests {
                 via_f32.to_bits(),
                 "len {len}: {fused} vs {via_f32}"
             );
+        }
+    }
+
+    /// A seeded `rows × cols` matrix and `rows` entries for the transposed
+    /// kernel (or `cols` for the GEMM: `x` is as long as `w` is wide).
+    fn random_case(seed: u64, rows: usize, cols: usize) -> (Matrix, Vector, Vector) {
+        let mut rng = Prng::seed(seed);
+        let w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 1.0) as f32);
+        let x = Vector::from_fn(cols, |_| rng.normal(0.0, 1.0) as f32);
+        let h = Vector::from_fn(rows, |_| rng.normal(0.0, 1.0) as f32);
+        (w, x, h)
+    }
+
+    /// Both kernels at one column under `keep`: `(W · x, Wᵀ · h)`.
+    fn both_kernels<W: WeightRows>(
+        w: &W,
+        (x, h): (&Vector, &Vector),
+        keep: impl Fn(usize) -> bool + Sync + Copy,
+        pool: &ThreadPool,
+    ) -> (Vector, Vector) {
+        let (mut y, mut z) = (Vector::zeros(0), Vector::zeros(0));
+        gemm_rows_into(w, x.as_slice(), 1, keep, pool, &mut y);
+        gemm_transposed_rows_into(w, h.as_slice(), 1, keep, false, pool, &mut z);
+        (y, z)
+    }
+
+    #[test]
+    fn all_dense_mask_matches_dense_gemv() {
+        let (w, x, h) = random_case(1, 12, 8);
+        let (y, z) = both_kernels(&w, (&x, &h), |_| true, &ThreadPool::single());
+        assert_eq!(y, gemv(&w, &x));
+        assert_eq!(z, gemv_transposed(&w, &h));
+    }
+
+    #[test]
+    fn skipped_rows_are_exactly_zero_and_unloaded() {
+        // Skipped rows hold NaN: a kernel that loaded one would show it.
+        let (clean, x, h) = random_case(2, 10, 8);
+        let skipped = |r: usize| r % 2 == 1;
+        let w = Matrix::from_fn(
+            10,
+            8,
+            |r, c| if skipped(r) { f32::NAN } else { clean[(r, c)] },
+        );
+        let (y, z) = both_kernels(&w, (&x, &h), |r| !skipped(r), &ThreadPool::single());
+        let dense = gemv(&clean, &x);
+        for r in 0..10 {
+            let want = if skipped(r) { 0.0 } else { dense[r] };
+            assert_eq!(y[r].to_bits(), want.to_bits(), "row {r}");
+        }
+        let zeroed = Vector::from_fn(10, |r| if skipped(r) { 0.0 } else { h[r] });
+        assert_eq!(z, gemv_transposed(&clean, &zeroed));
+    }
+
+    #[test]
+    fn all_skipped_gemv_is_free() {
+        let w = Matrix::from_fn(6, 4, |_, _| f32::NAN);
+        let (_, x, h) = random_case(3, 6, 4);
+        let (y, z) = both_kernels(&w, (&x, &h), |_| false, &ThreadPool::single());
+        assert!(y.iter().chain(z.iter()).all(|v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn down_proj_matches_transposed_gemv_when_dense() {
+        let (w, x, mut h) = random_case(4, 9, 5);
+        h[2] = 0.0;
+        h[7] = -0.0;
+        let (_, z) = both_kernels(&w, (&x, &h), |_| true, &ThreadPool::single());
+        assert_eq!(z, gemv_transposed(&w, &h));
+    }
+
+    #[test]
+    fn down_proj_with_mask_equals_dense_on_zeroed_h3() {
+        // Filtering row r out is identical to h3[r] = 0.
+        let (w, x, h) = random_case(6, 9, 5);
+        let (_, z) = both_kernels(&w, (&x, &h), |r| r >= 3, &ThreadPool::single());
+        let zeroed = Vector::from_fn(9, |r| if r < 3 { 0.0 } else { h[r] });
+        assert_eq!(z, gemv_transposed(&w, &zeroed));
+    }
+
+    /// Both kernels under a filter on 2048 × 1024 weights, which each
+    /// splits between 2 and 4 workers: the same bits at every thread count.
+    fn thread_identity<W: WeightRows>(w: &W, x: &Vector, h: &Vector) {
+        let keep = |r: usize| !r.is_multiple_of(3);
+        let single = both_kernels(w, (x, h), keep, &ThreadPool::single());
+        for threads in [2, 4] {
+            let pool = ThreadPool::new(ParallelOptions::threads(threads));
+            assert_eq!(
+                both_kernels(w, (x, h), keep, &pool),
+                single,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn into_variants_are_bitwise_identical_across_thread_counts() {
+        let (w, x, h) = random_case(9, 2048, 1024);
+        thread_identity(&w, &x, &h);
+    }
+
+    #[test]
+    fn q8_into_variants_are_bitwise_identical_across_thread_counts() {
+        let (w, x, h) = random_case(19, 2048, 1024);
+        thread_identity(&crate::BlockQuantizedMatrix::quantize(&w), &x, &h);
+    }
+
+    #[test]
+    fn q8_kernels_are_bitwise_equal_to_f32_kernels_over_the_dequantized_weights() {
+        // The determinism contract for the quantized route: each q8 kernel
+        // produces exactly the result the f32 kernel would produce on the
+        // dequantized weights — quantization changes *values* once, at
+        // weight-prep time, never the reduction arithmetic.
+        let (w, x, h) = random_case(21, 200, 96);
+        let q = crate::BlockQuantizedMatrix::quantize(&w);
+        let keep = |r: usize| !r.is_multiple_of(4);
+        let pool = ThreadPool::single();
+        let got = both_kernels(&q, (&x, &h), keep, &pool);
+        assert_eq!(got, both_kernels(&q.dequantize(), (&x, &h), keep, &pool));
+    }
+
+    #[test]
+    fn into_variant_overwrites_stale_buffer_slots_once() {
+        // A recycled workspace buffer arrives full of garbage; filtered
+        // rows must still come out exactly zero.
+        let (w, x, h) = random_case(11, 10, 8);
+        let keep = |r: usize| r % 2 == 1;
+        let pool = ThreadPool::single();
+        let mut y = Vector::from_vec(vec![f32::NAN; 10]);
+        gemm_rows_into(&w, x.as_slice(), 1, keep, &pool, &mut y);
+        let mut z = Vector::from_vec(vec![f32::NAN; 17]);
+        gemm_transposed_rows_into(&w, h.as_slice(), 1, keep, true, &pool, &mut z);
+        assert_eq!((y, z), both_kernels(&w, (&x, &h), keep, &pool));
+    }
+
+    #[test]
+    fn down_projection_fans_out_by_the_mac_rule() {
+        // The threads that evaluate the row filter are the workers. A
+        // serving model's down projection (688 × 256, 176k MACs) stays on
+        // the calling thread of a 4-thread pool; 2048 × 512 (2^20 MACs) is
+        // two workers' worth.
+        let pool = ThreadPool::new(ParallelOptions::threads(4));
+        for (rows, cols, workers) in [(688, 256, 1), (2048, 512, 2)] {
+            let w = Matrix::zeros(rows, cols);
+            let seen = std::sync::Mutex::new(Vec::new());
+            let keep = |_| {
+                let mut seen = seen.lock().unwrap();
+                let id = std::thread::current().id();
+                if !seen.contains(&id) {
+                    seen.push(id);
+                }
+                true
+            };
+            let mut out = Vector::zeros(0);
+            gemm_transposed_rows_into(&w, &vec![1.0; rows], 1, keep, false, &pool, &mut out);
+            assert_eq!(seen.into_inner().unwrap().len(), workers, "{rows} x {cols}");
         }
     }
 

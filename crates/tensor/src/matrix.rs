@@ -94,7 +94,7 @@ impl WeightRows for Matrix {
 /// precisely because activation sparsity is exploited *per row*: if output
 /// element `i` is predicted sparse, row `W_i` (one contiguous stripe of
 /// memory) is never loaded. [`Matrix::row`] therefore returns a contiguous
-/// slice, which is what the skip logic in the `sparse` crate operates on.
+/// slice, which is what the row-skipping kernels of [`crate::gemv`] operate on.
 ///
 /// # Example
 ///

@@ -4,7 +4,7 @@
 
 use sparseinfer_tensor::attn::{self, KvWord};
 use sparseinfer_tensor::gemv::{
-    gemm_rows_into, gemv, gemv_transposed, gemv_transposed_batch_into, reference,
+    gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed, reference,
 };
 use sparseinfer_tensor::sign::{count_negative_products, PackedSignMatrix, SignPack};
 use sparseinfer_tensor::{
@@ -140,12 +140,15 @@ fn packed_matrix_equals_per_row_packs() {
     }
 }
 
+/// A row filter with its label: `keep[r]` for every row `r`.
+type RowFilter = (&'static str, Vec<bool>);
+
 /// Row filters for the GEMM sweep, each with its label. From two columns on
 /// the kernel takes kept rows two at a time, one from each half of a
 /// worker's rows, so besides no filter and a random one they leave kept
 /// rows that are never adjacent, a last kept row with no partner, an odd
 /// number of kept rows, and kept rows in one half only.
-fn row_filters(rows: usize, rng: &mut Prng) -> Vec<(&'static str, Vec<bool>)> {
+fn row_filters(rows: usize, rng: &mut Prng) -> Vec<RowFilter> {
     let mut odd: Vec<bool> = (0..rows).map(|_| rng.flip(0.3)).collect();
     if odd.iter().filter(|k| **k).count() % 2 == 0 {
         odd[rows - 1] = !odd[rows - 1];
@@ -246,38 +249,85 @@ fn gemm_rows_equals_gemv_bit_for_bit() {
 
 #[test]
 fn transposed_batch_equals_per_input_transposed_gemv_bit_for_bit() {
-    // The last shape is large enough to be split across workers.
-    for (seed, (rows, cols)) in [(9, 5), (70, 130), (33, 288), (12, 64), (900, 288)]
-        .into_iter()
-        .enumerate()
-    {
+    // `gemm_transposed_rows_into`, the one down-projection kernel, against
+    // `gemv_transposed` of each column alone — of the matrix itself for
+    // `f32`, of its dequantized `f32` copy for int8 — with the filtered
+    // entries zeroed: at batch 1 to 9 (one or two walks of eight), under
+    // every row filter, with and without the zero skip, at 1, 2 and 4
+    // threads, into a stale buffer of the wrong length. The reference skips
+    // zero entries and the kernel (without the skip) adds them, so the ±0
+    // entries check that adding a zero product never moves a bit. The last
+    // two shapes are split between workers (a worker takes at least 2^19
+    // multiply-accumulates): 2048 x 1320 at one input by output columns,
+    // 660 and 330 per worker at 2 and 4 threads, so every worker but the
+    // first starts inside a 32-column scale block; 320 x 1320 at five
+    // inputs by whole inputs. Batch 9 takes a worker two walks (eight
+    // inputs per walk).
+    let shapes = [
+        ((9, 5), 1..=9),
+        ((70, 130), 1..=9),
+        ((33, 288), 1..=9),
+        ((12, 64), 1..=9),
+        ((1, 16), 1..=9),
+        ((131, 600), 1..=9),
+        ((2048, 1320), 1..=1),
+        ((320, 1320), 5..=5),
+    ];
+    for (seed, ((rows, cols), batches)) in shapes.into_iter().enumerate() {
         let mut rng = Prng::seed(950 + seed as u64);
         let w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 0.7) as f32);
-        for batch in 1..=5usize {
-            // Exact zeros (both signs) in a good share of the entries: the
-            // skip is part of the reference's arithmetic.
-            let xs: Vec<f32> = (0..rows * batch)
+        let q = BlockQuantizedMatrix::quantize(&w);
+        for batch in batches {
+            let hs: Vec<f32> = (0..rows * batch)
                 .map(|_| match rng.below(4) {
                     0 => 0.0,
                     1 => -0.0,
                     _ => rng.normal(0.0, 1.0) as f32,
                 })
                 .collect();
-            for threads in [1, 2, 4] {
-                let pool = ThreadPool::new(ParallelOptions::threads(threads));
-                let mut tmp = Vector::zeros(0);
-                let mut out = Vector::zeros(0);
-                gemv_transposed_batch_into(&w, &xs, batch, &pool, &mut tmp, &mut out);
-                for b in 0..batch {
-                    let x = Vector::from_fn(rows, |r| xs[r * batch + b]);
-                    let want = gemv_transposed(&w, &x);
-                    for c in 0..cols {
-                        assert_eq!(
-                            out[b * cols + c].to_bits(),
-                            want[c].to_bits(),
-                            "{rows}x{cols} batch {batch} threads {threads} input {b} col {c}"
-                        );
-                    }
+            let mut filters = row_filters(rows, &mut rng);
+            if rows * cols * batch > 1 << 20 {
+                filters.truncate(3);
+            }
+            let case = (&hs[..], batch, &filters[..]);
+            transposed_equals_reference(&w, &w, "f32", case);
+            transposed_equals_reference(&q, &q.dequantize(), "int8", case);
+        }
+    }
+}
+
+/// [`gemm_transposed_rows_into`] of `w` on `hs` (`batch` columns) under
+/// each filter, both skip settings and 1, 2 and 4 threads, bit for bit
+/// against `gemv_transposed(reference, ·)` of each column with the entries
+/// of filtered rows zeroed.
+fn transposed_equals_reference<W: WeightRows>(
+    w: &W,
+    reference: &Matrix,
+    label: &str,
+    (hs, batch, filters): (&[f32], usize, &[RowFilter]),
+) {
+    let (rows, cols) = (w.rows(), w.cols());
+    for (filter, keep) in filters {
+        let expected: Vec<Vector> = (0..batch)
+            .map(|b| {
+                let h = Vector::from_fn(rows, |r| if keep[r] { hs[r * batch + b] } else { 0.0 });
+                gemv_transposed(reference, &h)
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(ParallelOptions::threads(threads));
+            for skip_zeros in [false, true] {
+                let mut out = Vector::from_vec(vec![f32::NAN; 3]);
+                gemm_transposed_rows_into(w, hs, batch, |r| keep[r], skip_zeros, &pool, &mut out);
+                assert_eq!(out.len(), cols * batch);
+                for (i, got) in out.iter().enumerate() {
+                    let (b, c) = (i / cols, i % cols);
+                    assert_eq!(
+                        got.to_bits(),
+                        expected[b][c].to_bits(),
+                        "{label} {rows}x{cols} batch {batch} threads {threads} filter {filter} \
+                         skip zeros {skip_zeros} column {b} output {c}"
+                    );
                 }
             }
         }

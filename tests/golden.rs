@@ -10,11 +10,12 @@
 //! storage and must never be regenerated by a refactor: a kernel change that
 //! alters them has changed the arithmetic.
 //!
-//! The model's shapes are awkward on purpose: `d = 288` splits into
-//! down-projection worker chunks of 144 (2 threads) and 72 (4 threads)
-//! columns, every one of which starts in the middle of a 32-column scale
-//! block, and `k = 330` is neither a multiple of the 4-row blocking nor of
-//! the 64-row worker minimum.
+//! The model's shapes are awkward on purpose: `d = 288` is not a multiple
+//! of the 64-column worker minimum, and `k = 330` is neither a multiple of
+//! the 4-row blocking nor of the 64-row worker minimum. Its down projection
+//! (330 × 288) stays on one worker under the multiply-accumulate fan-out
+//! rule; worker ranges that start inside a 32-column scale block are
+//! covered by the tensor crate's down-projection sweep instead.
 
 use sparseinfer::model::{generator::WeightGenerator, Model, ModelConfig};
 use sparseinfer::predictor::AlphaSchedule;

@@ -1056,6 +1056,34 @@ mod tests {
     }
 
     #[test]
+    fn q8_kernels_count_one_byte_per_weight() {
+        // Work over a kept row is billed at `ACCOUNTED_BYTES` per MAC; for
+        // int8 that must be the one byte each kernel reads per weight of the
+        // row — half the f32 route's fp16 accounting.
+        let (w, x, h) = random_case(23, 128, 64);
+        let q = crate::BlockQuantizedMatrix::quantize(&w);
+        let keep = |r: usize| r % 2 == 1;
+        let (mut loaded, mut macs) = (0, 0);
+        for r in (0..q.rows()).filter(|&r| keep(r)) {
+            loaded += std::mem::size_of_val(q.row(r)) as u64;
+            macs += q.cols() as u64;
+        }
+        let per_mac = <crate::BlockQuantizedMatrix as WeightRows>::ACCOUNTED_BYTES;
+        assert_eq!(loaded, macs * per_mac, "1 byte per MAC");
+        assert_eq!(<Matrix as WeightRows>::ACCOUNTED_BYTES, 2 * per_mac);
+        // Both kernels read those rows and only those: filtered rows hold NaN
+        // in the dequantized twin, and the results still agree bitwise.
+        let deq = q.dequantize();
+        let poisoned =
+            Matrix::from_fn(128, 64, |r, c| if keep(r) { deq[(r, c)] } else { f32::NAN });
+        let pool = ThreadPool::single();
+        assert_eq!(
+            both_kernels(&q, (&x, &h), keep, &pool),
+            both_kernels(&poisoned, (&x, &h), keep, &pool)
+        );
+    }
+
+    #[test]
     fn into_variant_overwrites_stale_buffer_slots_once() {
         // A recycled workspace buffer arrives full of garbage; filtered
         // rows must still come out exactly zero.

@@ -18,7 +18,7 @@ use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SkipMask, Sparsity
 use sparseinfer::sparse::engine::EngineBuilder;
 use sparseinfer::sparse::request::{generate, GenerateRequest};
 use sparseinfer::tensor::attn;
-use sparseinfer::tensor::gemv::{gemm_rows_into, gemv, reference};
+use sparseinfer::tensor::gemv::{dot, gemm_rows_into, gemv, gemv_into, reference};
 use sparseinfer::tensor::sign::{PackedSignMatrix, SignPack};
 use sparseinfer::tensor::{BlockQuantizedMatrix, Matrix, Prng, ThreadPool, Vector, F16};
 use sparseinfer_bench::{bench_iters, quick, time_us};
@@ -147,6 +147,33 @@ fn main() {
         spec_stats.acceptance_rate() * 100.0,
     );
 
+    println!("\n== one column: the row tile vs one `dot` per row (one thread) ==");
+    // A decode GEMV: `gemv_into` takes four rows per pass through the
+    // AVX2 tile at one column (four independent 8-lane chains), against a
+    // loop of `gemv::dot`, the one-chain kernel every row ran before. A
+    // 512x256 LM head sits in L2; the 24 688x256 matrices of the next
+    // section (17 MB) stream from beyond it. Outputs asserted bit-equal; in
+    // a full run the tile takes at most 0.9x the loop's time on each shape.
+    let mut rng = Prng::seed(3);
+    let stack: Vec<Matrix> = (0..24)
+        .map(|_| Matrix::from_fn(688, 256, |_, _| rng.normal(0.0, 0.1) as f32))
+        .collect();
+    let columns: Vec<f32> = (0..8 * 256).map(|_| rng.normal(0.4, 1.0) as f32).collect();
+    let head = [Matrix::from_fn(512, 256, |_, _| {
+        rng.normal(0.0, 0.1) as f32
+    })];
+    let column = Vector::from_vec(columns[..256].to_vec());
+    for (shape, matrices, iters) in [("512x256", &head[..], 2000), ("24x688x256", &stack, 40)] {
+        let ratio = one_column_rows(shape, matrices, &column, bench_iters(iters));
+        if !quick() {
+            assert!(
+                ratio <= 0.9,
+                "gemv_into takes {ratio:.2}x the per-row loop's time on {shape} \
+                 (expected <= 0.9x): one-column rows no longer go through the tile"
+            );
+        }
+    }
+
     println!("\n== sparse GEMV, f32 vs fused int8 block-dequant (4096x1024, one thread) ==");
     // The quantized serving hot path: one workload, 10% sparse, through the
     // one generic `gemm_rows_into`, instantiated for the f32 matrix and for
@@ -182,11 +209,6 @@ fn main() {
     // do; the figure is time per matrix *per position*. From two columns on
     // the rows go through the two-row tile; batch 8 is the 2 slots x 4
     // positions of a decoder-free scheduler tick.
-    let mut rng = Prng::seed(3);
-    let stack: Vec<Matrix> = (0..24)
-        .map(|_| Matrix::from_fn(688, 256, |_, _| rng.normal(0.0, 0.1) as f32))
-        .collect();
-    let columns: Vec<f32> = (0..8 * 256).map(|_| rng.normal(0.4, 1.0) as f32).collect();
     let mut gemm_out = Vector::zeros(0);
     let mut per_position = [0.0f64; 4];
     for (bi, batch) in [1usize, 2, 4, 8].into_iter().enumerate() {
@@ -372,6 +394,38 @@ fn main() {
             );
         }
     }
+}
+
+/// `gemv_into` of one column through every matrix, then a loop of
+/// `gemv::dot` over every row of them; asserts the outputs bit-equal and
+/// returns the first path's time over the second's.
+fn one_column_rows(shape: &str, matrices: &[Matrix], x: &Vector, iters: usize) -> f64 {
+    let single = ThreadPool::single();
+    let mut tiled = vec![Vector::zeros(0); matrices.len()];
+    let mut rows: Vec<Vec<f32>> = matrices.iter().map(|w| vec![0.0; w.rows()]).collect();
+    let t_tile = time_us(&format!("gemv_into_{shape}_us"), iters, || {
+        for (w, out) in matrices.iter().zip(&mut tiled) {
+            gemv_into(w, x, &single, out);
+        }
+    });
+    let t_rows = time_us(&format!("dot_per_row_{shape}_us"), iters, || {
+        for (w, out) in matrices.iter().zip(&mut rows) {
+            for (r, slot) in out.iter_mut().enumerate() {
+                *slot = dot(w.row(r), x.as_slice());
+            }
+        }
+    });
+    for (tiled, rows) in tiled.iter().zip(&rows) {
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(tiled.as_slice()),
+            bits(rows),
+            "{shape}: the tile moved a bit"
+        );
+    }
+    let ratio = t_tile / t_rows;
+    println!("  -> {shape}: the tile takes {ratio:.2}x the per-row loop's time");
+    ratio
 }
 
 /// Whether the attention kernels run their vector path in this build.

@@ -40,21 +40,13 @@ impl SkipMask {
 
     /// Creates a mask with every row skipped.
     pub fn all_skipped(len: usize) -> Self {
-        let mut mask = Self::all_dense(len);
-        for i in 0..len {
-            mask.set_skip(i);
-        }
-        mask
+        Self::from_fn(len, |_| true)
     }
 
     /// Builds a mask from a predicate over row indices (true = skip).
-    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
-        let mut mask = Self::all_dense(len);
-        for i in 0..len {
-            if f(i) {
-                mask.set_skip(i);
-            }
-        }
+    pub fn from_fn(len: usize, f: impl FnMut(usize) -> bool) -> Self {
+        let mut mask = Self::all_dense(0);
+        mask.reset_from_iter((0..len).map(f));
         mask
     }
 
@@ -71,6 +63,25 @@ impl SkipMask {
         self.words.clear();
         self.words.resize(len.div_ceil(64), 0);
         self.len = len;
+    }
+
+    /// Resizes to one row per item of `skips` (true = skip), reusing the
+    /// word buffer, and stores the decisions 64 rows per word — the
+    /// in-place [`from_fn`](Self::from_fn) the predictor writes its mask
+    /// with.
+    pub fn reset_from_iter(&mut self, skips: impl ExactSizeIterator<Item = bool>) {
+        self.len = skips.len();
+        self.words.clear();
+        let mut word = 0;
+        for (i, skip) in skips.enumerate() {
+            word |= u64::from(skip) << (i % 64);
+            if i % 64 == 63 {
+                self.words.push(std::mem::take(&mut word));
+            }
+        }
+        if !self.len.is_multiple_of(64) {
+            self.words.push(word);
+        }
     }
 
     /// Replaces this mask's contents with a copy of `other`, reusing the

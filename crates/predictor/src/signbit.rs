@@ -16,7 +16,7 @@
 //! note the typo here.)
 
 use sparseinfer_model::Model;
-use sparseinfer_tensor::sign::{pack_signs_into, PackedSignMatrix, SignPack};
+use sparseinfer_tensor::sign::{pack_signs_into, xor_popcount_words, PackedSignMatrix, SignPack};
 use sparseinfer_tensor::{Matrix, Vector};
 
 use crate::alpha::AlphaSchedule;
@@ -128,13 +128,12 @@ impl SparsityPredictor for SignBitPredictor {
         // The per-token sign pack goes into session scratch: packed sign
         // *tables* are shared across sessions, the input pack is not.
         pack_signs_into(x.as_slice(), &mut scratch.sign_words);
-        mask.reset_dense(packed.rows());
-        for r in 0..packed.rows() {
-            let n_neg = packed.row_xor_popcount_words(r, &scratch.sign_words);
-            if Self::decide(n_neg, total, alpha) {
-                mask.set_skip(r);
-            }
-        }
+        // One sweep over the packed rows, 64 decisions per mask word.
+        let x_signs = &scratch.sign_words;
+        let counts = packed
+            .iter_rows()
+            .map(|row| xor_popcount_words(row, x_signs));
+        mask.reset_from_iter(counts.map(|n_neg| Self::decide(n_neg, total, alpha)));
     }
 
     fn name(&self) -> &'static str {
@@ -233,6 +232,31 @@ mod tests {
                 .filter(|(w, xi)| w.is_sign_negative() != xi.is_sign_negative())
                 .count() as u32;
             assert_eq!(*count, expected, "row {r}");
+        }
+    }
+
+    #[test]
+    fn predict_into_writes_decide_for_every_row() {
+        // 688 rows end in a partial mask word (10 × 64 + 48); the mask starts
+        // sized for another layer, so the sweep has to reset it in place.
+        let mut rng = Prng::seed(10);
+        let (d, k) = (256, 688);
+        let gate = Matrix::from_fn(k, d, |_, _| rng.normal(0.0, 1.0) as f32);
+        let x = Vector::from_fn(d, |_| rng.normal(0.2, 1.0) as f32);
+        for alpha in [0.97, 1.00, 1.03] {
+            let p = SignBitPredictor::from_gate_matrices(
+                std::slice::from_ref(&gate),
+                AlphaSchedule::uniform(alpha),
+            );
+            let counts = p.negative_counts(0, &x);
+            let percent = p.schedule().alpha_percent(0);
+            let expected = SkipMask::from_fn(k, |r| {
+                SignBitPredictor::decide(counts[r], d as u32, percent)
+            });
+            assert!((1..k).contains(&expected.skip_count()), "alpha {alpha}");
+            let mut mask = SkipMask::all_skipped(1000);
+            p.predict_into(0, &x, &mut PredictorScratch::new(), &mut mask);
+            assert_eq!(mask, expected, "alpha {alpha}");
         }
     }
 

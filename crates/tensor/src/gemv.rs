@@ -22,22 +22,31 @@
 //! suite proves exact equivalence of the lane-ordered scalar forms and
 //! close agreement of the single-accumulator form.
 //!
-//! From two columns on, an `f32` build with AVX2 computes those same
-//! chains in a **register tile** instead: two weight rows × up to four
-//! columns, each (row, column) pair one 8-lane chain `acc = acc + w * x` —
-//! separate multiply and add, **no FMA** — and each chain's tree
+//! An `f32` build with AVX2 computes those same chains in a **register
+//! tile** instead: up to four weight rows × up to four columns, each (row,
+//! column) pair one 8-lane chain `acc = acc + w * x` — separate multiply
+//! and add, **no FMA** — and each chain's tree
 //! `((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7))` reduced in registers
 //! (`extractf128`, `movehl`, `add_ss`: the same IEEE adds of the same
-//! operands). Eight independent chains hide the add latency, each loaded
-//! column serves both rows and each loaded row chunk every column, so a
-//! prompt chunk costs what its arithmetic costs: 24 688×256 matrices at
-//! 2 / 4 / 8 columns ran in 223 / 315 / 570 µs against the `lanes_*`
-//! kernels' 320 / 525 / 1003 µs (one core of a 2-core AMD EPYC VM). The
-//! `lanes_*` kernels stay the portable path — no AVX2, or a row that is
-//! not whole 8-lane chunks — and the tests hold both to the scalar
-//! reference bit for bit. One column keeps the one-column kernel: a GEMV
-//! does one multiply-add per weight it loads, so it waits on the weights,
-//! not on the adds a tile overlaps, and its loop is left as it was.
+//! operands). From two columns on it is two rows × up to four columns:
+//! eight independent chains hide the add latency, each loaded column
+//! serves both rows and each loaded row chunk every column, so a prompt
+//! chunk costs what its arithmetic costs: 24 688×256 matrices at 2 / 4 / 8
+//! columns ran in 223 / 315 / 570 µs against the `lanes_*` kernels' 320 /
+//! 525 / 1003 µs (one core of a 2-core AMD EPYC VM). At one column it is
+//! four rows × one column. One chain waits on each add before the next,
+//! so a GEMV row by row ran at the pace of the add latency, not of the
+//! weights; four rows' chains overlap it. On one core of a 2-core
+//! Intel Xeon VM the tile took 0.73–0.82× the time of a loop of [`dot`]
+//! over the rows (24 688×256 matrices: 635–760 µs against 780–1040; a
+//! 512×256 LM head, in L2: 11–18 µs against 15–24). Int8 rows have the
+//! one-column tile too, each weight `f32(q) * scale` before it meets `x`;
+//! bound by its converts and multiplies more than by the add chain, it
+//! ran 0.97–1.1× as fast as [`dot_q8`] row by row on dense matrices and
+//! 1.1–1.4× under a decode's 8 % of rows kept. The `lanes_*` kernels
+//! stay the portable path — no AVX2, a row that is not whole 8-lane chunks
+//! (int8: scale blocks), or int8 at more than one column — and the tests
+//! hold every path to the scalar reference bit for bit.
 //!
 //! Two functions partition a weight matrix across a pool, for B activation
 //! columns under a row filter: [`gemm_rows_into`] (`W · X`, rows split
@@ -127,42 +136,25 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if `xs.len() != out.len() * a.len()`.
-// Inlined so that a decode GEMV's row loop reaches the one-column kernel
-// without setting up the group loop's frame: that set-up is a fifth of an
-// int8 row's time at 256 columns (688x256 GEMV: 25 us through the group
-// loop, 21 us past it, 20 us for the single-column loop this replaced).
-#[inline]
 pub fn dot_batch(a: &[f32], xs: &[f32], out: &mut [f32]) {
-    match out {
-        [one] => *one = dot(a, xs),
-        _ => dot_row_groups(a, xs, out),
-    }
-}
-
-/// [`dot_batch`] of several columns: one row through `dot_rows_batch`.
-// Out of line, so that the one-column row loop `dot_batch` is inlined into
-// stays the loop it was: with the tile inlined next to it, a 688x256 GEMV
-// took 4 % longer.
-#[inline(never)]
-fn dot_row_groups(a: &[f32], xs: &[f32], out: &mut [f32]) {
     dot_rows_batch([a], xs, [out]);
 }
 
-/// [`dot_batch`] of one or two weight rows against the same columns in one
-/// pass: `out[i]` gets bitwise what `dot_batch(rows[i], xs, out[i])` writes,
-/// from the AVX2 tile where the build has AVX2 and the rows are whole
-/// 8-lane chunks, from the `lanes_*` kernels otherwise. The rows need not
-/// be adjacent in their matrix.
+/// [`dot_batch`] of `R` weight rows against the same columns in one pass:
+/// `out[i]` gets bitwise what `dot_batch(rows[i], xs, out[i])` writes, from
+/// the AVX2 tile where the build has AVX2 and the rows are whole 8-lane
+/// chunks, from the `lanes_*` kernels otherwise. The rows need not be
+/// adjacent in their matrix.
 ///
 /// # Panics
 ///
 /// Panics if the rows differ in length or `xs` does not hold `out[i].len()`
 /// columns of that length.
-// Inlined down to the tile, into `rows_in_pairs`: passed through calls, the
+// Inlined down to the tile, into the row walk: passed through calls, the
 // arrays of slices go through the stack, and 24 688x256 passes at 4 columns
 // took 480 us instead of 365.
 #[inline]
-fn dot_rows_batch<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut [f32]; R]) {
+pub(crate) fn dot_rows_batch<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut [f32]; R]) {
     let cols = rows[0].len();
     for (a, out) in rows.iter().zip(&out) {
         assert_eq!(a.len(), cols, "dot_batch row length mismatch");
@@ -174,6 +166,49 @@ fn dot_rows_batch<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut [f32
     }
     for (a, out) in rows.into_iter().zip(out) {
         dot_groups_lanes(a, xs, out);
+    }
+}
+
+/// [`dot`] of `R` weight rows against one column `x`: `out[i][0]` gets
+/// bitwise `dot(rows[i], x)`, from the AVX2 tile at one column (one chain
+/// per row) where the build has AVX2 and the rows are whole 8-lane chunks.
+#[inline]
+pub(crate) fn dot_rows<const R: usize>(rows: [&[f32]; R], x: &[f32], out: [&mut [f32]; R]) {
+    #[cfg(target_feature = "avx2")]
+    if x.len().is_multiple_of(DOT_LANES) {
+        for a in rows {
+            assert_eq!(a.len(), x.len(), "dot operand length mismatch");
+        }
+        return avx2::dot_column(rows, x, out);
+    }
+    for (a, out) in rows.into_iter().zip(out) {
+        out[0] = dot(a, x);
+    }
+}
+
+/// [`dot_rows`] of int8 rows, each `(values, block scales)`: `out[i][0]`
+/// gets bitwise [`dot_q8`] of row `i` and `x`, from the AVX2 tile where the
+/// build has AVX2 and the rows are whole scale blocks.
+#[inline]
+pub(crate) fn dot_rows_q8<const R: usize>(
+    rows: [(&[i8], &[f32]); R],
+    x: &[f32],
+    out: [&mut [f32]; R],
+) {
+    #[cfg(target_feature = "avx2")]
+    if x.len().is_multiple_of(QUANT_BLOCK) {
+        for (q, scales) in rows {
+            assert_eq!(q.len(), x.len(), "dot_q8 operand length mismatch");
+            assert_eq!(
+                scales.len(),
+                x.len() / QUANT_BLOCK,
+                "dot_q8 scale count mismatch"
+            );
+        }
+        return avx2::dot_column_q8(rows, x, out);
+    }
+    for ((q, scales), out) in rows.into_iter().zip(out) {
+        out[0] = dot_q8(q, scales, x);
     }
 }
 
@@ -223,7 +258,8 @@ fn finish(mut lanes: [f32; DOT_LANES], a_tail: &[f32], x_tail: &[f32]) -> f32 {
 // or inlined next to the tail and the tree (LLVM regroups lanes by what
 // happens to them later — the single-column loop `dot` once had took 50),
 // the same arithmetic ran scalar for some counts, 40-140 us — which counts
-// changed with the calling context.
+// changed with the calling context. An AVX2 GEMV runs the one-column tile
+// instead, in 0.73-0.81x the time (all 24: 635-760 us against 780-1040).
 macro_rules! lanes_fn {
     ($name:ident, $n:literal: $($acc:ident $x:ident),+) => {
         #[inline(never)]
@@ -297,15 +333,7 @@ pub fn dot_q8(q: &[i8], scales: &[f32], x: &[f32]) -> f32 {
 ///
 /// Panics if `xs.len() != out.len() * q.len()` or `scales` does not hold
 /// one entry per started block.
-#[inline] // see `dot_batch`
 pub fn dot_q8_batch(q: &[i8], scales: &[f32], xs: &[f32], out: &mut [f32]) {
-    match out {
-        [one] => *one = dot_q8(q, scales, xs),
-        _ => dot_q8_groups(q, scales, xs, out),
-    }
-}
-
-fn dot_q8_groups(q: &[i8], scales: &[f32], xs: &[f32], out: &mut [f32]) {
     let cols = q.len();
     assert_eq!(xs.len(), out.len() * cols, "dot_q8_batch shape mismatch");
     assert_eq!(
@@ -471,28 +499,16 @@ pub fn gemv_transposed(w: &Matrix, x: &Vector) -> Vector {
 /// back to back (column `b` at `xs[b * w.cols()..]`); `out` is resized to
 /// `w.rows() * batch` and row `r`'s results land together at
 /// `out[r * batch..]`, so rows partition across `pool` with one writer per
-/// element. Each weight row is loaded once and reduced against every column
-/// through [`WeightRows::dot_row_batch`], whose every result is the
-/// format's fixed-order dot product of that row and column — so
-/// `out[r * batch + b]` has the same bits at any batch size and thread
-/// count.
+/// element. A worker hands its rows to [`WeightRows::dot_kept_rows`], which
+/// loads each kept row once and reduces it against every column, a tile of
+/// rows at a time: four rows at one column in both formats, two
+/// rows (`f32`) or one (int8) at more. Every result is the format's
+/// fixed-order dot product of its row and column, so `out[r * batch + b]`
+/// has the same bits at any batch size and thread count.
 ///
 /// Rows for which `keep(r)` is `false` are never loaded and their outputs
 /// are `0.0` (the row skip of the sparse kernels, decided once for all
 /// columns); `|_| true` keeps every row.
-///
-/// From two columns on, a worker hands its rows to
-/// [`WeightRows::dot_kept_rows`]. An `f32` [`Matrix`] takes its kept rows
-/// two at a time through the tile: the `i`-th kept row of the lower half of
-/// its rows beside the `i`-th kept row of the upper half, then the rest of
-/// the longer half two by two, and a last unpaired row alone. Two
-/// ascending walks through two halves of the matrix are what the hardware
-/// prefetchers follow: the same pairs taken from adjacent rows — two reads
-/// 1 KB apart, in lockstep, through one page — streamed 688x256 weights
-/// from DRAM at a third of the speed. Other formats (the int8
-/// [`BlockQuantizedMatrix`](crate::BlockQuantizedMatrix)) have no tile and
-/// keep the row-by-row walk, as does a single column through the
-/// one-column kernel.
 ///
 /// A worker gets at least `MIN_ROWS_PER_WORKER` rows and
 /// [`MIN_MACS_PER_WORKER`] multiply-accumulates, counted as if no row were
@@ -515,71 +531,55 @@ pub fn gemm_rows_into<W: WeightRows>(
         return;
     }
     let min_rows = MIN_ROWS_PER_WORKER.max(MIN_MACS_PER_WORKER.div_ceil(xs.len().max(1)));
-    if batch > 1 {
-        return pool.run_rows(out.as_mut_slice(), batch, min_rows, |first_row, chunk| {
-            w.dot_kept_rows(first_row, &keep, xs, batch, chunk)
-        });
-    }
     pool.run_rows(out.as_mut_slice(), batch, min_rows, |first_row, chunk| {
-        for (i, out_row) in chunk.chunks_exact_mut(batch).enumerate() {
-            let r = first_row + i;
-            if keep(r) {
-                w.dot_row_batch(r, xs, out_row);
-            } else {
-                out_row.fill(0.0);
-            }
-        }
+        w.dot_kept_rows(first_row, &keep, xs, batch, chunk)
     });
 }
 
-/// [`WeightRows::dot_kept_rows`] of a [`Matrix`]: a worker's kept rows in
-/// pairs through [`dot_rows_batch`], one row from each half of its rows.
-// Out of line and behind a closure of its own, so that the one-column loop
-// of a decode GEMV compiles as it did before the tile existed: inlined into
-// one closure with it, this loop cost the sparse MLP blocks built on that
-// GEMV up to 35 %.
-#[inline(never)]
-pub(crate) fn rows_in_pairs(
-    w: &Matrix,
-    first_row: usize,
-    keep: &impl Fn(usize) -> bool,
-    xs: &[f32],
+/// Kept rows per tile at one column: four chains, each its own row.
+pub(crate) const COLUMN_ROWS: usize = 4;
+
+/// One worker's walk of its rows of `out` (`batch` results each, the first
+/// one row `first`): all zeroed at once (a `fill` per skipped row was a
+/// `memset` call each), then the kept rows `R` at a time through
+/// `tile(rows, outs)`, fewer than `R` left at the end one by one through
+/// `one`. The rows are split into `R` equal parts and the `i`-th kept row
+/// of each part goes into one tile, then the kept rows of the longer parts
+/// fill the tiles. `R` ascending walks through `R` parts of the matrix are
+/// what the hardware prefetchers follow: tiles of adjacent rows — reads
+/// 1 KB apart, in lockstep, through one page — streamed 688x256 weights
+/// from DRAM at a third of the speed. At `R = 1` this is the plain walk.
+#[inline]
+pub(crate) fn kept_rows_by<const R: usize>(
+    (first, keep): (usize, &impl Fn(usize) -> bool),
     batch: usize,
     out: &mut [f32],
+    mut tile: impl FnMut([usize; R], [&mut [f32]; R]),
+    mut one: impl FnMut(usize, &mut [f32]),
 ) {
-    let half = (out.len() / batch).div_ceil(2);
-    let (lower, upper) = out.split_at_mut(half * batch);
-    let mut lower = kept_rows(first_row, lower, batch, keep);
-    let mut upper = kept_rows(first_row + half, upper, batch, keep);
+    out.fill(0.0);
+    let part = (out.len() / batch).div_ceil(R);
+    let mut rest = out;
+    let mut parts: [_; R] = std::array::from_fn(|p| {
+        let len = (part * batch).min(rest.len());
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        let rows = (first + p * part..).zip(head.chunks_exact_mut(batch));
+        rows.filter(|(r, _)| keep(*r))
+    });
     loop {
-        let first = lower.next().or_else(|| upper.next());
-        let second = upper.next().or_else(|| lower.next());
-        match (first, second) {
-            (Some((r0, out0)), Some((r1, out1))) => {
-                dot_rows_batch([w.row(r0), w.row(r1)], xs, [out0, out1]);
-            }
-            (Some((r, out_row)), None) => dot_batch(w.row(r), xs, out_row),
-            (None, _) => break,
+        let mut rows = [0; R];
+        let mut outs: [&mut [f32]; R] = std::array::from_fn(|_| Default::default());
+        for p in 0..R {
+            let next = parts[p].next();
+            let Some((r, out)) = next.or_else(|| parts.iter_mut().find_map(Iterator::next)) else {
+                let left = rows.into_iter().zip(outs).take(p);
+                return left.for_each(|(r, out)| one(r, out));
+            };
+            (rows[p], outs[p]) = (r, out);
         }
+        tile(rows, outs);
     }
-}
-
-/// The rows of `out` (`batch` results each, the first one row `first`)
-/// that `keep` keeps, ascending; the others are zeroed as the walk passes.
-fn kept_rows<'a>(
-    first: usize,
-    out: &'a mut [f32],
-    batch: usize,
-    keep: &'a impl Fn(usize) -> bool,
-) -> impl Iterator<Item = (usize, &'a mut [f32])> {
-    let rows = (first..).zip(out.chunks_exact_mut(batch));
-    rows.filter_map(|(r, out_row)| {
-        if keep(r) {
-            return Some((r, out_row));
-        }
-        out_row.fill(0.0);
-        None
-    })
 }
 
 /// `Y = Wᵀ · H` for `batch` columns of `H` under a row filter: the gated

@@ -1,6 +1,6 @@
 //! Dense row-major `f32` matrix used for model weights.
 
-use crate::gemv::{dot_batch, rows_in_pairs};
+use crate::gemv::{dot, dot_batch, dot_rows, dot_rows_batch, kept_rows_by, COLUMN_ROWS};
 use crate::{ShapeError, Vector};
 
 /// Row-addressable weight storage: what a row-skipping kernel needs to know
@@ -20,17 +20,14 @@ pub trait WeightRows: Sync {
     /// Number of columns.
     fn cols(&self) -> usize;
 
-    /// `W_r · x` for `out.len()` inputs — stored back to back in `xs` — in
-    /// one read of the row; `out[n]` is input `n`'s product through the
-    /// format's fixed-order reduction, whatever the number of inputs.
-    fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]);
-
     /// One worker's share of [`gemm_rows_into`](crate::gemv::gemm_rows_into)
-    /// at two or more inputs: the rows of `out` (`batch` results each, the
-    /// first one row `first`) through [`dot_row_batch`](Self::dot_row_batch)
-    /// where `keep` keeps the row, zeros where it does not. The row order
-    /// does not change a bit of the results; the default walks the rows in
-    /// order, [`Matrix`] takes them in pairs for its AVX2 tile.
+    /// at any number of inputs: for the rows of `out` (`batch` results
+    /// each, the first one row `first`) that `keep` keeps, the row's
+    /// product with each of the `batch` inputs stored back to back in `xs`,
+    /// through the format's fixed-order reduction; zeros where `keep` drops
+    /// the row. Neither the batch nor the order the rows are taken in
+    /// changes a bit of the results; both formats take their kept rows a
+    /// tile at a time (four rows at one input).
     fn dot_kept_rows(
         &self,
         first: usize,
@@ -38,15 +35,7 @@ pub trait WeightRows: Sync {
         xs: &[f32],
         batch: usize,
         out: &mut [f32],
-    ) {
-        for (r, out_row) in (first..).zip(out.chunks_exact_mut(batch)) {
-            if keep(r) {
-                self.dot_row_batch(r, xs, out_row);
-            } else {
-                out_row.fill(0.0);
-            }
-        }
-    }
+    );
 
     /// Reader of columns `start..start + len` of row `r`: `read(i)` is the
     /// `f32` value of column `start + i`.
@@ -65,11 +54,6 @@ impl WeightRows for Matrix {
         self.cols
     }
 
-    #[inline] // see the int8 impl
-    fn dot_row_batch(&self, r: usize, xs: &[f32], out: &mut [f32]) {
-        dot_batch(self.row(r), xs, out);
-    }
-
     fn dot_kept_rows(
         &self,
         first: usize,
@@ -78,7 +62,20 @@ impl WeightRows for Matrix {
         batch: usize,
         out: &mut [f32],
     ) {
-        rows_in_pairs(self, first, keep, xs, batch, out);
+        let row = |r| self.row(r);
+        if batch == 1 {
+            let tile = |rows: [usize; COLUMN_ROWS], outs: [&mut [f32]; COLUMN_ROWS]| {
+                dot_rows(rows.map(row), xs, outs)
+            };
+            return kept_rows_by((first, keep), 1, out, tile, |r, out| {
+                out[0] = dot(row(r), xs)
+            });
+        }
+        let tile =
+            |rows: [usize; 2], outs: [&mut [f32]; 2]| dot_rows_batch(rows.map(row), xs, outs);
+        kept_rows_by((first, keep), batch, out, tile, |r, out| {
+            dot_batch(row(r), xs, out)
+        });
     }
 
     #[inline] // see the int8 impl

@@ -16,10 +16,9 @@
 /// kernel exploits so that one warp processes one packed word per thread.
 pub const LANES: usize = 32;
 
-/// Independent accumulators in the unrolled XOR+popcount sweep. Popcounts
-/// are integer sums, so any accumulator count yields the exact same result;
-/// four chains are enough to hide the popcount latency.
-const POPC_LANES: usize = 4;
+/// Words per fixed-size block of the XOR+popcount sweep: the 256 signs of
+/// a serving model's gate row, one AVX2 register of words.
+const POPC_BLOCK: usize = 8;
 
 /// Packs the sign bits of `values` into `words` in place (bit `j` of word
 /// `i` = sign of element `i*32+j`), reusing the buffer's capacity — the
@@ -36,27 +35,23 @@ pub fn pack_signs_into(values: &[f32], words: &mut Vec<u32>) {
     }
 }
 
-/// Chunked multi-accumulator XOR+popcount sweep:
-/// `Σ popcount(a[i] ^ b[i])` over the common length. Integer addition is
-/// associative, so the unrolling is exactly equivalent to the scalar sweep
-/// (asserted by tests) while breaking the add dependency chain.
+/// XOR+popcount sweep: `Σ popcount(a[i] ^ b[i])` over the common length,
+/// in fixed-size blocks of eight words the compiler unrolls. Integer
+/// addition is associative, so this is exactly the scalar sweep (asserted
+/// by tests).
 #[inline]
 pub fn xor_popcount_words(a: &[u32], b: &[u32]) -> u32 {
-    let main = a.len().min(b.len());
-    let main = main - main % POPC_LANES;
-    let mut acc = [0u32; POPC_LANES];
-    for (ca, cb) in a[..main]
-        .chunks_exact(POPC_LANES)
-        .zip(b[..main].chunks_exact(POPC_LANES))
-    {
-        for l in 0..POPC_LANES {
-            acc[l] += (ca[l] ^ cb[l]).count_ones();
-        }
-    }
-    for (x, y) in a[main..].iter().zip(&b[main..]) {
-        acc[0] += (x ^ y).count_ones();
-    }
-    acc[0] + acc[1] + acc[2] + acc[3]
+    let n = a.len().min(b.len());
+    let ((a, a_tail), (b, b_tail)) = (
+        a[..n].as_chunks::<POPC_BLOCK>(),
+        b[..n].as_chunks::<POPC_BLOCK>(),
+    );
+    let xor_popcount = |(a, b): (&u32, &u32)| (a ^ b).count_ones();
+    let blocks = a.iter().zip(b);
+    let blocks: u32 = blocks
+        .map(|(a, b)| a.iter().zip(b).map(xor_popcount).sum::<u32>())
+        .sum();
+    blocks + a_tail.iter().zip(b_tail).map(xor_popcount).sum::<u32>()
 }
 
 /// Packed sign bits of an `f32` sequence, 32 signs per `u32` word.
@@ -244,6 +239,12 @@ impl PackedSignMatrix {
         &self.words[r * self.row_words..(r + 1) * self.row_words]
     }
 
+    /// The packed words of every row, in order (none for a matrix of zero
+    /// columns, whose rows hold no words).
+    pub fn iter_rows(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.words.chunks_exact(self.row_words.max(1))
+    }
+
     /// Number of predicted-negative products between row `r` and the packed
     /// input signs — `Σ popcount(W_signs[r] XOR X_signs)`.
     ///
@@ -257,21 +258,6 @@ impl PackedSignMatrix {
             "input sign pack length must equal matrix columns"
         );
         xor_popcount_words(self.row(r), x_signs.words())
-    }
-
-    /// [`row_xor_popcount`](Self::row_xor_popcount) against raw packed
-    /// words (the predictor's per-session scratch buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() != self.row_words()`.
-    pub fn row_xor_popcount_words(&self, r: usize, words: &[u32]) -> u32 {
-        assert_eq!(
-            words.len(),
-            self.row_words,
-            "packed input words must match row word count"
-        );
-        xor_popcount_words(self.row(r), words)
     }
 
     /// Memory footprint in bytes (the §V-A2 accounting unit).

@@ -145,14 +145,33 @@ type RowFilter = (&'static str, Vec<bool>);
 
 /// Row filters for the GEMM sweep, each with its label. From two columns on
 /// the kernel takes kept rows two at a time, one from each half of a
-/// worker's rows, so besides no filter and a random one they leave kept
-/// rows that are never adjacent, a last kept row with no partner, an odd
-/// number of kept rows, and kept rows in one half only.
+/// worker's rows, and at one column four at a time, one from each quarter;
+/// so besides no filter and a random one they leave kept rows that are
+/// never adjacent, a last kept row with no partner, an odd number of kept
+/// rows, 1, 2 or 3 rows left over from the groups of four, and kept rows
+/// in one half or one quarter only.
 fn row_filters(rows: usize, rng: &mut Prng) -> Vec<RowFilter> {
     let mut odd: Vec<bool> = (0..rows).map(|_| rng.flip(0.3)).collect();
     if odd.iter().filter(|k| **k).count() % 2 == 0 {
         odd[rows - 1] = !odd[rows - 1];
     }
+    // A random filter keeping a count of rows ≡ `left` (mod 4), where the
+    // row count allows: rows added from the first, then dropped.
+    let mut left_over = |left: usize| {
+        let mut keep: Vec<bool> = (0..rows).map(|_| rng.flip(0.5)).collect();
+        let mut count = keep.iter().filter(|k| **k).count();
+        for (r, to) in (0..rows)
+            .map(|r| (r, true))
+            .chain((0..rows).map(|r| (r, false)))
+        {
+            if count % 4 != left && keep[r] != to {
+                keep[r] = to;
+                count = if to { count + 1 } else { count - 1 };
+            }
+        }
+        keep
+    };
+    let (one, two, three) = (left_over(1), left_over(2), left_over(3));
     let by = |f: &dyn Fn(usize) -> bool| (0..rows).map(f).collect::<Vec<_>>();
     vec![
         ("all", by(&|_| true)),
@@ -164,6 +183,13 @@ fn row_filters(rows: usize, rng: &mut Prng) -> Vec<RowFilter> {
         ("odd count", odd),
         ("lower half", by(&|r| r < rows / 2)),
         ("upper half", by(&|r| r >= rows / 2)),
+        ("count 1 mod 4", one),
+        ("count 2 mod 4", two),
+        ("count 3 mod 4", three),
+        (
+            "third quarter",
+            by(&|r| 2 * rows <= 4 * r && 4 * r < 3 * rows),
+        ),
     ]
 }
 

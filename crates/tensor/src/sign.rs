@@ -16,10 +16,6 @@
 /// kernel exploits so that one warp processes one packed word per thread.
 pub const LANES: usize = 32;
 
-/// Words per fixed-size block of the XOR+popcount sweep: the 256 signs of
-/// a serving model's gate row, one AVX2 register of words.
-const POPC_BLOCK: usize = 8;
-
 /// Packs the sign bits of `values` into `words` in place (bit `j` of word
 /// `i` = sign of element `i*32+j`), reusing the buffer's capacity — the
 /// per-token packing step of the predictor, allocation-free after warm-up.
@@ -36,22 +32,13 @@ pub fn pack_signs_into(values: &[f32], words: &mut Vec<u32>) {
 }
 
 /// XOR+popcount sweep: `Σ popcount(a[i] ^ b[i])` over the common length,
-/// in fixed-size blocks of eight words the compiler unrolls. Integer
-/// addition is associative, so this is exactly the scalar sweep (asserted
-/// by tests).
+/// one `popcnt` per word. A predictor row is a handful of words (8 for a
+/// 256-wide gate): unrolled into four accumulators or 64-bit pairs, the
+/// compiler's vector code for the short remainder made a 128-wide row's
+/// sweep twice as slow as this loop.
 #[inline]
 pub fn xor_popcount_words(a: &[u32], b: &[u32]) -> u32 {
-    let n = a.len().min(b.len());
-    let ((a, a_tail), (b, b_tail)) = (
-        a[..n].as_chunks::<POPC_BLOCK>(),
-        b[..n].as_chunks::<POPC_BLOCK>(),
-    );
-    let xor_popcount = |(a, b): (&u32, &u32)| (a ^ b).count_ones();
-    let blocks = a.iter().zip(b);
-    let blocks: u32 = blocks
-        .map(|(a, b)| a.iter().zip(b).map(xor_popcount).sum::<u32>())
-        .sum();
-    blocks + a_tail.iter().zip(b_tail).map(xor_popcount).sum::<u32>()
+    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
 }
 
 /// Packed sign bits of an `f32` sequence, 32 signs per `u32` word.
@@ -358,8 +345,8 @@ mod tests {
 
     #[test]
     fn unrolled_sweep_equals_scalar_sweep_exactly() {
-        // Integer sums are order-independent: the 4-accumulator sweep must
-        // agree with the plain scalar loop on every length, tail included.
+        // The sweep must agree with a plain per-word popcount loop on every
+        // length.
         for len in [0usize, 1, 3, 4, 5, 8, 11, 16, 64] {
             let a: Vec<u32> = (0..len)
                 .map(|i| (i as u32).wrapping_mul(2654435761))

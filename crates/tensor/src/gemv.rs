@@ -42,8 +42,8 @@
 //! 512×256 LM head, in L2: 11–18 µs against 15–24). Int8 rows have the
 //! one-column tile too, each weight `f32(q) * scale` before it meets `x`;
 //! bound by its converts and multiplies more than by the add chain, it
-//! ran 0.97–1.1× as fast as [`dot_q8`] row by row on dense matrices and
-//! 1.1–1.4× under a decode's 8 % of rows kept. The `lanes_*` kernels
+//! ran 0.9–1.1× as fast as [`dot_q8`] row by row on dense matrices and
+//! 1.1–1.6× under a decode's 8 % of rows kept. The `lanes_*` kernels
 //! stay the portable path — no AVX2, a row that is not whole 8-lane chunks
 //! (int8: scale blocks), or int8 at more than one column — and the tests
 //! hold every path to the scalar reference bit for bit.

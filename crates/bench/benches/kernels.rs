@@ -44,6 +44,7 @@ fn streaming_shapes() -> (Matrix, Vector) {
 }
 
 fn main() {
+    let mut floors = Floors::default();
     let (w, x) = layer_shapes();
 
     println!("== sign packing ==");
@@ -165,13 +166,12 @@ fn main() {
     let column = Vector::from_vec(columns[..256].to_vec());
     for (shape, matrices, iters) in [("512x256", &head[..], 2000), ("24x688x256", &stack, 40)] {
         let ratio = one_column_rows(shape, matrices, &column, bench_iters(iters));
-        if !quick() {
-            assert!(
-                ratio <= 0.9,
+        floors.check(ratio <= 0.9, || {
+            format!(
                 "gemv_into takes {ratio:.2}x the per-row loop's time on {shape} \
                  (expected <= 0.9x): one-column rows no longer go through the tile"
-            );
-        }
+            )
+        });
     }
 
     println!("\n== sparse GEMV, f32 vs fused int8 block-dequant (4096x1024, one thread) ==");
@@ -192,15 +192,13 @@ fn main() {
     });
     let over_f32 = t_f32 / t_q8;
     println!("  -> {over_f32:.2}x over f32");
-    // The fused kernel must beat the f32 path it replaces. Skipped in the
-    // quick smoke, whose single-iteration timings are noise.
-    if !quick() {
-        assert!(
-            over_f32 >= 1.5,
+    // The fused kernel must beat the f32 path it replaces.
+    floors.check(over_f32 >= 1.5, || {
+        format!(
             "fused int8 GEMV is only {over_f32:.2}x the f32 kernel at 1 thread \
              (expected >= 1.5x): the block-dequant fast path has regressed"
-        );
-    }
+        )
+    });
 
     println!("\n== one weight pass for B prompt positions (24 x 688x256, > L2) ==");
     // Prefill's kernel: `gemm_rows_into` loads each weight row once for B
@@ -228,14 +226,13 @@ fn main() {
         per_position[bi] = us;
         println!("  -> {us:.2} us per matrix per position");
     }
-    if !quick() {
-        let ratio = per_position[2] / per_position[0];
-        assert!(
-            ratio <= 0.6,
+    let ratio = per_position[2] / per_position[0];
+    floors.check(ratio <= 0.6, || {
+        format!(
             "a position at batch 4 costs {ratio:.2}x one at batch 1 (expected <= 0.6x): \
              the weight pass is no longer shared between positions"
-        );
-    }
+        )
+    });
 
     println!(
         "\n== two prefilling slots: each alone vs one batched step (8 x 256x688, one thread) =="
@@ -337,13 +334,14 @@ fn main() {
             ),
         ];
         for (dtype, floor, [reference, vectorised]) in rows {
-            if VECTOR_ATTENTION && ctx == 128 && !quick() {
-                assert!(
-                    vectorised <= floor * reference,
-                    "vectorised {dtype} attention is {:.2}x the scalar loops' time at ctx 128 \
-                     (expected <= {floor}x): the head kernels have lost their vector path",
-                    vectorised / reference
-                );
+            if VECTOR_ATTENTION && ctx == 128 {
+                floors.check(vectorised <= floor * reference, || {
+                    format!(
+                        "vectorised {dtype} attention is {:.2}x the scalar loops' time at ctx \
+                         128 (expected <= {floor}x): the head kernels have lost their vector path",
+                        vectorised / reference
+                    )
+                });
             }
         }
     }
@@ -386,13 +384,49 @@ fn main() {
         ),
     ];
     for (dtype, floor, ratio) in ratios {
-        if VECTOR_ATTENTION && !quick() {
-            assert!(
-                ratio <= floor,
-                "four {dtype} queries in one pass take {ratio:.2}x the time of four one-query \
-                 calls (expected <= {floor}x): the key blocks are no longer shared between queries"
-            );
+        if VECTOR_ATTENTION {
+            floors.check(ratio <= floor, || {
+                format!(
+                    "four {dtype} queries in one pass take {ratio:.2}x the time of four \
+                     one-query calls (expected <= {floor}x): the key blocks are no longer \
+                     shared between queries"
+                )
+            });
         }
+    }
+    floors.finish();
+}
+
+/// The ratio floors of a full run (the quick smoke's single-iteration
+/// timings are noise, so it checks none). Each verdict prints where it is
+/// measured; the run fails once, at the end, listing every floor not met,
+/// so one floor that trips cannot hide the verdicts of the ones after it.
+#[derive(Default)]
+struct Floors {
+    not_met: Vec<String>,
+}
+
+impl Floors {
+    fn check(&mut self, holds: bool, failure: impl FnOnce() -> String) {
+        if quick() {
+            return;
+        }
+        if holds {
+            println!("  -> floor holds");
+        } else {
+            let failure = failure();
+            println!("  -> FLOOR NOT MET: {failure}");
+            self.not_met.push(failure);
+        }
+    }
+
+    fn finish(self) {
+        assert!(
+            self.not_met.is_empty(),
+            "{} ratio floor(s) not met:\n{}",
+            self.not_met.len(),
+            self.not_met.join("\n")
+        );
     }
 }
 

@@ -169,24 +169,7 @@ pub(crate) fn dot_rows_batch<const R: usize>(rows: [&[f32]; R], xs: &[f32], out:
     }
 }
 
-/// [`dot`] of `R` weight rows against one column `x`: `out[i][0]` gets
-/// bitwise `dot(rows[i], x)`, from the AVX2 tile at one column (one chain
-/// per row) where the build has AVX2 and the rows are whole 8-lane chunks.
-#[inline]
-pub(crate) fn dot_rows<const R: usize>(rows: [&[f32]; R], x: &[f32], out: [&mut [f32]; R]) {
-    #[cfg(target_feature = "avx2")]
-    if x.len().is_multiple_of(DOT_LANES) {
-        for a in rows {
-            assert_eq!(a.len(), x.len(), "dot operand length mismatch");
-        }
-        return avx2::dot_column(rows, x, out);
-    }
-    for (a, out) in rows.into_iter().zip(out) {
-        out[0] = dot(a, x);
-    }
-}
-
-/// [`dot_rows`] of int8 rows, each `(values, block scales)`: `out[i][0]`
+/// [`dot_rows_batch`] of int8 rows at one column, each `(values, block scales)`: `out[i][0]`
 /// gets bitwise [`dot_q8`] of row `i` and `x`, from the AVX2 tile where the
 /// build has AVX2 and the rows are whole scale blocks.
 #[inline]

@@ -49,20 +49,8 @@ pub(super) fn dot_tile<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut
     unsafe { tiles(rows, xs, out) }
 }
 
-/// `out[r][0]` = the dot product of `rows[r]` and the one column `x`: the
-/// tile at one column, one chain per row. The caller has checked the shapes
-/// and that the rows are whole chunks.
-#[inline]
-pub(super) fn dot_column<const R: usize>(rows: [&[f32]; R], x: &[f32], mut out: [&mut [f32]; R]) {
-    let rows = rows.map(|row| row.as_chunks::<DOT_LANES>().0);
-    let column = x.as_chunks::<DOT_LANES>().0;
-    // SAFETY: `tile` requires AVX2, and this module is compiled only where
-    // AVX2 is statically enabled: every CPU this build may run on has it.
-    unsafe { tile(rows, [column], &mut out, 0) }
-}
-
-/// [`dot_column`] of int8 rows, each a `(values, block scales)` pair:
-/// `out[r][0]` is `dot_q8` of row `r` and `x`. The caller has checked the
+/// The tile of int8 rows at one column, each row a `(values, block scales)`
+/// pair: `out[r][0]` is `dot_q8` of row `r` and `x`. The caller has checked the
 /// shapes and that the rows are whole scale blocks.
 #[inline]
 pub(super) fn dot_column_q8<const R: usize>(

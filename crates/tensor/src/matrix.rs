@@ -1,6 +1,6 @@
 //! Dense row-major `f32` matrix used for model weights.
 
-use crate::gemv::{dot, dot_batch, dot_rows, dot_rows_batch, kept_rows_by, COLUMN_ROWS};
+use crate::gemv::{dot_batch, dot_rows_batch, kept_rows_by, COLUMN_ROWS};
 use crate::{ShapeError, Vector};
 
 /// Row-addressable weight storage: what a row-skipping kernel needs to know
@@ -63,19 +63,16 @@ impl WeightRows for Matrix {
         out: &mut [f32],
     ) {
         let row = |r| self.row(r);
+        let one = |r, out: &mut [f32]| dot_batch(row(r), xs, out);
         if batch == 1 {
             let tile = |rows: [usize; COLUMN_ROWS], outs: [&mut [f32]; COLUMN_ROWS]| {
-                dot_rows(rows.map(row), xs, outs)
+                dot_rows_batch(rows.map(row), xs, outs)
             };
-            return kept_rows_by((first, keep), 1, out, tile, |r, out| {
-                out[0] = dot(row(r), xs)
-            });
+            return kept_rows_by((first, keep), 1, out, tile, one);
         }
         let tile =
             |rows: [usize; 2], outs: [&mut [f32]; 2]| dot_rows_batch(rows.map(row), xs, outs);
-        kept_rows_by((first, keep), batch, out, tile, |r, out| {
-            dot_batch(row(r), xs, out)
-        });
+        kept_rows_by((first, keep), batch, out, tile, one);
     }
 
     #[inline] // see the int8 impl

@@ -36,17 +36,17 @@
 //! 525 / 1003 µs (one core of a 2-core AMD EPYC VM). At one column it is
 //! four rows × one column. One chain waits on each add before the next,
 //! so a GEMV row by row ran at the pace of the add latency, not of the
-//! weights; four rows' chains overlap it. On one core of a 2-core
-//! Intel Xeon VM the tile took 0.73–0.82× the time of a loop of [`dot`]
-//! over the rows (24 688×256 matrices: 635–760 µs against 780–1040; a
-//! 512×256 LM head, in L2: 11–18 µs against 15–24). Int8 rows have the
-//! one-column tile too, each weight `f32(q) * scale` before it meets `x`;
-//! bound by its converts and multiplies more than by the add chain, it
-//! ran 0.9–1.1× as fast as [`dot_q8`] row by row on dense matrices and
-//! 1.1–1.6× under a decode's 8 % of rows kept. The `lanes_*` kernels
-//! stay the portable path — no AVX2, a row that is not whole 8-lane chunks
-//! (int8: scale blocks), or int8 at more than one column — and the tests
-//! hold every path to the scalar reference bit for bit.
+//! weights; four rows' chains overlap it. Over 16 runs of the kernels
+//! bench on one core of a 2-core Intel Xeon VM, the tile took a median
+//! 0.79× the time of a loop of [`dot`] over the rows on 24 688×256
+//! matrices, beyond L2 (856 µs against 1086), and 0.81× on a 512×256 LM
+//! head in L2 (16.2 µs against 20.7). The `lanes_*` kernels stay the
+//! portable path — no AVX2, or a row that is not whole 8-lane chunks — and
+//! int8 rows run the `lanes_q8_*` kernels row by row at every batch: an
+//! int8 twin of the one-column tile (convert, scale and `x` multiplies,
+//! add per eight weights) read `same` on every end-to-end metric of
+//! `solo_decode` and `open_mixed` over 10 interleaved pairs each. The
+//! tests hold every path to the scalar reference bit for bit.
 //!
 //! Two functions partition a weight matrix across a pool, for B activation
 //! columns under a row filter: [`gemm_rows_into`] (`W · X`, rows split
@@ -169,32 +169,6 @@ pub(crate) fn dot_rows_batch<const R: usize>(rows: [&[f32]; R], xs: &[f32], out:
     }
 }
 
-/// [`dot_rows_batch`] of int8 rows at one column, each `(values, block scales)`: `out[i][0]`
-/// gets bitwise [`dot_q8`] of row `i` and `x`, from the AVX2 tile where the
-/// build has AVX2 and the rows are whole scale blocks.
-#[inline]
-pub(crate) fn dot_rows_q8<const R: usize>(
-    rows: [(&[i8], &[f32]); R],
-    x: &[f32],
-    out: [&mut [f32]; R],
-) {
-    #[cfg(target_feature = "avx2")]
-    if x.len().is_multiple_of(QUANT_BLOCK) {
-        for (q, scales) in rows {
-            assert_eq!(q.len(), x.len(), "dot_q8 operand length mismatch");
-            assert_eq!(
-                scales.len(),
-                x.len() / QUANT_BLOCK,
-                "dot_q8 scale count mismatch"
-            );
-        }
-        return avx2::dot_column_q8(rows, x, out);
-    }
-    for ((q, scales), out) in rows.into_iter().zip(out) {
-        out[0] = dot_q8(q, scales, x);
-    }
-}
-
 /// The portable multi-column path: the `lanes_*` kernels, four columns per
 /// pass, each result finished by [`finish`].
 fn dot_groups_lanes(a: &[f32], xs: &[f32], out: &mut [f32]) {
@@ -242,7 +216,8 @@ fn finish(mut lanes: [f32; DOT_LANES], a_tail: &[f32], x_tail: &[f32]) -> f32 {
 // happens to them later — the single-column loop `dot` once had took 50),
 // the same arithmetic ran scalar for some counts, 40-140 us — which counts
 // changed with the calling context. An AVX2 GEMV runs the one-column tile
-// instead, in 0.73-0.81x the time (all 24: 635-760 us against 780-1040).
+// instead: 0.79x the time of this loop row by row on the 24 matrices
+// (median of 16 kernels-bench runs, 856 us against 1086).
 macro_rules! lanes_fn {
     ($name:ident, $n:literal: $($acc:ident $x:ident),+) => {
         #[inline(never)]
@@ -317,6 +292,13 @@ pub fn dot_q8(q: &[i8], scales: &[f32], x: &[f32]) -> f32 {
 /// Panics if `xs.len() != out.len() * q.len()` or `scales` does not hold
 /// one entry per started block.
 pub fn dot_q8_batch(q: &[i8], scales: &[f32], xs: &[f32], out: &mut [f32]) {
+    // One column skips the group loop: through it, the kernels bench's
+    // one-column int8 GEMV (4096x1024, 90 % of rows kept) took 705 us
+    // against 635 through `dot_q8` (medians, one core of a 2-core Xeon VM).
+    if let [one] = out {
+        *one = dot_q8(q, scales, xs);
+        return;
+    }
     let cols = q.len();
     assert_eq!(xs.len(), out.len() * cols, "dot_q8_batch shape mismatch");
     assert_eq!(
@@ -483,9 +465,9 @@ pub fn gemv_transposed(w: &Matrix, x: &Vector) -> Vector {
 /// `w.rows() * batch` and row `r`'s results land together at
 /// `out[r * batch..]`, so rows partition across `pool` with one writer per
 /// element. A worker hands its rows to [`WeightRows::dot_kept_rows`], which
-/// loads each kept row once and reduces it against every column, a tile of
-/// rows at a time: four rows at one column in both formats, two
-/// rows (`f32`) or one (int8) at more. Every result is the format's
+/// loads each kept row once and reduces it against every column: `f32`
+/// rows a tile at a time — four at one column, two at more — and int8
+/// rows one at a time. Every result is the format's
 /// fixed-order dot product of its row and column, so `out[r * batch + b]`
 /// has the same bits at any batch size and thread count.
 ///

@@ -1,39 +1,35 @@
-//! The AVX2 tile of the dot products: up to four weight rows × up to four
-//! activation columns, every (row, column) pair one 8-lane register chain,
-//! reduced in registers — for `f32` rows at any column count, and for
-//! block-quantized int8 rows at one column.
+//! The AVX2 tile of the `f32` dot products: up to four weight rows × up to
+//! four activation columns, every (row, column) pair one 8-lane register
+//! chain, reduced in registers.
 //!
 //! Each chain is exactly the `lanes_*` kernels' arithmetic for that pair:
 //! element `i` accumulates into lane `i % 8` as `acc = acc + w * x` —
 //! separate multiply and add, no FMA, `acc` starting at `+0.0` — and the
 //! lanes combine as `((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7))`, one IEEE add per
-//! `+` with the same operands in the same order. An int8 weight is the
-//! `lanes_q8_*` kernels' `f32(q) * scale` of its block before it meets `x`.
-//! Only the schedule differs: several independent chains hide the add
-//! latency one chain serializes, each loaded column serves every row and
-//! each loaded row chunk every column, and the tree runs in registers
-//! instead of through a stored lane array. Rows that are not whole 8-lane
-//! chunks (int8: whole scale blocks) never get here (their tail would need
-//! `finish`'s scalar adds).
+//! `+` with the same operands in the same order. Only the schedule differs:
+//! several independent chains hide the add latency one chain serializes,
+//! each loaded column serves every row and each loaded row chunk every
+//! column, and the tree runs in registers instead of through a stored lane
+//! array. Rows that are not whole 8-lane chunks never get here (their tail
+//! would need `finish`'s scalar adds).
 //!
 //! # Safety
 //!
 //! The crate is `#![deny(unsafe_code)]`; the allow below covers two kinds
-//! of `unsafe` block, each with its proof beside it: the calls of the
-//! `#[target_feature(enable = "avx2")]` functions from the entry points,
-//! and the unaligned vector loads. The arithmetic, convert and shuffle
-//! intrinsics are safe inside those functions.
+//! of `unsafe` block, each with its proof beside it: the call of the
+//! `#[target_feature(enable = "avx2")]` function from the entry point,
+//! and the unaligned vector load. The arithmetic and shuffle intrinsics
+//! are safe inside those functions.
 
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_cvtepi32_ps,
-    _mm256_cvtepi8_epi32, _mm256_extractf128_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadl_epi64, _mm_movehdup_ps,
+    __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
+    _mm256_mul_ps, _mm256_setzero_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehdup_ps,
     _mm_movehl_ps,
 };
 
-use super::{COLUMN_GROUP, DOT_LANES, QUANT_BLOCK};
+use super::{COLUMN_GROUP, DOT_LANES};
 
 /// One 8-lane chunk of a row or a column.
 type Chunk = [f32; DOT_LANES];
@@ -47,22 +43,6 @@ pub(super) fn dot_tile<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut
     // enabled, so every CPU this build may run on has the feature the
     // callee requires.
     unsafe { tiles(rows, xs, out) }
-}
-
-/// The tile of int8 rows at one column, each row a `(values, block scales)`
-/// pair: `out[r][0]` is `dot_q8` of row `r` and `x`. The caller has checked the
-/// shapes and that the rows are whole scale blocks.
-#[inline]
-pub(super) fn dot_column_q8<const R: usize>(
-    rows: [(&[i8], &[f32]); R],
-    x: &[f32],
-    out: [&mut [f32]; R],
-) {
-    let rows = rows.map(|(q, scales)| (q.as_chunks::<QUANT_BLOCK>().0, scales));
-    let x = x.as_chunks::<QUANT_BLOCK>().0;
-    // SAFETY: `column_q8` requires AVX2, which every CPU this build may run
-    // on has: the module only exists under `cfg(target_feature = "avx2")`.
-    unsafe { column_q8(rows, x, out) }
 }
 
 #[target_feature(enable = "avx2")]
@@ -116,35 +96,6 @@ fn tile<const R: usize, const N: usize>(
     }
 }
 
-/// The int8 chains of [`dot_column_q8`]: per scale block, each row's
-/// scale broadcast once, and per 8-lane chunk of the block one load of `x`
-/// for every row.
-#[target_feature(enable = "avx2")]
-fn column_q8<const R: usize>(
-    rows: [(&[[i8; QUANT_BLOCK]], &[f32]); R],
-    x: &[[f32; QUANT_BLOCK]],
-    out: [&mut [f32]; R],
-) {
-    // Re-sliced to one length, as in `tile`.
-    let blocks = x.len();
-    let rows = rows.map(|(q, scales)| (&q[..blocks], &scales[..blocks]));
-    let mut acc = [_mm256_setzero_ps(); R];
-    for b in 0..blocks {
-        let x = x[b].as_chunks::<DOT_LANES>().0;
-        let x: [__m256; QUANT_BLOCK / DOT_LANES] = std::array::from_fn(|c| load(&x[c]));
-        for (acc, (q, scales)) in acc.iter_mut().zip(rows) {
-            let scale = _mm256_set1_ps(scales[b]);
-            for (q, x) in q[b].as_chunks::<DOT_LANES>().0.iter().zip(x) {
-                let w = _mm256_mul_ps(load_q8(q), scale);
-                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(w, x));
-            }
-        }
-    }
-    for (out, acc) in out.into_iter().zip(acc) {
-        out[0] = reduce(acc);
-    }
-}
-
 #[inline]
 #[target_feature(enable = "avx2")]
 fn load(src: &Chunk) -> __m256 {
@@ -152,17 +103,6 @@ fn load(src: &Chunk) -> __m256 {
     // so the eight floats behind its pointer are readable; `loadu` has no
     // alignment requirement.
     unsafe { _mm256_loadu_ps(src.as_ptr()) }
-}
-
-/// Eight int8 weights widened to `f32` (exactly: every `i8` is an `f32`).
-#[inline]
-#[target_feature(enable = "avx2")]
-fn load_q8(src: &[i8; DOT_LANES]) -> __m256 {
-    // SAFETY: `src` is a live array of exactly eight bytes, and `loadl_epi64`
-    // reads the eight bytes behind its pointer, with no alignment
-    // requirement.
-    let bytes = unsafe { _mm_loadl_epi64(src.as_ptr().cast::<__m128i>()) };
-    _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes))
 }
 
 /// `reduce_lanes` without leaving the registers.

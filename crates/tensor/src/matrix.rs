@@ -26,8 +26,8 @@ pub trait WeightRows: Sync {
     /// product with each of the `batch` inputs stored back to back in `xs`,
     /// through the format's fixed-order reduction; zeros where `keep` drops
     /// the row. Neither the batch nor the order the rows are taken in
-    /// changes a bit of the results; both formats take their kept rows a
-    /// tile at a time (four rows at one input).
+    /// changes a bit of the results. `f32` rows go a tile at a time (four
+    /// rows at one input, two at more), int8 rows one at a time.
     fn dot_kept_rows(
         &self,
         first: usize,

@@ -7,9 +7,7 @@
 //! values that quantize to zero, which contribute nothing to the inner
 //! product anyway).
 
-use crate::gemv::{
-    dot_q8, dot_q8_batch, dot_rows_q8, kept_rows_by, COLUMN_ROWS, DOT_LANES, QUANT_BLOCK,
-};
+use crate::gemv::{dot_q8, dot_q8_batch, kept_rows_by, DOT_LANES, QUANT_BLOCK};
 use crate::matrix::WeightRows;
 use crate::{sign::PackedSignMatrix, Matrix};
 
@@ -287,14 +285,6 @@ impl WeightRows for BlockQuantizedMatrix {
         batch: usize,
         out: &mut [f32],
     ) {
-        let row = |r| (self.row(r), self.row_scales(r));
-        if batch == 1 {
-            let tile = |rows: [usize; COLUMN_ROWS], outs: [&mut [f32]; COLUMN_ROWS]| {
-                dot_rows_q8(rows.map(row), xs, outs)
-            };
-            let one = |r, out: &mut [f32]| out[0] = dot_q8(self.row(r), self.row_scales(r), xs);
-            return kept_rows_by((first, keep), 1, out, tile, one);
-        }
         let one = |r, out: &mut [f32]| dot_q8_batch(self.row(r), self.row_scales(r), xs, out);
         kept_rows_by((first, keep), batch, out, |[r], [out]| one(r, out), one);
     }

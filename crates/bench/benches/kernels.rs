@@ -3,11 +3,12 @@
 //! int8 GEMV, the shared weight pass of prefill, and the attention head
 //! kernels. Self-timed with `std::time` (criterion is unavailable offline)
 //! and printed, nothing is written: the *ratios* mirror Table I's
-//! operation-count story, and a full run asserts the ones a kernel
-//! regression would break. Serving latency is `benchmark/`'s job.
+//! operation-count story, and a full run checks the ones a kernel
+//! regression would break, failing at the end if any floor is not met.
+//! Serving latency is `benchmark/`'s job.
 //!
 //! ```text
-//! cargo bench --bench kernels                  # full run, ratio floors asserted
+//! cargo bench --bench kernels                  # full run, ratio floors checked
 //! SPARSEINFER_BENCH_QUICK=1 cargo bench ...    # 1-iter CI smoke, no floors
 //! ```
 

@@ -42,11 +42,11 @@
 //! matrices, beyond L2 (856 µs against 1086), and 0.81× on a 512×256 LM
 //! head in L2 (16.2 µs against 20.7). The `lanes_*` kernels stay the
 //! portable path — no AVX2, or a row that is not whole 8-lane chunks — and
-//! int8 rows run the `lanes_q8_*` kernels row by row at every batch: an
-//! int8 twin of the one-column tile (convert, scale and `x` multiplies,
-//! add per eight weights) read `same` on every end-to-end metric of
-//! `solo_decode` and `open_mixed` over 10 interleaved pairs each. The
-//! tests hold every path to the scalar reference bit for bit.
+//! int8 rows run the `lanes_q8_*` kernels row by row at every batch: a
+//! one-column int8 tile (convert, scale and `x` multiplies, add per eight
+//! weights) measured no end-to-end gain on the benchmark's `solo_decode`
+//! and `open_mixed` workloads over 10 interleaved pairs each. The tests
+//! hold every path to the scalar reference bit for bit.
 //!
 //! Two functions partition a weight matrix across a pool, for B activation
 //! columns under a row filter: [`gemm_rows_into`] (`W · X`, rows split

@@ -144,7 +144,7 @@ fn packed_matrix_equals_per_row_packs() {
 type RowFilter = (&'static str, Vec<bool>);
 
 /// Row filters for the GEMM sweep, each with its label. From two columns on
-/// the kernel takes kept rows two at a time, one from each half of a
+/// the `f32` kernel takes kept rows two at a time, one from each half of a
 /// worker's rows, and at one column four at a time, one from each quarter;
 /// so besides no filter and a random one they leave kept rows that are
 /// never adjacent, a last kept row with no partner, an odd number of kept

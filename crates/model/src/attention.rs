@@ -7,18 +7,15 @@
 //! the accuracy experiments exercise the same residual-stream dynamics as the
 //! paper's models.
 //!
-//! Two entry points share every kernel. [`Attention::forward_ws`] is the
-//! decode path: one token of one session. The batched prefill step
-//! ([`Model::prefill_step`](crate::Model::prefill_step)) projects Q/K/V/O
-//! for every column of the step — a column is one prompt position of one
-//! session, and a session may bring several consecutive ones — in one pass
-//! over each weight matrix, and then gives every column what `forward_ws`
-//! gives its one token: RoPE, the KV push, and scores / softmax / value sum
-//! over that session's own cache up to and including the column's own
-//! position. The columns of one session attend together, up to
-//! [`attn::QUERY_GROUP`] per pass, so a key block is read once for all of them
-//! and a value row once for every two; every column still gets the bits it
-//! would get alone.
+//! One body runs every query: `Attention::step`, the attention of a
+//! forward step ([`Model::step`](crate::Model::step)). It projects Q/K/V/O
+//! for every column of the step in one pass over each weight matrix, and
+//! gives every column RoPE, the KV push, and scores / softmax / value sum
+//! over its session's cache up to and including its own position. The
+//! columns of one session attend together, up to [`attn::QUERY_GROUP`] per
+//! pass, so a key block is read once for all of them and a value row once
+//! for every two; every column still gets the bits it would get alone.
+//! [`Attention::forward`] is the one-column wrapper over a lone cache.
 //! The rotary angles are computed once per position — `head_dim / 2`
 //! `(sin, cos)` pairs — and applied to every head of `q` and `k`, not once
 //! per pair per head.
@@ -34,8 +31,8 @@
 use std::borrow::BorrowMut;
 use std::ops::Range;
 
-use sparseinfer_tensor::gemv::{gemm_rows_into, gemv_into, MIN_MACS_PER_WORKER};
-use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector, Workspace};
+use sparseinfer_tensor::gemv::{gemm_rows_into, MIN_MACS_PER_WORKER};
+use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector};
 
 use crate::kv::{KvDtype, PagedKvCache};
 use crate::model::DecodeSession;
@@ -119,78 +116,38 @@ impl Attention {
         }
     }
 
-    /// Processes one token at `position`, reading and extending `cache` —
-    /// thin wrapper over [`forward_ws`](Self::forward_ws) that owns a
-    /// throwaway workspace (bit-identical to the workspace path, which
-    /// shares every kernel).
-    ///
-    /// Returns the attention output (before the residual connection).
+    /// Processes one token at `position`, reading and extending `cache`,
+    /// and returns the attention output (before the residual connection):
+    /// the one-column step on a throwaway scratch.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.hidden_dim()`.
     pub fn forward(&self, x: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
-        let mut ws = Workspace::new();
-        self.forward_ws(x, position, cache, &ThreadPool::single(), &mut ws)
+        let mut scratch = PrefillScratch::new();
+        scratch.x.copy_from(x.as_slice());
+        self.forward_column(position, cache, &ThreadPool::single(), &mut scratch);
+        scratch.x
     }
 
-    /// Workspace variant of [`forward`](Self::forward): every intermediate
-    /// (q/k/v, scores, head outputs) comes from `ws`, so after warm-up the
-    /// call performs no heap allocation. QKV and output projections are
-    /// row-partitioned across `pool`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.hidden_dim()`.
-    pub fn forward_ws(
+    /// The one-column [`step`](Self::step) at `position` over a lone
+    /// `cache`, moved into a one-layer session and back: `scratch.x` in,
+    /// the output projection left in its place.
+    pub(crate) fn forward_column(
         &self,
-        x: &Vector,
         position: usize,
         cache: &mut PagedKvCache,
         pool: &ThreadPool,
-        ws: &mut Workspace,
-    ) -> Vector {
+        scratch: &mut PrefillScratch,
+    ) {
         let d = self.hidden_dim();
-        assert_eq!(x.len(), d, "attention input length mismatch");
-
-        let mut q = ws.take(d);
-        let mut k = ws.take(d);
-        let mut v = ws.take(d);
-        gemv_into(&self.w_q, x, pool, &mut q);
-        gemv_into(&self.w_k, x, pool, &mut k);
-        gemv_into(&self.w_v, x, pool, &mut v);
-
-        let mut table = ws.take(self.head_dim());
-        Self::rope_table(position, table.as_mut_slice());
-        Self::rope(q.as_mut_slice(), table.as_slice());
-        Self::rope(k.as_mut_slice(), table.as_slice());
-        ws.give(table);
-
-        cache.push(k.as_slice(), v.as_slice());
-        ws.give(k);
-        ws.give(v);
-
-        // One stretch per head, each sized to the held blocks (never short
-        // of the context) so the buffer does not regrow, and reallocate,
-        // token by token.
-        let mut scores = ws.take(self.n_heads * cache.capacity_tokens());
-        let mut out = ws.take(d);
-        self.attend(
-            cache,
-            &mut [Query {
-                q: q.as_slice(),
-                context: cache.len(),
-                scores: scores.as_mut_slice(),
-                out: out.as_mut_slice(),
-            }],
-        );
-        ws.give(q);
-        ws.give(scores);
-
-        let mut result = ws.take(d);
-        gemv_into(&self.w_o, &out, pool, &mut result);
-        ws.give(out);
-        result
+        assert_eq!(scratch.x.len(), d, "attention input length mismatch");
+        scratch.rope.resize(self.head_dim(), 0.0);
+        Self::rope_table(position, scratch.rope.as_mut_slice());
+        let caches = vec![std::mem::replace(cache, PagedKvCache::new(cache.pool()))];
+        let mut session = DecodeSession { caches, position };
+        self.step(0, &mut [(0u32, &mut session)], pool, scratch);
+        *cache = session.caches.pop().expect("the lone cache");
     }
 
     /// Causal attention of up to [`attn::QUERY_GROUP`] queries over one cache —
@@ -201,9 +158,7 @@ impl Attention {
     /// of consecutive prompt positions do; every query's bits are those of
     /// attending alone: a head's scores, softmax and value chains do not
     /// depend on the order heads and runs are visited in, as long as each
-    /// head takes its runs in ascending order. Shared by the decode path
-    /// (one query) and the batched prefill step (a session's columns), so
-    /// both produce the same bits; and by both KV dtypes.
+    /// head takes its runs in ascending order. Shared by both KV dtypes.
     fn attend(&self, cache: &PagedKvCache, queries: &mut [Query<'_>]) {
         match cache.dtype() {
             KvDtype::F32 => self.attend_runs(|t| cache.run(t), queries),
@@ -265,19 +220,14 @@ impl Attention {
         });
     }
 
-    /// The attention block of one batched prefill step (see
-    /// [`Model::prefill_step`](crate::Model::prefill_step)): reads the
-    /// normed inputs from `scratch.x` (one per column, session-major) and
-    /// leaves the output projection in `scratch.proj` (per row). Q/K/V/O
-    /// are one weight pass each for all columns. RoPE (from `scratch.rope`)
-    /// and the KV push into the session's layer-`li` cache run column by
-    /// column in position order; [`attend`](Self::attend) then takes each
-    /// column over the cache *up to that column's own position* — what
-    /// [`forward_ws`](Self::forward_ws) sees when the positions arrive one
-    /// call at a time — with the columns spread across `pool` and the
-    /// columns of one session on one worker attending together, up to
-    /// [`attn::QUERY_GROUP`] per call.
-    pub(crate) fn prefill_batch<T, S>(
+    /// The attention of one step (see [`Model::step`](crate::Model::step))
+    /// at layer `li`: the normed inputs in `scratch.x` (per column), the
+    /// output projection left in their place. RoPE (from
+    /// `scratch.rope`) and the KV push run column by column in position
+    /// order; [`attend`](Self::attend) then takes each column over its
+    /// cache *up to its own position*, the columns spread across `pool`
+    /// and one session's columns on one worker attending together.
+    pub(crate) fn step<T, S>(
         &self,
         li: usize,
         batch: &mut [(T, S)],
@@ -316,8 +266,8 @@ impl Attention {
                 );
                 scratch.columns.push((i, cache.len()));
             }
-            // As in `forward_ws`: sized to the held blocks, so the scratch
-            // regrows only when a cache takes a block.
+            // Sized to the held blocks, so the scratch regrows only when a
+            // cache takes a block.
             context = context.max(cache.len());
             score_len = score_len.max(cache.capacity_tokens());
         }
@@ -367,14 +317,9 @@ impl Attention {
         {
             out.copy_from_slice(&lane[..d]);
         }
-        gemm_rows_into(
-            &self.w_o,
-            scratch.x.as_slice(),
-            b,
-            |_| true,
-            pool,
-            &mut scratch.proj,
-        );
+        let (x, proj) = (scratch.x.as_slice(), &mut scratch.proj);
+        gemm_rows_into(&self.w_o, x, b, |_| true, pool, proj);
+        per_column(scratch.proj.as_slice(), b, &mut scratch.x);
     }
 }
 
@@ -586,15 +531,11 @@ pub(crate) mod tests {
         let pool = KvBlockPool::new(3); // deliberately unaligned
         let mut contiguous = PagedKvCache::with_capacity(16, 16);
         let mut paged = PagedKvCache::new(&pool);
-        let mut ws = Workspace::new();
-        let tp = ThreadPool::single();
         for pos in 0..10 {
             let x = Vector::from_fn(16, |i| ((i * 5 + pos * 2) as f32 * 0.17).sin());
-            let a = attn.forward_ws(&x, pos, &mut contiguous, &tp, &mut ws);
-            let b = attn.forward_ws(&x, pos, &mut paged, &tp, &mut ws);
+            let a = attn.forward(&x, pos, &mut contiguous);
+            let b = attn.forward(&x, pos, &mut paged);
             assert_eq!(a, b, "position {pos}");
-            ws.give(a);
-            ws.give(b);
         }
         assert_eq!(contiguous.blocks_held(), 1);
         assert_eq!(paged.len(), 10);
@@ -707,16 +648,19 @@ pub(crate) mod tests {
 
     #[test]
     fn workspace_forward_is_bitwise_identical_to_plain_forward() {
+        // One scratch recycled across positions and a pool of workers, as
+        // the engines run the step, against a fresh scratch per call.
         let attn = random_attention(9, 16, 2);
         let mut c1 = PagedKvCache::with_capacity(16, 16);
         let mut c2 = PagedKvCache::with_capacity(16, 16);
-        let mut ws = Workspace::new();
-        let pool = ThreadPool::single();
+        let mut scratch = PrefillScratch::new();
+        let pool = ThreadPool::new(sparseinfer_tensor::ParallelOptions::threads(2));
         for pos in 0..6 {
             let x = Vector::from_fn(16, |i| ((i + pos * 3) as f32 * 0.21).sin());
             let plain = attn.forward(&x, pos, &mut c1);
-            let via_ws = attn.forward_ws(&x, pos, &mut c2, &pool, &mut ws);
-            assert_eq!(plain, via_ws, "position {pos}");
+            scratch.x.copy_from(x.as_slice());
+            attn.forward_column(pos, &mut c2, &pool, &mut scratch);
+            assert_eq!(plain, scratch.x, "position {pos}");
         }
     }
 
@@ -735,21 +679,16 @@ pub(crate) mod tests {
         let mut full = PagedKvCache::with_capacity(16, 16);
         assert_eq!(half_a.dtype(), KvDtype::F16);
         assert_eq!(full.dtype(), KvDtype::F32);
-        let mut ws = Workspace::new();
-        let tp = ThreadPool::single();
         let mut max_rel = 0.0f32;
         for pos in 0..10 {
             let x = Vector::from_fn(16, |i| ((i * 5 + pos * 2) as f32 * 0.17).sin());
-            let a = attn.forward_ws(&x, pos, &mut half_a, &tp, &mut ws);
-            let b = attn.forward_ws(&x, pos, &mut half_b, &tp, &mut ws);
-            let f = attn.forward_ws(&x, pos, &mut full, &tp, &mut ws);
+            let a = attn.forward(&x, pos, &mut half_a);
+            let b = attn.forward(&x, pos, &mut half_b);
+            let f = attn.forward(&x, pos, &mut full);
             assert_eq!(a, b, "position {pos}: layout must not matter");
             let norm: f32 = f.iter().map(|v| v.abs()).sum::<f32>() + 1e-6;
             let diff: f32 = a.iter().zip(f.iter()).map(|(p, q)| (p - q).abs()).sum();
             max_rel = max_rel.max(diff / norm);
-            ws.give(a);
-            ws.give(b);
-            ws.give(f);
         }
         assert!(max_rel < 2e-3, "f16 KV drifted {max_rel} from f32");
         assert_eq!(

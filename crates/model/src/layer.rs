@@ -1,13 +1,13 @@
 //! One decoder layer: norm → attention → residual, norm → MLP → residual.
 //!
 //! [`DecoderLayer::forward`] is the dense reference for one position of one
-//! session; [`attention_half_ws`](DecoderLayer::attention_half_ws) is the
-//! half engines share before running their own MLP. The layer's share of
-//! the batched prefill step
-//! ([`Model::prefill_step`](crate::Model::prefill_step)) runs the same
-//! sequence for every column of the step — one prompt position of one
-//! session — with one pass over each weight matrix, each column's residual
-//! row bitwise what `forward` makes of it.
+//! session. The layer's share of a forward step
+//! ([`Model::step`](crate::Model::step)) runs the same sequence for every
+//! column of the step — one position of one session — with one pass over
+//! each weight matrix, each column's MLP under its own row filter and each
+//! column's residual row bitwise what `forward` makes of it under that
+//! filter. [`attention_half_ws`](DecoderLayer::attention_half_ws) is the
+//! step's attention half at one column over a lone cache.
 
 use std::borrow::BorrowMut;
 
@@ -15,10 +15,10 @@ use sparseinfer_tensor::{ThreadPool, Vector, Workspace};
 
 use crate::attention::Attention;
 use crate::kv::PagedKvCache;
-use crate::mlp::{gated_mlp_into, GatedMlp};
+use crate::mlp::GatedMlp;
 use crate::model::DecodeSession;
 use crate::norm::RmsNorm;
-use crate::prefill::{PrefillScratch, PromptTokens};
+use crate::prefill::{MlpHook, PrefillScratch, PromptTokens};
 
 /// A pre-norm decoder layer (Llama topology).
 #[derive(Debug, Clone)]
@@ -63,24 +63,9 @@ impl DecoderLayer {
         &mut self.mlp
     }
 
-    /// The pre-MLP norm. Exposed so sparse engines can reproduce the exact
-    /// MLP input (`X = mlp_norm(h)`) that the dense path sees.
-    pub fn mlp_norm(&self) -> &RmsNorm {
-        &self.mlp_norm
-    }
-
     /// Runs attention and its residual, returning the hidden state *before*
-    /// the MLP sub-block. Split out so sparse engines can substitute their
-    /// own MLP execution while sharing the attention path. Thin wrapper
-    /// over [`attention_half_ws`](Self::attention_half_ws).
-    pub fn attention_half(&self, h: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
-        let mut ws = Workspace::new();
-        self.attention_half_ws(h, position, cache, &ThreadPool::single(), &mut ws)
-    }
-
-    /// Workspace variant of [`attention_half`](Self::attention_half): the
-    /// returned vector and every intermediate come from `ws` (give the
-    /// result back to `ws` when done). Bit-identical to the wrapper.
+    /// the MLP sub-block: the attention half of a one-column step, the
+    /// returned vector taken from `ws` (give it back when done).
     pub fn attention_half_ws(
         &self,
         h: &Vector,
@@ -89,12 +74,16 @@ impl DecoderLayer {
         pool: &ThreadPool,
         ws: &mut Workspace,
     ) -> Vector {
-        let mut normed = ws.take(h.len());
-        self.attn_norm.forward_into(h, &mut normed);
-        let mut out = self.attn.forward_ws(&normed, position, cache, pool, ws);
-        ws.give(normed);
+        let mut scratch = PrefillScratch::new();
+        scratch.x.resize(h.len(), 0.0);
+        self.attn_norm
+            .forward_slice(h.as_slice(), scratch.x.as_mut_slice());
+        self.attn
+            .forward_column(position, cache, pool, &mut scratch);
+        let mut out = ws.take(0);
+        out.copy_from(scratch.x.as_slice());
         // Residual: x + y is commutative bitwise, so accumulating the
-        // residual into the attention output equals the seed's h + attn.
+        // residual into the attention output equals the step's h + attn.
         out.add_assign(h);
         out
     }
@@ -104,69 +93,52 @@ impl DecoderLayer {
         self.attn.n_heads()
     }
 
-    /// This layer's share of one batched prefill step (see
-    /// [`Model::prefill_step`](crate::Model::prefill_step)): advances every
-    /// column's residual row in `scratch.h` through norm → attention →
-    /// residual → norm → MLP → residual, each row bitwise what
-    /// [`forward`](Self::forward) makes of it. `li` is this layer's index,
-    /// selecting each session's KV cache.
-    pub(crate) fn prefill_batch<T, S>(
+    /// This layer's share of one forward step (see
+    /// [`Model::step`](crate::Model::step)): advances every column's
+    /// residual row in `scratch.h` through norm → attention → residual →
+    /// norm → `hook`'s MLP → residual, each row bitwise what
+    /// [`forward`](Self::forward) makes of it when the hook keeps every
+    /// row. `li` is this layer's index, selecting each session's KV cache.
+    pub(crate) fn step<T, S, H>(
         &self,
         li: usize,
         batch: &mut [(T, S)],
+        hook: &mut H,
         pool: &ThreadPool,
         scratch: &mut PrefillScratch,
     ) where
         T: PromptTokens,
         S: BorrowMut<DecodeSession> + Sync,
+        H: MlpHook,
     {
-        let d = self.hidden_dim();
-        let b = scratch.h.len() / d;
-        let norm_rows = |norm: &RmsNorm, scratch: &mut PrefillScratch| {
-            let rows = scratch.h.as_slice().chunks_exact(d);
-            for (h, x) in rows.zip(scratch.x.as_mut_slice().chunks_exact_mut(d)) {
-                norm.forward_slice(h, x);
-            }
-        };
         norm_rows(&self.attn_norm, scratch);
-        self.attn.prefill_batch(li, batch, pool, scratch);
-        for (i, h) in scratch.h.as_mut_slice().chunks_exact_mut(d).enumerate() {
-            for (slot, row) in h.iter_mut().zip(scratch.proj.as_slice().chunks_exact(b)) {
-                *slot += row[i];
-            }
-        }
+        self.attn.step(li, batch, pool, scratch);
+        scratch.h.add_assign(&scratch.x);
         norm_rows(&self.mlp_norm, scratch);
-        // Every row predicted active, and the exact zeros after the gate
-        // skipped: the dense block, bitwise, at a fraction of its work.
-        gated_mlp_into(
-            &self.mlp,
-            scratch.x.as_slice(),
-            b,
-            |_| true,
-            true,
-            pool,
-            &mut scratch.gate,
-            &mut scratch.proj,
-            &mut scratch.mlp_out,
-        );
-        for (slot, y) in scratch
-            .h
-            .as_mut_slice()
-            .iter_mut()
-            .zip(scratch.mlp_out.iter())
-        {
-            *slot += y;
-        }
+        hook.mlp(li, &self.mlp, scratch.x.as_slice(), pool, &mut scratch.mlp);
+        scratch.h.add_assign(&scratch.mlp.out);
     }
 
-    /// Dense forward pass through the full layer.
+    /// Dense forward pass through the full layer — the reference the step
+    /// reproduces.
     pub fn forward(&self, h: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
-        let mid = self.attention_half(h, position, cache);
+        let pool = ThreadPool::single();
+        let mid = self.attention_half_ws(h, position, cache, &pool, &mut Workspace::new());
         let x = self.mlp_norm.forward(&mid);
         let mlp_out = self.mlp.forward(&x);
         let mut out = mid;
         out.add_assign(&mlp_out);
         out
+    }
+}
+
+/// `scratch.x` = `norm` of every residual row of `scratch.h`.
+fn norm_rows(norm: &RmsNorm, scratch: &mut PrefillScratch) {
+    let d = norm.dim();
+    scratch.x.resize(scratch.h.len(), 0.0);
+    let rows = scratch.h.as_slice().chunks_exact(d);
+    for (h, x) in rows.zip(scratch.x.as_mut_slice().chunks_exact_mut(d)) {
+        norm.forward_slice(h, x);
     }
 }
 
@@ -194,8 +166,9 @@ mod tests {
         let full = l.forward(&h, 0, &mut c1);
 
         let mut c2 = PagedKvCache::with_capacity(16, 1);
-        let mid = l.attention_half(&h, 0, &mut c2);
-        let x = l.mlp_norm().forward(&mid);
+        let (pool, mut ws) = (ThreadPool::single(), Workspace::new());
+        let mid = l.attention_half_ws(&h, 0, &mut c2, &pool, &mut ws);
+        let x = l.mlp_norm.forward(&mid);
         let mut manual = mid.clone();
         manual.add_assign(&l.mlp().forward(&x));
 

@@ -55,9 +55,9 @@ pub use activation::Activation;
 pub use config::ModelConfig;
 pub use kv::{KvBlockPool, KvDtype, PagedKvCache, PrefixHit, PrefixIndex, SharedKvBlock};
 pub use layer::DecoderLayer;
-pub use mlp::{gated_mlp_into, GatedMlp, MlpWeights};
+pub use mlp::{gated_mlp_into, GatedMlp, MlpBuffers, MlpWeights};
 pub use model::Model;
-pub use prefill::{PrefillScratch, PromptChunk, PromptTokens, PREFILL_CHUNK};
+pub use prefill::{MlpHook, PrefillScratch, PromptChunk, PromptTokens, PREFILL_CHUNK};
 pub use sampling::Sampler;
 pub use tokenizer::ByteTokenizer;
 pub use trace::MlpTrace;

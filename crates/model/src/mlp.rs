@@ -8,9 +8,10 @@
 //! output sparsity skips rows (§IV-B4).
 //!
 //! [`GatedMlp::forward`] is the dense reference. [`gated_mlp_into`] is the
-//! one executor every engine runs, over any weight storage
-//! ([`MlpWeights`]): prefill at B inputs with every row predicted active,
-//! the sparse crate's decode at one input under a predictor's mask.
+//! one executor every forward step runs, over any weight storage
+//! ([`MlpWeights`]) and at any number of inputs, each under its own row
+//! filter: prefill keeps every row, a sparse engine's decode and verify
+//! columns keep their predicted ones.
 
 use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed};
 use sparseinfer_tensor::{Matrix, ThreadPool, Vector, WeightRows};
@@ -37,57 +38,103 @@ impl MlpWeights for GatedMlp {
     }
 }
 
-/// Steps 1–4 of §III for `batch` inputs (back to back in `xs`), gate
-/// before up as §IV argues, one pass over each weight matrix. The buffers
-/// are resized in place and leave, per row (`[k][b]`; `out` per input,
-/// `[b][d]`):
+/// Steps 1–4 of §III for the inputs `xs` (back to back, `[b][d]`), gate
+/// before up as §IV argues, one pass over each weight matrix, input `b`
+/// keeping row `r` when `keeps(b, r)`. The buffers of `bufs` are resized
+/// in place and leave, per row (`[k][b]`):
 ///
-/// 1. `gate` — `h1`: [`gemm_rows_into`] under `predicted`, then the
-///    activation. A dropped row is never loaded; its `h1` is
-///    `activation(0)`, zero for the ReLU family (the paper's approximation).
-/// 2. The filter of steps 2–4: a row `predicted` keeps and, with
+/// 1. `gate` — `h1`: [`gemm_rows_into`] over the rows some input keeps,
+///    `+0.0` where an input drops the row (what a one-input call leaves),
+///    then the activation — zero at zero for the ReLU family (the paper's
+///    approximation), and zero at zero for every [`Activation`].
+/// 2. The filter of steps 2–4 (`rows`): a row some input keeps and, with
 ///    `actual_sparsity`, whose `h1` is non-zero for some input (§IV).
 /// 3. `h3` — the up projection under that filter, times `h1`.
-/// 4. `out` — [`gemm_transposed_rows_into`] under the filter, which with
-///    `actual_sparsity` also skips an input's zero `h3` entries.
+/// 4. `out` (per input, `[b][d]`) — [`gemm_transposed_rows_into`] under
+///    the filter, which with `actual_sparsity` also skips an input's zero
+///    `h3` entries.
 ///
-/// Each input's output is bitwise its own `batch = 1` call, and
-/// `actual_sparsity` moves no bit of it (a zero `h1` makes `h3` a zero
-/// whatever the finite `h2`, and skipping a zero is exact in the down
-/// projection). With every row kept it is bitwise [`GatedMlp::forward`].
+/// Each input's output is bitwise its own one-input call, and
+/// `actual_sparsity` moves no bit: where the filter loads a row that an
+/// input drops, or whose `h1` is zero for it, that input's `h3` is `±0` (a
+/// zero `h1` times a finite `h2`), and adding `w · (±0)` to the down
+/// projection's accumulators, which start at `+0.0`, never changes a bit.
+/// With every row kept it is bitwise [`GatedMlp::forward`].
 ///
 /// # Panics
 ///
-/// Panics if `xs.len() != batch * d`.
-#[allow(clippy::too_many_arguments)] // the hot path threads every resource explicitly
+/// Panics if `xs` is not a whole number of `d`-wide inputs.
 pub fn gated_mlp_into<M: MlpWeights>(
     mlp: &M,
     xs: &[f32],
-    batch: usize,
-    predicted: impl Fn(usize) -> bool + Sync,
+    keeps: impl Fn(usize, usize) -> bool + Sync,
     actual_sparsity: bool,
     pool: &ThreadPool,
-    gate: &mut Vector,
-    h3: &mut Vector,
-    out: &mut Vector,
+    bufs: &mut MlpBuffers,
 ) {
     let (w_gate, w_up, w_down_t, activation) = mlp.parts();
     debug_assert!(
         !actual_sparsity || xs.iter().all(|v| v.is_finite()),
         "mlp input must be finite for the zero-gate row skip to be exact"
     );
-    gemm_rows_into(w_gate, xs, batch, &predicted, pool, gate);
+    let MlpBuffers {
+        gate,
+        h3,
+        rows,
+        out,
+    } = bufs;
+    let batch = xs.len() / w_gate.cols();
+    // The filters as one flag per row (a load and a compare in the kernels'
+    // row walks): first the rows some input keeps.
+    rows.resize(w_gate.rows(), 0.0);
+    for (r, flag) in rows.as_mut_slice().iter_mut().enumerate() {
+        *flag = f32::from((0..batch).any(|b| keeps(b, r)));
+    }
+    let loads = |r: usize| rows[r] != 0.0;
+    gemm_rows_into(w_gate, xs, batch, loads, pool, gate);
+    // An input that drops a row others load gets the `+0.0` its own call
+    // would leave there.
+    if batch > 1 {
+        for (r, row) in gate.as_mut_slice().chunks_exact_mut(batch).enumerate() {
+            for (b, g) in row.iter_mut().enumerate() {
+                if !keeps(b, r) {
+                    *g = 0.0;
+                }
+            }
+        }
+    }
     activation.apply_slice(gate.as_mut_slice());
-    let h1 = gate.as_slice();
-    let keep = |r: usize| {
-        predicted(r) && (!actual_sparsity || h1[r * batch..][..batch].iter().any(|v| *v != 0.0))
-    };
-    gemm_rows_into(w_up, xs, batch, keep, pool, h3);
-    for (h, g) in h3.as_mut_slice().iter_mut().zip(h1) {
+    if actual_sparsity {
+        for (flag, h1) in rows
+            .as_mut_slice()
+            .iter_mut()
+            .zip(gate.as_slice().chunks_exact(batch))
+        {
+            if h1.iter().all(|v| *v == 0.0) {
+                *flag = 0.0;
+            }
+        }
+    }
+    let loads = |r: usize| rows[r] != 0.0;
+    gemm_rows_into(w_up, xs, batch, loads, pool, h3);
+    for (h, g) in h3.as_mut_slice().iter_mut().zip(gate.as_slice()) {
         *h *= g;
     }
     let skip_zeros = actual_sparsity;
-    gemm_transposed_rows_into(w_down_t, h3.as_slice(), batch, keep, skip_zeros, pool, out);
+    gemm_transposed_rows_into(w_down_t, h3.as_slice(), batch, loads, skip_zeros, pool, out);
+}
+
+/// The buffers of [`gated_mlp_into`], recycled across calls.
+#[derive(Debug, Default)]
+pub struct MlpBuffers {
+    /// Post-activation gate values, per row (`[k][b]`).
+    pub gate: Vector,
+    /// Up projection times the gate, per row (`[k][b]`).
+    pub h3: Vector,
+    /// Per row, `1.0` when steps 2–4 load it, else `0.0`.
+    pub rows: Vector,
+    /// The output, per input (`[b][d]`).
+    pub out: Vector,
 }
 
 /// One gated MLP block with skip-friendly weight layout.

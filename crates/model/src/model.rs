@@ -1,24 +1,26 @@
 //! The full decoder-only model: embedding → layers → final norm → LM head.
 //!
-//! Two dense forward passes live here. [`Model::forward_token`] is the
-//! allocating reference: one position of one session, logits out.
-//! [`Model::prefill_step`] is what prefill runs on: some consecutive prompt
-//! positions of each of `B` sessions in **one pass over the weights**, no
-//! final norm and no LM head (prefill logits are never read), everything
-//! out of a recycled [`PrefillScratch`] — and each session's KV and residual
-//! stream bitwise what `forward_token`, position by position, would have
-//! left. A batch of one session with one position is the same code.
+//! One forward body runs every position: [`Model::step`], some consecutive
+//! positions of each of `B` sessions in **one pass over the weights** —
+//! a prompt chunk, a decode token, a speculative verify run — each
+//! column's MLP under its caller's row filter and logits for the columns
+//! that want them, everything out of a recycled [`PrefillScratch`].
+//! Each session's KV and logits are bitwise what the column would get in
+//! a step of its own. [`Model::prefill_step`] is the call with every row
+//! kept and no logits. [`Model::forward_token`] is the allocating dense
+//! reference the step reproduces: one position of one session, logits out.
 
 use std::borrow::BorrowMut;
 
-use sparseinfer_tensor::{gemv::gemv_into, Matrix, ThreadPool, Vector, Workspace};
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemv};
+use sparseinfer_tensor::{Matrix, ThreadPool, Vector};
 
 use crate::attention::Attention;
 use crate::config::ModelConfig;
 use crate::kv::{KvBlockPool, PagedKvCache, PrefixHit, DEFAULT_BLOCK_TOKENS};
 use crate::layer::DecoderLayer;
 use crate::norm::RmsNorm;
-use crate::prefill::{PrefillScratch, PromptTokens, PREFILL_CHUNK};
+use crate::prefill::{per_column, MlpHook, PrefillScratch, PromptTokens, PREFILL_CHUNK};
 
 /// A decoder-only transformer with tied decode state.
 ///
@@ -80,43 +82,6 @@ impl Model {
     /// Mutable access to the decoder layers (ReLUfication demos).
     pub fn layers_mut(&mut self) -> &mut [DecoderLayer] {
         &mut self.layers
-    }
-
-    /// Embeds a token id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token as usize >= vocab_size`.
-    pub fn embed(&self, token: u32) -> Vector {
-        Vector::from_vec(self.embedding.row(token as usize).to_vec())
-    }
-
-    /// Embeds a token id into a caller-provided buffer (no allocation once
-    /// its capacity suffices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token as usize >= vocab_size`.
-    pub fn embed_into(&self, token: u32, out: &mut Vector) {
-        out.copy_from(self.embedding.row(token as usize));
-    }
-
-    /// Projects a final hidden state to logits.
-    pub fn logits(&self, h: &Vector) -> Vector {
-        let mut out = Vector::zeros(0);
-        let mut ws = Workspace::new();
-        self.logits_into(h, &ThreadPool::single(), &mut ws, &mut out);
-        out
-    }
-
-    /// Projects a final hidden state to logits into a caller-provided
-    /// buffer, with the LM-head GEMV row-partitioned across `pool`.
-    /// Bit-identical to [`logits`](Self::logits), which wraps this.
-    pub fn logits_into(&self, h: &Vector, pool: &ThreadPool, ws: &mut Workspace, out: &mut Vector) {
-        let mut normed = ws.take(h.len());
-        self.final_norm.forward_into(h, &mut normed);
-        gemv_into(&self.lm_head, &normed, pool, out);
-        ws.give(normed);
     }
 
     /// Starts a decode session (fresh KV caches at position 0) over a
@@ -197,48 +162,121 @@ impl Model {
         }
     }
 
-    /// Dense forward pass of one token through all layers; advances the
-    /// session and returns the logits.
+    /// Dense forward pass of one token through all layers — the reference
+    /// [`step`](Self::step) reproduces; advances the session and returns
+    /// the logits.
     ///
     /// # Panics
     ///
-    /// Panics if the session's cache count does not match this model.
+    /// Panics if the session's cache count does not match this model, or
+    /// if `token as usize >= vocab_size`.
     pub fn forward_token(&self, token: u32, session: &mut DecodeSession) -> Vector {
         assert_eq!(
             session.caches.len(),
             self.layers.len(),
             "session/model mismatch"
         );
-        let mut h = self.embed(token);
+        let mut h = Vector::from_vec(self.embedding.row(token as usize).to_vec());
         for (layer, cache) in self.layers.iter().zip(session.caches.iter_mut()) {
             h = layer.forward(&h, session.position, cache);
         }
         session.position += 1;
-        self.logits(&h)
+        gemv(&self.lm_head, &self.final_norm.forward(&h))
     }
 
-    /// One dense prefill step for a batch of sessions of this model: feeds
-    /// each session its `tokens` — one or several consecutive prompt tokens
-    /// (see [`PromptTokens`]) — starting at `session.position`, extending its
-    /// KV caches and advancing its position by their number, with **one
-    /// pass over the weights** for every position of every session.
-    /// Sessions may sit at different positions, bring different numbers of
-    /// tokens and page their KV from different pools (any block size, `f32`
-    /// or `f16`); a position attends over its session's cache up to and
-    /// including itself, so each session's KV contents, and so every later
-    /// logit, are bitwise what [`forward_token`](Self::forward_token) would
-    /// have produced one position at a time. No logits are computed:
-    /// prefill never reads them, and the position whose logits *are*
-    /// sampled goes through an engine instead.
+    /// One forward step for a batch of sessions of this model: feeds each
+    /// session its `tokens` (see [`PromptTokens`]) from `session.position`
+    /// on, extending its KV caches and advancing its position by their
+    /// number, with **one pass over the weights** for every position of
+    /// every session (a *column*, session-major). Sessions may sit at
+    /// different positions and page their KV from different pools (any
+    /// block size, `f32` or `f16`); a column attends over its session's
+    /// cache up to and including itself.
     ///
-    /// Projections partition their weight rows across `pool`, attention its
-    /// positions; results do not depend on the thread count. Everything
-    /// comes out of `scratch`, so a step at a position count and context
-    /// the scratch has seen allocates nothing (KV growth aside).
+    /// Each layer's MLP is `hook`'s (see [`MlpHook`]): the layer's block or
+    /// another storage of it, each column under the rows the hook keeps
+    /// for it. The columns `wants_logits` picks get their logits, in column
+    /// order, in `logits` (resized in place): one final norm and LM-head
+    /// pass over them.
     ///
-    /// `S` is `&mut DecodeSession` or an owned `DecodeSession` — the latter
-    /// lets a caller gather sessions into a recycled `Vec` and hand them
-    /// back afterwards.
+    /// Every column's KV and logits are bitwise those of its position fed
+    /// alone, at any thread count; with every row kept, what
+    /// [`forward_token`](Self::forward_token) produces. Everything comes out
+    /// of `scratch`, so a step at a column count and context the scratch
+    /// has seen allocates nothing (KV growth aside). `S` is
+    /// `&mut DecodeSession` or an owned `DecodeSession`, which lets a
+    /// caller gather sessions into a recycled `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a session's cache count does not match this model, or if
+    /// `logits` does not hold one vector per column `wants_logits` picks.
+    pub fn step<T, S, H>(
+        &self,
+        batch: &mut [(T, S)],
+        hook: &mut H,
+        wants_logits: impl Fn(usize) -> bool,
+        logits: &mut [Vector],
+        pool: &ThreadPool,
+        scratch: &mut PrefillScratch,
+    ) where
+        T: PromptTokens,
+        S: BorrowMut<DecodeSession> + Sync,
+        H: MlpHook,
+    {
+        let d = self.config.hidden_dim;
+        let head_dim = d / self.config.n_heads;
+        let columns: usize = batch.iter().map(|(t, _)| t.tokens().len()).sum();
+        scratch.h.resize(columns * d, 0.0);
+        scratch.rope.resize(columns * head_dim, 0.0);
+        let rows = scratch.h.as_mut_slice().chunks_exact_mut(d);
+        let tables = scratch.rope.as_mut_slice().chunks_exact_mut(head_dim);
+        // Session-major: a session's tokens side by side, each at the next
+        // position.
+        let positions = batch.iter().flat_map(|(tokens, session)| {
+            let session: &DecodeSession = session.borrow();
+            assert_eq!(
+                session.caches.len(),
+                self.layers.len(),
+                "session/model mismatch"
+            );
+            tokens.tokens().iter().zip(session.position..)
+        });
+        for (((token, position), h), table) in positions.zip(rows).zip(tables) {
+            h.copy_from_slice(self.embedding.row(*token as usize));
+            Attention::rope_table(position, table);
+        }
+        if columns > 0 {
+            for (li, layer) in self.layers.iter().enumerate() {
+                layer.step(li, batch, hook, pool, scratch);
+            }
+        }
+        for (tokens, session) in batch.iter_mut() {
+            session.borrow_mut().position += tokens.tokens().len();
+        }
+
+        let (wanted, n) = ((0..columns).filter(|&c| wants_logits(c)), logits.len());
+        assert_eq!(wanted.clone().count(), n, "a logits vector per column");
+        if n == 0 {
+            return;
+        }
+        let (h, x) = (scratch.h.as_slice(), &mut scratch.x);
+        x.resize(n * d, 0.0);
+        for (c, x) in wanted.zip(x.as_mut_slice().chunks_exact_mut(d)) {
+            self.final_norm.forward_slice(&h[c * d..][..d], x);
+        }
+        let (x, proj) = (scratch.x.as_slice(), &mut scratch.proj);
+        gemm_rows_into(&self.lm_head, x, n, |_| true, pool, proj);
+        per_column(scratch.proj.as_slice(), n, &mut scratch.q);
+        let columns = scratch.q.as_slice().chunks_exact(self.config.vocab_size);
+        for (out, column) in logits.iter_mut().zip(columns) {
+            out.copy_from(column);
+        }
+    }
+
+    /// One dense prefill step: [`step`](Self::step) keeping every row of
+    /// every layer's own MLP, and no logits (prefill never reads them;
+    /// the position whose logits *are* sampled goes through an engine).
     ///
     /// # Panics
     ///
@@ -252,35 +290,7 @@ impl Model {
         T: PromptTokens,
         S: BorrowMut<DecodeSession> + Sync,
     {
-        let d = self.config.hidden_dim;
-        let head_dim = d / self.config.n_heads;
-        let columns: usize = batch.iter().map(|(t, _)| t.tokens().len()).sum();
-        scratch.h.resize(columns * d, 0.0);
-        scratch.x.resize(columns * d, 0.0);
-        scratch.rope.resize(columns * head_dim, 0.0);
-        let rows = scratch.h.as_mut_slice().chunks_exact_mut(d);
-        let tables = scratch.rope.as_mut_slice().chunks_exact_mut(head_dim);
-        // Session-major: a session's tokens side by side, each at the next
-        // position.
-        let columns = batch.iter().flat_map(|(tokens, session)| {
-            let session: &DecodeSession = session.borrow();
-            assert_eq!(
-                session.caches.len(),
-                self.layers.len(),
-                "session/model mismatch"
-            );
-            tokens.tokens().iter().zip(session.position..)
-        });
-        for (((token, position), h), table) in columns.zip(rows).zip(tables) {
-            h.copy_from_slice(self.embedding.row(*token as usize));
-            Attention::rope_table(position, table);
-        }
-        for (li, layer) in self.layers.iter().enumerate() {
-            layer.prefill_batch(li, batch, pool, scratch);
-        }
-        for (tokens, session) in batch.iter_mut() {
-            session.borrow_mut().position += tokens.tokens().len();
-        }
+        self.step(batch, &mut (), |_| false, &mut [], pool, scratch);
     }
 
     /// Runs a whole prompt densely, returning the logits after the last

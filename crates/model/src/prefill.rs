@@ -1,26 +1,20 @@
-//! Inputs and scratch of the batched dense-prefill step
-//! ([`Model::prefill_step`](crate::Model::prefill_step)).
+//! Inputs, caller hook and scratch of the forward step
+//! ([`Model::step`](crate::Model::step)).
 //!
-//! One step feeds some consecutive prompt positions of each of `B` sessions
-//! through the model with **one pass over the weights**. Its unit is the
-//! *column*: one prompt position of one session, columns ordered
-//! session-major (a session's positions next to each other, ascending).
-//! Every projection is a
+//! A step's unit is the *column*: one position of one session, columns
+//! ordered session-major (a session's positions side by side, ascending).
+//! Every projection is one
 //! [`gemm_rows_into`](sparseinfer_tensor::gemv::gemm_rows_into) over all
-//! the columns, and only RoPE, the KV push and the attention over a
-//! session's own cache run per column. Two layouts recur:
-//!
-//! * **per column** — `[c][n]`, column `c`'s vector contiguous: what the
-//!   norms, RoPE, attention and the kernels' *inputs* want;
-//! * **per row** — `[row][c]`, as the GEMM leaves its *output* (a weight
-//!   row's results for every column together, so rows partition across a
-//!   pool with one writer per element); the MLP's down projection leaves
-//!   its output per column.
-//!
-//! Every buffer is resized in place each step, so after the first step at
-//! a given column count and context the step allocates nothing.
+//! the columns; RoPE, the KV push and attention run per column. Buffers
+//! hold either **per column** (`[c][n]`: norms, RoPE, attention, the
+//! kernels' inputs) or **per row** (`[row][c]`: the GEMM's output, so rows
+//! partition across a pool with one writer per element). Every buffer is
+//! resized in place, so after a step at a given column count and context
+//! the step allocates nothing.
 
-use sparseinfer_tensor::Vector;
+use sparseinfer_tensor::{ThreadPool, Vector};
+
+use crate::mlp::{gated_mlp_into, GatedMlp, MlpBuffers};
 
 /// Prompt positions a session absorbs per prefill step when nothing waits
 /// on the step (see [`Model::prefill_session`](crate::Model::prefill_session)
@@ -28,11 +22,11 @@ use sparseinfer_tensor::Vector;
 /// kernels, so a lone session's weight pass is as dense as four slots'.
 pub const PREFILL_CHUNK: usize = sparseinfer_tensor::gemv::COLUMN_GROUP;
 
-/// The consecutive prompt tokens one session absorbs in one
-/// [`Model::prefill_step`](crate::Model::prefill_step): a single `u32`, a
-/// borrowed `&[u32]`, or an owned [`PromptChunk`].
+/// The consecutive tokens one session feeds in one
+/// [`Model::step`](crate::Model::step): a single `u32`, a borrowed
+/// `&[u32]`, or an owned [`PromptChunk`].
 pub trait PromptTokens: Sync {
-    /// The tokens, in prompt order.
+    /// The tokens, in order.
     fn tokens(&self) -> &[u32];
 }
 
@@ -79,15 +73,36 @@ impl PromptTokens for PromptChunk {
     }
 }
 
-/// Recycled buffers of [`Model::prefill_step`](crate::Model::prefill_step).
-/// Owned by whoever drives prefill — the scheduler keeps one for all its
-/// slots — and reusable across models and batch sizes.
+/// A caller's MLP stage in a [`Model::step`](crate::Model::step): per layer,
+/// given the layer's own block and every column's normed input, it runs
+/// [`gated_mlp_into`] — over that block or another storage of it, each
+/// column under the rows it decides from the column's input. The default,
+/// and `()`, keeps every row: dense prefill.
+pub trait MlpHook {
+    /// Layer `layer`'s MLP over the inputs `xs` (`[c][d]`) into `out`.
+    fn mlp(
+        &mut self,
+        layer: usize,
+        mlp: &GatedMlp,
+        xs: &[f32],
+        pool: &ThreadPool,
+        out: &mut MlpBuffers,
+    ) {
+        let _ = layer;
+        gated_mlp_into(mlp, xs, |_, _| true, true, pool, out);
+    }
+}
+
+impl MlpHook for () {}
+
+/// Recycled buffers of [`Model::step`](crate::Model::step), reusable across
+/// models and column counts: an engine owns one, the scheduler one for all
+/// its slots' prefill.
 #[derive(Debug, Default)]
 pub struct PrefillScratch {
     /// The residual stream, per column (`[c][d]`).
     pub(crate) h: Vector,
-    /// Input of the projection about to run, per column (`[c][d]`): the
-    /// normed residual, then the attention output.
+    /// Input of the projection about to run, per column (`[c][d]`).
     pub(crate) x: Vector,
     /// Output of the latest projection, per row.
     pub(crate) proj: Vector,
@@ -104,10 +119,8 @@ pub struct PrefillScratch {
     /// Per column: its session's index in the batch, and the context it
     /// attends over (the cache length once its own position is pushed).
     pub(crate) columns: Vec<(usize, usize)>,
-    /// Post-activation gate values, per row (`[k][c]`).
-    pub(crate) gate: Vector,
-    /// The MLP output, per column (`[c][d]`).
-    pub(crate) mlp_out: Vector,
+    /// The MLP stage's buffers; its output is per column (`[c][d]`).
+    pub(crate) mlp: MlpBuffers,
 }
 
 impl PrefillScratch {
@@ -115,10 +128,32 @@ impl PrefillScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Heap bytes the buffers hold (capacity, not length).
+    pub fn memory_bytes(&self) -> u64 {
+        let buffers = [
+            &self.h,
+            &self.x,
+            &self.proj,
+            &self.q,
+            &self.k,
+            &self.v,
+            &self.lanes,
+            &self.rope,
+            &self.mlp.gate,
+            &self.mlp.h3,
+            &self.mlp.rows,
+            &self.mlp.out,
+        ];
+        buffers.iter().map(|b| b.capacity() as u64 * 4).sum()
+    }
 }
 
 /// Rewrites a per-row kernel output (`[row][c]`) per column (`[c][row]`).
 pub(crate) fn per_column(per_row: &[f32], columns: usize, out: &mut Vector) {
+    if columns == 1 {
+        return out.copy_from(per_row);
+    }
     let rows = per_row.len() / columns;
     out.resize(per_row.len(), 0.0);
     for (c, column) in out.as_mut_slice().chunks_exact_mut(rows).enumerate() {

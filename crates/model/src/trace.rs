@@ -6,9 +6,11 @@
 //! measurement (Fig. 3), and DejaVu predictor training data.
 
 use sparseinfer_tensor::stats::Summary;
-use sparseinfer_tensor::Vector;
+use sparseinfer_tensor::{ThreadPool, Vector};
 
+use crate::mlp::{gated_mlp_into, GatedMlp, MlpBuffers};
 use crate::model::{DecodeSession, Model};
+use crate::prefill::{MlpHook, PrefillScratch};
 
 /// One layer's capture for one token: the MLP input and the gate
 /// pre-activations.
@@ -59,40 +61,27 @@ impl MlpTrace {
         trace
     }
 
-    /// Forward one token, capturing per-layer MLP inputs/pre-activations.
+    /// Forward one token, capturing per-layer MLP inputs/pre-activations:
+    /// a one-column [`Model::step`] with this trace as its MLP stage, so
+    /// the logits are bitwise [`Model::forward_token`]'s.
     pub fn forward_capturing(
         &mut self,
         model: &Model,
         token: u32,
         session: &mut DecodeSession,
     ) -> Vector {
-        let mut h = model.embed(token);
-        for (li, (layer, cache)) in model
-            .layers()
-            .iter()
-            .zip(session.caches.iter_mut())
-            .enumerate()
-        {
-            let mid = layer.attention_half(&h, session.position, cache);
-            let x = layer.mlp_norm().forward(&mid);
-            let preact = layer.mlp().gate_preactivations(&x);
-            self.samples.push(MlpSample {
-                layer: li,
-                x: x.clone(),
-                preact: preact.clone(),
-            });
-
-            // Complete the MLP from the captured pre-activations.
-            let mut h1 = preact;
-            layer.mlp().activation().apply_slice(h1.as_mut_slice());
-            let h2 = sparseinfer_tensor::gemv::gemv(layer.mlp().w_up(), &x);
-            let h3 = h1.hadamard(&h2).expect("h1/h2 same length");
-            let mlp_out = sparseinfer_tensor::gemv::gemv_transposed(layer.mlp().w_down_t(), &h3);
-            h = mid;
-            h.add_assign(&mlp_out);
-        }
-        session.position += 1;
-        model.logits(&h)
+        let (pool, mut scratch) = (ThreadPool::single(), PrefillScratch::new());
+        let mut logits = [Vector::zeros(0)];
+        model.step(
+            &mut [(token, session)],
+            self,
+            |_| true,
+            &mut logits,
+            &pool,
+            &mut scratch,
+        );
+        let [logits] = logits;
+        logits
     }
 
     /// All samples.
@@ -138,6 +127,25 @@ impl MlpTrace {
     }
 }
 
+/// Records every column's `x` and `X · W_gate`, and keeps every row.
+impl MlpHook for MlpTrace {
+    fn mlp(
+        &mut self,
+        layer: usize,
+        mlp: &GatedMlp,
+        xs: &[f32],
+        pool: &ThreadPool,
+        out: &mut MlpBuffers,
+    ) {
+        for x in xs.chunks_exact(mlp.hidden_dim()) {
+            let x = Vector::from_vec(x.to_vec());
+            let preact = mlp.gate_preactivations(&x);
+            self.samples.push(MlpSample { layer, x, preact });
+        }
+        gated_mlp_into(mlp, xs, |_, _| true, true, pool, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,9 +174,8 @@ mod tests {
         let mut s2 = model.start_session();
         let captured = trace.forward_capturing(&model, 4, &mut s2);
 
-        for (a, b) in dense.iter().zip(captured.iter()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
+        let bits = |v: &Vector| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&captured), bits(&dense));
     }
 
     #[test]

@@ -13,11 +13,13 @@ use crate::traits::{PredictorScratch, SparsityPredictor};
 
 /// Skips each row with probability `p`, independent of the input.
 ///
-/// The random stream lives in the caller's [`PredictorScratch`], seeded
-/// lazily from this predictor's base seed: every decode session draws its
-/// own deterministic stream, so a request decodes identically whether it
-/// runs alone, batched, or across different thread counts — the shared
-/// predictor itself stays immutable.
+/// The random streams live in the caller's [`PredictorScratch`], one per
+/// layer, seeded lazily from this predictor's base seed and the layer:
+/// every decode session draws its own deterministic streams, so a request
+/// decodes identically whether it runs alone, batched, across different
+/// thread counts, or with several positions in one step (which predicts
+/// layer by layer, each layer's positions in order) — the shared predictor
+/// itself stays immutable.
 #[derive(Debug, Clone)]
 pub struct RandomPredictor {
     p: f64,
@@ -63,7 +65,13 @@ impl SparsityPredictor for RandomPredictor {
         mask: &mut SkipMask,
     ) {
         assert!(layer < self.layers, "layer {layer} out of range");
-        let rng = scratch.rng.get_or_insert_with(|| Prng::seed(self.seed));
+        if scratch.rngs.len() < self.layers {
+            let seed = self.seed;
+            let streams =
+                (scratch.rngs.len()..self.layers).map(|l| Prng::seed(layer_seed(seed, l)));
+            scratch.rngs.extend(streams);
+        }
+        let rng = &mut scratch.rngs[layer];
         mask.reset_dense(self.rows);
         for r in 0..self.rows {
             if rng.flip(self.p) {
@@ -86,6 +94,11 @@ impl SparsityPredictor for RandomPredictor {
     fn n_layers(&self) -> usize {
         self.layers
     }
+}
+
+/// The seed of layer `layer`'s stream under base seed `seed`.
+fn layer_seed(seed: u64, layer: usize) -> u64 {
+    seed ^ (layer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[cfg(test)]

@@ -46,9 +46,10 @@ pub struct PredictorScratch {
     pub hidden: Vector,
     /// Classifier score buffer (DejaVu).
     pub scores: Vector,
-    /// Private random stream (random predictor), seeded lazily from the
-    /// predictor's base seed so every session replays the same stream.
-    pub rng: Option<Prng>,
+    /// Private random streams, one per layer (random predictor), seeded
+    /// lazily from the predictor's base seed so every session replays the
+    /// same streams.
+    pub rngs: Vec<Prng>,
 }
 
 impl PredictorScratch {
@@ -62,8 +63,10 @@ impl PredictorScratch {
     /// opposed to the shared
     /// [`memory_bytes`](SparsityPredictor::memory_bytes).
     pub fn memory_bytes(&self) -> u64 {
-        (self.sign_words.capacity() * 4 + (self.hidden.capacity() + self.scores.capacity()) * 4)
-            as u64
+        let rngs = self.rngs.capacity() * std::mem::size_of::<Prng>();
+        (self.sign_words.capacity() * 4
+            + (self.hidden.capacity() + self.scores.capacity()) * 4
+            + rngs) as u64
     }
 }
 

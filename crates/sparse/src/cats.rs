@@ -129,8 +129,8 @@ pub fn cats_mlp_forward(
     gemm_rows_into(w_up, x.as_slice(), 1, keep, &pool, &mut h2);
     let h3 = h1.hadamard(&h2).expect("same length");
     gemm_transposed_rows_into(w_down_t, h3.as_slice(), 1, keep, false, &pool, &mut output);
-    bill(ops, w_up, &mask);
-    ops.atomic_adds += bill(ops, w_down_t, &mask);
+    bill(ops, w_up, mask.skip_count());
+    ops.atomic_adds += bill(ops, w_down_t, mask.skip_count());
 
     CatsOutput {
         output,

@@ -4,12 +4,12 @@
 //! a model — dense (the llama.cpp baseline) or sparse under any
 //! [`SparsityPredictor`] (sign-bit, DejaVu-style trained, oracle, random) —
 //! and one [`EngineBuilder`] constructs them all. Behind the trait there is
-//! **one** execution core: the gated MLP of every layer runs under a skip
-//! mask, dense is the all-active mask of an engine built without a
-//! predictor, and the weight storage (`f32` or int8) only selects which
-//! monomorphized instance of the one generic executor
-//! ([`sparse_mlp_forward_into`]) a layer calls. The only other
-//! `impl Engine` is the [`SpeculativeEngine`] that pairs two such engines.
+//! **one** execution core, the model's forward step ([`Model::step`]) over
+//! a call's tokens: the gated MLP of every layer runs each token under its
+//! predicted mask, dense is an engine built without a predictor, and the
+//! weight storage (`f32` or int8) only selects which monomorphized
+//! instance of the step runs. The only other `impl Engine` is the
+//! [`SpeculativeEngine`] that pairs two such engines.
 //!
 //! ```
 //! use sparseinfer_model::{generator::WeightGenerator, ModelConfig, Sampler};
@@ -53,15 +53,19 @@
 //!
 //! # Hot-path architecture
 //!
-//! * **Workspace reuse** — every engine owns a
-//!   [`Workspace`], a per-session
-//!   [`PredictorScratch`] and two recycled [`SkipMask`]s; with a
-//!   capacity-reserved session, a steady-state decode step performs **zero
-//!   heap allocations** (proven by the workspace allocation-guard test).
+//! * **One step per call** — a call's tokens are the columns of one
+//!   [`Model::step`], so a `k + 1`-token verify streams every weight once;
+//!   prediction, the [`OpCounter`] bill and the [`SparsityStats`] run per
+//!   column, in token order within each layer. Every column's logits are
+//!   bitwise those of feeding its token alone.
+//! * **Scratch reuse** — every engine owns a step scratch, a per-session
+//!   [`PredictorScratch`] and one recycled [`SkipMask`] per column; with a
+//!   capacity-reserved session, a steady-state decode or verify step
+//!   performs **zero heap allocations** (`tests/alloc_free.rs`).
 //! * **Thread parallelism** — [`EngineBuilder::parallel`] plumbs a
-//!   [`ParallelOptions`] thread count into every GEMV/down-projection;
-//!   outputs are bit-identical at any thread count because each output
-//!   element has a single writer and a fixed reduction order.
+//!   [`ParallelOptions`] thread count into every projection; outputs are
+//!   bit-identical at any thread count because each output element has a
+//!   single writer and a fixed reduction order.
 //! * **Shared predictors** — predictors sit behind `Arc`, so a
 //!   [`Scheduler`](crate::scheduler::Scheduler) of N sessions loads one copy of the
 //!   packed sign tables (or DejaVu weights): batch memory is O(1) in
@@ -78,15 +82,15 @@ use std::sync::Arc;
 
 use sparseinfer_model::model::DecodeSession;
 use sparseinfer_model::sampling::Sampler;
-use sparseinfer_model::Model;
+use sparseinfer_model::{gated_mlp_into, GatedMlp, MlpBuffers, MlpHook, Model, PrefillScratch};
 use sparseinfer_predictor::{
     AlphaSchedule, DejaVuPredictor, OraclePredictor, PredictorScratch, RandomPredictor,
     SignBitPredictor, SkipMask, SparsityPredictor,
 };
-use sparseinfer_tensor::{ParallelOptions, ThreadPool, Vector, Workspace};
+use sparseinfer_tensor::{ParallelOptions, ThreadPool, Vector, WeightRows};
 
 use crate::error::EngineError;
-use crate::mlp::{sparse_mlp_forward_into, MlpOptions};
+use crate::mlp::{bill_mlp, MlpOptions, MlpWeights};
 use crate::ops::OpCounter;
 use crate::quantized::FusedQuantizedMlp;
 
@@ -301,7 +305,7 @@ pub struct MemoryEstimate {
     /// the f32 matrices) under [`WeightFormat::Int8`]. A subcomponent,
     /// not an addend: [`total`](Self::total) must not add it again.
     pub weight_bytes: u64,
-    /// Bytes of per-session state (scratch buffers, masks, workspace pool,
+    /// Bytes of per-session state (step and predictor scratch, masks,
     /// statistics). Model weights and KV caches are accounted elsewhere.
     pub per_session_bytes: u64,
     /// Bytes of cold KV buffers held by swapped-out preempted requests
@@ -451,8 +455,7 @@ pub trait Engine: std::fmt::Debug + Send {
     /// bit-identical to feeding the same run one
     /// [`step_into`](Self::step_into) at a time. With a capacity-reserved
     /// session and recycled `logits` buffers, a warm engine performs zero
-    /// heap allocations per call (existing workspaces are reused across
-    /// positions).
+    /// heap allocations per call (its scratch is reused across calls).
     ///
     /// # Panics
     ///
@@ -565,34 +568,35 @@ pub trait Engine: std::fmt::Debug + Send {
 /// a skip mask, and *dense* is the case with no predictor.
 ///
 /// With a predictor, each layer's mask is predicted per token and the MLP
-/// runs under the configured [`EngineOptions`]. Without one, the mask is
-/// all-active and the options are the base ones (no fusion, no actual
-/// sparsity) — the llama.cpp baseline. Weight storage is orthogonal: either
-/// case reads the model's own `f32` matrices or a shared
-/// [`QuantizedWeights`] copy.
+/// runs under the configured [`EngineOptions`]. Without one, every row is
+/// kept and the options are the base ones (no fusion, no actual sparsity)
+/// — the llama.cpp baseline. Weight storage is orthogonal: either case
+/// reads the model's own `f32` matrices or a shared [`QuantizedWeights`]
+/// copy. A call is one [`Model::step`] over its tokens.
 ///
 /// The predictor and the quantized weights sit behind `Arc`s and are
 /// **read-only**: any number of engines (batch slots) share one copy, while
-/// each engine owns the mutable per-session pieces — scratch buffers,
-/// masks, workspace, counters, sampler.
+/// each engine owns the mutable per-session pieces — step scratch, masks,
+/// counters, sampler.
 #[derive(Debug)]
 struct MaskedEngine<'m> {
     model: &'m Model,
     predictor: Option<Arc<dyn SparsityPredictor>>,
     /// Base options when there is no predictor.
     options: MlpOptions,
+    quantized: Option<Arc<QuantizedWeights>>,
     ops: OpCounter,
     /// `Some` exactly when there is a predictor.
     stats: Option<SparsityStats>,
     sampler: Sampler,
     label: String,
     pool: ThreadPool,
-    ws: Workspace,
+    step: PrefillScratch,
     scratch: PredictorScratch,
-    /// The predicted mask, or the all-active one.
-    mask: SkipMask,
-    effective: SkipMask,
-    quantized: Option<Arc<QuantizedWeights>>,
+    /// The predictor's input: a column's normed MLP input.
+    x: Vector,
+    /// One predicted mask per column of a step.
+    masks: Vec<SkipMask>,
 }
 
 impl Engine for MaskedEngine<'_> {
@@ -608,77 +612,25 @@ impl Engine for MaskedEngine<'_> {
     ) {
         assert_eq!(tokens.len(), logits.len(), "one logit vector per token");
         let model = self.model;
-        for (&token, out) in tokens.iter().zip(logits.iter_mut()) {
-            let mut h = self.ws.take(model.config().hidden_dim);
-            model.embed_into(token, &mut h);
-            for (li, (layer, cache)) in model
-                .layers()
-                .iter()
-                .zip(session.caches.iter_mut())
-                .enumerate()
-            {
-                let mid =
-                    layer.attention_half_ws(&h, session.position, cache, &self.pool, &mut self.ws);
-                account_attention(&mut self.ops, layer.hidden_dim(), cache.len());
-                let mut x = self.ws.take(layer.hidden_dim());
-                layer.mlp_norm().forward_into(&mid, &mut x);
-
-                match &self.predictor {
-                    Some(predictor) => {
-                        predictor.predict_into(li, &x, &mut self.scratch, &mut self.mask);
-                        let cost = predictor.prediction_cost(li);
-                        self.ops.xor_popc += cost.xor_popc;
-                        self.ops.predictor_macs += cost.macs;
-                        self.ops.weight_bytes_loaded += cost.bytes_loaded;
-                    }
-                    None => {
-                        if self.mask.len() != layer.mlp().mlp_dim() {
-                            self.mask.reset_dense(layer.mlp().mlp_dim());
-                        }
-                    }
-                }
-
-                // The storage format picks the monomorphized executor once
-                // per MLP call; nothing below this match dispatches on it.
-                let (predicted, effective) = match &self.quantized {
-                    Some(q) => sparse_mlp_forward_into(
-                        &q.layers()[li],
-                        &x,
-                        &self.mask,
-                        self.options,
-                        &self.pool,
-                        &mut self.ws,
-                        &mut self.effective,
-                        &mut self.ops,
-                        &mut h,
-                    ),
-                    None => sparse_mlp_forward_into(
-                        layer.mlp(),
-                        &x,
-                        &self.mask,
-                        self.options,
-                        &self.pool,
-                        &mut self.ws,
-                        &mut self.effective,
-                        &mut self.ops,
-                        &mut h,
-                    ),
-                };
-                if let Some(stats) = &mut self.stats {
-                    stats.predicted_sum[li] += predicted;
-                    stats.effective_sum[li] += effective;
-                }
-
-                self.ws.give(x);
-                h.add_assign(&mid);
-                self.ws.give(mid);
+        for cache in &session.caches {
+            for c in 1..=tokens.len() {
+                account_attention(&mut self.ops, model.config().hidden_dim, cache.len() + c);
             }
-            if let Some(stats) = &mut self.stats {
-                stats.tokens += 1;
-            }
-            session.position += 1;
-            model.logits_into(&h, &self.pool, &mut self.ws, out);
-            self.ws.give(h);
+        }
+        // The engine is the step's MLP stage, so it lends the step its
+        // scratch and pool for the call.
+        let (mut step, pool) = (std::mem::take(&mut self.step), self.pool.clone());
+        model.step(
+            &mut [(tokens, session)],
+            self,
+            |_| true,
+            logits,
+            &pool,
+            &mut step,
+        );
+        self.step = step;
+        if let Some(stats) = &mut self.stats {
+            stats.tokens += tokens.len() as u64;
         }
     }
 
@@ -708,13 +660,14 @@ impl Engine for MaskedEngine<'_> {
             .stats
             .as_ref()
             .map_or(0, |s| s.predicted_sum.len() as u64 * 16);
+        let masks = self.masks.iter().map(|m| m.len().div_ceil(64) as u64 * 8);
         MemoryEstimate {
             shared_bytes: predictor_bytes + weight_bytes,
             weight_bytes,
-            per_session_bytes: self.ws.pooled_bytes()
+            per_session_bytes: self.step.memory_bytes()
                 + self.scratch.memory_bytes()
-                + mask_bytes(&self.mask)
-                + mask_bytes(&self.effective)
+                + self.x.capacity() as u64 * 4
+                + masks.sum::<u64>()
                 + stats_bytes,
             swapped_bytes: 0,
         }
@@ -748,8 +701,80 @@ fn arc_id<T: ?Sized>(shared: &Arc<T>) -> usize {
     Arc::as_ptr(shared) as *const () as usize
 }
 
-fn mask_bytes(mask: &SkipMask) -> u64 {
-    (mask.len().div_ceil(64) * 8) as u64
+/// The engine as its steps' MLP stage: each column's mask predicted from
+/// its normed input, the engine's weight storage, and per layer, column by
+/// column in token order, the [`OpCounter`] bill and [`SparsityStats`] of
+/// each column's pass. Without a predictor every column keeps every row.
+impl MlpHook for MaskedEngine<'_> {
+    fn mlp(
+        &mut self,
+        li: usize,
+        mlp: &GatedMlp,
+        xs: &[f32],
+        pool: &ThreadPool,
+        out: &mut MlpBuffers,
+    ) {
+        // The storage format picks the monomorphized pass; nothing below
+        // dispatches on it.
+        match self.quantized.take() {
+            Some(q) => {
+                self.pass(li, &q.layers()[li], xs, pool, out);
+                self.quantized = Some(q);
+            }
+            None => self.pass(li, mlp, xs, pool, out),
+        }
+    }
+}
+
+impl MaskedEngine<'_> {
+    /// Layer `li`'s MLP over `mlp`: predicts each column's mask, runs the
+    /// block, and bills each column as
+    /// [`sparse_mlp_forward_into`](crate::mlp::sparse_mlp_forward_into)
+    /// bills its one input — the gate under the predicted mask, up and down
+    /// under it joined (with actual sparsity) by the column's zero gates.
+    fn pass<M: MlpWeights>(
+        &mut self,
+        li: usize,
+        mlp: &M,
+        xs: &[f32],
+        pool: &ThreadPool,
+        out: &mut MlpBuffers,
+    ) {
+        let d = mlp.parts().0.cols();
+        let columns = xs.len() / d;
+        if self.masks.len() < columns {
+            self.masks.resize_with(columns, || SkipMask::all_dense(0));
+        }
+        if let Some(predictor) = &self.predictor {
+            for (x, mask) in xs.chunks_exact(d).zip(&mut self.masks) {
+                self.x.copy_from(x);
+                predictor.predict_into(li, &self.x, &mut self.scratch, mask);
+                let cost = predictor.prediction_cost(li);
+                self.ops.xor_popc += cost.xor_popc;
+                self.ops.predictor_macs += cost.macs;
+                self.ops.weight_bytes_loaded += cost.bytes_loaded;
+            }
+        }
+        let (masks, dense, options) = (&self.masks, self.predictor.is_none(), self.options);
+        let keeps = |c: usize, r: usize| dense || !masks[c].is_skipped(r);
+        gated_mlp_into(mlp, xs, keeps, options.actual_sparsity, pool, out);
+        let gate = out.gate.as_slice();
+        for c in 0..columns {
+            let predicted = if dense { 0 } else { masks[c].skip_count() };
+            let mut effective = predicted;
+            if options.actual_sparsity {
+                // A dropped row's gate is the activation of `+0.0`, zero for
+                // every activation: the zeros are the applied mask.
+                let rows = gate.chunks_exact(columns);
+                effective = rows.filter(|row| row[c] == 0.0).count();
+            }
+            let (p, e) = bill_mlp(&mut self.ops, mlp, options, predicted, effective);
+            if let Some(stats) = &mut self.stats {
+                stats.predicted_sum[li] += p;
+                stats.effective_sum[li] += e;
+            }
+        }
+    }
 }
 
 /// Lossless speculative decoding: a cheap **draft** engine (typically
@@ -1156,16 +1181,16 @@ impl<'m> EngineBuilder<'m> {
             model: self.model,
             predictor: self.predictor,
             options,
+            quantized,
             ops: OpCounter::default(),
             stats,
             sampler: self.sampler,
             label,
             pool,
-            ws: Workspace::new(),
+            step: PrefillScratch::new(),
             scratch: PredictorScratch::new(),
-            mask: SkipMask::all_dense(0),
-            effective: SkipMask::all_dense(0),
-            quantized,
+            x: Vector::zeros(0),
+            masks: Vec::new(),
         }))
     }
 
@@ -1789,5 +1814,144 @@ mod tests {
             engine.speculative_stats().expect("counters"),
             SpeculativeStats::default()
         );
+    }
+
+    /// What one way of stepping a fixed set of columns leaves: every
+    /// column's logits, the sessions, and the hook's bill and statistics.
+    type Stepped = (Vec<Vec<u32>>, Vec<DecodeSession>, OpCounter, SparsityStats);
+
+    /// Feeds `tokens[s]` to session `s` of sessions that each already hold
+    /// `s + 1` positions, under a [`Predict`] hook with `predictor`: all
+    /// columns in one step, or one step per column in column order.
+    fn step_columns(
+        m: &Model,
+        quantized: Option<&Arc<QuantizedWeights>>,
+        predictor: &Arc<dyn SparsityPredictor>,
+        options: MlpOptions,
+        tokens: &[Vec<u32>],
+        pool: &ThreadPool,
+        together: bool,
+    ) -> Stepped {
+        let columns: usize = tokens.iter().map(Vec::len).sum();
+        let mut sessions: Vec<DecodeSession> = (0..tokens.len())
+            .map(|s| {
+                let mut session = m.start_session();
+                let prompt: Vec<u32> = (0..=s as u32).map(|t| 2 * t + 1).collect();
+                m.prefill_step(
+                    &mut [(&prompt[..], &mut session)],
+                    pool,
+                    &mut PrefillScratch::new(),
+                );
+                session
+            })
+            .collect();
+        let mut engine = MaskedEngine {
+            model: m,
+            predictor: Some(Arc::clone(predictor)),
+            options,
+            quantized: quantized.cloned(),
+            ops: OpCounter::default(),
+            stats: Some(SparsityStats::new(m.layers().len())),
+            sampler: Sampler::greedy(),
+            label: String::new(),
+            pool: pool.clone(),
+            step: PrefillScratch::new(),
+            scratch: PredictorScratch::new(),
+            x: Vector::zeros(0),
+            masks: Vec::new(),
+        };
+        let mut logits = vec![Vector::zeros(0); columns];
+        let mut step = PrefillScratch::new();
+        let mut run = |batch: &mut [(&[u32], &mut DecodeSession)], first: usize| {
+            let n: usize = batch.iter().map(|(t, _)| t.len()).sum();
+            let out = &mut logits[first..first + n];
+            m.step(batch, &mut engine, |_| true, out, pool, &mut step);
+        };
+        if together {
+            let mut batch: Vec<(&[u32], &mut DecodeSession)> = tokens
+                .iter()
+                .map(Vec::as_slice)
+                .zip(sessions.iter_mut())
+                .collect();
+            run(&mut batch, 0);
+        } else {
+            let mut first = 0;
+            for (tokens, session) in tokens.iter().zip(sessions.iter_mut()) {
+                for token in tokens.chunks(1) {
+                    run(&mut [(token, &mut *session)], first);
+                    first += 1;
+                }
+            }
+        }
+        let bits = |v: &Vector| v.iter().map(|f| f.to_bits()).collect();
+        let stats = engine.stats.expect("a predictor keeps statistics");
+        (
+            logits.iter().map(bits).collect(),
+            sessions,
+            engine.ops,
+            stats,
+        )
+    }
+
+    #[test]
+    fn a_step_of_many_columns_is_bitwise_its_one_column_steps() {
+        // Random per-column masks over both weight formats, with and
+        // without actual sparsity: logits, KV, bill and statistics.
+        let m = model();
+        let cfg = m.config().clone();
+        let quantized = Arc::new(QuantizedWeights::quantize(&m));
+        let predictor: Arc<dyn SparsityPredictor> =
+            Arc::new(RandomPredictor::new(0.5, cfg.mlp_dim, cfg.n_layers, 23));
+        let mut rng = sparseinfer_tensor::Prng::seed(24);
+        let kv_bits = |s: &DecodeSession| -> Vec<u32> {
+            let caches = s.caches.iter();
+            let positions = caches.flat_map(|c| (0..c.len()).flat_map(|t| [c.key(t), c.value(t)]));
+            positions.flatten().map(|f| f.to_bits()).collect()
+        };
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(ParallelOptions::threads(threads));
+            for b in 1..=9usize {
+                for sessions in 1..=b.min(3) {
+                    let mut counts = vec![1; sessions];
+                    for _ in sessions..b {
+                        counts[rng.below(sessions)] += 1;
+                    }
+                    let tokens: Vec<Vec<u32>> = counts
+                        .iter()
+                        .map(|&n| (0..n).map(|_| rng.below(cfg.vocab_size) as u32).collect())
+                        .collect();
+                    for q in [None, Some(&quantized)] {
+                        for actual_sparsity in [false, true] {
+                            let options = MlpOptions {
+                                kernel_fusion: true,
+                                actual_sparsity,
+                            };
+                            let what = format!(
+                                "{threads} threads, {counts:?} columns, int8 {}, actual sparsity {actual_sparsity}",
+                                q.is_some()
+                            );
+                            let step = |together| {
+                                step_columns(&m, q, &predictor, options, &tokens, &pool, together)
+                            };
+                            let (logits, sessions, ops, stats) = step(true);
+                            let (want_logits, want_sessions, want_ops, want_stats) = step(false);
+                            assert_eq!(logits, want_logits, "{what}: logits");
+                            for (s, (got, want)) in sessions.iter().zip(&want_sessions).enumerate()
+                            {
+                                assert_eq!(got.position, want.position, "{what}: session {s}");
+                                assert_eq!(kv_bits(got), kv_bits(want), "{what}: session {s} KV");
+                            }
+                            assert_eq!(ops, want_ops, "{what}: bill");
+                            assert!(ops.rows_skipped > 0, "{what}: the masks skip rows");
+                            let sums = |s: &SparsityStats| {
+                                let sums = s.predicted_sum.iter().chain(&s.effective_sum);
+                                sums.map(|v| v.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(sums(&stats), sums(&want_stats), "{what}: statistics");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,11 +6,11 @@
 //! predictor, this crate executes the four MLP steps while skipping masked
 //! rows of `W_gate`, `W_up` and (transposed) `W_down`:
 //!
-//! * [`mlp`](mod@crate::mlp) — decode's gated MLP: the model crate's one
-//!   executor ([`gated_mlp_into`](sparseinfer_model::gated_mlp_into), whose
-//!   row-skipping kernels mirror §IV-B3/4's CUDA kernels) at one input
-//!   under a predicted mask, for `f32` or int8 weights. This module builds
-//!   the applied mask and bills the work. Its switches are the paper's
+//! * [`mlp`](mod@crate::mlp) — the gated MLP under a predicted mask: the
+//!   model crate's one executor
+//!   ([`gated_mlp_into`](sparseinfer_model::gated_mlp_into), whose
+//!   row-skipping kernels mirror §IV-B3/4's CUDA kernels), for `f32` or
+//!   int8 weights, and the bill of the work. Its switches are the paper's
 //!   **actual sparsity** (exact zeros found after step 1 join the mask of
 //!   steps 2–4) and **kernel fusion** (steps 1–3 in one kernel; affects
 //!   only the [`ops`](mod@crate::ops) traffic accounting). Dense execution

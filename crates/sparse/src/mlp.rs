@@ -1,19 +1,15 @@
-//! The gated MLP at decode (steps 1–4 of §III under a predicted skip
-//! mask), and its accounting.
+//! The gated MLP under a predicted skip mask (steps 1–4 of §III), and its
+//! accounting.
 //!
-//! The steps run in the model crate's one executor, [`gated_mlp_into`],
-//! sequentially (gate before up) as §IV argues: the exact zeros found
-//! after the gate ("actual sparsity") join the mask of the up and down
-//! projections, compensating rows the conservative predictor kept.
-//! [`sparse_mlp_forward_into`] adds what only this crate does: the applied
-//! mask for the sparsity statistics and the [`OpCounter`] bill of Table I.
-//! The model's `f32` [`GatedMlp`](sparseinfer_model::GatedMlp) and the int8
-//! [`FusedQuantizedMlp`](crate::quantized::FusedQuantizedMlp) are two
-//! [`MlpWeights`] instances of one body; dense execution is the all-active
-//! mask under the base options.
+//! The steps run in the model crate's one executor, [`gated_mlp_into`]:
+//! the exact zeros found after the gate ("actual sparsity") join the mask
+//! of the up and down projections, compensating rows the conservative
+//! predictor kept. [`sparse_mlp_forward_into`] runs one input and bills it
+//! ([`OpCounter`], Table I); engines run the same executor, and the same
+//! bill, inside [`Model::step`](sparseinfer_model::Model::step).
 
-use sparseinfer_model::gated_mlp_into;
 pub use sparseinfer_model::MlpWeights;
+use sparseinfer_model::{gated_mlp_into, MlpBuffers};
 use sparseinfer_predictor::SkipMask;
 use sparseinfer_tensor::{ThreadPool, Vector, WeightRows, Workspace};
 
@@ -41,25 +37,16 @@ impl Default for MlpOptions {
     }
 }
 
-/// Executes the gated MLP for one input under `predicted` — the decode hot
-/// path, for any weight storage — reporting into `ops`.
+/// Executes the gated MLP for one input under `predicted`, for any weight
+/// storage, reporting into `ops`.
 ///
-/// Skipped gate rows produce `h1[r] = activation(0)`, which is zero for the
-/// ReLU family — exactly the approximation the paper makes. (For SiLU/GELU
-/// the function still zeroes the skipped rows; that *would* perturb the
-/// result, which is why SparseInfer targets ReLU-fied models.)
-///
-/// `h1` and `h3` come from `ws`, the applied mask is built in place in
-/// `effective` (any contents on entry; leaves `predicted ∪ actual`), the
-/// output lands in `out`, and the projections fan out across `pool`: no
-/// allocation after warm-up, the same bits at every thread count. Over
-/// int8 weights the forward is bitwise the one over the dequantized `f32`
-/// weights — quantization perturbs values once, at weight-prep time.
-///
-/// Work is billed from the masks — the gate under `predicted`, up and down
-/// under `effective` — at the format's
-/// [`ACCOUNTED_BYTES`](WeightRows::ACCOUNTED_BYTES) per weight (int8: one
-/// byte, the 4× shrink is the point).
+/// Skipped gate rows produce `h1[r] = activation(0)`, zero for the ReLU
+/// family — exactly the approximation the paper makes (which is why
+/// SparseInfer targets ReLU-fied models). `h1` and `h3` come from `ws`, the
+/// applied mask is left in `effective` (`predicted ∪ actual`), the output
+/// in `out`, and the projections fan out across `pool`: no allocation
+/// after warm-up, the same bits at every thread count. Over int8 weights
+/// the forward is bitwise the one over the dequantized `f32` weights.
 ///
 /// Returns `(predicted_sparsity, effective_sparsity)`.
 ///
@@ -78,31 +65,57 @@ pub fn sparse_mlp_forward_into<M: MlpWeights>(
     ops: &mut OpCounter,
     out: &mut Vector,
 ) -> (f64, f64) {
-    let (w_gate, w_up, w_down_t, _) = mlp.parts();
+    let (w_gate, ..) = mlp.parts();
     assert_eq!(x.len(), w_gate.cols(), "input length mismatch");
     assert_eq!(predicted.len(), w_gate.rows(), "mask length mismatch");
 
-    let mut h1 = ws.take(w_gate.rows());
-    let mut h3 = ws.take(w_gate.rows());
+    let k = w_gate.rows();
+    let mut bufs = MlpBuffers {
+        gate: ws.take(k),
+        h3: ws.take(k),
+        rows: ws.take(k),
+        out: std::mem::take(out),
+    };
+    let keeps = |_, r| !predicted.is_skipped(r);
     gated_mlp_into(
         mlp,
         x.as_slice(),
-        1,
-        |r| !predicted.is_skipped(r),
+        keeps,
         options.actual_sparsity,
         pool,
-        &mut h1,
-        &mut h3,
-        out,
+        &mut bufs,
     );
     // The mask steps 2–4 ran under, for the statistics.
     effective.copy_from(predicted);
     if options.actual_sparsity {
-        effective.union_exact_zeros(&h1);
+        effective.union_exact_zeros(&bufs.gate);
     }
-    ws.give(h1);
-    ws.give(h3);
+    *out = bufs.out;
+    for buf in [bufs.gate, bufs.h3, bufs.rows] {
+        ws.give(buf);
+    }
+    bill_mlp(
+        ops,
+        mlp,
+        options,
+        predicted.skip_count(),
+        effective.skip_count(),
+    )
+}
 
+/// Bills one input's pass through a gated MLP block — the gate skipping
+/// `predicted` rows, up and down skipping `effective` rows, at the
+/// format's [`ACCOUNTED_BYTES`](WeightRows::ACCOUNTED_BYTES) per weight
+/// (int8: one byte), plus the activation traffic of `options` — and
+/// returns the two sparsities.
+pub(crate) fn bill_mlp<M: MlpWeights>(
+    ops: &mut OpCounter,
+    mlp: &M,
+    options: MlpOptions,
+    predicted: usize,
+    effective: usize,
+) -> (f64, f64) {
+    let (w_gate, w_up, w_down_t, _) = mlp.parts();
     bill(ops, w_gate, predicted);
     bill(ops, w_up, effective);
     ops.atomic_adds += bill(ops, w_down_t, effective);
@@ -117,14 +130,14 @@ pub fn sparse_mlp_forward_into<M: MlpWeights>(
         3 * d + 6 * k
     };
     ops.activation_bytes += elems * OpCounter::ACTIVATION_BYTES;
-
-    (predicted.sparsity(), effective.sparsity())
+    let rows = w_gate.rows() as f64;
+    (predicted as f64 / rows, effective as f64 / rows)
 }
 
-/// Bills one projection of `w` that loaded the rows `mask` keeps (a skipped
+/// Bills one projection of `w` that skipped `skipped` rows (a skipped
 /// row's weights are never loaded); returns its multiply-accumulates.
-pub(crate) fn bill<W: WeightRows>(ops: &mut OpCounter, w: &W, mask: &SkipMask) -> u64 {
-    let active = (w.rows() - mask.skip_count()) as u64;
+pub(crate) fn bill<W: WeightRows>(ops: &mut OpCounter, w: &W, skipped: usize) -> u64 {
+    let active = (w.rows() - skipped) as u64;
     let macs = active * w.cols() as u64;
     ops.macs += macs;
     ops.weight_bytes_loaded += macs * W::ACCOUNTED_BYTES;
@@ -369,8 +382,9 @@ pub(crate) mod tests {
         assert!(diff > 0.0, "skipping an active row must change the output");
     }
 
-    /// [`gated_mlp_into`] of `mlp` on `batch` inputs `xs` at one thread:
-    /// the output's bits, per input (`[b][d]`).
+    /// [`gated_mlp_into`] of `mlp` on `batch` inputs `xs` at one thread,
+    /// input `b` keeping the rows `predicted[b * k..][..k]` marks: the
+    /// output's bits, per input (`[b][d]`).
     fn executor<M: MlpWeights>(
         mlp: &M,
         xs: &[f32],
@@ -378,28 +392,29 @@ pub(crate) mod tests {
         predicted: &[bool],
         actual_sparsity: bool,
     ) -> Vec<u32> {
-        let (mut gate, mut h3, mut out) = (Vector::zeros(0), Vector::zeros(0), Vector::zeros(0));
-        let pool = ThreadPool::single();
-        let keep = |r: usize| predicted[r];
+        let mut bufs = MlpBuffers::default();
+        let k = predicted.len() / batch;
+        let keeps = |b: usize, r: usize| predicted[b * k + r];
         gated_mlp_into(
             mlp,
             xs,
-            batch,
-            keep,
+            keeps,
             actual_sparsity,
-            &pool,
-            &mut gate,
-            &mut h3,
-            &mut out,
+            &ThreadPool::single(),
+            &mut bufs,
         );
-        out.iter().map(|v| v.to_bits()).collect()
+        bufs.out.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn the_executor_is_bitwise_per_input_and_neutral_to_actual_sparsity() {
         // Odd shapes (a last 4-row block of three rows, a hidden width off
         // the 8-lane and 32-column grids), gate rows biased negative so a
-        // good share of `h1` is zero, and inputs with exact zeros.
+        // good share of `h1` is zero, and inputs with exact zeros. Under
+        // "per input" every input keeps rows of its own, so most loaded
+        // rows are dropped by some input: the `±0` argument of the
+        // executor's doc carries those inputs, with and without actual
+        // sparsity.
         let (k, d) = (71, 45);
         let mut rng = Prng::seed(33);
         let mut m = |mean: f64| Matrix::from_fn(k, d, |_, _| rng.normal(mean, 0.5) as f32);
@@ -414,15 +429,22 @@ pub(crate) mod tests {
                 })
                 .collect();
             let random: Vec<bool> = (0..k).map(|_| rng.flip(0.6)).collect();
-            for (label, predicted) in [("all kept", vec![true; k]), ("random", random)] {
+            let per_input: Vec<bool> = (0..batch * k).map(|_| rng.flip(0.6)).collect();
+            let filters = [
+                ("all kept", vec![true; batch * k]),
+                ("random", random.repeat(batch)),
+                ("per input", per_input),
+            ];
+            for (label, predicted) in filters {
                 for actual in [false, true] {
                     let what = format!("batch {batch} {label} actual sparsity {actual}");
                     let f32_out = executor(&mlp, &xs, batch, &predicted, actual);
                     let q8_out = executor(&qmlp, &xs, batch, &predicted, actual);
                     for (b, x) in xs.chunks_exact(d).enumerate() {
                         let column = |out: &[u32]| out[b * d..][..d].to_vec();
-                        let f32_alone = executor(&mlp, x, 1, &predicted, actual);
-                        let q8_alone = executor(&qmlp, x, 1, &predicted, actual);
+                        let own = &predicted[b * k..][..k];
+                        let f32_alone = executor(&mlp, x, 1, own, actual);
+                        let q8_alone = executor(&qmlp, x, 1, own, actual);
                         assert_eq!(column(&f32_out), f32_alone, "f32 {what} input {b}");
                         assert_eq!(column(&q8_out), q8_alone, "int8 {what} input {b}");
                         if label == "all kept" {

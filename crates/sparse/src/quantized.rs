@@ -5,9 +5,8 @@
 //! module is the storage half of that claim: a gated MLP whose three weight
 //! matrices are block-quantized INT8. It has no execution code of its own —
 //! [`FusedQuantizedMlp`] implements [`MlpWeights`], so the one generic
-//! executor ([`gated_mlp_into`](sparseinfer_model::gated_mlp_into), at
-//! decode through [`sparse_mlp_forward_into`](crate::mlp::sparse_mlp_forward_into))
-//! and its two generic kernels run it. A trained predictor would have to
+//! executor ([`gated_mlp_into`](sparseinfer_model::gated_mlp_into), inside
+//! an int8 engine's forward steps) and its two generic kernels run it. A trained predictor would have to
 //! be retrained for a new format (the
 //! paper's criticism of DejaVu); a sign-bit table is simply re-derived from
 //! the INT8 payloads at load time (checked in this module's tests).

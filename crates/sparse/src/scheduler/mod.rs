@@ -46,7 +46,7 @@
 //!   [`prefill_batches`](SchedulerStats::prefill_batches) is the mean
 //!   number of columns per weight pass.
 //! * The moment a request finishes (budget, stop token, cancellation or
-//!   failure) its slot **retires**: engine scratch, workspace and the
+//!   failure) its slot **retires**: engine and step scratch and the
 //!   session's KV blocks are released and the freed capacity admits the
 //!   next queued request on the very next tick.
 //!
@@ -123,7 +123,7 @@ mod tests;
 
 pub use stats::{PreemptionStats, PrefixCacheStats, SchedulerStats};
 
-use preemption::PreemptedRequest;
+use preemption::{PreemptedRequest, PreemptedState};
 
 /// A token emitted by one request inside a scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -918,7 +918,29 @@ impl<'m> Scheduler<'m> {
         }
         self.enforce_prefix_cap();
         self.ticks += 1;
+        if cfg!(debug_assertions) {
+            self.check_invariants();
+        }
         self.unfinished_requests()
+    }
+
+    /// Asserts the accounting every [`tick`](Self::tick) leaves true (at
+    /// the end of each tick, in builds with debug assertions).
+    fn check_invariants(&self) {
+        let reserved: usize = self.slots.iter().map(|slot| slot.worst_blocks).sum();
+        assert_eq!(self.reserved_blocks, reserved, "reservations drifted");
+        assert!(self.kv.blocks_in_use() <= self.config.kv_block_budget);
+        let mut bytes = 0;
+        for p in &self.preempted {
+            if let PreemptedState::Swapped { run, cold, .. } = &p.state {
+                assert_eq!(run.kv_blocks_held(), 0, "request {} is preempted", p.id);
+                bytes += cold.iter().map(SwappedKvCache::bytes).sum::<u64>();
+            }
+        }
+        assert_eq!(self.cold_bytes, bytes, "cold bytes are the swapped buffers");
+        assert!(self.cold_bytes <= self.config.swap_budget_bytes);
+        let PrefillBatcher { batch, owners, .. } = &self.prefill;
+        assert!(batch.is_empty() && owners.is_empty(), "a session was kept");
     }
 
     /// Takes this tick's step for every live slot whose next step is dense

@@ -2,9 +2,9 @@
 //! allocations.
 //!
 //! A counting global allocator wraps `System`; after warming an engine up
-//! (one step populates the workspace pool, the predictor scratch, the mask
-//! buffers and the logits vector, while the session's KV capacity is
-//! reserved up front), every further decode step must allocate nothing.
+//! (one step populates the step scratch, the predictor scratch, the masks
+//! and the logits vectors, while the session's KV capacity is reserved up
+//! front), every further decode step must allocate nothing.
 //! This is the enforceable form of the workspace-reuse tentpole — a
 //! regression that re-introduces a per-token `Vec::with_capacity` anywhere
 //! on the hot path fails this test immediately.
@@ -85,19 +85,33 @@ fn test_model() -> Model {
     WeightGenerator::new(&cfg, 7).build()
 }
 
-/// Decodes `steps` tokens through `engine` on a capacity-reserved session
-/// and returns the number of heap allocations the *steady-state* steps
-/// performed (everything after the warm-up steps).
-fn steady_state_allocations(engine: &mut dyn Engine, warmup: usize, steps: usize) -> u64 {
+/// Decodes `steps` blocks of `block` tokens through `engine` — one
+/// `score_block_into` each, a block of one being `step_into` — on a
+/// capacity-reserved session and returns the number of heap allocations
+/// the *steady-state* blocks performed (everything after the warm-up
+/// blocks).
+fn steady_state_allocations(
+    engine: &mut dyn Engine,
+    warmup: usize,
+    steps: usize,
+    block: usize,
+) -> u64 {
     let model = engine.model();
-    let mut session = model.start_session_with_capacity(warmup + steps + 1);
-    let mut logits = Vector::zeros(0);
+    let mut session = model.start_session_with_capacity((warmup + steps) * block + 1);
+    let mut logits = vec![Vector::zeros(0); block];
+    let mut tokens = vec![0; block];
+    let mut step = |i: usize, modulus: usize| {
+        for (j, token) in tokens.iter_mut().enumerate() {
+            *token = ((i * block + j) % modulus) as u32 + 1;
+        }
+        engine.score_block_into(&tokens, &mut session, &mut logits);
+    };
     for i in 0..warmup {
-        engine.step_into((i % 7) as u32 + 1, &mut session, &mut logits);
+        step(i, 7);
     }
     let before = allocations();
     for i in 0..steps {
-        engine.step_into((i % 5) as u32 + 1, &mut session, &mut logits);
+        step(i, 5);
     }
     allocations() - before
 }
@@ -105,7 +119,7 @@ fn steady_state_allocations(engine: &mut dyn Engine, warmup: usize, steps: usize
 fn dense_steady_state_decode_is_allocation_free() {
     let model = test_model();
     let mut engine = EngineBuilder::new(&model).build().unwrap();
-    let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+    let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 1);
     assert_eq!(allocs, 0, "dense decode allocated {allocs} times");
 }
 
@@ -115,7 +129,7 @@ fn signbit_steady_state_decode_is_allocation_free() {
         .signbit(AlphaSchedule::uniform(1.0))
         .build()
         .unwrap();
-    let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+    let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 1);
     assert_eq!(allocs, 0, "signbit decode allocated {allocs} times");
 }
 
@@ -131,7 +145,7 @@ fn oracle_and_random_steady_state_decode_are_allocation_free() {
             EngineBuilder::new(&model).random(0.5, 3).build().unwrap(),
         ),
     ] {
-        let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+        let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 1);
         assert_eq!(allocs, 0, "{name} decode allocated {allocs} times");
     }
 }
@@ -159,9 +173,24 @@ fn int8_steady_state_decode_is_allocation_free() {
                 .unwrap(),
         ),
     ] {
-        let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+        let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 1);
         assert_eq!(allocs, 0, "{name} decode allocated {allocs} times");
     }
+}
+
+fn verify_block_decode_is_allocation_free() {
+    // Speculation's k = 4 verify: five tokens, five columns of one step.
+    let model = test_model();
+    let mut engine = EngineBuilder::new(&model)
+        .signbit(AlphaSchedule::uniform(1.0))
+        .weight_format(WeightFormat::Int8)
+        .build()
+        .unwrap();
+    let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 5);
+    assert_eq!(
+        allocs, 0,
+        "a 5-token signbit+int8 block allocated {allocs} times"
+    );
 }
 
 fn parallel_int8_steady_state_decode_is_allocation_free() {
@@ -173,7 +202,7 @@ fn parallel_int8_steady_state_decode_is_allocation_free() {
             .parallel(ParallelOptions::threads(threads))
             .build()
             .unwrap();
-        let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+        let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 1);
         assert_eq!(
             allocs, 0,
             "int8 decode at {threads} threads allocated {allocs} times"
@@ -204,7 +233,7 @@ fn parallel_steady_state_decode_is_allocation_free() {
                     .unwrap(),
             ),
         ] {
-            let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+            let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 1);
             assert_eq!(
                 allocs, 0,
                 "{name} decode at {threads} threads allocated {allocs} times"
@@ -249,7 +278,7 @@ fn fanned_out_decode_is_allocation_free() {
                 signbit().weight_format(WeightFormat::Int8).build().unwrap(),
             ),
         ] {
-            let allocs = steady_state_allocations(engine.as_mut(), 4, 16);
+            let allocs = steady_state_allocations(engine.as_mut(), 4, 16, 1);
             assert_eq!(
                 allocs, 0,
                 "{name} decode at {threads} threads allocated {allocs} times"
@@ -476,6 +505,7 @@ fn main() {
         signbit_steady_state_decode_is_allocation_free,
         oracle_and_random_steady_state_decode_are_allocation_free,
         int8_steady_state_decode_is_allocation_free,
+        verify_block_decode_is_allocation_free,
         parallel_int8_steady_state_decode_is_allocation_free,
         parallel_steady_state_decode_is_allocation_free,
         fanned_out_decode_is_allocation_free,

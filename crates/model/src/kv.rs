@@ -278,6 +278,12 @@ impl SharedKvBlock {
         Arc::strong_count(&self.inner)
     }
 
+    /// The physical block's identity: equal for every handle of one block,
+    /// distinct between blocks alive at the same time.
+    pub fn id(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
+    }
+
     /// Whether this handle is the block's only referrer (safe to mutate).
     fn is_unique(&self) -> bool {
         // No `Weak` handles are ever created, so a strong count of one is
@@ -1076,6 +1082,11 @@ impl PrefixIndex {
     /// in exactly one entry, so this is also a physical count).
     pub fn retained_blocks(&self) -> usize {
         self.entries.values().map(|e| e.blocks.len()).sum()
+    }
+
+    /// Every block handle the index retains, in no particular order.
+    pub fn blocks(&self) -> impl Iterator<Item = &SharedKvBlock> {
+        self.entries.values().flat_map(|e| &e.blocks)
     }
 
     /// Retained blocks whose **only** referrer is the index — the blocks

@@ -40,24 +40,26 @@ impl MlpWeights for GatedMlp {
 
 /// Steps 1–4 of §III for the inputs `xs` (back to back, `[b][d]`), gate
 /// before up as §IV argues, one pass over each weight matrix, input `b`
-/// keeping row `r` when `keeps(b, r)`. The buffers of `bufs` are resized
+/// keeping row `r` when `keeps(b, r)` and taking the paper's actual
+/// sparsity when `actual_sparsity(b)`. The buffers of `bufs` are resized
 /// in place and leave, per row (`[k][b]`):
 ///
 /// 1. `gate` — `h1`: [`gemm_rows_into`] over the rows some input keeps,
 ///    `+0.0` where an input drops the row (what a one-input call leaves),
 ///    then the activation — zero at zero for the ReLU family (the paper's
 ///    approximation), and zero at zero for every [`Activation`].
-/// 2. The filter of steps 2–4 (`rows`): a row some input keeps and, with
-///    `actual_sparsity`, whose `h1` is non-zero for some input (§IV).
+/// 2. The filter of steps 2–4 (`rows`): a row some input keeps, unless
+///    every input keeping it takes actual sparsity and has a zero `h1`
+///    there (§IV).
 /// 3. `h3` — the up projection under that filter, times `h1`.
 /// 4. `out` (per input, `[b][d]`) — [`gemm_transposed_rows_into`] under
-///    the filter, which with `actual_sparsity` also skips an input's zero
-///    `h3` entries.
+///    the filter, which when some input takes actual sparsity also skips
+///    zero `h3` entries.
 ///
-/// Each input's output is bitwise its own one-input call, and
-/// `actual_sparsity` moves no bit: where the filter loads a row that an
-/// input drops, or whose `h1` is zero for it, that input's `h3` is `±0` (a
-/// zero `h1` times a finite `h2`), and adding `w · (±0)` to the down
+/// Each input's output is bitwise its own one-input call, and actual
+/// sparsity moves no bit: where the filter loads a row that an input
+/// drops, or whose `h1` is zero for it, that input's `h3` is `±0` (a zero
+/// `h1` times a finite `h2`), and adding `w · (±0)` to the down
 /// projection's accumulators, which start at `+0.0`, never changes a bit.
 /// With every row kept it is bitwise [`GatedMlp::forward`].
 ///
@@ -68,13 +70,15 @@ pub fn gated_mlp_into<M: MlpWeights>(
     mlp: &M,
     xs: &[f32],
     keeps: impl Fn(usize, usize) -> bool + Sync,
-    actual_sparsity: bool,
+    actual_sparsity: impl Fn(usize) -> bool,
     pool: &ThreadPool,
     bufs: &mut MlpBuffers,
 ) {
     let (w_gate, w_up, w_down_t, activation) = mlp.parts();
+    let batch = xs.len() / w_gate.cols();
+    let any_actual = (0..batch).any(&actual_sparsity);
     debug_assert!(
-        !actual_sparsity || xs.iter().all(|v| v.is_finite()),
+        !any_actual || xs.iter().all(|v| v.is_finite()),
         "mlp input must be finite for the zero-gate row skip to be exact"
     );
     let MlpBuffers {
@@ -83,7 +87,6 @@ pub fn gated_mlp_into<M: MlpWeights>(
         rows,
         out,
     } = bufs;
-    let batch = xs.len() / w_gate.cols();
     // The filters as one flag per row (a load and a compare in the kernels'
     // row walks): first the rows some input keeps.
     rows.resize(w_gate.rows(), 0.0);
@@ -104,13 +107,12 @@ pub fn gated_mlp_into<M: MlpWeights>(
         }
     }
     activation.apply_slice(gate.as_mut_slice());
-    if actual_sparsity {
-        for (flag, h1) in rows
-            .as_mut_slice()
-            .iter_mut()
-            .zip(gate.as_slice().chunks_exact(batch))
-        {
-            if h1.iter().all(|v| *v == 0.0) {
+    if any_actual {
+        let rows = rows.as_mut_slice().iter_mut();
+        for (r, (flag, h1)) in rows.zip(gate.as_slice().chunks_exact(batch)).enumerate() {
+            // An input dropping the row has a zero `h1` there already.
+            let idle = |(b, v): (usize, &f32)| *v == 0.0 && (actual_sparsity(b) || !keeps(b, r));
+            if h1.iter().enumerate().all(idle) {
                 *flag = 0.0;
             }
         }
@@ -120,8 +122,7 @@ pub fn gated_mlp_into<M: MlpWeights>(
     for (h, g) in h3.as_mut_slice().iter_mut().zip(gate.as_slice()) {
         *h *= g;
     }
-    let skip_zeros = actual_sparsity;
-    gemm_transposed_rows_into(w_down_t, h3.as_slice(), batch, loads, skip_zeros, pool, out);
+    gemm_transposed_rows_into(w_down_t, h3.as_slice(), batch, loads, any_actual, pool, out);
 }
 
 /// The buffers of [`gated_mlp_into`], recycled across calls.
@@ -135,6 +136,14 @@ pub struct MlpBuffers {
     pub rows: Vector,
     /// The output, per input (`[b][d]`).
     pub out: Vector,
+}
+
+impl MlpBuffers {
+    /// Heap bytes the buffers hold (capacity, not length).
+    pub fn memory_bytes(&self) -> u64 {
+        let buffers = [&self.gate, &self.h3, &self.rows, &self.out];
+        buffers.iter().map(|b| b.capacity() as u64 * 4).sum()
+    }
 }
 
 /// One gated MLP block with skip-friendly weight layout.

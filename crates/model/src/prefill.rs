@@ -89,7 +89,7 @@ pub trait MlpHook {
         out: &mut MlpBuffers,
     ) {
         let _ = layer;
-        gated_mlp_into(mlp, xs, |_, _| true, true, pool, out);
+        gated_mlp_into(mlp, xs, |_, _| true, |_| true, pool, out);
     }
 }
 
@@ -97,7 +97,7 @@ impl MlpHook for () {}
 
 /// Recycled buffers of [`Model::step`](crate::Model::step), reusable across
 /// models and column counts: an engine owns one, the scheduler one for all
-/// its slots' prefill.
+/// its slots.
 #[derive(Debug, Default)]
 pub struct PrefillScratch {
     /// The residual stream, per column (`[c][d]`).
@@ -140,12 +140,9 @@ impl PrefillScratch {
             &self.v,
             &self.lanes,
             &self.rope,
-            &self.mlp.gate,
-            &self.mlp.h3,
-            &self.mlp.rows,
-            &self.mlp.out,
         ];
-        buffers.iter().map(|b| b.capacity() as u64 * 4).sum()
+        let vectors: u64 = buffers.iter().map(|b| b.capacity() as u64 * 4).sum();
+        vectors + self.mlp.memory_bytes()
     }
 }
 

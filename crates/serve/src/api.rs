@@ -487,6 +487,7 @@ mod tests {
                 },
                 prefill_batches: 21,
                 prefill_positions: 40,
+                mlp_rows_loaded: 5504,
             },
             kv_peak_in_use_bytes: 9216,
             weight_format: "int8",

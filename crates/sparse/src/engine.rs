@@ -58,8 +58,15 @@
 //!   prediction, the [`OpCounter`] bill and the [`SparsityStats`] run per
 //!   column, in token order within each layer. Every column's logits are
 //!   bitwise those of feeding its token alone.
+//! * **Columns of a shared step** — an engine lends that per-column stage
+//!   ([`Engine::column_stage`], a [`ColumnStage`]) to a step other sessions
+//!   share: the [`Scheduler`](crate::scheduler::Scheduler) runs every
+//!   slot's decode token and prompt chunk as columns of one step per tick,
+//!   and a lone run feeds its prompt's head and last token in one. The
+//!   engine's counters and logits are those of its own calls.
 //! * **Scratch reuse** — every engine owns a step scratch, a per-session
-//!   [`PredictorScratch`] and one recycled [`SkipMask`] per column; with a
+//!   [`PredictorScratch`] and one recycled
+//!   [`SkipMask`](sparseinfer_predictor::SkipMask) per column; with a
 //!   capacity-reserved session, a steady-state decode or verify step
 //!   performs **zero heap allocations** (`tests/alloc_free.rs`).
 //! * **Thread parallelism** — [`EngineBuilder::parallel`] plumbs a
@@ -82,17 +89,19 @@ use std::sync::Arc;
 
 use sparseinfer_model::model::DecodeSession;
 use sparseinfer_model::sampling::Sampler;
-use sparseinfer_model::{gated_mlp_into, GatedMlp, MlpBuffers, MlpHook, Model, PrefillScratch};
+use sparseinfer_model::{Model, PrefillScratch};
 use sparseinfer_predictor::{
     AlphaSchedule, DejaVuPredictor, OraclePredictor, PredictorScratch, RandomPredictor,
-    SignBitPredictor, SkipMask, SparsityPredictor,
+    SignBitPredictor, SparsityPredictor,
 };
-use sparseinfer_tensor::{ParallelOptions, ThreadPool, Vector, WeightRows};
+use sparseinfer_tensor::{ParallelOptions, ThreadPool, Vector};
 
 use crate::error::EngineError;
-use crate::mlp::{bill_mlp, MlpOptions, MlpWeights};
+use crate::mlp::MlpOptions;
 use crate::ops::OpCounter;
 use crate::quantized::FusedQuantizedMlp;
+use crate::step::arc_id;
+pub use crate::step::ColumnStage;
 
 /// MLP weight storage format executed by an engine.
 ///
@@ -219,9 +228,9 @@ impl Default for EngineOptions {
 /// Accumulated per-layer sparsity statistics of a decode run.
 #[derive(Debug, Clone, Default)]
 pub struct SparsityStats {
-    predicted_sum: Vec<f64>,
-    effective_sum: Vec<f64>,
-    tokens: u64,
+    pub(crate) predicted_sum: Vec<f64>,
+    pub(crate) effective_sum: Vec<f64>,
+    pub(crate) tokens: u64,
 }
 
 impl SparsityStats {
@@ -562,6 +571,20 @@ pub trait Engine: std::fmt::Debug + Send {
 
     /// Short, stable configuration name for printouts.
     fn name(&self) -> &str;
+
+    /// The engine's [`ColumnStage`] — its predictor, weight storage,
+    /// scratch and accounting — for a caller that runs this engine's
+    /// tokens as columns of a [`Model::step`] shared with other sessions:
+    /// the scheduler's one weight pass per tick for every slot, or a lone
+    /// run's prompt head together with its first engine position. Each
+    /// column's logits and the engine's counters are exactly those of
+    /// [`score_block_into`](Self::score_block_into) on the same tokens.
+    /// `None`, the default, for an engine whose steps must go through its
+    /// own methods (a speculative pair, a wrapper): callers step it alone.
+    /// A shared step runs on its caller's pool, not the stage's.
+    fn column_stage(&mut self) -> Option<&mut ColumnStage> {
+        None
+    }
 }
 
 /// The one non-speculative engine: the gated MLP of every layer runs under
@@ -572,7 +595,8 @@ pub trait Engine: std::fmt::Debug + Send {
 /// kept and the options are the base ones (no fusion, no actual sparsity)
 /// — the llama.cpp baseline. Weight storage is orthogonal: either case
 /// reads the model's own `f32` matrices or a shared [`QuantizedWeights`]
-/// copy. A call is one [`Model::step`] over its tokens.
+/// copy. A call is one [`Model::step`] over its tokens, every column the
+/// engine's ([`ColumnStage`]).
 ///
 /// The predictor and the quantized weights sit behind `Arc`s and are
 /// **read-only**: any number of engines (batch slots) share one copy, while
@@ -581,22 +605,9 @@ pub trait Engine: std::fmt::Debug + Send {
 #[derive(Debug)]
 struct MaskedEngine<'m> {
     model: &'m Model,
-    predictor: Option<Arc<dyn SparsityPredictor>>,
-    /// Base options when there is no predictor.
-    options: MlpOptions,
-    quantized: Option<Arc<QuantizedWeights>>,
-    ops: OpCounter,
-    /// `Some` exactly when there is a predictor.
-    stats: Option<SparsityStats>,
     sampler: Sampler,
     label: String,
-    pool: ThreadPool,
-    step: PrefillScratch,
-    scratch: PredictorScratch,
-    /// The predictor's input: a column's normed MLP input.
-    x: Vector,
-    /// One predicted mask per column of a step.
-    masks: Vec<SkipMask>,
+    stage: ColumnStage,
 }
 
 impl Engine for MaskedEngine<'_> {
@@ -610,43 +621,22 @@ impl Engine for MaskedEngine<'_> {
         session: &mut DecodeSession,
         logits: &mut [Vector],
     ) {
-        assert_eq!(tokens.len(), logits.len(), "one logit vector per token");
-        let model = self.model;
-        for cache in &session.caches {
-            for c in 1..=tokens.len() {
-                account_attention(&mut self.ops, model.config().hidden_dim, cache.len() + c);
-            }
-        }
-        // The engine is the step's MLP stage, so it lends the step its
-        // scratch and pool for the call.
-        let (mut step, pool) = (std::mem::take(&mut self.step), self.pool.clone());
-        model.step(
-            &mut [(tokens, session)],
-            self,
-            |_| true,
-            logits,
-            &pool,
-            &mut step,
-        );
-        self.step = step;
-        if let Some(stats) = &mut self.stats {
-            stats.tokens += tokens.len() as u64;
-        }
+        self.stage.score(self.model, tokens, session, logits);
     }
 
     fn ops(&self) -> &OpCounter {
-        &self.ops
+        &self.stage.ops
     }
 
     fn reset_ops(&mut self) {
-        self.ops = OpCounter::default();
-        if let Some(stats) = &mut self.stats {
+        self.stage.ops = OpCounter::default();
+        if let Some(stats) = &mut self.stage.stats {
             *stats = SparsityStats::new(self.model.layers().len());
         }
     }
 
     fn stats(&self) -> Option<&SparsityStats> {
-        self.stats.as_ref()
+        self.stage.stats.as_ref()
     }
 
     fn default_sampler(&self) -> Sampler {
@@ -654,19 +644,20 @@ impl Engine for MaskedEngine<'_> {
     }
 
     fn memory_estimate(&self) -> MemoryEstimate {
-        let weight_bytes = self.quantized.as_ref().map_or(0, |q| q.size_bytes());
-        let predictor_bytes = self.predictor.as_ref().map_or(0, |p| p.memory_bytes());
-        let stats_bytes = self
+        let stage = &self.stage;
+        let weight_bytes = stage.quantized.as_ref().map_or(0, |q| q.size_bytes());
+        let predictor_bytes = stage.predictor.as_ref().map_or(0, |p| p.memory_bytes());
+        let stats_bytes = stage
             .stats
             .as_ref()
             .map_or(0, |s| s.predicted_sum.len() as u64 * 16);
-        let masks = self.masks.iter().map(|m| m.len().div_ceil(64) as u64 * 8);
+        let masks = stage.masks.iter().map(|m| m.len().div_ceil(64) as u64 * 8);
         MemoryEstimate {
             shared_bytes: predictor_bytes + weight_bytes,
             weight_bytes,
-            per_session_bytes: self.step.memory_bytes()
-                + self.scratch.memory_bytes()
-                + self.x.capacity() as u64 * 4
+            per_session_bytes: stage.step.memory_bytes()
+                + stage.scratch.memory_bytes()
+                + stage.x.capacity() as u64 * 4
                 + masks.sum::<u64>()
                 + stats_bytes,
             swapped_bytes: 0,
@@ -676,8 +667,8 @@ impl Engine for MaskedEngine<'_> {
     fn shared_state_id(&self) -> Option<usize> {
         // Identity covers *all* shared state: engines share bytes only when
         // they share both the predictor and (if any) the quantized weights.
-        let p = self.predictor.as_ref().map(arc_id);
-        let q = self.quantized.as_ref().map(arc_id);
+        let p = self.stage.predictor.as_ref().map(arc_id);
+        let q = self.stage.quantized.as_ref().map(arc_id);
         match (p, q) {
             (Some(p), Some(q)) => Some(p ^ q),
             (p, q) => p.or(q),
@@ -685,7 +676,7 @@ impl Engine for MaskedEngine<'_> {
     }
 
     fn weight_format(&self) -> WeightFormat {
-        if self.quantized.is_some() {
+        if self.stage.quantized.is_some() {
             WeightFormat::Int8
         } else {
             WeightFormat::F32
@@ -695,85 +686,9 @@ impl Engine for MaskedEngine<'_> {
     fn name(&self) -> &str {
         &self.label
     }
-}
 
-fn arc_id<T: ?Sized>(shared: &Arc<T>) -> usize {
-    Arc::as_ptr(shared) as *const () as usize
-}
-
-/// The engine as its steps' MLP stage: each column's mask predicted from
-/// its normed input, the engine's weight storage, and per layer, column by
-/// column in token order, the [`OpCounter`] bill and [`SparsityStats`] of
-/// each column's pass. Without a predictor every column keeps every row.
-impl MlpHook for MaskedEngine<'_> {
-    fn mlp(
-        &mut self,
-        li: usize,
-        mlp: &GatedMlp,
-        xs: &[f32],
-        pool: &ThreadPool,
-        out: &mut MlpBuffers,
-    ) {
-        // The storage format picks the monomorphized pass; nothing below
-        // dispatches on it.
-        match self.quantized.take() {
-            Some(q) => {
-                self.pass(li, &q.layers()[li], xs, pool, out);
-                self.quantized = Some(q);
-            }
-            None => self.pass(li, mlp, xs, pool, out),
-        }
-    }
-}
-
-impl MaskedEngine<'_> {
-    /// Layer `li`'s MLP over `mlp`: predicts each column's mask, runs the
-    /// block, and bills each column as
-    /// [`sparse_mlp_forward_into`](crate::mlp::sparse_mlp_forward_into)
-    /// bills its one input — the gate under the predicted mask, up and down
-    /// under it joined (with actual sparsity) by the column's zero gates.
-    fn pass<M: MlpWeights>(
-        &mut self,
-        li: usize,
-        mlp: &M,
-        xs: &[f32],
-        pool: &ThreadPool,
-        out: &mut MlpBuffers,
-    ) {
-        let d = mlp.parts().0.cols();
-        let columns = xs.len() / d;
-        if self.masks.len() < columns {
-            self.masks.resize_with(columns, || SkipMask::all_dense(0));
-        }
-        if let Some(predictor) = &self.predictor {
-            for (x, mask) in xs.chunks_exact(d).zip(&mut self.masks) {
-                self.x.copy_from(x);
-                predictor.predict_into(li, &self.x, &mut self.scratch, mask);
-                let cost = predictor.prediction_cost(li);
-                self.ops.xor_popc += cost.xor_popc;
-                self.ops.predictor_macs += cost.macs;
-                self.ops.weight_bytes_loaded += cost.bytes_loaded;
-            }
-        }
-        let (masks, dense, options) = (&self.masks, self.predictor.is_none(), self.options);
-        let keeps = |c: usize, r: usize| dense || !masks[c].is_skipped(r);
-        gated_mlp_into(mlp, xs, keeps, options.actual_sparsity, pool, out);
-        let gate = out.gate.as_slice();
-        for c in 0..columns {
-            let predicted = if dense { 0 } else { masks[c].skip_count() };
-            let mut effective = predicted;
-            if options.actual_sparsity {
-                // A dropped row's gate is the activation of `+0.0`, zero for
-                // every activation: the zeros are the applied mask.
-                let rows = gate.chunks_exact(columns);
-                effective = rows.filter(|row| row[c] == 0.0).count();
-            }
-            let (p, e) = bill_mlp(&mut self.ops, mlp, options, predicted, effective);
-            if let Some(stats) = &mut self.stats {
-                stats.predicted_sum[li] += p;
-                stats.effective_sum[li] += e;
-            }
-        }
+    fn column_stage(&mut self) -> Option<&mut ColumnStage> {
+        Some(&mut self.stage)
     }
 }
 
@@ -1110,6 +1025,13 @@ impl<'m> EngineBuilder<'m> {
     /// spawns its own parked workers — to share one worker set across many
     /// engines (e.g. batch slots), build a [`ThreadPool`] once and pass
     /// clones via [`pool`](Self::pool) instead.
+    ///
+    /// Under a [`Scheduler`](crate::scheduler::Scheduler) the engine's
+    /// columns run in the scheduler's shared step, on the scheduler's slot
+    /// pool ([`Scheduler::parallel`](crate::scheduler::Scheduler::parallel)):
+    /// this setting then applies only to the steps the engine takes alone
+    /// (its calls through [`generate`](crate::request::generate), or as a
+    /// speculative pair's half).
     pub fn parallel(mut self, parallel: ParallelOptions) -> Self {
         self.parallel = parallel;
         self
@@ -1121,7 +1043,9 @@ impl<'m> EngineBuilder<'m> {
     /// one pool share one set of parked workers instead of keeping
     /// `N·(threads−1)` idle threads alive. Takes precedence over
     /// [`parallel`](Self::parallel). Tokens are unaffected either way
-    /// (dispatch never changes results, only wall-clock).
+    /// (dispatch never changes results, only wall-clock). Under a
+    /// scheduler the pool serves only the engine's steps alone, as for
+    /// [`parallel`](Self::parallel).
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = Some(pool);
         self
@@ -1179,18 +1103,20 @@ impl<'m> EngineBuilder<'m> {
         }
         Ok(Box::new(MaskedEngine {
             model: self.model,
-            predictor: self.predictor,
-            options,
-            quantized,
-            ops: OpCounter::default(),
-            stats,
             sampler: self.sampler,
             label,
-            pool,
-            step: PrefillScratch::new(),
-            scratch: PredictorScratch::new(),
-            x: Vector::zeros(0),
-            masks: Vec::new(),
+            stage: ColumnStage {
+                predictor: self.predictor,
+                options,
+                quantized,
+                ops: OpCounter::default(),
+                stats,
+                pool,
+                step: PrefillScratch::new(),
+                scratch: PredictorScratch::new(),
+                x: Vector::zeros(0),
+                masks: Vec::new(),
+            },
         }))
     }
 
@@ -1227,17 +1153,6 @@ impl<'m> EngineBuilder<'m> {
     ) -> Result<Box<dyn Engine + 'm>, EngineError> {
         Ok(Box::new(SpeculativeEngine::new(draft, verify, k)?))
     }
-}
-
-/// Counts the dense attention work of one layer at context length `ctx`:
-/// four `d×d` projections plus score/value accumulation over the context.
-fn account_attention(ops: &mut OpCounter, d: usize, ctx: usize) {
-    let d = d as u64;
-    let ctx = ctx as u64;
-    ops.macs += 4 * d * d + 2 * ctx * d;
-    ops.weight_bytes_loaded += 4 * d * d * OpCounter::WEIGHT_BYTES;
-    // KV cache traffic: read ctx keys + values.
-    ops.activation_bytes += 2 * ctx * d * OpCounter::ACTIVATION_BYTES;
 }
 
 #[cfg(test)]
@@ -1845,27 +1760,22 @@ mod tests {
                 session
             })
             .collect();
-        let mut engine = MaskedEngine {
-            model: m,
+        let mut stage = ColumnStage {
             predictor: Some(Arc::clone(predictor)),
             options,
             quantized: quantized.cloned(),
-            ops: OpCounter::default(),
             stats: Some(SparsityStats::new(m.layers().len())),
-            sampler: Sampler::greedy(),
-            label: String::new(),
-            pool: pool.clone(),
-            step: PrefillScratch::new(),
-            scratch: PredictorScratch::new(),
-            x: Vector::zeros(0),
-            masks: Vec::new(),
+            ..ColumnStage::default()
         };
         let mut logits = vec![Vector::zeros(0); columns];
         let mut step = PrefillScratch::new();
+        let mut groups = crate::step::StepGroups::default();
         let mut run = |batch: &mut [(&[u32], &mut DecodeSession)], first: usize| {
             let n: usize = batch.iter().map(|(t, _)| t.len()).sum();
             let out = &mut logits[first..first + n];
-            m.step(batch, &mut engine, |_| true, out, pool, &mut step);
+            let stages = std::slice::from_mut(&mut stage);
+            let mut hook = crate::step::StepColumns::new(stages, |c| Some((0, c)), &mut groups);
+            m.step(batch, &mut hook, |_| true, out, pool, &mut step);
         };
         if together {
             let mut batch: Vec<(&[u32], &mut DecodeSession)> = tokens
@@ -1884,11 +1794,11 @@ mod tests {
             }
         }
         let bits = |v: &Vector| v.iter().map(|f| f.to_bits()).collect();
-        let stats = engine.stats.expect("a predictor keeps statistics");
+        let stats = stage.stats.expect("a predictor keeps statistics");
         (
             logits.iter().map(bits).collect(),
             sessions,
-            engine.ops,
+            stage.ops,
             stats,
         )
     }

@@ -17,10 +17,6 @@ pub enum EngineError {
     /// The engine produced no logits to sample from (zero-sized
     /// vocabulary) — a degenerate model configuration, not a crash.
     EmptyVocab,
-    /// Decode reached the sampling state without logits from a prior
-    /// engine step — an engine-implementation bug surfaced as an error so
-    /// a serving process drops the request instead of aborting.
-    MissingLogits,
     /// A request's worst-case KV footprint (`prompt + max_new` tokens
     /// across every layer) exceeds the scheduler's total block budget: it
     /// could never be admitted, so [`submit`](crate::scheduler::Scheduler::submit)
@@ -94,12 +90,6 @@ impl std::fmt::Display for EngineError {
                 write!(
                     f,
                     "engine produced no logits to sample from (empty vocabulary)"
-                )
-            }
-            EngineError::MissingLogits => {
-                write!(
-                    f,
-                    "decode reached sampling without logits from an engine step"
                 )
             }
             EngineError::KvBudgetExceeded {

@@ -69,10 +69,11 @@ pub mod ops;
 pub mod quantized;
 pub mod request;
 pub mod scheduler;
+mod step;
 
 pub use engine::{
-    Engine, EngineBuilder, EngineOptions, MemoryEstimate, QuantizedWeights, SparsityStats,
-    SpeculativeEngine, SpeculativeStats, StepBlock, WeightFormat,
+    ColumnStage, Engine, EngineBuilder, EngineOptions, MemoryEstimate, QuantizedWeights,
+    SparsityStats, SpeculativeEngine, SpeculativeStats, StepBlock, WeightFormat,
 };
 pub use error::EngineError;
 pub use ops::OpCounter;

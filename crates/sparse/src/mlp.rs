@@ -77,14 +77,8 @@ pub fn sparse_mlp_forward_into<M: MlpWeights>(
         out: std::mem::take(out),
     };
     let keeps = |_, r| !predicted.is_skipped(r);
-    gated_mlp_into(
-        mlp,
-        x.as_slice(),
-        keeps,
-        options.actual_sparsity,
-        pool,
-        &mut bufs,
-    );
+    let actual = |_| options.actual_sparsity;
+    gated_mlp_into(mlp, x.as_slice(), keeps, actual, pool, &mut bufs);
     // The mask steps 2–4 ran under, for the statistics.
     effective.copy_from(predicted);
     if options.actual_sparsity {
@@ -383,26 +377,21 @@ pub(crate) mod tests {
     }
 
     /// [`gated_mlp_into`] of `mlp` on `batch` inputs `xs` at one thread,
-    /// input `b` keeping the rows `predicted[b * k..][..k]` marks: the
-    /// output's bits, per input (`[b][d]`).
+    /// input `b` keeping the rows `predicted[b * k..][..k]` marks and
+    /// taking actual sparsity when `actual[b]`: the output's bits, per
+    /// input (`[b][d]`).
     fn executor<M: MlpWeights>(
         mlp: &M,
         xs: &[f32],
         batch: usize,
         predicted: &[bool],
-        actual_sparsity: bool,
+        actual: &[bool],
     ) -> Vec<u32> {
         let mut bufs = MlpBuffers::default();
         let k = predicted.len() / batch;
         let keeps = |b: usize, r: usize| predicted[b * k + r];
-        gated_mlp_into(
-            mlp,
-            xs,
-            keeps,
-            actual_sparsity,
-            &ThreadPool::single(),
-            &mut bufs,
-        );
+        let pool = ThreadPool::single();
+        gated_mlp_into(mlp, xs, keeps, |b| actual[b], &pool, &mut bufs);
         bufs.out.iter().map(|v| v.to_bits()).collect()
     }
 
@@ -414,7 +403,7 @@ pub(crate) mod tests {
         // "per input" every input keeps rows of its own, so most loaded
         // rows are dropped by some input: the `±0` argument of the
         // executor's doc carries those inputs, with and without actual
-        // sparsity.
+        // sparsity, and with inputs that differ in it.
         let (k, d) = (71, 45);
         let mut rng = Prng::seed(33);
         let mut m = |mean: f64| Matrix::from_fn(k, d, |_, _| rng.normal(mean, 0.5) as f32);
@@ -436,15 +425,16 @@ pub(crate) mod tests {
                 ("per input", per_input),
             ];
             for (label, predicted) in filters {
-                for actual in [false, true] {
-                    let what = format!("batch {batch} {label} actual sparsity {actual}");
-                    let f32_out = executor(&mlp, &xs, batch, &predicted, actual);
-                    let q8_out = executor(&qmlp, &xs, batch, &predicted, actual);
+                let mixed: Vec<bool> = (0..batch).map(|b| b % 2 == 0).collect();
+                for actual in [vec![false; batch], vec![true; batch], mixed] {
+                    let what = format!("batch {batch} {label} actual sparsity {actual:?}");
+                    let f32_out = executor(&mlp, &xs, batch, &predicted, &actual);
+                    let q8_out = executor(&qmlp, &xs, batch, &predicted, &actual);
                     for (b, x) in xs.chunks_exact(d).enumerate() {
                         let column = |out: &[u32]| out[b * d..][..d].to_vec();
                         let own = &predicted[b * k..][..k];
-                        let f32_alone = executor(&mlp, x, 1, own, actual);
-                        let q8_alone = executor(&qmlp, x, 1, own, actual);
+                        let f32_alone = executor(&mlp, x, 1, own, &actual[b..=b]);
+                        let q8_alone = executor(&qmlp, x, 1, own, &actual[b..=b]);
                         assert_eq!(column(&f32_out), f32_alone, "f32 {what} input {b}");
                         assert_eq!(column(&q8_out), q8_alone, "int8 {what} input {b}");
                         if label == "all kept" {
@@ -453,9 +443,10 @@ pub(crate) mod tests {
                             assert_eq!(f32_alone, forward, "f32 {what} input {b} vs forward");
                         }
                     }
-                    let other = executor(&mlp, &xs, batch, &predicted, !actual);
+                    let opposite: Vec<bool> = actual.iter().map(|a| !a).collect();
+                    let other = executor(&mlp, &xs, batch, &predicted, &opposite);
                     assert_eq!(f32_out, other, "f32 {what} vs its opposite");
-                    let other = executor(&qmlp, &xs, batch, &predicted, !actual);
+                    let other = executor(&qmlp, &xs, batch, &predicted, &opposite);
                     assert_eq!(q8_out, other, "int8 {what} vs its opposite");
                 }
             }

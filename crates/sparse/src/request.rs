@@ -8,29 +8,35 @@
 //! decodes bit-identically alone or interleaved with others.
 //!
 //! Prefill is always dense (the paper exploits sparsity only during
-//! decode): all but the last prompt token go through the bare model's
-//! batched prefill step
-//! ([`Model::prefill_step`](sparseinfer_model::Model::prefill_step)), the
-//! last token goes through the engine so decode statistics start with the
-//! first generated token. There is one prefill implementation: a run
-//! advancing alone calls the step with itself as the whole batch
-//! ([`RequestRun::advance`]), [`PREFILL_CHUNK`] prompt positions per step —
-//! nothing waits on a lone run's step; the scheduler borrows the sessions
-//! of all its prefilling slots for one call per tick, and lets each bring a
-//! chunk only in ticks where no slot is decoding. How many positions share
-//! a step never shows in the KV: it is bitwise what one position at a time
-//! leaves.
+//! decode): every prompt token but the last keeps every MLP row of the bare
+//! model, the last goes through the engine so decode statistics start with
+//! the first generated token, and its logits give the first token in the
+//! same step. A run whose engine lends its
+//! [`ColumnStage`] takes one [`Model::step`] per
+//! [`advance`](RequestRun::advance), up to [`PREFILL_CHUNK`] prompt
+//! positions — nothing waits on a lone run's step — with the last prompt
+//! token as the step's engine column once the rest of the prompt fits, then
+//! one decode token per step. The scheduler lends the sessions of all its
+//! slots to one such step per tick. An engine that cannot lend its stage
+//! (a speculative pair, a wrapper) takes its dense chunks through
+//! [`Model::prefill_step`] and everything else through its own methods. How
+//! many positions share a step never shows in the KV or the logits: they
+//! are bitwise what one position at a time leaves.
+//!
+//! [`Model::step`]: sparseinfer_model::Model::step
+//! [`Model::prefill_step`]: sparseinfer_model::Model::prefill_step
 
 use sparseinfer_model::kv::{
     KvBlockPool, PagedKvCache, PrefixHit, SwappedKvCache, DEFAULT_BLOCK_TOKENS,
 };
 use sparseinfer_model::model::DecodeSession;
 use sparseinfer_model::sampling::Sampler;
-use sparseinfer_model::{PrefillScratch, PromptChunk, PREFILL_CHUNK};
+use sparseinfer_model::{Model, PrefillScratch, PromptChunk, PromptTokens, PREFILL_CHUNK};
 use sparseinfer_tensor::{ThreadPool, Vector};
 
-use crate::engine::{Engine, StepBlock};
+use crate::engine::{ColumnStage, Engine, StepBlock};
 use crate::error::EngineError;
+use crate::step::{StepColumns, StepGroups};
 
 /// Why a generation ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,14 +184,14 @@ pub struct TokenEvent {
 /// The per-request decode state machine.
 ///
 /// Each [`advance`](RequestRun::advance) call performs exactly one model
-/// step (a chunk of prefill tokens or a decode *block*), which is the
-/// granularity the batch scheduler interleaves at. A prefill step emits no
-/// tokens; a decode
-/// step emits between one and `k + 1` [`TokenEvent`]s (plain engines emit
-/// exactly one, speculative engines emit one per accepted draft plus the
-/// correction/bonus token), collected via [`events`](Self::events). Used
-/// directly only by the scheduler; normal callers go through [`generate`] /
-/// [`generate_streaming`].
+/// step (a chunk of prompt tokens, or a decode *block*), which is the
+/// granularity the batch scheduler interleaves at. A step that ends the
+/// prompt samples the first token; a decode step emits between one and
+/// `k + 1` [`TokenEvent`]s (plain engines emit exactly one, speculative
+/// engines emit one per accepted draft plus the correction/bonus token),
+/// collected via [`events`](Self::events); a step inside the prompt emits
+/// none. Used directly only by the scheduler; normal callers go through
+/// [`generate`] / [`generate_streaming`].
 #[derive(Debug)]
 pub struct RequestRun {
     prompt: Vec<u32>,
@@ -202,15 +208,15 @@ pub struct RequestRun {
     stop: Vec<u32>,
     sampler: Sampler,
     session: DecodeSession,
-    /// Scratch of the dense prefill steps this run takes on its own
-    /// ([`advance`](Self::advance)); stays empty for a run whose prefill the
-    /// scheduler batches with its other slots'.
+    /// Scratch of the steps with prompt positions this run takes on its own
+    /// ([`advance`](Self::advance)), and of their passes over more than one
+    /// weight storage; both stay empty for a run the scheduler steps with
+    /// its other slots.
     prefill: PrefillScratch,
-    /// Recycled logits buffer for the prefill→decode handoff: the last
-    /// prompt token's engine step writes here, and the first decode tick
-    /// samples from it.
+    groups: StepGroups,
+    /// Recycled logits buffer of the run's engine columns: the step that
+    /// scores one writes here, and the run samples from it at once.
     logits: Vector,
-    has_logits: bool,
     /// The sampled-but-not-yet-fed token decode feeds on its next tick:
     /// the acceptance loop always ends on a token whose KV the engine has
     /// not seen (the correction after a mismatch, or the bonus token after
@@ -356,8 +362,8 @@ impl RequestRun {
                 None => engine.model().start_paged_session(pool),
             },
             prefill: PrefillScratch::new(),
+            groups: StepGroups::default(),
             logits: Vector::zeros(0),
-            has_logits: false,
             pending: None,
             block: StepBlock::new(),
             events: Vec::new(),
@@ -459,105 +465,191 @@ impl RequestRun {
         !self.dense_chunk(1).is_empty()
     }
 
-    /// Lends out the run's session for a batched dense-prefill step, with
-    /// the up to `limit` (at most [`PREFILL_CHUNK`]) consecutive prompt
-    /// tokens that step must feed it — `None` (and nothing lent) unless the
-    /// run's [next step is one](Self::next_is_dense_prefill). The caller
-    /// feeds the tokens through
-    /// [`Model::prefill_step`](sparseinfer_model::Model::prefill_step)
-    /// together with other runs' and hands the session back through
-    /// [`finish_prefill`](Self::finish_prefill), which completes the step;
-    /// the pair replaces one [`advance`](Self::advance) call. Until then
-    /// the run has no session and must not be advanced.
-    pub(crate) fn take_prefill(&mut self, limit: usize) -> Option<(PromptChunk, DecodeSession)> {
-        let chunk = self.dense_chunk(limit);
-        (!chunk.is_empty()).then(|| {
-            (
-                PromptChunk::new(&self.prompt[chunk]),
-                std::mem::take(&mut self.session),
-            )
-        })
+    /// Whether the run's next step produces a token: it is live and every
+    /// prompt token but at most the last is fed.
+    pub(crate) fn awaits_token(&self) -> bool {
+        self.finish.is_none() && self.dense_prefill_complete()
     }
 
-    /// Takes back the session lent by [`take_prefill`](Self::take_prefill),
-    /// now the lent tokens longer, and counts the step.
-    pub(crate) fn finish_prefill(&mut self, session: DecodeSession) {
-        debug_assert!(self.session.caches.is_empty(), "no session was lent");
-        self.fed = session.context_len();
-        self.session = session;
+    /// Lends out the run's session for its next plain model step, with the
+    /// tokens that step feeds it — `None` (and nothing lent) while the run
+    /// is finished or walking its cached prefix. The step takes up to
+    /// `share` (at most [`PREFILL_CHUNK`]) prompt positions; with `scored`,
+    /// the last prompt token joins them as the step's *engine column* once
+    /// the rest of the prompt fits in `share`, and a decode step is the
+    /// pending token alone, also an engine column. Without `scored` only
+    /// dense positions are lent, and `None` once they are all fed.
+    ///
+    /// For an engine column the run's logits buffer is lent too: the caller
+    /// feeds the tokens through [`Model::step`](sparseinfer_model::Model::step)
+    /// (the last column being the engine's, its logits into the buffer),
+    /// and hands session and buffer back through
+    /// [`finish_step`](Self::finish_step). The pair replaces one
+    /// [`advance`](Self::advance) call; until then the run has no session
+    /// and must not be advanced.
+    pub(crate) fn take_step(
+        &mut self,
+        share: usize,
+        scored: bool,
+    ) -> Option<(PromptChunk, DecodeSession, Option<Vector>)> {
         self.events.clear();
+        let (fed, len) = (self.fed, self.prompt.len());
+        let (tokens, scored) = if self.finish.is_some() || fed < self.prefill_cached {
+            return None;
+        } else if scored && fed < len && len - fed <= share {
+            (&self.prompt[fed..], true)
+        } else if fed + 1 < len {
+            (&self.prompt[self.dense_chunk(share)], false)
+        } else if let Some(pending) = self.pending.as_ref().filter(|_| scored) {
+            (std::slice::from_ref(pending), true)
+        } else {
+            return None;
+        };
+        let logits = scored.then(|| std::mem::take(&mut self.logits));
+        let session = std::mem::take(&mut self.session);
+        Some((PromptChunk::new(tokens), session, logits))
     }
 
-    /// Performs one step: feeds the next prefill tokens (up to
+    /// Takes back what [`take_step`](Self::take_step) lent — the session,
+    /// now the lent tokens longer, and for an engine column the logits it
+    /// left — and completes the step: an engine column's logits are sampled
+    /// at once, whether they follow the last prompt token or a decode
+    /// token.
+    ///
+    /// # Errors
+    ///
+    /// As [`advance`](Self::advance).
+    pub(crate) fn finish_step(
+        &mut self,
+        session: DecodeSession,
+        logits: Option<Vector>,
+    ) -> Result<(), EngineError> {
+        debug_assert!(self.session.caches.is_empty(), "no session was lent");
+        self.fed = session.context_len().min(self.prompt.len());
+        self.session = session;
+        let Some(logits) = logits else {
+            return Ok(());
+        };
+        self.logits = logits;
+        self.pending = None;
+        self.sample()
+    }
+
+    /// Performs one step: feeds the next prompt tokens (up to
     /// [`PREFILL_CHUNK`] — a run advanced on its own has nothing waiting on
-    /// its step), or decodes the next token block. Tokens emitted by this
-    /// step (none during prefill, one to `k + 1` during decode) are
-    /// collected via [`events`](Self::events), which is cleared and refilled
-    /// by every call.
+    /// its step — the last of them through the engine, sampling the first
+    /// token), or decodes the next token block. Tokens emitted by this
+    /// step (none inside the prompt, one to `k + 1` past it) are collected
+    /// via [`events`](Self::events), which is cleared and refilled by every
+    /// call.
     ///
     /// # Errors
     ///
     /// [`EngineError::EmptyVocab`] if the engine produced no logits to
-    /// sample from, [`EngineError::MissingLogits`] if decode reached the
-    /// sampling state without a prior engine step. Either way the run is
-    /// marked finished with [`FinishReason::Failed`] — a degenerate input
-    /// fails one request, it does not abort a serving process. Tokens
-    /// emitted earlier in the same failing block are kept.
+    /// sample from; the run is then marked finished with
+    /// [`FinishReason::Failed`] — a degenerate input fails one request, it
+    /// does not abort a serving process. Tokens emitted earlier in the same
+    /// failing block are kept.
     pub fn advance(&mut self, engine: &mut dyn Engine) -> Result<(), EngineError> {
         self.events.clear();
         if self.finish.is_some() {
             return Ok(());
         }
-        let last = self.prompt.len() - 1;
-        let chunk = self.dense_chunk(PREFILL_CHUNK);
         if self.fed < self.prefill_cached {
             // This position's KV was attached from a prefix-cache hit:
             // consume the step without touching the model — the skipped
             // prefill work.
             self.fed += 1;
-            Ok(())
-        } else if !chunk.is_empty() {
-            // Dense prefill through the bare model: the batched step, with
-            // this run as the whole batch.
-            self.fed = chunk.end;
-            engine.model().prefill_step(
-                &mut [(&self.prompt[chunk], &mut self.session)],
-                &ThreadPool::single(),
-                &mut self.prefill,
-            );
-            Ok(())
-        } else if self.fed == last {
-            // The last prompt token goes through the engine: decode
-            // statistics start at the first generated position. Always a
-            // single-token step — drafting starts once decode owns a
-            // sampled token to feed.
-            engine.step_into(self.prompt[last], &mut self.session, &mut self.logits);
-            self.has_logits = true;
-            self.fed += 1;
-            Ok(())
-        } else if let Some(pending) = self.pending.take() {
-            self.decode_block(engine, pending)
-        } else {
-            // First decode tick: sample from the prefill-handoff logits.
-            if !self.has_logits {
-                return Err(self.fail(EngineError::MissingLogits));
-            }
-            let Some(next) = self.sampler.sample(&self.logits) else {
-                return Err(self.fail(EngineError::EmptyVocab));
-            };
-            let next = next as u32;
-            if self.stop.contains(&next) {
-                self.finish = Some(FinishReason::Stop(next));
-                return Ok(());
-            }
-            self.emit(next);
-            if self.tokens.len() >= self.max_new {
-                self.finish = Some(FinishReason::MaxTokens);
-            } else {
-                self.pending = Some(next);
-            }
-            Ok(())
+            return Ok(());
         }
+        if let Some(stage) = engine.column_stage() {
+            let mut stage = std::mem::take(stage);
+            let stepped = self.step_alone(engine.model(), &mut stage);
+            *engine.column_stage().expect("the stage was lent above") = stage;
+            return stepped;
+        }
+        // An engine that steps alone: dense chunks through the bare model,
+        // the last prompt token and each decode block through the engine.
+        let last = self.prompt.len() - 1;
+        if let Some((tokens, mut session, _)) = self.take_step(PREFILL_CHUNK, false) {
+            let batch = &mut [(tokens, &mut session)];
+            engine
+                .model()
+                .prefill_step(batch, &ThreadPool::single(), &mut self.prefill);
+            self.finish_step(session, None)
+        } else if self.fed == last {
+            // Always a single-token step — drafting starts once decode owns
+            // a sampled token to feed.
+            engine.step_into(self.prompt[last], &mut self.session, &mut self.logits);
+            self.fed += 1;
+            self.sample()
+        } else {
+            let pending = self
+                .pending
+                .take()
+                .expect("a live decoding run has a token to feed");
+            self.decode_block(engine, pending)
+        }
+    }
+
+    /// [`advance`](Self::advance) through the engine's lent `stage`: the
+    /// scheduler's tick with this run as the only slot. A step of the engine
+    /// column alone runs out of the stage's own scratch, as the engine's
+    /// calls do; one with prompt positions out of the run's. So a lone run
+    /// leaves the engine's scratch, and its memory estimate, as stepping
+    /// through the engine's own calls would: a wrapper that lends no stage
+    /// reports what the bare engine reports.
+    fn step_alone(&mut self, model: &Model, stage: &mut ColumnStage) -> Result<(), EngineError> {
+        let (tokens, session, mut logits) = self
+            .take_step(PREFILL_CHUNK, true)
+            .expect("a live run past its cached prefix has a step");
+        let n = tokens.tokens().len();
+        let scored = logits.is_some();
+        if scored {
+            stage.begin_column(model.config().hidden_dim, &session, n - 1);
+        }
+        let (mut own, pool) = (std::mem::take(&mut stage.step), stage.pool.clone());
+        let scratch = if scored && n == 1 {
+            &mut own
+        } else {
+            &mut self.prefill
+        };
+        let column = |c: usize| (scored && c == n - 1).then_some((0, 0));
+        let mut hook = StepColumns::new(std::slice::from_mut(stage), column, &mut self.groups);
+        let mut batch = [(tokens, session)];
+        let wants = |c: usize| column(c).is_some();
+        model.step(
+            &mut batch,
+            &mut hook,
+            wants,
+            logits.as_mut_slice(),
+            &pool,
+            scratch,
+        );
+        stage.step = own;
+        let [(_, session)] = batch;
+        self.finish_step(session, logits)
+    }
+
+    /// Samples the next token from the logits of the run's latest engine
+    /// column: a stop token finishes the run, any other is emitted and —
+    /// budget permitting — becomes the token decode feeds next.
+    fn sample(&mut self) -> Result<(), EngineError> {
+        let Some(next) = self.sampler.sample(&self.logits) else {
+            return Err(self.fail(EngineError::EmptyVocab));
+        };
+        let next = next as u32;
+        if self.stop.contains(&next) {
+            self.finish = Some(FinishReason::Stop(next));
+            return Ok(());
+        }
+        self.emit(next);
+        if self.tokens.len() >= self.max_new {
+            self.finish = Some(FinishReason::MaxTokens);
+        } else {
+            self.pending = Some(next);
+        }
+        Ok(())
     }
 
     /// One decode block: feeds `pending` (plus up to `limit - 1` draft
@@ -723,8 +815,8 @@ impl RequestRun {
 /// # Errors
 ///
 /// [`EngineError::EmptyPrompt`] if the prompt is empty;
-/// [`EngineError::EmptyVocab`] / [`EngineError::MissingLogits`] if decoding
-/// fails on a degenerate engine (no logits to sample from).
+/// [`EngineError::EmptyVocab`] if decoding fails on a degenerate engine (no
+/// logits to sample from).
 pub fn generate(engine: &mut dyn Engine, req: &GenerateRequest) -> Result<Generation, EngineError> {
     generate_streaming(engine, req, |_| {})
 }
@@ -735,8 +827,8 @@ pub fn generate(engine: &mut dyn Engine, req: &GenerateRequest) -> Result<Genera
 /// # Errors
 ///
 /// [`EngineError::EmptyPrompt`] if the prompt is empty;
-/// [`EngineError::EmptyVocab`] / [`EngineError::MissingLogits`] if decoding
-/// fails on a degenerate engine (no logits to sample from).
+/// [`EngineError::EmptyVocab`] if decoding fails on a degenerate engine (no
+/// logits to sample from).
 pub fn generate_streaming(
     engine: &mut dyn Engine,
     req: &GenerateRequest,

@@ -29,22 +29,32 @@
 //!   dropped and deterministically recomputed. Preempted requests resume
 //!   ahead of equal-priority fresh admissions and finish with exactly
 //!   the tokens of an uninterrupted run.
-//! * Slots whose step this tick is **dense prefill** take it together:
-//!   they are gathered per model and fed through one
-//!   [`Model::prefill_step`] — one pass over the weights for all of them,
-//!   out of one scratch the scheduler owns — before the remaining slots
-//!   advance on their own. One rule sets how much prompt a slot absorbs:
-//!   in a tick where **no live slot's next step is an engine step or a
-//!   sample** (every one is in dense prefill or walking its cached
-//!   prefix), up to [`PREFILL_CHUNK`] consecutive positions — nothing
-//!   waits on that tick, so its weight pass may as well be full; in every
-//!   other tick, one — so what a decoding slot waits on per tick is
-//!   bounded exactly as if prefill were never chunked. Either way the KV
-//!   is bitwise what one position at a time leaves, so the rule moves
+//! * Every slot whose next step is a **plain model step** takes it in one
+//!   shared step: slots are gathered per model and fed through one
+//!   [`Model::step`] — one pass over the weights for all of them, out of
+//!   one scratch the scheduler owns. A prompt position is a prefill column
+//!   (every MLP row kept); the prompt's last token and a decode token are
+//!   *engine columns* of an engine that lends its [`ColumnStage`]: its
+//!   prediction, weight storage and accounting run per column, and columns
+//!   over one MLP storage share one pass of it. Slots whose engine cannot
+//!   lend a stage (a speculative pair, a wrapper) take their prefill chunks
+//!   in the shared step and everything else on their own, as does a slot
+//!   walking its cached prefix (one position per tick).
+//! * The cadence is **decode first, within one column group**
+//!   ([`COLUMN_GROUP`] columns, after Sarathi-Serve's token budget): in a
+//!   tick where some slot produces a token, the prefilling slots share the
+//!   rest of the group in slot order, at least one position each; in a
+//!   tick where none does, each takes up to [`PREFILL_CHUNK`] — nothing
+//!   waits on that tick, so its weight pass may as well be full. When a
+//!   prompt's rest fits its share, its last token joins the same step as
+//!   an engine column, and its first token is sampled in that tick. Every
+//!   column is bitwise the position computed alone, so the cadence moves
 //!   tick stamps and cross-request interleaving, never a token.
 //!   [`SchedulerStats::prefill_positions`] over
 //!   [`prefill_batches`](SchedulerStats::prefill_batches) is the mean
-//!   number of columns per weight pass.
+//!   number of columns per weight pass, and
+//!   [`mlp_rows_loaded`](SchedulerStats::mlp_rows_loaded) the MLP rows the
+//!   passes loaded for the union of their columns.
 //! * The moment a request finishes (budget, stop token, cancellation or
 //!   failure) its slot **retires**: engine and step scratch and the
 //!   session's KV blocks are released and the freed capacity admits the
@@ -61,8 +71,10 @@
 //! tokens per request to running that request alone** — whether the
 //! request was never preempted, swapped out and restored, or dropped and
 //! recomputed — at any slot-thread count
-//! ([`parallel`](Scheduler::parallel)) and any kernel-thread count.
-//! Interleaving is pure scheduling; it never touches the math.
+//! ([`parallel`](Scheduler::parallel)) and any kernel-thread count. A
+//! request's [`BatchOutput::ops`] and [`BatchOutput::stats`] are its solo
+//! run's too (a recomputed request is billed for its replay). Interleaving
+//! is pure scheduling; it never touches the math.
 //!
 //! # Example
 //!
@@ -108,12 +120,14 @@ use sparseinfer_model::kv::{
 };
 use sparseinfer_model::model::DecodeSession;
 use sparseinfer_model::{Model, PrefillScratch, PromptChunk, PromptTokens, PREFILL_CHUNK};
-use sparseinfer_tensor::{ParallelOptions, ThreadPool};
+use sparseinfer_tensor::gemv::COLUMN_GROUP;
+use sparseinfer_tensor::{ParallelOptions, ThreadPool, Vector};
 
-use crate::engine::{Engine, MemoryEstimate, SparsityStats, SpeculativeStats};
+use crate::engine::{ColumnStage, Engine, MemoryEstimate, SparsityStats, SpeculativeStats};
 use crate::error::EngineError;
 use crate::ops::OpCounter;
 use crate::request::{FinishReason, GenerateRequest, Priority, RequestRun, TokenEvent};
+use crate::step::{StepColumns, StepGroups};
 
 mod admission;
 mod preemption;
@@ -623,22 +637,46 @@ fn unstarted_output(q: QueuedRequest<'_>, finish: FinishReason, finished_tick: u
     }
 }
 
-/// Recycled state of the per-tick batched prefill step — one for the whole
-/// scheduler, so prefill scratch memory does not grow with slots or
-/// requests.
+/// Recycled state of the per-tick step — one for the whole scheduler, so
+/// step scratch memory does not grow with requests served. It is sized by
+/// the columns of the ticks since the last retirement: a tick that retires
+/// a slot releases it, as a retired slot's engine scratch is released.
 #[derive(Debug, Default)]
-struct PrefillBatcher {
+struct StepBatcher {
     scratch: PrefillScratch,
-    /// Per slot: already advanced this tick by the batched step.
+    groups: StepGroups,
+    /// Per slot: already advanced this tick by the shared step.
     stepped: Vec<bool>,
-    /// Slots whose step this tick is a dense prefill position and that no
-    /// group has taken yet.
-    pending: Vec<usize>,
-    /// The group being stepped: each run's next prompt tokens with its
-    /// session, borrowed from the run for the duration of the step.
+    /// Per slot: the positions its step may take this tick, or 0 when the
+    /// slot does not join it.
+    shares: Vec<usize>,
+    /// The group being stepped: each run's tokens with its session,
+    /// borrowed from the run for the duration of the step.
     batch: Vec<(PromptChunk, DecodeSession)>,
-    /// Slot index of each `batch` entry.
-    owners: Vec<usize>,
+    /// Slot index of each `batch` entry, and whether its last column is an
+    /// engine column.
+    owners: Vec<(usize, bool)>,
+    /// The engines' stages and the runs' logits buffers, one per engine
+    /// column, in column order — borrowed like the sessions.
+    stages: Vec<ColumnStage>,
+    logits: Vec<Vector>,
+    /// Per column of the step: its stage, or `None` for a prefill column.
+    columns: Vec<Option<(usize, usize)>>,
+}
+
+impl StepBatcher {
+    /// Heap bytes of the step's scratch: the forward step's buffers and
+    /// those of its passes over more than one weight storage.
+    fn memory_bytes(&self) -> u64 {
+        self.scratch.memory_bytes() + self.groups.memory_bytes()
+    }
+
+    /// Drops every recycled buffer, keeping the rows counter.
+    fn release(&mut self) {
+        let rows_loaded = self.groups.rows_loaded;
+        *self = Self::default();
+        self.groups.rows_loaded = rows_loaded;
+    }
 }
 
 /// A continuous-batching scheduler over a paged KV cache.
@@ -701,8 +739,8 @@ pub struct Scheduler<'m> {
     /// [`speculative_stats`](Self::speculative_stats) (live slots are
     /// added at query time).
     spec_retired: SpeculativeStats,
-    prefill: PrefillBatcher,
-    /// Lifetime counters of the batched prefill step (see
+    step: StepBatcher,
+    /// Lifetime counters of the shared step (see
     /// [`SchedulerStats::prefill_batches`]).
     prefill_batches: u64,
     prefill_positions: u64,
@@ -757,16 +795,20 @@ impl<'m> Scheduler<'m> {
             resumed: 0,
             cold_bytes: 0,
             spec_retired: SpeculativeStats::default(),
-            prefill: PrefillBatcher::default(),
+            step: StepBatcher::default(),
             prefill_batches: 0,
             prefill_positions: 0,
         }
     }
 
-    /// Sets slot-level parallelism: each tick advances up to
-    /// `parallel.threads` live slots concurrently, and the batched prefill
-    /// step partitions its weight rows across the same threads. Token
-    /// streams and event order are bit-identical to the sequential schedule.
+    /// Sets slot-level parallelism: the shared step partitions its weight
+    /// rows and attention columns across `parallel.threads` threads, and
+    /// the slots that step on their own advance up to that many at once.
+    /// Token streams and event order are bit-identical to the sequential
+    /// schedule. The shared step runs on this pool alone: an engine's own
+    /// kernel threads ([`EngineBuilder::parallel`](crate::engine::EngineBuilder::parallel)
+    /// or [`pool`](crate::engine::EngineBuilder::pool)) serve only the
+    /// steps it takes on its own.
     pub fn parallel(mut self, parallel: ParallelOptions) -> Self {
         self.pool = ThreadPool::new(parallel);
         self
@@ -855,9 +897,9 @@ impl<'m> Scheduler<'m> {
     }
 
     /// One scheduling round: admit what fits, apply pending cancellations,
-    /// advance every live slot by one model step — the prefilling slots
-    /// together through one batched step, the others concurrently when built
-    /// with [`parallel`](Self::parallel) — deliver this round's tokens to
+    /// advance every live slot by one model step — every plain model step
+    /// together, one shared step per model, the others concurrently when
+    /// built with [`parallel`](Self::parallel) — deliver this round's tokens to
     /// `on_token` in slot order, and retire finished slots (releasing
     /// their KV blocks and engine scratch immediately). Returns the number
     /// of unfinished requests (queued + live) remaining.
@@ -874,8 +916,8 @@ impl<'m> Scheduler<'m> {
                 _ => {}
             }
         }
-        self.prefill_slots();
-        let stepped = &self.prefill.stepped;
+        self.step_slots();
+        let stepped = &self.step.stepped;
         self.pool.run_tasks(&mut self.slots, |i, slot| {
             if stepped[i] {
                 return;
@@ -912,6 +954,7 @@ impl<'m> Scheduler<'m> {
                 self.reserved_blocks -= slot.worst_blocks;
                 let output = slot.into_output(self.ticks);
                 self.record_finished(output);
+                self.step.release();
             } else {
                 i += 1;
             }
@@ -939,58 +982,153 @@ impl<'m> Scheduler<'m> {
         }
         assert_eq!(self.cold_bytes, bytes, "cold bytes are the swapped buffers");
         assert!(self.cold_bytes <= self.config.swap_budget_bytes);
-        let PrefillBatcher { batch, owners, .. } = &self.prefill;
-        assert!(batch.is_empty() && owners.is_empty(), "a session was kept");
-    }
-
-    /// Takes this tick's step for every live slot whose next step is dense
-    /// prefill (recompute replays included): the slots are grouped by
-    /// model, and each group's positions go through **one**
-    /// [`Model::prefill_step`] — one pass over that model's weights however
-    /// many slots are prefilling, rows partitioned across the slot pool.
-    /// Marks the slots in `prefill.stepped`; the caller advances the rest.
-    ///
-    /// A slot absorbs up to [`PREFILL_CHUNK`] positions when no live slot
-    /// decodes this tick and one when any does (the module docs' cadence
-    /// rule) — bitwise the positions it would have computed alone, one at a
-    /// time, so tokens do not depend on how many columns share a step.
-    fn prefill_slots(&mut self) {
-        let PrefillBatcher {
-            scratch,
-            stepped,
-            pending,
+        let StepBatcher {
             batch,
             owners,
-        } = &mut self.prefill;
+            stages,
+            logits,
+            ..
+        } = &self.step;
+        let lent = [batch.len(), owners.len(), stages.len(), logits.len()];
+        assert_eq!(lent, [0; 4], "a session, stage or logits buffer was kept");
+        self.check_block_coverage();
+    }
+
+    /// Every physical KV block is covered exactly once: by the prefix
+    /// index's retention, or — held by one live session and nothing else —
+    /// by that slot's reservation; and the pool's blocks in use are exactly
+    /// the blocks live sessions and the index reach. Allocation-free, so
+    /// that debug builds keep the tick's allocation guarantee.
+    fn check_block_coverage(&self) {
+        let mut private = 0;
+        for slot in &self.slots {
+            let blocks = slot.run.kv_caches().iter().flat_map(|c| c.block_refs());
+            let mut own = 0;
+            for block in blocks {
+                if block.ref_count() == 1 {
+                    own += 1;
+                } else {
+                    let indexed = self.index.blocks().any(|b| b.id() == block.id());
+                    assert!(
+                        indexed,
+                        "request {} shares a block the index does not retain",
+                        slot.id
+                    );
+                }
+            }
+            assert!(
+                own <= slot.worst_blocks,
+                "request {} holds {own} private blocks over its {}-block reservation",
+                slot.id,
+                slot.worst_blocks
+            );
+            private += own;
+        }
+        assert_eq!(
+            self.kv.blocks_in_use(),
+            private + self.index.retained_blocks(),
+            "blocks in use are the blocks sessions and the index reach"
+        );
+    }
+
+    /// Takes this tick's step for every live slot whose next step is a
+    /// plain model step — a dense-prefill chunk (recompute replays
+    /// included), and with an engine that lends its [`ColumnStage`] the
+    /// prompt's last token or a decode token — grouped by model: each group
+    /// is **one** [`Model::step`], one pass over that model's weights however
+    /// many slots join, rows partitioned across the slot pool. Marks the
+    /// slots in `step.stepped`; the caller advances the rest.
+    ///
+    /// The tick is decode-first within a budget of [`COLUMN_GROUP`]
+    /// columns (the module docs' cadence rule): the slots that produce a
+    /// token this tick come first, and the prefilling slots share the rest
+    /// in slot order, at least one position each — or, in a tick without
+    /// such slots, take [`PREFILL_CHUNK`] each. Every column is bitwise the
+    /// position computed alone, so tokens do not depend on the shares.
+    fn step_slots(&mut self) {
+        let StepBatcher {
+            scratch,
+            groups,
+            stepped,
+            shares,
+            batch,
+            owners,
+            stages,
+            logits,
+            columns,
+        } = &mut self.step;
         let slots = &mut self.slots;
         stepped.clear();
         stepped.resize(slots.len(), false);
-        pending.clear();
-        pending.extend((0..slots.len()).filter(|&i| slots[i].run.next_is_dense_prefill()));
-        // A slot past its dense prefill takes an engine step or a sample
-        // next: the tick is then one a token waits on.
-        let decoder_free = slots
+        let decoders = slots.iter().filter(|s| s.run.awaits_token()).count();
+        let prefilling = slots
             .iter()
-            .all(|slot| slot.run.finished() || !slot.run.dense_prefill_complete());
-        let chunk = if decoder_free { PREFILL_CHUNK } else { 1 };
-        while let Some(&first) = pending.first() {
-            let key = slots[first].model_key;
-            pending.retain(|&i| {
-                if slots[i].model_key != key {
-                    return true;
+            .filter(|s| s.run.next_is_dense_prefill())
+            .count();
+        let spare = COLUMN_GROUP.saturating_sub(decoders);
+        shares.clear();
+        let mut nth = 0;
+        for slot in slots.iter_mut() {
+            let share = if slot.run.next_is_dense_prefill() {
+                nth += 1;
+                if decoders == 0 {
+                    PREFILL_CHUNK
+                } else {
+                    (spare / prefilling + usize::from(nth <= spare % prefilling)).max(1)
                 }
-                let lent = slots[i].run.take_prefill(chunk);
-                batch.push(lent.expect("the slot was listed as prefilling"));
-                owners.push(i);
+            } else {
+                usize::from(slot.run.awaits_token() && slot.engine.column_stage().is_some())
+            };
+            shares.push(share);
+        }
+        while let Some(first) = shares.iter().position(|&share| share > 0) {
+            let key = slots[first].model_key;
+            for (i, slot) in slots.iter_mut().enumerate().skip(first) {
+                if shares[i] == 0 || slot.model_key != key {
+                    continue;
+                }
+                let d = slot.engine.model().config().hidden_dim;
+                let lends = slot.engine.column_stage().is_some();
+                let (tokens, session, lent) = slot
+                    .run
+                    .take_step(std::mem::take(&mut shares[i]), lends)
+                    .expect("the slot was listed as stepping");
+                let n = tokens.tokens().len();
+                columns.extend(std::iter::repeat_n(None, n - 1));
+                let scored = lent.is_some();
+                if let Some(buffer) = lent {
+                    let stage = slot.engine.column_stage().expect("the engine lends");
+                    let mut stage = std::mem::take(stage);
+                    stage.begin_column(d, &session, n - 1);
+                    columns.push(Some((stages.len(), 0)));
+                    stages.push(stage);
+                    logits.push(buffer);
+                } else {
+                    columns.push(None);
+                }
+                owners.push((i, scored));
+                batch.push((tokens, session));
                 stepped[i] = true;
-                false
-            });
+            }
             let model = slots[first].engine.model();
-            model.prefill_step(batch, &self.pool, scratch);
+            let mut hook = StepColumns::new(stages, |c| columns[c], groups);
+            let wants = |c: usize| columns[c].is_some();
+            model.step(batch, &mut hook, wants, logits, &self.pool, scratch);
             self.prefill_batches += 1;
-            for ((tokens, session), i) in batch.drain(..).zip(owners.drain(..)) {
-                self.prefill_positions += tokens.tokens().len() as u64;
-                slots[i].run.finish_prefill(session);
+            self.prefill_positions += columns.len() as u64;
+            columns.clear();
+            let (mut stages, mut logits) = (stages.drain(..), logits.drain(..));
+            for ((_, session), (i, scored)) in batch.drain(..).zip(owners.drain(..)) {
+                let slot = &mut slots[i];
+                let mut lent = None;
+                if scored {
+                    let stage = slot.engine.column_stage().expect("the engine lent it");
+                    *stage = stages.next().expect("one stage per engine column");
+                    lent = logits.next();
+                }
+                // An Err has already marked the run finished with a Failed
+                // reason; retirement records it.
+                let _ = slot.run.finish_step(session, lent);
             }
         }
     }

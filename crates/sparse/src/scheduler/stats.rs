@@ -96,16 +96,25 @@ pub struct SchedulerStats {
     /// Speculative-decoding accounting (see
     /// [`Scheduler::speculative_stats`]).
     pub speculative: SpeculativeStats,
-    /// Batched dense-prefill steps taken over the scheduler's lifetime:
-    /// one per tick and model with at least one prefilling slot, each one
-    /// pass over that model's weights.
+    /// Shared steps taken over the scheduler's lifetime: one per tick and
+    /// model with at least one slot whose next step is a plain model step
+    /// (a prefill chunk, the prompt's last token, a decode token), each
+    /// one pass over that model's weights.
     pub prefill_batches: u64,
-    /// Prompt positions those steps fed — their columns, a slot bringing up
-    /// to `PREFILL_CHUNK` of them in a tick no slot decodes in and one
-    /// otherwise. `prefill_positions / prefill_batches` is the mean number
-    /// of columns per weight pass: the factor by which weight bytes per
-    /// prefilled token fall below one full pass.
+    /// Positions those steps fed — their columns: prompt positions, and
+    /// the engine columns of prompts' last tokens and of decode tokens.
+    /// `prefill_positions / prefill_batches` is the mean number of columns
+    /// per weight pass, decode included: the factor by which weight bytes
+    /// per position fall below one full pass.
     pub prefill_positions: u64,
+    /// MLP rows the up and down projections of those steps loaded, summed
+    /// over layers and over each step's weight storages: per pass, the
+    /// union of every column's kept rows (a prefill column keeps all),
+    /// less the rows whose gate is zero for every column taking actual
+    /// sparsity. Over `prefill_batches × layers × mlp_dim` it is the share
+    /// of rows a shared pass loads — what batching does to the paper's
+    /// per-token sparsity.
+    pub mlp_rows_loaded: u64,
 }
 
 impl Scheduler<'_> {
@@ -147,6 +156,7 @@ impl Scheduler<'_> {
             speculative: self.speculative_stats(),
             prefill_batches: self.prefill_batches,
             prefill_positions: self.prefill_positions,
+            mlp_rows_loaded: self.step.groups.rows_loaded,
         }
     }
 
@@ -240,7 +250,9 @@ impl Scheduler<'_> {
     /// Memory of the scheduler's execution state: engine memory over every
     /// queued, live and preempted request (shared predictor bytes counted
     /// **once per distinct predictor**, deduplicated by `Arc` identity)
-    /// plus the KV blocks live sessions and the prefix cache currently
+    /// plus the scratch of the shared step (where the live slots' decode
+    /// and prefill run; released by a tick that retires a slot), plus the
+    /// KV blocks live sessions and the prefix cache currently
     /// hold, plus — reported separately as
     /// [`swapped_bytes`](MemoryEstimate::swapped_bytes) — the cold
     /// buffers of swapped-out preempted requests. The pool
@@ -275,7 +287,7 @@ impl Scheduler<'_> {
                 }
             }
         }
-        total.per_session_bytes += self.kv.in_use_bytes();
+        total.per_session_bytes += self.step.memory_bytes() + self.kv.in_use_bytes();
         // Cold swap buffers live outside the pool — counted separately so
         // swap-out can never silently hide memory from the estimate.
         total.swapped_bytes = self.cold_bytes;

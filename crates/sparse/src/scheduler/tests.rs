@@ -774,7 +774,7 @@ fn preempt_scenario(
     let mut s = Scheduler::new(config).parallel(ParallelOptions::threads(threads));
     let a = s.submit(dense(&m), &batch_req).unwrap();
     for _ in 0..3 {
-        s.tick(|_| {}); // Batch admitted, two tokens emitted…
+        s.tick(|_| {}); // Batch admitted, three tokens emitted…
     }
     let b = s.submit(dense(&m), &high_req).unwrap();
     s.tick(|_| {}); // …and it is evicted for the High arrival here.
@@ -844,7 +844,7 @@ fn cancelling_a_swapped_out_request_frees_cold_bytes_and_pool_drains() {
         )
         .unwrap();
     for _ in 0..3 {
-        s.tick(|_| {}); // two tokens emitted before eviction
+        s.tick(|_| {}); // three tokens emitted before eviction
     }
     s.submit(
         dense(&m),
@@ -958,11 +958,12 @@ fn priority_classes_admit_before_older_lower_classes() {
     });
     let req = |p: &[u32], prio: Priority| GenerateRequest::new(p).max_new(2).priority(prio);
     let occupant = s.submit(dense(&m), &req(&[9], Priority::Normal)).unwrap();
-    s.tick(|_| {}); // occupant holds the only slot
+    let mut first_tokens = Vec::new();
+    // The occupant holds the only slot (and samples its first token).
+    s.tick(|ev| first_tokens.push(ev.request));
     let batch = s.submit(dense(&m), &req(&[1], Priority::Batch)).unwrap();
     let normal = s.submit(dense(&m), &req(&[2], Priority::Normal)).unwrap();
     let high = s.submit(dense(&m), &req(&[3], Priority::High)).unwrap();
-    let mut first_tokens = Vec::new();
     while s.tick(|ev| {
         if ev.index == 0 {
             first_tokens.push(ev.request);
@@ -998,7 +999,7 @@ fn resumed_requests_admit_ahead_of_equal_priority_fresh_ones() {
                 .priority(Priority::Batch),
         )
         .unwrap();
-    for _ in 0..3 {
+    for _ in 0..2 {
         s.tick(|_| {}); // two tokens emitted before eviction
     }
     s.submit(
@@ -1184,7 +1185,7 @@ fn speculative_survives_a_preemption_storm_bit_identically() {
                 Scheduler::new(preemption_config()).parallel(ParallelOptions::threads(threads));
             // Five waves over a 220-tick storm: each wave's Batch request
             // fills the whole budget, then a High request lands mid-decode
-            // three ticks later and must evict it (swap path; pending
+            // two ticks later and must evict it (swap path; pending
             // speculative state and partial tokens ride along).
             let mut expected: Vec<Vec<u32>> = Vec::new();
             for tick in 0..220 {
@@ -1196,7 +1197,7 @@ fn speculative_survives_a_preemption_storm_bit_identically() {
                     s.submit(speculative(&m, k), &req).unwrap();
                     expected.push(solo_tokens(&m, &req));
                 }
-                if tick % 40 == 3 && tick / 40 < 5 {
+                if tick % 40 == 2 && tick / 40 < 5 {
                     let w = (tick / 40) as u32;
                     let req = GenerateRequest::new(&[7, 8 + w])
                         .max_new(6)
@@ -1447,12 +1448,12 @@ fn staggered_scenario(threads: usize) -> String {
                 .priority(Priority::Batch),
         ),
         (
-            10,
+            5,
             GenerateRequest::new(&[3, 1, 4, 1, 5])
                 .max_new(4)
                 .priority(Priority::High),
         ),
-        (11, GenerateRequest::new(&warm).max_new(3)),
+        (6, GenerateRequest::new(&warm).max_new(3)),
     ];
     let mut trace = String::new();
     let mut next = 0;
@@ -1504,38 +1505,43 @@ fn staggered_admissions_keep_the_recorded_tokens_events_and_tick_stamps() {
 }
 
 /// Re-recorded when prefill began taking `PREFILL_CHUNK` positions in
-/// decoder-free ticks: every request's tokens and the order of its own
-/// events are those of the trace recorded before prefill was batched across
-/// slots; tick stamps, and so the interleaving between requests, moved.
+/// decoder-free ticks, and again when every slot's step joined one shared
+/// step per tick (decode first, prefill filling the column group, the first
+/// token sampled in the step that feeds the prompt's last token): every
+/// request's tokens and the order of its own events are those of the trace
+/// recorded before prefill was batched across slots; tick stamps, and so
+/// the interleaving between requests, moved. The High request and the warm
+/// one arrive on ticks 5 and 6, so that the High one finds the Batch
+/// request mid-decode and preempts it.
 const STAGGERED_TRACE: &str = "\
-3:0:0:46\n\
-4:0:1:16\n\
-5:0:2:21\n\
-6:0:3:16\n\
-7:0:4:21\n\
-8:1:0:16\n\
-9:1:1:21\n\
-10:1:2:16\n\
-13:2:0:46\n\
-14:2:1:16\n\
-15:2:2:21\n\
-16:2:3:16\n\
-20:3:0:17\n\
-21:3:1:16\n\
-22:3:2:21\n\
-26:1:3:21\n\
-27:1:4:16\n\
-28:1:5:21\n\
-out 0 [46, 16, 21, 16, 21] sub 0 adm Some(0) fin 7 pre 0 skip 0\n\
-out 1 [16, 21, 16, 21, 16, 21] sub 2 adm Some(2) fin 28 pre 1 skip 4\n\
-out 2 [46, 16, 21, 16] sub 10 adm Some(10) fin 16 pre 0 skip 0\n\
-out 3 [17, 16, 21] sub 11 adm Some(11) fin 22 pre 0 skip 8\n\
+2:0:0:46\n\
+3:0:1:16\n\
+3:1:0:16\n\
+4:0:2:21\n\
+4:1:1:21\n\
+5:0:3:16\n\
+6:0:4:21\n\
+6:2:0:46\n\
+7:2:1:16\n\
+8:2:2:21\n\
+9:2:3:16\n\
+15:3:0:17\n\
+16:3:1:16\n\
+16:1:2:16\n\
+17:3:2:21\n\
+17:1:3:21\n\
+18:1:4:16\n\
+19:1:5:21\n\
+out 0 [46, 16, 21, 16, 21] sub 0 adm Some(0) fin 6 pre 0 skip 0\n\
+out 1 [16, 21, 16, 21, 16, 21] sub 2 adm Some(2) fin 19 pre 1 skip 4\n\
+out 2 [46, 16, 21, 16] sub 5 adm Some(5) fin 9 pre 0 skip 0\n\
+out 3 [17, 16, 21] sub 6 adm Some(7) fin 17 pre 0 skip 8\n\
 ";
 
 #[test]
-fn decoder_free_ticks_take_a_chunk_and_decoder_ticks_take_one() {
-    // Two 22-token prompts beside a request that is decoding from tick 1
-    // to tick 7. The prefill positions each tick took, from the counters:
+fn decode_first_ticks_fill_the_column_group() {
+    // Two 22-token prompts beside a request that is decoding from tick 0
+    // to tick 5. The columns of each tick's step, from the counters:
     let m = model();
     let long_a: Vec<u32> = (1..=22).collect();
     let long_b: Vec<u32> = (30..52).collect();
@@ -1570,33 +1576,32 @@ fn decoder_free_ticks_take_a_chunk_and_decoder_ticks_take_one() {
             }
         }
         assert_eq!(
-            last_short_token, 7,
-            "the short request decodes through tick 7"
+            last_short_token, 5,
+            "the short request decodes through tick 5"
         );
         assert_eq!(
             per_tick,
             [
                 // Nobody decodes yet: a chunk of each long prompt, and the
-                // short prompt's one dense position.
-                4 + 4 + 1,
-                // The short request takes its engine step, then samples and
-                // decodes: one position per long prompt per tick.
-                2,
-                2,
-                2,
-                2,
-                2,
-                2,
-                2,
-                // It has retired: chunks again, down to the 21st position
-                // (the 22nd token is the engine's).
-                8,
-                8,
+                // whole short prompt, its last token the engine's — the
+                // first token is sampled in this tick.
+                2 + 4 + 4,
+                // The short request decodes one column; the long prompts
+                // share the group's other three, in slot order.
+                1 + 2 + 1,
                 4,
-                // Engine steps and samples of the long requests.
-                0,
-                0,
-                0
+                4,
+                4,
+                4,
+                // It has retired: chunks again. The first long prompt's
+                // last four positions end with its engine column.
+                4 + 4,
+                4 + 4,
+                // Its decode column, then the second's three positions.
+                1 + 3,
+                // The second's last two, then its decode column.
+                2,
+                1
             ],
             "{threads} slot threads"
         );
@@ -1610,13 +1615,14 @@ fn decoder_free_ticks_take_a_chunk_and_decoder_ticks_take_one() {
 
 #[test]
 fn prefill_counters_report_the_mean_batch() {
-    // Two equal-length prompts prefill side by side in two slots: every
-    // batched step carries both, four positions then two of each (no slot
-    // decodes yet). With one slot the same work is steps of one slot's
-    // columns.
+    // Two equal-length prompts side by side in two slots: every step
+    // carries both, four positions, then three of each with the last as
+    // the engine column, then one decode column each (no slot decodes
+    // before the last step). With one slot the same work is steps of one
+    // slot's columns.
     let m = model();
     let prompts = [[1u32, 2, 3, 4, 5, 6, 7], [8, 9, 10, 11, 12, 13, 14]];
-    for (max_slots, mean_batch) in [(2, 6.0), (1, 3.0)] {
+    for (max_slots, steps) in [(2, 3), (1, 6)] {
         let mut s = Scheduler::new(SchedulerConfig {
             max_slots,
             prefix_cache: false,
@@ -1628,12 +1634,9 @@ fn prefill_counters_report_the_mean_batch() {
         }
         while s.tick(|_| {}) > 0 {}
         let stats = s.stats();
-        // The last prompt token goes through the engine, not prefill.
-        assert_eq!(stats.prefill_positions, 2 * 6, "{max_slots} slots");
-        assert_eq!(
-            stats.prefill_positions as f64 / stats.prefill_batches as f64,
-            mean_batch,
-            "{max_slots} slots"
-        );
+        // Every prompt position, and the first token fed back to decode
+        // the second.
+        assert_eq!(stats.prefill_positions, 2 * (7 + 1), "{max_slots} slots");
+        assert_eq!(stats.prefill_batches, steps, "{max_slots} slots");
     }
 }

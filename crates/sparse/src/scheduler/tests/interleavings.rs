@@ -6,13 +6,16 @@
 //! recompute) over a tight KV budget with preemption and the prefix cache
 //! on. The scheduler checks its own accounting after every tick (in
 //! builds with debug assertions), `drive` each tick's event order, and
-//! `run_seed` every request's tokens against its solo run and the whole
-//! run against itself at 1, 2 and 4 slot threads. A failing seed is named
-//! in the panic; `run_seed(S)` replays it.
+//! `run_seed` every request's tokens, operation counts and sparsity
+//! statistics against its solo run and the whole run against itself at 1,
+//! 2 and 4 slot threads. A failing seed is named in the panic;
+//! `run_seed(S)` replays it. The prompt-to-decode handoff has a test of its
+//! own: prompts that end inside, at and just past a step's share, and a
+//! prefix hit that leaves only the last prompt token to feed.
 
 use super::*;
 use sparseinfer_model::sampling::Sampler;
-use sparseinfer_tensor::Prng;
+use sparseinfer_tensor::{Prng, Vector};
 
 /// Seed 1 has a test of its own.
 const SEEDS: u64 = 10;
@@ -32,6 +35,8 @@ enum Kind {
     Dense,
     SignBit(WeightFormat),
     Speculative(usize),
+    Oracle,
+    Random,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -144,7 +149,17 @@ fn engine<'m>(m: &'m Model, kind: Kind) -> Box<dyn Engine + 'm> {
         Kind::Dense => dense(m),
         Kind::SignBit(wf) => engine_for(m, wf),
         Kind::Speculative(k) => speculative(m, k),
+        Kind::Oracle => EngineBuilder::new(m).oracle().build().unwrap(),
+        Kind::Random => EngineBuilder::new(m).random(0.5, 9).build().unwrap(),
     }
+}
+
+/// A request's sparsity statistics, comparable bit for bit: the per-layer
+/// means and the token count.
+type Sparsity = Option<(Vec<f64>, Vec<f64>, u64)>;
+
+fn sparsity(stats: Option<&SparsityStats>) -> Sparsity {
+    stats.map(|s| (s.mean_predicted(), s.mean_effective(), s.tokens()))
 }
 
 /// What must not depend on the slot-thread count.
@@ -153,7 +168,8 @@ struct Record {
     tokens: Vec<u32>,
     finish: FinishReason,
     ticks: (u64, Option<u64>, u64),
-    macs: u64,
+    ops: OpCounter,
+    sparsity: Sparsity,
     preemptions: usize,
     prefill_skipped_tokens: usize,
 }
@@ -220,7 +236,8 @@ fn drive(m: &Model, script: &Script, threads: usize) -> Run {
         tokens: o.tokens,
         finish: o.finish,
         ticks: (o.submitted_tick, o.admitted_tick, o.finished_tick),
-        macs: o.ops.macs,
+        ops: o.ops,
+        sparsity: sparsity(o.stats.as_ref()),
         preemptions: o.preemptions,
         prefill_skipped_tokens: o.prefill_skipped_tokens,
     });
@@ -249,14 +266,24 @@ fn run_seed(seed: u64) -> Run {
         assert_eq!(streamed, output, "request {id}'s events");
         let mut solo = Scheduler::new(script.config());
         solo.submit(engine(&m, *kind), req).unwrap();
-        let solo = solo.run().remove(0).tokens;
+        let solo = solo.run().remove(0);
         match record.finish {
             FinishReason::Cancelled | FinishReason::DeadlineExceeded => {
-                assert!(solo.starts_with(&record.tokens), "request {id}")
+                assert!(solo.tokens.starts_with(&record.tokens), "request {id}")
             }
             finish => {
                 assert_eq!(finish, FinishReason::MaxTokens, "request {id}");
-                assert_eq!(record.tokens, solo, "request {id} diverged from solo");
+                assert_eq!(
+                    record.tokens, solo.tokens,
+                    "request {id} diverged from solo"
+                );
+                // A recompute replays its tokens through the engine, which
+                // bills them again; a swap resumes where it stopped.
+                if script.swap || record.preemptions == 0 {
+                    assert_eq!(record.ops, solo.ops, "request {id}'s operations");
+                    let want = sparsity(solo.stats.as_ref());
+                    assert_eq!(record.sparsity, want, "request {id}'s sparsity");
+                }
             }
         }
     }
@@ -300,4 +327,160 @@ fn seeded_interleavings_keep_the_accounting_and_match_solo_runs() {
     // The seeds reach every path the invariants guard.
     let reached = [swapped, recomputed, skipped, cancelled, expired];
     assert!(reached.iter().all(|&n| n > 0), "{reached:?}");
+}
+
+/// An engine that keeps its column stage to itself, so a run steps it
+/// through its own calls: prompt chunks through the bare model, the last
+/// prompt token and every decode token through `score_block_into`.
+#[derive(Debug)]
+struct Alone<'m>(Box<dyn Engine + 'm>);
+
+impl Engine for Alone<'_> {
+    fn model(&self) -> &Model {
+        self.0.model()
+    }
+
+    fn score_block_into(
+        &mut self,
+        tokens: &[u32],
+        session: &mut DecodeSession,
+        logits: &mut [Vector],
+    ) {
+        self.0.score_block_into(tokens, session, logits);
+    }
+
+    fn ops(&self) -> &OpCounter {
+        self.0.ops()
+    }
+
+    fn reset_ops(&mut self) {
+        self.0.reset_ops();
+    }
+
+    fn stats(&self) -> Option<&SparsityStats> {
+        self.0.stats()
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// The request's tokens, operation counts and sparsity statistics decoded
+/// alone by the engine's own calls: a lone [`RequestRun`] advanced over a
+/// private pool of the same KV dtype and block size.
+fn lone_run(
+    m: &Model,
+    kind: Kind,
+    req: &GenerateRequest,
+    kv_dtype: KvDtype,
+) -> (Vec<u32>, OpCounter, Sparsity) {
+    let mut engine = Alone(engine(m, kind));
+    let pool = KvBlockPool::with_budget_dtype(BLOCK_TOKENS, usize::MAX, kv_dtype);
+    let mut run = RequestRun::with_kv_pool(req, &engine, &pool).unwrap();
+    while !run.finished() {
+        run.advance(&mut engine).unwrap();
+    }
+    let tokens = run.into_generation().tokens;
+    (tokens, *engine.ops(), sparsity(engine.stats()))
+}
+
+#[test]
+fn prompt_handoffs_match_lone_runs_for_every_engine_kind() {
+    // Every engine kind that lends its stage, at prompt lengths 1, 2, one
+    // step's chunk and one past it, all in one scheduler beside a prompt
+    // whose first two blocks later requests attach: those prompts end one
+    // token past the hit, so their first step is the engine column alone.
+    let m = model();
+    let kinds = [
+        Kind::Dense,
+        Kind::SignBit(WeightFormat::F32),
+        Kind::SignBit(WeightFormat::Int8),
+        Kind::Oracle,
+        Kind::Random,
+    ];
+    let hit = 2 * BLOCK_TOKENS;
+    let shared: Vec<u32> = (0..=hit as u32).map(|t| 40 + t).collect();
+    let mut requests: Vec<(Kind, GenerateRequest)> = Vec::new();
+    for (i, len) in [1, 2, PREFILL_CHUNK, PREFILL_CHUNK + 1]
+        .into_iter()
+        .enumerate()
+    {
+        for (j, &kind) in kinds.iter().enumerate() {
+            let prompt: Vec<u32> = (0..len)
+                .map(|t| 1 + ((7 * i + 3 * j + t) % 37) as u32)
+                .collect();
+            requests.push((kind, GenerateRequest::new(&prompt).max_new(2 + (i + j) % 5)));
+        }
+    }
+    requests.push((Kind::Dense, GenerateRequest::new(&shared).max_new(2)));
+    let warm = requests.len();
+    for (j, &kind) in kinds.iter().enumerate() {
+        let mut prompt = shared[..hit].to_vec();
+        prompt.push(50 + j as u32);
+        requests.push((kind, GenerateRequest::new(&prompt).max_new(3)));
+    }
+    for kv_dtype in [KvDtype::F32, KvDtype::F16] {
+        let config = SchedulerConfig {
+            max_slots: 32,
+            block_tokens: BLOCK_TOKENS,
+            kv_dtype,
+            ..SchedulerConfig::default()
+        };
+        let lone: Vec<_> = requests
+            .iter()
+            .map(|(kind, req)| lone_run(&m, *kind, req, kv_dtype))
+            .collect();
+        for threads in [1, 2, 4] {
+            let what = format!("{kv_dtype:?} KV, {threads} slot threads");
+            let mut s = Scheduler::new(config).parallel(ParallelOptions::threads(threads));
+            // A wave of each prompt length per tick, then the warm requests
+            // once the shared prompt has sampled its first token: its blocks
+            // were published in that tick.
+            let (mut submitted, mut tick, mut events) = (0, 0, Vec::<BatchEvent>::new());
+            loop {
+                let published = events.iter().any(|e| e.request == warm - 1);
+                let due = if published {
+                    requests.len()
+                } else {
+                    warm.min(5 * (tick + 1))
+                };
+                while submitted < due {
+                    let (kind, req) = &requests[submitted];
+                    s.submit(engine(&m, *kind), req).unwrap();
+                    submitted += 1;
+                }
+                let left = s.tick(|e| events.push(e));
+                tick += 1;
+                if left == 0 && submitted == requests.len() {
+                    break;
+                }
+            }
+            let mut outputs = s.take_finished();
+            outputs.sort_by_key(|o| o.id);
+            assert_eq!(outputs.len(), requests.len(), "{what}");
+            for (o, (tokens, ops, stats)) in outputs.iter().zip(&lone) {
+                let id = o.id;
+                let streamed: Vec<(usize, u32)> = events
+                    .iter()
+                    .filter(|e| e.request == id)
+                    .map(|e| (e.index, e.token))
+                    .collect();
+                let output: Vec<(usize, u32)> = o.tokens.iter().copied().enumerate().collect();
+                assert_eq!(streamed, output, "{what}: request {id}'s events");
+                assert_eq!(&o.tokens, tokens, "{what}: request {id}'s tokens");
+                assert_eq!(&o.ops, ops, "{what}: request {id}'s operations");
+                assert_eq!(
+                    &sparsity(o.stats.as_ref()),
+                    stats,
+                    "{what}: request {id}'s sparsity"
+                );
+                let skipped = if id >= warm { hit } else { 0 };
+                assert_eq!(
+                    o.prefill_skipped_tokens, skipped,
+                    "{what}: request {id}'s hit"
+                );
+            }
+        }
+    }
 }

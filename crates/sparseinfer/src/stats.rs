@@ -168,6 +168,7 @@ pub fn scheduler_stats_json(stats: &SchedulerStats) -> Json {
             Json::Object(vec![
                 ("batches".to_string(), num(stats.prefill_batches)),
                 ("positions".to_string(), num(stats.prefill_positions)),
+                ("mlp_rows_loaded".to_string(), num(stats.mlp_rows_loaded)),
             ]),
         ),
     ])
@@ -223,6 +224,7 @@ mod tests {
             },
             prefill_batches: 21,
             prefill_positions: 40,
+            mlp_rows_loaded: 5504,
         };
         let doc = Json::parse(&scheduler_stats_json(&stats).to_json()).unwrap();
         let sched = doc.get("scheduler").unwrap();
@@ -283,6 +285,8 @@ mod tests {
         let prefill = doc.get("prefill").unwrap();
         assert_eq!(prefill.get("batches").and_then(Json::as_u64), Some(21));
         assert_eq!(prefill.get("positions").and_then(Json::as_u64), Some(40));
+        let rows = prefill.get("mlp_rows_loaded").and_then(Json::as_u64);
+        assert_eq!(rows, Some(5504));
     }
 
     /// An unbounded budget is omitted rather than rounded through f64.

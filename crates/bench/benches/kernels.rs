@@ -13,15 +13,19 @@
 //! ```
 
 use sparseinfer::model::generator::WeightGenerator;
-use sparseinfer::model::PrefillScratch;
-use sparseinfer::model::{Activation, ModelConfig};
+use sparseinfer::model::trace::MlpTrace;
+use sparseinfer::model::{Activation, Model, ModelConfig, PrefillScratch};
+use sparseinfer::predictor::traits::PredictorScratch;
 use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SkipMask, SparsityPredictor};
 use sparseinfer::sparse::engine::EngineBuilder;
+use sparseinfer::sparse::mlp::{sparse_mlp_forward_into, MlpOptions};
+use sparseinfer::sparse::quantized::FusedQuantizedMlp;
 use sparseinfer::sparse::request::{generate, GenerateRequest};
+use sparseinfer::sparse::OpCounter;
 use sparseinfer::tensor::attn;
-use sparseinfer::tensor::gemv::{dot, gemm_rows_into, gemv, gemv_into, reference};
+use sparseinfer::tensor::gemv::{dot, gemm_rows_into, gemv, gemv_into, reference, Rows};
 use sparseinfer::tensor::sign::{PackedSignMatrix, SignPack};
-use sparseinfer::tensor::{BlockQuantizedMatrix, Matrix, Prng, ThreadPool, Vector, F16};
+use sparseinfer::tensor::{BlockQuantizedMatrix, Matrix, Prng, ThreadPool, Vector, Workspace, F16};
 use sparseinfer_bench::{bench_iters, quick, time_us};
 
 fn layer_shapes() -> (Matrix, Vector) {
@@ -88,10 +92,10 @@ fn main() {
         let mask = SkipMask::from_fn(w.rows(), |r| {
             (r as u32 * 100 / w.rows() as u32) < sparsity_pct
         });
+        let kept = kept_rows(&mask);
         let name = format!("sparse_gemv_{sparsity_pct}pct");
         let us = time_us(&name, bench_iters(200), || {
-            let keep = |r| !mask.is_skipped(r);
-            gemm_rows_into(&w, x.as_slice(), 1, keep, &single, &mut out);
+            gemm_rows_into(&w, x.as_slice(), 1, Rows::Kept(&kept), &single, &mut out);
         });
         println!("  -> {:.2}x over the dense gemv", t_gemv / us);
     }
@@ -182,14 +186,13 @@ fn main() {
     // per 32-column block inside the chunked dot loop. The pair is the
     // memory-bandwidth win of the int8 weight format.
     let (sw, sx) = streaming_shapes();
-    let smask = SkipMask::from_fn(sw.rows(), |r| r % 10 == 0);
-    let skeep = |r| !smask.is_skipped(r);
+    let skept = kept_rows(&SkipMask::from_fn(sw.rows(), |r| r % 10 == 0));
     let qw = BlockQuantizedMatrix::quantize(&sw);
     let t_f32 = time_us("sparse_gemv_into_1t", bench_iters(100), || {
-        gemm_rows_into(&sw, sx.as_slice(), 1, skeep, &single, &mut out);
+        gemm_rows_into(&sw, sx.as_slice(), 1, Rows::Kept(&skept), &single, &mut out);
     });
     let t_q8 = time_us("sparse_gemv_q8_into_1t", bench_iters(100), || {
-        gemm_rows_into(&qw, sx.as_slice(), 1, skeep, &single, &mut out);
+        gemm_rows_into(&qw, sx.as_slice(), 1, Rows::Kept(&skept), &single, &mut out);
     });
     let over_f32 = t_f32 / t_q8;
     println!("  -> {over_f32:.2}x over f32");
@@ -218,7 +221,7 @@ fn main() {
                     w,
                     &columns[..batch * 256],
                     batch,
-                    |_| true,
+                    Rows::All,
                     &single,
                     &mut gemm_out,
                 );
@@ -285,6 +288,9 @@ fn main() {
         "  -> {alone:.0} us per tick alone, {batched:.0} us batched ({:.2}x)",
         alone / batched
     );
+
+    println!("\n== sparse MLP over the kept rows (serve-sim, 8 x 688x256, one thread) ==");
+    sparse_mlp_rows(&serve_model, bench_iters(200));
 
     println!("\n== prefill columns per weight pass (8 x 256x688, one thread) ==");
     // What the scheduler's cadence rule buys: the same 32 prompt positions
@@ -461,6 +467,94 @@ fn one_column_rows(shape: &str, matrices: &[Matrix], x: &Vector, iters: usize) -
     let ratio = t_tile / t_rows;
     println!("  -> {shape}: the tile takes {ratio:.2}x the per-row loop's time");
     ratio
+}
+
+/// One decode token's MLP stage per layer, as the benchmark's `sparse.mlp_us`
+/// and `sparse.mlp_q8_us` probes run it: `sparse_mlp_forward_into` on the
+/// MLP inputs of a dense decode of `model` (`MlpTrace::capture`) under
+/// their sign-bit masks, over the `f32` block and over its int8 copy, and
+/// the same with every row skipped — the cost of a layer beyond its kept
+/// rows. Prints microseconds per layer; the work follows the kept rows, so
+/// the skipped row is the floor under the other two.
+fn sparse_mlp_rows(model: &Model, iters: usize) {
+    let predictor = SignBitPredictor::from_model(model, AlphaSchedule::uniform(1.0));
+    let trace = MlpTrace::capture(model, &[7, 11], 2);
+    let samples = trace.samples();
+    let masks: Vec<SkipMask> = samples
+        .iter()
+        .map(|s| {
+            let mut mask = SkipMask::all_dense(0);
+            predictor.predict_into(s.layer, &s.x, &mut PredictorScratch::new(), &mut mask);
+            mask
+        })
+        .collect();
+    let skipped = masks.iter().map(SkipMask::sparsity).sum::<f64>() / masks.len() as f64;
+    println!(
+        "  {} layer inputs, {:.1} % of rows skipped",
+        samples.len(),
+        skipped * 100.0
+    );
+    let quantized: Vec<FusedQuantizedMlp> = model
+        .layers()
+        .iter()
+        .map(|l| FusedQuantizedMlp::quantize(l.mlp()))
+        .collect();
+    let none = SkipMask::all_skipped(model.config().mlp_dim);
+    let (single, mut ws) = (ThreadPool::single(), Workspace::new());
+    let (mut effective, mut ops, mut out) = (
+        SkipMask::all_dense(0),
+        OpCounter::default(),
+        Vector::zeros(0),
+    );
+    let mut layer = |name: &str,
+                     run: &mut dyn FnMut(
+        usize,
+        &mut Workspace,
+        &mut SkipMask,
+        &mut OpCounter,
+        &mut Vector,
+    )| {
+        let us = time_us(name, iters, || {
+            for i in 0..samples.len() {
+                run(i, &mut ws, &mut effective, &mut ops, &mut out);
+            }
+        }) / samples.len() as f64;
+        println!("  -> {us:.2} us per layer");
+    };
+    let options = MlpOptions::default();
+    layer(
+        "sparse_mlp_f32_serve_sim",
+        &mut |i, ws, effective, ops, out| {
+            let s = &samples[i];
+            let mlp = model.layers()[s.layer].mlp();
+            sparse_mlp_forward_into(
+                mlp, &s.x, &masks[i], options, &single, ws, effective, ops, out,
+            );
+        },
+    );
+    layer(
+        "sparse_mlp_q8_serve_sim",
+        &mut |i, ws, effective, ops, out| {
+            let s = &samples[i];
+            let mlp = &quantized[s.layer];
+            sparse_mlp_forward_into(
+                mlp, &s.x, &masks[i], options, &single, ws, effective, ops, out,
+            );
+        },
+    );
+    layer(
+        "sparse_mlp_f32_serve_sim_no_row_kept",
+        &mut |i, ws, effective, ops, out| {
+            let s = &samples[i];
+            let mlp = model.layers()[s.layer].mlp();
+            sparse_mlp_forward_into(mlp, &s.x, &none, options, &single, ws, effective, ops, out);
+        },
+    );
+}
+
+/// The rows `mask` keeps, as the row list the kernels take.
+fn kept_rows(mask: &SkipMask) -> Vec<u32> {
+    mask.active_rows().map(|r| r as u32).collect()
 }
 
 /// Whether the attention kernels run their vector path in this build.

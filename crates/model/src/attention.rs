@@ -31,7 +31,7 @@
 use std::borrow::BorrowMut;
 use std::ops::Range;
 
-use sparseinfer_tensor::gemv::{gemm_rows_into, MIN_MACS_PER_WORKER};
+use sparseinfer_tensor::gemv::{gemm_rows_into, Rows, MIN_MACS_PER_WORKER};
 use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector};
 
 use crate::kv::{KvDtype, PagedKvCache};
@@ -243,11 +243,11 @@ impl Attention {
         assert_eq!(scratch.rope.len(), b * head_dim, "one rope table each");
 
         let x = scratch.x.as_slice();
-        gemm_rows_into(&self.w_q, x, b, |_| true, pool, &mut scratch.proj);
+        gemm_rows_into(&self.w_q, x, b, Rows::All, pool, &mut scratch.proj);
         per_column(scratch.proj.as_slice(), b, &mut scratch.q);
-        gemm_rows_into(&self.w_k, x, b, |_| true, pool, &mut scratch.proj);
+        gemm_rows_into(&self.w_k, x, b, Rows::All, pool, &mut scratch.proj);
         per_column(scratch.proj.as_slice(), b, &mut scratch.k);
-        gemm_rows_into(&self.w_v, x, b, |_| true, pool, &mut scratch.proj);
+        gemm_rows_into(&self.w_v, x, b, Rows::All, pool, &mut scratch.proj);
         per_column(scratch.proj.as_slice(), b, &mut scratch.v);
 
         let (mut score_len, mut context) = (0, 0);
@@ -318,7 +318,7 @@ impl Attention {
             out.copy_from_slice(&lane[..d]);
         }
         let (x, proj) = (scratch.x.as_slice(), &mut scratch.proj);
-        gemm_rows_into(&self.w_o, x, b, |_| true, pool, proj);
+        gemm_rows_into(&self.w_o, x, b, Rows::All, pool, proj);
         per_column(scratch.proj.as_slice(), b, &mut scratch.x);
     }
 }

@@ -9,11 +9,13 @@
 //!
 //! [`GatedMlp::forward`] is the dense reference. [`gated_mlp_into`] is the
 //! one executor every forward step runs, over any weight storage
-//! ([`MlpWeights`]) and at any number of inputs, each under its own row
-//! filter: prefill keeps every row, a sparse engine's decode and verify
+//! ([`MlpWeights`]) and at any number of inputs, each under its own skip
+//! words: prefill keeps every row, a sparse engine's decode and verify
 //! columns keep their predicted ones.
 
-use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed};
+use sparseinfer_tensor::gemv::{
+    gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed, Rows,
+};
 use sparseinfer_tensor::{Matrix, ThreadPool, Vector, WeightRows};
 
 use crate::activation::Activation;
@@ -39,29 +41,38 @@ impl MlpWeights for GatedMlp {
 }
 
 /// Steps 1–4 of §III for the inputs `xs` (back to back, `[b][d]`), gate
-/// before up as §IV argues, one pass over each weight matrix, input `b`
-/// keeping row `r` when `keeps(b, r)` and taking the paper's actual
-/// sparsity when `actual_sparsity(b)`. The buffers of `bufs` are resized
-/// in place and leave, per row (`[k][b]`):
+/// before up as §IV argues, one pass over each weight matrix's loaded rows,
+/// input `b` dropping row `r` when bit `r % 64` of its skip word
+/// `skips(b, r / 64)` is set (a skip mask's words; `|_, _| 0` keeps every
+/// row) and taking the paper's actual sparsity when `actual_sparsity(b)`.
+/// Beside the `k / 64` skip words of each input, the work is in proportion
+/// to the kept rows: every step below touches only the rows of one list,
+/// `kept`, and a row no input keeps costs nothing. The buffers of `bufs`
+/// are resized in place and leave:
 ///
-/// 1. `gate` — `h1`: [`gemm_rows_into`] over the rows some input keeps,
-///    `+0.0` where an input drops the row (what a one-input call leaves),
-///    then the activation — zero at zero for the ReLU family (the paper's
-///    approximation), and zero at zero for every [`Activation`].
-/// 2. The filter of steps 2–4 (`rows`): a row some input keeps, unless
-///    every input keeping it takes actual sparsity and has a zero `h1`
-///    there (§IV).
-/// 3. `h3` — the up projection under that filter, times `h1`.
-/// 4. `out` (per input, `[b][d]`) — [`gemm_transposed_rows_into`] under
-///    the filter, which when some input takes actual sparsity also skips
-///    zero `h3` entries.
+/// 1. `kept` — the rows some input keeps, ascending, read off the union of
+///    the inputs' words by trailing zeros (every row kept: `0..k`); then
+///    `gate` (`[n][b]`, entry `i` for row `kept[i]`) — `h1`:
+///    [`gemm_rows_into`] over the list, `+0.0` where an input drops the
+///    row (what a one-input call leaves), then the activation — zero at
+///    zero for every [`Activation`] (the paper's approximation for the
+///    ReLU family).
+/// 2. Actual sparsity (§IV): the list drops a row, and `gate` its entries,
+///    when every input keeping it takes actual sparsity and has a zero
+///    `h1` there. A row out of the final list has a zero `h1` for every
+///    input.
+/// 3. `h3` (`[n][b]`, as `gate`) — the up projection over the list, times
+///    `h1`.
+/// 4. `out` (per input, `[b][d]`) — [`gemm_transposed_rows_into`] over the
+///    list, which when some input takes actual sparsity also skips zero
+///    `h3` entries.
 ///
 /// Each input's output is bitwise its own one-input call, and actual
-/// sparsity moves no bit: where the filter loads a row that an input
-/// drops, or whose `h1` is zero for it, that input's `h3` is `±0` (a zero
-/// `h1` times a finite `h2`), and adding `w · (±0)` to the down
-/// projection's accumulators, which start at `+0.0`, never changes a bit.
-/// With every row kept it is bitwise [`GatedMlp::forward`].
+/// sparsity moves no bit: where the list holds a row that an input drops,
+/// or whose `h1` is zero for it, that input's `h3` is `±0` (a zero `h1`
+/// times a finite `h2`), and adding `w · (±0)` to the down projection's
+/// accumulators, which start at `+0.0`, never changes a bit. With every
+/// row kept it is bitwise [`GatedMlp::forward`].
 ///
 /// # Panics
 ///
@@ -69,38 +80,45 @@ impl MlpWeights for GatedMlp {
 pub fn gated_mlp_into<M: MlpWeights>(
     mlp: &M,
     xs: &[f32],
-    keeps: impl Fn(usize, usize) -> bool + Sync,
+    skips: impl Fn(usize, usize) -> u64,
     actual_sparsity: impl Fn(usize) -> bool,
     pool: &ThreadPool,
     bufs: &mut MlpBuffers,
 ) {
     let (w_gate, w_up, w_down_t, activation) = mlp.parts();
-    let batch = xs.len() / w_gate.cols();
+    let (k, batch) = (w_gate.rows(), xs.len() / w_gate.cols());
     let any_actual = (0..batch).any(&actual_sparsity);
     debug_assert!(
         !any_actual || xs.iter().all(|v| v.is_finite()),
         "mlp input must be finite for the zero-gate row skip to be exact"
     );
     let MlpBuffers {
+        kept,
         gate,
         h3,
-        rows,
         out,
     } = bufs;
-    // The filters as one flag per row (a load and a compare in the kernels'
-    // row walks): first the rows some input keeps.
-    rows.resize(w_gate.rows(), 0.0);
-    for (r, flag) in rows.as_mut_slice().iter_mut().enumerate() {
-        *flag = f32::from((0..batch).any(|b| keeps(b, r)));
+    let dropped = |b: usize, r: u32| (skips(b, r as usize / 64) >> (r % 64)) & 1 == 1;
+    // Room for every row once, so that no later call allocates.
+    kept.clear();
+    kept.reserve(k);
+    gate.reserve_len(k * batch);
+    h3.reserve_len(k * batch);
+    for word in 0..k.div_ceil(64) {
+        let valid = u64::MAX >> (64 * (word + 1)).saturating_sub(k);
+        let mut rows = (0..batch).fold(0, |union, b| union | !skips(b, word)) & valid;
+        while rows != 0 {
+            kept.push(64 * word as u32 + rows.trailing_zeros());
+            rows &= rows - 1;
+        }
     }
-    let loads = |r: usize| rows[r] != 0.0;
-    gemm_rows_into(w_gate, xs, batch, loads, pool, gate);
+    gemm_rows_into(w_gate, xs, batch, Rows::Kept(kept), pool, gate);
     // An input that drops a row others load gets the `+0.0` its own call
     // would leave there.
     if batch > 1 {
-        for (r, row) in gate.as_mut_slice().chunks_exact_mut(batch).enumerate() {
-            for (b, g) in row.iter_mut().enumerate() {
-                if !keeps(b, r) {
+        for (&r, h1) in kept.iter().zip(gate.as_mut_slice().chunks_exact_mut(batch)) {
+            for (b, g) in h1.iter_mut().enumerate() {
+                if dropped(b, r) {
                     *g = 0.0;
                 }
             }
@@ -108,32 +126,39 @@ pub fn gated_mlp_into<M: MlpWeights>(
     }
     activation.apply_slice(gate.as_mut_slice());
     if any_actual {
-        let rows = rows.as_mut_slice().iter_mut();
-        for (r, (flag, h1)) in rows.zip(gate.as_slice().chunks_exact(batch)).enumerate() {
+        let mut n = 0;
+        for i in 0..kept.len() {
+            let r = kept[i];
+            let h1 = &gate.as_slice()[i * batch..][..batch];
             // An input dropping the row has a zero `h1` there already.
-            let idle = |(b, v): (usize, &f32)| *v == 0.0 && (actual_sparsity(b) || !keeps(b, r));
-            if h1.iter().enumerate().all(idle) {
-                *flag = 0.0;
+            let idle = |(b, v): (usize, &f32)| *v == 0.0 && (actual_sparsity(b) || dropped(b, r));
+            if !h1.iter().enumerate().all(idle) {
+                kept[n] = r;
+                gate.as_mut_slice()
+                    .copy_within(i * batch..(i + 1) * batch, n * batch);
+                n += 1;
             }
         }
+        kept.truncate(n);
+        gate.truncate(n * batch);
     }
-    let loads = |r: usize| rows[r] != 0.0;
-    gemm_rows_into(w_up, xs, batch, loads, pool, h3);
+    gemm_rows_into(w_up, xs, batch, Rows::Kept(kept), pool, h3);
     for (h, g) in h3.as_mut_slice().iter_mut().zip(gate.as_slice()) {
         *h *= g;
     }
-    gemm_transposed_rows_into(w_down_t, h3.as_slice(), batch, loads, any_actual, pool, out);
+    let rows = Rows::Kept(kept);
+    gemm_transposed_rows_into(w_down_t, rows, h3.as_slice(), batch, any_actual, pool, out);
 }
 
 /// The buffers of [`gated_mlp_into`], recycled across calls.
 #[derive(Debug, Default)]
 pub struct MlpBuffers {
-    /// Post-activation gate values, per row (`[k][b]`).
+    /// The rows the up and down projections load, ascending.
+    pub kept: Vec<u32>,
+    /// Post-activation gate values of the `kept` rows (`[n][b]`).
     pub gate: Vector,
-    /// Up projection times the gate, per row (`[k][b]`).
+    /// Up projection times the gate, of the `kept` rows (`[n][b]`).
     pub h3: Vector,
-    /// Per row, `1.0` when steps 2–4 load it, else `0.0`.
-    pub rows: Vector,
     /// The output, per input (`[b][d]`).
     pub out: Vector,
 }
@@ -141,8 +166,9 @@ pub struct MlpBuffers {
 impl MlpBuffers {
     /// Heap bytes the buffers hold (capacity, not length).
     pub fn memory_bytes(&self) -> u64 {
-        let buffers = [&self.gate, &self.h3, &self.rows, &self.out];
-        buffers.iter().map(|b| b.capacity() as u64 * 4).sum()
+        let buffers = [&self.gate, &self.h3, &self.out];
+        let floats: usize = buffers.iter().map(|b| b.capacity()).sum();
+        (floats + self.kept.capacity()) as u64 * 4
     }
 }
 
@@ -352,6 +378,21 @@ mod tests {
         for (u, v) in a.forward(&x).iter().zip(b.forward(&x).iter()) {
             assert!((u - v).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn buffers_count_the_kept_row_list() {
+        // After a call the buffers hold room for every row's list entry,
+        // and their byte count includes it.
+        let mlp = random_mlp(10, 100, 16, Activation::Relu);
+        let mut bufs = MlpBuffers::default();
+        let skips = |_, word: usize| if word == 0 { u64::MAX } else { 0 };
+        gated_mlp_into(&mlp, &[0.5; 16], skips, |_| false, &ThreadPool::single(), &mut bufs);
+        assert_eq!(bufs.kept, (64..100).collect::<Vec<u32>>());
+        assert!(bufs.kept.capacity() >= 100);
+        let floats = bufs.gate.capacity() + bufs.h3.capacity() + bufs.out.capacity();
+        let list = bufs.kept.capacity();
+        assert_eq!(bufs.memory_bytes(), (floats + list) as u64 * 4);
     }
 
     #[test]

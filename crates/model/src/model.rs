@@ -12,7 +12,7 @@
 
 use std::borrow::BorrowMut;
 
-use sparseinfer_tensor::gemv::{gemm_rows_into, gemv};
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemv, Rows};
 use sparseinfer_tensor::{Matrix, ThreadPool, Vector};
 
 use crate::attention::Attention;
@@ -266,7 +266,7 @@ impl Model {
             self.final_norm.forward_slice(&h[c * d..][..d], x);
         }
         let (x, proj) = (scratch.x.as_slice(), &mut scratch.proj);
-        gemm_rows_into(&self.lm_head, x, n, |_| true, pool, proj);
+        gemm_rows_into(&self.lm_head, x, n, Rows::All, pool, proj);
         per_column(scratch.proj.as_slice(), n, &mut scratch.q);
         let columns = scratch.q.as_slice().chunks_exact(self.config.vocab_size);
         for (out, column) in logits.iter_mut().zip(columns) {

@@ -89,7 +89,7 @@ pub trait MlpHook {
         out: &mut MlpBuffers,
     ) {
         let _ = layer;
-        gated_mlp_into(mlp, xs, |_, _| true, |_| true, pool, out);
+        gated_mlp_into(mlp, xs, |_, _| 0, |_| true, pool, out);
     }
 }
 

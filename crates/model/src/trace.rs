@@ -142,7 +142,7 @@ impl MlpHook for MlpTrace {
             let preact = mlp.gate_preactivations(&x);
             self.samples.push(MlpSample { layer, x, preact });
         }
-        gated_mlp_into(mlp, xs, |_, _| true, |_| true, pool, out);
+        gated_mlp_into(mlp, xs, |_, _| 0, |_| true, pool, out);
     }
 }
 

@@ -40,7 +40,9 @@ impl SkipMask {
 
     /// Creates a mask with every row skipped.
     pub fn all_skipped(len: usize) -> Self {
-        Self::from_fn(len, |_| true)
+        let mut mask = Self::all_dense(0);
+        mask.reset_skipped(len);
+        mask
     }
 
     /// Builds a mask from a predicate over row indices (true = skip).
@@ -63,6 +65,15 @@ impl SkipMask {
         self.words.clear();
         self.words.resize(len.div_ceil(64), 0);
         self.len = len;
+    }
+
+    /// Resizes to `len` rows with every row skipped, reusing the word
+    /// buffer.
+    pub fn reset_skipped(&mut self, len: usize) {
+        self.reset_dense(len);
+        for (w, word) in self.words.iter_mut().enumerate() {
+            *word = u64::MAX >> (64 * (w + 1)).saturating_sub(len);
+        }
     }
 
     /// Resizes to one row per item of `skips` (true = skip), reusing the
@@ -106,6 +117,12 @@ impl SkipMask {
                 self.words[i / 64] |= 1u64 << (i % 64);
             }
         }
+    }
+
+    /// The skip flags, 64 rows per word: bit `i` of word `w` is row
+    /// `64 * w + i`. Bits past the last row are clear.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of rows covered.

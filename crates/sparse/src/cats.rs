@@ -15,7 +15,7 @@
 
 use sparseinfer_model::{GatedMlp, MlpTrace};
 use sparseinfer_predictor::SkipMask;
-use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv};
+use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv, Rows};
 use sparseinfer_tensor::{ThreadPool, Vector};
 
 use crate::mlp::bill;
@@ -122,13 +122,16 @@ pub fn cats_mlp_forward(
     }
     let mask = SkipMask::from_exact_zeros(&h1);
 
-    // Up and down projections skip the zeroed rows.
+    // Up and down projections load only the rows left.
     let (w_up, w_down_t) = (mlp.w_up(), mlp.w_down_t());
-    let (keep, pool) = (|r| !mask.is_skipped(r), ThreadPool::single());
-    let (mut h2, mut output) = (Vector::zeros(0), Vector::zeros(0));
-    gemm_rows_into(w_up, x.as_slice(), 1, keep, &pool, &mut h2);
-    let h3 = h1.hadamard(&h2).expect("same length");
-    gemm_transposed_rows_into(w_down_t, h3.as_slice(), 1, keep, false, &pool, &mut output);
+    let kept: Vec<u32> = mask.active_rows().map(|r| r as u32).collect();
+    let (rows, pool) = (Rows::Kept(&kept), ThreadPool::single());
+    let (mut h3, mut output) = (Vector::zeros(0), Vector::zeros(0));
+    gemm_rows_into(w_up, x.as_slice(), 1, rows, &pool, &mut h3);
+    for (h, &r) in h3.as_mut_slice().iter_mut().zip(&kept) {
+        *h *= h1[r as usize];
+    }
+    gemm_transposed_rows_into(w_down_t, rows, h3.as_slice(), 1, false, &pool, &mut output);
     bill(ops, w_up, mask.skip_count());
     ops.atomic_adds += bill(ops, w_down_t, mask.skip_count());
 

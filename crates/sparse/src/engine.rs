@@ -1803,15 +1803,85 @@ mod tests {
         )
     }
 
+    /// Masks at the edges of the MLP's kept-row list, one per input, picked
+    /// by the input's bits: no row kept, one, three or five rows, every
+    /// row, rows only in the last partial 64-row word, or a random half.
+    /// The columns of a step get different ones, so the union holds rows
+    /// that some of them drop.
+    #[derive(Debug)]
+    struct EdgePredictor {
+        rows: usize,
+        layers: usize,
+    }
+
+    impl SparsityPredictor for EdgePredictor {
+        fn predict_into(
+            &self,
+            layer: usize,
+            x: &Vector,
+            _: &mut PredictorScratch,
+            mask: &mut sparseinfer_predictor::SkipMask,
+        ) {
+            let bits = x.iter().map(|v| u64::from(v.to_bits()));
+            let h = bits.fold(layer as u64, |h, v| h.rotate_left(5) ^ v);
+            let last = self.rows - 1;
+            let keep = |r: usize| match h % 7 {
+                0 => false,
+                1 => r == last,
+                2 => [5, 300, last].contains(&r),
+                3 => [0, 63, 64, 640, last].contains(&r),
+                4 => true,
+                5 => r >= last / 64 * 64 && (r as u64 ^ h).is_multiple_of(3),
+                _ => ((r as u64).wrapping_mul(0x9e37_79b9) ^ h).is_multiple_of(2),
+            };
+            mask.reset_from_iter((0..self.rows).map(|r| !keep(r)));
+        }
+
+        fn name(&self) -> &'static str {
+            "edges"
+        }
+
+        fn n_layers(&self) -> usize {
+            self.layers
+        }
+    }
+
     #[test]
     fn a_step_of_many_columns_is_bitwise_its_one_column_steps() {
-        // Random per-column masks over both weight formats, with and
-        // without actual sparsity: logits, KV, bill and statistics.
-        let m = model();
-        let cfg = m.config().clone();
-        let quantized = Arc::new(QuantizedWeights::quantize(&m));
-        let predictor: Arc<dyn SparsityPredictor> =
+        // Per-column masks over both weight formats, with and without
+        // actual sparsity: logits, KV, bill and statistics. Random masks on
+        // the tiny model, and masks at the kept-row list's edges on its
+        // twin with the serving model's 688 MLP rows (ten whole mask words
+        // and a last one of 48).
+        let tiny = model();
+        let cfg = tiny.config().clone();
+        let random: Arc<dyn SparsityPredictor> =
             Arc::new(RandomPredictor::new(0.5, cfg.mlp_dim, cfg.n_layers, 23));
+        let wide = WeightGenerator::new(
+            &ModelConfig {
+                mlp_dim: 688,
+                ..cfg.clone()
+            },
+            78,
+        )
+        .build();
+        let edges: Arc<dyn SparsityPredictor> = Arc::new(EdgePredictor {
+            rows: 688,
+            layers: cfg.n_layers,
+        });
+        let cases = [(&tiny, random, 1..=9), (&wide, edges, 1..=5)];
+        for (m, predictor, columns) in cases {
+            many_columns_against_one_column_steps(m, &predictor, columns);
+        }
+    }
+
+    fn many_columns_against_one_column_steps(
+        m: &Model,
+        predictor: &Arc<dyn SparsityPredictor>,
+        columns: std::ops::RangeInclusive<usize>,
+    ) {
+        let cfg = m.config().clone();
+        let quantized = Arc::new(QuantizedWeights::quantize(m));
         let mut rng = sparseinfer_tensor::Prng::seed(24);
         let kv_bits = |s: &DecodeSession| -> Vec<u32> {
             let caches = s.caches.iter();
@@ -1820,7 +1890,7 @@ mod tests {
         };
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(ParallelOptions::threads(threads));
-            for b in 1..=9usize {
+            for b in columns.clone() {
                 for sessions in 1..=b.min(3) {
                     let mut counts = vec![1; sessions];
                     for _ in sessions..b {
@@ -1841,7 +1911,7 @@ mod tests {
                                 q.is_some()
                             );
                             let step = |together| {
-                                step_columns(&m, q, &predictor, options, &tokens, &pool, together)
+                                step_columns(m, q, predictor, options, &tokens, &pool, together)
                             };
                             let (logits, sessions, ops, stats) = step(true);
                             let (want_logits, want_sessions, want_ops, want_stats) = step(false);

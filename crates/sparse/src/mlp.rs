@@ -71,21 +71,29 @@ pub fn sparse_mlp_forward_into<M: MlpWeights>(
 
     let k = w_gate.rows();
     let mut bufs = MlpBuffers {
+        kept: ws.take_list(),
         gate: ws.take(k),
         h3: ws.take(k),
-        rows: ws.take(k),
         out: std::mem::take(out),
     };
-    let keeps = |_, r| !predicted.is_skipped(r);
+    let skips = |_, word| predicted.words()[word];
     let actual = |_| options.actual_sparsity;
-    gated_mlp_into(mlp, x.as_slice(), keeps, actual, pool, &mut bufs);
-    // The mask steps 2–4 ran under, for the statistics.
-    effective.copy_from(predicted);
+    gated_mlp_into(mlp, x.as_slice(), skips, actual, pool, &mut bufs);
+    // The mask steps 2–4 ran under, for the statistics: with actual
+    // sparsity, every row but the listed ones with a nonzero gate.
     if options.actual_sparsity {
-        effective.union_exact_zeros(&bufs.gate);
+        effective.reset_skipped(k);
+        for (&r, g) in bufs.kept.iter().zip(bufs.gate.iter()) {
+            if *g != 0.0 {
+                effective.set_active(r as usize);
+            }
+        }
+    } else {
+        effective.copy_from(predicted);
     }
     *out = bufs.out;
-    for buf in [bufs.gate, bufs.h3, bufs.rows] {
+    ws.give_list(bufs.kept);
+    for buf in [bufs.gate, bufs.h3] {
         ws.give(buf);
     }
     bill_mlp(
@@ -151,6 +159,7 @@ pub(crate) mod tests {
     use sparseinfer_model::generator::WeightGenerator;
     use sparseinfer_model::{Activation, GatedMlp, ModelConfig};
     use sparseinfer_predictor::{OraclePredictor, SparsityPredictor};
+    use sparseinfer_tensor::gemv::dot;
     use sparseinfer_tensor::{Matrix, ParallelOptions, Prng};
 
     fn setup() -> (sparseinfer_model::Model, Vector) {
@@ -376,47 +385,103 @@ pub(crate) mod tests {
         assert!(diff > 0.0, "skipping an active row must change the output");
     }
 
-    /// [`gated_mlp_into`] of `mlp` on `batch` inputs `xs` at one thread,
-    /// input `b` keeping the rows `predicted[b * k..][..k]` marks and
-    /// taking actual sparsity when `actual[b]`: the output's bits, per
-    /// input (`[b][d]`).
+    /// [`gated_mlp_into`] of `mlp` on `batch` inputs `xs` on `pool`, input
+    /// `b` keeping the rows `predicted[b * k..][..k]` marks and taking
+    /// actual sparsity when `actual[b]`: the output's bits, per input
+    /// (`[b][d]`), and the rows the up and down projections loaded.
     fn executor<M: MlpWeights>(
         mlp: &M,
-        xs: &[f32],
-        batch: usize,
+        (xs, batch): (&[f32], usize),
         predicted: &[bool],
         actual: &[bool],
-    ) -> Vec<u32> {
+        pool: &ThreadPool,
+    ) -> (Vec<u32>, Vec<u32>) {
         let mut bufs = MlpBuffers::default();
         let k = predicted.len() / batch;
-        let keeps = |b: usize, r: usize| predicted[b * k + r];
-        let pool = ThreadPool::single();
-        gated_mlp_into(mlp, xs, keeps, |b| actual[b], &pool, &mut bufs);
-        bufs.out.iter().map(|v| v.to_bits()).collect()
+        let masks: Vec<SkipMask> = (0..batch)
+            .map(|b| SkipMask::from_fn(k, |r| !predicted[b * k + r]))
+            .collect();
+        let skips = |b: usize, word: usize| masks[b].words()[word];
+        gated_mlp_into(mlp, xs, skips, |b| actual[b], pool, &mut bufs);
+        let bits = bufs.out.iter().map(|v| v.to_bits()).collect();
+        (bits, bufs.kept)
+    }
+
+    /// At one thread, per input of `xs`, the executor's output with all of
+    /// them in one call is bitwise its one-input call, for every filter of
+    /// `filters` (`[b][k]` kept flags) in both formats, with actual
+    /// sparsity off, on, and on for every other input; taking it or not
+    /// moves no bit, with every row kept the output is
+    /// [`GatedMlp::forward`]'s, and the rows loaded are those some input
+    /// keeps and either takes no actual sparsity or has a nonzero gate.
+    fn executor_cases(mlp: &GatedMlp, xs: &[f32], filters: &[(&str, Vec<bool>)]) {
+        let qmlp = FusedQuantizedMlp::quantize(mlp);
+        let (d, k) = (mlp.hidden_dim(), mlp.mlp_dim());
+        let batch = xs.len() / d;
+        let pool = &ThreadPool::single();
+        for (label, predicted) in filters {
+            let mixed: Vec<bool> = (0..batch).map(|b| b % 2 == 0).collect();
+            for actual in [vec![false; batch], vec![true; batch], mixed] {
+                let what = format!("batch {batch} {label} actual sparsity {actual:?}");
+                let (f32_out, f32_rows) = executor(mlp, (xs, batch), predicted, &actual, pool);
+                let (q8_out, _) = executor(&qmlp, (xs, batch), predicted, &actual, pool);
+                let loads = |r: usize| {
+                    (0..batch).any(|b| {
+                        let gate = dot(mlp.w_gate().row(r), &xs[b * d..][..d]);
+                        predicted[b * k + r] && (!actual[b] || mlp.activation().apply(gate) != 0.0)
+                    })
+                };
+                let want: Vec<u32> = (0..k as u32).filter(|&r| loads(r as usize)).collect();
+                assert_eq!(f32_rows, want, "f32 {what}: rows loaded");
+                for (b, x) in xs.chunks_exact(d).enumerate() {
+                    let column = |out: &[u32]| out[b * d..][..d].to_vec();
+                    let own = &predicted[b * k..][..k];
+                    let (f32_alone, _) = executor(mlp, (x, 1), own, &actual[b..=b], pool);
+                    let (q8_alone, _) = executor(&qmlp, (x, 1), own, &actual[b..=b], pool);
+                    assert_eq!(column(&f32_out), f32_alone, "f32 {what} input {b}");
+                    assert_eq!(column(&q8_out), q8_alone, "int8 {what} input {b}");
+                    if *label == "all kept" {
+                        let forward = mlp.forward(&Vector::from_vec(x.to_vec()));
+                        let forward: Vec<u32> = forward.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(f32_alone, forward, "f32 {what} input {b} vs forward");
+                    }
+                }
+                let opposite: Vec<bool> = actual.iter().map(|a| !a).collect();
+                let (other, _) = executor(mlp, (xs, batch), predicted, &opposite, pool);
+                assert_eq!(f32_out, other, "f32 {what} vs its opposite");
+                let (other, _) = executor(&qmlp, (xs, batch), predicted, &opposite, pool);
+                assert_eq!(q8_out, other, "int8 {what} vs its opposite");
+            }
+        }
+    }
+
+    /// A block of `k × d` matrices with gate rows biased negative, so a good
+    /// share of `h1` is zero, and `batch` inputs with exact zeros.
+    fn executor_block(seed: u64, (k, d): (usize, usize), batch: usize) -> (GatedMlp, Vec<f32>) {
+        let mut rng = Prng::seed(seed);
+        let mut m = |mean: f64| Matrix::from_fn(k, d, |_, _| rng.normal(mean, 0.5) as f32);
+        let mlp = GatedMlp::new(m(-0.1), m(0.0), m(0.0), Activation::Relu);
+        let xs = (0..batch * d)
+            .map(|_| match rng.below(8) {
+                0 => 0.0,
+                _ => rng.normal(0.2, 1.0) as f32,
+            })
+            .collect();
+        (mlp, xs)
     }
 
     #[test]
     fn the_executor_is_bitwise_per_input_and_neutral_to_actual_sparsity() {
         // Odd shapes (a last 4-row block of three rows, a hidden width off
-        // the 8-lane and 32-column grids), gate rows biased negative so a
-        // good share of `h1` is zero, and inputs with exact zeros. Under
-        // "per input" every input keeps rows of its own, so most loaded
-        // rows are dropped by some input: the `±0` argument of the
-        // executor's doc carries those inputs, with and without actual
-        // sparsity, and with inputs that differ in it.
+        // the 8-lane and 32-column grids). Under "per input" every input
+        // keeps rows of its own, so most loaded rows are dropped by some
+        // input: the `±0` argument of the executor's doc carries those
+        // inputs, with and without actual sparsity, and with inputs that
+        // differ in it.
         let (k, d) = (71, 45);
-        let mut rng = Prng::seed(33);
-        let mut m = |mean: f64| Matrix::from_fn(k, d, |_, _| rng.normal(mean, 0.5) as f32);
-        let mlp = GatedMlp::new(m(-0.1), m(0.0), m(0.0), Activation::Relu);
-        let qmlp = FusedQuantizedMlp::quantize(&mlp);
         let mut rng = Prng::seed(34);
         for batch in [1usize, 2, 3, 5] {
-            let xs: Vec<f32> = (0..batch * d)
-                .map(|_| match rng.below(8) {
-                    0 => 0.0,
-                    _ => rng.normal(0.2, 1.0) as f32,
-                })
-                .collect();
+            let (mlp, xs) = executor_block(33 + batch as u64, (k, d), batch);
             let random: Vec<bool> = (0..k).map(|_| rng.flip(0.6)).collect();
             let per_input: Vec<bool> = (0..batch * k).map(|_| rng.flip(0.6)).collect();
             let filters = [
@@ -424,31 +489,65 @@ pub(crate) mod tests {
                 ("random", random.repeat(batch)),
                 ("per input", per_input),
             ];
-            for (label, predicted) in filters {
-                let mixed: Vec<bool> = (0..batch).map(|b| b % 2 == 0).collect();
-                for actual in [vec![false; batch], vec![true; batch], mixed] {
-                    let what = format!("batch {batch} {label} actual sparsity {actual:?}");
-                    let f32_out = executor(&mlp, &xs, batch, &predicted, &actual);
-                    let q8_out = executor(&qmlp, &xs, batch, &predicted, &actual);
-                    for (b, x) in xs.chunks_exact(d).enumerate() {
-                        let column = |out: &[u32]| out[b * d..][..d].to_vec();
-                        let own = &predicted[b * k..][..k];
-                        let f32_alone = executor(&mlp, x, 1, own, &actual[b..=b]);
-                        let q8_alone = executor(&qmlp, x, 1, own, &actual[b..=b]);
-                        assert_eq!(column(&f32_out), f32_alone, "f32 {what} input {b}");
-                        assert_eq!(column(&q8_out), q8_alone, "int8 {what} input {b}");
-                        if label == "all kept" {
-                            let forward = mlp.forward(&Vector::from_vec(x.to_vec()));
-                            let forward: Vec<u32> = forward.iter().map(|v| v.to_bits()).collect();
-                            assert_eq!(f32_alone, forward, "f32 {what} input {b} vs forward");
-                        }
-                    }
-                    let opposite: Vec<bool> = actual.iter().map(|a| !a).collect();
-                    let other = executor(&mlp, &xs, batch, &predicted, &opposite);
-                    assert_eq!(f32_out, other, "f32 {what} vs its opposite");
-                    let other = executor(&qmlp, &xs, batch, &predicted, &opposite);
-                    assert_eq!(q8_out, other, "int8 {what} vs its opposite");
-                }
+            executor_cases(&mlp, &xs, &filters);
+        }
+    }
+
+    #[test]
+    fn the_executor_holds_at_the_kept_row_lists_edges() {
+        // The kept-row list at its edges on the serving MLP's 688 rows
+        // (ten whole 64-row mask words and a last one of 48): no row, one,
+        // three and five, every row, rows only in the last partial word,
+        // one row per input that every other input drops, and inputs
+        // mixing those.
+        let (k, d) = (688, 40);
+        let keeping = |rows: &[usize]| (0..k).map(|r| rows.contains(&r)).collect::<Vec<_>>();
+        let mut rng = Prng::seed(36);
+        let last_word: Vec<bool> = (0..k).map(|r| r >= 640 && rng.flip(0.5)).collect();
+        let edges = [
+            keeping(&[]),
+            keeping(&[687]),
+            keeping(&[5, 300, 687]),
+            keeping(&[0, 63, 64, 640, 687]),
+            vec![true; k],
+            last_word,
+        ];
+        for batch in [1usize, 2, 3, 5] {
+            let (mlp, xs) = executor_block(35 + batch as u64, (k, d), batch);
+            let own_row: Vec<bool> = (0..batch).flat_map(|b| keeping(&[3 * b + 641])).collect();
+            let mixed: Vec<bool> = (0..batch).flat_map(|b| edges[b % 6].clone()).collect();
+            let filters = [
+                ("no row kept", edges[0].repeat(batch)),
+                ("one row", edges[1].repeat(batch)),
+                ("three rows", edges[2].repeat(batch)),
+                ("five rows", edges[3].repeat(batch)),
+                ("all kept", edges[4].repeat(batch)),
+                ("last word only", edges[5].repeat(batch)),
+                ("a row per input", own_row),
+                ("mixed edges", mixed),
+            ];
+            executor_cases(&mlp, &xs, &filters);
+        }
+    }
+
+    #[test]
+    fn the_executor_is_bitwise_its_one_thread_call_when_its_projections_fan_out() {
+        // 2048 × 256 at five inputs: with every row kept each projection is
+        // 2.6M multiply-accumulates, split between 2 and 4 workers; under
+        // per-input filters keeping 30 % each, the union (~83 % of the
+        // rows) splits as well.
+        let (k, d, batch) = (2048, 256, 5);
+        let (mlp, xs) = executor_block(37, (k, d), batch);
+        let mut rng = Prng::seed(38);
+        let per_input: Vec<bool> = (0..batch * k).map(|_| rng.flip(0.3)).collect();
+        for threads in [2, 4] {
+            let pool = ThreadPool::new(ParallelOptions::threads(threads));
+            for predicted in [vec![true; batch * k], per_input.clone()] {
+                let actual: Vec<bool> = (0..batch).map(|b| b % 2 == 0).collect();
+                let single = ThreadPool::single();
+                let want = executor(&mlp, (&xs, batch), &predicted, &actual, &single);
+                let got = executor(&mlp, (&xs, batch), &predicted, &actual, &pool);
+                assert_eq!(got, want, "{threads} threads");
             }
         }
     }

@@ -992,6 +992,14 @@ impl<'m> Scheduler<'m> {
         let lent = [batch.len(), owners.len(), stages.len(), logits.len()];
         assert_eq!(lent, [0; 4], "a session, stage or logits buffer was kept");
         self.check_block_coverage();
+        // The index keeps no more than the cap of blocks no live session
+        // reaches.
+        let unreferenced = self.index.blocks().filter(|b| b.ref_count() == 1).count();
+        assert!(
+            unreferenced <= self.config.prefix_retain_blocks,
+            "the prefix index retains {unreferenced} unreferenced blocks over its cap of {}",
+            self.config.prefix_retain_blocks
+        );
     }
 
     /// Every physical KV block is covered exactly once: by the prefix

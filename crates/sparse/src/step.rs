@@ -117,19 +117,28 @@ impl ColumnStage {
         self.ops.weight_bytes_loaded += cost.bytes_loaded;
     }
 
-    /// Whether this stage's column `j` keeps row `r`; without a predictor
-    /// every row is kept.
-    fn keeps(&self, j: usize, r: usize) -> bool {
-        self.predictor.is_none() || !self.masks[j].is_skipped(r)
+    /// Skip word `word` of this stage's column `j` (bit `i`: row
+    /// `64 * word + i` dropped); without a predictor every row is kept.
+    fn skips(&self, j: usize, word: usize) -> u64 {
+        match self.predictor {
+            Some(_) => self.masks[j].words()[word],
+            None => 0,
+        }
     }
 
     /// Bills this stage's column `j`, input `b` of a `columns`-input pass
-    /// of `mlp` that left `gate` (`[k][columns]`), as
+    /// of `mlp` that left `bufs`, as
     /// [`sparse_mlp_forward_into`](crate::mlp::sparse_mlp_forward_into)
     /// bills its one input: the gate under the predicted mask, up and down
     /// under it joined (with actual sparsity) by the column's zero gates.
-    fn bill<M: MlpWeights>(&mut self, li: usize, mlp: &M, j: usize, gate: &[f32], b: usize) {
-        let columns = gate.len() / mlp.parts().0.rows();
+    fn bill<M: MlpWeights>(
+        &mut self,
+        li: usize,
+        mlp: &M,
+        j: usize,
+        (bufs, columns): (&MlpBuffers, usize),
+        b: usize,
+    ) {
         let predicted = if self.predictor.is_none() {
             0
         } else {
@@ -138,11 +147,11 @@ impl ColumnStage {
         let mut effective = predicted;
         if self.options.actual_sparsity {
             // A dropped row's gate is the activation of `+0.0`, zero for
-            // every activation: the zeros are the applied mask.
-            effective = gate
-                .chunks_exact(columns)
-                .filter(|row| row[b] == 0.0)
-                .count();
+            // every activation, and a row off the list has a zero gate in
+            // every column: the zeros are the applied mask.
+            let gates = bufs.gate.as_slice().chunks_exact(columns);
+            let zeros = gates.filter(|row| row[b] == 0.0).count();
+            effective = mlp.parts().0.rows() - bufs.kept.len() + zeros;
         }
         let (p, e) = bill_mlp(&mut self.ops, mlp, self.options, predicted, effective);
         if let Some(stats) = &mut self.stats {
@@ -185,7 +194,7 @@ pub(crate) struct StepColumns<'a, F> {
 
 impl<'a, F> StepColumns<'a, F>
 where
-    F: Fn(usize) -> Option<(usize, usize)> + Sync,
+    F: Fn(usize) -> Option<(usize, usize)>,
 {
     pub(crate) fn new(
         stages: &'a mut [ColumnStage],
@@ -202,7 +211,7 @@ where
 
 impl<F> MlpHook for StepColumns<'_, F>
 where
-    F: Fn(usize) -> Option<(usize, usize)> + Sync,
+    F: Fn(usize) -> Option<(usize, usize)>,
 {
     fn mlp(
         &mut self,
@@ -281,12 +290,12 @@ fn run<F>(
     mlp: &GatedMlp,
     quantized: Option<Arc<QuantizedWeights>>,
     xs: &[f32],
-    member: impl Fn(usize) -> usize + Sync,
+    member: impl Fn(usize) -> usize,
     pool: &ThreadPool,
     bufs: &mut MlpBuffers,
 ) -> u64
 where
-    F: Fn(usize) -> Option<(usize, usize)> + Sync,
+    F: Fn(usize) -> Option<(usize, usize)>,
 {
     match &quantized {
         Some(q) => pass(stages, column, li, &q.layers()[li], xs, member, pool, bufs),
@@ -302,27 +311,27 @@ fn pass<F, M: MlpWeights>(
     li: usize,
     mlp: &M,
     xs: &[f32],
-    member: impl Fn(usize) -> usize + Sync,
+    member: impl Fn(usize) -> usize,
     pool: &ThreadPool,
     bufs: &mut MlpBuffers,
 ) -> u64
 where
-    F: Fn(usize) -> Option<(usize, usize)> + Sync,
+    F: Fn(usize) -> Option<(usize, usize)>,
 {
     let owner = |b: usize| column(member(b));
     {
         let stages = &*stages;
-        let keeps = |b: usize, r: usize| owner(b).is_none_or(|(s, j)| stages[s].keeps(j, r));
+        let skips = |b: usize, word| owner(b).map_or(0, |(s, j)| stages[s].skips(j, word));
         let actual = |b: usize| owner(b).is_none_or(|(s, _)| stages[s].options.actual_sparsity);
-        gated_mlp_into(mlp, xs, keeps, actual, pool, bufs);
+        gated_mlp_into(mlp, xs, skips, actual, pool, bufs);
     }
-    let d = mlp.parts().0.cols();
-    for b in 0..xs.len() / d {
+    let columns = xs.len() / mlp.parts().0.cols();
+    for b in 0..columns {
         if let Some((s, j)) = owner(b) {
-            stages[s].bill(li, mlp, j, bufs.gate.as_slice(), b);
+            stages[s].bill(li, mlp, j, (bufs, columns), b);
         }
     }
-    bufs.rows.iter().filter(|flag| **flag != 0.0).count() as u64
+    bufs.kept.len() as u64
 }
 
 pub(crate) fn arc_id<T: ?Sized>(shared: &Arc<T>) -> usize {

@@ -5,7 +5,9 @@ use sparseinfer_model::{Activation, GatedMlp};
 use sparseinfer_predictor::SkipMask;
 use sparseinfer_sparse::mlp::{sparse_mlp_forward_into, MlpOptions};
 use sparseinfer_sparse::OpCounter;
-use sparseinfer_tensor::gemv::{gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed};
+use sparseinfer_tensor::gemv::{
+    gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed, Rows,
+};
 use sparseinfer_tensor::{Matrix, Prng, ThreadPool, Vector, Workspace};
 
 fn random_mlp(seed: u64, k: usize, d: usize) -> GatedMlp {
@@ -46,26 +48,18 @@ fn sparse_gemv_equals_masked_dense() {
         let mask = SkipMask::from_fn(k, |_| mrng.flip(0.5));
 
         let mut sparse = Vector::zeros(0);
-        let keep = |r| !mask.is_skipped(r);
-        gemm_rows_into(
-            &w,
-            x.as_slice(),
-            1,
-            keep,
-            &ThreadPool::single(),
-            &mut sparse,
-        );
+        let kept: Vec<u32> = mask.active_rows().map(|r| r as u32).collect();
+        let pool = ThreadPool::single();
+        gemm_rows_into(&w, x.as_slice(), 1, Rows::Kept(&kept), &pool, &mut sparse);
         let dense = gemv(&w, &x);
-        for r in 0..k {
-            if mask.is_skipped(r) {
-                assert_eq!(sparse[r], 0.0, "seed {seed} row {r}");
-            } else {
-                assert_eq!(
-                    sparse[r].to_bits(),
-                    dense[r].to_bits(),
-                    "seed {seed} row {r}"
-                );
-            }
+        assert_eq!(
+            sparse.len(),
+            kept.len(),
+            "seed {seed}: one entry per kept row"
+        );
+        for (&r, got) in kept.iter().zip(sparse.iter()) {
+            let r = r as usize;
+            assert_eq!(got.to_bits(), dense[r].to_bits(), "seed {seed} row {r}");
         }
     }
 }
@@ -84,9 +78,11 @@ fn down_proj_equals_zeroed_transposed_gemv() {
         let mask = SkipMask::from_fn(k, |_| mrng.flip(0.4));
 
         let mut masked = Vector::zeros(0);
-        let keep = |r| !mask.is_skipped(r);
+        let kept: Vec<u32> = mask.active_rows().map(|r| r as u32).collect();
+        let packed: Vec<f32> = kept.iter().map(|&r| h3[r as usize]).collect();
         let pool = ThreadPool::single();
-        gemm_transposed_rows_into(&w, h3.as_slice(), 1, keep, false, &pool, &mut masked);
+        let rows = Rows::Kept(&kept);
+        gemm_transposed_rows_into(&w, rows, &packed, 1, false, &pool, &mut masked);
 
         let mut zeroed = h3.clone();
         for r in mask.skipped_rows() {

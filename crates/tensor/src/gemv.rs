@@ -49,11 +49,29 @@
 //! hold every path to the scalar reference bit for bit.
 //!
 //! Two functions partition a weight matrix across a pool, for B activation
-//! columns under a row filter: [`gemm_rows_into`] (`W · X`, rows split
-//! between workers; [`gemv_into`] is its unfiltered GEMV) and
-//! [`gemm_transposed_rows_into`] (`Wᵀ · H`, the MLP's down projection,
+//! columns over a set of its rows ([`Rows`]): [`gemm_rows_into`] (`W · X`,
+//! rows split between workers; [`gemv_into`] is its GEMV over every row)
+//! and [`gemm_transposed_rows_into`] (`Wᵀ · H`, the MLP's down projection,
 //! output columns or whole inputs split). Prefill calls them with B
 //! positions, decode with one.
+//!
+//! # Row lists
+//!
+//! A sparse MLP loads a few scattered rows of each matrix: under the
+//! sign-bit predictor ~56 of `serve_sim`'s 688. The kernels take them as
+//! an ascending list of row indices ([`Rows::Kept`]), and their per-row
+//! inputs and outputs packed in list order, so their work is in
+//! proportion to the listed rows: nothing is tested, zeroed or skipped per
+//! row left out. A listed walk asks for the head of the row `LOOKAHEAD`
+//! (8) places ahead in its list ([`WeightRows::prefetch`]; a `prefetcht0` per
+//! cache line on an AVX2 build, nothing on the portable one): the hardware
+//! prefetchers follow a stream through a row, not a jump to the next
+//! listed one. [`Rows::All`] — also what a list of every row walks as —
+//! is the sequential walk without the hint, which the hardware serves
+//! alone: whole-row prefetches there ran a dense decode token ~10 %
+//! slower. The int8 down projection reads a row one 32-column scale block
+//! at a time ([`WeightRows::SPAN`]), the block's scale out of the loop;
+//! reading each element's scale by its column ran it at twice the time.
 //!
 //! Output-buffer (`*_into`) variants write into caller-provided storage so
 //! the decode hot path can recycle buffers through a
@@ -421,7 +439,7 @@ pub fn try_gemv(w: &Matrix, x: &Vector) -> Result<Vector, ShapeError> {
 }
 
 /// `y = W · x` into a caller-provided buffer: [`gemm_rows_into`] with one
-/// activation column and no row filter. `out` is resized to `w.rows()` (no
+/// activation column over every row. `out` is resized to `w.rows()` (no
 /// allocation when its capacity suffices) and every element is
 /// overwritten. Bit-identical for every thread count.
 ///
@@ -429,7 +447,7 @@ pub fn try_gemv(w: &Matrix, x: &Vector) -> Result<Vector, ShapeError> {
 ///
 /// Panics if `x.len() != w.cols()`.
 pub fn gemv_into(w: &Matrix, x: &Vector, pool: &ThreadPool, out: &mut Vector) {
-    gemm_rows_into(w, x.as_slice(), 1, |_| true, pool, out);
+    gemm_rows_into(w, x.as_slice(), 1, Rows::All, pool, out);
 }
 
 /// Computes `y = Wᵀ · x` without materializing the transpose, i.e.
@@ -458,26 +476,53 @@ pub fn gemv_transposed(w: &Matrix, x: &Vector) -> Vector {
     Vector::from_vec(out)
 }
 
+/// The rows a row-partitioned kernel loads.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// Every row of the matrix, in order.
+    All,
+    /// The listed rows, ascending, each in range. A kernel's per-row
+    /// entries are packed in list order: the `i`-th is row `list[i]`'s.
+    Kept(&'a [u32]),
+}
+
+impl<'a> Rows<'a> {
+    /// How many rows of a `rows`-row matrix these are.
+    fn count(self, rows: usize) -> usize {
+        match self {
+            Rows::All => rows,
+            Rows::Kept(list) => list.len(),
+        }
+    }
+
+    /// These rows of a `rows`-row matrix, a list of every row as
+    /// [`Rows::All`] (an ascending list of `rows` rows in range is
+    /// `0..rows`): its walk is the sequential one, which the hardware
+    /// prefetchers serve alone.
+    fn of(self, rows: usize) -> Rows<'a> {
+        match self {
+            Rows::Kept(list) if list.len() == rows => Rows::All,
+            listed => listed,
+        }
+    }
+}
+
 /// `Y = W · X` for `batch` activation columns in **one pass over the
 /// weights** — the one row-partitioned kernel: prefill calls it with a
 /// column per position, decode with a single column. `xs` holds the columns
-/// back to back (column `b` at `xs[b * w.cols()..]`); `out` is resized to
-/// `w.rows() * batch` and row `r`'s results land together at
-/// `out[r * batch..]`, so rows partition across `pool` with one writer per
-/// element. A worker hands its rows to [`WeightRows::dot_kept_rows`], which
-/// loads each kept row once and reduces it against every column: `f32`
-/// rows a tile at a time — four at one column, two at more — and int8
-/// rows one at a time. Every result is the format's
-/// fixed-order dot product of its row and column, so `out[r * batch + b]`
-/// has the same bits at any batch size and thread count.
+/// back to back (column `b` at `xs[b * w.cols()..]`). Only the rows of
+/// `rows` are loaded; `out` is resized to `batch` entries per loaded row,
+/// and the `i`-th loaded row's results land together at `out[i * batch..]`
+/// (with [`Rows::All`], row `r`'s at `out[r * batch..]`), so rows partition
+/// across `pool` with one writer per element. A worker hands its rows to
+/// [`WeightRows::dot_kept_rows`], which loads each row once and reduces it
+/// against every column: `f32` rows a tile at a time — four at one column,
+/// two at more — and int8 rows one at a time. Every result is the format's
+/// fixed-order dot product of its row and column, so it has the same bits
+/// at any batch size, thread count and row list.
 ///
-/// Rows for which `keep(r)` is `false` are never loaded and their outputs
-/// are `0.0` (the row skip of the sparse kernels, decided once for all
-/// columns); `|_| true` keeps every row.
-///
-/// A worker gets at least `MIN_ROWS_PER_WORKER` rows and
-/// [`MIN_MACS_PER_WORKER`] multiply-accumulates, counted as if no row were
-/// filtered out.
+/// A worker gets at least `MIN_ROWS_PER_WORKER` loaded rows and
+/// [`MIN_MACS_PER_WORKER`] multiply-accumulates.
 ///
 /// # Panics
 ///
@@ -486,80 +531,125 @@ pub fn gemm_rows_into<W: WeightRows>(
     w: &W,
     xs: &[f32],
     batch: usize,
-    keep: impl Fn(usize) -> bool + Sync,
+    rows: Rows<'_>,
     pool: &ThreadPool,
     out: &mut Vector,
 ) {
     assert_eq!(xs.len(), batch * w.cols(), "gemm activation shape mismatch");
-    out.resize(w.rows() * batch, 0.0);
+    let rows = rows.of(w.rows());
+    out.resize(rows.count(w.rows()) * batch, 0.0);
     if batch == 0 {
         return;
     }
     let min_rows = MIN_ROWS_PER_WORKER.max(MIN_MACS_PER_WORKER.div_ceil(xs.len().max(1)));
-    pool.run_rows(out.as_mut_slice(), batch, min_rows, |first_row, chunk| {
-        w.dot_kept_rows(first_row, &keep, xs, batch, chunk)
+    pool.run_rows(out.as_mut_slice(), batch, min_rows, |first, chunk| {
+        let share = match rows {
+            Rows::All => Rows::All,
+            Rows::Kept(list) => Rows::Kept(&list[first..first + chunk.len() / batch]),
+        };
+        w.dot_kept_rows((first, share), xs, batch, chunk)
     });
 }
 
 /// Kept rows per tile at one column: four chains, each its own row.
 pub(crate) const COLUMN_ROWS: usize = 4;
 
-/// One worker's walk of its rows of `out` (`batch` results each, the first
-/// one row `first`): all zeroed at once (a `fill` per skipped row was a
-/// `memset` call each), then the kept rows `R` at a time through
-/// `tile(rows, outs)`, fewer than `R` left at the end one by one through
-/// `one`. The rows are split into `R` equal parts and the `i`-th kept row
-/// of each part goes into one tile, then the kept rows of the longer parts
-/// fill the tiles. `R` ascending walks through `R` parts of the matrix are
-/// what the hardware prefetchers follow: tiles of adjacent rows — reads
-/// 1 KB apart, in lockstep, through one page — streamed 688x256 weights
-/// from DRAM at a third of the speed. At `R = 1` this is the plain walk.
+/// How many rows of a list ahead of the one being reduced a walk asks the
+/// memory system for ([`WeightRows::prefetch`]): a listed row is a jump
+/// the hardware prefetchers cannot predict, so without the hint every one
+/// starts with a wait on L3 or DRAM.
+const LOOKAHEAD: usize = 8;
+
+/// Bytes at the head of a row a prefetch asks for: a whole int8 row of the
+/// serving shapes (256 columns), the first quarter of an `f32` one, whose
+/// rest the hardware's stream prefetcher fetches once the row is being
+/// read. Whole `f32` rows, 16 lines each, ran a `serve_sim` decode token's
+/// MLP slower than no prefetch at all.
+const PREFETCH_BYTES: usize = 256;
+
+/// One worker's walk of its rows (`(first, rows)`: with [`Rows::All`] the
+/// rows `first..`, else the listed ones) into `out`, `batch` results per
+/// row in walk order, `R` rows at a time through `tile(rows, outs)`, fewer
+/// than `R` left at the end one by one through `one`. The rows are split
+/// into `R` equal parts and the `i`-th row of each part goes into one tile,
+/// then the rows of the longer parts fill the tiles. `R` ascending walks
+/// through `R` parts of the matrix are what the hardware prefetchers
+/// follow: tiles of adjacent rows — reads 1 KB apart, in lockstep, through
+/// one page — streamed 688x256 weights from DRAM at a third of the speed.
+/// At `R = 1` this is the plain walk. A listed walk also calls
+/// `prefetch(r)` on each part's row [`LOOKAHEAD`] places ahead (the first
+/// ones before it starts); the walk over every row leaves its sequential
+/// reads to the hardware.
 #[inline]
 pub(crate) fn kept_rows_by<const R: usize>(
-    (first, keep): (usize, &impl Fn(usize) -> bool),
+    (first, rows): (usize, Rows<'_>),
+    batch: usize,
+    out: &mut [f32],
+    tile: impl FnMut([usize; R], [&mut [f32]; R]),
+    one: impl FnMut(usize, &mut [f32]),
+    prefetch: impl Fn(usize),
+) {
+    match rows {
+        Rows::All => walk(move |i| first + i, batch, out, tile, one, |_| {}),
+        Rows::Kept(list) => walk(move |i| list[i] as usize, batch, out, tile, one, prefetch),
+    }
+}
+
+/// [`kept_rows_by`] over the rows `row(0..)`.
+#[inline]
+fn walk<const R: usize>(
+    row: impl Fn(usize) -> usize,
     batch: usize,
     out: &mut [f32],
     mut tile: impl FnMut([usize; R], [&mut [f32]; R]),
     mut one: impl FnMut(usize, &mut [f32]),
+    prefetch: impl Fn(usize),
 ) {
-    out.fill(0.0);
     let part = (out.len() / batch).div_ceil(R);
     let mut rest = out;
+    let mut ends = [0; R];
     let mut parts: [_; R] = std::array::from_fn(|p| {
         let len = (part * batch).min(rest.len());
         let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
         rest = tail;
-        let rows = (first + p * part..).zip(head.chunks_exact_mut(batch));
-        rows.filter(|(r, _)| keep(*r))
+        let start = p * part;
+        ends[p] = start + len / batch;
+        (start..ends[p]).zip(head.chunks_exact_mut(batch))
     });
+    for (p, end) in ends.iter().enumerate() {
+        (p * part..(*end).min(p * part + LOOKAHEAD)).for_each(|i| prefetch(row(i)));
+    }
     loop {
         let mut rows = [0; R];
         let mut outs: [&mut [f32]; R] = std::array::from_fn(|_| Default::default());
         for p in 0..R {
             let next = parts[p].next();
-            let Some((r, out)) = next.or_else(|| parts.iter_mut().find_map(Iterator::next)) else {
+            if let Some((i, _)) = next.as_ref().filter(|(i, _)| i + LOOKAHEAD < ends[p]) {
+                prefetch(row(i + LOOKAHEAD));
+            }
+            let Some((i, out)) = next.or_else(|| parts.iter_mut().find_map(Iterator::next)) else {
                 let left = rows.into_iter().zip(outs).take(p);
                 return left.for_each(|(r, out)| one(r, out));
             };
-            (rows[p], outs[p]) = (r, out);
+            (rows[p], outs[p]) = (row(i), out);
         }
         tile(rows, outs);
     }
 }
 
-/// `Y = Wᵀ · H` for `batch` columns of `H` under a row filter: the gated
+/// `Y = Wᵀ · H` for `batch` columns of `H` over the rows `rows`: the gated
 /// MLP's down projection over its transposed weights (`k × d`, so sparsity
 /// skips whole rows; §IV-B4), for a decode token or a prefill step.
 ///
-/// `hs` is laid out as [`gemm_rows_into`] leaves its output (row `r`'s
-/// `batch` entries at `hs[r * batch..]`); `out` is resized to
-/// `batch * w.cols()` and holds input `b`'s outputs at
-/// `out[b * w.cols()..]`. A row `keep` rejects is never loaded. Each result
+/// `hs` is laid out as [`gemm_rows_into`] leaves its output over the same
+/// rows (the `i`-th row's `batch` entries at `hs[i * batch..]`); `out` is
+/// resized to `batch * w.cols()` and holds input `b`'s outputs at
+/// `out[b * w.cols()..]`. A row not in `rows` is never loaded. Each result
 /// is one chain of additions onto an accumulator starting at `+0.0`,
-/// `acc += W[r][c] · hs[r * batch + b]`, over the kept rows in ascending
-/// order, applied four rows per pass over the accumulators; `skip_zeros`
-/// leaves a `±0.0` entry out of its input's chain. So every result has the
-/// bits of [`gemv_transposed`] of its input with the filtered entries
+/// `acc += W[r][c] · h`, over the rows in ascending order, applied four
+/// rows per pass over the accumulators; `skip_zeros` leaves a `±0.0` entry
+/// out of its input's chain. So every result has the bits of
+/// [`gemv_transposed`] of its input with the entries of the rows left out
 /// zeroed, at any batch and thread count, with or without `skip_zeros`:
 ///
 /// * no chain depends on the batch or on which worker owns its output;
@@ -573,39 +663,41 @@ pub(crate) fn kept_rows_by<const R: usize>(
 /// Weights are read through [`WeightRows::row_span`], which dequantizes an
 /// int8 element with the scale of its *global* column: int8 gives bitwise
 /// the result of its dequantized `f32` matrix, however columns are split.
+/// A listed walk prefetches the head of the row `LOOKAHEAD` places ahead.
 ///
 /// Work partitions across `pool` with at least [`MIN_MACS_PER_WORKER`]
-/// multiply-accumulates per worker, counted as if no row were filtered
-/// out: one input's output columns (at least `MIN_COLS_PER_WORKER` per
-/// worker), or several inputs whole. Every output accumulates in place,
-/// a worker walking the kept rows once per `TRANSPOSED_GROUP` of its
-/// inputs.
+/// multiply-accumulates over the loaded rows per worker: one input's
+/// output columns (at least `MIN_COLS_PER_WORKER` per worker), or several
+/// inputs whole. Every output accumulates in place, a worker walking the
+/// rows once per `TRANSPOSED_GROUP` of its inputs.
 ///
 /// # Panics
 ///
-/// Panics if `hs.len() != batch * w.rows()`.
+/// Panics if `hs` does not hold `batch` entries per row of `rows`.
 pub fn gemm_transposed_rows_into<W: WeightRows>(
     w: &W,
+    rows: Rows<'_>,
     hs: &[f32],
     batch: usize,
-    keep: impl Fn(usize) -> bool + Sync,
     skip_zeros: bool,
     pool: &ThreadPool,
     out: &mut Vector,
 ) {
-    assert_eq!(hs.len(), batch * w.rows(), "transposed gemm shape mismatch");
+    let rows = rows.of(w.rows());
+    let loaded = rows.count(w.rows());
+    assert_eq!(hs.len(), batch * loaded, "transposed gemm shape mismatch");
     let cols = w.cols();
     out.resize(batch * cols, 0.0);
     if batch == 0 || cols == 0 {
         return;
     }
     if batch == 1 {
-        let min_cols = MIN_COLS_PER_WORKER.max(MIN_MACS_PER_WORKER.div_ceil(hs.len().max(1)));
+        let min_cols = MIN_COLS_PER_WORKER.max(MIN_MACS_PER_WORKER.div_ceil(loaded.max(1)));
         return pool.run_rows(out.as_mut_slice(), 1, min_cols, |first, chunk| {
-            accumulate_kept_rows(w, first, (hs, 1, 0), &keep, skip_zeros, &mut [chunk]);
+            accumulate_kept_rows(w, first, rows, (hs, 1, 0), skip_zeros, &mut [chunk]);
         });
     }
-    let min_inputs = MIN_MACS_PER_WORKER.div_ceil((w.rows() * cols).max(1));
+    let min_inputs = MIN_MACS_PER_WORKER.div_ceil((loaded * cols).max(1));
     pool.run_rows(out.as_mut_slice(), cols, min_inputs, |first, chunk| {
         for (g, outs) in chunk.chunks_mut(TRANSPOSED_GROUP * cols).enumerate() {
             let mut acc: [&mut [f32]; TRANSPOSED_GROUP] = Default::default();
@@ -614,7 +706,7 @@ pub fn gemm_transposed_rows_into<W: WeightRows>(
                 *a = o;
             }
             let group = first + g * TRANSPOSED_GROUP;
-            accumulate_kept_rows(w, 0, (hs, batch, group), &keep, skip_zeros, &mut acc[..n]);
+            accumulate_kept_rows(w, 0, rows, (hs, batch, group), skip_zeros, &mut acc[..n]);
         }
     });
 }
@@ -626,19 +718,46 @@ pub fn gemm_transposed_rows_into<W: WeightRows>(
 fn accumulate_kept_rows<W: WeightRows>(
     w: &W,
     start: usize,
-    (hs, batch, group): (&[f32], usize, usize),
-    keep: &impl Fn(usize) -> bool,
+    rows: Rows<'_>,
+    hs: (&[f32], usize, usize),
     skip_zeros: bool,
     acc: &mut [&mut [f32]],
 ) {
-    // Per activation column, the kept rows not yet applied.
+    let len = acc.first().map_or(0, |a| a.len());
+    match rows {
+        Rows::All => accumulate(w, (start, |i| i), w.rows(), hs, skip_zeros, acc, |_| {}),
+        Rows::Kept(list) => {
+            let prefetch = |r| w.prefetch(r, start, len);
+            let row = |i: usize| list[i] as usize;
+            accumulate(w, (start, row), list.len(), hs, skip_zeros, acc, prefetch);
+        }
+    }
+}
+
+/// [`accumulate_kept_rows`] over the `n` rows `row(0..n)`.
+#[inline]
+fn accumulate<W: WeightRows>(
+    w: &W,
+    (start, row): (usize, impl Fn(usize) -> usize),
+    n: usize,
+    (hs, batch, group): (&[f32], usize, usize),
+    skip_zeros: bool,
+    acc: &mut [&mut [f32]],
+    prefetch: impl Fn(usize),
+) {
+    // Per activation column, the rows not yet applied.
     let mut pending = [[(0usize, 0.0f32); 4]; TRANSPOSED_GROUP];
     let mut waiting = [0usize; TRANSPOSED_GROUP];
     for a in acc.iter_mut() {
         a.fill(0.0);
     }
-    for r in (0..w.rows()).filter(|&r| keep(r)) {
-        let entries = &hs[r * batch + group..][..acc.len()];
+    (0..n.min(LOOKAHEAD)).for_each(|i| prefetch(row(i)));
+    for i in 0..n {
+        if i + LOOKAHEAD < n {
+            prefetch(row(i + LOOKAHEAD));
+        }
+        let r = row(i);
+        let entries = &hs[i * batch + group..][..acc.len()];
         for (j, &s) in entries.iter().enumerate() {
             if skip_zeros && s == 0.0 {
                 continue;
@@ -656,11 +775,26 @@ fn accumulate_kept_rows<W: WeightRows>(
     }
 }
 
-/// `acc[i] += W[r][start + i] · s` for each `(r, s)` of `rows`, in order:
-/// four rows in one pass over `acc` (each element's additions still one row
-/// at a time, so the chain is the row-at-a-time one), fewer one by one.
+/// `acc[i] += W[r][start + i] · s` for each `(r, s)` of `rows`, in order,
+/// one [`WeightRows::SPAN`] of columns at a time (for int8 a scale block,
+/// whose one scale the reader takes out of the loop).
 #[inline]
 fn add_rows<W: WeightRows>(w: &W, start: usize, acc: &mut [f32], rows: &[(usize, f32)]) {
+    let mut rest = acc;
+    let mut column = start;
+    while !rest.is_empty() {
+        let len = rest.len().min(W::SPAN - column % W::SPAN);
+        let (span, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        add_span(w, column, span, rows);
+        (rest, column) = (tail, column + len);
+    }
+}
+
+/// [`add_rows`] over columns within one span: four rows in one pass over
+/// `acc` (each element's additions still one row at a time, so the chain
+/// is the row-at-a-time one), fewer one by one.
+#[inline]
+fn add_span<W: WeightRows>(w: &W, start: usize, acc: &mut [f32], rows: &[(usize, f32)]) {
     let len = acc.len();
     match *rows {
         [(r0, s0), (r1, s1), (r2, s2), (r3, s3)] => {
@@ -686,6 +820,18 @@ fn add_rows<W: WeightRows>(w: &W, start: usize, acc: &mut [f32], rows: &[(usize,
             }
         }
     }
+}
+
+/// Asks the memory system for the first [`PREFETCH_BYTES`] of `data`
+/// ahead of their use: a hint, with no effect on any result, and none at
+/// all in a build without AVX2.
+#[inline]
+pub(crate) fn prefetch<T>(data: &[T]) {
+    let head = &data[..data.len().min(PREFETCH_BYTES / size_of::<T>())];
+    #[cfg(target_feature = "avx2")]
+    avx2::prefetch(head);
+    #[cfg(not(target_feature = "avx2"))]
+    let _ = head;
 }
 
 /// Pre-optimization scalar kernels, kept as verification references and as
@@ -912,17 +1058,30 @@ mod tests {
         (w, x, h)
     }
 
-    /// Both kernels at one column under `keep`: `(W · x, Wᵀ · h)`.
+    /// The rows of `0..rows` that `keep` keeps, as a row list.
+    fn listed(rows: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+        (0..rows).filter(|&r| keep(r)).map(|r| r as u32).collect()
+    }
+
+    /// Both kernels at one column over the rows `keep` keeps: `(W · x,
+    /// Wᵀ · h)`, the first spread back to one entry per row, zero where
+    /// the row is left out.
     fn both_kernels<W: WeightRows>(
         w: &W,
         (x, h): (&Vector, &Vector),
-        keep: impl Fn(usize) -> bool + Sync + Copy,
+        keep: impl Fn(usize) -> bool + Copy,
         pool: &ThreadPool,
     ) -> (Vector, Vector) {
+        let list = listed(w.rows(), keep);
         let (mut y, mut z) = (Vector::zeros(0), Vector::zeros(0));
-        gemm_rows_into(w, x.as_slice(), 1, keep, pool, &mut y);
-        gemm_transposed_rows_into(w, h.as_slice(), 1, keep, false, pool, &mut z);
-        (y, z)
+        gemm_rows_into(w, x.as_slice(), 1, Rows::Kept(&list), pool, &mut y);
+        let hs: Vec<f32> = list.iter().map(|&r| h[r as usize]).collect();
+        gemm_transposed_rows_into(w, Rows::Kept(&list), &hs, 1, false, pool, &mut z);
+        let mut spread = Vector::zeros(w.rows());
+        for (&r, v) in list.iter().zip(y.iter()) {
+            spread[r as usize] = *v;
+        }
+        (spread, z)
     }
 
     #[test]
@@ -1050,39 +1209,125 @@ mod tests {
 
     #[test]
     fn into_variant_overwrites_stale_buffer_slots_once() {
-        // A recycled workspace buffer arrives full of garbage; filtered
-        // rows must still come out exactly zero.
+        // A recycled workspace buffer arrives full of garbage: every entry
+        // of the packed output, and every accumulator, is written.
         let (w, x, h) = random_case(11, 10, 8);
         let keep = |r: usize| r % 2 == 1;
+        let list = listed(10, keep);
         let pool = ThreadPool::single();
         let mut y = Vector::from_vec(vec![f32::NAN; 10]);
-        gemm_rows_into(&w, x.as_slice(), 1, keep, &pool, &mut y);
+        gemm_rows_into(&w, x.as_slice(), 1, Rows::Kept(&list), &pool, &mut y);
+        let hs: Vec<f32> = list.iter().map(|&r| h[r as usize]).collect();
         let mut z = Vector::from_vec(vec![f32::NAN; 17]);
-        gemm_transposed_rows_into(&w, h.as_slice(), 1, keep, true, &pool, &mut z);
-        assert_eq!((y, z), both_kernels(&w, (&x, &h), keep, &pool));
+        gemm_transposed_rows_into(&w, Rows::Kept(&list), &hs, 1, true, &pool, &mut z);
+        let (spread, want_z) = both_kernels(&w, (&x, &h), keep, &pool);
+        let want_y: Vec<f32> = list.iter().map(|&r| spread[r as usize]).collect();
+        assert_eq!((y.as_slice(), z), (&want_y[..], want_z));
+    }
+
+    #[test]
+    fn listed_and_all_rows_walks_agree_at_the_list_edges() {
+        // Lists of 0, 1, 3 and 5 rows, every row, rows only in the last
+        // partial 64-row word and only in its first: the listed walk (with
+        // its prefetch) packs exactly what the walk over every row leaves
+        // at those rows, at 1, 2, 3 and 5 columns, in both formats.
+        let (rows, cols) = (688, 40);
+        let mut rng = Prng::seed(12);
+        let w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 1.0) as f32);
+        let q = crate::BlockQuantizedMatrix::quantize(&w);
+        let xs: Vec<f32> = (0..5 * cols).map(|_| rng.normal(0.0, 1.0) as f32).collect();
+        let lists: [Vec<u32>; 7] = [
+            vec![],
+            vec![687],
+            vec![0, 300, 687],
+            vec![1, 2, 64, 639, 640],
+            (0..688).collect(),
+            (640..688).collect(),
+            (0..64).step_by(7).collect(),
+        ];
+        let pool = ThreadPool::single();
+        for list in &lists {
+            for batch in [1usize, 2, 3, 5] {
+                let xs = &xs[..batch * cols];
+                let check = |all: &Vector, kept: &Vector, format: &str| {
+                    assert_eq!(kept.len(), list.len() * batch, "{format} {list:?}");
+                    for (i, &r) in list.iter().enumerate() {
+                        let want = &all.as_slice()[r as usize * batch..][..batch];
+                        let got = &kept.as_slice()[i * batch..][..batch];
+                        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(want), "{format} row {r} batch {batch}");
+                    }
+                };
+                let (mut all, mut kept) = (Vector::zeros(0), Vector::zeros(0));
+                gemm_rows_into(&w, xs, batch, Rows::All, &pool, &mut all);
+                gemm_rows_into(&w, xs, batch, Rows::Kept(list), &pool, &mut kept);
+                check(&all, &kept, "f32");
+                gemm_rows_into(&q, xs, batch, Rows::All, &pool, &mut all);
+                gemm_rows_into(&q, xs, batch, Rows::Kept(list), &pool, &mut kept);
+                check(&all, &kept, "int8");
+            }
+        }
+    }
+
+    /// A matrix that records which threads read its rows.
+    struct Spy {
+        w: Matrix,
+        seen: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl WeightRows for Spy {
+        const ACCOUNTED_BYTES: u64 = 2;
+
+        fn rows(&self) -> usize {
+            self.w.rows()
+        }
+
+        fn cols(&self) -> usize {
+            self.w.cols()
+        }
+
+        fn dot_kept_rows(&self, rows: (usize, Rows<'_>), xs: &[f32], b: usize, out: &mut [f32]) {
+            self.w.dot_kept_rows(rows, xs, b, out);
+        }
+
+        fn prefetch(&self, r: usize, start: usize, len: usize) {
+            self.w.prefetch(r, start, len);
+        }
+
+        const SPAN: usize = usize::MAX;
+
+        fn row_span(&self, r: usize, start: usize, len: usize) -> impl Fn(usize) -> f32 + Copy {
+            let mut seen = self.seen.lock().unwrap();
+            let id = std::thread::current().id();
+            if !seen.contains(&id) {
+                seen.push(id);
+            }
+            self.w.row_span(r, start, len)
+        }
     }
 
     #[test]
     fn down_projection_fans_out_by_the_mac_rule() {
-        // The threads that evaluate the row filter are the workers. A
-        // serving model's down projection (688 × 256, 176k MACs) stays on
-        // the calling thread of a 4-thread pool; 2048 × 512 (2^20 MACs) is
-        // two workers' worth.
+        // The threads that read the rows are the workers. A serving
+        // model's down projection (688 × 256, 176k MACs) stays on the
+        // calling thread of a 4-thread pool; 2048 × 512 (2^20 MACs) is two
+        // workers' worth, over every row or over a list of them all.
         let pool = ThreadPool::new(ParallelOptions::threads(4));
         for (rows, cols, workers) in [(688, 256, 1), (2048, 512, 2)] {
-            let w = Matrix::zeros(rows, cols);
-            let seen = std::sync::Mutex::new(Vec::new());
-            let keep = |_| {
-                let mut seen = seen.lock().unwrap();
-                let id = std::thread::current().id();
-                if !seen.contains(&id) {
-                    seen.push(id);
-                }
-                true
-            };
-            let mut out = Vector::zeros(0);
-            gemm_transposed_rows_into(&w, &vec![1.0; rows], 1, keep, false, &pool, &mut out);
-            assert_eq!(seen.into_inner().unwrap().len(), workers, "{rows} x {cols}");
+            let list: Vec<u32> = (0..rows as u32).collect();
+            for over in [Rows::All, Rows::Kept(&list)] {
+                let w = Spy {
+                    w: Matrix::zeros(rows, cols),
+                    seen: std::sync::Mutex::new(Vec::new()),
+                };
+                let mut out = Vector::zeros(0);
+                gemm_transposed_rows_into(&w, over, &vec![1.0; rows], 1, false, &pool, &mut out);
+                assert_eq!(
+                    w.seen.into_inner().unwrap().len(),
+                    workers,
+                    "{rows} x {cols}"
+                );
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! The AVX2 tile of the `f32` dot products: up to four weight rows × up to
 //! four activation columns, every (row, column) pair one 8-lane register
-//! chain, reduced in registers.
+//! chain, reduced in registers; and the prefetch hint of the listed row
+//! walks.
 //!
 //! Each chain is exactly the `lanes_*` kernels' arithmetic for that pair:
 //! element `i` accumulates into lane `i % 8` as `acc = acc + w * x` —
@@ -15,18 +16,18 @@
 //!
 //! # Safety
 //!
-//! The crate is `#![deny(unsafe_code)]`; the allow below covers two kinds
-//! of `unsafe` block, each with its proof beside it: the call of the
+//! The crate is `#![deny(unsafe_code)]`; the allow below covers three
+//! kinds of `unsafe` block, each with its proof beside it: the call of the
 //! `#[target_feature(enable = "avx2")]` function from the entry point,
-//! and the unaligned vector load. The arithmetic and shuffle intrinsics
-//! are safe inside those functions.
+//! the unaligned vector load, and the prefetch hint. The arithmetic and
+//! shuffle intrinsics are safe inside those functions.
 
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
     __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
     _mm256_mul_ps, _mm256_setzero_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehdup_ps,
-    _mm_movehl_ps,
+    _mm_movehl_ps, _mm_prefetch, _MM_HINT_T0,
 };
 
 use super::{COLUMN_GROUP, DOT_LANES};
@@ -114,4 +115,21 @@ fn reduce(v: __m256) -> f32 {
     // [(l0+l4)+(l2+l6), (l1+l5)+(l3+l7), ..]
     let halves = _mm_add_ps(pairs, _mm_movehl_ps(pairs, pairs));
     _mm_cvtss_f32(_mm_add_ss(halves, _mm_movehdup_ps(halves)))
+}
+
+/// Bytes per cache line.
+const LINE: usize = 64;
+
+/// One `prefetcht0` per cache line `data` touches.
+#[inline]
+pub(super) fn prefetch<T>(data: &[T]) {
+    let bytes = std::mem::size_of_val(data);
+    let base = data.as_ptr().cast::<i8>();
+    let skew = base as usize % LINE;
+    for offset in (0..bytes + skew).step_by(LINE) {
+        // SAFETY: a prefetch is a hint that never faults and reads nothing
+        // into the program's state, whatever the address; this one is the
+        // start of a line `data` occupies, computed without dereferencing.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_sub(skew).wrapping_add(offset)) };
+    }
 }

@@ -1,6 +1,6 @@
 //! Dense row-major `f32` matrix used for model weights.
 
-use crate::gemv::{dot_batch, dot_rows_batch, kept_rows_by, COLUMN_ROWS};
+use crate::gemv::{dot_batch, dot_rows_batch, kept_rows_by, prefetch, Rows, COLUMN_ROWS};
 use crate::{ShapeError, Vector};
 
 /// Row-addressable weight storage: what a row-skipping kernel needs to know
@@ -21,30 +21,35 @@ pub trait WeightRows: Sync {
     fn cols(&self) -> usize;
 
     /// One worker's share of [`gemm_rows_into`](crate::gemv::gemm_rows_into)
-    /// at any number of inputs: for the rows of `out` (`batch` results
-    /// each, the first one row `first`) that `keep` keeps, the row's
+    /// at any number of inputs: for each of its rows (`(first, rows)`: with
+    /// [`Rows::All`] the rows `first..`, else the listed ones), the row's
     /// product with each of the `batch` inputs stored back to back in `xs`,
-    /// through the format's fixed-order reduction; zeros where `keep` drops
-    /// the row. Neither the batch nor the order the rows are taken in
-    /// changes a bit of the results. `f32` rows go a tile at a time (four
-    /// rows at one input, two at more), int8 rows one at a time.
-    fn dot_kept_rows(
-        &self,
-        first: usize,
-        keep: &impl Fn(usize) -> bool,
-        xs: &[f32],
-        batch: usize,
-        out: &mut [f32],
-    );
+    /// through the format's fixed-order reduction, `batch` results per row
+    /// in `out`, rows in order. Neither the batch nor the order the rows
+    /// are taken in changes a bit of the results. `f32` rows go a tile at a
+    /// time (four rows at one input, two at more), int8 rows one at a time;
+    /// a listed walk [`prefetch`](Self::prefetch)es the rows ahead.
+    fn dot_kept_rows(&self, rows: (usize, Rows<'_>), xs: &[f32], batch: usize, out: &mut [f32]);
 
-    /// Reader of columns `start..start + len` of row `r`: `read(i)` is the
-    /// `f32` value of column `start + i`.
+    /// Asks the memory system for the head (the first 256 bytes) of
+    /// columns `start..start + len` of row `r` ahead of their use: a hint,
+    /// which changes no result (and does nothing in a build without AVX2).
+    fn prefetch(&self, r: usize, start: usize, len: usize);
+
+    /// Columns a [`row_span`](Self::row_span) may cover: no span crosses a
+    /// multiple of this many columns.
+    const SPAN: usize;
+
+    /// Reader of columns `start..start + len` of row `r`, a span that does
+    /// not cross a multiple of [`SPAN`](Self::SPAN) columns: `read(i)` is
+    /// the `f32` value of column `start + i`.
     fn row_span(&self, r: usize, start: usize, len: usize) -> impl Fn(usize) -> f32 + Copy + '_;
 }
 
 impl WeightRows for Matrix {
     /// `f32` in memory, accounted as the FP16 storage of the paper's GPU.
     const ACCOUNTED_BYTES: u64 = 2;
+    const SPAN: usize = usize::MAX;
 
     fn rows(&self) -> usize {
         self.rows
@@ -54,25 +59,24 @@ impl WeightRows for Matrix {
         self.cols
     }
 
-    fn dot_kept_rows(
-        &self,
-        first: usize,
-        keep: &impl Fn(usize) -> bool,
-        xs: &[f32],
-        batch: usize,
-        out: &mut [f32],
-    ) {
+    fn dot_kept_rows(&self, rows: (usize, Rows<'_>), xs: &[f32], batch: usize, out: &mut [f32]) {
         let row = |r| self.row(r);
         let one = |r, out: &mut [f32]| dot_batch(row(r), xs, out);
+        let ahead = |r| self.prefetch(r, 0, self.cols);
         if batch == 1 {
             let tile = |rows: [usize; COLUMN_ROWS], outs: [&mut [f32]; COLUMN_ROWS]| {
                 dot_rows_batch(rows.map(row), xs, outs)
             };
-            return kept_rows_by((first, keep), 1, out, tile, one);
+            return kept_rows_by(rows, 1, out, tile, one, ahead);
         }
         let tile =
             |rows: [usize; 2], outs: [&mut [f32]; 2]| dot_rows_batch(rows.map(row), xs, outs);
-        kept_rows_by((first, keep), batch, out, tile, one);
+        kept_rows_by(rows, batch, out, tile, one, ahead);
+    }
+
+    #[inline]
+    fn prefetch(&self, r: usize, start: usize, len: usize) {
+        prefetch(&self.row(r)[start..start + len]);
     }
 
     #[inline] // see the int8 impl

@@ -142,6 +142,12 @@ impl Vector {
         self.data.resize(len, value);
     }
 
+    /// Makes room for `len` elements in all: resizing up to `len` then
+    /// allocates nothing. Leaves the elements as they are.
+    pub fn reserve_len(&mut self, len: usize) {
+        self.data.reserve(len.saturating_sub(self.data.len()));
+    }
+
     /// Shortens to `len` elements (no-op if already shorter). Never
     /// allocates or shrinks capacity.
     pub fn truncate(&mut self, len: usize) {

@@ -18,7 +18,8 @@
 //! contents* — callers must write every element they read (kernels do; the
 //! sparse GEMV writes `0.0` to skipped rows and the dot product to active
 //! rows, each exactly once). [`take_zeroed`](Workspace::take_zeroed) exists
-//! for accumulation patterns.
+//! for accumulation patterns. Row lists (`u32` row indices) recycle the
+//! same way through [`take_list`](Workspace::take_list).
 
 use crate::Vector;
 
@@ -39,6 +40,7 @@ use crate::Vector;
 #[derive(Debug, Default)]
 pub struct Workspace {
     pool: Vec<Vec<f32>>,
+    lists: Vec<Vec<u32>>,
 }
 
 impl Workspace {
@@ -99,6 +101,18 @@ impl Workspace {
         self.pool.push(v.into_vec());
     }
 
+    /// Takes an empty row list, with the capacity of the last one given
+    /// back.
+    pub fn take_list(&mut self) -> Vec<u32> {
+        self.lists.pop().unwrap_or_default()
+    }
+
+    /// Returns a row list to the pool for reuse.
+    pub fn give_list(&mut self, mut list: Vec<u32>) {
+        list.clear();
+        self.lists.push(list);
+    }
+
     /// Number of buffers currently pooled.
     pub fn pooled(&self) -> usize {
         self.pool.len()
@@ -107,10 +121,9 @@ impl Workspace {
     /// Total bytes held by pooled buffers (capacity, not length) — the
     /// workspace's contribution to a per-session memory estimate.
     pub fn pooled_bytes(&self) -> u64 {
-        self.pool
-            .iter()
-            .map(|b| (b.capacity() * std::mem::size_of::<f32>()) as u64)
-            .sum()
+        let floats = self.pool.iter().map(|b| b.capacity() * size_of::<f32>());
+        let lists = self.lists.iter().map(|l| l.capacity() * size_of::<u32>());
+        floats.chain(lists).sum::<usize>() as u64
     }
 }
 

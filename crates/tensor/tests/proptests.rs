@@ -4,7 +4,7 @@
 
 use sparseinfer_tensor::attn::{self, KvWord};
 use sparseinfer_tensor::gemv::{
-    gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed, reference,
+    gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed, reference, Rows,
 };
 use sparseinfer_tensor::sign::{count_negative_products, PackedSignMatrix, SignPack};
 use sparseinfer_tensor::{
@@ -150,6 +150,13 @@ type RowFilter = (&'static str, Vec<bool>);
 /// never adjacent, a last kept row with no partner, an odd number of kept
 /// rows, 1, 2 or 3 rows left over from the groups of four, and kept rows
 /// in one half or one quarter only.
+/// The rows a filter keeps, as the row list the kernels take.
+fn listed(keep: &[bool]) -> Vec<u32> {
+    (0..keep.len() as u32)
+        .filter(|&r| keep[r as usize])
+        .collect()
+}
+
 fn row_filters(rows: usize, rng: &mut Prng) -> Vec<RowFilter> {
     let mut odd: Vec<bool> = (0..rows).map(|_| rng.flip(0.3)).collect();
     if odd.iter().filter(|k| **k).count() % 2 == 0 {
@@ -217,19 +224,23 @@ fn gemm_equals_scalar_reference<W: WeightRows>(
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(ParallelOptions::threads(threads));
             for (filter, keep) in &filters {
-                let mut out = Vector::from_vec(vec![f32::NAN; 3]);
-                gemm_rows_into(w, &xs, batch, |r| keep[r], &pool, &mut out);
-                assert_eq!(out.len(), rows * batch);
-                for (i, (got, want)) in out.iter().zip(&expected).enumerate() {
-                    let want = if keep[i / batch] { *want } else { 0.0 };
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{label} {rows}x{cols} batch {batch} threads {threads} \
-                         filter {filter} row {} column {}",
-                        i / batch,
-                        i % batch
-                    );
+                let list = listed(keep);
+                // The filter as a row list, and with every row kept also
+                // as `Rows::All`: the listed rows' results, packed.
+                let all = (list.len() == rows).then_some(Rows::All);
+                for over in [Some(Rows::Kept(&list)), all].into_iter().flatten() {
+                    let mut out = Vector::from_vec(vec![f32::NAN; 3]);
+                    gemm_rows_into(w, &xs, batch, over, &pool, &mut out);
+                    assert_eq!(out.len(), list.len() * batch);
+                    for (i, got) in out.iter().enumerate() {
+                        let (r, b) = (list[i / batch] as usize, i % batch);
+                        assert_eq!(
+                            got.to_bits(),
+                            expected[r * batch + b].to_bits(),
+                            "{label} {rows}x{cols} batch {batch} threads {threads} \
+                             filter {filter} rows {over:?} row {r} column {b}",
+                        );
+                    }
                 }
             }
         }
@@ -334,6 +345,12 @@ fn transposed_equals_reference<W: WeightRows>(
 ) {
     let (rows, cols) = (w.rows(), w.cols());
     for (filter, keep) in filters {
+        let list = listed(keep);
+        let packed: Vec<f32> = list
+            .iter()
+            .flat_map(|&r| &hs[r as usize * batch..][..batch])
+            .copied()
+            .collect();
         let expected: Vec<Vector> = (0..batch)
             .map(|b| {
                 let h = Vector::from_fn(rows, |r| if keep[r] { hs[r * batch + b] } else { 0.0 });
@@ -344,7 +361,8 @@ fn transposed_equals_reference<W: WeightRows>(
             let pool = ThreadPool::new(ParallelOptions::threads(threads));
             for skip_zeros in [false, true] {
                 let mut out = Vector::from_vec(vec![f32::NAN; 3]);
-                gemm_transposed_rows_into(w, hs, batch, |r| keep[r], skip_zeros, &pool, &mut out);
+                let over = Rows::Kept(&list);
+                gemm_transposed_rows_into(w, over, &packed, batch, skip_zeros, &pool, &mut out);
                 assert_eq!(out.len(), cols * batch);
                 for (i, got) in out.iter().enumerate() {
                     let (b, c) = (i / cols, i % cols);

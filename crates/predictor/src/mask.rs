@@ -103,22 +103,6 @@ impl SkipMask {
         self.len = other.len;
     }
 
-    /// In-place union with the exact zeros of a gate output — equivalent to
-    /// `self.union_with(&SkipMask::from_exact_zeros(h1))` without the
-    /// temporary mask (the hot-path form of actual-sparsity compensation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h1.len() != self.len()`.
-    pub fn union_exact_zeros(&mut self, h1: &sparseinfer_tensor::Vector) {
-        assert_eq!(self.len, h1.len(), "mask length mismatch");
-        for (i, v) in h1.iter().enumerate() {
-            if *v == 0.0 {
-                self.words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-    }
-
     /// The skip flags, 64 rows per word: bit `i` of word `w` is row
     /// `64 * w + i`. Bits past the last row are clear.
     pub fn words(&self) -> &[u64] {
@@ -259,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_copy_and_union_zeros_work_in_place() {
+    fn reset_and_copy_work_in_place() {
         let mut m = SkipMask::all_skipped(70);
         m.reset_dense(70);
         assert_eq!(m.skip_count(), 0);
@@ -269,13 +253,6 @@ mod tests {
         let src = SkipMask::from_fn(8, |i| i % 2 == 0);
         m.copy_from(&src);
         assert_eq!(m, src);
-
-        let h1 = Vector::from_vec(vec![1.0, 0.0, 3.0, 0.0, 5.0, 0.5, -1.0, 0.0]);
-        let mut a = SkipMask::all_dense(8);
-        a.union_exact_zeros(&h1);
-        let mut b = SkipMask::all_dense(8);
-        b.union_with(&SkipMask::from_exact_zeros(&h1));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -23,26 +23,25 @@
 //! close agreement of the single-accumulator form.
 //!
 //! An `f32` build with AVX2 computes those same chains in a **register
-//! tile** instead: up to four weight rows × up to four columns, each (row,
-//! column) pair one 8-lane chain `acc = acc + w * x` — separate multiply
-//! and add, **no FMA** — and each chain's tree
+//! tile** instead: four weight rows × one or two columns per pass, each
+//! (row, column) pair one 8-lane chain `acc = acc + w * x` — separate
+//! multiply and add, **no FMA** — and each chain's tree
 //! `((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7))` reduced in registers
 //! (`extractf128`, `movehl`, `add_ss`: the same IEEE adds of the same
-//! operands). From two columns on it is two rows × up to four columns:
-//! eight independent chains hide the add latency, each loaded column
-//! serves both rows and each loaded row chunk every column, so a prompt
-//! chunk costs what its arithmetic costs: 24 688×256 matrices at 2 / 4 / 8
-//! columns ran in 223 / 315 / 570 µs against the `lanes_*` kernels' 320 /
-//! 525 / 1003 µs (one core of a 2-core AMD EPYC VM). At one column it is
-//! four rows × one column. One chain waits on each add before the next,
-//! so a GEMV row by row ran at the pace of the add latency, not of the
-//! weights; four rows' chains overlap it. Over 16 runs of the kernels
-//! bench on one core of a 2-core Intel Xeon VM, the tile took a median
-//! 0.79× the time of a loop of [`dot`] over the rows on 24 688×256
-//! matrices, beyond L2 (856 µs against 1086), and 0.81× on a 512×256 LM
-//! head in L2 (16.2 µs against 20.7). The `lanes_*` kernels stay the
-//! portable path — no AVX2, or a row that is not whole 8-lane chunks — and
-//! int8 rows run the `lanes_q8_*` kernels row by row at every batch: a
+//! operands). A worker takes its rows four at a time at every column
+//! count, one from each quarter of them (`kept_rows_by`), and a batch of
+//! more than two takes further passes over the four rows while they are
+//! in L1. Four row streams in flight set the pace of a pass beyond L2: on
+//! one core of a 2-core Intel Xeon VM, 24 688×256 matrices cost 13.1 /
+//! 9.2 / 7.4 µs per matrix and position at 2 / 4 / 8 columns against 25.7
+//! at one, where two rows × four columns — the same eight chains — cost
+//! 16.3 / 10.0 / 7.8 (medians of 3 kernels-bench runs). At one column, four
+//! rows' chains overlap the add latency one chain waits on: over 16 runs
+//! the tile took a median 0.79× the time of a loop of [`dot`] over the rows
+//! of those matrices (856 µs against 1086), and 0.81× on a 512×256 LM head
+//! in L2 (16.2 µs against 20.7). The `lanes_*` kernels stay the portable
+//! path — no AVX2, or a row that is not whole 8-lane chunks — and int8
+//! rows run the `lanes_q8_*` kernels row by row at every batch: a
 //! one-column int8 tile (convert, scale and `x` multiplies, add per eight
 //! weights) measured no end-to-end gain on the benchmark's `solo_decode`
 //! and `open_mixed` workloads over 10 interleaved pairs each. The tests
@@ -117,11 +116,10 @@ const TRANSPOSED_GROUP: usize = 8;
 /// on one).
 pub const MIN_MACS_PER_WORKER: usize = 1 << 19;
 
-/// Activation columns the batched dot products reduce per pass over a
-/// weight row: the tile's two rows × four columns of 8-lane accumulators
-/// plus the four loaded columns and a row chunk fit the 16 vector registers
-/// of AVX2; a larger batch takes further passes over the rows while they
-/// are still in L1.
+/// Activation columns per pass of the portable `lanes_*` kernels and of a
+/// lone row through the AVX2 tile (a four-row tile takes two), and the
+/// scheduler's column budget per tick: decode columns first, prefill
+/// positions in the rest.
 pub const COLUMN_GROUP: usize = 4;
 
 /// Chunked multi-accumulator dot product with a fixed reduction order:
@@ -516,10 +514,10 @@ impl<'a> Rows<'a> {
 /// (with [`Rows::All`], row `r`'s at `out[r * batch..]`), so rows partition
 /// across `pool` with one writer per element. A worker hands its rows to
 /// [`WeightRows::dot_kept_rows`], which loads each row once and reduces it
-/// against every column: `f32` rows a tile at a time — four at one column,
-/// two at more — and int8 rows one at a time. Every result is the format's
-/// fixed-order dot product of its row and column, so it has the same bits
-/// at any batch size, thread count and row list.
+/// against every column: `f32` rows four at a time through the tile, int8
+/// rows one at a time. Every result is the format's fixed-order dot
+/// product of its row and column, so it has the same bits at any batch
+/// size, thread count and row list.
 ///
 /// A worker gets at least `MIN_ROWS_PER_WORKER` loaded rows and
 /// [`MIN_MACS_PER_WORKER`] multiply-accumulates.
@@ -551,7 +549,7 @@ pub fn gemm_rows_into<W: WeightRows>(
     });
 }
 
-/// Kept rows per tile at one column: four chains, each its own row.
+/// Kept rows per `f32` tile at every column count (see *Kernel shape*).
 pub(crate) const COLUMN_ROWS: usize = 4;
 
 /// How many rows of a list ahead of the one being reduced a walk asks the

@@ -1,7 +1,7 @@
-//! The AVX2 tile of the `f32` dot products: up to four weight rows × up to
-//! four activation columns, every (row, column) pair one 8-lane register
-//! chain, reduced in registers; and the prefetch hint of the listed row
-//! walks.
+//! The AVX2 tile of the `f32` dot products: four weight rows × up to two
+//! activation columns per pass (a lone row × up to four), every (row,
+//! column) pair one 8-lane register chain, reduced in registers; and the
+//! prefetch hint of the listed row walks.
 //!
 //! Each chain is exactly the `lanes_*` kernels' arithmetic for that pair:
 //! element `i` accumulates into lane `i % 8` as `acc = acc + w * x` —
@@ -35,8 +35,8 @@ use super::{COLUMN_GROUP, DOT_LANES};
 /// One 8-lane chunk of a row or a column.
 type Chunk = [f32; DOT_LANES];
 
-/// `out[r][n]` = the dot product of `rows[r]` and column `n` of `xs` for
-/// every row and column, [`COLUMN_GROUP`] columns per pass over the rows.
+/// `out[r][n]` = the dot product of `rows[r]` and column `n` of `xs`,
+/// [`PASS`] columns per pass over several rows, [`COLUMN_GROUP`] over one.
 /// The caller has checked the shapes and that the rows are whole chunks.
 #[inline] // see `dot_rows_batch`
 pub(super) fn dot_tile<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut [f32]; R]) {
@@ -46,13 +46,20 @@ pub(super) fn dot_tile<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: [&mut
     unsafe { tiles(rows, xs, out) }
 }
 
+/// Columns per pass over several rows: four rows × two columns are eight
+/// chains in 11 of the 16 vector registers, and further passes re-read the
+/// rows from L1. Four rows keep four streams for the prefetchers; two rows
+/// × four columns (the same chains) ran a two-column pass 1.25× slower.
+const PASS: usize = 2;
+
 #[target_feature(enable = "avx2")]
 fn tiles<const R: usize>(rows: [&[f32]; R], xs: &[f32], mut out: [&mut [f32]; R]) {
     let (cols, batch) = (rows[0].len(), out[0].len());
     let rows = rows.map(|row| row.as_chunks::<DOT_LANES>().0);
-    for first in (0..batch).step_by(COLUMN_GROUP) {
+    let width = if R == 1 { COLUMN_GROUP } else { PASS };
+    for first in (0..batch).step_by(width) {
         let column = |n: usize| xs[(first + n) * cols..][..cols].as_chunks::<DOT_LANES>().0;
-        match (batch - first).min(COLUMN_GROUP) {
+        match (batch - first).min(width) {
             4 => tile(
                 rows,
                 [column(0), column(1), column(2), column(3)],

@@ -26,9 +26,9 @@ pub trait WeightRows: Sync {
     /// product with each of the `batch` inputs stored back to back in `xs`,
     /// through the format's fixed-order reduction, `batch` results per row
     /// in `out`, rows in order. Neither the batch nor the order the rows
-    /// are taken in changes a bit of the results. `f32` rows go a tile at a
-    /// time (four rows at one input, two at more), int8 rows one at a time;
-    /// a listed walk [`prefetch`](Self::prefetch)es the rows ahead.
+    /// are taken in changes a bit of the results. `f32` rows go four at a
+    /// time through a tile at any batch, int8 rows one at a time; a listed
+    /// walk [`prefetch`](Self::prefetch)es the rows ahead.
     fn dot_kept_rows(&self, rows: (usize, Rows<'_>), xs: &[f32], batch: usize, out: &mut [f32]);
 
     /// Asks the memory system for the head (the first 256 bytes) of
@@ -61,16 +61,11 @@ impl WeightRows for Matrix {
 
     fn dot_kept_rows(&self, rows: (usize, Rows<'_>), xs: &[f32], batch: usize, out: &mut [f32]) {
         let row = |r| self.row(r);
+        let tile = |rows: [usize; COLUMN_ROWS], outs: [&mut [f32]; COLUMN_ROWS]| {
+            dot_rows_batch(rows.map(row), xs, outs)
+        };
         let one = |r, out: &mut [f32]| dot_batch(row(r), xs, out);
         let ahead = |r| self.prefetch(r, 0, self.cols);
-        if batch == 1 {
-            let tile = |rows: [usize; COLUMN_ROWS], outs: [&mut [f32]; COLUMN_ROWS]| {
-                dot_rows_batch(rows.map(row), xs, outs)
-            };
-            return kept_rows_by(rows, 1, out, tile, one, ahead);
-        }
-        let tile =
-            |rows: [usize; 2], outs: [&mut [f32]; 2]| dot_rows_batch(rows.map(row), xs, outs);
         kept_rows_by(rows, batch, out, tile, one, ahead);
     }
 

@@ -253,11 +253,13 @@ fn gemm_rows_equals_gemv_bit_for_bit() {
     // `dot_q8`: those are this kernel at one column. Column counts on the
     // 8-lane grid (the AVX2 tile's shapes: 8, 96, 256) and off it (where it
     // falls back to the portable kernels), on and off the 32-column
-    // scale-block grid; odd row counts leave a row without a partner. The
-    // last shapes are large enough to really be split across workers (a
-    // worker takes at least 64 rows and 2^19 multiply-accumulates) —
-    // 1200x100 and 1201x96 from batch 5, 4096x512 at the single column of a
-    // decode GEMV.
+    // scale-block grid; odd row counts leave a row without a partner.
+    // 1200x100, 1201x96 and 4096x512 are large enough to really be split
+    // across workers (a worker takes at least 64 rows and 2^19
+    // multiply-accumulates) — the first two from batch 5, the third at the
+    // single column of a decode GEMV. The four-row walk splits a worker's
+    // rows into four parts: 6 rows leave the last part empty, and 688x256
+    // is a serving model's gate and up projection.
     let shapes = [
         ((5, 37), 1..=9),
         ((130, 100), 1..=9),
@@ -270,6 +272,8 @@ fn gemm_rows_equals_gemv_bit_for_bit() {
         ((1200, 100), 1..=9),
         ((1201, 96), 1..=9),
         ((4096, 512), 1..=2),
+        ((6, 256), 1..=9),
+        ((688, 256), 1..=9),
     ];
     for (seed, ((rows, cols), batches)) in shapes.into_iter().enumerate() {
         let mut rng = Prng::seed(900 + seed as u64);

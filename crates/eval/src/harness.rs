@@ -59,13 +59,6 @@ impl AccuracyReport {
             .count() as f64
             / self.outcomes.len() as f64
     }
-
-    /// Projects the match quality onto a paper-style benchmark score:
-    /// `baseline_score × match_rate(0.85)`. The dense baseline by
-    /// construction scores exactly `baseline_score`.
-    pub fn scaled_score(&self, baseline_score: f64) -> f64 {
-        baseline_score * self.match_rate(0.85)
-    }
 }
 
 /// Greedy gold continuations for every task (dense decode).
@@ -147,9 +140,11 @@ pub fn token_overlap(gold: &[u32], candidate: &[u32]) -> f64 {
     matches as f64 / gold.len() as f64
 }
 
-/// Teacher-forced evaluation: the candidate stepper is fed the *gold* token
-/// stream and judged on whether its argmax at each position reproduces the
-/// gold token.
+/// Teacher-forced scoring of an [`Engine`]: the prompt is prefilled
+/// *densely* up to its last token (the paper exploits sparsity only in
+/// decode), the last prompt token and every gold token go through the
+/// engine, and each position is scored by whether the engine's argmax
+/// reproduces the gold token.
 ///
 /// Free-running comparison compounds a single flipped token into total
 /// divergence, which is far harsher than what happens on a real LLM (whose
@@ -157,39 +152,6 @@ pub fn token_overlap(gold: &[u32], candidate: &[u32]) -> f64 {
 /// measures the per-position flip probability caused by mispredicted skips —
 /// the actual degradation mechanism the paper's alpha knob controls — while
 /// keeping the comparison well-defined on a synthetic model.
-///
-/// The stepper receives `(token, position_logits_requested)` pairs via a
-/// closure `step(token) -> Vector` that advances the candidate engine one
-/// token and returns its logits.
-///
-/// # Panics
-///
-/// Panics if `prompt` is empty.
-pub fn teacher_forced_matches(
-    prompt: &[u32],
-    gold: &[u32],
-    mut step: impl FnMut(u32) -> sparseinfer_tensor::Vector,
-) -> Vec<bool> {
-    assert!(!prompt.is_empty(), "prompt must be non-empty");
-    // Feed the prompt; logits after its last token predict gold[0].
-    let mut logits = sparseinfer_tensor::Vector::zeros(0);
-    for t in prompt {
-        logits = step(*t);
-    }
-    let mut out = Vec::with_capacity(gold.len());
-    for g in gold {
-        let predicted = logits.argmax().expect("nonzero vocab") as u32;
-        out.push(predicted == *g);
-        logits = step(*g); // force the gold token regardless of prediction
-    }
-    out
-}
-
-/// Teacher-forced scoring of an [`Engine`]: the prompt is prefilled
-/// *densely* up to its last token (the paper exploits sparsity only in
-/// decode), the last prompt token and every gold token go through the
-/// engine, and each position is scored by whether the engine's argmax
-/// reproduces the gold token.
 ///
 /// # Panics
 ///
@@ -218,47 +180,15 @@ pub fn teacher_forced_engine_matches(
     out
 }
 
-/// Runs [`teacher_forced_matches`] over a whole suite, producing an
-/// [`AccuracyReport`] whose `overlap` is the per-task match rate and whose
-/// `exact` flags full-sequence agreement.
-///
-/// # Panics
-///
-/// Panics if `gold.len() != suite.len()`.
-pub fn evaluate_teacher_forced(
-    suite: &TaskSuite,
-    gold: &[Vec<u32>],
-    mut make_stepper: impl FnMut() -> Box<dyn FnMut(u32) -> sparseinfer_tensor::Vector>,
-) -> AccuracyReport {
-    assert_eq!(gold.len(), suite.len(), "gold/suite length mismatch");
-    let outcomes = suite
-        .tasks
-        .iter()
-        .zip(gold)
-        .map(|(task, gold_tokens)| {
-            let mut step = make_stepper();
-            let matches = teacher_forced_matches(&task.tokens, gold_tokens, &mut step);
-            let hit = matches.iter().filter(|m| **m).count();
-            TaskOutcome {
-                id: task.id.clone(),
-                exact: hit == matches.len(),
-                overlap: if matches.is_empty() {
-                    1.0
-                } else {
-                    hit as f64 / matches.len() as f64
-                },
-            }
-        })
-        .collect();
-    AccuracyReport { outcomes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sparseinfer_model::generator::WeightGenerator;
+    use sparseinfer_model::model::DecodeSession;
     use sparseinfer_model::ModelConfig;
     use sparseinfer_sparse::engine::EngineBuilder;
+    use sparseinfer_sparse::OpCounter;
+    use sparseinfer_tensor::Vector;
 
     fn small_suite() -> TaskSuite {
         TaskSuite::gsm8k_syn(4, 9)
@@ -291,7 +221,7 @@ mod tests {
         });
         assert_eq!(report.exact_rate(), 1.0);
         assert_eq!(report.mean_overlap(), 1.0);
-        assert_eq!(report.scaled_score(30.71), 30.71);
+        assert_eq!(report.match_rate(0.85), 1.0);
     }
 
     #[test]
@@ -330,21 +260,7 @@ mod tests {
             "overlap {}",
             report.mean_overlap()
         );
-        assert_eq!(report.scaled_score(30.71), 0.0);
-    }
-
-    #[test]
-    fn teacher_forced_engine_agrees_with_closure_protocol() {
-        let model = sim_model();
-        let prompt = [1u32, 2, 3];
-        let gold = model.generate_greedy(&prompt, 6, u32::MAX);
-        let mut engine = EngineBuilder::new(&model).build().unwrap();
-        let matches = teacher_forced_engine_matches(engine.as_mut(), &prompt, &gold);
-        assert_eq!(matches.len(), gold.len());
-        assert!(
-            matches.iter().all(|m| *m),
-            "dense engine vs dense gold must agree"
-        );
+        assert_eq!(report.match_rate(0.85), 0.0);
     }
 
     #[test]
@@ -359,14 +275,50 @@ mod tests {
         let model = sim_model();
         let prompt = [1u32, 2, 3];
         let gold = model.generate_greedy(&prompt, 6, u32::MAX);
-        let mut session = model.start_session();
-        let matches =
-            teacher_forced_matches(&prompt, &gold, |t| model.forward_token(t, &mut session));
+        let mut engine = EngineBuilder::new(&model).build().unwrap();
+        let matches = teacher_forced_engine_matches(engine.as_mut(), &prompt, &gold);
         assert_eq!(matches.len(), gold.len());
         assert!(
             matches.iter().all(|m| *m),
             "dense vs itself must agree everywhere"
         );
+    }
+
+    /// Scores every position as the same token, whatever it is fed.
+    #[derive(Debug)]
+    struct ConstantEngine<'m> {
+        model: &'m Model,
+        token: u32,
+        ops: OpCounter,
+    }
+
+    impl Engine for ConstantEngine<'_> {
+        fn model(&self) -> &Model {
+            self.model
+        }
+
+        fn score_block_into(
+            &mut self,
+            tokens: &[u32],
+            session: &mut DecodeSession,
+            logits: &mut [Vector],
+        ) {
+            session.position += tokens.len();
+            for out in logits {
+                *out = Vector::zeros(self.model.config().vocab_size);
+                out[self.token as usize] = 1.0;
+            }
+        }
+
+        fn ops(&self) -> &OpCounter {
+            &self.ops
+        }
+
+        fn reset_ops(&mut self) {}
+
+        fn name(&self) -> &str {
+            "constant"
+        }
     }
 
     #[test]
@@ -377,37 +329,21 @@ mod tests {
         let model = sim_model();
         let prompt = [4u32, 5];
         let gold = model.generate_greedy(&prompt, 6, u32::MAX);
-        // Build a stepper that always predicts token `gold[1]`.
-        let constant = gold[1];
-        let vocab = model.config().vocab_size;
-        let matches = teacher_forced_matches(&prompt, &gold, |_t| {
-            let mut v = sparseinfer_tensor::Vector::zeros(vocab);
-            v[constant as usize] = 1.0;
-            v
-        });
-        let expected: Vec<bool> = gold.iter().map(|g| *g == constant).collect();
+        let mut engine = ConstantEngine {
+            model: &model,
+            token: gold[1],
+            ops: OpCounter::default(),
+        };
+        let matches = teacher_forced_engine_matches(&mut engine, &prompt, &gold);
+        let expected: Vec<bool> = gold.iter().map(|g| *g == gold[1]).collect();
         assert_eq!(matches, expected);
-    }
-
-    #[test]
-    fn evaluate_teacher_forced_aggregates_per_task() {
-        let model = sim_model();
-        let suite = TaskSuite::gsm8k_syn(2, 11);
-        let gold = gold_continuations(&model, &suite, 5);
-        let model_ref = &model;
-        let report = evaluate_teacher_forced(&suite, &gold, || {
-            let mut session = model_ref.start_session();
-            let m = model_ref.clone();
-            Box::new(move |t| m.forward_token(t, &mut session))
-        });
-        assert_eq!(report.outcomes.len(), 2);
-        assert_eq!(report.exact_rate(), 1.0);
-        assert_eq!(report.mean_overlap(), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "prompt must be non-empty")]
     fn teacher_forcing_rejects_empty_prompt() {
-        let _ = teacher_forced_matches(&[], &[1], |_| sparseinfer_tensor::Vector::zeros(4));
+        let model = sim_model();
+        let mut engine = EngineBuilder::new(&model).build().unwrap();
+        let _ = teacher_forced_engine_matches(engine.as_mut(), &[], &[1]);
     }
 }

@@ -45,71 +45,45 @@ use crate::mlp::GatedMlp;
 use crate::model::Model;
 use crate::norm::RmsNorm;
 
-/// Tunable statistical profile of the generated weights.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneratorProfile {
-    /// MLP-input mean in fully "stabilized" layers.
-    pub x_mean_late: f64,
-    /// MLP-input mean in the earliest layer (the near-zero pathology).
-    pub x_mean_early: f64,
-    /// MLP-input standard deviation (norm gain scale) in late layers.
-    pub x_std_late: f64,
-    /// MLP-input standard deviation in the earliest layer (narrow).
-    pub x_std_early: f64,
-    /// Fraction of depth over which the early→late ramp completes.
-    pub ramp_fraction: f64,
-    /// Spread of row z-scores (`s_m · c`) in the earliest layer. A small
-    /// spread packs rows near the decision boundary, producing the paper's
-    /// early-layer prediction errors.
-    pub row_zscore_spread_early: f64,
-    /// Spread of row z-scores in stabilized layers. A large spread makes
-    /// rows decisively sparse or active, reproducing the paper's >99%
-    /// late-layer precision.
-    pub row_zscore_spread_late: f64,
-}
+/// MLP-input mean in fully "stabilized" layers.
+const X_MEAN_LATE: f64 = 0.65;
+/// MLP-input mean in the earliest layer (the near-zero pathology).
+const X_MEAN_EARLY: f64 = 0.045;
+/// MLP-input standard deviation (norm gain scale) in late layers.
+const X_STD_LATE: f64 = 1.0;
+/// MLP-input standard deviation in the earliest layer (narrow).
+const X_STD_EARLY: f64 = 0.6;
+/// Fraction of depth over which the early→late ramp completes.
+const RAMP_FRACTION: f64 = 0.5;
+/// Spread of row z-scores (`s_m · c`) in the earliest layer. A small spread
+/// packs rows near the decision boundary, producing the paper's early-layer
+/// prediction errors.
+const ROW_ZSCORE_SPREAD_EARLY: f64 = 0.45;
+/// Spread of row z-scores in stabilized layers. A large spread makes rows
+/// decisively sparse or active, reproducing the paper's >99% late-layer
+/// precision.
+const ROW_ZSCORE_SPREAD_LATE: f64 = 9.0;
 
-impl Default for GeneratorProfile {
-    fn default() -> Self {
-        Self {
-            x_mean_late: 0.65,
-            x_mean_early: 0.045,
-            x_std_late: 1.0,
-            x_std_early: 0.6,
-            ramp_fraction: 0.5,
-            row_zscore_spread_early: 0.45,
-            row_zscore_spread_late: 9.0,
-        }
-    }
-}
-
-impl GeneratorProfile {
-    /// Linear ramp position of layer `l` of `n_layers` in `[0, 1]`.
-    fn ramp(&self, l: usize, n_layers: usize) -> f64 {
-        if n_layers <= 1 {
-            return 1.0;
-        }
+/// The value ramping from `early` (layer 0) to `late` (at
+/// [`RAMP_FRACTION`] of depth and beyond) at layer `l` of `n_layers`.
+fn ramped(early: f64, late: f64, l: usize, n_layers: usize) -> f64 {
+    let r = if n_layers <= 1 {
+        1.0
+    } else {
         let t = l as f64 / (n_layers - 1) as f64;
-        (t / self.ramp_fraction).min(1.0)
-    }
+        (t / RAMP_FRACTION).min(1.0)
+    };
+    early + (late - early) * r
+}
 
-    /// Target MLP-input mean for layer `l`.
-    pub fn x_mean(&self, l: usize, n_layers: usize) -> f64 {
-        let r = self.ramp(l, n_layers);
-        self.x_mean_early + (self.x_mean_late - self.x_mean_early) * r
-    }
+/// Target MLP-input mean for layer `l`.
+fn x_mean(l: usize, n_layers: usize) -> f64 {
+    ramped(X_MEAN_EARLY, X_MEAN_LATE, l, n_layers)
+}
 
-    /// Target MLP-input standard deviation for layer `l`.
-    pub fn x_std(&self, l: usize, n_layers: usize) -> f64 {
-        let r = self.ramp(l, n_layers);
-        self.x_std_early + (self.x_std_late - self.x_std_early) * r
-    }
-
-    /// Row z-score spread for layer `l`.
-    pub fn row_zscore_spread(&self, l: usize, n_layers: usize) -> f64 {
-        let r = self.ramp(l, n_layers);
-        self.row_zscore_spread_early
-            + (self.row_zscore_spread_late - self.row_zscore_spread_early) * r
-    }
+/// Target MLP-input standard deviation for layer `l`.
+fn x_std(l: usize, n_layers: usize) -> f64 {
+    ramped(X_STD_EARLY, X_STD_LATE, l, n_layers)
 }
 
 /// Builder that turns a [`ModelConfig`] plus a seed into a full [`Model`].
@@ -125,12 +99,11 @@ impl GeneratorProfile {
 #[derive(Debug)]
 pub struct WeightGenerator {
     config: ModelConfig,
-    profile: GeneratorProfile,
     seed: u64,
 }
 
 impl WeightGenerator {
-    /// Creates a generator with the default profile.
+    /// Creates a generator.
     ///
     /// # Panics
     ///
@@ -139,24 +112,18 @@ impl WeightGenerator {
         config.validate().expect("invalid model config");
         Self {
             config: config.clone(),
-            profile: GeneratorProfile::default(),
             seed,
         }
-    }
-
-    /// Overrides the statistical profile.
-    pub fn with_profile(mut self, profile: GeneratorProfile) -> Self {
-        self.profile = profile;
-        self
     }
 
     /// Closed-form row-mean parameters `(m, s_m)` for layer `l` (see module
     /// docs): solves `Φ(c·m / sqrt(1 + c²·s_m²)) = target_sparsity`.
     pub fn row_mean_params(&self, l: usize) -> (f64, f64) {
         let d = self.config.hidden_dim as f64;
-        let mu_x = self.profile.x_mean(l, self.config.n_layers);
-        let sigma_x = self.profile.x_std(l, self.config.n_layers);
-        let spread = self.profile.row_zscore_spread(l, self.config.n_layers);
+        let n_layers = self.config.n_layers;
+        let mu_x = x_mean(l, n_layers);
+        let sigma_x = x_std(l, n_layers);
+        let spread = ramped(ROW_ZSCORE_SPREAD_EARLY, ROW_ZSCORE_SPREAD_LATE, l, n_layers);
         let c = d.sqrt() * mu_x / (sigma_x * sigma_x + mu_x * mu_x).sqrt();
         let s_m = spread / c;
         let m = normal_quantile(self.config.target_sparsity) * (1.0 + spread * spread).sqrt() / c;
@@ -204,8 +171,8 @@ impl WeightGenerator {
         let attn = Attention::new(proj(0.6), proj(0.6), proj(0.5), proj(0.35), cfg.n_heads);
 
         // Pre-MLP norm: shapes X to N(mu_x, sigma_x^2) per element.
-        let mu_x = self.profile.x_mean(l, cfg.n_layers);
-        let sigma_x = self.profile.x_std(l, cfg.n_layers);
+        let mu_x = x_mean(l, cfg.n_layers);
+        let sigma_x = x_std(l, cfg.n_layers);
         let mut norm_rng = rng.fork(0x0127);
         let gain = Vector::from_fn(d, |_| {
             (sigma_x * (1.0 + 0.08 * norm_rng.standard_normal())) as f32
@@ -338,8 +305,8 @@ mod tests {
         let (m, s_m) = generator.row_mean_params(cfg.n_layers - 1);
         // Re-evaluate the forward formula.
         let d = cfg.hidden_dim as f64;
-        let mu = generator.profile.x_mean(cfg.n_layers - 1, cfg.n_layers);
-        let sd = generator.profile.x_std(cfg.n_layers - 1, cfg.n_layers);
+        let mu = x_mean(cfg.n_layers - 1, cfg.n_layers);
+        let sd = x_std(cfg.n_layers - 1, cfg.n_layers);
         let c = d.sqrt() * mu / (sd * sd + mu * mu).sqrt();
         let predicted =
             sparseinfer_tensor::stats::normal_cdf(c * m / (1.0 + c * c * s_m * s_m).sqrt());

@@ -219,17 +219,6 @@ impl GatedMlp {
         }
     }
 
-    /// Builds a block from a `d×k` down-projection, transposing it at load
-    /// time exactly as the paper's model loader does.
-    pub fn with_untransposed_down(
-        w_gate: Matrix,
-        w_up: Matrix,
-        w_down: Matrix,
-        activation: Activation,
-    ) -> Self {
-        Self::new(w_gate, w_up, w_down.transposed(), activation)
-    }
-
     /// Model dimension `d`.
     pub fn hidden_dim(&self) -> usize {
         self.w_gate.cols()
@@ -289,13 +278,6 @@ impl GatedMlp {
         let h3 = h1.hadamard(&h2).expect("h1/h2 same length"); // step 3
         (gemv_transposed(&self.w_down_t, &h3), h1) // step 4: output generation
     }
-
-    /// Measured activation sparsity of the block for input `x` (fraction of
-    /// exact zeros in `h1`).
-    pub fn activation_sparsity(&self, x: &Vector) -> f64 {
-        let (_, h1) = self.forward_with_gate(x);
-        h1.sparsity()
-    }
 }
 
 #[cfg(test)]
@@ -344,7 +326,8 @@ mod tests {
         let mlp = random_mlp(5, 64, 32, Activation::Silu);
         let mut rng = Prng::seed(6);
         let x = Vector::from_fn(32, |_| rng.normal(0.0, 1.0) as f32);
-        assert!(mlp.activation_sparsity(&x) < 0.05);
+        let (_, h1) = mlp.forward_with_gate(&x);
+        assert!(h1.sparsity() < 0.05);
     }
 
     #[test]
@@ -360,34 +343,20 @@ mod tests {
     }
 
     #[test]
-    fn untransposed_constructor_matches_transposed() {
-        let mut rng = Prng::seed(9);
-        let k = 10;
-        let d = 6;
-        let w_gate = Matrix::from_fn(k, d, |_, _| rng.normal(0.0, 1.0) as f32);
-        let w_up = Matrix::from_fn(k, d, |_, _| rng.normal(0.0, 1.0) as f32);
-        let w_down = Matrix::from_fn(d, k, |_, _| rng.normal(0.0, 1.0) as f32);
-        let a = GatedMlp::with_untransposed_down(
-            w_gate.clone(),
-            w_up.clone(),
-            w_down.clone(),
-            Activation::Relu,
-        );
-        let b = GatedMlp::new(w_gate, w_up, w_down.transposed(), Activation::Relu);
-        let x = Vector::from_fn(d, |i| i as f32 * 0.1 - 0.2);
-        for (u, v) in a.forward(&x).iter().zip(b.forward(&x).iter()) {
-            assert!((u - v).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn buffers_count_the_kept_row_list() {
         // After a call the buffers hold room for every row's list entry,
         // and their byte count includes it.
         let mlp = random_mlp(10, 100, 16, Activation::Relu);
         let mut bufs = MlpBuffers::default();
         let skips = |_, word: usize| if word == 0 { u64::MAX } else { 0 };
-        gated_mlp_into(&mlp, &[0.5; 16], skips, |_| false, &ThreadPool::single(), &mut bufs);
+        gated_mlp_into(
+            &mlp,
+            &[0.5; 16],
+            skips,
+            |_| false,
+            &ThreadPool::single(),
+            &mut bufs,
+        );
         assert_eq!(bufs.kept, (64..100).collect::<Vec<u32>>());
         assert!(bufs.kept.capacity() >= 100);
         let floats = bufs.gate.capacity() + bufs.h3.capacity() + bufs.out.capacity();

@@ -60,26 +60,12 @@ impl DejaVuLayer {
 pub struct DejaVuPredictor {
     layers: Vec<DejaVuLayer>,
     rank: usize,
-    /// Decision margin: a unit is skipped when `score < -margin`; raising the
-    /// margin is the trained predictor's conservativeness knob (the analogue
-    /// of SparseInfer's alpha).
-    margin: f32,
 }
 
 impl DejaVuPredictor {
     /// The low-rank dimension.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// The decision margin.
-    pub fn margin(&self) -> f32 {
-        self.margin
-    }
-
-    /// Sets the decision margin (≥ 0 is conservative).
-    pub fn set_margin(&mut self, margin: f32) {
-        self.margin = margin;
     }
 
     /// FP16 memory footprint of the predictor weights across layers
@@ -110,10 +96,9 @@ impl SparsityPredictor for DejaVuPredictor {
         }
         gemv_into(&l.b, hidden, &pool, scores);
         scores.add_assign(&l.bias);
-        let margin = self.margin;
         mask.reset_dense(scores.len());
         for (r, s) in scores.iter().enumerate() {
-            if *s < -margin {
+            if *s < 0.0 {
                 mask.set_skip(r);
             }
         }
@@ -203,7 +188,6 @@ impl Trainer {
         DejaVuPredictor {
             layers,
             rank: self.config.rank,
-            margin: 0.0,
         }
     }
 
@@ -309,18 +293,6 @@ mod tests {
             overall.precision()
         );
         assert!(overall.recall() > 0.5, "recall {}", overall.recall());
-    }
-
-    #[test]
-    fn margin_makes_prediction_more_conservative() {
-        let (model, mut predictor, _) = trained_setup();
-        let x = sparseinfer_tensor::Vector::from_fn(model.config().hidden_dim, |i| {
-            ((i * 13) as f32 * 0.17).sin() + 0.4
-        });
-        let loose = predictor.predict(0, &x).skip_count();
-        predictor.set_margin(2.0);
-        let tight = predictor.predict(0, &x).skip_count();
-        assert!(tight <= loose, "tight {tight} loose {loose}");
     }
 
     #[test]

@@ -36,13 +36,6 @@ impl OraclePredictor {
                 .collect(),
         }
     }
-
-    /// True per-row sparsity flags for one layer and input.
-    pub fn exact_mask(&self, layer: usize, x: &Vector) -> SkipMask {
-        let z = sparseinfer_tensor::gemv::gemv(&self.gates[layer], x);
-        let act = self.activations[layer];
-        SkipMask::from_fn(z.len(), |r| act.is_sparse_at(z[r]))
-    }
 }
 
 impl SparsityPredictor for OraclePredictor {

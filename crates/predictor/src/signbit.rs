@@ -75,12 +75,6 @@ impl SignBitPredictor {
         &self.schedule
     }
 
-    /// Replaces the alpha schedule (the DSE knob — no re-packing needed,
-    /// which is the point of a training-free predictor).
-    pub fn set_schedule(&mut self, schedule: AlphaSchedule) {
-        self.schedule = schedule;
-    }
-
     /// Total packed-sign memory across layers in bytes (§V-A2 accounting).
     pub fn memory_bytes(&self) -> usize {
         self.layers.iter().map(|l| l.size_bytes()).sum()
@@ -299,15 +293,15 @@ mod tests {
     }
 
     #[test]
-    fn schedule_swap_changes_behavior_without_repacking() {
+    fn larger_alpha_skips_no_more_rows() {
         let cfg = ModelConfig::tiny();
         let model = WeightGenerator::new(&cfg, 8).build();
-        let mut p = SignBitPredictor::from_model(&model, AlphaSchedule::uniform(1.0));
+        let mut loose = SignBitPredictor::from_model(&model, AlphaSchedule::uniform(1.0));
+        let mut tight = SignBitPredictor::from_model(&model, AlphaSchedule::uniform(3.0));
         let mut rng = Prng::seed(9);
         let x = Vector::from_fn(cfg.hidden_dim, |_| rng.normal(0.4, 1.0) as f32);
-        let loose = p.predict(0, &x).skip_count();
-        p.set_schedule(AlphaSchedule::uniform(3.0));
-        let tight = p.predict(0, &x).skip_count();
+        let loose = loose.predict(0, &x).skip_count();
+        let tight = tight.predict(0, &x).skip_count();
         assert!(tight <= loose, "tight {tight} loose {loose}");
     }
 

@@ -233,19 +233,21 @@ fn main() -> ExitCode {
 }
 
 fn server_config(args: &Args) -> ServerConfig {
+    let scheduler = SchedulerConfig {
+        max_slots: args.slots,
+        block_tokens: args.block_tokens,
+        kv_block_budget: args.kv_block_budget,
+        prefix_cache: args.prefix_cache,
+        kv_dtype: args.kv,
+        ..SchedulerConfig::default()
+    };
+    if let Err(e) = scheduler.validate() {
+        eprintln!("invalid scheduler flags: {e}");
+        std::process::exit(2);
+    }
     ServerConfig {
         addr: args.addr.clone(),
-        scheduler: SchedulerConfig::builder()
-            .max_slots(args.slots)
-            .block_tokens(args.block_tokens)
-            .kv_block_budget(args.kv_block_budget)
-            .prefix_cache(args.prefix_cache)
-            .kv_dtype(args.kv)
-            .build()
-            .unwrap_or_else(|e| {
-                eprintln!("invalid scheduler flags: {e}");
-                std::process::exit(2);
-            }),
+        scheduler,
         slot_threads: args.slot_threads,
         connection_threads: args.connection_threads,
         queue_capacity: args.queue_capacity,

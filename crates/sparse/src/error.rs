@@ -49,13 +49,10 @@ pub enum EngineError {
         /// What disagreed.
         reason: &'static str,
     },
-    /// A [`SchedulerConfig`](crate::scheduler::SchedulerConfig) assembled
-    /// through [`SchedulerConfig::builder`](crate::scheduler::SchedulerConfig::builder)
-    /// failed validation: a zero capacity knob, or a feature knob set
-    /// while its feature is disabled (e.g. a swap budget without
-    /// preemption). Surfaced as data so a serving frontend can reject a
-    /// bad flag combination with a message instead of panicking at
-    /// construction.
+    /// A [`SchedulerConfig`](crate::scheduler::SchedulerConfig) failed
+    /// [`validate`](crate::scheduler::SchedulerConfig::validate): a zero
+    /// capacity knob. Surfaced as data so a serving frontend can reject a
+    /// bad flag with a message instead of panicking at construction.
     SchedulerConfig {
         /// What was wrong with the configuration.
         reason: &'static str,

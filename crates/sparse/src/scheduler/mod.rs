@@ -323,160 +323,32 @@ impl SchedulerConfig {
         }
     }
 
-    /// A validating builder over the same knobs. The struct-literal path
-    /// stays available (and [`Scheduler::new`] still asserts the hard
-    /// invariants), but the builder turns contradictory configurations —
-    /// a zero paging granularity, a swap budget with preemption disabled —
-    /// into an [`EngineError::SchedulerConfig`] a frontend can report
-    /// instead of a panic deep in construction.
+    /// Checks the capacity knobs a frontend takes from its user, so a bad
+    /// flag is reported as data instead of a panic in [`Scheduler::new`].
     ///
     /// ```
     /// use sparseinfer_sparse::scheduler::SchedulerConfig;
     ///
-    /// let config = SchedulerConfig::builder()
-    ///     .max_slots(4)
-    ///     .block_tokens(8)
-    ///     .kv_block_budget(4096)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(config.max_slots, 4);
-    /// assert!(SchedulerConfig::builder().block_tokens(0).build().is_err());
+    /// let config = SchedulerConfig { max_slots: 4, ..SchedulerConfig::default() };
+    /// assert!(config.validate().is_ok());
+    /// assert!(SchedulerConfig { block_tokens: 0, ..config }.validate().is_err());
     /// ```
-    pub fn builder() -> SchedulerConfigBuilder {
-        SchedulerConfigBuilder::default()
-    }
-}
-
-/// Builder for [`SchedulerConfig`] (see [`SchedulerConfig::builder`]).
-/// Unset knobs take the [`Default`] values; validation runs once in
-/// [`build`](Self::build) and only flags knobs that were *explicitly*
-/// set against a disabled feature, so defaults can never contradict
-/// themselves.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SchedulerConfigBuilder {
-    max_slots: Option<usize>,
-    block_tokens: Option<usize>,
-    kv_block_budget: Option<usize>,
-    prefix_cache: Option<bool>,
-    prefix_retain_blocks: Option<usize>,
-    preemption: Option<bool>,
-    max_preemptions_per_request: Option<usize>,
-    swap_budget_bytes: Option<u64>,
-    kv_dtype: Option<KvDtype>,
-}
-
-impl SchedulerConfigBuilder {
-    /// Maximum concurrently decoding requests
-    /// (see [`SchedulerConfig::max_slots`]).
-    pub fn max_slots(mut self, max_slots: usize) -> Self {
-        self.max_slots = Some(max_slots);
-        self
-    }
-
-    /// Tokens per KV block (see [`SchedulerConfig::block_tokens`]).
-    pub fn block_tokens(mut self, block_tokens: usize) -> Self {
-        self.block_tokens = Some(block_tokens);
-        self
-    }
-
-    /// Total KV block budget (see [`SchedulerConfig::kv_block_budget`]).
-    pub fn kv_block_budget(mut self, kv_block_budget: usize) -> Self {
-        self.kv_block_budget = Some(kv_block_budget);
-        self
-    }
-
-    /// Enables or disables prompt-prefix sharing
-    /// (see [`SchedulerConfig::prefix_cache`]).
-    pub fn prefix_cache(mut self, prefix_cache: bool) -> Self {
-        self.prefix_cache = Some(prefix_cache);
-        self
-    }
-
-    /// Warm-cache retention cap
-    /// (see [`SchedulerConfig::prefix_retain_blocks`]).
-    pub fn prefix_retain_blocks(mut self, prefix_retain_blocks: usize) -> Self {
-        self.prefix_retain_blocks = Some(prefix_retain_blocks);
-        self
-    }
-
-    /// Enables or disables preemption
-    /// (see [`SchedulerConfig::preemption`]).
-    pub fn preemption(mut self, preemption: bool) -> Self {
-        self.preemption = Some(preemption);
-        self
-    }
-
-    /// Per-request preemption cap
-    /// (see [`SchedulerConfig::max_preemptions_per_request`]).
-    pub fn max_preemptions_per_request(mut self, cap: usize) -> Self {
-        self.max_preemptions_per_request = Some(cap);
-        self
-    }
-
-    /// Cold swap-buffer byte budget
-    /// (see [`SchedulerConfig::swap_budget_bytes`]).
-    pub fn swap_budget_bytes(mut self, swap_budget_bytes: u64) -> Self {
-        self.swap_budget_bytes = Some(swap_budget_bytes);
-        self
-    }
-
-    /// KV block element type (see [`SchedulerConfig::kv_dtype`]).
-    pub fn kv_dtype(mut self, kv_dtype: KvDtype) -> Self {
-        self.kv_dtype = Some(kv_dtype);
-        self
-    }
-
-    /// Validates the assembled configuration.
     ///
     /// # Errors
     ///
     /// [`EngineError::SchedulerConfig`] when `max_slots`, `block_tokens`
-    /// or `kv_block_budget` is zero, or when a feature knob was
-    /// explicitly set while its feature is off: a nonzero
-    /// `swap_budget_bytes` or `max_preemptions_per_request` with
-    /// `preemption(false)`, or a nonzero `prefix_retain_blocks` with
-    /// `prefix_cache(false)`.
-    pub fn build(self) -> Result<SchedulerConfig, EngineError> {
-        let defaults = SchedulerConfig::default();
-        let err = |reason| Err(EngineError::SchedulerConfig { reason });
-        let config = SchedulerConfig {
-            max_slots: self.max_slots.unwrap_or(defaults.max_slots),
-            block_tokens: self.block_tokens.unwrap_or(defaults.block_tokens),
-            kv_block_budget: self.kv_block_budget.unwrap_or(defaults.kv_block_budget),
-            prefix_cache: self.prefix_cache.unwrap_or(defaults.prefix_cache),
-            prefix_retain_blocks: self
-                .prefix_retain_blocks
-                .unwrap_or(defaults.prefix_retain_blocks),
-            preemption: self.preemption.unwrap_or(defaults.preemption),
-            max_preemptions_per_request: self
-                .max_preemptions_per_request
-                .unwrap_or(defaults.max_preemptions_per_request),
-            swap_budget_bytes: self.swap_budget_bytes.unwrap_or(defaults.swap_budget_bytes),
-            kv_dtype: self.kv_dtype.unwrap_or(defaults.kv_dtype),
+    /// or `kv_block_budget` is zero.
+    pub fn validate(&self) -> Result<(), EngineError> {
+        let reason = if self.max_slots == 0 {
+            "max_slots must be positive"
+        } else if self.block_tokens == 0 {
+            "block_tokens must be positive"
+        } else if self.kv_block_budget == 0 {
+            "kv_block_budget must be positive"
+        } else {
+            return Ok(());
         };
-        if config.max_slots == 0 {
-            return err("max_slots must be positive");
-        }
-        if config.block_tokens == 0 {
-            return err("block_tokens must be positive");
-        }
-        if config.kv_block_budget == 0 {
-            return err("kv_block_budget must be positive");
-        }
-        // Only *explicitly set* knobs can contradict a disabled feature:
-        // the defaults are internally consistent by construction.
-        if !config.preemption {
-            if self.swap_budget_bytes.is_some_and(|b| b > 0) {
-                return err("swap_budget_bytes set but preemption is disabled");
-            }
-            if self.max_preemptions_per_request.is_some_and(|c| c > 0) {
-                return err("max_preemptions_per_request set but preemption is disabled");
-            }
-        }
-        if !config.prefix_cache && self.prefix_retain_blocks.is_some_and(|b| b > 0) {
-            return err("prefix_retain_blocks set but prefix_cache is disabled");
-        }
-        Ok(config)
+        Err(EngineError::SchedulerConfig { reason })
     }
 }
 
@@ -811,14 +683,6 @@ impl<'m> Scheduler<'m> {
     /// steps it takes on its own.
     pub fn parallel(mut self, parallel: ParallelOptions) -> Self {
         self.pool = ThreadPool::new(parallel);
-        self
-    }
-
-    /// Uses an existing worker pool for slot-level parallelism (the
-    /// scheduler analogue of
-    /// [`EngineBuilder::pool`](crate::engine::EngineBuilder::pool)).
-    pub fn slot_pool(mut self, pool: ThreadPool) -> Self {
-        self.pool = pool;
         self
     }
 

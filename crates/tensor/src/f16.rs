@@ -151,11 +151,6 @@ pub fn quantize_slice(values: &[f32]) -> Vec<F16> {
     values.iter().map(|v| F16::from_f32(*v)).collect()
 }
 
-/// Converts a half-precision buffer back to f32.
-pub fn dequantize_slice(values: &[F16]) -> Vec<f32> {
-    values.iter().map(|v| v.to_f32()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +241,7 @@ mod tests {
     fn slice_helpers_round_trip() {
         let values = vec![0.25, -0.75, 3.0];
         let q = quantize_slice(&values);
-        assert_eq!(dequantize_slice(&q), values);
+        let back: Vec<f32> = q.iter().map(|h| h.to_f32()).collect();
+        assert_eq!(back, values);
     }
 }

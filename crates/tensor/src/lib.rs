@@ -21,7 +21,7 @@
 //!   of 32 consecutive `f32` elements into one `u32` word, plus the
 //!   XOR/popcount machinery used by the training-free predictor.
 //! * [`f16`](mod@crate::f16) and [`quant`](mod@crate::quant) — software half-precision
-//!   and per-row INT8 quantization. Both preserve sign bits exactly, which is
+//!   and block INT8 quantization. Both preserve sign bits exactly, which is
 //!   what makes the SparseInfer predictor quantization-robust (paper §IV-A).
 //! * [`rng`](mod@crate::rng) — seeded Gaussian sampling (Box–Muller) so every
 //!   experiment in the workspace is reproducible.
@@ -69,7 +69,7 @@ pub mod workspace;
 pub use f16::F16;
 pub use matrix::{Matrix, WeightRows};
 pub use pool::{ParallelOptions, ThreadPool};
-pub use quant::{BlockQuantizedMatrix, QuantizedMatrix};
+pub use quant::BlockQuantizedMatrix;
 pub use rng::Prng;
 pub use sign::SignPack;
 pub use vector::Vector;

@@ -1,157 +1,24 @@
-//! Per-row symmetric INT8 quantization.
+//! Block-symmetric INT8 quantization, llama.cpp's Q8_0 layout.
 //!
-//! A second quantization scheme (besides [`crate::f16`]) used to demonstrate
-//! the paper's claim that the sign-bit predictor is robust to the storage
-//! format: symmetric INT8 maps `w` to `round(w / scale)` with a per-row
-//! `scale = max|w| / 127`, which preserves the sign of every element (up to
-//! values that quantize to zero, which contribute nothing to the inner
-//! product anyway).
+//! The second storage format (besides [`crate::f16`]) behind the paper's
+//! claim that the sign-bit predictor is robust to quantization (§IV-A):
+//! each row is cut into [`QUANT_BLOCK`]-column blocks, and symmetric INT8
+//! maps `w` to `round(w / scale)` with `scale = max|w| / 127` over its
+//! block. That preserves the sign of every element, up to values that
+//! quantize to zero, which contribute nothing to the inner product anyway.
 
-use crate::gemv::{dot_q8, dot_q8_batch, kept_rows_by, prefetch, Rows, DOT_LANES, QUANT_BLOCK};
+use crate::gemv::{dot_q8, dot_q8_batch, kept_rows_by, prefetch, Rows, QUANT_BLOCK};
 use crate::matrix::WeightRows;
 use crate::{sign::PackedSignMatrix, Matrix};
-
-/// A matrix quantized to INT8 with one `f32` scale per row.
-///
-/// # Example
-///
-/// ```
-/// use sparseinfer_tensor::{Matrix, QuantizedMatrix};
-///
-/// let m = Matrix::from_fn(2, 4, |r, c| (r as f32 + 1.0) * (c as f32 - 1.5));
-/// let q = QuantizedMatrix::quantize(&m);
-/// let back = q.dequantize();
-/// for r in 0..2 {
-///     for c in 0..4 {
-///         assert!((back[(r, c)] - m[(r, c)]).abs() < 0.05);
-///     }
-/// }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedMatrix {
-    rows: usize,
-    cols: usize,
-    values: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl QuantizedMatrix {
-    /// Quantizes `m` row by row with symmetric scaling.
-    pub fn quantize(m: &Matrix) -> Self {
-        let rows = m.rows();
-        let cols = m.cols();
-        let mut values = Vec::with_capacity(rows * cols);
-        let mut scales = Vec::with_capacity(rows);
-        for row in m.iter_rows() {
-            let maxabs = row.iter().fold(0.0f32, |acc, v| acc.max(v.abs()));
-            let scale = if maxabs == 0.0 { 1.0 } else { maxabs / 127.0 };
-            scales.push(scale);
-            for v in row {
-                let q = (v / scale).round().clamp(-127.0, 127.0) as i8;
-                values.push(q);
-            }
-        }
-        Self {
-            rows,
-            cols,
-            values,
-            scales,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The quantized row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[i8] {
-        assert!(r < self.rows, "row {r} out of bounds");
-        &self.values[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Per-row scale factors.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// Reconstructs the full-precision approximation.
-    pub fn dequantize(&self) -> Matrix {
-        Matrix::from_fn(self.rows, self.cols, |r, c| {
-            f32::from(self.values[r * self.cols + c]) * self.scales[r]
-        })
-    }
-
-    /// Packs the sign bits of the *quantized* representation.
-    ///
-    /// This is the INT8 path of the paper's portability claim: the predictor
-    /// consumes MSBs of whatever format the weights are stored in. Elements
-    /// that quantized to exactly 0 pack as "positive"; they are products that
-    /// contribute nothing, and the Gaussian-symmetry argument is unaffected.
-    pub fn packed_signs(&self) -> PackedSignMatrix {
-        let as_f32 = Matrix::from_fn(self.rows, self.cols, |r, c| {
-            f32::from(self.values[r * self.cols + c])
-        });
-        PackedSignMatrix::pack(&as_f32)
-    }
-
-    /// Storage footprint in bytes: one `i8` per element plus one `f32` scale
-    /// per row.
-    pub fn size_bytes(&self) -> usize {
-        self.values.len() + self.scales.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Inner product of quantized row `r` with an f32 vector, dequantizing on
-    /// the fly (the way a W8A32 GEMV kernel consumes the weights).
-    ///
-    /// Uses the same eight-lane accumulate and fixed reduction tree as
-    /// [`crate::gemv::dot`] (a per-row scale is one block spanning the whole
-    /// row), replacing the original single-accumulator loop — allocation-free
-    /// and deterministic at any chunking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn row_dot(&self, r: usize, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.cols, "row_dot length mismatch");
-        let q = self.row(r);
-        let main = q.len() - q.len() % DOT_LANES;
-        let mut acc = [0.0f32; DOT_LANES];
-        let (q_main, q_tail) = q.split_at(main);
-        let (x_main, x_tail) = x.split_at(main.min(x.len()));
-        for (ca, cb) in q_main
-            .chunks_exact(DOT_LANES)
-            .zip(x_main.chunks_exact(DOT_LANES))
-        {
-            for l in 0..DOT_LANES {
-                acc[l] += f32::from(ca[l]) * cb[l];
-            }
-        }
-        for (l, (qv, xv)) in q_tail.iter().zip(x_tail).enumerate() {
-            acc[l] += f32::from(*qv) * xv;
-        }
-        let sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
-        sum * self.scales[r]
-    }
-}
 
 /// A matrix quantized to INT8 with one `f32` scale per [`QUANT_BLOCK`]
 /// columns of each row — the storage format of the fused block-dequant GEMV
 /// ([`crate::gemv::dot_q8`]).
 ///
-/// Compared to the per-row [`QuantizedMatrix`], per-block scales bound the
-/// quantization error by the local (not row-wide) magnitude, and they map
-/// one-to-one onto the fused kernel's block loop: the row is dequantized
-/// *inside* the eight-lane accumulate, never materialized as `f32`.
+/// Per-block scales bound the quantization error by the local (not
+/// row-wide) magnitude, and they map one-to-one onto the fused kernel's
+/// block loop: the row is dequantized *inside* the eight-lane accumulate,
+/// never materialized as `f32`.
 ///
 /// # Example
 ///
@@ -247,6 +114,19 @@ impl BlockQuantizedMatrix {
         })
     }
 
+    /// Packs the sign bits of the *quantized* representation.
+    ///
+    /// This is the INT8 path of the paper's portability claim: the predictor
+    /// consumes MSBs of whatever format the weights are stored in. Elements
+    /// that quantized to exactly 0 pack as "positive"; they are products that
+    /// contribute nothing, and the Gaussian-symmetry argument is unaffected.
+    pub fn packed_signs(&self) -> PackedSignMatrix {
+        let as_f32 = Matrix::from_fn(self.rows, self.cols, |r, c| {
+            f32::from(self.values[r * self.cols + c])
+        });
+        PackedSignMatrix::pack(&as_f32)
+    }
+
     /// Storage footprint in bytes: one `i8` per element plus one `f32` scale
     /// per block.
     pub fn size_bytes(&self) -> usize {
@@ -317,10 +197,10 @@ mod tests {
     #[test]
     fn round_trip_error_is_bounded_by_half_scale() {
         let m = sample_matrix();
-        let q = QuantizedMatrix::quantize(&m);
+        let q = BlockQuantizedMatrix::quantize(&m);
         let back = q.dequantize();
         for r in 0..m.rows() {
-            let tol = q.scales()[r] * 0.5 + 1e-6;
+            let tol = q.row_scales(r)[0] * 0.5 + 1e-6;
             for c in 0..m.cols() {
                 assert!(
                     (back[(r, c)] - m[(r, c)]).abs() <= tol,
@@ -335,7 +215,7 @@ mod tests {
     #[test]
     fn signs_preserved_for_non_underflowing_values() {
         let m = sample_matrix();
-        let q = QuantizedMatrix::quantize(&m);
+        let q = BlockQuantizedMatrix::quantize(&m);
         for r in 0..m.rows() {
             for (c, qv) in q.row(r).iter().enumerate() {
                 if *qv != 0 {
@@ -348,15 +228,16 @@ mod tests {
     #[test]
     fn zero_row_quantizes_without_dividing_by_zero() {
         let m = Matrix::zeros(2, 8);
-        let q = QuantizedMatrix::quantize(&m);
+        let q = BlockQuantizedMatrix::quantize(&m);
         assert!(q.row(0).iter().all(|v| *v == 0));
+        assert_eq!(q.row_scales(1), [1.0]);
         assert_eq!(q.dequantize(), m);
     }
 
     #[test]
     fn row_dot_tracks_full_precision_dot() {
         let m = sample_matrix();
-        let q = QuantizedMatrix::quantize(&m);
+        let q = BlockQuantizedMatrix::quantize(&m);
         let x: Vec<f32> = (0..32).map(|i| (i as f32 * 0.37).sin()).collect();
         for r in 0..m.rows() {
             let exact: f32 = m.row(r).iter().zip(&x).map(|(w, xi)| w * xi).sum();
@@ -370,7 +251,8 @@ mod tests {
 
     #[test]
     fn size_accounting_is_elements_plus_scales() {
-        let q = QuantizedMatrix::quantize(&Matrix::zeros(4, 16));
+        // 16 columns: one partial block, so one scale per row.
+        let q = BlockQuantizedMatrix::quantize(&Matrix::zeros(4, 16));
         assert_eq!(q.size_bytes(), 4 * 16 + 4 * 4);
     }
 
@@ -398,32 +280,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn block_scales_beat_row_scales_on_mixed_magnitude_rows() {
-        // One huge block inflates a row-wide scale and wrecks the small
-        // blocks; per-block scales keep their error local.
-        let m = Matrix::from_fn(1, 96, |_, c| {
-            if c < QUANT_BLOCK {
-                1000.0 + c as f32
-            } else {
-                ((c * 13) % 17) as f32 / 100.0
-            }
-        });
-        let per_row = QuantizedMatrix::quantize(&m).dequantize();
-        let per_block = BlockQuantizedMatrix::quantize(&m).dequantize();
-        let err = |back: &Matrix| -> f32 {
-            (QUANT_BLOCK..96)
-                .map(|c| (back[(0, c)] - m[(0, c)]).abs())
-                .sum()
-        };
-        assert!(
-            err(&per_block) < err(&per_row) / 10.0,
-            "block {} vs row {}",
-            err(&per_block),
-            err(&per_row)
-        );
     }
 
     #[test]
@@ -487,7 +343,7 @@ mod tests {
     #[test]
     fn packed_signs_match_source_signs_where_nonzero() {
         let m = sample_matrix();
-        let q = QuantizedMatrix::quantize(&m);
+        let q = BlockQuantizedMatrix::quantize(&m);
         let signs = q.packed_signs();
         for r in 0..m.rows() {
             for (c, qv) in q.row(r).iter().enumerate() {

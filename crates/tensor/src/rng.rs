@@ -114,13 +114,6 @@ impl Prng {
         mean + std_dev * self.standard_normal()
     }
 
-    /// Fills a fresh `f32` buffer with `N(mean, std_dev)` samples.
-    pub fn normal_vec(&mut self, len: usize, mean: f64, std_dev: f64) -> Vec<f32> {
-        (0..len)
-            .map(|_| self.normal(mean, std_dev) as f32)
-            .collect()
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {

@@ -77,23 +77,6 @@ impl SignPack {
         }
     }
 
-    /// Packs sign bits from raw IEEE-754 bit patterns (e.g. stored `f16` or
-    /// quantized payloads where only the MSB is consulted).
-    pub fn pack_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let mut words = Vec::new();
-        let mut len = 0usize;
-        for b in bits {
-            if len.is_multiple_of(LANES) {
-                words.push(0);
-            }
-            if b {
-                *words.last_mut().expect("just pushed") |= 1u32 << (len % LANES);
-            }
-            len += 1;
-        }
-        Self { words, len }
-    }
-
     /// Number of packed sign bits.
     pub fn len(&self) -> usize {
         self.len
@@ -102,11 +85,6 @@ impl SignPack {
     /// Whether no bits are packed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of `u32` words backing this pack.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
     }
 
     /// The packed words (bit `j` of word `i` = sign of element `i*32+j`).
@@ -289,7 +267,7 @@ mod tests {
             .map(|i| if i % 3 == 0 { -1.0 } else { 1.0 })
             .collect();
         let p = SignPack::pack(&values);
-        assert_eq!(p.word_count(), 3);
+        assert_eq!(p.words().len(), 3);
         assert_eq!(
             p.count_negative(),
             values.iter().filter(|v| **v < 0.0).count() as u32
@@ -366,15 +344,5 @@ mod tests {
         // Repacking shorter data reuses the buffer (stale words cleared).
         pack_signs_into(&values[..10], &mut words);
         assert_eq!(words, SignPack::pack(&values[..10]).words());
-    }
-
-    #[test]
-    fn pack_bits_round_trip() {
-        let bits = [true, false, true, true, false];
-        let p = SignPack::pack_bits(bits.iter().copied());
-        assert_eq!(p.len(), 5);
-        for (i, b) in bits.iter().enumerate() {
-            assert_eq!(p.bit(i), *b);
-        }
     }
 }

@@ -222,18 +222,6 @@ impl Histogram {
     }
 }
 
-/// Pearson skewness proxy `(mean - median-free) = mean / std_dev` of a slice;
-/// used to characterize the early-layer "narrow, near-zero" inputs from the
-/// paper's Fig. 2 discussion.
-pub fn standardized_mean(values: &[f32]) -> f64 {
-    let s = Summary::from_slice(values);
-    if s.std_dev() == 0.0 {
-        0.0
-    } else {
-        s.mean() / s.std_dev()
-    }
-}
-
 /// Standard normal cumulative distribution function `Φ(x)`.
 ///
 /// Uses the Abramowitz–Stegun 7.1.26 erf approximation (|error| < 1.5e-7),
@@ -392,11 +380,5 @@ mod tests {
     #[should_panic(expected = "quantile requires")]
     fn quantile_rejects_out_of_range() {
         let _ = normal_quantile(1.0);
-    }
-
-    #[test]
-    fn standardized_mean_zero_for_symmetric() {
-        assert_eq!(standardized_mean(&[1.0, -1.0, 2.0, -2.0]), 0.0);
-        assert!(standardized_mean(&[1.0, 1.0, 1.0]) == 0.0); // zero variance guard
     }
 }

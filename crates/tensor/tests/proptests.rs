@@ -8,8 +8,7 @@ use sparseinfer_tensor::gemv::{
 };
 use sparseinfer_tensor::sign::{count_negative_products, PackedSignMatrix, SignPack};
 use sparseinfer_tensor::{
-    BlockQuantizedMatrix, Matrix, ParallelOptions, Prng, QuantizedMatrix, ThreadPool, Vector,
-    WeightRows, F16,
+    BlockQuantizedMatrix, Matrix, ParallelOptions, Prng, ThreadPool, Vector, WeightRows, F16,
 };
 
 /// A value in a range representable in f16 without overflow, excluding a
@@ -70,16 +69,22 @@ fn f16_roundtrip_preserves_sign_and_bounds_error() {
 
 #[test]
 fn int8_quantization_preserves_nonunderflow_signs() {
-    for seed in 0..48u64 {
+    // Every column count 1..=39 twice: one partial block, one full block,
+    // and a full block plus a partial one.
+    for seed in 0..78u64 {
         let mut rng = Prng::seed(seed);
         let rows = 1 + rng.below(5);
-        let cols = 1 + rng.below(39);
+        let cols = 1 + seed as usize % 39;
         let m = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 1.0) as f32);
-        let q = QuantizedMatrix::quantize(&m);
+        let q = BlockQuantizedMatrix::quantize(&m);
+        let signs = q.packed_signs();
         for r in 0..rows {
             for (c, qv) in q.row(r).iter().enumerate() {
                 if *qv != 0 {
-                    assert_eq!(*qv < 0, m[(r, c)] < 0.0, "seed {seed} ({r},{c})");
+                    let negative = m[(r, c)] < 0.0;
+                    assert_eq!(*qv < 0, negative, "seed {seed} ({r},{c})");
+                    let bit = (signs.row(r)[c / 32] >> (c % 32)) & 1 == 1;
+                    assert_eq!(bit, negative, "packed sign, seed {seed} ({r},{c})");
                 }
             }
         }

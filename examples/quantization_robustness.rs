@@ -3,7 +3,8 @@
 //! the MSB is consulted; a trained predictor must be retrained per format.
 //!
 //! This example packs sign bits from all three representations of the same
-//! gate weights and shows the resulting skip masks are (near-)identical.
+//! gate weights (INT8 in the block format the int8 engine serves) and shows
+//! the resulting skip masks are (near-)identical.
 //!
 //! ```text
 //! cargo run --release --example quantization_robustness
@@ -13,7 +14,7 @@ use sparseinfer::model::{generator::WeightGenerator, ModelConfig};
 use sparseinfer::predictor::{AlphaSchedule, SignBitPredictor, SparsityPredictor};
 use sparseinfer::tensor::f16::quantize_slice;
 use sparseinfer::tensor::sign::PackedSignMatrix;
-use sparseinfer::tensor::{Matrix, Prng, QuantizedMatrix, Vector};
+use sparseinfer::tensor::{BlockQuantizedMatrix, Matrix, Prng, Vector};
 
 fn main() {
     let mut config = ModelConfig::tiny();
@@ -44,11 +45,12 @@ fn main() {
         .collect();
     let mut fp16 = SignBitPredictor::from_packed(fp16_layers, schedule.clone());
 
-    // INT8 signs: symmetric per-row quantization, pack MSBs of the int8s.
+    // INT8 signs: the int8 engine's block quantization (one scale per 32
+    // columns), pack MSBs of the int8s.
     let int8_layers: Vec<PackedSignMatrix> = model
         .layers()
         .iter()
-        .map(|l| QuantizedMatrix::quantize(l.mlp().w_gate()).packed_signs())
+        .map(|l| BlockQuantizedMatrix::quantize(l.mlp().w_gate()).packed_signs())
         .collect();
     let mut int8 = SignBitPredictor::from_packed(int8_layers, schedule);
 

@@ -263,9 +263,9 @@ fn main() {
     println!(
         "\n== two prefilling slots: each alone vs one batched step (8 x 256x688, one thread) =="
     );
-    // What a scheduler tick with two prefilling slots does: before, each
-    // slot's position through `forward_token`; now, both positions through
-    // one `prefill_step`. Reported, not asserted.
+    // What a scheduler tick with two prefilling slots does: each slot's
+    // position through a one-column step of its own, or both positions
+    // through one two-column `prefill_step`. Reported, not asserted.
     let serve_model = WeightGenerator::new(
         &ModelConfig {
             name: "serve-sim".into(),
@@ -283,14 +283,15 @@ fn main() {
     .build();
     let positions = 16usize;
     let mut scratch = PrefillScratch::new();
-    let alone = time_us("prefill_2slots_forward_token", bench_iters(10), || {
+    let alone = time_us("prefill_2slots_alone", bench_iters(10), || {
         let mut sessions = [
             serve_model.start_session_with_capacity(positions),
             serve_model.start_session_with_capacity(positions),
         ];
         for p in 0..positions {
             for (i, session) in sessions.iter_mut().enumerate() {
-                let _ = serve_model.forward_token((p * 2 + i) as u32 + 1, session);
+                let token = (p * 2 + i) as u32 + 1;
+                serve_model.prefill_step(&mut [(token, session)], &single, &mut scratch);
             }
         }
     }) / positions as f64;

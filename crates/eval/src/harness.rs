@@ -6,9 +6,10 @@
 //! [`teacher_forced_engine_matches`] scores per-position argmax agreement
 //! with dense prefill (the protocol behind the paper's Tables II/III).
 
-use sparseinfer_model::Model;
+use sparseinfer_model::{Model, PrefillScratch, PREFILL_CHUNK};
 use sparseinfer_sparse::request::{generate, GenerateRequest};
 use sparseinfer_sparse::Engine;
+use sparseinfer_tensor::ThreadPool;
 
 use crate::tasks::TaskSuite;
 
@@ -141,8 +142,9 @@ pub fn token_overlap(gold: &[u32], candidate: &[u32]) -> f64 {
 }
 
 /// Teacher-forced scoring of an [`Engine`]: the prompt is prefilled
-/// *densely* up to its last token (the paper exploits sparsity only in
-/// decode), the last prompt token and every gold token go through the
+/// *densely* up to its last token through [`Model::prefill_step`],
+/// [`PREFILL_CHUNK`] positions per step (the paper exploits sparsity only
+/// in decode), the last prompt token and every gold token go through the
 /// engine, and each position is scored by whether the engine's argmax
 /// reproduces the gold token.
 ///
@@ -165,8 +167,10 @@ pub fn teacher_forced_engine_matches(
     let mut session = engine
         .model()
         .start_session_with_capacity(prompt.len() + gold.len());
-    for t in &prompt[..prompt.len() - 1] {
-        let _ = engine.model().forward_token(*t, &mut session);
+    let (pool, mut scratch) = (ThreadPool::single(), PrefillScratch::new());
+    for chunk in prompt[..prompt.len() - 1].chunks(PREFILL_CHUNK) {
+        let batch = &mut [(chunk, &mut session)];
+        engine.model().prefill_step(batch, &pool, &mut scratch);
     }
     // One recycled logits buffer for the whole teacher-forced pass.
     let mut logits = sparseinfer_tensor::Vector::zeros(0);

@@ -15,7 +15,6 @@
 //! columns of one session attend together, up to [`attn::QUERY_GROUP`] per
 //! pass, so a key block is read once for all of them and a value row once
 //! for every two; every column still gets the bits it would get alone.
-//! [`Attention::forward`] is the one-column wrapper over a lone cache.
 //! The rotary angles are computed once per position — `head_dim / 2`
 //! `(sin, cos)` pairs — and applied to every head of `q` and `k`, not once
 //! per pair per head.
@@ -32,7 +31,7 @@ use std::borrow::BorrowMut;
 use std::ops::Range;
 
 use sparseinfer_tensor::gemv::{gemm_rows_into, Rows, MIN_MACS_PER_WORKER};
-use sparseinfer_tensor::{attn, Matrix, ThreadPool, Vector};
+use sparseinfer_tensor::{attn, Matrix, ThreadPool};
 
 use crate::kv::{KvDtype, PagedKvCache};
 use crate::model::DecodeSession;
@@ -114,20 +113,6 @@ impl Attention {
                 pair[1] = a * sin + b * cos;
             }
         }
-    }
-
-    /// Processes one token at `position`, reading and extending `cache`,
-    /// and returns the attention output (before the residual connection):
-    /// the one-column step on a throwaway scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.hidden_dim()`.
-    pub fn forward(&self, x: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
-        let mut scratch = PrefillScratch::new();
-        scratch.x.copy_from(x.as_slice());
-        self.forward_column(position, cache, &ThreadPool::single(), &mut scratch);
-        scratch.x
     }
 
     /// The one-column [`step`](Self::step) at `position` over a lone
@@ -377,7 +362,7 @@ fn exp_scores(scores: &mut [f32]) -> f32 {
 pub(crate) mod tests {
     use super::*;
     use crate::kv::KvBlockPool;
-    use sparseinfer_tensor::{gemv::gemv, Prng};
+    use sparseinfer_tensor::{gemv::gemv, Prng, Vector};
 
     fn random_attention(seed: u64, d: usize, heads: usize) -> Attention {
         let mut rng = Prng::seed(seed);
@@ -385,7 +370,7 @@ pub(crate) mod tests {
         Attention::new(m(), m(), m(), m(), heads)
     }
 
-    /// [`Attention::forward`] as it was before the head kernels: the same
+    /// The one-column attention as it was before the head kernels: the same
     /// projections, RoPE and push, then the scalar loop that looked every
     /// position of every head up through the cache — what the run-walking,
     /// vectorised path must reproduce bit for bit.
@@ -445,6 +430,15 @@ pub(crate) mod tests {
         gemv(&attn.w_o, &out)
     }
 
+    /// [`Attention::forward_column`] at `position` on one thread and a
+    /// fresh scratch: `x` in, the output projection out.
+    fn forward(attn: &Attention, x: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
+        let mut scratch = PrefillScratch::new();
+        scratch.x.copy_from(x.as_slice());
+        attn.forward_column(position, cache, &ThreadPool::single(), &mut scratch);
+        scratch.x
+    }
+
     /// A cache over `pool` — or, without one, a single block with room for
     /// one more position — holding `context` synthetic positions.
     pub(crate) fn filled_cache(
@@ -490,7 +484,7 @@ pub(crate) mod tests {
                 for pool in &layouts {
                     let mut cache = filled_cache(pool.as_ref(), d, context - 1);
                     let mut scalar_cache = cache.clone();
-                    let got = attn.forward(&x, context - 1, &mut cache);
+                    let got = forward(&attn, &x, context - 1, &mut cache);
                     let want = forward_scalar(&attn, &x, context - 1, &mut scalar_cache);
                     let block = pool.as_ref().map_or(context, KvBlockPool::block_tokens);
                     assert_eq!(cache.blocks_held(), context.div_ceil(block));
@@ -533,8 +527,8 @@ pub(crate) mod tests {
         let mut paged = PagedKvCache::new(&pool);
         for pos in 0..10 {
             let x = Vector::from_fn(16, |i| ((i * 5 + pos * 2) as f32 * 0.17).sin());
-            let a = attn.forward(&x, pos, &mut contiguous);
-            let b = attn.forward(&x, pos, &mut paged);
+            let a = forward(&attn, &x, pos, &mut contiguous);
+            let b = forward(&attn, &x, pos, &mut paged);
             assert_eq!(a, b, "position {pos}");
         }
         assert_eq!(contiguous.blocks_held(), 1);
@@ -549,7 +543,7 @@ pub(crate) mod tests {
         let attn = random_attention(1, 16, 2);
         let mut cache = PagedKvCache::with_capacity(16, 1);
         let x = Vector::from_fn(16, |i| (i as f32 * 0.7).sin());
-        let out = attn.forward(&x, 0, &mut cache);
+        let out = forward(&attn, &x, 0, &mut cache);
         assert_eq!(out.len(), 16);
         assert_eq!(cache.len(), 1);
         // With one position, softmax weight is exactly 1 → out = W_o · v.
@@ -567,7 +561,7 @@ pub(crate) mod tests {
         let mut cache = PagedKvCache::new(&pool);
         for pos in 0..5 {
             let x = Vector::from_fn(16, |i| ((i + pos) as f32).cos());
-            let _ = attn.forward(&x, pos, &mut cache);
+            let _ = forward(&attn, &x, pos, &mut cache);
         }
         assert_eq!(cache.len(), 5);
         assert_eq!(pool.blocks_in_use(), 3, "blocks taken as the context grew");
@@ -585,12 +579,12 @@ pub(crate) mod tests {
         let x1 = Vector::from_fn(16, |i| (i as f32 * 0.9).cos());
 
         let mut c1 = PagedKvCache::with_capacity(16, 2);
-        let _ = attn.forward(&x0, 0, &mut c1);
-        let near = attn.forward(&x1, 1, &mut c1);
+        let _ = forward(&attn, &x0, 0, &mut c1);
+        let near = forward(&attn, &x1, 1, &mut c1);
 
         let mut c2 = PagedKvCache::with_capacity(16, 2);
-        let _ = attn.forward(&x0, 0, &mut c2);
-        let far = attn.forward(&x1, 9, &mut c2);
+        let _ = forward(&attn, &x0, 0, &mut c2);
+        let far = forward(&attn, &x1, 9, &mut c2);
 
         let diff: f32 = near
             .iter()
@@ -657,7 +651,7 @@ pub(crate) mod tests {
         let pool = ThreadPool::new(sparseinfer_tensor::ParallelOptions::threads(2));
         for pos in 0..6 {
             let x = Vector::from_fn(16, |i| ((i + pos * 3) as f32 * 0.21).sin());
-            let plain = attn.forward(&x, pos, &mut c1);
+            let plain = forward(&attn, &x, pos, &mut c1);
             scratch.x.copy_from(x.as_slice());
             attn.forward_column(pos, &mut c2, &pool, &mut scratch);
             assert_eq!(plain, scratch.x, "position {pos}");
@@ -682,9 +676,9 @@ pub(crate) mod tests {
         let mut max_rel = 0.0f32;
         for pos in 0..10 {
             let x = Vector::from_fn(16, |i| ((i * 5 + pos * 2) as f32 * 0.17).sin());
-            let a = attn.forward(&x, pos, &mut half_a);
-            let b = attn.forward(&x, pos, &mut half_b);
-            let f = attn.forward(&x, pos, &mut full);
+            let a = forward(&attn, &x, pos, &mut half_a);
+            let b = forward(&attn, &x, pos, &mut half_b);
+            let f = forward(&attn, &x, pos, &mut full);
             assert_eq!(a, b, "position {pos}: layout must not matter");
             let norm: f32 = f.iter().map(|v| v.abs()).sum::<f32>() + 1e-6;
             let diff: f32 = a.iter().zip(f.iter()).map(|(p, q)| (p - q).abs()).sum();
@@ -705,7 +699,7 @@ pub(crate) mod tests {
         let mut cache = PagedKvCache::new(&pool);
         for pos in 0..64 {
             let x = Vector::from_fn(32, |i| ((i * 7 + pos * 3) as f32 * 0.13).sin());
-            let out = attn.forward(&x, pos, &mut cache);
+            let out = forward(&attn, &x, pos, &mut cache);
             assert!(out.iter().all(|v| v.is_finite()), "position {pos}");
         }
     }

@@ -1,13 +1,11 @@
 //! One decoder layer: norm → attention → residual, norm → MLP → residual.
 //!
-//! [`DecoderLayer::forward`] is the dense reference for one position of one
-//! session. The layer's share of a forward step
-//! ([`Model::step`](crate::Model::step)) runs the same sequence for every
-//! column of the step — one position of one session — with one pass over
-//! each weight matrix, each column's MLP under its own row filter and each
-//! column's residual row bitwise what `forward` makes of it under that
-//! filter. [`attention_half_ws`](DecoderLayer::attention_half_ws) is the
-//! step's attention half at one column over a lone cache.
+//! The layer runs inside a forward step ([`Model::step`](crate::Model::step)):
+//! the same sequence for every column of the step — one position of one
+//! session — with one pass over each weight matrix and each column's MLP
+//! under its own row filter.
+//! [`attention_half_ws`](DecoderLayer::attention_half_ws) is the step's
+//! attention half at one column over a lone cache.
 
 use std::borrow::BorrowMut;
 
@@ -96,9 +94,8 @@ impl DecoderLayer {
     /// This layer's share of one forward step (see
     /// [`Model::step`](crate::Model::step)): advances every column's
     /// residual row in `scratch.h` through norm → attention → residual →
-    /// norm → `hook`'s MLP → residual, each row bitwise what
-    /// [`forward`](Self::forward) makes of it when the hook keeps every
-    /// row. `li` is this layer's index, selecting each session's KV cache.
+    /// norm → `hook`'s MLP → residual. `li` is this layer's index,
+    /// selecting each session's KV cache.
     pub(crate) fn step<T, S, H>(
         &self,
         li: usize,
@@ -117,18 +114,6 @@ impl DecoderLayer {
         norm_rows(&self.mlp_norm, scratch);
         hook.mlp(li, &self.mlp, scratch.x.as_slice(), pool, &mut scratch.mlp);
         scratch.h.add_assign(&scratch.mlp.out);
-    }
-
-    /// Dense forward pass through the full layer — the reference the step
-    /// reproduces.
-    pub fn forward(&self, h: &Vector, position: usize, cache: &mut PagedKvCache) -> Vector {
-        let pool = ThreadPool::single();
-        let mid = self.attention_half_ws(h, position, cache, &pool, &mut Workspace::new());
-        let x = self.mlp_norm.forward(&mid);
-        let mlp_out = self.mlp.forward(&x);
-        let mut out = mid;
-        out.add_assign(&mlp_out);
-        out
     }
 }
 
@@ -157,13 +142,35 @@ mod tests {
         DecoderLayer::new(RmsNorm::unit(d), attn, RmsNorm::unit(d), mlp)
     }
 
+    /// One column of [`DecoderLayer::step`] at `position`, its `cache`
+    /// lent to a one-layer session: the residual row out.
+    fn step_column(
+        l: &DecoderLayer,
+        h: &Vector,
+        position: usize,
+        cache: &mut PagedKvCache,
+    ) -> Vector {
+        let mut scratch = PrefillScratch::new();
+        scratch.h.copy_from(h.as_slice());
+        scratch.rope.resize(l.attn.head_dim(), 0.0);
+        Attention::rope_table(position, scratch.rope.as_mut_slice());
+        let caches = vec![std::mem::replace(cache, PagedKvCache::new(cache.pool()))];
+        let mut session = DecodeSession { caches, position };
+        let pool = ThreadPool::single();
+        l.step(0, &mut [(0u32, &mut session)], &mut (), &pool, &mut scratch);
+        *cache = session.caches.pop().expect("the lone cache");
+        scratch.h
+    }
+
     #[test]
     fn forward_is_attention_half_plus_mlp() {
+        // The step's column is bitwise the attention half, then the MLP
+        // norm and the `f32` reference MLP added to it.
         let l = layer(1, 16, 48);
         let h = Vector::from_fn(16, |i| (i as f32 * 0.31).sin());
 
         let mut c1 = PagedKvCache::with_capacity(16, 1);
-        let full = l.forward(&h, 0, &mut c1);
+        let full = step_column(&l, &h, 0, &mut c1);
 
         let mut c2 = PagedKvCache::with_capacity(16, 1);
         let (pool, mut ws) = (ThreadPool::single(), Workspace::new());
@@ -172,9 +179,8 @@ mod tests {
         let mut manual = mid.clone();
         manual.add_assign(&l.mlp().forward(&x));
 
-        for (a, b) in full.iter().zip(manual.iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        let bits = |v: &Vector| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&full), bits(&manual));
     }
 
     #[test]
@@ -208,7 +214,7 @@ mod tests {
         let l = layer(2, 16, 48);
         let h = Vector::from_fn(16, |i| i as f32);
         let mut cache = PagedKvCache::with_capacity(16, 1);
-        let out = l.forward(&h, 0, &mut cache);
+        let out = step_column(&l, &h, 0, &mut cache);
         // Residual stream must correlate with the input, not replace it.
         let dot = out.dot(&h).unwrap();
         assert!(dot > 0.0);

@@ -7,11 +7,11 @@
 //! row), and `W_down` is stored transposed (`k×d` as well) at load time so
 //! output sparsity skips rows (§IV-B4).
 //!
-//! [`GatedMlp::forward`] is the dense reference. [`gated_mlp_into`] is the
-//! one executor every forward step runs, over any weight storage
-//! ([`MlpWeights`]) and at any number of inputs, each under its own skip
-//! words: prefill keeps every row, a sparse engine's decode and verify
-//! columns keep their predicted ones.
+//! [`gated_mlp_into`] is the one executor every forward step runs, over any
+//! weight storage ([`MlpWeights`]) and at any number of inputs, each under
+//! its own skip words: prefill keeps every row, a sparse engine's decode and
+//! verify columns keep their predicted ones. [`GatedMlp::forward`] is the
+//! one-input `f32` form the executor's tests compare against.
 
 use sparseinfer_tensor::gemv::{
     gemm_rows_into, gemm_transposed_rows_into, gemv, gemv_transposed, Rows,
@@ -260,23 +260,18 @@ impl GatedMlp {
         gemv(&self.w_gate, x)
     }
 
-    /// Dense reference forward pass (steps 1–4 of §III).
+    /// Dense reference forward pass (steps 1–4 of §III), one input, every
+    /// row kept.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.hidden_dim()`.
     pub fn forward(&self, x: &Vector) -> Vector {
-        self.forward_with_gate(x).0
-    }
-
-    /// Forward pass that also returns the intermediate `h1` (post-activation
-    /// gate values), used by trace capture and the oracle predictor.
-    pub fn forward_with_gate(&self, x: &Vector) -> (Vector, Vector) {
         let mut h1 = gemv(&self.w_gate, x); // step 1: gate computation
         self.activation.apply_slice(h1.as_mut_slice());
         let h2 = gemv(&self.w_up, x); // step 2: input processing
         let h3 = h1.hadamard(&h2).expect("h1/h2 same length"); // step 3
-        (gemv_transposed(&self.w_down_t, &h3), h1) // step 4: output generation
+        gemv_transposed(&self.w_down_t, &h3) // step 4: output generation
     }
 }
 
@@ -315,7 +310,8 @@ mod tests {
         let mlp = random_mlp(3, 64, 32, Activation::Relu);
         let mut rng = Prng::seed(4);
         let x = Vector::from_fn(32, |_| rng.normal(0.0, 1.0) as f32);
-        let (_, h1) = mlp.forward_with_gate(&x);
+        let mut h1 = mlp.gate_preactivations(&x);
+        Activation::Relu.apply_slice(h1.as_mut_slice());
         // Zero-mean random weights give ~50% sparsity.
         let s = h1.sparsity();
         assert!(s > 0.25 && s < 0.75, "sparsity {s}");
@@ -326,7 +322,8 @@ mod tests {
         let mlp = random_mlp(5, 64, 32, Activation::Silu);
         let mut rng = Prng::seed(6);
         let x = Vector::from_fn(32, |_| rng.normal(0.0, 1.0) as f32);
-        let (_, h1) = mlp.forward_with_gate(&x);
+        let mut h1 = mlp.gate_preactivations(&x);
+        Activation::Silu.apply_slice(h1.as_mut_slice());
         assert!(h1.sparsity() < 0.05);
     }
 

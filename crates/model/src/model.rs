@@ -7,12 +7,14 @@
 //! that want them, everything out of a recycled [`PrefillScratch`].
 //! Each session's KV and logits are bitwise what the column would get in
 //! a step of its own. [`Model::prefill_step`] is the call with every row
-//! kept and no logits. [`Model::forward_token`] is the allocating dense
-//! reference the step reproduces: one position of one session, logits out.
+//! kept and no logits; [`Model::forward_token`] the allocating one-column
+//! call with every row kept and the logits out. `tests/reference_decoder.rs`
+//! checks the step against a plain `f64` decoder that shares none of its
+//! code.
 
 use std::borrow::BorrowMut;
 
-use sparseinfer_tensor::gemv::{gemm_rows_into, gemv, Rows};
+use sparseinfer_tensor::gemv::{gemm_rows_into, Rows};
 use sparseinfer_tensor::{Matrix, ThreadPool, Vector};
 
 use crate::attention::Attention;
@@ -162,26 +164,33 @@ impl Model {
         }
     }
 
-    /// Dense forward pass of one token through all layers — the reference
-    /// [`step`](Self::step) reproduces; advances the session and returns
-    /// the logits.
+    /// One dense position of one session: a one-column
+    /// [`step`](Self::step) keeping every row, on one thread and a fresh
+    /// scratch. Advances the session and returns the logits.
     ///
     /// # Panics
     ///
     /// Panics if the session's cache count does not match this model, or
     /// if `token as usize >= vocab_size`.
     pub fn forward_token(&self, token: u32, session: &mut DecodeSession) -> Vector {
-        assert_eq!(
-            session.caches.len(),
-            self.layers.len(),
-            "session/model mismatch"
-        );
-        let mut h = Vector::from_vec(self.embedding.row(token as usize).to_vec());
-        for (layer, cache) in self.layers.iter().zip(session.caches.iter_mut()) {
-            h = layer.forward(&h, session.position, cache);
-        }
-        session.position += 1;
-        gemv(&self.lm_head, &self.final_norm.forward(&h))
+        self.step_column(token, session, &mut ())
+    }
+
+    /// One position of one session through [`step`](Self::step) with
+    /// `hook` as its MLP stage, on one thread and a fresh scratch: the
+    /// logits out.
+    pub(crate) fn step_column<H: MlpHook>(
+        &self,
+        token: u32,
+        session: &mut DecodeSession,
+        hook: &mut H,
+    ) -> Vector {
+        let (pool, mut scratch) = (ThreadPool::single(), PrefillScratch::new());
+        let mut logits = [Vector::zeros(0)];
+        let batch = &mut [(token, session)];
+        self.step(batch, hook, |_| true, &mut logits, &pool, &mut scratch);
+        let [logits] = logits;
+        logits
     }
 
     /// One forward step for a batch of sessions of this model: feeds each
@@ -200,8 +209,7 @@ impl Model {
     /// pass over them.
     ///
     /// Every column's KV and logits are bitwise those of its position fed
-    /// alone, at any thread count; with every row kept, what
-    /// [`forward_token`](Self::forward_token) produces. Everything comes out
+    /// alone, at any thread count. Everything comes out
     /// of `scratch`, so a step at a column count and context the scratch
     /// has seen allocates nothing (KV growth aside). `S` is
     /// `&mut DecodeSession` or an owned `DecodeSession`, which lets a
@@ -293,23 +301,40 @@ impl Model {
         self.step(batch, &mut (), |_| false, &mut [], pool, scratch);
     }
 
-    /// Runs a whole prompt densely, returning the logits after the last
-    /// prompt token (the paper exploits sparsity only in decode, not
-    /// prefill, so prefill is always dense).
-    pub fn prefill(&self, prompt: &[u32]) -> Vector {
-        let mut session = self.start_session();
-        self.prefill_session(prompt, &mut session)
-    }
-
-    /// Prefill into an existing session: every prompt token but the last
-    /// through [`prefill_step`](Self::prefill_step), [`PREFILL_CHUNK`]
-    /// positions per step, the last through
-    /// [`forward_token`](Self::forward_token) for its logits.
+    /// Runs a whole prompt densely — every token but the last through
+    /// [`prefill_step`](Self::prefill_step), [`PREFILL_CHUNK`] positions per
+    /// step — and returns the logits after the last one (the paper exploits
+    /// sparsity only in decode, not prefill, so prefill is always dense).
     ///
     /// # Panics
     ///
     /// Panics if `prompt` is empty.
-    pub fn prefill_session(&self, prompt: &[u32], session: &mut DecodeSession) -> Vector {
+    pub fn prefill(&self, prompt: &[u32]) -> Vector {
+        self.prefill_into(prompt, &mut self.start_session())
+    }
+
+    /// Greedy decode: prefill `prompt`, then generate until EOS/`max_new`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prompt` is empty.
+    pub fn generate_greedy(&self, prompt: &[u32], max_new: usize, eos: u32) -> Vec<u32> {
+        let mut session = self.start_session();
+        let mut logits = self.prefill_into(prompt, &mut session);
+        let mut out = Vec::new();
+        for _ in 0..max_new {
+            let next = logits.argmax().expect("nonzero vocab") as u32;
+            if next == eos {
+                break;
+            }
+            out.push(next);
+            logits = self.forward_token(next, &mut session);
+        }
+        out
+    }
+
+    /// [`prefill`](Self::prefill) into `session`.
+    fn prefill_into(&self, prompt: &[u32], session: &mut DecodeSession) -> Vector {
         let (last, head) = prompt
             .split_last()
             .expect("prefill requires at least one token");
@@ -322,45 +347,6 @@ impl Model {
             );
         }
         self.forward_token(*last, session)
-    }
-
-    /// Greedy decode: prefill `prompt`, then generate until EOS/`max_new`.
-    pub fn generate_greedy(&self, prompt: &[u32], max_new: usize, eos: u32) -> Vec<u32> {
-        self.generate_with(
-            prompt,
-            max_new,
-            eos,
-            &mut crate::sampling::Sampler::greedy(),
-        )
-    }
-
-    /// Sampled decode: prefill `prompt`, then draw up to `max_new` tokens
-    /// from `sampler`, stopping early at `eos`. The sampler is advanced in
-    /// place so a caller can continue its stream across calls; clone it for
-    /// a replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty.
-    pub fn generate_with(
-        &self,
-        prompt: &[u32],
-        max_new: usize,
-        eos: u32,
-        sampler: &mut crate::sampling::Sampler,
-    ) -> Vec<u32> {
-        let mut session = self.start_session();
-        let mut logits = self.prefill_session(prompt, &mut session);
-        let mut out = Vec::new();
-        for _ in 0..max_new {
-            let next = sampler.sample(&logits).expect("nonzero vocab") as u32;
-            if next == eos {
-                break;
-            }
-            out.push(next);
-            logits = self.forward_token(next, &mut session);
-        }
-        out
     }
 }
 
@@ -441,12 +427,10 @@ mod tests {
     fn session_reset_reproduces_fresh_run() {
         let m = tiny_model(4);
         let mut s = m.start_session();
-        let first = m.prefill_session(&[5, 6, 7], &mut s);
+        let first: Vec<Vector> = [5, 6, 7].map(|t| m.forward_token(t, &mut s)).into();
         s.reset();
-        let second = m.prefill_session(&[5, 6, 7], &mut s);
-        for (a, b) in first.iter().zip(second.iter()) {
-            assert_eq!(a, b);
-        }
+        let second: Vec<Vector> = [5, 6, 7].map(|t| m.forward_token(t, &mut s)).into();
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -74,25 +74,13 @@ impl RmsNorm {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn forward(&self, x: &Vector) -> Vector {
-        let mut out = Vector::zeros(0);
-        self.forward_into(x, &mut out);
+        let mut out = Vector::zeros(x.len());
+        self.forward_slice(x.as_slice(), out.as_mut_slice());
         out
     }
 
-    /// Applies the normalization into a caller-provided buffer (resized to
-    /// `self.dim()`; no allocation once its capacity suffices). Numerically
-    /// identical to [`forward`](Self::forward), which wraps this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn forward_into(&self, x: &Vector, out: &mut Vector) {
-        out.resize(x.len(), 0.0);
-        self.forward_slice(x.as_slice(), out.as_mut_slice());
-    }
-
     /// Applies the normalization from one slice into another — the one
-    /// implementation; every other entry point wraps it.
+    /// implementation; [`forward`](Self::forward) wraps it.
     ///
     /// # Panics
     ///

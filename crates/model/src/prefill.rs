@@ -17,7 +17,7 @@ use sparseinfer_tensor::{ThreadPool, Vector};
 use crate::mlp::{gated_mlp_into, GatedMlp, MlpBuffers};
 
 /// Prompt positions a session absorbs per prefill step when nothing waits
-/// on the step (see [`Model::prefill_session`](crate::Model::prefill_session)
+/// on the step (see [`Model::prefill`](crate::Model::prefill)
 /// and the scheduler's cadence rule): one full column group of the GEMM
 /// kernels, so a lone session's weight pass is as dense as four slots'.
 pub const PREFILL_CHUNK: usize = sparseinfer_tensor::gemv::COLUMN_GROUP;

@@ -10,7 +10,7 @@ use sparseinfer_tensor::{ThreadPool, Vector};
 
 use crate::mlp::{gated_mlp_into, GatedMlp, MlpBuffers};
 use crate::model::{DecodeSession, Model};
-use crate::prefill::{MlpHook, PrefillScratch};
+use crate::prefill::MlpHook;
 
 /// One layer's capture for one token: the MLP input and the gate
 /// pre-activations.
@@ -70,18 +70,7 @@ impl MlpTrace {
         token: u32,
         session: &mut DecodeSession,
     ) -> Vector {
-        let (pool, mut scratch) = (ThreadPool::single(), PrefillScratch::new());
-        let mut logits = [Vector::zeros(0)];
-        model.step(
-            &mut [(token, session)],
-            self,
-            |_| true,
-            &mut logits,
-            &pool,
-            &mut scratch,
-        );
-        let [logits] = logits;
-        logits
+        model.step_column(token, session, self)
     }
 
     /// All samples.

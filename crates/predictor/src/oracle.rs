@@ -95,7 +95,9 @@ mod tests {
         for layer in 0..cfg.n_layers {
             let x = Vector::from_fn(cfg.hidden_dim, |_| rng.normal(0.3, 1.0) as f32);
             let mask = oracle.predict(layer, &x);
-            let (_, h1) = model.layers()[layer].mlp().forward_with_gate(&x);
+            let mlp = model.layers()[layer].mlp();
+            let mut h1 = mlp.gate_preactivations(&x);
+            mlp.activation().apply_slice(h1.as_mut_slice());
             for r in 0..cfg.mlp_dim {
                 assert_eq!(mask.is_skipped(r), h1[r] == 0.0, "layer {layer} row {r}");
             }
@@ -113,7 +115,9 @@ mod tests {
         let mut rng = Prng::seed(14);
         let x = Vector::from_fn(cfg.hidden_dim, |_| rng.normal(0.3, 1.0) as f32);
         let mask = oracle.predict(0, &x);
-        let (_, h1) = model.layers()[0].mlp().forward_with_gate(&x);
+        let mlp = model.layers()[0].mlp();
+        let mut h1 = mlp.gate_preactivations(&x);
+        mlp.activation().apply_slice(h1.as_mut_slice());
         for r in 0..cfg.mlp_dim {
             assert_eq!(mask.is_skipped(r), h1[r] == 0.0, "row {r}");
         }

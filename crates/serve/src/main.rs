@@ -241,10 +241,6 @@ fn server_config(args: &Args) -> ServerConfig {
         kv_dtype: args.kv,
         ..SchedulerConfig::default()
     };
-    if let Err(e) = scheduler.validate() {
-        eprintln!("invalid scheduler flags: {e}");
-        std::process::exit(2);
-    }
     ServerConfig {
         addr: args.addr.clone(),
         scheduler,

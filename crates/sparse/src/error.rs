@@ -49,14 +49,6 @@ pub enum EngineError {
         /// What disagreed.
         reason: &'static str,
     },
-    /// A [`SchedulerConfig`](crate::scheduler::SchedulerConfig) failed
-    /// [`validate`](crate::scheduler::SchedulerConfig::validate): a zero
-    /// capacity knob. Surfaced as data so a serving frontend can reject a
-    /// bad flag with a message instead of panicking at construction.
-    SchedulerConfig {
-        /// What was wrong with the configuration.
-        reason: &'static str,
-    },
     /// The engine's model uses a different KV dimension than the models
     /// already submitted to this scheduler. One scheduler pages every
     /// session out of one fixed-block-size [`KvBlockPool`](sparseinfer_model::kv::KvBlockPool),
@@ -105,9 +97,6 @@ impl std::fmt::Display for EngineError {
                     f,
                     "shared quantized weights do not fit this model: {reason}"
                 )
-            }
-            EngineError::SchedulerConfig { reason } => {
-                write!(f, "invalid scheduler configuration: {reason}")
             }
             EngineError::KvDimensionMismatch {
                 scheduler_dim,

@@ -322,34 +322,6 @@ impl SchedulerConfig {
             kv_dtype: KvDtype::F32,
         }
     }
-
-    /// Checks the capacity knobs a frontend takes from its user, so a bad
-    /// flag is reported as data instead of a panic in [`Scheduler::new`].
-    ///
-    /// ```
-    /// use sparseinfer_sparse::scheduler::SchedulerConfig;
-    ///
-    /// let config = SchedulerConfig { max_slots: 4, ..SchedulerConfig::default() };
-    /// assert!(config.validate().is_ok());
-    /// assert!(SchedulerConfig { block_tokens: 0, ..config }.validate().is_err());
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::SchedulerConfig`] when `max_slots`, `block_tokens`
-    /// or `kv_block_budget` is zero.
-    pub fn validate(&self) -> Result<(), EngineError> {
-        let reason = if self.max_slots == 0 {
-            "max_slots must be positive"
-        } else if self.block_tokens == 0 {
-            "block_tokens must be positive"
-        } else if self.kv_block_budget == 0 {
-            "kv_block_budget must be positive"
-        } else {
-            return Ok(());
-        };
-        Err(EngineError::SchedulerConfig { reason })
-    }
 }
 
 /// Out-of-band stop signals a [`RequestHandle`] can raise, in the shared

@@ -32,32 +32,6 @@ fn empty_scheduler_runs_to_nothing() {
 }
 
 #[test]
-fn validate_rejects_each_zero_capacity_knob() {
-    assert_eq!(SchedulerConfig::default().validate(), Ok(()));
-    assert_eq!(SchedulerConfig::unbounded().validate(), Ok(()));
-    let zeroed = [
-        SchedulerConfig {
-            max_slots: 0,
-            ..SchedulerConfig::default()
-        },
-        SchedulerConfig {
-            block_tokens: 0,
-            ..SchedulerConfig::default()
-        },
-        SchedulerConfig {
-            kv_block_budget: 0,
-            ..SchedulerConfig::default()
-        },
-    ];
-    for config in zeroed {
-        assert!(
-            matches!(config.validate(), Err(EngineError::SchedulerConfig { .. })),
-            "{config:?}"
-        );
-    }
-}
-
-#[test]
 fn submit_rejects_empty_prompts() {
     let m = model();
     let mut s = Scheduler::new(SchedulerConfig::default());

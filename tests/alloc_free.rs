@@ -289,8 +289,9 @@ fn fanned_out_decode_is_allocation_free() {
 
 fn batched_prefill_step_is_allocation_free() {
     // The batched step takes everything from its scratch: after one
-    // warm-up step at this batch size it allocates nothing (the reference
-    // `forward_token` allocates ~100 vectors per position).
+    // warm-up step at this batch size it allocates nothing (`forward_token`,
+    // the same step on a fresh scratch, allocates that scratch every
+    // position).
     let model = test_model();
     for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(ParallelOptions::threads(threads));

@@ -192,7 +192,9 @@ fn logit_bits_and_op_counts_match_the_committed_constants() {
 // ---------------------------------------------------------------------
 // Prefill goldens: KV contents after a dense prefill, and the logits of
 // the engine steps that follow, produced at the commit before prefill was
-// batched across sessions (one `Model::forward_token` per position).
+// batched across sessions, one position at a time through the layer-by-layer
+// forward pass `Model::forward_token` ran then (it is a one-column
+// `Model::step` now).
 // ---------------------------------------------------------------------
 
 use sparseinfer::model::kv::KvBlockPool;
@@ -335,7 +337,7 @@ fn prefill_golden_of(model: &Model, session: &mut DecodeSession) -> PrefillGolde
 
 #[test]
 fn forward_token_prefill_matches_the_committed_constants() {
-    // The allocating reference the benchmark pins: one position at a time.
+    // The one-column step the benchmark pins, one position at a time.
     let model = golden_model();
     let mut mismatches = Vec::new();
     for layout in KvLayout::ALL {

@@ -260,6 +260,23 @@ fn main() {
         }
     }
 
+    println!("\n== the AVX2 tile vs the 512-bit body, B columns per pass (24 x 688x256) ==");
+    // The four-row tile's two bodies over the same rows, walked as
+    // `gemm_rows_into` walks them (four quarters of a matrix in step), at
+    // the column counts a prefill step feeds them; time per matrix and
+    // position, medians of alternating rounds. Outputs asserted bit-equal
+    // to each other and to `gemm_rows_into`'s; in a full run the 512-bit
+    // body takes at most 0.85x the AVX2 tile's time at 8 columns.
+    match wide_body_rows(&stack, &columns, bench_iters(10)) {
+        Some(ratio) => floors.check(ratio <= 0.85, || {
+            format!(
+                "the 512-bit body takes {ratio:.2}x the AVX2 tile's time at 8 columns \
+                 (expected <= 0.85x): two chains per zmm no longer pay"
+            )
+        }),
+        None => println!("  skipped: this CPU or build has no AVX-512F body"),
+    }
+
     println!(
         "\n== two prefilling slots: each alone vs one batched step (8 x 256x688, one thread) =="
     );
@@ -490,6 +507,94 @@ fn one_column_rows(shape: &str, matrices: &[Matrix], x: &Vector, iters: usize) -
     let ratio = t_tile / t_rows;
     println!("  -> {shape}: the tile takes {ratio:.2}x the per-row loop's time");
     ratio
+}
+
+/// The tile module of the library, compiled into this bench so both of its
+/// bodies can be timed side by side on the same data without widening the
+/// library's API; `use super::…` inside it resolves to these imports.
+#[cfg(target_feature = "avx2")]
+#[allow(dead_code)]
+#[path = "../../tensor/src/gemv/avx2.rs"]
+mod avx2;
+#[cfg(target_feature = "avx2")]
+use sparseinfer::tensor::gemv::{COLUMN_GROUP, DOT_LANES};
+
+/// Per column count, every matrix's rows four at a time through the AVX2
+/// tile and through the 512-bit body; asserts the outputs bit-equal (to
+/// each other and to `gemm_rows_into`) and returns the 512-bit body's time
+/// over the AVX2 tile's at 8 columns, or `None` where that body cannot run.
+#[cfg(target_feature = "avx2")]
+fn wide_body_rows(matrices: &[Matrix], columns: &[f32], rounds: usize) -> Option<f64> {
+    if !std::arch::is_x86_feature_detected!("avx512f") {
+        return None;
+    }
+    let single = ThreadPool::single();
+    let mut ratio = None;
+    for batch in [8usize, 4, 3] {
+        let xs = &columns[..batch * 256];
+        let fresh = || vec![vec![0.0f32; 688 * batch]; matrices.len()];
+        let mut outs = [fresh(), fresh()];
+        // The `i`-th row of each quarter of a matrix together, as
+        // `gemm_rows_into` walks a worker's rows.
+        let pass = |wide: bool, outs: &mut [Vec<f32>]| {
+            for (w, out) in matrices.iter().zip(outs.iter_mut()) {
+                let part = w.rows() / 4;
+                for i in 0..part {
+                    let rows = [0, 1, 2, 3].map(|p| p * part + i);
+                    let spans = rows.map(|r| r * batch..(r + 1) * batch);
+                    let mut out = out.get_disjoint_mut(spans).expect("four distinct rows");
+                    let rows = rows.map(|r| w.row(r));
+                    match wide {
+                        true => assert_eq!(avx2::wide_tiles(rows, xs, &mut out), batch),
+                        false => avx2::narrow_tiles(rows, xs, &mut out, 0),
+                    }
+                }
+            }
+        };
+        let mut times = [Vec::new(), Vec::new()];
+        for _ in 0..rounds.max(1) {
+            for (body, (times, outs)) in times.iter_mut().zip(outs.iter_mut()).enumerate() {
+                let start = std::time::Instant::now();
+                pass(body == 1, outs);
+                let us = start.elapsed().as_secs_f64() * 1e6;
+                times.push(us / (matrices.len() * batch) as f64);
+            }
+        }
+        let [narrow, wide] = times.map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        });
+        println!(
+            "  {batch} columns: AVX2 tile {narrow:.2} us, 512-bit body {wide:.2} us per matrix \
+             and position ({:.2}x)",
+            wide / narrow
+        );
+        let mut library = Vector::zeros(0);
+        for (w, (narrow, wide)) in matrices.iter().zip(outs[0].iter().zip(&outs[1])) {
+            gemm_rows_into(w, xs, batch, Rows::All, &single, &mut library);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(narrow),
+                bits(wide),
+                "{batch} columns: the bodies differ"
+            );
+            assert_eq!(
+                bits(narrow),
+                bits(library.as_slice()),
+                "{batch} columns: the library differs"
+            );
+        }
+        if batch == 8 {
+            ratio = Some(wide / narrow);
+        }
+    }
+    ratio
+}
+
+/// Without AVX2 there is neither body.
+#[cfg(not(target_feature = "avx2"))]
+fn wide_body_rows(_: &[Matrix], _: &[f32], _: usize) -> Option<f64> {
+    None
 }
 
 /// One decode token's MLP stage per layer, as the benchmark's `sparse.mlp_us`

@@ -96,13 +96,25 @@ impl SignBitPredictor {
             .collect()
     }
 
-    /// The integer decision rule shared by [`predict`](Self::predict) and the
-    /// GPU cost model: skip iff `n_neg · 100 > n_pos · alpha_percent`.
+    /// The integer decision rule of the paper and the GPU cost model: skip
+    /// iff `n_neg · 100 > n_pos · alpha_percent`. The sweep applies it as
+    /// one comparison per row against [`skip_above`](Self::skip_above).
     #[inline]
     pub fn decide(n_neg: u32, total: u32, alpha_percent: u32) -> bool {
         debug_assert!(n_neg <= total);
         let n_pos = total - n_neg;
         u64::from(n_neg) * 100 > u64::from(n_pos) * u64::from(alpha_percent)
+    }
+
+    /// [`decide`](Self::decide) for one `total` and `alpha_percent` as a
+    /// threshold: `decide(n_neg, ..)` holds exactly when `n_neg` exceeds
+    /// this, since `n_neg · 100 > (total − n_neg) · α` is `n_neg · (100 +
+    /// α) > total · α`, and for integers that is `n_neg > ⌊total · α /
+    /// (100 + α)⌋`.
+    fn skip_above(total: u32, alpha_percent: u32) -> u32 {
+        let (total, alpha) = (u64::from(total), u64::from(alpha_percent));
+        // At most `total`, so it fits.
+        (total * alpha / (100 + alpha)) as u32
     }
 }
 
@@ -123,11 +135,11 @@ impl SparsityPredictor for SignBitPredictor {
         // *tables* are shared across sessions, the input pack is not.
         pack_signs_into(x.as_slice(), &mut scratch.sign_words);
         // One sweep over the packed rows, 64 decisions per mask word.
-        let x_signs = &scratch.sign_words;
+        let (x_signs, threshold) = (&scratch.sign_words, Self::skip_above(total, alpha));
         let counts = packed
             .iter_rows()
             .map(|row| xor_popcount_words(row, x_signs));
-        mask.reset_from_iter(counts.map(|n_neg| Self::decide(n_neg, total, alpha)));
+        mask.reset_from_iter(counts.map(|n_neg| n_neg > threshold));
     }
 
     fn name(&self) -> &'static str {
@@ -191,6 +203,22 @@ mod tests {
         assert!(SignBitPredictor::decide(51, 100, 103));
         // n_neg = 51, alpha = 1.10: 5100 vs 49·110 = 5390 → no skip.
         assert!(!SignBitPredictor::decide(51, 100, 110));
+    }
+
+    #[test]
+    fn the_sweep_threshold_is_decide() {
+        for total in [32u32, 128, 256, 416, 448] {
+            for alpha in 0..=300 {
+                let threshold = SignBitPredictor::skip_above(total, alpha);
+                for n_neg in 0..=total {
+                    assert_eq!(
+                        n_neg > threshold,
+                        SignBitPredictor::decide(n_neg, total, alpha),
+                        "n_neg {n_neg} of {total}, alpha {alpha}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,13 +32,23 @@ pub fn pack_signs_into(values: &[f32], words: &mut Vec<u32>) {
 }
 
 /// XOR+popcount sweep: `Σ popcount(a[i] ^ b[i])` over the common length,
-/// one `popcnt` per word. A predictor row is a handful of words (8 for a
-/// 256-wide gate): unrolled into four accumulators or 64-bit pairs, the
-/// compiler's vector code for the short remainder made a 128-wide row's
-/// sweep twice as slow as this loop.
+/// one 64-bit `popcnt` per pair of words and one 32-bit one for an odd
+/// last word. A predictor row is a handful of words (4 for a 128-wide
+/// gate, 8 for a 256-wide one); sweeping 344 × 128 and 688 × 256 packed
+/// rows against a threshold took 0.64 and 1.92 µs in pairs, 1.33 and 2.61
+/// µs a word at a time (one core of a Xeon VM with AVX-512).
 #[inline]
 pub fn xor_popcount_words(a: &[u32], b: &[u32]) -> u32 {
-    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+    let n = a.len().min(b.len());
+    let ((a2, a1), (b2, b1)) = (a[..n].as_chunks::<2>(), b[..n].as_chunks::<2>());
+    let wide = |w: &[u32; 2]| u64::from(w[0]) | (u64::from(w[1]) << 32);
+    let pairs: u32 = (a2.iter().zip(b2))
+        .map(|(x, y)| (wide(x) ^ wide(y)).count_ones())
+        .sum();
+    pairs
+        + (a1.iter().zip(b1))
+            .map(|(x, y)| (x ^ y).count_ones())
+            .sum::<u32>()
 }
 
 /// Packed sign bits of an `f32` sequence, 32 signs per `u32` word.
@@ -332,6 +342,11 @@ mod tests {
             let b: Vec<u32> = (0..len).map(|i| (i as u32).wrapping_mul(40503)).collect();
             let scalar: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
             assert_eq!(xor_popcount_words(&a, &b), scalar, "len {len}");
+            // Over the common length when the lengths differ.
+            let short = &b[..len / 2];
+            let common: u32 = a.iter().zip(short).map(|(x, y)| (x ^ y).count_ones()).sum();
+            assert_eq!(xor_popcount_words(&a, short), common, "len {len}");
+            assert_eq!(xor_popcount_words(short, &a), common, "len {len}");
         }
     }
 

@@ -530,7 +530,7 @@ fn wide_body_rows(matrices: &[Matrix], columns: &[f32], rounds: usize) -> Option
     }
     let single = ThreadPool::single();
     let mut ratio = None;
-    for batch in [8usize, 4, 3] {
+    for batch in [8usize, 4] {
         let xs = &columns[..batch * 256];
         let fresh = || vec![vec![0.0f32; 688 * batch]; matrices.len()];
         let mut outs = [fresh(), fresh()];

@@ -49,12 +49,12 @@
 //!
 //! On a CPU that reports AVX-512F (detected at run time inside the AVX2
 //! module, so a build without AVX2 never reaches it) a pass over four rows
-//! of at least three columns runs a 512-bit body of the same chains
+//! of at least four columns runs a 512-bit body of the same chains
 //! instead, two per zmm register (rows `2q` and `2q + 1` against one
 //! broadcast column chunk), up to eight columns per pass. On one core of
-//! a Sapphire Rapids VM it took 0.74-0.79 / 0.87-0.94 / 0.94 of the AVX2
-//! tile's time at 8 / 4 / 3 columns and 1.0 at 2, where the AVX2 tile
-//! keeps the pass (kernels bench, 24 688×256 matrices).
+//! a Sapphire Rapids VM it took 0.74-0.79 / 0.87-0.96 of the AVX2 tile's
+//! time at 8 / 4 columns, but 0.92-1.05 at 3 and 1.0 at 2, where the AVX2
+//! tile keeps the pass (kernels bench, 24 688×256 matrices).
 //!
 //! Two functions partition a weight matrix across a pool, for B activation
 //! columns over a set of its rows ([`Rows`]): [`gemm_rows_into`] (`W · X`,

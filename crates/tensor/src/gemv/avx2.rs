@@ -103,9 +103,10 @@ const PASS: usize = 2;
 const WIDE_PASS: usize = 8;
 
 /// Fewest columns a pass of the 512-bit body takes. Per the kernels bench
-/// (24 688×256 matrices, AVX2 tile = 1): 0.75 at 8 columns, 0.88 at 4,
-/// 0.94 at 3, 1.02 at 2, where the AVX2 tile is left to run.
-pub(super) const WIDE_MIN: usize = 3;
+/// (24 688×256 matrices, AVX2 tile = 1): 0.74-0.79 at 8 columns, 0.87-0.96
+/// at 4, 0.92-1.05 at 3 (above 1 when the host is loaded), 1.0 at 2;
+/// below 4 the AVX2 tile keeps the pass.
+pub(super) const WIDE_MIN: usize = 4;
 
 #[target_feature(enable = "avx2")]
 fn tiles<const R: usize>(rows: [&[f32]; R], xs: &[f32], out: &mut [&mut [f32]; R], first: usize) {
@@ -175,8 +176,7 @@ fn zmm_tiles(rows: [&[Chunk]; 4], xs: &[f32], out: &mut [&mut [f32]; 4]) -> usiz
             7 => zmm_tile::<7>(rows, columns(xs, cols), out, first),
             6 => zmm_tile::<6>(rows, columns(xs, cols), out, first),
             5 => zmm_tile::<5>(rows, columns(xs, cols), out, first),
-            4 => zmm_tile::<4>(rows, columns(xs, cols), out, first),
-            _ => zmm_tile::<3>(rows, columns(xs, cols), out, first),
+            _ => zmm_tile::<4>(rows, columns(xs, cols), out, first),
         }
         first += width;
     }

@@ -98,7 +98,7 @@ impl SignBitPredictor {
 
     /// The integer decision rule of the paper and the GPU cost model: skip
     /// iff `n_neg · 100 > n_pos · alpha_percent`. The sweep applies it as
-    /// one comparison per row against [`skip_above`](Self::skip_above).
+    /// one comparison per row against the precomputed `skip_above`.
     #[inline]
     pub fn decide(n_neg: u32, total: u32, alpha_percent: u32) -> bool {
         debug_assert!(n_neg <= total);

@@ -1276,34 +1276,16 @@ mod tests {
         }
     }
 
-    /// `out` of a `rows × batch` pass against `dot_lanes` of every pair,
-    /// bit for bit; `xs` holds the `batch` columns back to back.
-    fn assert_lanes_bits(rows: &[&[f32]], xs: &[f32], out: &[f32], what: &str) {
-        let cols = rows.first().map_or(0, |row| row.len());
-        let batch = out.len() / rows.len().max(1);
-        for (r, row) in rows.iter().enumerate() {
-            for (n, x) in xs.chunks_exact(cols.max(1)).enumerate().take(batch) {
-                let want = reference::dot_lanes(row, x).to_bits();
-                assert_eq!(
-                    out[r * batch + n].to_bits(),
-                    want,
-                    "{what}: row {r} column {n}"
-                );
-            }
-        }
-    }
-
     #[test]
-    fn tile_bodies_and_row_walks_match_the_lane_reference() {
-        // Both bodies of the four-row tile (where this CPU has AVX-512F),
-        // at 1..=9 columns, then `gemm_rows_into` over 1..=9 rows (partial
-        // tiles: the leftover rows go one by one) under `Rows::All` and
-        // `Rows::Kept`, and over 688 rows at 1, 2 and 4 threads: every
-        // result is the scalar lane reference's, bit for bit. Prints
-        // whether the 512-bit body was swept.
-        let mut rng = Prng::seed(44);
-        let mut normal =
-            |n: usize| -> Vec<f32> { (0..n).map(|_| rng.normal(0.0, 1.0) as f32).collect() };
+    fn both_tile_bodies_match_the_lane_reference() {
+        // Both bodies of the four-row tile (the 512-bit one where this CPU
+        // has AVX-512F), called directly at 1..=9 columns, bit for bit
+        // against the scalar lane reference: through `gemm_rows_into` an
+        // AVX-512F host never runs the AVX2 tile at 4 or more columns.
+        // `gemm_rows_equals_gemv_bit_for_bit` (tests/proptests.rs) walks
+        // rows and threads. Prints whether the 512-bit body was swept.
+        #[cfg(not(target_feature = "avx2"))]
+        println!("512-bit tile body: not built (no AVX2 in this build)");
         #[cfg(target_feature = "avx2")]
         {
             let wide = std::is_x86_feature_detected!("avx512f");
@@ -1314,6 +1296,9 @@ mod tests {
                     false => "skipped (no AVX-512F on this CPU)",
                 }
             );
+            let mut rng = Prng::seed(44);
+            let mut normal =
+                |n: usize| -> Vec<f32> { (0..n).map(|_| rng.normal(0.0, 1.0) as f32).collect() };
             for cols in [8usize, 24, 256] {
                 let w = normal(4 * cols);
                 let rows: [&[f32]; 4] = std::array::from_fn(|r| &w[r * cols..][..cols]);
@@ -1331,49 +1316,17 @@ mod tests {
                         let expect_wide = wide && body != "AVX2" && batch >= avx2::WIDE_MIN;
                         assert_eq!(first > 0, expect_wide, "{body} at {batch} columns");
                         avx2::narrow_tiles(rows, &xs, &mut outs, first);
-                        let what = format!("{body} body, {cols} wide, {batch} columns");
-                        assert_lanes_bits(&rows, &xs, &out, &what);
+                        for (r, row) in rows.iter().enumerate() {
+                            for (n, x) in xs.chunks_exact(cols).enumerate() {
+                                assert_eq!(
+                                    out[r * batch + n].to_bits(),
+                                    reference::dot_lanes(row, x).to_bits(),
+                                    "{body} body, {cols} wide, {batch} columns: row {r} column {n}"
+                                );
+                            }
+                        }
                     }
                 }
-            }
-        }
-        #[cfg(not(target_feature = "avx2"))]
-        println!("512-bit tile body: not built (no AVX2 in this build)");
-        let single = ThreadPool::single();
-        for cols in [16usize, 20] {
-            for n_rows in 1..=9usize {
-                let w = Matrix::from_vec(n_rows, cols, normal(n_rows * cols)).expect("shape");
-                let lists = [(0..n_rows as u32).collect(), listed(n_rows, |r| r != 1)];
-                for batch in 1..=9usize {
-                    let xs = normal(batch * cols);
-                    let mut out = Vector::zeros(0);
-                    gemm_rows_into(&w, &xs, batch, Rows::All, &single, &mut out);
-                    let rows: Vec<&[f32]> = w.iter_rows().collect();
-                    let what = format!("all of {n_rows}x{cols}, {batch} columns");
-                    assert_lanes_bits(&rows, &xs, out.as_slice(), &what);
-                    for list in &lists {
-                        gemm_rows_into(&w, &xs, batch, Rows::Kept(list), &single, &mut out);
-                        let rows: Vec<&[f32]> = list.iter().map(|&r| w.row(r as usize)).collect();
-                        let what = format!("{list:?} of {n_rows}x{cols}, {batch} columns");
-                        assert_lanes_bits(&rows, &xs, out.as_slice(), &what);
-                    }
-                }
-            }
-        }
-        let w = Matrix::from_vec(688, 256, normal(688 * 256)).expect("shape");
-        let kept = listed(688, |r| r % 3 != 0);
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(ParallelOptions::threads(threads));
-            for batch in 1..=9usize {
-                let xs = normal(batch * 256);
-                let mut out = Vector::zeros(0);
-                gemm_rows_into(&w, &xs, batch, Rows::All, &pool, &mut out);
-                let rows: Vec<&[f32]> = w.iter_rows().collect();
-                let what = format!("688x256, {batch} columns, {threads} threads");
-                assert_lanes_bits(&rows, &xs, out.as_slice(), &what);
-                gemm_rows_into(&w, &xs, batch, Rows::Kept(&kept), &pool, &mut out);
-                let rows: Vec<&[f32]> = kept.iter().map(|&r| w.row(r as usize)).collect();
-                assert_lanes_bits(&rows, &xs, out.as_slice(), &format!("kept {what}"));
             }
         }
     }

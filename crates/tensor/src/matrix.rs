@@ -99,51 +99,38 @@ impl WeightRows for Matrix {
 /// assert_eq!(m[(0, 2)], 2.0);
 /// ```
 ///
-/// The first element sits on a 64-byte cache-line boundary, so a row of a
-/// multiple of 16 columns is whole lines and no 32-byte load of a kernel
-/// splits one: the allocator's own placement (16 bytes past a line for
-/// the large blocks it maps, 48 for some small ones) made every other
-/// load of such a row a split load, and a one-column pass over a 512×256
-/// matrix in L2 took 1.28× the time.
+/// The first element sits on a 64-byte cache-line boundary
+/// (see `LineAligned`), so a row of a multiple of 16 columns is whole lines
+/// and no 32-byte load of a kernel splits one: the allocator's own
+/// placement (16 bytes past a line for the large blocks it maps, 48 for
+/// some small ones) made every other load of such a row a split load, and
+/// a one-column pass over a 512×256 matrix in L2 took 1.28× the time.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    /// The elements from `store[offset]`, the first line boundary in it.
-    store: Vec<f32>,
-    offset: usize,
+    data: LineAligned<f32>,
 }
 
-/// Alignment of a [`Matrix`]'s first element, in bytes: one cache line.
-const ALIGN: usize = 64;
-
 impl Matrix {
-    /// A `rows × cols` matrix of the first `rows * cols` items of
-    /// `elements`, row-major, its first element on an [`ALIGN`] boundary
-    /// (up to 15 elements of padding ahead of it, in the same allocation).
-    fn aligned(rows: usize, cols: usize, elements: impl Iterator<Item = f32>) -> Self {
-        let len = rows * cols;
-        let lanes = ALIGN / size_of::<f32>();
-        let mut store = Vec::<f32>::with_capacity(len + lanes - 1);
-        let offset = store.as_ptr().addr().wrapping_neg() % ALIGN / size_of::<f32>();
-        store.resize(offset, 0.0);
-        store.extend(elements.take(len));
-        assert_eq!(store.len(), offset + len, "too few matrix elements");
+    /// Creates a zero-filled `rows × cols` matrix.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
-            store,
-            offset,
+            data: LineAligned::collect(rows * cols, std::iter::repeat(0.0)),
         }
-    }
-
-    /// Creates a zero-filled `rows × cols` matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self::aligned(rows, cols, std::iter::repeat(0.0))
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        Self::aligned(rows, cols, (0..rows * cols).map(|i| f(i / cols, i % cols)))
+        let mut m = Self::zeros(rows, cols);
+        for r in 0..rows {
+            for (c, v) in m.row_mut(r).iter_mut().enumerate() {
+                *v = f(r, c);
+            }
+        }
+        m
     }
 
     /// Wraps an existing row-major buffer (copied into aligned storage).
@@ -159,17 +146,11 @@ impl Matrix {
                 len: data.len(),
             });
         }
-        Ok(Self::aligned(rows, cols, data.into_iter()))
-    }
-
-    /// The elements, row-major.
-    fn data(&self) -> &[f32] {
-        &self.store[self.offset..]
-    }
-
-    /// The elements, row-major, mutably.
-    fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.store[self.offset..]
+        Ok(Self {
+            rows,
+            cols,
+            data: LineAligned::collect(rows * cols, data),
+        })
     }
 
     /// Number of rows.
@@ -193,7 +174,7 @@ impl Matrix {
             "row {r} out of bounds for {} rows",
             self.rows
         );
-        &self.data()[r * self.cols..(r + 1) * self.cols]
+        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable view of row `r`.
@@ -207,18 +188,17 @@ impl Matrix {
             "row {r} out of bounds for {} rows",
             self.rows
         );
-        let cols = self.cols;
-        &mut self.data_mut()[r * cols..(r + 1) * cols]
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Read-only view of the whole row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
-        self.data()
+        &self.data
     }
 
     /// Mutable view of the whole row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.data_mut()
+        &mut self.data
     }
 
     /// Returns the transposed matrix (allocates).
@@ -232,7 +212,7 @@ impl Matrix {
 
     /// Iterates over rows as contiguous slices.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data().chunks_exact(self.cols)
+        self.data.chunks_exact(self.cols)
     }
 
     /// Multiplies a row of this matrix with a vector (inner product).
@@ -261,7 +241,7 @@ impl Matrix {
 
     /// Total number of `f32` elements.
     pub fn element_count(&self) -> usize {
-        self.rows * self.cols
+        self.data.len()
     }
 }
 
@@ -272,7 +252,7 @@ impl std::ops::Index<(usize, usize)> for Matrix {
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
         );
-        &self.data()[r * self.cols + c]
+        &self.data[r * self.cols + c]
     }
 }
 
@@ -282,32 +262,70 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of bounds"
         );
-        let cols = self.cols;
-        &mut self.data_mut()[r * cols + c]
+        &mut self.data[r * self.cols + c]
     }
 }
 
-/// A copy gets storage of its own, aligned afresh.
-impl Clone for Matrix {
+/// Weight storage whose first element sits on an [`ALIGN`] boundary: up
+/// to a line of padding ahead of the elements, in the same allocation, so
+/// no `unsafe` is needed. A clone is aligned afresh; comparison and
+/// `Debug` see the elements only. For element types whose size divides
+/// [`ALIGN`] (`f32`, `i8`).
+pub(crate) struct LineAligned<T> {
+    /// The elements from `store[offset]`, the first line boundary in it.
+    store: Vec<T>,
+    offset: usize,
+}
+
+/// Alignment of a [`LineAligned`] buffer's first element, in bytes: one
+/// cache line.
+const ALIGN: usize = 64;
+
+impl<T: Copy + Default> LineAligned<T> {
+    /// The first `len` of `items`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` has fewer.
+    pub(crate) fn collect(len: usize, items: impl IntoIterator<Item = T>) -> Self {
+        let size = size_of::<T>();
+        let mut store = Vec::<T>::with_capacity(len + ALIGN / size - 1);
+        let offset = store.as_ptr().addr().wrapping_neg() % ALIGN / size;
+        store.resize(offset, T::default());
+        store.extend(items.into_iter().take(len));
+        assert_eq!(store.len(), offset + len, "too few elements");
+        Self { store, offset }
+    }
+}
+
+impl<T> std::ops::Deref for LineAligned<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.store[self.offset..]
+    }
+}
+
+impl<T> std::ops::DerefMut for LineAligned<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.store[self.offset..]
+    }
+}
+
+impl<T: Copy + Default> Clone for LineAligned<T> {
     fn clone(&self) -> Self {
-        Self::aligned(self.rows, self.cols, self.data().iter().copied())
+        Self::collect(self.len(), self.iter().copied())
     }
 }
 
-/// Equal shapes and elements; the padding ahead of them is not compared.
-impl PartialEq for Matrix {
+impl<T: PartialEq> PartialEq for LineAligned<T> {
     fn eq(&self, other: &Self) -> bool {
-        (self.rows, self.cols) == (other.rows, other.cols) && self.data() == other.data()
+        **self == **other
     }
 }
 
-impl std::fmt::Debug for Matrix {
+impl<T: std::fmt::Debug> std::fmt::Debug for LineAligned<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Matrix")
-            .field("rows", &self.rows)
-            .field("cols", &self.cols)
-            .field("data", &self.data())
-            .finish()
+        (**self).fmt(f)
     }
 }
 

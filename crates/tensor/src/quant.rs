@@ -8,7 +8,7 @@
 //! quantize to zero, which contribute nothing to the inner product anyway.
 
 use crate::gemv::{dot_q8, dot_q8_batch, kept_rows_by, prefetch, Rows, QUANT_BLOCK};
-use crate::matrix::WeightRows;
+use crate::matrix::{LineAligned, WeightRows};
 use crate::{sign::PackedSignMatrix, Matrix};
 
 /// A matrix quantized to INT8 with one `f32` scale per [`QUANT_BLOCK`]
@@ -31,13 +31,16 @@ use crate::{sign::PackedSignMatrix, Matrix};
 /// let exact: f32 = m.row(1).iter().zip(&x).map(|(w, xi)| w * xi).sum();
 /// assert!((q.row_dot(1, &x) - exact).abs() < 0.05);
 /// ```
+///
+/// Values and scales each start on a cache line, as a [`Matrix`]'s
+/// elements do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockQuantizedMatrix {
     rows: usize,
     cols: usize,
-    values: Vec<i8>,
+    values: LineAligned<i8>,
     /// One scale per `QUANT_BLOCK` columns per row, row-major.
-    scales: Vec<f32>,
+    scales: LineAligned<f32>,
     /// Scale blocks per row (`cols.div_ceil(QUANT_BLOCK)`).
     row_blocks: usize,
 }
@@ -64,8 +67,8 @@ impl BlockQuantizedMatrix {
         Self {
             rows,
             cols,
-            values,
-            scales,
+            values: LineAligned::collect(rows * cols, values),
+            scales: LineAligned::collect(rows * row_blocks, scales),
             row_blocks,
         }
     }
@@ -192,6 +195,22 @@ mod tests {
 
     fn sample_matrix() -> Matrix {
         Matrix::from_fn(6, 32, |r, c| ((r * 31 + c * 17) % 23) as f32 / 11.0 - 1.0)
+    }
+
+    #[test]
+    fn values_and_scales_start_on_a_cache_line() {
+        let on_a_line = |p: *const u8| p.addr().is_multiple_of(64);
+        for (rows, cols) in [(1, 40), (6, 32), (688, 256)] {
+            let m = Matrix::from_fn(rows, cols, |r, c| (r + c) as f32 - 3.0);
+            let q = BlockQuantizedMatrix::quantize(&m);
+            for q in [&q, &q.clone()] {
+                assert!(on_a_line(q.row(0).as_ptr().cast()), "{rows}x{cols} values");
+                assert!(
+                    on_a_line(q.row_scales(0).as_ptr().cast()),
+                    "{rows}x{cols} scales"
+                );
+            }
+        }
     }
 
     #[test]

@@ -264,7 +264,8 @@ fn gemm_rows_equals_gemv_bit_for_bit() {
     // multiply-accumulates) — the first two from batch 5, the third at the
     // single column of a decode GEMV. The four-row walk splits a worker's
     // rows into four parts: 6 rows leave the last part empty, and 688x256
-    // is a serving model's gate and up projection.
+    // is a serving model's gate and up projection. 2 to 9 rows on the
+    // 8-lane grid fill a tile partly, wholly, or with rows left over.
     let shapes = [
         ((5, 37), 1..=9),
         ((130, 100), 1..=9),
@@ -279,6 +280,11 @@ fn gemm_rows_equals_gemv_bit_for_bit() {
         ((4096, 512), 1..=2),
         ((6, 256), 1..=9),
         ((688, 256), 1..=9),
+        ((2, 16), 1..=9),
+        ((4, 24), 1..=9),
+        ((7, 16), 1..=9),
+        ((8, 16), 1..=9),
+        ((9, 24), 1..=9),
     ];
     for (seed, ((rows, cols), batches)) in shapes.into_iter().enumerate() {
         let mut rng = Prng::seed(900 + seed as u64);
